@@ -132,8 +132,10 @@ SERVE:
   object per line, ops ping | submit | stats | metrics | health |
   shutdown. Each submit names a dataset workload plus a tenant; concurrent
   jobs interleave fairly at plan-shard granularity through a round-robin
-  turnstile (gating never changes results — each job stays bit-identical
-  to its one-shot run) and bill against per-tenant token budgets. With
+  turnstile that runs them side by side while their workers fit the
+  machine's cores (gating never changes results — each job stays
+  bit-identical to its one-shot run) and bill against per-tenant token
+  budgets. With
   --journal-dir, a submit carrying journal_key is journaled per job and
   resumable after a crash with exactly-once billing. stats returns the
   tenant ledger; metrics returns Prometheus text with a tenant label

@@ -8,12 +8,13 @@
 //! * [`ShardGate`] — the executor-side fairness hook: the streaming
 //!   executor brackets every plan-shard iteration with
 //!   `acquire`/`release`, so concurrent jobs interleave at shard
-//!   granularity. Each shard turn still uses the job's full worker pool
-//!   (time-sliced fairness, not core-partitioned), so a job running alone
-//!   is exactly as fast as without the gate.
-//! * [`Turnstile`] — the round-robin [`ShardGate`]: registered jobs take
-//!   strict turns; a finished job leaves the rotation when its handle
-//!   drops.
+//!   granularity. Each shard turn uses the job's full worker pool, so a
+//!   job running alone is exactly as fast as without the gate.
+//! * [`Turnstile`] — the round-robin, work-conserving [`ShardGate`]:
+//!   registered jobs are granted turns in rotation order, and several hold
+//!   turns at once while their summed worker counts fit the machine's
+//!   available parallelism (a job as wide as the machine runs alone); a
+//!   finished job leaves the rotation when its handle drops.
 //! * [`TenantLedger`] — per-tenant token allowances and billed totals.
 //!   Admission clamps a job's own token budget to the tenant's remaining
 //!   allowance, so the job runs under a private [`ExecutionOptions`]
@@ -54,13 +55,17 @@
 //!   an idle timeout between frames, and a frame-completion timeout, so
 //!   an oversized line, binary garbage, a torn frame, or a slow-loris
 //!   client costs one connection thread at worst and never stalls the
-//!   accept loop or other clients.
+//!   accept loop or other clients. Every frame, request or reply, goes
+//!   out in one write on a `TCP_NODELAY` socket, so no frame waits on
+//!   the peer's delayed ACK; the accept loop blocks in `accept` and is
+//!   woken by a loopback connection when shutdown is requested or a
+//!   drain goes quiet.
 //!
 //! Everything here is std-only, like the rest of the workspace.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -86,47 +91,77 @@ pub trait ShardGate: Send + Sync {
     fn release(&self);
 }
 
-/// Shared state of a [`Turnstile`]: the rotation queue, front = current
-/// turn-holder.
+/// Shared state of a [`Turnstile`].
 #[derive(Debug, Default)]
 struct Rotation {
-    queue: VecDeque<u64>,
+    /// Jobs not holding a turn, in rotation order, with their shares.
+    queue: VecDeque<(u64, usize)>,
+    /// Jobs holding a turn.
+    holding: Vec<u64>,
+    /// Summed shares of the jobs holding a turn.
+    held: usize,
 }
 
-/// A round-robin [`ShardGate`]: jobs registered with [`register`]
-/// (`Turnstile::register`) take strict turns in registration order, each
-/// turn covering one plan shard. Dropping a job's [`TurnstileHandle`]
-/// removes it from the rotation, so finished (or crashed) jobs never block
-/// the others.
-#[derive(Debug, Default)]
+/// A round-robin, work-conserving [`ShardGate`]: jobs registered with
+/// [`register`](Turnstile::register) take turns in rotation order, each
+/// turn covering one plan shard. Jobs hold turns at the same time while
+/// their summed shares fit the turnstile's limit, the machine's available
+/// parallelism, so a job does not wait for a turn while a core idles. A
+/// job's share is its worker count capped at the limit: a job with at
+/// least as many workers as the limit runs alone, and at limit 1 every
+/// job does (strict alternation).
+///
+/// Rotation order holds by reservation: a waiting job starts a turn only
+/// in the capacity left by the jobs holding turns and by every job ahead
+/// of it in the rotation, asking yet or not. So a job never waits on one
+/// behind it, and a wide job is not starved by a stream of narrow ones.
+/// Dropping a job's [`TurnstileHandle`] removes it from the rotation and
+/// frees its share, even mid-turn, so finished (or crashed) jobs never
+/// block the others.
+#[derive(Debug)]
 pub struct Turnstile {
     rotation: Mutex<Rotation>,
     turned: Condvar,
+    /// Summed shares that may hold turns at once.
+    limit: usize,
 }
 
 impl Turnstile {
-    /// An empty turnstile.
+    /// An empty turnstile whose limit is the machine's available
+    /// parallelism.
     pub fn new() -> Arc<Turnstile> {
-        Arc::new(Turnstile::default())
+        Turnstile::with_limit(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
-    /// Adds `job` to the back of the rotation and returns its gate handle.
-    pub fn register(self: &Arc<Self>, job: u64) -> TurnstileHandle {
+    /// An empty turnstile admitting `limit` summed shares at once.
+    fn with_limit(limit: usize) -> Arc<Turnstile> {
+        Arc::new(Turnstile {
+            rotation: Mutex::new(Rotation::default()),
+            turned: Condvar::new(),
+            limit: limit.max(1),
+        })
+    }
+
+    /// Adds `job`, running on `workers` threads, to the back of the
+    /// rotation and returns its gate handle.
+    pub fn register(self: &Arc<Self>, job: u64, workers: usize) -> TurnstileHandle {
+        let share = workers.clamp(1, self.limit);
         self.rotation
             .lock()
             .expect("rotation lock")
             .queue
-            .push_back(job);
-        self.turned.notify_all();
+            .push_back((job, share));
         TurnstileHandle {
             turnstile: Arc::clone(self),
             job,
+            share,
         }
     }
 
-    /// Jobs currently in the rotation.
+    /// Jobs currently in the rotation, holding a turn or not.
     pub fn len(&self) -> usize {
-        self.rotation.lock().expect("rotation lock").queue.len()
+        let rotation = self.rotation.lock().expect("rotation lock");
+        rotation.queue.len() + rotation.holding.len()
     }
 
     /// Whether the rotation is empty.
@@ -141,21 +176,37 @@ impl Turnstile {
 pub struct TurnstileHandle {
     turnstile: Arc<Turnstile>,
     job: u64,
+    share: usize,
 }
 
 impl ShardGate for TurnstileHandle {
     fn acquire(&self) {
-        let mut rotation = self.turnstile.rotation.lock().expect("rotation lock");
-        while rotation.queue.front() != Some(&self.job) {
-            rotation = self.turnstile.turned.wait(rotation).expect("rotation lock");
+        let turnstile = &self.turnstile;
+        let mut rotation = turnstile.rotation.lock().expect("rotation lock");
+        loop {
+            // The capacity claimed once this job starts: every holder's
+            // share plus every share up to and including its own.
+            let mut claimed = rotation.held;
+            let position = rotation.queue.iter().position(|&(job, share)| {
+                claimed += share;
+                job == self.job
+            });
+            if let Some(i) = position.filter(|_| claimed <= turnstile.limit) {
+                rotation.queue.remove(i);
+                rotation.holding.push(self.job);
+                rotation.held += self.share;
+                return;
+            }
+            rotation = turnstile.turned.wait(rotation).expect("rotation lock");
         }
     }
 
     fn release(&self) {
         let mut rotation = self.turnstile.rotation.lock().expect("rotation lock");
-        if rotation.queue.front() == Some(&self.job) {
-            rotation.queue.pop_front();
-            rotation.queue.push_back(self.job);
+        if let Some(i) = rotation.holding.iter().position(|&j| j == self.job) {
+            rotation.holding.swap_remove(i);
+            rotation.held -= self.share;
+            rotation.queue.push_back((self.job, self.share));
         }
         drop(rotation);
         self.turnstile.turned.notify_all();
@@ -164,8 +215,18 @@ impl ShardGate for TurnstileHandle {
 
 impl Drop for TurnstileHandle {
     fn drop(&mut self) {
-        let mut rotation = self.turnstile.rotation.lock().expect("rotation lock");
-        rotation.queue.retain(|&j| j != self.job);
+        // No rotation update can panic midway, so a poisoned lock still
+        // guards consistent state; `Drop` must not panic.
+        let mut rotation = self
+            .turnstile
+            .rotation
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(i) = rotation.holding.iter().position(|&j| j == self.job) {
+            rotation.holding.swap_remove(i);
+            rotation.held -= self.share;
+        }
+        rotation.queue.retain(|&(j, _)| j != self.job);
         drop(rotation);
         self.turnstile.turned.notify_all();
     }
@@ -783,7 +844,7 @@ impl JobScheduler {
         }
         let grant = JobGrant {
             job,
-            gate: Arc::new(self.turnstile.register(job)),
+            gate: Arc::new(self.turnstile.register(job, requested.workers)),
             options: ExecutionOptions {
                 token_budget: effective_budget,
                 ..requested
@@ -1024,6 +1085,9 @@ pub type JobHandler = dyn Fn(&Json, &JobGrant) -> Result<JobOutcome, String> + S
 /// shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
 
+/// How long the connection that wakes the accept loop may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Wire-level protection limits for one daemon connection. Defaults are
 /// generous for interactive clients but bounded, so a single hostile or
 /// broken peer (an oversized line, a byte-at-a-time slow loris, a client
@@ -1124,7 +1188,6 @@ impl Daemon {
         handler: Arc<JobHandler>,
     ) -> std::io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Daemon {
             listener,
             scheduler,
@@ -1171,9 +1234,39 @@ impl Daemon {
     }
 
     /// Asks the accept loop to stop (also reachable over the wire via
-    /// `{"op":"shutdown"}`). In-flight jobs finish first.
+    /// `{"op":"shutdown"}`), waking it from `accept`. In-flight jobs
+    /// finish first.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            self.wake_accept();
+        }
+    }
+
+    /// Wakes the accept loop's blocking `accept` with a connection to the
+    /// daemon's own port, which the loop drops once it sees the shutdown
+    /// flag. A wildcard bind address is reached through loopback.
+    fn wake_accept(&self) {
+        let mut addr = self.local_addr();
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // A failed wake leaves the loop to stop at the next connection.
+        let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+    }
+
+    /// Completes a drain once it has gone quiet — nothing in flight,
+    /// nothing queued — by requesting shutdown. The daemon checks before
+    /// serving and after every request: a drain started over the wire
+    /// goes quiet on a request (the drain op, or the last in-flight
+    /// submit), while one started through [`scheduler`](Self::scheduler)
+    /// with nothing in flight closes the daemon at its next request.
+    fn close_if_drained(&self) {
+        if self.scheduler.draining() && self.scheduler.quiesced() {
+            self.request_shutdown();
+        }
     }
 
     /// Serves until shutdown is requested — or until a drain quiesces
@@ -1182,20 +1275,14 @@ impl Daemon {
     /// then waits for in-flight connections to finish.
     pub fn run(&self) -> std::io::Result<()> {
         let result = std::thread::scope(|scope| {
-            while !self.shutdown.load(Ordering::Relaxed) {
-                if self.scheduler.draining() && self.scheduler.quiesced() {
-                    self.request_shutdown();
+            self.close_if_drained();
+            while !self.shutdown.load(Ordering::SeqCst) {
+                let (stream, _) = self.listener.accept()?;
+                // The wake connection, or a client racing the stop.
+                if self.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        scope.spawn(move || self.serve_connection(stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(e) => return Err(e),
-                }
+                scope.spawn(move || self.serve_connection(stream));
             }
             Ok(())
         });
@@ -1215,6 +1302,7 @@ impl Daemon {
         // this thread on a full socket buffer.
         let _ = stream.set_read_timeout(Some(READ_POLL));
         let _ = stream.set_write_timeout(Some(Duration::from_secs_f64(self.wire.write_secs)));
+        let _ = stream.set_nodelay(true);
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => return,
@@ -1228,41 +1316,35 @@ impl Daemon {
                 | FrameOutcome::Idle
                 | FrameOutcome::Shutdown => return,
                 FrameOutcome::Oversized => {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        error_reply(&format!(
+                    let _ = write_frame(
+                        &mut writer,
+                        &error_reply(&format!(
                             "request line exceeds the {}-byte frame limit",
                             self.wire.max_frame_bytes
-                        ))
-                        .to_json()
+                        )),
                     );
                     return;
                 }
                 FrameOutcome::Stalled => {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        error_reply(&format!(
+                    let _ = write_frame(
+                        &mut writer,
+                        &error_reply(&format!(
                             "request frame not completed within {}s",
                             self.wire.frame_secs
-                        ))
-                        .to_json()
+                        )),
                     );
                     return;
                 }
             };
             let Ok(line) = std::str::from_utf8(&frame) else {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    error_reply("request line is not valid UTF-8").to_json()
-                );
+                let _ = write_frame(&mut writer, &error_reply("request line is not valid UTF-8"));
                 return;
             };
-            match self.dispatch(line.trim()) {
+            let reply = self.dispatch(line.trim());
+            self.close_if_drained();
+            match reply {
                 Reply::Line(json) => {
-                    if writeln!(writer, "{}", json.to_json()).is_err() {
+                    if write_frame(&mut writer, &json).is_err() {
                         return;
                     }
                 }
@@ -1709,6 +1791,15 @@ impl Daemon {
     }
 }
 
+/// Sends `json` as one NDJSON frame: the line and its newline in a single
+/// write. Written in two pieces, the second would wait for the peer's
+/// delayed ACK of the first (up to 40 ms) under Nagle's algorithm.
+fn write_frame(stream: &mut impl Write, json: &Json) -> std::io::Result<()> {
+    let mut frame = json.to_json();
+    frame.push('\n');
+    stream.write_all(frame.as_bytes())
+}
+
 /// A failed reply line.
 fn error_reply(message: &str) -> Json {
     Json::Obj(vec![
@@ -1720,13 +1811,14 @@ fn error_reply(message: &str) -> Json {
 /// Client-side helper: sends one request line on `stream` and parses the
 /// single-line reply. Used by the CLI's self-check, the chaos soak drill,
 /// and the e2e tests; exported so external clients don't re-implement the
-/// framing.
+/// framing. The request goes out in one write with `TCP_NODELAY` set.
 pub fn roundtrip(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     request: &Json,
 ) -> Result<Json, String> {
-    writeln!(stream, "{}", request.to_json()).map_err(|e| format!("send failed: {e}"))?;
+    let _ = stream.set_nodelay(true);
+    write_frame(stream, request).map_err(|e| format!("send failed: {e}"))?;
     let mut line = String::new();
     loop {
         match reader.read_line(&mut line) {
@@ -1750,9 +1842,9 @@ mod tests {
 
     #[test]
     fn turnstile_rotates_strictly_and_drops_finished_jobs() {
-        let turnstile = Turnstile::new();
-        let a = turnstile.register(1);
-        let b = turnstile.register(2);
+        let turnstile = Turnstile::with_limit(1);
+        let a = turnstile.register(1, 1);
+        let b = turnstile.register(2, 1);
         assert_eq!(turnstile.len(), 2);
 
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -1779,6 +1871,118 @@ mod tests {
         b.release();
         drop(b);
         assert!(turnstile.is_empty());
+    }
+
+    /// Acquires `handle`'s turn on another thread and hands the handle
+    /// back, failing the test (instead of hanging it) if no turn comes.
+    fn granted(handle: TurnstileHandle) -> TurnstileHandle {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            handle.acquire();
+            let _ = tx.send(handle);
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("turn granted")
+    }
+
+    #[test]
+    fn turnstile_grants_concurrent_turns_within_its_limit() {
+        let turnstile = Turnstile::with_limit(2);
+        let held = || turnstile.rotation.lock().unwrap().held;
+        // Two one-worker jobs hold turns at the same moment.
+        let a = granted(turnstile.register(1, 1));
+        let b = granted(turnstile.register(2, 1));
+        assert_eq!(held(), 2);
+
+        // Dropping a handle mid-turn frees its share for a waiting job.
+        let c = turnstile.register(3, 1);
+        drop(a);
+        let c = granted(c);
+        assert_eq!((held(), turnstile.len()), (2, 2));
+        drop((b, c));
+        assert_eq!(held(), 0);
+        assert!(turnstile.is_empty());
+
+        // A job wider than the limit takes every share, no more.
+        let wide = granted(turnstile.register(4, 8));
+        assert_eq!(held(), 2);
+        wide.release();
+        assert_eq!(held(), 0);
+    }
+
+    #[test]
+    fn turnstile_gives_a_wide_job_its_turn_beside_narrow_ones() {
+        /// A turn's start or end, as logged by the job holding it.
+        #[derive(Debug, Clone, Copy)]
+        enum Mark {
+            Start(u64),
+            End(u64),
+        }
+        const WIDE: u64 = 2;
+        const WIDE_TURNS: usize = 4;
+        let turnstile = Turnstile::with_limit(2);
+        // The wide job (more workers than the limit) is registered between
+        // two one-worker jobs that keep asking for turns.
+        let jobs = [
+            (turnstile.register(1, 1), 12),
+            (turnstile.register(WIDE, 4), WIDE_TURNS),
+            (turnstile.register(3, 1), 12),
+        ];
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Unscoped threads, so a starved job fails the timeout below
+        // instead of hanging the test.
+        for (handle, turns) in jobs {
+            let (log, tx) = (Arc::clone(&log), tx.clone());
+            std::thread::spawn(move || {
+                for _ in 0..turns {
+                    handle.acquire();
+                    log.lock().unwrap().push(Mark::Start(handle.job));
+                    std::thread::yield_now();
+                    log.lock().unwrap().push(Mark::End(handle.job));
+                    handle.release();
+                }
+                // A finished job leaves the rotation.
+                drop(handle);
+                tx.send(()).unwrap();
+            });
+        }
+        for _ in 0..3 {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("every job gets all its turns");
+        }
+
+        // Start marks are logged inside a turn and end marks before its
+        // release, so the log orders turns as the turnstile granted them.
+        let mut holding = Vec::new();
+        let mut since_wide = Vec::new();
+        let mut wide_turns = 0;
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        for mark in log {
+            match mark {
+                Mark::Start(job) => {
+                    assert!(
+                        !holding.contains(&WIDE) && (job != WIDE || holding.is_empty()),
+                        "the wide job runs alone: {job} started beside {holding:?}"
+                    );
+                    if job == WIDE {
+                        wide_turns += 1;
+                        since_wide.clear();
+                    } else {
+                        // Rotation order: after its turn, a narrow job
+                        // queues behind the wide one until that is done.
+                        assert!(
+                            wide_turns == WIDE_TURNS || !since_wide.contains(&job),
+                            "job {job} took a second turn ahead of the wide job"
+                        );
+                        since_wide.push(job);
+                    }
+                    holding.push(job);
+                }
+                Mark::End(job) => holding.retain(|&j| j != job),
+            }
+        }
+        assert_eq!(wide_turns, WIDE_TURNS);
     }
 
     #[test]
@@ -2329,6 +2533,104 @@ mod tests {
             .unwrap();
             server.join().unwrap().unwrap();
         });
+    }
+
+    /// A daemon with a handler that bills nothing, bound to `addr`.
+    fn idle_daemon(addr: &str) -> Arc<Daemon> {
+        let handler: Arc<JobHandler> =
+            Arc::new(|_body: &Json, _grant: &JobGrant| Ok(JobOutcome::default()));
+        Arc::new(Daemon::bind(addr, JobScheduler::new(TenantLedger::new()), handler).unwrap())
+    }
+
+    /// Runs `daemon` on an unscoped thread; the receiver yields what `run`
+    /// returned, so a test can bound the wait instead of hanging.
+    fn serve_in_background(daemon: &Arc<Daemon>) -> std::sync::mpsc::Receiver<std::io::Result<()>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let daemon = Arc::clone(daemon);
+        std::thread::spawn(move || {
+            let _ = tx.send(daemon.run());
+        });
+        rx
+    }
+
+    /// A kept-alive client connection to `daemon`, reached through
+    /// loopback whatever address it is bound to.
+    fn connect(daemon: &Daemon) -> (TcpStream, BufReader<TcpStream>) {
+        let port = daemon.local_addr().port();
+        let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    fn op(name: &str) -> Json {
+        Json::Obj(vec![("op".to_string(), Json::Str(name.to_string()))])
+    }
+
+    #[test]
+    fn request_shutdown_wakes_an_accept_loop_with_no_client() {
+        // The wildcard bind must still wake: the wake connection goes to
+        // loopback, not to the unspecified address.
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let daemon = idle_daemon(addr);
+            let done = serve_in_background(&daemon);
+            // One served ping puts the loop back into a blocking accept.
+            let (mut stream, mut reader) = connect(&daemon);
+            roundtrip(&mut stream, &mut reader, &op("ping")).unwrap();
+            drop((stream, reader));
+
+            daemon.request_shutdown();
+            done.recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("run did not return after shutdown ({addr})"))
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn drain_with_nothing_in_flight_closes_the_daemon() {
+        let daemon = idle_daemon("127.0.0.1:0");
+        let done = serve_in_background(&daemon);
+        let (mut stream, mut reader) = connect(&daemon);
+        let drained = roundtrip(&mut stream, &mut reader, &op("drain")).unwrap();
+        assert_eq!(
+            drained.get("state").and_then(Json::as_str),
+            Some("draining")
+        );
+        drop((stream, reader));
+
+        // No shutdown op: the quiet drain alone stops the accept loop.
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("a quiet drain closes the daemon")
+            .unwrap();
+        assert_eq!(daemon.scheduler().drain_label(), "closed");
+    }
+
+    #[test]
+    fn kept_alive_pings_do_not_wait_on_delayed_acks() {
+        let daemon = idle_daemon("127.0.0.1:0");
+        let done = serve_in_background(&daemon);
+        let (mut stream, mut reader) = connect(&daemon);
+        // Without TCP_NODELAY, a frame sent in two writes waits ~40 ms for
+        // the peer's delayed ACK of the first; one-write frames on
+        // TCP_NODELAY sockets take well under a millisecond.
+        let mut millis: Vec<f64> = (0..20)
+            .map(|_| {
+                let started = Instant::now();
+                roundtrip(&mut stream, &mut reader, &op("ping")).unwrap();
+                started.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        millis.sort_by(f64::total_cmp);
+        assert!(
+            millis[10] < 20.0,
+            "median ping {:.1} ms: {millis:?}",
+            millis[10]
+        );
+
+        roundtrip(&mut stream, &mut reader, &op("shutdown")).unwrap();
+        drop((stream, reader));
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("shutdown stops the daemon")
+            .unwrap();
     }
 
     #[test]

@@ -412,7 +412,7 @@ fn streaming_resume_rejects_a_mismatched_plan() {
 
 /// Satellite of the serving tentpole: two tenants running the same
 /// streaming workload concurrently through the [`JobScheduler`] — their
-/// shards strictly interleaved by the shared turnstile — each produce a
+/// shards interleaved or overlapped by the shared turnstile — each produce a
 /// result byte-identical to a serial one-shot run. Fair-share gating is
 /// pure scheduling; it must never leak into results.
 #[test]

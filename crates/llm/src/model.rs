@@ -197,10 +197,7 @@ impl ChatModel for SimulatedLlm {
             homogeneity,
             criteria_wander,
         };
-        let answers: Vec<(usize, crate::solvers::SolvedAnswer)> = questions
-            .iter()
-            .map(|q| (q.number, solve(&ctx, q, &mut rng)))
-            .collect();
+        let answers = solve(&ctx, &questions, &mut rng);
 
         // --- Render with failures ---------------------------------------
         let segments = plan_response(&self.profile, &prompt, answers, context_fill, &mut rng);

@@ -132,18 +132,11 @@ pub fn score_pair(
 
 const DEFAULT_THRESHOLD: f64 = 0.75;
 
-/// Solves one entity-matching question.
-pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> SolvedAnswer {
-    if question.instances.len() < 2 {
-        return SolvedAnswer {
-            answer: "no".into(),
-            reason: "The question does not contain two records to compare.".into(),
-        };
-    }
-    let a = &question.instances[0];
-    let b = &question.instances[1];
-    let score = score_pair_with_contrast(ctx.kb, &ctx.memorizer, a, b, ctx.homogeneity);
-
+/// The match bar a request's questions are judged against: calibrated on
+/// the prompt's few-shot pairs and shifted by the reasoning instruction.
+/// It depends on the prompt alone and draws no randomness, so a request
+/// computes it once for all its questions.
+pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
     let example_scores: Vec<(f64, bool)> = ctx
         .prompt
         .examples
@@ -169,7 +162,26 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> Sol
         };
         threshold += shift * (1.0 - ctx.homogeneity).clamp(0.2, 1.0);
     }
+    threshold
+}
 
+/// Solves one entity-matching question against the request's
+/// [`match_bar`].
+pub fn solve(
+    ctx: &SolverContext<'_>,
+    question: &Question,
+    threshold: f64,
+    rng: &mut Rng,
+) -> SolvedAnswer {
+    if question.instances.len() < 2 {
+        return SolvedAnswer {
+            answer: "no".into(),
+            reason: "The question does not contain two records to compare.".into(),
+        };
+    }
+    let a = &question.instances[0];
+    let b = &question.instances[1];
+    let score = score_pair_with_contrast(ctx.kb, &ctx.memorizer, a, b, ctx.homogeneity);
     let noisy = score + ctx.noise(rng);
     let is_match = noisy > threshold;
 
@@ -211,7 +223,7 @@ mod tests {
             criteria_wander: 0.0,
         };
         let mut rng = rng_for(0, user);
-        solve(&ctx, &prompt.questions[0], &mut rng)
+        solve(&ctx, &prompt.questions[0], match_bar(&ctx), &mut rng)
     }
 
     const EM_SYSTEM: &str = "You are requested to decide whether the two given records refer to \
@@ -324,7 +336,7 @@ mod tests {
             criteria_wander: 0.0,
         };
         let mut rng = rng_for(0, borderline_q);
-        let with_fs = solve(&ctx, &prompt.questions[0], &mut rng);
+        let with_fs = solve(&ctx, &prompt.questions[0], match_bar(&ctx), &mut rng);
         assert_eq!(without_fs.answer, "no");
         assert_eq!(with_fs.answer, "yes");
     }

@@ -71,19 +71,38 @@ impl SolverContext<'_> {
     }
 }
 
-/// Dispatches a question to the task solver detected from the prompt.
-/// Questions under an unrecognized task produce a refusal answer.
-pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> SolvedAnswer {
-    match ctx.prompt.task {
-        Some(TaskKind::ErrorDetection) => ed::solve(ctx, question, rng),
-        Some(TaskKind::Imputation) => di::solve(ctx, question, rng),
-        Some(TaskKind::SchemaMatching) => sm::solve(ctx, question, rng),
-        Some(TaskKind::EntityMatching) => em::solve(ctx, question, rng),
-        None => SolvedAnswer {
-            answer: "unclear".into(),
-            reason: "The request does not specify a recognizable task.".into(),
-        },
-    }
+/// Solves a request's questions in order, each by the task solver
+/// detected from the prompt, and pairs every answer with its question
+/// number. Questions under an unrecognized task produce a refusal answer.
+pub fn solve(
+    ctx: &SolverContext<'_>,
+    questions: &[Question],
+    rng: &mut Rng,
+) -> Vec<(usize, SolvedAnswer)> {
+    // The entity-matching bar depends on the prompt alone: its few-shot
+    // pairs are scored once per request, not once per question.
+    let em_bar = std::cell::OnceCell::new();
+    questions
+        .iter()
+        .map(|question| {
+            let answer = match ctx.prompt.task {
+                Some(TaskKind::ErrorDetection) => ed::solve(ctx, question, rng),
+                Some(TaskKind::Imputation) => di::solve(ctx, question, rng),
+                Some(TaskKind::SchemaMatching) => sm::solve(ctx, question, rng),
+                Some(TaskKind::EntityMatching) => em::solve(
+                    ctx,
+                    question,
+                    *em_bar.get_or_init(|| em::match_bar(ctx)),
+                    rng,
+                ),
+                None => SolvedAnswer {
+                    answer: "unclear".into(),
+                    reason: "The request does not specify a recognizable task.".into(),
+                },
+            };
+            (question.number, answer)
+        })
+        .collect()
 }
 
 /// Calibrates a yes/no decision threshold from few-shot examples.

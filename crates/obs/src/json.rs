@@ -125,11 +125,10 @@ impl Json {
 
     /// Parses a complete JSON document (rejects trailing garbage).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(JsonError {
                 at: pos,
                 message: "trailing characters after value".into(),
@@ -190,14 +189,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -207,7 +207,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -229,13 +229,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(err(*pos, "expected ':' after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -252,7 +252,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(err(*pos, "expected string"));
     }
@@ -294,12 +295,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar at a time.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let c = rest.chars().next().expect("nonempty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece. Both are ASCII, so the run ends on a char
+                // boundary of the already-valid input.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&text[*pos..run]);
+                *pos = run;
             }
         }
     }
@@ -359,6 +363,72 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    /// Escapes `s` as a JSON string body the way a foreign writer might:
+    /// any BMP character may come as a `\uXXXX` escape, chosen by `pick`.
+    fn foreign_escape(s: &str, mut pick: impl FnMut() -> bool) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 || ((c as u32) < 0x10000 && pick()) => {
+                    out.push_str(&format!("\\u{:04X}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn strings_round_trip_utf8_escapes_and_unicode_escapes() {
+        // Multi-byte UTF-8 (2, 3 and 4 bytes), every short escape, and
+        // control characters, in seeded random mixes.
+        let pieces = [
+            "a", "Z", " ", "é", "€", "漢", "𝄞", "\"", "\\", "/", "\n", "\r", "\t", "\u{8}",
+            "\u{c}", "\u{1}", "\u{7f}",
+        ];
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..500 {
+            let len = (next() % 40) as usize;
+            let s: String = (0..len)
+                .map(|_| pieces[(next() % pieces.len() as u64) as usize])
+                .collect();
+            let ours = Json::Str(s.clone()).to_json();
+            assert_eq!(Json::parse(&ours).unwrap(), Json::Str(s.clone()), "{ours}");
+            let foreign = foreign_escape(&s, || next() % 3 == 0);
+            assert_eq!(Json::parse(&foreign).unwrap(), Json::Str(s), "{foreign}");
+        }
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        // Re-validating the rest of the input at every character would make
+        // this quadratic: minutes for 1 MiB instead of milliseconds.
+        let value: String = "journal entry é€𝄞 \"quoted\"\n"
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let text = Json::Obj(vec![("v".into(), Json::Str(value.clone()))]).to_json();
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "parsing {} bytes took {:?}",
+            text.len(),
+            started.elapsed()
+        );
+        assert_eq!(parsed.get("v").and_then(Json::as_str), Some(value.as_str()));
     }
 
     #[test]

@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== bench_e2e builds and passes its tests against the library crates =="
+# The benchmark is a package of its own that uses the daemon and executor
+# APIs; --locked fails on any dependency its committed Cargo.lock lacks.
+# Its build shares the workspace's target directory, as run.sh does.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+  cargo test -q --locked --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
+
 echo "== serving-ledger audit invariants =="
 cargo test -q --test audit_invariants
 cargo test -q -p dprep-core --lib exec::tests::audit_tracer_passes_on_a_faulty_retried_cached_run
