@@ -20,9 +20,8 @@
 //!
 //! The sweep stack is cache → retry → fault injection (order-independent
 //! layers, so parallel dispatch stays deterministic). The circuit breaker
-//! holds ordered mutable state, so it gets its own **serial** drill: a
-//! burst-outage schedule drives it closed → open → half-open → closed and
-//! the transition sequence is printed.
+//! settles in plan order inside the router, so the route-outage drill
+//! exercises it at every worker count.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -32,12 +31,12 @@ use dprep_core::{
 };
 use dprep_datasets::{dataset_by_name, Dataset};
 use dprep_llm::{
-    warm_cache_store, CacheLayer, CircuitBreakerLayer, FaultLayer, FaultScenario, MiddlewareStats,
-    ModelProfile, RetryLayer, SimulatedLlm,
+    warm_cache_store, CacheLayer, FaultLayer, FaultScenario, MiddlewareStats, ModelProfile,
+    RetryLayer, SimulatedLlm,
 };
 use dprep_obs::{
-    AuditTracer, CollectingTracer, DurableJournal, JournalEntry, MetricsRecorder, MetricsSnapshot,
-    MultiTracer, TerminalKind, TraceEvent, Tracer,
+    AuditTracer, DurableJournal, JournalEntry, MetricsRecorder, MetricsSnapshot, MultiTracer,
+    TerminalKind, Tracer,
 };
 
 use crate::args::Flags;
@@ -123,9 +122,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     }
 
     println!();
-    print!("{}", breaker_drill(&workloads[0], seed, retries)?);
-
-    println!();
     print!("{}", route_outage_drill(seed, retries)?);
 
     println!();
@@ -133,9 +129,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         "{}",
         kill_drill(&workloads[0], seed, retries, workers, None)?
     );
-    // The same drill with the streaming planner on: shards of 2 batches
-    // put several shard boundaries inside the kill sweep, so resume is
-    // proven bit-identical when the plan was never materialized.
+    // The same drill in shards of 2 batches: several shard boundaries fall
+    // inside the kill sweep, so resume is proven bit-identical when the
+    // plan is never rendered whole.
     print!(
         "{}",
         kill_drill(&workloads[0], seed, retries, workers, Some(2))?
@@ -344,9 +340,9 @@ fn strip_journal_counters(mut metrics: MetricsSnapshot) -> MetricsSnapshot {
 /// between serial and `--workers N` to cover worker-count invariance too.
 ///
 /// With `plan_shard` set the whole drill — reference, killed runs, and
-/// resumes — executes under the streaming planner, proving the resume
-/// contract holds when the plan is consumed shard by shard instead of
-/// materialized.
+/// resumes — runs in shards of that many batches, proving the resume
+/// contract holds when the plan is consumed shard by shard instead of as
+/// one shard.
 fn kill_drill(
     ds: &Dataset,
     seed: u64,
@@ -355,8 +351,8 @@ fn kill_drill(
     plan_shard: Option<usize>,
 ) -> Result<String, String> {
     let mode = match plan_shard {
-        None => "materialized".to_string(),
-        Some(n) => format!("streaming shard {n}"),
+        None => "one-shard".to_string(),
+        Some(n) => format!("{n}-batch-shard"),
     };
     let temp = |tag: &str| {
         let mut p = std::env::temp_dir();
@@ -491,74 +487,6 @@ fn kill_drill(
     }
 }
 
-/// The serial circuit-breaker drill: a burst-outage schedule behind a
-/// breaker with the default thresholds, printed as the observed transition
-/// sequence. Serial by construction — the breaker's consecutive-failure
-/// state is order-sensitive, so it never goes behind the parallel executor.
-fn breaker_drill(ds: &Dataset, seed: u64, retries: u32) -> Result<String, String> {
-    let scenario = FaultScenario::burst_outage();
-    let collector = Arc::new(CollectingTracer::new());
-    let audit = Arc::new(AuditTracer::new());
-    let tracer: Arc<dyn Tracer> = Arc::new(
-        MultiTracer::new()
-            .with(Arc::clone(&collector) as Arc<dyn Tracer>)
-            .with(Arc::clone(&audit) as Arc<dyn Tracer>),
-    );
-    let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone())).with_seed(seed);
-    let faulty = FaultLayer::scenario(sim, scenario.clone(), seed).with_tracer(Arc::clone(&tracer));
-    let retried = RetryLayer::new(faulty, retries).with_tracer(Arc::clone(&tracer));
-    let breaker = CircuitBreakerLayer::new(retried).with_tracer(Arc::clone(&tracer));
-    let stack = CacheLayer::new(breaker).with_tracer(Arc::clone(&tracer));
-    let mut config = PipelineConfig::best(ds.task);
-    config.workers = 1;
-    let result = Preprocessor::new(&stack, config)
-        .with_tracer(tracer)
-        .run(&ds.instances, &ds.few_shot);
-    if !audit.is_clean() {
-        return Err(format!(
-            "breaker drill failed the ledger audit: {}",
-            audit.violations().join("; ")
-        ));
-    }
-    let transitions: Vec<String> = collector
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::BreakerTransition { from, to, .. } => Some(format!("{from}->{to}")),
-            _ => None,
-        })
-        .collect();
-    let shorted = collector
-        .events()
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::FaultInjected { kind, .. } if *kind == "circuit-open"))
-        .count();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "breaker drill ({}, burst-outage, serial): {} transition(s), {} short-circuited",
-        ds.name,
-        transitions.len(),
-        shorted
-    );
-    let _ = writeln!(
-        out,
-        "  {}",
-        if transitions.is_empty() {
-            "steady: breaker never opened".to_string()
-        } else {
-            transitions.join(", ")
-        }
-    );
-    let _ = writeln!(
-        out,
-        "  {} of {} instances answered under the outage",
-        result.predictions.len() - result.failed_count(),
-        result.predictions.len()
-    );
-    Ok(out)
-}
-
 /// The route-outage drill: a `sim-gpt-3.5 -> sim-gpt-4` cascade whose
 /// primary route is hard-down (every request times out, and keeps timing
 /// out past any retry budget) while the escalation route stays calm.
@@ -570,7 +498,7 @@ fn breaker_drill(ds: &Dataset, seed: u64, retries: u32) -> Result<String, String
 ///    primary serves none.
 /// 3. **Breaker engagement** — after the failure threshold the primary's
 ///    legs short (billed zero) instead of paying for doomed dispatches;
-///    only periodic half-open probes bill.
+///    only periodic probes bill.
 /// 4. **Per-route ledger reconciliation** — route-attributed tokens and
 ///    cost sum exactly to the run's billed totals, and the shorted legs
 ///    bill nothing.

@@ -165,13 +165,15 @@ CHAOS:
   storms, latency spikes, garbled completions, partial batch answers) over
   a pinned ED/EM workload with graceful batch degradation on, asserting
   terminal coverage, the serving-ledger audit, monotone degradation, and
-  bit-identical results across worker counts; then drives the circuit
-  breaker through closed -> open -> half-open -> closed under a burst
-  outage, and runs the kill-point drill: a journaled run is aborted after
-  every Nth terminal event in turn and resumed, asserting bit-identity
-  with the uninterrupted run and exactly-once billing at every kill
-  point — once with the materialized plan and once under the streaming
-  planner. Any violation fails the command.
+  bit-identical results across worker counts; then runs the route-outage
+  drill (a cascade's primary hard-down: the router's plan-order circuit
+  breaker shorts the dead primary's legs unbilled while the secondary
+  serves, bit-identical at 1/2/4 workers), and the kill-point drill: a
+  journaled run is aborted after every Nth terminal event in turn and
+  resumed, asserting bit-identity with the uninterrupted run and
+  exactly-once billing at every kill point — once with the whole plan as
+  one shard and once in shards of 2 batches. Any violation fails the
+  command.
 
 MODELS: sim-gpt-4 (default), sim-gpt-3.5, sim-gpt-3, sim-vicuna-13b
 

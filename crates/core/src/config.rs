@@ -112,11 +112,12 @@ pub struct PipelineConfig {
     /// Worker threads the executor dispatches batch requests across
     /// (1 = serial). Results are bit-identical at any worker count.
     pub workers: usize,
-    /// Streaming planner: when set (and > 0), the run plans and executes in
-    /// shards of this many batches instead of materializing every request
-    /// up front, bounding planner memory by the shard size rather than the
-    /// corpus size. Results are shard-size invariant, so this knob (like
-    /// `workers`) is excluded from [`descriptor`](Self::descriptor).
+    /// Plan shard size: when set (and > 0), the run plans and executes in
+    /// shards of this many batches, bounding planner memory by the shard
+    /// size rather than the corpus size; unset, the whole plan is one
+    /// shard, materialized up front. Results are shard-size invariant, so
+    /// this knob (like `workers`) is excluded from
+    /// [`descriptor`](Self::descriptor).
     pub plan_shard_size: Option<usize>,
     /// Model-cascade routes, cheapest first (model profile names, e.g.
     /// `["sim-gpt-3.5", "sim-gpt-4"]`). Empty means a single-model run
@@ -199,9 +200,9 @@ impl PipelineConfig {
     /// deliberately excluded (results are worker-invariant, so a journal
     /// recorded at `--workers 8` resumes fine at `--workers 1`); the seed
     /// is excluded too because the journal header carries it separately.
-    /// `plan_shard_size` is likewise excluded — the streaming planner yields
-    /// the same plan in shards, so a journal recorded materialized resumes
-    /// fine under any shard size and vice versa.
+    /// `plan_shard_size` is likewise excluded — every shard size yields the
+    /// same plan, so a journal recorded as one shard resumes fine under any
+    /// shard size and vice versa.
     ///
     /// The cascade, by contrast, is **included** (appended only when routed,
     /// so single-model descriptors are byte-identical to every journal

@@ -1,24 +1,22 @@
-//! The plan/execute split: batch planning up front, dispatch across worker
-//! threads, deterministic reassembly.
+//! The executor: one run loop over plan shards, dispatching each shard
+//! across worker threads and reassembling results in plan order.
 //!
-//! The serial pipeline interleaved four concerns in one loop: deciding the
-//! batches, building each prompt, calling the model, and folding usage.
-//! This module separates them:
-//!
-//! 1. [`ExecutionPlan::build`] precomputes everything that does not require
-//!    the model to answer — batch membership (including context-window
-//!    fitting), one [`ChatRequest`] per batch, and deduplication of
-//!    byte-identical requests,
-//! 2. [`Executor::run`] dispatches the plan's unique requests across `N`
-//!    worker threads (`std::thread::scope`, work-stealing off an atomic
-//!    cursor), then reassembles responses **in plan order**.
+//! Planning — batching, context-window fitting, rendering, dedup, and
+//! fingerprinting — happens in [`crate::stream`]. A [`PlanStream`] yields
+//! the plan in shards; an [`ExecutionPlan`] is the same survey with the
+//! whole plan as its one shard, rendered before the run. Both run through
+//! the same loop: for each shard, [`Executor`] dispatches the shard's
+//! unique requests across `N` worker threads (`std::thread::scope`,
+//! work-stealing off an atomic cursor), folds their terminals into the
+//! ledger in plan order, then parses the shard's batches in plan order.
 //!
 //! Because batch membership, request payloads, and deduplication are all
-//! fixed before the first dispatch, and aggregation walks the plan rather
-//! than completion order, a run with 8 workers is bit-identical to a run
-//! with 1 — same predictions, same usage totals, same counters. Parallelism
-//! changes wall-clock time and nothing else.
+//! fixed by the survey before the first dispatch, and aggregation walks
+//! the plan rather than completion order, a run with 8 workers is
+//! bit-identical to a run with 1 — same predictions, same usage totals,
+//! same counters. Parallelism changes wall-clock time and nothing else.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -31,14 +29,12 @@ use dprep_obs::{
     DurableJournal, JournalEntry, MetricsRecorder, NullTracer, RouteLegRecord, TerminalKind,
     TraceEvent, Tracer,
 };
-use dprep_prompt::{
-    build_request, make_batches, parse_response, FewShotExample, PromptConfig, PromptContext,
-    TaskInstance,
-};
+use dprep_prompt::{build_request, parse_response, FewShotExample, PromptContext, TaskInstance};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::{FailureKind, Prediction, RunResult};
 use crate::serve::ShardGate;
+use crate::stream::{PlanShard, PlanStream};
 
 /// One planned batch: which instances it covers and which unique request
 /// serves it.
@@ -47,41 +43,25 @@ pub struct PlannedBatch {
     /// Indices into the input instance slice, in prompt question order
     /// (question `k` is instance `instance_indices[k - 1]`).
     pub instance_indices: Vec<usize>,
-    /// Index into [`ExecutionPlan::requests`] of the request that serves
-    /// this batch. Several batches share an index when their prompts are
-    /// byte-identical.
+    /// Index into the plan's unique requests (first-occurrence order) of
+    /// the request that serves this batch. Several batches share an index
+    /// when their prompts are byte-identical.
     pub request_index: usize,
 }
 
-/// Everything about a run that is decided before the model is called.
-#[derive(Debug, Clone)]
-pub struct ExecutionPlan {
-    batches: Vec<PlannedBatch>,
-    requests: Vec<ChatRequest>,
-    /// Per-request prompt-component token counts, aligned with `requests`
-    /// (attribution order: task-spec, answer-format, cot, few-shot,
-    /// instances).
-    sections: Vec<[usize; 5]>,
-    /// `request_fingerprint` of each unique request, aligned with
-    /// `requests` — the dedup keys, kept because they are also the
-    /// journal's request identities and the plan fingerprint's input.
-    fingerprints: Vec<u64>,
-    n_instances: usize,
-    /// Prompt configuration retained for response parsing (reasoning mode).
-    prompt_config: PromptConfig,
-    /// Prompt-building context with the plan-invariant sections (system
-    /// message, few-shot turns) rendered and tokenized exactly once; reused
-    /// when graceful degradation rebuilds smaller sub-batches.
-    context: PromptContext,
-    instances: Vec<TaskInstance>,
-    temperature: Option<f64>,
-    /// Wall-clock seconds spent deciding batch membership and deduplication.
-    plan_wall_secs: f64,
-    /// Wall-clock seconds spent rendering prompts.
-    prompt_build_wall_secs: f64,
+/// Everything about a run that is decided before the model is called: the
+/// [`PlanStream`] survey with the whole plan as its one shard. [`build`]
+/// finishes all planning and rendering before it returns; the accessors
+/// read that shard.
+///
+/// [`build`]: ExecutionPlan::build
+#[derive(Debug)]
+pub struct ExecutionPlan<'a> {
+    survey: PlanStream<'a>,
+    shard: PlanShard,
 }
 
-impl ExecutionPlan {
+impl<'a> ExecutionPlan<'a> {
     /// Plans a run: batches `instances` per the configuration (clamping the
     /// batch size to what fits the model's context window when
     /// `fit_context` is set), builds one request per batch, and deduplicates
@@ -89,154 +69,47 @@ impl ExecutionPlan {
     pub fn build<M: ChatModel + ?Sized>(
         model: &M,
         config: &PipelineConfig,
-        instances: &[TaskInstance],
+        instances: &'a [TaskInstance],
         examples: &[FewShotExample],
-    ) -> ExecutionPlan {
-        let shots: &[FewShotExample] = if config.components.few_shot {
-            examples
-        } else {
-            &[]
-        };
-        let prompt_config = config.prompt_config();
-        let strategy = effective_strategy(model, config, instances, shots);
-
-        let plan_started = std::time::Instant::now();
-        // Render the plan-invariant sections (system message, few-shot
-        // turns) exactly once; every batch below shares them and only the
-        // per-batch question body is rendered and tokenized per request.
-        let context_started = std::time::Instant::now();
-        let context = PromptContext::new(&prompt_config, shots);
-        let mut prompt_build_wall_secs = context_started.elapsed().as_secs_f64();
-        let mut batches = Vec::new();
-        let mut requests: Vec<ChatRequest> = Vec::new();
-        let mut sections: Vec<[usize; 5]> = Vec::new();
-        let mut fingerprints: Vec<u64> = Vec::new();
-        let mut seen: HashMap<u64, usize> = HashMap::new();
-        // One scratch buffer of instance refs, reused across every batch —
-        // the planning loop allocates nothing per batch beyond the rendered
-        // request itself.
-        let mut batch_refs: Vec<&TaskInstance> = Vec::new();
-        for batch in make_batches(instances, &strategy, config.seed) {
-            batch_refs.clear();
-            batch_refs.extend(batch.iter().map(|&i| &instances[i]));
-            let build_started = std::time::Instant::now();
-            let (mut request, request_sections) = context.build(&batch_refs);
-            prompt_build_wall_secs += build_started.elapsed().as_secs_f64();
-            if let Some(t) = config.temperature {
-                request = request.with_temperature(t);
-            }
-            // Dedup key: everything that determines a deterministic model's
-            // response. Doing this at plan time (not in a cache layer racing
-            // under the executor) keeps hit counts worker-independent. The
-            // key is the same fingerprint `CacheLayer` memoizes by — both
-            // resolve the temperature first, so an unset `None` and an
-            // explicit default can never defeat dedup on one side only.
-            let key = request_fingerprint(model, &request);
-            let request_index = *seen.entry(key).or_insert_with(|| {
-                requests.push(request);
-                sections.push(request_sections.as_array());
-                fingerprints.push(key);
-                requests.len() - 1
-            });
-            batches.push(PlannedBatch {
-                instance_indices: batch,
-                request_index,
-            });
-        }
-
-        ExecutionPlan {
-            batches,
-            requests,
-            sections,
-            fingerprints,
-            n_instances: instances.len(),
-            prompt_config,
-            context,
-            instances: instances.to_vec(),
-            temperature: config.temperature,
-            plan_wall_secs: (plan_started.elapsed().as_secs_f64() - prompt_build_wall_secs)
-                .max(0.0),
-            prompt_build_wall_secs,
-        }
+    ) -> ExecutionPlan<'a> {
+        let mut survey = PlanStream::new(model, config, instances, examples, usize::MAX);
+        let shard = survey.next_shard(model).unwrap_or_default();
+        ExecutionPlan { survey, shard }
     }
 
     /// The planned batches, in dispatch order.
     pub fn batches(&self) -> &[PlannedBatch] {
-        &self.batches
+        &self.shard.batches
     }
 
     /// The unique requests the plan dispatches (deduplicated).
     pub fn requests(&self) -> &[ChatRequest] {
-        &self.requests
+        &self.shard.requests
     }
 
     /// Per-request prompt-component token counts, aligned with
     /// [`requests`](Self::requests). Order: task-spec, answer-format, cot,
     /// few-shot, instances (message framing is the billed remainder).
     pub fn sections(&self) -> &[[usize; 5]] {
-        &self.sections
+        &self.shard.sections
     }
 
     /// Batches whose request is served by an earlier identical batch.
     pub fn deduped_batches(&self) -> usize {
-        self.batches.len() - self.requests.len()
+        self.survey.deduped_batches()
     }
 
     /// `request_fingerprint` of each unique request, aligned with
     /// [`requests`](Self::requests).
     pub fn fingerprints(&self) -> &[u64] {
-        &self.fingerprints
+        &self.shard.fingerprints
     }
 
-    /// A stable fingerprint of the whole plan: a deterministic fold over
-    /// the unique request fingerprints in plan order. Two plans built from
-    /// the same model, configuration, instances, and seed always agree; any
-    /// change to a prompt, the batch shape, the temperature, or the model
-    /// changes it. This is the identity a run journal is recorded under —
-    /// a resumed run refuses a journal whose plan fingerprint differs.
+    /// The plan fingerprint a run journal is recorded under (see
+    /// [`PlanStream::fingerprint`]): a resumed run refuses a journal whose
+    /// plan fingerprint differs.
     pub fn fingerprint(&self) -> u64 {
-        fold_plan_fingerprint(&self.fingerprints)
-    }
-}
-
-/// The plan-fingerprint fold shared by the materialized and streaming
-/// planners: a deterministic fold over the unique request fingerprints in
-/// plan order. Both planners visit batches in the same order and dedup by
-/// the same key, so they always agree on this value.
-pub(crate) fn fold_plan_fingerprint(fingerprints: &[u64]) -> u64 {
-    let mut acc = 0x9e37_79b9_7f4a_7c15u64 ^ (fingerprints.len() as u64);
-    for &f in fingerprints {
-        acc = acc.rotate_left(13) ^ f.wrapping_mul(0x0100_0000_01b3);
-    }
-    acc
-}
-
-/// The batching strategy a run actually uses: the configured strategy with
-/// its batch size clamped to what fits the model's context window (when
-/// `fit_context` is set). Shared by [`ExecutionPlan::build`] and the
-/// streaming [`crate::stream::PlanStream`] so both plan identical batches.
-pub(crate) fn effective_strategy<M: ChatModel + ?Sized>(
-    model: &M,
-    config: &PipelineConfig,
-    instances: &[TaskInstance],
-    shots: &[FewShotExample],
-) -> dprep_prompt::BatchStrategy {
-    let strategy = config.batch_strategy();
-    if !config.fit_context {
-        return strategy;
-    }
-    let clamped = context_fitted_batch_size(model, config, instances, shots);
-    match strategy {
-        dprep_prompt::BatchStrategy::Random { batch_size } => dprep_prompt::BatchStrategy::Random {
-            batch_size: batch_size.min(clamped),
-        },
-        dprep_prompt::BatchStrategy::Cluster {
-            batch_size,
-            clusters,
-        } => dprep_prompt::BatchStrategy::Cluster {
-            batch_size: batch_size.min(clamped),
-            clusters,
-        },
+        self.survey.fingerprint()
     }
 }
 
@@ -507,12 +380,13 @@ impl Executor {
         Executor::default()
     }
 
-    /// Streams request-lifecycle events into `tracer` during [`run`]
-    /// (`Executor::run`): run start/finish, planned/deduped requests, live
-    /// per-worker dispatches with virtual-time spans, completions, and
-    /// per-instance parse/failure outcomes. Wire the *same* tracer into the
-    /// middleware stack (`with_tracer` on the retry/cache/fault layers) so
-    /// their events correlate by request id.
+    /// Streams request-lifecycle events into `tracer` during
+    /// [`run`](Self::run) and [`try_run_stream`](Self::try_run_stream):
+    /// run start/finish, planned/deduped requests, live per-worker
+    /// dispatches with virtual-time spans, completions, and per-instance
+    /// parse/failure outcomes. Wire the *same* tracer into the middleware
+    /// stack (`with_tracer` on the retry/cache/fault layers) so their
+    /// events correlate by request id.
     pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
         self.tracer = tracer;
         self
@@ -532,14 +406,13 @@ impl Executor {
         self
     }
 
-    /// Brackets every streaming plan-shard iteration with
-    /// `gate.acquire()` / `gate.release()`, so concurrent jobs sharing a
-    /// [`ShardGate`] (e.g. a serve turnstile) interleave at shard
-    /// granularity. Each turn still uses the executor's full worker pool,
-    /// and shard boundaries don't affect results, so gating never changes
-    /// a run's output — only when its shards execute. The materialized
-    /// path ([`run`](Self::run) on a whole plan) has a single implicit
-    /// shard and is not gated.
+    /// Brackets every plan-shard iteration with `gate.acquire()` /
+    /// `gate.release()`, so concurrent jobs sharing a [`ShardGate`] (e.g. a
+    /// serve turnstile) interleave at shard granularity. Each turn still
+    /// uses the executor's full worker pool, and shard boundaries don't
+    /// affect results, so gating never changes a run's output — only when
+    /// its shards execute. An [`ExecutionPlan`] is one shard, so its run
+    /// takes exactly one turn.
     pub fn with_shard_gate(mut self, gate: Arc<dyn ShardGate>) -> Self {
         self.gate = Some(gate);
         self
@@ -567,7 +440,7 @@ impl Executor {
     /// # Panics
     /// Panics when durability rejects the run ([`try_run`](Self::try_run)
     /// returns the rejection as an error instead).
-    pub fn run<M: ChatModel + ?Sized>(&self, model: &M, plan: &ExecutionPlan) -> RunResult {
+    pub fn run<M: ChatModel + ?Sized>(&self, model: &M, plan: &ExecutionPlan<'_>) -> RunResult {
         self.try_run(model, plan).expect("durable run rejected")
     }
 
@@ -578,9 +451,59 @@ impl Executor {
     pub fn try_run<M: ChatModel + ?Sized>(
         &self,
         model: &M,
-        plan: &ExecutionPlan,
+        plan: &ExecutionPlan<'_>,
     ) -> Result<RunResult, String> {
-        let plan_fp = plan.fingerprint();
+        self.run_shards(model, Shards::Plan(&plan.survey, Some(&plan.shard)))
+    }
+
+    /// [`try_run`](Self::try_run) over a streaming plan: consumes `stream`
+    /// shard by shard — rendering, dispatching, folding, and parsing each
+    /// shard before the next — so the executor holds at most one shard of
+    /// rendered requests plus the responses still referenced by a later
+    /// batch, instead of the whole plan.
+    ///
+    /// **Shard size.** Predictions, usage totals, serving counters, and the
+    /// metrics snapshot are the same at every shard size and worker count:
+    /// dedup and batch membership come from the same survey, unique
+    /// requests are folded in the same global plan order (each worker's
+    /// virtual clock persists across shards), and the budget gauge charges
+    /// along the same sequence. So is the journal, byte for byte, when no
+    /// degradation ladder runs. The ladder runs when a shard parses, so
+    /// with it the shard size shows in three places: ladder entries land
+    /// in the journal at shard boundaries (the same entry set), a budget
+    /// that trips mid-run can cancel a different (never larger) suffix of
+    /// requests, and the billed `cost_usd` / `latency_secs` totals — the
+    /// same addends summed in a different order — can differ in the last
+    /// ulp. A run resumed at the shard size it was journaled under is
+    /// always bit-identical. In a trace, `Planned`/`Deduped` arrive per
+    /// shard (same payloads, global totals), and the four `Stage` events
+    /// arrive once at the end with wall-clock totals across every shard.
+    pub fn try_run_stream<M: ChatModel + ?Sized>(
+        &self,
+        model: &M,
+        stream: &mut PlanStream<'_>,
+    ) -> Result<RunResult, String> {
+        self.run_shards(model, Shards::Stream(stream))
+    }
+
+    /// The run loop behind [`try_run`](Self::try_run) and
+    /// [`try_run_stream`](Self::try_run_stream): per shard, dispatch its
+    /// unique requests, fold every terminal in plan order, then parse every
+    /// batch in plan order.
+    fn run_shards<M: ChatModel + ?Sized>(
+        &self,
+        model: &M,
+        mut shards: Shards<'_, '_>,
+    ) -> Result<RunResult, String> {
+        let survey = shards.survey();
+        let plan_fp = survey.fingerprint();
+        let n_instances = survey.n_instances();
+        let n_requests = survey.n_requests();
+        let n_batches = survey.n_batches();
+        let deduped = survey.deduped_batches();
+        let instances = survey.instances();
+        let temperature = survey.temperature();
+        let reasoning = survey.reasoning();
         if let Some(expected) = self
             .durability
             .expected_plan
@@ -606,7 +529,7 @@ impl Executor {
             .as_deref()
             .map_or(0, DurableJournal::written);
         let run_id = dprep_obs::next_run_id();
-        let base_id = dprep_obs::reserve_request_ids(plan.requests.len());
+        let base_id = dprep_obs::reserve_request_ids(n_requests);
         let recorder = MetricsRecorder::new();
         // Plan-order events feed both the run's own metrics snapshot and
         // the external tracer.
@@ -614,276 +537,6 @@ impl Executor {
             recorder.record(&event);
             self.tracer.record(&event);
         };
-
-        emit(TraceEvent::RunStarted {
-            run: run_id,
-            instances: plan.n_instances,
-            batches: plan.batches.len(),
-            requests: plan.requests.len(),
-        });
-        let mut batches_per = vec![0usize; plan.requests.len()];
-        let mut instances_per = vec![0usize; plan.requests.len()];
-        for batch in &plan.batches {
-            batches_per[batch.request_index] += 1;
-            instances_per[batch.request_index] += batch.instance_indices.len();
-        }
-        for i in 0..plan.requests.len() {
-            emit(TraceEvent::Planned {
-                request: base_id + i as u64,
-                batches: batches_per[i],
-                instances: instances_per[i],
-            });
-        }
-        let mut dispatches_seen = vec![false; plan.requests.len()];
-        for (batch_idx, batch) in plan.batches.iter().enumerate() {
-            if dispatches_seen[batch.request_index] {
-                emit(TraceEvent::Deduped {
-                    request: base_id + batch.request_index as u64,
-                    batch: batch_idx,
-                });
-            } else {
-                dispatches_seen[batch.request_index] = true;
-            }
-        }
-        emit(TraceEvent::Stage {
-            run: run_id,
-            stage: "plan",
-            wall_secs: plan.plan_wall_secs,
-            vt_secs: 0.0,
-        });
-        emit(TraceEvent::Stage {
-            run: run_id,
-            stage: "prompt-build",
-            wall_secs: plan.prompt_build_wall_secs,
-            vt_secs: 0.0,
-        });
-
-        let dispatch_started = std::time::Instant::now();
-        let mut clocks = vec![0.0; self.options.workers.max(1)];
-        let mut dispatched = self.dispatch_slice(
-            model,
-            &plan.requests,
-            &plan.fingerprints,
-            base_id,
-            &mut clocks,
-        );
-        let dispatch_wall_secs = dispatch_started.elapsed().as_secs_f64();
-
-        let mut predictions =
-            vec![Prediction::Failed(FailureKind::SkippedAnswer); plan.n_instances];
-        let mut usage = UsageTotals::default();
-        let mut stats = ExecStats {
-            requests: plan.requests.len(),
-            deduped: plan.deduped_batches(),
-            ..ExecStats::default()
-        };
-
-        // Usage and serving counters: once per unique request, plan order.
-        // Cache hits bill zero fresh tokens/cost/latency — the run that
-        // missed already paid for the attempt this response replays.
-        //
-        // The budget gauge folds along the same walk. Every request was
-        // dispatched speculatively (so cache state and response content stay
-        // worker-count independent), but the gauge is authoritative: once
-        // the cumulative billed latency or tokens reach a configured
-        // ceiling, every later response is discarded unbilled — a
-        // `cancelled` terminal event instead of a completion.
-        let mut gauge = BudgetGauge::new(self.options.deadline_secs, self.options.token_budget);
-        let mut route_fold = RouteFold::default();
-        let mut request_cancelled = vec![false; plan.requests.len()];
-        let mut replayed_count = 0usize;
-        for (i, d) in dispatched.iter_mut().enumerate() {
-            let (cancelled, killed) = self.fold_terminal(
-                model,
-                base_id + i as u64,
-                plan.fingerprints[i],
-                &plan.requests[i],
-                plan.sections[i],
-                d,
-                &mut route_fold,
-                &mut gauge,
-                &mut usage,
-                &mut stats,
-                &mut replayed_count,
-                &emit,
-            )?;
-            request_cancelled[i] = cancelled;
-            if killed {
-                return Ok(RunResult {
-                    predictions,
-                    usage,
-                    stats,
-                    metrics: recorder.snapshot(),
-                });
-            }
-        }
-        emit(TraceEvent::Stage {
-            run: run_id,
-            stage: "dispatch",
-            wall_secs: dispatch_wall_secs,
-            vt_secs: usage.latency_secs,
-        });
-
-        // Predictions: parse each batch's response and classify the misses.
-        // A batch whose request was budget-cancelled fails wholesale; a
-        // multi-instance batch with unanswered instances enters the
-        // degradation ladder when enabled (failure events for its missed
-        // instances are deferred until the ladder exhausts, so every
-        // instance gets exactly one terminal event).
-        let parse_started = std::time::Instant::now();
-        let mut answered = 0usize;
-        let mut ladder_requests = 0usize;
-        for batch in &plan.batches {
-            let d =
-                (!request_cancelled[batch.request_index]).then(|| &dispatched[batch.request_index]);
-            let killed = self.parse_one_batch(
-                model,
-                &batch.instance_indices,
-                base_id + batch.request_index as u64,
-                d,
-                plan.prompt_config.reasoning,
-                &plan.instances,
-                &plan.context,
-                plan.temperature,
-                &mut gauge,
-                &mut usage,
-                &mut stats,
-                &mut predictions,
-                &mut answered,
-                &mut ladder_requests,
-                &mut replayed_count,
-                &emit,
-            )?;
-            if killed {
-                return Ok(RunResult {
-                    predictions,
-                    usage,
-                    stats,
-                    metrics: recorder.snapshot(),
-                });
-            }
-        }
-
-        emit(TraceEvent::Stage {
-            run: run_id,
-            stage: "parse",
-            wall_secs: parse_started.elapsed().as_secs_f64(),
-            vt_secs: 0.0,
-        });
-
-        if let Some(reason) = gauge.tripped {
-            emit(TraceEvent::BudgetTripped {
-                run: run_id,
-                reason,
-                cancelled: stats.cancelled,
-            });
-        }
-
-        if self.durability.active() {
-            let journal = self.durability.journal.as_deref();
-            emit(TraceEvent::JournalState {
-                run: run_id,
-                replayed: replayed_count,
-                written: journal.map_or(0, |j| j.written() - written_before),
-                truncated: journal.map_or(0, DurableJournal::take_truncated)
-                    + self.durability.take_truncated(),
-            });
-        }
-
-        let total_requests = plan.requests.len() + ladder_requests;
-        emit(TraceEvent::RunFinished {
-            run: run_id,
-            instances: plan.n_instances,
-            answered,
-            failed: plan.n_instances - answered,
-            requests: total_requests,
-            fresh_requests: total_requests - stats.cache_hits - stats.cancelled,
-            cache_hits: stats.cache_hits,
-            prompt_tokens: usage.prompt_tokens,
-            completion_tokens: usage.completion_tokens,
-            cost_usd: usage.cost_usd,
-            latency_secs: usage.latency_secs,
-        });
-
-        Ok(RunResult {
-            predictions,
-            usage,
-            stats,
-            metrics: recorder.snapshot(),
-        })
-    }
-
-    /// [`try_run`](Self::try_run) over a streaming plan: consumes `stream`
-    /// shard by shard — dispatching, folding, and parsing each shard before
-    /// the next is rendered — so the executor holds at most one shard of
-    /// rendered requests plus the responses still referenced by a later
-    /// batch, instead of the whole plan.
-    ///
-    /// **Equivalence.** Predictions, usage totals, serving counters, and the
-    /// metrics snapshot are bit-identical to the materialized path at any
-    /// shard size and worker count: dedup and batch membership come from the
-    /// same survey ([`crate::stream::PlanStream`]), unique requests are
-    /// folded in the same global plan order (each worker's virtual clock
-    /// persists across shards), and the budget gauge charges along the same
-    /// sequence. The journal is byte-identical too when no degradation
-    /// ladder runs; with a ladder, the same entry *set* is written but
-    /// ladder entries interleave at shard boundaries instead of trailing the
-    /// whole dispatch, a budget that trips mid-run can cancel a
-    /// different (never larger) suffix of requests because streaming charges
-    /// ladder work as soon as its shard parses, and the billed `cost_usd` /
-    /// `latency_secs` totals — the same per-request addends summed in shard
-    /// order — can differ from the materialized total in the last ulp. Streaming runs resumed from
-    /// streaming journals are always bit-identical. Trace-event differences:
-    /// `Planned`/`Deduped` arrive per shard (same payloads, global totals),
-    /// and the four `Stage` events arrive once at the end with wall-clock
-    /// totals aggregated across every shard.
-    pub fn try_run_stream<M: ChatModel + ?Sized>(
-        &self,
-        model: &M,
-        stream: &mut crate::stream::PlanStream<'_>,
-    ) -> Result<RunResult, String> {
-        let plan_fp = stream.fingerprint();
-        if let Some(expected) = self
-            .durability
-            .expected_plan
-            .lock()
-            .expect("plan lock")
-            .take()
-        {
-            if expected != plan_fp {
-                return Err(format!(
-                    "journal was recorded for plan {expected:016x} but this run plans \
-                     {plan_fp:016x} (model, config, data, or seed changed); refusing to resume"
-                ));
-            }
-        }
-        if let Some(journal) = &self.durability.journal {
-            journal
-                .ensure_header(plan_fp)
-                .map_err(|e| journal_write_error(journal.path(), &e))?;
-        }
-        let written_before = self
-            .durability
-            .journal
-            .as_deref()
-            .map_or(0, DurableJournal::written);
-        let run_id = dprep_obs::next_run_id();
-        let base_id = dprep_obs::reserve_request_ids(stream.n_requests());
-        let recorder = MetricsRecorder::new();
-        let emit = |event: TraceEvent| {
-            recorder.record(&event);
-            self.tracer.record(&event);
-        };
-
-        let n_instances = stream.n_instances();
-        let n_requests = stream.n_requests();
-        let n_batches = stream.n_batches();
-        // Copies of the stream's shared pieces, so parsing can borrow them
-        // while `next_shard` holds the stream mutably.
-        let instances = stream.instances();
-        let context = stream.context().clone();
-        let temperature = stream.temperature();
-        let reasoning = stream.reasoning();
 
         emit(TraceEvent::RunStarted {
             run: run_id,
@@ -896,22 +549,29 @@ impl Executor {
         let mut usage = UsageTotals::default();
         let mut stats = ExecStats {
             requests: n_requests,
-            deduped: stream.deduped_batches(),
+            deduped,
             ..ExecStats::default()
         };
+        // The budget gauge folds along the plan-order walk. Every request
+        // of a shard is dispatched speculatively (so cache state and
+        // response content stay worker-count independent), but the gauge
+        // is authoritative: once the cumulative billed latency or tokens
+        // reach a configured ceiling, every later response is discarded
+        // unbilled — a `cancelled` terminal event instead of a completion.
         let mut gauge = BudgetGauge::new(self.options.deadline_secs, self.options.token_budget);
         // One settlement fold for the whole run: breaker state carries
-        // across shards exactly as it does across the materialized path's
-        // single plan-order walk.
+        // across shards exactly as along one plan-order walk.
         let mut route_fold = RouteFold::default();
         let mut request_cancelled = vec![false; n_requests];
         let mut batch_seen = vec![false; n_requests];
         // Responses that a batch in a not-yet-parsed shard still references;
         // bounded by how far dedup reaches across shards, not by plan size.
         let mut live: HashMap<usize, DispatchedResponse> = HashMap::new();
-        // Worker virtual clocks persist across shards, so the virtual-time
-        // span layout matches one uninterrupted dispatch of the whole plan.
-        let mut clocks = vec![0.0; self.options.workers.max(1)];
+        // One virtual clock per thread a shard can use, persisting across
+        // shards, so the virtual-time span layout matches one uninterrupted
+        // dispatch of the whole plan. No shard spawns more threads than the
+        // plan has unique requests, whatever `workers` asks for.
+        let mut clocks = vec![0.0; self.options.workers.min(n_requests).max(1)];
         let mut replayed_count = 0usize;
         let mut answered = 0usize;
         let mut ladder_requests = 0usize;
@@ -920,20 +580,19 @@ impl Executor {
         let mut parse_wall_secs = 0.0;
         let mut killed = false;
 
-        loop {
-            // One gate turn spans the whole shard iteration — planning,
+        while !shards.is_exhausted() {
+            // One gate turn spans the whole shard iteration — rendering,
             // dispatch, fold, and parse — and is released even on an
             // error return, so a failing job never wedges the rotation.
             let _turn = self.gate.as_deref().map(GateTurn::acquire);
-            let Some(shard) = stream.next_shard(model) else {
-                break;
-            };
+            let shard = shards.next(model).expect("a shard remains");
+            let survey = shards.survey();
             for i in 0..shard.requests.len() {
                 let g = shard.first_request + i;
                 emit(TraceEvent::Planned {
                     request: base_id + g as u64,
-                    batches: stream.batches_per(g),
-                    instances: stream.instances_per(g),
+                    batches: survey.batches_per(g),
+                    instances: survey.instances_per(g),
                 });
             }
             for (offset, batch) in shard.batches.iter().enumerate() {
@@ -957,6 +616,10 @@ impl Executor {
             );
             dispatch_wall_secs += dispatch_started.elapsed().as_secs_f64();
 
+            // Usage and serving counters: once per unique request, plan
+            // order. Cache hits bill zero fresh tokens/cost/latency — the
+            // run that missed already paid for the attempt this response
+            // replays.
             let vt_before_fold = usage.latency_secs;
             for (i, mut d) in dispatched.into_iter().enumerate() {
                 let g = shard.first_request + i;
@@ -988,6 +651,12 @@ impl Executor {
                 break;
             }
 
+            // Predictions: parse each batch's response and classify the
+            // misses. A batch whose request was budget-cancelled fails
+            // wholesale; a multi-instance batch with unanswered instances
+            // enters the degradation ladder when enabled (failure events
+            // for its missed instances are deferred until the ladder
+            // exhausts, so every instance gets exactly one terminal event).
             let parse_started = std::time::Instant::now();
             for batch in &shard.batches {
                 let g = batch.request_index;
@@ -1002,7 +671,7 @@ impl Executor {
                     d,
                     reasoning,
                     instances,
-                    &context,
+                    survey.context(),
                     temperature,
                     &mut gauge,
                     &mut usage,
@@ -1027,7 +696,7 @@ impl Executor {
             // first batch of the next shard, so anything whose last use is
             // behind it is done.
             let frontier = shard.first_batch + shard.batches.len();
-            live.retain(|&g, _| stream.last_batch_of(g) >= frontier);
+            live.retain(|&g, _| survey.last_batch_of(g) >= frontier);
         }
 
         if killed {
@@ -1040,18 +709,18 @@ impl Executor {
         }
 
         // Stage wall-clock totals aggregate across every shard (the survey
-        // pass counts toward plan/prompt-build); emitted once so a span
-        // profile reads like the materialized run's.
+        // pass counts toward plan/prompt-build), emitted once.
+        let survey = shards.survey();
         emit(TraceEvent::Stage {
             run: run_id,
             stage: "plan",
-            wall_secs: stream.plan_wall_secs(),
+            wall_secs: survey.plan_wall_secs(),
             vt_secs: 0.0,
         });
         emit(TraceEvent::Stage {
             run: run_id,
             stage: "prompt-build",
-            wall_secs: stream.prompt_build_wall_secs(),
+            wall_secs: survey.prompt_build_wall_secs(),
             vt_secs: 0.0,
         });
         emit(TraceEvent::Stage {
@@ -1122,10 +791,9 @@ impl Executor {
     /// Folds one dispatched request's terminal into the ledger: either a
     /// budget cancellation (the gauge tripped before this request's slot in
     /// plan order) or a completion with its billing, component attribution,
-    /// and journal append. Shared by the materialized and streaming run
-    /// paths — both walk unique requests in plan order, so the fold sequence
-    /// (and therefore the journal, the gauge, and every counter) is
-    /// identical between them.
+    /// and journal append. The run loop walks unique requests in plan order
+    /// at every shard size, so the fold sequence (and therefore the
+    /// journal, the gauge, and every counter) does not depend on it.
     ///
     /// The `Completed` / `Parsed` / `Failed` / `Cancelled` events this fold
     /// emits are the observability plane's deterministic spine: the sliding
@@ -1278,9 +946,8 @@ impl Executor {
     /// Parses one batch's response into predictions: answered instances get
     /// their extracted answers, misses are classified (or handed to the
     /// degradation ladder when enabled), and a batch whose request was
-    /// budget-cancelled (`d` is `None`) fails wholesale. Shared by the
-    /// materialized and streaming run paths. Returns whether an armed kill
-    /// switch fired mid-ladder.
+    /// budget-cancelled (`d` is `None`) fails wholesale. Returns whether an
+    /// armed kill switch fired mid-ladder.
     #[allow(clippy::too_many_arguments)]
     fn parse_one_batch<M: ChatModel + ?Sized>(
         &self,
@@ -1480,10 +1147,10 @@ impl Executor {
             let mut settled_cost = replay_cost;
             if let Some(pending) = pending {
                 // Ladder sub-requests settle statelessly: their position
-                // relative to later primary folds differs between the
-                // materialized and streaming paths, so advancing the
-                // shared breaker here would break the two paths'
-                // equivalence. Every leg bills and the last one serves.
+                // relative to later primary folds depends on the shard
+                // size, so advancing the shared breaker here would make
+                // routing depend on it too. Every leg bills and the last
+                // one serves.
                 let settlement = RouteFold::settle_passthrough(pending);
                 legs = settlement.legs.iter().map(settled_leg_record).collect();
                 response = settlement.response;
@@ -1593,10 +1260,10 @@ impl Executor {
 
     /// Dispatches a slice of unique requests across the configured workers,
     /// continuing each worker's virtual clock from `clocks` (and writing the
-    /// advanced clocks back). The materialized path calls this once with
-    /// zeroed clocks; the streaming path calls it once per plan shard so
+    /// advanced clocks back). The run loop calls it once per plan shard, so
     /// virtual-time spans accumulate across shards exactly as they would in
-    /// one uninterrupted dispatch.
+    /// one uninterrupted dispatch. `clocks` holds one clock per thread the
+    /// slice can use: `workers.min(requests.len())`, at least one.
     ///
     /// Request ids are `base_id + index`. A request whose fingerprint is in
     /// the replay map rehydrates from its journal entry instead of reaching
@@ -1723,9 +1390,44 @@ impl Executor {
     }
 }
 
-/// RAII shard turn: acquired at the top of a streaming shard iteration,
-/// released when the iteration ends — including early `?` returns and
-/// kill-switch breaks.
+/// Where the run loop takes its shards from.
+enum Shards<'r, 'a> {
+    /// A built plan's survey and its one shard, already rendered; the
+    /// shard is `None` once the loop has taken it.
+    Plan(&'r PlanStream<'a>, Option<&'r PlanShard>),
+    /// A stream, rendering each shard when the loop asks for it.
+    Stream(&'r mut PlanStream<'a>),
+}
+
+impl<'r, 'a> Shards<'r, 'a> {
+    /// The survey every shard comes from.
+    fn survey(&self) -> &PlanStream<'a> {
+        match self {
+            Shards::Plan(survey, _) => survey,
+            Shards::Stream(stream) => stream,
+        }
+    }
+
+    /// Whether every shard has been taken.
+    fn is_exhausted(&self) -> bool {
+        match self {
+            Shards::Plan(_, shard) => shard.is_none(),
+            Shards::Stream(stream) => stream.is_exhausted(),
+        }
+    }
+
+    /// Takes the next shard.
+    fn next<M: ChatModel + ?Sized>(&mut self, model: &M) -> Option<Cow<'r, PlanShard>> {
+        match self {
+            Shards::Plan(_, shard) => shard.take().map(Cow::Borrowed),
+            Shards::Stream(stream) => stream.next_shard(model).map(Cow::Owned),
+        }
+    }
+}
+
+/// RAII shard turn: acquired at the top of a shard iteration, released
+/// when the iteration ends — including early `?` returns and kill-switch
+/// breaks.
 struct GateTurn<'a>(&'a dyn ShardGate);
 
 impl<'a> GateTurn<'a> {
@@ -2028,11 +1730,11 @@ mod tests {
             .collect()
     }
 
-    fn plan_for<M: ChatModel + ?Sized>(
+    fn plan_for<'a, M: ChatModel + ?Sized>(
         model: &M,
-        instances: &[TaskInstance],
+        instances: &'a [TaskInstance],
         batch_size: usize,
-    ) -> ExecutionPlan {
+    ) -> ExecutionPlan<'a> {
         let mut config = PipelineConfig::best(Task::EntityMatching);
         config.components.few_shot = false;
         config.components.reasoning = false;
@@ -2185,6 +1887,70 @@ mod tests {
         assert_eq!(
             result.metrics.component_tokens.values().sum::<usize>(),
             result.metrics.prompt_tokens
+        );
+    }
+
+    #[test]
+    fn absurd_worker_counts_run_like_the_serial_run() {
+        // One virtual clock per worker used to be allocated up front, so a
+        // client asking for 2^40 workers aborted the process on an 8 TiB
+        // allocation. Clocks now cover only the threads a shard can use.
+        let base = CountingModel {
+            window: 100_000,
+            answer_all: true,
+        };
+        let instances = em_instances(8);
+        let plan = plan_for(&base, &instances, 2);
+        let serial = Executor::serial().run(&base, &plan);
+        let wide = Executor::new(ExecutionOptions {
+            workers: 1 << 40,
+            ..ExecutionOptions::default()
+        })
+        .run(&base, &plan);
+        assert_eq!(wide.predictions, serial.predictions);
+        assert_eq!(wide.usage, serial.usage);
+        assert_eq!(wide.stats, serial.stats);
+        assert_eq!(wide.metrics, serial.metrics);
+    }
+
+    /// Counts gate turns, checking they are balanced and never nested.
+    #[derive(Default)]
+    struct CountingGate {
+        acquired: AtomicUsize,
+        released: AtomicUsize,
+    }
+
+    impl ShardGate for CountingGate {
+        fn acquire(&self) {
+            let acquired = self.acquired.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(acquired, self.released.load(Ordering::SeqCst));
+        }
+        fn release(&self) {
+            self.released.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_built_plan_runs_in_exactly_one_gate_turn() {
+        let base = CountingModel {
+            window: 100_000,
+            answer_all: true,
+        };
+        let instances = em_instances(8);
+        let plan = plan_for(&base, &instances, 2);
+        assert_eq!(plan.requests().len(), 4);
+        let gate = Arc::new(CountingGate::default());
+        let gated = Executor::new(ExecutionOptions {
+            workers: 2,
+            ..ExecutionOptions::default()
+        })
+        .with_shard_gate(gate.clone() as Arc<dyn ShardGate>)
+        .run(&base, &plan);
+        assert_eq!(gate.acquired.load(Ordering::SeqCst), 1);
+        assert_eq!(gate.released.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            gated.predictions,
+            Executor::serial().run(&base, &plan).predictions
         );
     }
 
@@ -2481,7 +2247,8 @@ mod tests {
         };
         let instances = em_instances(4);
         let plan = plan_for(&base, &instances, 2);
-        let other_plan = plan_for(&base, &em_instances(6), 2);
+        let other_instances = em_instances(6);
+        let other_plan = plan_for(&base, &other_instances, 2);
         assert_ne!(plan.fingerprint(), other_plan.fingerprint());
 
         let path = journal_path("mismatch");

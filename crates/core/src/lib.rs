@@ -8,13 +8,13 @@
 //!
 //! * [`config`] — [`PipelineConfig`] and the Table 2 component switches,
 //! * [`pipeline`] — the [`Preprocessor`] facade and its [`RunResult`],
-//! * [`exec`] — the plan/execute split: [`exec::ExecutionPlan`] precomputes
-//!   batches, prompts, and request deduplication; [`exec::Executor`]
-//!   dispatches across worker threads with bit-identical output at any
-//!   worker count,
-//! * [`stream`] — the streaming planner: [`stream::PlanStream`] yields the
-//!   same plan in fixed-size shards so million-row runs execute in bounded
-//!   memory,
+//! * [`stream`] — the planner: [`stream::PlanStream`] batches, renders,
+//!   and deduplicates requests and yields the plan in fixed-size shards,
+//!   so million-row runs execute in bounded memory,
+//! * [`exec`] — the executor: one run loop over plan shards
+//!   ([`exec::ExecutionPlan`] is a plan built as one shard) that
+//!   [`exec::Executor`] dispatches across worker threads with
+//!   bit-identical output at any worker count,
 //! * [`blocking`] — the EM blocking stage (§2.1) the paper's benchmarks
 //!   presuppose: n-gram key blocking and embedding blocking, with pair
 //!   completeness / reduction ratio evaluation,

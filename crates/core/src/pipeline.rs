@@ -9,9 +9,11 @@
 //! ```
 //!
 //! The [`Preprocessor`] is a thin facade: it plans the run with
-//! [`crate::exec::ExecutionPlan`] and dispatches it with
+//! [`crate::stream::PlanStream`] and runs its shards through
 //! [`crate::exec::Executor`], serially or across worker threads per
-//! [`crate::config::PipelineConfig::workers`].
+//! [`crate::config::PipelineConfig::workers`]. Without
+//! [`crate::config::PipelineConfig::plan_shard_size`] the whole plan is
+//! one shard.
 
 use std::sync::Arc;
 
@@ -20,7 +22,8 @@ use dprep_obs::{MetricsSnapshot, NullTracer, Tracer};
 use dprep_prompt::{ExtractedAnswer, FewShotExample, TaskInstance};
 
 use crate::config::PipelineConfig;
-use crate::exec::{Durability, ExecStats, ExecutionOptions, ExecutionPlan, Executor, KillSwitch};
+use crate::exec::{Durability, ExecStats, ExecutionOptions, Executor, KillSwitch};
+use crate::stream::PlanStream;
 
 /// Why the pipeline has no answer for an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -213,11 +216,10 @@ impl<'a, M: ChatModel + ?Sized> Preprocessor<'a, M> {
         self
     }
 
-    /// Interleaves this run's streaming plan shards with other jobs
-    /// sharing the same gate (see
-    /// [`ShardGate`](crate::serve::ShardGate)). Only effective together
-    /// with [`PipelineConfig::plan_shard_size`]; the materialized path is
-    /// a single shard and never yields.
+    /// Interleaves this run's plan shards with other jobs sharing the same
+    /// gate (see [`ShardGate`](crate::serve::ShardGate)), one turn per
+    /// shard. Without [`PipelineConfig::plan_shard_size`] the whole plan
+    /// is one shard, so the run takes a single turn.
     pub fn with_shard_gate(mut self, gate: Arc<dyn crate::serve::ShardGate>) -> Self {
         self.gate = Some(gate);
         self
@@ -242,11 +244,10 @@ impl<'a, M: ChatModel + ?Sized> Preprocessor<'a, M> {
     /// [`run`](Self::run), with durability failures surfaced as errors
     /// (plan-fingerprint mismatch on resume, journal write failure).
     ///
-    /// When [`PipelineConfig::plan_shard_size`] is set (and > 0), the run
-    /// plans and executes through the streaming
-    /// [`PlanStream`](crate::stream::PlanStream) instead of materializing
-    /// the whole [`ExecutionPlan`] — same predictions, usage, counters, and
-    /// metrics, with planner memory bounded by the shard size.
+    /// The run plans through [`PlanStream`] in shards of
+    /// [`PipelineConfig::plan_shard_size`] batches (> 0), or as one shard
+    /// when it is unset — same predictions, usage, counters, and metrics,
+    /// with planner memory bounded by the shard size.
     pub fn try_run(
         &self,
         instances: &[TaskInstance],
@@ -265,27 +266,20 @@ impl<'a, M: ChatModel + ?Sized> Preprocessor<'a, M> {
         if let Some(gate) = &self.gate {
             executor = executor.with_shard_gate(Arc::clone(gate));
         }
-        if let Some(shard_size) = self.config.plan_shard_size {
-            if shard_size == 0 {
-                // Rejected rather than silently falling back to the
-                // materialized path: a zero shard is a config bug, and a
-                // caller asking for bounded planner memory must not get an
-                // unbounded plan.
+        let shard_size = match self.config.plan_shard_size {
+            // Rejected rather than silently running one shard: a zero
+            // shard is a config bug, and a caller asking for bounded
+            // planner memory must not get an unbounded plan.
+            Some(0) => {
                 return Err("plan_shard_size must be at least 1 (0 disables nothing; \
-                     unset the option to use the materialized planner)"
-                    .to_string());
+                     unset the option to run the whole plan as one shard)"
+                    .to_string())
             }
-            let mut stream = crate::stream::PlanStream::new(
-                self.model,
-                &self.config,
-                instances,
-                examples,
-                shard_size,
-            );
-            return executor.try_run_stream(self.model, &mut stream);
-        }
-        let plan = ExecutionPlan::build(self.model, &self.config, instances, examples);
-        executor.try_run(self.model, &plan)
+            Some(shard_size) => shard_size,
+            None => usize::MAX,
+        };
+        let mut stream = PlanStream::new(self.model, &self.config, instances, examples, shard_size);
+        executor.try_run_stream(self.model, &mut stream)
     }
 }
 

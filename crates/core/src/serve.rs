@@ -5,11 +5,11 @@
 //! tenant's spend capped and no tenant able to starve another. This module
 //! supplies the pieces, bottom-up:
 //!
-//! * [`ShardGate`] — the executor-side fairness hook: the streaming
-//!   executor brackets every plan-shard iteration with
-//!   `acquire`/`release`, so concurrent jobs interleave at shard
-//!   granularity. Each shard turn uses the job's full worker pool, so a
-//!   job running alone is exactly as fast as without the gate.
+//! * [`ShardGate`] — the executor-side fairness hook: the executor
+//!   brackets every plan-shard iteration with `acquire`/`release`, so
+//!   concurrent jobs interleave at shard granularity. Each shard turn
+//!   uses the job's full worker pool, so a job running alone is exactly
+//!   as fast as without the gate.
 //! * [`Turnstile`] — the round-robin, work-conserving [`ShardGate`]:
 //!   registered jobs are granted turns in rotation order, and several hold
 //!   turns at once while their summed worker counts fit the machine's
@@ -66,6 +66,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -78,12 +79,13 @@ use dprep_obs::{
 use crate::exec::{ExecutionOptions, KillSwitch};
 use crate::pipeline::RunResult;
 
-/// The executor's cooperative fairness hook. The streaming executor calls
-/// [`acquire`](ShardGate::acquire) before planning each shard and
+/// The executor's cooperative fairness hook. The executor calls
+/// [`acquire`](ShardGate::acquire) before rendering each plan shard and
 /// [`release`](ShardGate::release) after parsing it (release always runs,
 /// even when the shard errors), so an implementation can interleave
-/// concurrent jobs at shard granularity. Both calls happen on the job's
-/// own thread; `acquire` may block.
+/// concurrent jobs at shard granularity. A plan run as one shard takes
+/// one turn. Both calls happen on the job's own thread; `acquire` may
+/// block.
 pub trait ShardGate: Send + Sync {
     /// Blocks until the job holds the turn. Balanced by `release`.
     fn acquire(&self);
@@ -787,7 +789,9 @@ impl JobScheduler {
     /// queues (`overloaded` / `draining`), then the tenant ledger rejects
     /// an exhausted allowance (`budget-exhausted`). Every refusal is a
     /// [`JobError::Rejected`] that billed zero tokens; a failure from
-    /// `body` is [`JobError::Failed`].
+    /// `body` is [`JobError::Failed`], and so is a panic in `body`: it is
+    /// caught here, so the job's slot, halt, and ledger row are settled
+    /// like any other failure's instead of leaking.
     pub fn run_job(
         &self,
         tenant: &str,
@@ -857,7 +861,15 @@ impl JobScheduler {
         });
         self.admitted_total.fetch_add(1, Ordering::Relaxed);
         self.active.fetch_add(1, Ordering::Relaxed);
-        let result = body(&grant);
+        let result =
+            std::panic::catch_unwind(AssertUnwindSafe(|| body(&grant))).unwrap_or_else(|panic| {
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string payload");
+                Err(format!("job handler panicked: {message}"))
+            });
         drop(grant);
         self.active.fetch_sub(1, Ordering::Relaxed);
         self.halts.lock().expect("halts lock").remove(&job);
@@ -2598,6 +2610,62 @@ mod tests {
         drop((stream, reader));
 
         // No shutdown op: the quiet drain alone stops the accept loop.
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("a quiet drain closes the daemon")
+            .unwrap();
+        assert_eq!(daemon.scheduler().drain_label(), "closed");
+    }
+
+    #[test]
+    fn a_panicking_handler_fails_its_job_and_frees_its_slot() {
+        let handler: Arc<JobHandler> = Arc::new(|body: &Json, _grant: &JobGrant| {
+            if body.get("panic").is_some() {
+                panic!("handler bug");
+            }
+            Ok(JobOutcome {
+                tokens_billed: 3,
+                ..JobOutcome::default()
+            })
+        });
+        let scheduler = JobScheduler::new(TenantLedger::new()).with_policy(OverloadPolicy {
+            tenant_inflight: Some(1),
+            ..OverloadPolicy::default()
+        });
+        let daemon = Arc::new(Daemon::bind("127.0.0.1:0", scheduler, handler).unwrap());
+        let done = serve_in_background(&daemon);
+        let (mut stream, mut reader) = connect(&daemon);
+        let mut submit = |panics: bool| {
+            let mut fields = vec![
+                ("op".to_string(), Json::Str("submit".to_string())),
+                ("tenant".to_string(), Json::Str("acme".to_string())),
+            ];
+            if panics {
+                fields.push(("panic".to_string(), Json::Bool(true)));
+            }
+            roundtrip(&mut stream, &mut reader, &Json::Obj(fields)).unwrap()
+        };
+
+        let failed = submit(true);
+        assert_eq!(failed.get("ok"), Some(&Json::Bool(false)));
+        let error = failed.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.contains("job handler panicked: handler bug"),
+            "{error}"
+        );
+        let overload = daemon.scheduler().overload_snapshot();
+        assert_eq!((overload.inflight, overload.queued), (0, 0));
+        assert_eq!(daemon.scheduler().active_jobs(), 0);
+        let row = &daemon.scheduler().ledger().snapshot()[0];
+        assert_eq!((row.jobs_active, row.jobs_failed), (0, 1));
+
+        // The tenant's one in-flight slot came back: its next job runs.
+        let ok = submit(false);
+        assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{}", ok.to_json());
+        assert_eq!(ok.get("tokens_billed").and_then(Json::as_usize), Some(3));
+
+        // Nothing leaked in flight, so a drain goes quiet and closes.
+        roundtrip(&mut stream, &mut reader, &op("drain")).unwrap();
+        drop((stream, reader));
         done.recv_timeout(Duration::from_secs(5))
             .expect("a quiet drain closes the daemon")
             .unwrap();

@@ -1,37 +1,37 @@
-//! The streaming planner: bounded-memory plan shards for million-row runs.
+//! The planner: batching, context-window fitting, rendering, dedup, and
+//! fingerprinting, yielded as bounded-memory plan shards.
 //!
-//! [`crate::exec::ExecutionPlan`] materializes every request, section array,
-//! and fingerprint before the first dispatch — planner memory grows linearly
-//! with the corpus. [`PlanStream`] yields the *same* plan in fixed-size
-//! shards of batches instead, so the executor holds at most one shard of
-//! rendered requests (plus the responses still referenced by a later batch)
-//! at a time.
+//! [`PlanStream`] yields a plan in fixed-size shards of batches, so the
+//! executor holds at most one shard of rendered requests (plus the
+//! responses still referenced by a later batch) at a time. A materialized
+//! [`crate::exec::ExecutionPlan`] is the same stream with the whole plan
+//! as its one shard, rendered before `build` returns.
 //!
 //! ## Two passes
 //!
-//! The stream is built in a cheap **survey pass** and consumed in a
-//! **render pass**:
+//! The stream is built in a **survey pass** and consumed in a **render
+//! pass**:
 //!
 //! 1. **Survey** ([`PlanStream::new`]): walk every batch in plan order,
-//!    render its request, fingerprint it for dedup, then *drop the request
-//!    strings*. What survives is O(batches) indices and O(unique) `u64`s:
-//!    the batch→unique-request map, the unique fingerprint list (hence the
-//!    global plan fingerprint, known **before** any dispatch — the journal
-//!    header and resume check are byte-identical to the materialized path),
-//!    per-unique batch/instance totals, and each unique request's last
-//!    referencing batch (the executor's response-retention horizon).
-//! 2. **Render** ([`PlanStream::next_shard`]): re-render only the requests
-//!    *first seen* in the next `shard_size` batches and hand them to the
-//!    executor as a [`PlanShard`]. A `debug_assert` checks each re-render
-//!    against the surveyed fingerprint.
+//!    render its request and fingerprint it for dedup. What survives is
+//!    O(batches) indices and O(unique) `u64`s: the batch→unique-request
+//!    map, the unique fingerprint list (hence the global plan fingerprint,
+//!    known **before** any dispatch, so the journal header and resume
+//!    check need no shard), per-unique batch/instance totals, and each
+//!    unique request's last referencing batch (the executor's
+//!    response-retention horizon). The survey keeps the rendered requests
+//!    its first shard will yield and drops every other render.
+//! 2. **Render** ([`PlanStream::next_shard`]): hand the requests *first
+//!    seen* in the next `shard_size` batches to the executor as a
+//!    [`PlanShard`]. The first shard's come from the survey; later shards
+//!    re-render theirs, and a `debug_assert` checks each re-render against
+//!    the surveyed fingerprint.
 //!
-//! Deduplication order, fingerprints, sections, and batch membership are
-//! bit-identical to `ExecutionPlan::build` because both walk the same
+//! Deduplication order, fingerprints, sections, and batch membership do
+//! not depend on the shard size: every shard size walks the same
 //! `make_batches` output in the same order with the same dedup key. The
-//! price of bounded memory is one extra render per *unique* request (once
-//! surveyed, once sharded); planning is a small fraction of run wall time,
-//! and the rendering itself reuses one scratch buffer of instance refs per
-//! stream.
+//! price of bounded memory is one extra render per unique request outside
+//! the first shard, so a one-shard plan renders every batch exactly once.
 
 use std::collections::HashMap;
 
@@ -39,14 +39,14 @@ use dprep_llm::{request_fingerprint, ChatModel, ChatRequest};
 use dprep_prompt::{make_batches, FewShotExample, PromptConfig, PromptContext, TaskInstance};
 
 use crate::config::PipelineConfig;
-use crate::exec::{effective_strategy, fold_plan_fingerprint, PlannedBatch};
+use crate::exec::{context_fitted_batch_size, PlannedBatch};
 
 /// One slice of a streamed plan: `shard_size` consecutive batches plus the
 /// unique requests that first occur in them. Request indices in
 /// [`batches`](Self::batches) are **global** (into the whole plan's unique
 /// request sequence); requests already seen in an earlier shard are not
 /// re-rendered — the executor still holds their responses.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanShard {
     /// Global index of the first batch in this shard.
     pub first_batch: usize,
@@ -80,6 +80,10 @@ pub struct PlanStream<'a> {
     batches_per: Vec<usize>,
     /// Per unique request: how many instances those batches cover.
     instances_per: Vec<usize>,
+    /// The requests first seen in the first shard, with their section
+    /// counts, rendered by the survey and kept so that shard is not
+    /// rendered twice.
+    first_renders: Vec<(ChatRequest, [usize; 5])>,
     /// Next batch to yield.
     cursor: usize,
     /// Next unique request to render (first-occurrence order).
@@ -99,9 +103,10 @@ pub struct PlanStream<'a> {
 }
 
 impl<'a> PlanStream<'a> {
-    /// Surveys the whole plan (batching, dedup, fingerprints) without
-    /// retaining any rendered request, ready to yield shards of
-    /// `shard_size` batches. `shard_size` is clamped to at least 1.
+    /// Surveys the whole plan (batching, dedup, fingerprints), keeping
+    /// only the first shard's rendered requests, ready to yield shards of
+    /// `shard_size` batches. `shard_size` is clamped to at least 1;
+    /// `usize::MAX` makes the whole plan one shard.
     pub fn new<M: ChatModel + ?Sized>(
         model: &M,
         config: &PipelineConfig,
@@ -114,6 +119,7 @@ impl<'a> PlanStream<'a> {
         } else {
             &[]
         };
+        let shard_size = shard_size.max(1);
         let prompt_config = config.prompt_config();
         let strategy = effective_strategy(model, config, instances, shots);
 
@@ -128,23 +134,31 @@ impl<'a> PlanStream<'a> {
         let mut last_batch_of: Vec<usize> = Vec::new();
         let mut batches_per: Vec<usize> = Vec::new();
         let mut instances_per: Vec<usize> = Vec::new();
+        let mut first_renders = Vec::new();
         let mut seen: HashMap<u64, usize> = HashMap::new();
         let mut scratch_refs: Vec<&'a TaskInstance> = Vec::new();
         for (batch_idx, batch) in batches.iter().enumerate() {
             scratch_refs.clear();
             scratch_refs.extend(batch.iter().map(|&i| &instances[i]));
             let build_started = std::time::Instant::now();
-            let (mut request, _sections) = context.build(&scratch_refs);
+            let (mut request, sections) = context.build(&scratch_refs);
             prompt_build_wall_secs += build_started.elapsed().as_secs_f64();
             if let Some(t) = config.temperature {
                 request = request.with_temperature(t);
             }
-            // Same dedup key as the materialized planner (and the cache
-            // layer): everything that determines a deterministic model's
-            // response. The rendered request dies here — only the key and
-            // the bookkeeping survive the survey.
+            // Dedup key: everything that determines a deterministic model's
+            // response — the same fingerprint `CacheLayer` memoizes by.
+            // Both resolve the temperature first, so an unset `None` and an
+            // explicit default can never defeat dedup on one side only.
+            // Deduping here (not in a cache layer racing under the
+            // executor) keeps hit counts worker-independent. Outside the
+            // first shard the rendered request dies here — only the key
+            // and the bookkeeping survive the survey.
             let key = request_fingerprint(model, &request);
             let request_index = *seen.entry(key).or_insert_with(|| {
+                if batch_idx < shard_size {
+                    first_renders.push((request, sections.as_array()));
+                }
                 fingerprints.push(key);
                 last_batch_of.push(batch_idx);
                 batches_per.push(0);
@@ -158,13 +172,14 @@ impl<'a> PlanStream<'a> {
         }
 
         PlanStream {
-            shard_size: shard_size.max(1),
+            shard_size,
             batches,
             batch_request,
             fingerprints,
             last_batch_of,
             batches_per,
             instances_per,
+            first_renders,
             cursor: 0,
             next_request: 0,
             n_instances: instances.len(),
@@ -179,25 +194,32 @@ impl<'a> PlanStream<'a> {
         }
     }
 
-    /// Renders and yields the next shard, or `None` when the plan is
-    /// exhausted. Timing accrues into
+    /// Yields the next shard, rendering its requests unless the survey
+    /// kept them (the first shard), or `None` when the plan is exhausted.
+    /// Timing accrues into
     /// [`plan_wall_secs`](Self::plan_wall_secs) /
     /// [`prompt_build_wall_secs`](Self::prompt_build_wall_secs) so the
     /// totals aggregate across every shard instead of reflecting only the
     /// last one.
     pub fn next_shard<M: ChatModel + ?Sized>(&mut self, model: &M) -> Option<PlanShard> {
-        if self.cursor >= self.batches.len() {
+        if self.is_exhausted() {
             return None;
         }
         let shard_started = std::time::Instant::now();
         let first_batch = self.cursor;
-        let end = self.batches.len().min(self.cursor + self.shard_size);
+        let end = self
+            .batches
+            .len()
+            .min(self.cursor.saturating_add(self.shard_size));
         let first_request = self.next_request;
         let mut shard_batches = Vec::with_capacity(end - first_batch);
         let mut requests: Vec<ChatRequest> = Vec::new();
         let mut sections: Vec<[usize; 5]> = Vec::new();
         let mut fingerprints: Vec<u64> = Vec::new();
         let mut render_secs = 0.0;
+        // Non-empty on the first shard only, in first-occurrence order —
+        // exactly the order the loop below meets that shard's uniques.
+        let mut kept = std::mem::take(&mut self.first_renders).into_iter();
         for batch_idx in first_batch..end {
             let request_index = self.batch_request[batch_idx];
             let instance_indices = std::mem::take(&mut self.batches[batch_idx]);
@@ -209,22 +231,29 @@ impl<'a> PlanStream<'a> {
                     request_index, self.next_request,
                     "unique order is contiguous"
                 );
-                self.scratch_refs.clear();
-                self.scratch_refs
-                    .extend(instance_indices.iter().map(|&i| &self.instances[i]));
-                let build_started = std::time::Instant::now();
-                let (mut request, request_sections) = self.context.build(&self.scratch_refs);
-                render_secs += build_started.elapsed().as_secs_f64();
-                if let Some(t) = self.temperature {
-                    request = request.with_temperature(t);
-                }
-                debug_assert_eq!(
-                    request_fingerprint(model, &request),
-                    self.fingerprints[request_index],
-                    "shard re-render diverged from the survey pass"
-                );
+                let (request, request_sections) = match kept.next() {
+                    Some(rendered) => rendered,
+                    None => {
+                        self.scratch_refs.clear();
+                        self.scratch_refs
+                            .extend(instance_indices.iter().map(|&i| &self.instances[i]));
+                        let build_started = std::time::Instant::now();
+                        let (mut request, request_sections) =
+                            self.context.build(&self.scratch_refs);
+                        render_secs += build_started.elapsed().as_secs_f64();
+                        if let Some(t) = self.temperature {
+                            request = request.with_temperature(t);
+                        }
+                        debug_assert_eq!(
+                            request_fingerprint(model, &request),
+                            self.fingerprints[request_index],
+                            "shard re-render diverged from the survey pass"
+                        );
+                        (request, request_sections.as_array())
+                    }
+                };
                 requests.push(request);
-                sections.push(request_sections.as_array());
+                sections.push(request_sections);
                 fingerprints.push(self.fingerprints[request_index]);
                 self.next_request = request_index + 1;
             }
@@ -246,12 +275,23 @@ impl<'a> PlanStream<'a> {
         })
     }
 
-    /// The global plan fingerprint — identical to
-    /// [`crate::exec::ExecutionPlan::fingerprint`] on the same inputs, and
-    /// known before any shard is yielded (the journal header and resume
-    /// check don't wait for planning to finish).
+    /// The global plan fingerprint: a deterministic fold over the unique
+    /// request fingerprints in plan order, the same at every shard size.
+    /// Any change to a prompt, the batch shape, the temperature, or the
+    /// model changes it. It is the identity a run journal is recorded
+    /// under, and it is known before any shard is yielded, so the journal
+    /// header and resume check don't wait for planning to finish.
     pub fn fingerprint(&self) -> u64 {
-        fold_plan_fingerprint(&self.fingerprints)
+        let mut acc = 0x9e37_79b9_7f4a_7c15u64 ^ (self.fingerprints.len() as u64);
+        for &f in &self.fingerprints {
+            acc = acc.rotate_left(13) ^ f.wrapping_mul(0x0100_0000_01b3);
+        }
+        acc
+    }
+
+    /// Whether every shard has been yielded.
+    pub(crate) fn is_exhausted(&self) -> bool {
+        self.cursor >= self.batches.len()
     }
 
     /// Total batches in the plan.
@@ -274,8 +314,8 @@ impl<'a> PlanStream<'a> {
         self.n_batches() - self.n_requests()
     }
 
-    /// Batches the given unique request serves (global totals, matching the
-    /// materialized planner's `Planned` event).
+    /// Batches the given unique request serves (global totals across every
+    /// shard, as the `Planned` event reports them).
     pub fn batches_per(&self, request_index: usize) -> usize {
         self.batches_per[request_index]
     }
@@ -321,6 +361,34 @@ impl<'a> PlanStream<'a> {
     /// every shard yielded so far.
     pub fn prompt_build_wall_secs(&self) -> f64 {
         self.prompt_build_wall_secs
+    }
+}
+
+/// The batching strategy a run actually uses: the configured strategy with
+/// its batch size clamped to what fits the model's context window (when
+/// `fit_context` is set).
+fn effective_strategy<M: ChatModel + ?Sized>(
+    model: &M,
+    config: &PipelineConfig,
+    instances: &[TaskInstance],
+    shots: &[FewShotExample],
+) -> dprep_prompt::BatchStrategy {
+    let strategy = config.batch_strategy();
+    if !config.fit_context {
+        return strategy;
+    }
+    let clamped = context_fitted_batch_size(model, config, instances, shots);
+    match strategy {
+        dprep_prompt::BatchStrategy::Random { batch_size } => dprep_prompt::BatchStrategy::Random {
+            batch_size: batch_size.min(clamped),
+        },
+        dprep_prompt::BatchStrategy::Cluster {
+            batch_size,
+            clusters,
+        } => dprep_prompt::BatchStrategy::Cluster {
+            batch_size: batch_size.min(clamped),
+            clusters,
+        },
     }
 }
 
@@ -472,7 +540,9 @@ mod tests {
     }
 
     /// Timing aggregates across shards: each yielded shard can only grow
-    /// the totals, never replace them with its own slice.
+    /// the totals, never replace them with its own slice. The first
+    /// shard's requests were rendered by the survey, so only later shards
+    /// add render time.
     #[test]
     fn stage_timing_accumulates_across_shards() {
         let model = EchoModel;
@@ -489,7 +559,13 @@ mod tests {
                 "prompt-build wall must be monotone across shards"
             );
             assert!(stream.plan_wall_secs() >= last_plan);
-            if !shard.requests.is_empty() {
+            if shard.first_batch == 0 {
+                assert_eq!(
+                    stream.prompt_build_wall_secs(),
+                    survey_build,
+                    "the survey already rendered the first shard"
+                );
+            } else if !shard.requests.is_empty() {
                 assert!(stream.prompt_build_wall_secs() > last_build);
             }
             last_build = stream.prompt_build_wall_secs();

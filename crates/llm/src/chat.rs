@@ -166,8 +166,9 @@ pub enum FaultKind {
     /// The provider rejected the request outright (a content filter or
     /// policy refusal). Retrying the same request cannot succeed.
     Rejected,
-    /// Shorted by an open circuit breaker: the request never reached the
-    /// model. Retrying through the same breaker cannot succeed.
+    /// Shorted by an open circuit breaker ([`crate::RouteFold`]): billed
+    /// as if the request never reached the model. Retrying cannot succeed
+    /// while the breaker stays open.
     CircuitOpen,
 }
 

@@ -1,4 +1,4 @@
-//! Scenario-driven fault schedules and the circuit breaker.
+//! Scenario-driven fault schedules.
 //!
 //! [`crate::FaultLayer`]'s original uniform coin flip models a benign,
 //! memoryless network. Real serving failures cluster: a provider has a
@@ -9,21 +9,16 @@
 //! [`FaultEffect`] it applies — so a chaos sweep replays the exact same
 //! weather on every run and at any worker count.
 //!
-//! [`CircuitBreakerLayer`] is the serving-side response to that weather:
-//! after a run of consecutive transport failures it opens and shorts
-//! requests without touching the model (fast, unbilled
-//! [`FaultKind::CircuitOpen`] responses), then lets a half-open probe
-//! through after a cooldown to test recovery.
+//! The serving-side response to that weather is the per-route circuit
+//! breaker in [`crate::RouteFold`]: after a run of consecutive transport
+//! failures a route's breaker opens and its failed legs settle shorted —
+//! unbilled, as if never dispatched — until a probe after the cooldown
+//! tests recovery. A single model behind a one-route [`crate::RouterLayer`]
+//! gets the same breaker.
 
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
-
-use dprep_obs::{NullTracer, TraceEvent, Tracer};
 use dprep_rng::stable_hash;
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse, FaultKind};
-use crate::middleware::MiddlewareStats;
-use crate::usage::Usage;
+use crate::chat::ChatRequest;
 
 /// What a firing [`FaultRule`] does to the request or its response.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,272 +284,10 @@ impl FaultScenario {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CircuitBreakerLayer
-// ---------------------------------------------------------------------------
-
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive transport-faulted responses that trip the breaker open.
-    pub failure_threshold: u32,
-    /// Requests shorted while open before a half-open probe is admitted.
-    pub cooldown_requests: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_requests: 2,
-        }
-    }
-}
-
-/// Breaker state labels, as emitted in `breaker_transition` trace events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    /// Requests flow; `streak` consecutive faults seen so far.
-    Closed { streak: u32 },
-    /// Requests are shorted; `remaining` shorts until a probe is allowed.
-    Open { remaining: u32 },
-    /// One probe request is in flight; everything else is shorted.
-    HalfOpen,
-}
-
-impl BreakerState {
-    fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed { .. } => "closed",
-            BreakerState::Open { .. } => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
-enum Admission {
-    Pass,
-    Probe,
-    Short,
-}
-
-/// Stops hammering a failing upstream: after `failure_threshold`
-/// consecutive transport-faulted responses the breaker opens and shorts
-/// requests with an unbilled [`FaultKind::CircuitOpen`] response; after
-/// `cooldown_requests` shorts one half-open probe is admitted, and its
-/// outcome closes or re-opens the circuit.
-///
-/// Stack it *outside* the retry layer (`Cache ── Breaker ── Retry ──
-/// Fault ── Model`): what it observes is then "this request failed even
-/// after retries", the signal that the upstream is genuinely down rather
-/// than momentarily flaky. State transitions are emitted as
-/// [`TraceEvent::BreakerTransition`] events. The breaker is inherently
-/// dispatch-order dependent, so deterministic runs should drive it from a
-/// single worker.
-pub struct CircuitBreakerLayer<M> {
-    inner: M,
-    config: BreakerConfig,
-    state: Mutex<BreakerState>,
-    stats: Arc<MiddlewareStats>,
-    tracer: Arc<dyn Tracer>,
-}
-
-impl<M: ChatModel> CircuitBreakerLayer<M> {
-    /// Wraps `inner` with default tuning.
-    pub fn new(inner: M) -> Self {
-        CircuitBreakerLayer {
-            inner,
-            config: BreakerConfig::default(),
-            state: Mutex::new(BreakerState::Closed { streak: 0 }),
-            stats: MiddlewareStats::shared(),
-            tracer: Arc::new(NullTracer),
-        }
-    }
-
-    /// Overrides the breaker tuning.
-    pub fn with_config(mut self, config: BreakerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Emits [`TraceEvent::BreakerTransition`] events into `tracer`.
-    pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Reports shorted requests into an externally owned counter set.
-    pub fn with_stats(mut self, stats: Arc<MiddlewareStats>) -> Self {
-        self.stats = stats;
-        self
-    }
-
-    /// The breaker's current state label (`closed` / `open` / `half-open`).
-    pub fn state_label(&self) -> &'static str {
-        self.state.lock().expect("breaker poisoned").label()
-    }
-
-    fn transition(&self, request: u64, from: BreakerState, to: BreakerState) {
-        self.tracer.record(&TraceEvent::BreakerTransition {
-            request,
-            from: from.label(),
-            to: to.label(),
-        });
-    }
-
-    /// Decides whether `request` may pass, without holding the lock
-    /// across the inner call.
-    fn admit(&self, request: u64) -> Admission {
-        let mut state = self.state.lock().expect("breaker poisoned");
-        match *state {
-            BreakerState::Closed { .. } => Admission::Pass,
-            BreakerState::Open { remaining } => {
-                if remaining > 0 {
-                    *state = BreakerState::Open {
-                        remaining: remaining - 1,
-                    };
-                    Admission::Short
-                } else {
-                    let from = *state;
-                    *state = BreakerState::HalfOpen;
-                    drop(state);
-                    self.transition(request, from, BreakerState::HalfOpen);
-                    Admission::Probe
-                }
-            }
-            BreakerState::HalfOpen => Admission::Short,
-        }
-    }
-
-    /// Folds a completed request's outcome back into the breaker. `failed`
-    /// means the response carried a *retryable* transport fault — the only
-    /// class that signals upstream ill health. A non-retryable rejection
-    /// (content filter, policy refusal) proves the upstream is alive and
-    /// answering, so it closes a probe and never grows the failure streak.
-    fn observe(&self, request: u64, failed: bool, was_probe: bool) {
-        let mut state = self.state.lock().expect("breaker poisoned");
-        let from = *state;
-        let to = if was_probe {
-            if failed {
-                BreakerState::Open {
-                    remaining: self.config.cooldown_requests,
-                }
-            } else {
-                BreakerState::Closed { streak: 0 }
-            }
-        } else {
-            match (*state, failed) {
-                (BreakerState::Closed { streak }, true) => {
-                    let streak = streak + 1;
-                    if streak >= self.config.failure_threshold {
-                        BreakerState::Open {
-                            remaining: self.config.cooldown_requests,
-                        }
-                    } else {
-                        BreakerState::Closed { streak }
-                    }
-                }
-                (BreakerState::Closed { .. }, false) => BreakerState::Closed { streak: 0 },
-                // A non-probe finishing while open/half-open (a stale
-                // in-flight request under concurrency) leaves the state
-                // alone.
-                (other, _) => other,
-            }
-        };
-        *state = to;
-        drop(state);
-        if from.label() != to.label() {
-            self.transition(request, from, to);
-        }
-    }
-}
-
-impl<M: ChatModel> ChatModel for CircuitBreakerLayer<M> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn default_temperature(&self) -> f64 {
-        self.inner.default_temperature()
-    }
-
-    fn context_window(&self) -> usize {
-        self.inner.context_window()
-    }
-
-    fn cost_usd(&self, usage: &Usage) -> f64 {
-        self.inner.cost_usd(usage)
-    }
-
-    fn chat(&self, request: &ChatRequest) -> ChatResponse {
-        let was_probe = match self.admit(request.trace_id) {
-            Admission::Pass => false,
-            Admission::Probe => true,
-            Admission::Short => {
-                // Shorted: the request never reaches the model, burns no
-                // virtual time, and bills nothing.
-                self.stats.faults_injected.fetch_add(1, Ordering::Relaxed);
-                self.tracer.record(&TraceEvent::FaultInjected {
-                    request: request.trace_id,
-                    kind: FaultKind::CircuitOpen.label(),
-                });
-                let mut response = ChatResponse::new(String::new(), Usage::default(), 0.0);
-                response.meta.fault = Some(FaultKind::CircuitOpen);
-                response.meta.attempt_usage = Some(Usage::default());
-                return response;
-            }
-        };
-        let response = self.inner.chat(request);
-        let failed = response.meta.fault.is_some_and(FaultKind::is_retryable);
-        self.observe(request.trace_id, failed, was_probe);
-        response
-    }
-
-    fn take_route_pending(&self, trace_id: u64) -> Option<crate::router::RoutePending> {
-        self.inner.take_route_pending(trace_id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chat::Message;
-    use dprep_obs::CollectingTracer;
-
-    /// Faults (Timeout) while `down` is true.
-    struct Flaky {
-        down: std::sync::atomic::AtomicBool,
-    }
-    impl Flaky {
-        fn new(down: bool) -> Self {
-            Flaky {
-                down: std::sync::atomic::AtomicBool::new(down),
-            }
-        }
-        fn set_down(&self, down: bool) {
-            self.down.store(down, Ordering::Relaxed);
-        }
-    }
-    impl ChatModel for Flaky {
-        fn name(&self) -> &str {
-            "flaky"
-        }
-        fn context_window(&self) -> usize {
-            100_000
-        }
-        fn cost_usd(&self, usage: &Usage) -> f64 {
-            usage.total_tokens() as f64 * 1e-6
-        }
-        fn chat(&self, _request: &ChatRequest) -> ChatResponse {
-            if self.down.load(Ordering::Relaxed) {
-                let mut r = ChatResponse::new(String::new(), Usage::default(), 30.0);
-                r.meta.fault = Some(FaultKind::Timeout);
-                r
-            } else {
-                ChatResponse::new("Answer 1: yes\n", Usage::default(), 1.0)
-            }
-        }
-    }
 
     fn req(text: &str) -> ChatRequest {
         ChatRequest::new(vec![Message::user(format!("Question 1: {text}?\n"))])
@@ -597,89 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn breaker_cycles_closed_open_half_open_closed() {
-        let model = Flaky::new(true);
-        let tracer = Arc::new(CollectingTracer::new());
-        let breaker = CircuitBreakerLayer::new(&model)
-            .with_config(BreakerConfig {
-                failure_threshold: 3,
-                cooldown_requests: 2,
-            })
-            .with_tracer(tracer.clone() as Arc<dyn Tracer>);
-
-        // Three consecutive faults trip it open.
-        for i in 0..3 {
-            let r = breaker.chat(&req(&format!("f{i}")).with_trace_id(i + 1));
-            assert_eq!(r.meta.fault, Some(FaultKind::Timeout));
-        }
-        assert_eq!(breaker.state_label(), "open");
-
-        // While open, requests are shorted without touching the model.
-        for i in 0..2 {
-            let r = breaker.chat(&req(&format!("s{i}")).with_trace_id(10 + i));
-            assert_eq!(r.meta.fault, Some(FaultKind::CircuitOpen));
-            assert_eq!(r.usage, Usage::default());
-            assert_eq!(r.latency_secs, 0.0);
-        }
-
-        // Cooldown spent; upstream recovers; the probe closes the circuit.
-        model.set_down(false);
-        let probe = breaker.chat(&req("probe").with_trace_id(20));
-        assert_eq!(probe.meta.fault, None);
-        assert_eq!(breaker.state_label(), "closed");
-
-        let labels: Vec<(String, String)> = tracer
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::BreakerTransition { from, to, .. } => {
-                    Some((from.to_string(), to.to_string()))
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            labels,
-            vec![
-                ("closed".into(), "open".into()),
-                ("open".into(), "half-open".into()),
-                ("half-open".into(), "closed".into()),
-            ]
-        );
-    }
-
-    /// Answers with whatever fault is currently scripted (None = clean).
-    struct Moody {
-        fault: Mutex<Option<FaultKind>>,
-    }
-    impl Moody {
-        fn new(fault: Option<FaultKind>) -> Self {
-            Moody {
-                fault: Mutex::new(fault),
-            }
-        }
-        fn set_fault(&self, fault: Option<FaultKind>) {
-            *self.fault.lock().unwrap() = fault;
-        }
-    }
-    impl ChatModel for Moody {
-        fn name(&self) -> &str {
-            "moody"
-        }
-        fn context_window(&self) -> usize {
-            100_000
-        }
-        fn cost_usd(&self, usage: &Usage) -> f64 {
-            usage.total_tokens() as f64 * 1e-6
-        }
-        fn chat(&self, _request: &ChatRequest) -> ChatResponse {
-            let mut r = ChatResponse::new("Answer 1: yes\n", Usage::default(), 1.0);
-            r.meta.fault = *self.fault.lock().unwrap();
-            r
-        }
-    }
-
-    #[test]
     fn route_outage_preset_downs_every_request_at_every_salt() {
         let scenario = FaultScenario::route_outage();
         for i in 0..32 {
@@ -692,74 +342,5 @@ mod tests {
             }
         }
         assert!(FaultScenario::by_name("route-outage").is_some());
-    }
-
-    #[test]
-    fn non_retryable_probe_closes_instead_of_reopening() {
-        // Regression: a half-open probe answered with a *non-retryable*
-        // fault (content-filter rejection) proves the upstream is alive and
-        // answering — it must close the circuit, not re-open it as a
-        // retryable transport failure would.
-        let model = Moody::new(Some(FaultKind::Timeout));
-        let breaker = CircuitBreakerLayer::new(&model).with_config(BreakerConfig {
-            failure_threshold: 2,
-            cooldown_requests: 1,
-        });
-        for i in 0..2 {
-            let _ = breaker.chat(&req(&format!("f{i}")));
-        }
-        assert_eq!(breaker.state_label(), "open");
-        let _ = breaker.chat(&req("short"));
-        model.set_fault(Some(FaultKind::Rejected));
-        let probe = breaker.chat(&req("probe"));
-        assert_eq!(probe.meta.fault, Some(FaultKind::Rejected));
-        assert_eq!(breaker.state_label(), "closed");
-    }
-
-    #[test]
-    fn rejections_never_grow_the_failure_streak() {
-        // A rejecting upstream is healthy; any number of rejections leaves
-        // the breaker closed, and they also reset nothing mid-streak.
-        let model = Moody::new(Some(FaultKind::Rejected));
-        let breaker = CircuitBreakerLayer::new(&model).with_config(BreakerConfig {
-            failure_threshold: 2,
-            cooldown_requests: 1,
-        });
-        for i in 0..6 {
-            let r = breaker.chat(&req(&format!("r{i}")));
-            assert_eq!(r.meta.fault, Some(FaultKind::Rejected));
-        }
-        assert_eq!(breaker.state_label(), "closed");
-        // A rejection mid-streak is evidence the upstream answers: like a
-        // success, it resets the consecutive-transport-failure count, so a
-        // timeout/rejection/timeout sequence never reaches the threshold.
-        model.set_fault(Some(FaultKind::Timeout));
-        let _ = breaker.chat(&req("t0"));
-        model.set_fault(Some(FaultKind::Rejected));
-        let _ = breaker.chat(&req("r-between"));
-        model.set_fault(Some(FaultKind::Timeout));
-        let _ = breaker.chat(&req("t1"));
-        assert_eq!(breaker.state_label(), "closed");
-        // Two consecutive transport faults still trip it.
-        let _ = breaker.chat(&req("t2"));
-        assert_eq!(breaker.state_label(), "open");
-    }
-
-    #[test]
-    fn failed_probe_reopens_the_breaker() {
-        let model = Flaky::new(true);
-        let breaker = CircuitBreakerLayer::new(&model).with_config(BreakerConfig {
-            failure_threshold: 2,
-            cooldown_requests: 1,
-        });
-        for i in 0..2 {
-            let _ = breaker.chat(&req(&format!("f{i}")));
-        }
-        assert_eq!(breaker.state_label(), "open");
-        let _ = breaker.chat(&req("short"));
-        // The probe still fails: back to open for another cooldown.
-        let probe = breaker.chat(&req("probe"));
-        assert_eq!(probe.meta.fault, Some(FaultKind::Timeout));
-        assert_eq!(breaker.state_label(), "open");
     }
 }

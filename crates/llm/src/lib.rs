@@ -36,10 +36,10 @@
 //!   deterministic fault injection,
 //! * [`fault`] — scenario-driven fault schedules ([`FaultScenario`]
 //!   presets: burst outages, rate-limit storms, latency spikes, garbled
-//!   and partial completions) and the [`CircuitBreakerLayer`],
+//!   and partial completions),
 //! * [`router`] — cheap-first model-cascade routing ([`RouterLayer`]
-//!   escalation across routes, plan-order breaker settlement via
-//!   [`RouteFold`]),
+//!   escalation across routes) and the circuit breaker: per-route health
+//!   settled in plan order by [`RouteFold`], for one route or several,
 //! * [`transcript`] — request/response recording with JSONL export,
 //! * [`json`] — the dependency-free JSON reader/writer behind the
 //!   transcript format.
@@ -67,7 +67,7 @@ pub mod transcript;
 pub mod usage;
 
 pub use chat::{ChatModel, ChatRequest, ChatResponse, FaultKind, Message, ResponseMeta, Role};
-pub use fault::{BreakerConfig, CircuitBreakerLayer, FaultEffect, FaultRule, FaultScenario};
+pub use fault::{FaultEffect, FaultRule, FaultScenario};
 pub use knowledge::{Fact, KnowledgeBase};
 pub use middleware::{
     is_complete, request_fingerprint, warm_cache_store, CacheLayer, CacheStore, FaultLayer,
@@ -76,8 +76,8 @@ pub use middleware::{
 pub use model::SimulatedLlm;
 pub use profile::{LatencyModel, ModelProfile, Pricing, TaskSkills};
 pub use router::{
-    EscalationPolicy, RouteAttempt, RouteFold, RouteOutcome, RoutePending, RouteSettlement,
-    RouterLayer, SettledLeg,
+    BreakerConfig, EscalationPolicy, RouteAttempt, RouteFold, RouteOutcome, RoutePending,
+    RouteSettlement, RouterLayer, SettledLeg,
 };
 pub use transcript::{Recorded, TranscriptEntry, TranscriptRecorder};
 pub use usage::{Usage, UsageTotals};

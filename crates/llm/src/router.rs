@@ -17,8 +17,9 @@
 //! through a [`RouteFold`] — the per-route circuit breakers live there, in
 //! the fold, exactly like the budget gauge. Because breaker state never
 //! influences what was dispatched (only what is billed and served), results
-//! are bit-identical at any `--workers` count — which is what lifts the
-//! breaker's serial-only restriction for routed runs.
+//! are bit-identical at any `--workers` count. The fold is the workspace's
+//! only circuit breaker: a single model gets it behind a one-route
+//! [`RouterLayer`].
 //!
 //! A leg that failed while its route's breaker is open is **shorted** at
 //! settlement: billed zero tokens, zero dollars, zero latency, exactly as
@@ -30,7 +31,6 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::chat::{ChatModel, ChatRequest, ChatResponse, FaultKind};
-use crate::fault::BreakerConfig;
 use crate::middleware::{answered_count, expected_answers};
 use crate::usage::Usage;
 
@@ -383,10 +383,28 @@ pub struct RouteSettlement {
     pub cost_usd: f64,
 }
 
-/// Per-route breaker health, folded in plan order. Unlike the serving-side
-/// [`crate::CircuitBreakerLayer`], admission and outcome settle in the same
-/// step (the leg's result is already known), so a half-open probe never
-/// persists as a state: `Open { remaining: 0 }` *is* the probe slot.
+/// Circuit-breaker tuning for [`RouteFold`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BreakerConfig {
+    /// Consecutive transport-faulted legs that trip a route's breaker open.
+    pub failure_threshold: u32,
+    /// Failed legs shorted while open before a probe is billed.
+    pub cooldown_requests: u32,
+}
+
+impl Default for BreakerConfig {
+    fn default() -> Self {
+        BreakerConfig {
+            failure_threshold: 3,
+            cooldown_requests: 2,
+        }
+    }
+}
+
+/// Per-route breaker health, folded in plan order. Admission and outcome
+/// settle in the same step (the leg's result is already known), so a
+/// half-open probe never persists as a state: `Open { remaining: 0 }`
+/// *is* the probe slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RouteHealth {
     Closed { streak: u32 },
@@ -442,8 +460,9 @@ impl RouteFold {
     /// Advances one route's breaker by one settled leg. Returns whether the
     /// leg is shorted (billed zero). `failed` means the leg's final fault is
     /// a retryable transport failure — the only class that signals upstream
-    /// ill health. Non-retryable rejections bill normally and leave the
-    /// streak alone, mirroring the serving-side breaker's taxonomy.
+    /// ill health. A non-retryable rejection (content filter, policy
+    /// refusal) proves the upstream is alive and answering: it bills
+    /// normally and never grows the streak.
     fn advance(&mut self, route: &str, failed: bool) -> bool {
         let slot = self.slot(route);
         let (next, shorted) = match (self.states[slot], failed) {
@@ -525,8 +544,8 @@ impl RouteFold {
     /// every leg bills, the last leg serves. The degradation ladder uses
     /// this — its sub-requests settle at parse time, whose position
     /// relative to later folds depends on plan-shard boundaries, so letting
-    /// them touch breaker state would break the materialized/streaming
-    /// equivalence the executor guarantees.
+    /// them touch breaker state would make routing depend on the shard
+    /// size.
     pub fn settle_passthrough(pending: RoutePending) -> RouteSettlement {
         let legs: Vec<SettledLeg> = pending
             .attempts
@@ -899,8 +918,8 @@ mod tests {
             failure_threshold: 2,
             cooldown_requests: 1,
         });
-        // Rejections are `failed = false` at the fold: the streak never
-        // grows, mirroring the serving-side breaker's taxonomy split.
+        // Rejections are `failed = false` at the fold: a rejecting
+        // upstream is alive and answering, so the streak never grows.
         let rejected = Some(FaultKind::Rejected);
         for _ in 0..5 {
             let failed = rejected.is_some_and(FaultKind::is_retryable);

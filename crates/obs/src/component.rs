@@ -71,7 +71,7 @@ pub fn reconcile(sections: [usize; 5], billed: usize) -> [usize; 6] {
 /// maps to `"other"` — snapshots rebuilt from a trace produced by this
 /// workspace only ever see known labels.
 pub fn intern_label(label: &str) -> &'static str {
-    const KNOWN: [&str; 42] = [
+    const KNOWN: [&str; 40] = [
         // components
         TASK_SPEC,
         ANSWER_FORMAT,
@@ -99,10 +99,6 @@ pub fn intern_label(label: &str) -> &'static str {
         // budget-trip reasons
         "deadline",
         "token-budget",
-        // breaker states
-        "closed",
-        "open",
-        "half-open",
         // route-leg outcomes
         "served",
         "escalated",
@@ -124,6 +120,7 @@ pub fn intern_label(label: &str) -> &'static str {
         // daemon drain states
         "serving",
         "draining",
+        "closed",
     ];
     KNOWN
         .iter()

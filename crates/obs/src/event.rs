@@ -4,20 +4,20 @@
 //! labels (this crate sits below the crates that own the typed enums).
 //! All times are **virtual seconds** from the simulator's latency model.
 //!
-//! A run emits, in causal order:
+//! A run emits, in causal order, once per plan shard (a materialized plan
+//! is one shard):
 //!
 //! ```text
 //! RunStarted
-//!   Planned*        (one per unique request, after dedup)
+//!   Planned*        (one per unique request first seen in the shard)
 //!   Deduped*        (one per batch served by an earlier identical request)
-//!   Stage{plan} Stage{prompt-build}   (planning-phase span totals)
 //!   Dispatched*     (one per unique request, from its worker thread)
 //!     CacheHit | RetryAttempt* | FaultInjected*   (middleware, interleaved)
 //!   Completed*      (one per unique request, in plan order)
 //!   PromptComponents*   (one per completion, right after it, in plan order)
-//!   Stage{dispatch}
 //!   Parsed* / Failed*   (one per instance, in plan order)
-//!   Stage{parse}
+//! Stage{plan} Stage{prompt-build} Stage{dispatch} Stage{parse}
+//!                   (span totals across every shard, once)
 //! RunFinished       (the run's ledger totals)
 //! ```
 //!
@@ -232,15 +232,6 @@ pub enum TraceEvent {
         /// Unique requests cancelled as a result.
         cancelled: usize,
     },
-    /// The circuit breaker changed state.
-    BreakerTransition {
-        /// The request whose outcome (or admission) drove the transition.
-        request: u64,
-        /// State before: `closed` / `open` / `half-open`.
-        from: &'static str,
-        /// State after.
-        to: &'static str,
-    },
     /// The executor split a degraded batch in half for re-dispatch.
     BatchSplit {
         /// The fresh sub-request carrying the split group.
@@ -410,7 +401,6 @@ impl TraceEvent {
             TraceEvent::Failed { .. } => "failed",
             TraceEvent::Cancelled { .. } => "cancelled",
             TraceEvent::BudgetTripped { .. } => "budget_tripped",
-            TraceEvent::BreakerTransition { .. } => "breaker_transition",
             TraceEvent::BatchSplit { .. } => "batch_split",
             TraceEvent::Replayed { .. } => "replayed",
             TraceEvent::JournalState { .. } => "journal_state",
@@ -440,7 +430,6 @@ impl TraceEvent {
             | TraceEvent::Parsed { request, .. }
             | TraceEvent::Failed { request, .. }
             | TraceEvent::Cancelled { request, .. }
-            | TraceEvent::BreakerTransition { request, .. }
             | TraceEvent::BatchSplit { request, .. }
             | TraceEvent::Replayed { request } => Some(*request),
             TraceEvent::RunStarted { .. }

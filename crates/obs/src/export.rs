@@ -257,11 +257,6 @@ pub fn event_to_json(event: &TraceEvent) -> String {
                 .str("reason", reason)
                 .usize("cancelled", *cancelled);
         }
-        TraceEvent::BreakerTransition { request, from, to } => {
-            line.u64("request", *request)
-                .str("from", from)
-                .str("to", to);
-        }
         TraceEvent::BatchSplit { request, instances } => {
             line.u64("request", *request).usize("instances", *instances);
         }
@@ -518,11 +513,6 @@ pub fn event_from_json(value: &Json) -> Result<TraceEvent, String> {
             run: u("run")?,
             reason: s("reason")?,
             cancelled: us("cancelled")?,
-        }),
-        "breaker_transition" => Ok(TraceEvent::BreakerTransition {
-            request: u("request")?,
-            from: s("from")?,
-            to: s("to")?,
         }),
         "batch_split" => Ok(TraceEvent::BatchSplit {
             request: u("request")?,
@@ -834,11 +824,6 @@ mod tests {
                 run: 7,
                 reason: "token-budget",
                 cancelled: 1,
-            },
-            TraceEvent::BreakerTransition {
-                request: 702,
-                from: "closed",
-                to: "open",
             },
             TraceEvent::BatchSplit {
                 request: 704,

@@ -6,9 +6,17 @@
 //! [`crate::report`] renderers. Supports the full JSON value grammar
 //! (objects, arrays, strings with escapes, numbers, booleans, null).
 //! Numbers round-trip through Rust's shortest-representation float
-//! formatting.
+//! formatting. Input is untrusted (daemon request frames, crash-torn
+//! journals, hand-edited traces), so every malformed document — including
+//! one nested too deeply — is a [`JsonError`], never a panic or a stack
+//! overflow.
 
 use std::fmt;
+
+/// Deepest array/object nesting the parser accepts. The documents the
+/// workspace writes nest a few levels deep; the limit stops a hostile
+/// input from recursing the parser off the end of its thread's stack.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,7 +134,7 @@ impl Json {
     /// Parses a complete JSON document (rejects trailing garbage).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut pos = 0;
-        let value = parse_value(text, &mut pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(text.as_bytes(), &mut pos);
         if pos != text.len() {
             return Err(JsonError {
@@ -189,11 +197,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing arrays/objects are `depth` deep.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
+        Some(b'[' | b'{') if depth >= MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
@@ -207,7 +219,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -235,7 +247,7 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err(*pos, "expected ':' after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(text, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -429,6 +441,22 @@ mod tests {
             started.elapsed()
         );
         assert_eq!(parsed.get("v").and_then(Json::as_str), Some(value.as_str()));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // One `[` per recursion level used to overflow the stack and abort
+        // the process; 100,000 of them fit in one daemon frame.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+        // The limit itself is inclusive, for arrays and objects alike.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let deeper = format!("[{deepest}]");
+        assert_eq!(Json::parse(&deeper).unwrap_err().at, MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
     }
 
     #[test]

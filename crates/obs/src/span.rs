@@ -312,7 +312,6 @@ impl Tracer for SpanProfileBuilder {
             | TraceEvent::Failed { .. }
             | TraceEvent::Cancelled { .. }
             | TraceEvent::BudgetTripped { .. }
-            | TraceEvent::BreakerTransition { .. }
             | TraceEvent::BatchSplit { .. }
             | TraceEvent::Replayed { .. }
             | TraceEvent::JournalState { .. }

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: broken intra-doc links fail) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test =="
 cargo test --workspace -q
 
@@ -26,11 +29,12 @@ cargo test -q -p dprep-core --lib exec::tests::audit_tracer_passes_on_a_faulty_r
 
 echo "== durable runs: journal resume tests + chaos drills =="
 cargo test -q --test durable_resume
-# One-scenario sweep still runs the breaker drill, the route-outage drill
-# (primary route hard-down: every request served by the secondary,
-# per-route billing reconciled, bit-identical at workers 1/2/4), and the
-# full kill-point drill (kill after every Nth terminal event, resume,
-# assert bit-identity and exactly-once billing).
+# One-scenario sweep still runs the route-outage drill (primary route
+# hard-down: the router's plan-order breaker shorts its legs unbilled,
+# every request served by the secondary, per-route billing reconciled,
+# bit-identical at workers 1/2/4) and the full kill-point drill (kill after
+# every Nth terminal event, resume, assert bit-identity and exactly-once
+# billing), as one shard and in shards of 2 batches.
 cargo run --release -q -p dprep-cli --bin dprep -- chaos --scenario partial-batch > /dev/null
 
 echo "== serving smoke: daemon self-check + e2e suite =="

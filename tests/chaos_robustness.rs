@@ -1,17 +1,18 @@
 //! End-to-end chaos robustness: a token budget tripping mid-run leaves a
-//! partial, bit-identical, audited result; a burst-outage schedule drives
-//! the circuit breaker through its full closed → open → half-open → closed
-//! cycle while the ledger stays sound.
+//! partial, bit-identical, audited result; routed runs stay bit-identical
+//! under every fault preset and bill exactly once across a resume; and a
+//! one-route cascade's plan-order circuit breaker shorts a hard-down
+//! model's requests unbilled at any worker count.
 
 use std::sync::Arc;
 
 use llm_data_preprocessors::core::{
-    Durability, ExecutionOptions, FailureKind, PipelineConfig, Prediction, Preprocessor, RunResult,
+    Durability, ExecutionOptions, FailureKind, PipelineConfig, Preprocessor, RunResult,
 };
 use llm_data_preprocessors::datasets::{dataset_by_name, Dataset};
 use llm_data_preprocessors::llm::{
-    CacheLayer, ChatModel, CircuitBreakerLayer, EscalationPolicy, FaultLayer, FaultScenario,
-    ModelProfile, RetryLayer, RouterLayer, SimulatedLlm,
+    BreakerConfig, ChatModel, EscalationPolicy, FaultLayer, FaultScenario, ModelProfile,
+    RetryLayer, RouterLayer, SimulatedLlm,
 };
 use llm_data_preprocessors::obs::{
     AuditTracer, CollectingTracer, DurableJournal, MultiTracer, TraceEvent, Tracer,
@@ -235,100 +236,103 @@ fn escalations_bill_exactly_once_across_a_mid_run_resume() {
 }
 
 #[test]
-fn burst_outage_drives_breaker_through_full_cycle() {
-    // Pinned workload and seed, chosen so the 30% burst-outage schedule
-    // produces at least one full closed → open → half-open → closed cycle.
+fn one_route_cascade_breaker_shorts_an_outage_at_every_worker_count() {
+    // A single model behind a one-route cascade gets the router's
+    // plan-order breaker: with the model hard-down, every leg fails after
+    // retries, so the breaker trips, shorts its cooldown legs unbilled,
+    // bills one probe, and re-opens, over and over — identically at every
+    // worker count, because settlement folds in plan order.
     let ds = dataset_by_name("Adult", 0.1, 0).unwrap();
-    let collector = Arc::new(CollectingTracer::new());
-    let audit = Arc::new(AuditTracer::new());
-    let tracer: Arc<dyn Tracer> = Arc::new(
-        MultiTracer::new()
-            .with(Arc::clone(&collector) as Arc<dyn Tracer>)
-            .with(Arc::clone(&audit) as Arc<dyn Tracer>),
-    );
-
-    // The breaker sits outside retry, so it observes post-retry outcomes;
-    // serial by construction — its consecutive-failure state is
-    // order-sensitive, so it never goes behind the parallel executor.
-    let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone())).with_seed(0);
-    let faulty = FaultLayer::scenario(sim, FaultScenario::burst_outage(), 0)
-        .with_tracer(Arc::clone(&tracer));
-    let retried = RetryLayer::new(faulty, 2).with_tracer(Arc::clone(&tracer));
-    let breaker = CircuitBreakerLayer::new(retried).with_tracer(Arc::clone(&tracer));
-    let stack = CacheLayer::new(breaker).with_tracer(Arc::clone(&tracer));
-
-    let result = run_with_options(
-        &ds,
-        &stack,
-        ExecutionOptions::default(),
-        Arc::clone(&tracer),
-    );
-
-    // The breaker walked its full state machine, in order: it opened after
-    // consecutive failures, probed half-open after the cooldown, and closed
-    // again on a successful probe.
-    let transitions: Vec<(&'static str, &'static str)> = collector
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::BreakerTransition { from, to, .. } => Some((*from, *to)),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        transitions.windows(3).any(|w| w
-            == [
-                ("closed", "open"),
-                ("open", "half-open"),
-                ("half-open", "closed"),
-            ]),
-        "no full breaker cycle in {transitions:?}"
-    );
-    // Every observed transition is a legal edge of the state machine.
-    for (from, to) in &transitions {
-        assert!(
-            matches!(
-                (*from, *to),
-                ("closed", "open")
-                    | ("open", "half-open")
-                    | ("half-open", "closed")
-                    | ("half-open", "open")
-            ),
-            "illegal transition {from} -> {to}"
+    let config = BreakerConfig::default();
+    let mut reference: Option<(RunResult, Vec<String>)> = None;
+    for workers in [1usize, 2, 4] {
+        let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone())).with_seed(0);
+        let down = RetryLayer::new(
+            FaultLayer::scenario(sim, FaultScenario::route_outage(), 0),
+            2,
         );
-    }
+        let router = RouterLayer::new(vec![Box::new(down)], EscalationPolicy::default());
+        let audit = Arc::new(AuditTracer::new());
+        let collector = Arc::new(CollectingTracer::new());
+        let tracer: Arc<dyn Tracer> = Arc::new(
+            MultiTracer::new()
+                .with(Arc::clone(&audit) as Arc<dyn Tracer>)
+                .with(Arc::clone(&collector) as Arc<dyn Tracer>),
+        );
+        let result = run_with_options(
+            &ds,
+            &router,
+            ExecutionOptions {
+                workers,
+                ..ExecutionOptions::default()
+            },
+            tracer,
+        );
+        audit.assert_clean();
 
-    // While open, requests were short-circuited: unbilled circuit-open
-    // responses that surface as classified failures, not hangs.
-    let shorted = collector
-        .events()
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::FaultInjected { kind, .. } if *kind == "circuit-open"))
-        .count();
-    assert!(shorted > 0, "open breaker never short-circuited a request");
-    let circuit_failures = result
-        .predictions
-        .iter()
-        .filter(|p| p.failure() == Some(FailureKind::CircuitOpen))
-        .count();
-    assert!(circuit_failures > 0, "no instance classified circuit-open");
+        // One leg per request, settled in plan order: `failure_threshold`
+        // billed legs trip the breaker, then every cycle shorts
+        // `cooldown_requests` legs and bills one probe that re-opens it.
+        let mut outcomes = Vec::new();
+        for event in collector.events() {
+            if let TraceEvent::RouteLeg {
+                outcome,
+                prompt_tokens,
+                completion_tokens,
+                cost_usd,
+                latency_secs,
+                ..
+            } = event
+            {
+                if outcome == "shorted" {
+                    assert_eq!(
+                        prompt_tokens + completion_tokens,
+                        0,
+                        "shorted legs bill nothing"
+                    );
+                    assert_eq!((cost_usd, latency_secs), (0.0, 0.0));
+                }
+                outcomes.push(outcome.to_string());
+            }
+        }
+        assert_eq!(outcomes.len(), result.stats.requests);
+        let trip = config.failure_threshold as usize;
+        let cycle = config.cooldown_requests as usize + 1;
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let shorted = i >= trip && (i - trip) % cycle != cycle - 1;
+            assert_eq!(outcome == "shorted", shorted, "leg {i}: {outcome}");
+        }
+        let route = &result.metrics.routes["sim-gpt-4"];
+        assert_eq!(route.legs, outcomes.len());
+        assert!(route.shorted > route.legs / 2, "{route:?}");
 
-    // Terminal coverage holds under the outage: every instance is either
-    // answered or classified, and the ledger audits clean.
-    assert_eq!(result.predictions.len(), ds.len());
-    let answered = result.predictions.len() - result.failed_count();
-    assert!(answered > 0, "outage wiped out the whole run");
-    for p in &result.predictions {
-        match p {
-            Prediction::Answered(_) => {}
-            Prediction::Failed(kind) => assert!(
+        // Shorted requests fail as circuit-open, billed probes as retries
+        // exhausted; nothing is answered while the model is down.
+        for p in &result.predictions {
+            assert!(
                 matches!(
-                    kind,
-                    FailureKind::CircuitOpen | FailureKind::RetriesExhausted | FailureKind::Faulted
+                    p.failure(),
+                    Some(FailureKind::CircuitOpen | FailureKind::RetriesExhausted)
                 ),
-                "unexpected failure kind under outage: {kind:?}"
-            ),
+                "unexpected outcome under a hard-down model: {p:?}"
+            );
+        }
+        assert!(result
+            .predictions
+            .iter()
+            .any(|p| p.failure() == Some(FailureKind::CircuitOpen)));
+
+        match &reference {
+            None => reference = Some((result, outcomes)),
+            Some((reference, reference_outcomes)) => {
+                assert_eq!(&outcomes, reference_outcomes, "workers={workers}");
+                assert_eq!(
+                    result.predictions, reference.predictions,
+                    "workers={workers}"
+                );
+                assert_eq!(result.usage, reference.usage, "workers={workers}");
+                assert_eq!(result.metrics, reference.metrics, "workers={workers}");
+            }
         }
     }
-    audit.assert_clean();
 }

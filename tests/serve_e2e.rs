@@ -325,3 +325,51 @@ fn killed_job_resumes_with_exactly_once_billing() {
     });
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A client's `workers` is a ceiling on threads, not an allocation: a
+/// submit asking for 10^12 workers runs on the threads its plan can use
+/// and replies exactly what a one-worker submit does.
+#[test]
+fn absurd_worker_counts_reply_like_one_worker() {
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        JobScheduler::new(TenantLedger::new()),
+        handler(None),
+    )
+    .expect("bind");
+    let addr = daemon.local_addr();
+    let with_workers = |workers: f64| match submit_body("t", "Restaurant", vec![]) {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| match k.as_str() {
+                    "workers" => (k, Json::Num(workers)),
+                    _ => (k, v),
+                })
+                .collect(),
+        ),
+        other => other,
+    };
+
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| daemon.run());
+        let one = submit(addr, &with_workers(1.0));
+        let huge = submit(addr, &with_workers(1e12));
+        assert_eq!(
+            huge.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            huge.to_json()
+        );
+        assert_eq!(
+            str_field(&huge, "fingerprint"),
+            str_field(&one, "fingerprint")
+        );
+        assert_eq!(
+            num_field(&huge, "tokens_billed"),
+            num_field(&one, "tokens_billed")
+        );
+        submit(addr, &op("shutdown"));
+        server.join().unwrap().expect("daemon exits cleanly");
+    });
+}

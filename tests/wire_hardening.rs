@@ -230,3 +230,42 @@ fn frames_at_the_limit_still_serve() {
         server.join().unwrap().expect("daemon exits cleanly");
     });
 }
+
+/// A deeply nested frame well inside the default size limit is just a
+/// malformed request: the parser's nesting cap answers it with an error
+/// instead of recursing off the end of the connection thread's stack,
+/// which used to abort the daemon for every tenant.
+#[test]
+fn deeply_nested_frames_get_an_error_not_a_crash() {
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        JobScheduler::new(TenantLedger::new()),
+        Arc::new(|_body: &Json, _grant| Ok(JobOutcome::default())),
+    )
+    .expect("bind")
+    .with_wire_limits(WireLimits::default());
+    let addr = daemon.local_addr();
+
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| daemon.run());
+
+        let mut frame = vec![b'['; 100_000];
+        assert!(frame.len() < WireLimits::default().max_frame_bytes);
+        frame.push(b'\n');
+        let (mut stream, mut reader) = connect(addr);
+        stream.write_all(&frame).expect("write nested frame");
+        let reply = read_line(&mut reader, 5.0);
+        assert!(reply.contains("malformed request"), "{reply}");
+        assert!(reply.contains("nesting"), "{reply}");
+        assert_serving(addr);
+
+        let (mut stream, mut reader) = connect(addr);
+        roundtrip(
+            &mut stream,
+            &mut reader,
+            &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+        )
+        .expect("shutdown");
+        server.join().unwrap().expect("daemon exits cleanly");
+    });
+}
