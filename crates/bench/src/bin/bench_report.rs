@@ -9,6 +9,8 @@
 //! * any change in billed tokens (prompt or completion, per batch size) —
 //!   the workload is deterministic, so a token drift means the prompt
 //!   builder, batcher, or simulated model changed behaviour;
+//! * any change in a batch size's F1 — flipping a "yes" to a "no" bills
+//!   the same tokens, so only the scores see a changed decision;
 //! * total virtual latency more than 20% above the baseline.
 //!
 //! ```text
@@ -69,7 +71,7 @@ fn main() {
         let problems = compare(&baseline, &report);
         if problems.is_empty() {
             eprintln!(
-                "bench gate: OK (tokens identical, latency within {:.0}%)",
+                "bench gate: OK (tokens and F1 identical, latency within {:.0}%)",
                 100.0 * LATENCY_TOLERANCE
             );
         } else {
@@ -156,7 +158,9 @@ fn print_component_table(table: &table3::Table3) {
 /// violated gate condition (empty = pass).
 fn compare(baseline: &Json, current: &Json) -> Vec<String> {
     let mut problems = Vec::new();
-    let tokens = |report: &Json| -> Option<Vec<(usize, usize, usize)>> {
+    // Per batch size: (batch, prompt tokens, completion tokens, F1).
+    type Pinned = Vec<(usize, usize, usize, Option<f64>)>;
+    let pinned = |report: &Json| -> Option<Pinned> {
         report
             .get("rows")?
             .as_arr()?
@@ -166,18 +170,25 @@ fn compare(baseline: &Json, current: &Json) -> Vec<String> {
                     row.get("batch_size")?.as_usize()?,
                     row.get("prompt_tokens")?.as_usize()?,
                     row.get("completion_tokens")?.as_usize()?,
+                    row.get("f1")?.as_f64(),
                 ))
             })
             .collect()
     };
-    match (tokens(baseline), tokens(current)) {
+    match (pinned(baseline), pinned(current)) {
         (Some(before), Some(after)) if before == after => {}
         (Some(before), Some(after)) => {
-            for ((b_batch, b_p, b_c), (a_batch, a_p, a_c)) in before.iter().zip(&after) {
+            for ((b_batch, b_p, b_c, b_f1), (a_batch, a_p, a_c, a_f1)) in before.iter().zip(&after)
+            {
                 if (b_batch, b_p, b_c) != (a_batch, a_p, a_c) {
                     problems.push(format!(
                         "billed tokens changed at batch {b_batch}: \
                          {b_p}+{b_c} -> {a_p}+{a_c} (prompt+completion)"
+                    ));
+                }
+                if b_f1 != a_f1 {
+                    problems.push(format!(
+                        "F1 changed at batch {b_batch}: {b_f1:?} -> {a_f1:?}"
                     ));
                 }
             }
@@ -208,4 +219,39 @@ fn compare(baseline: &Json, current: &Json) -> Vec<String> {
         _ => problems.push("baseline or report is missing total_virtual_hours".into()),
     }
     problems
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report with one row per `(batch, prompt, completion, F1)`.
+    fn report(rows: &[(usize, usize, usize, f64)]) -> Json {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(batch, prompt, completion, f1)| {
+                format!(
+                    r#"{{"batch_size":{batch},"prompt_tokens":{prompt},"completion_tokens":{completion},"f1":{f1}}}"#
+                )
+            })
+            .collect();
+        let text = format!(
+            r#"{{"rows":[{}],"total_virtual_hours":1.0}}"#,
+            rows.join(",")
+        );
+        Json::parse(&text).expect("report")
+    }
+
+    #[test]
+    fn the_gate_pins_each_rows_batch_size_tokens_and_f1() {
+        let baseline = report(&[(1, 100, 10, 0.5), (5, 80, 10, 0.75)]);
+        assert!(compare(&baseline, &baseline).is_empty());
+        for changed in [
+            report(&[(1, 100, 10, 0.5), (6, 80, 10, 0.75)]),
+            report(&[(1, 100, 11, 0.5), (5, 80, 10, 0.75)]),
+            report(&[(1, 100, 10, 0.5), (5, 80, 10, 0.750000001)]),
+        ] {
+            assert_eq!(compare(&baseline, &changed).len(), 1, "{changed:?}");
+        }
+    }
 }

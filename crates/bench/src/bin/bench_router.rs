@@ -15,6 +15,8 @@
 //!   model changed behaviour;
 //! * any change in the cascade's escalation legs (the escalation rate is
 //!   pinned exactly, not within a tolerance);
+//! * any change in a row's F1 — flipping a "yes" to a "no" bills the same
+//!   tokens, so only the scores see a changed decision;
 //! * total virtual latency more than 20% above the baseline.
 //!
 //! ```text
@@ -99,7 +101,7 @@ fn main() {
         let problems = compare(&baseline, &report);
         if problems.is_empty() {
             eprintln!(
-                "router gate: OK (tokens and escalation legs identical, latency within {:.0}%)",
+                "router gate: OK (tokens, escalation legs and F1 identical, latency within {:.0}%)",
                 100.0 * LATENCY_TOLERANCE
             );
         } else {
@@ -274,8 +276,8 @@ fn print_frontier(arms: &[Arm]) {
 /// violated gate condition (empty = pass).
 fn compare(baseline: &Json, current: &Json) -> Vec<String> {
     let mut problems = Vec::new();
-    // (arm, batch) -> (prompt, completion, escalated), plus per-arm legs.
-    type Pinned = Vec<(String, usize, usize, usize, usize)>;
+    // (arm, batch, prompt, completion, escalated, F1) per row.
+    type Pinned = Vec<(String, usize, usize, usize, usize, Option<f64>)>;
     let pinned = |report: &Json| -> Option<Pinned> {
         let mut out = Vec::new();
         for arm in report.get("arms")?.as_arr()? {
@@ -287,6 +289,7 @@ fn compare(baseline: &Json, current: &Json) -> Vec<String> {
                     row.get("prompt_tokens")?.as_usize()?,
                     row.get("completion_tokens")?.as_usize()?,
                     row.get("escalated")?.as_usize()?,
+                    row.get("f1")?.as_f64(),
                 ));
             }
         }
@@ -297,11 +300,11 @@ fn compare(baseline: &Json, current: &Json) -> Vec<String> {
         (Some(before), Some(after)) => {
             for (b, a) in before.iter().zip(&after) {
                 if b != a {
-                    let (arm, batch, b_p, b_c, b_e) = b;
-                    let (_, _, a_p, a_c, a_e) = a;
+                    let (arm, batch, b_p, b_c, b_e, b_f1) = b;
+                    let (_, _, a_p, a_c, a_e, a_f1) = a;
                     problems.push(format!(
                         "{arm} drifted at batch {batch}: tokens {b_p}+{b_c} -> {a_p}+{a_c}, \
-                         escalated {b_e} -> {a_e}"
+                         escalated {b_e} -> {a_e}, F1 {b_f1:?} -> {a_f1:?}"
                     ));
                 }
             }
@@ -332,4 +335,41 @@ fn compare(baseline: &Json, current: &Json) -> Vec<String> {
         _ => problems.push("baseline or report is missing total_virtual_hours".into()),
     }
     problems
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report with one arm whose rows are `(batch, prompt, completion,
+    /// escalated, F1)`.
+    fn report(rows: &[(usize, usize, usize, usize, f64)]) -> Json {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(batch, prompt, completion, escalated, f1)| {
+                format!(
+                    r#"{{"batch_size":{batch},"prompt_tokens":{prompt},"completion_tokens":{completion},"escalated":{escalated},"f1":{f1}}}"#
+                )
+            })
+            .collect();
+        let text = format!(
+            r#"{{"arms":[{{"arm":"cascade","rows":[{}]}}],"total_virtual_hours":1.0}}"#,
+            rows.join(",")
+        );
+        Json::parse(&text).expect("report")
+    }
+
+    #[test]
+    fn the_gate_pins_each_rows_tokens_escalations_and_f1() {
+        let baseline = report(&[(1, 100, 10, 3, 0.5), (5, 80, 10, 2, 0.75)]);
+        assert!(compare(&baseline, &baseline).is_empty());
+        for changed in [
+            report(&[(1, 100, 10, 3, 0.5), (6, 80, 10, 2, 0.75)]),
+            report(&[(1, 100, 11, 3, 0.5), (5, 80, 10, 2, 0.75)]),
+            report(&[(1, 100, 10, 4, 0.5), (5, 80, 10, 2, 0.75)]),
+            report(&[(1, 100, 10, 3, 0.5), (5, 80, 10, 2, 0.750000001)]),
+        ] {
+            assert_eq!(compare(&baseline, &changed).len(), 1, "{changed:?}");
+        }
+    }
 }

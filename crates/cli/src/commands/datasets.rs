@@ -10,6 +10,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("--scale must be a number, got {raw:?}"))?,
     };
+    let scale = dprep_datasets::check_scale(scale).map_err(|e| format!("--{e}"))?;
     println!(
         "{:<16} {:<18} {:>10} {:>9} {:>7}",
         "dataset", "task", "instances", "few-shot", "facts"
@@ -26,4 +27,20 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     }
     eprintln!("(generated at scale {scale}; scale 1.0 = the paper's instance counts)");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn absurd_scales_are_rejected_before_generation() {
+        for raw in ["1e12", "1e300", "0", "-1", "NaN"] {
+            let mut flags = Flags::default();
+            flags.set("scale", raw);
+            let err = run(&flags).unwrap_err();
+            assert!(err.starts_with("--scale must be"), "{raw}: {err}");
+            assert!(err.contains("(0, 10]"), "{raw}: {err}");
+        }
+    }
 }

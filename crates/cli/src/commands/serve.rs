@@ -25,7 +25,7 @@ use dprep_core::{
     result_fingerprint, Durability, FailureKind, OpsPlane, OverloadPolicy, PipelineConfig,
     Preprocessor, TenantLedger, WireLimits,
 };
-use dprep_datasets::dataset_by_name;
+use dprep_datasets::{check_scale, dataset_by_name};
 use dprep_llm::{
     warm_cache_store, CacheLayer, FaultLayer, FaultScenario, ModelProfile, RetryLayer, SimulatedLlm,
 };
@@ -84,7 +84,8 @@ fn sanitize(name: &str) -> String {
 /// `submit` body fields (beyond `tenant` / `workers` / `token_budget` /
 /// `deadline_secs`, which the daemon consumes):
 ///
-/// * `dataset` (required), `scale`, `seed` — the workload,
+/// * `dataset` (required), `scale` (in `(0, MAX_SCALE]`, checked before
+///   the dataset is built), `seed` — the workload,
 /// * `plan_shard_size`, `retries` — serving knobs,
 /// * `scenario` — a chaos fault-scenario name for the job's middleware,
 /// * `journal_key` — with `--journal-dir`, journal this job at
@@ -99,7 +100,7 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
             .get("dataset")
             .and_then(Json::as_str)
             .ok_or("submit has no \"dataset\" field")?;
-        let scale = body.get("scale").and_then(Json::as_f64).unwrap_or(0.5);
+        let scale = check_scale(body.get("scale").and_then(Json::as_f64).unwrap_or(0.5))?;
         let seed = body
             .get("seed")
             .and_then(Json::as_usize)
@@ -626,5 +627,28 @@ fn exec_options(workers: usize) -> dprep_core::ExecutionOptions {
     dprep_core::ExecutionOptions {
         workers,
         ..dprep_core::ExecutionOptions::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn absurd_scales_fail_the_job_before_any_dataset_is_built() {
+        let handler = dataset_handler(HandlerDefaults::default(), None);
+        let scheduler = JobScheduler::new(TenantLedger::new());
+        for scale in [1e12, 1e300, 0.0, -1.0] {
+            let mut body = submit_body("t", "Adult", 1, None);
+            if let Json::Obj(fields) = &mut body {
+                fields.retain(|(k, _)| k != "scale");
+                fields.push(("scale".to_string(), Json::Num(scale)));
+            }
+            let err = scheduler
+                .run_job("t", exec_options(1), |grant| handler(&body, grant))
+                .map(|_| ())
+                .unwrap_err();
+            assert!(err.message().contains("(0, 10]"), "scale {scale}: {err:?}");
+        }
     }
 }

@@ -84,7 +84,7 @@ USAGE:
                  [--recorder DIR] [--check on]
   dprep top      [--host ADDR] [--port N] [--interval SECS] [--once on]
                  [--format text|json] [--check on]
-  dprep datasets
+  dprep datasets [--scale S] [--seed N]   (0 < S <= 10; 1 = the paper's sizes)
 
 SERVING (detect/impute/clean/match):
   --workers N      executor threads (default 1; results are identical at any N)
@@ -130,7 +130,8 @@ REPORT:
 SERVE:
   Long-running multi-tenant daemon: newline-delimited JSON over TCP, one
   object per line, ops ping | submit | stats | metrics | health |
-  shutdown. Each submit names a dataset workload plus a tenant; concurrent
+  shutdown. Each submit names a dataset workload (scale in (0, 10],
+  default 0.5) plus a tenant; concurrent
   jobs interleave fairly at plan-shard granularity through a round-robin
   turnstile that runs them side by side while their workers fit the
   machine's cores (gating never changes results — each job stays

@@ -142,6 +142,23 @@ impl Dataset {
     }
 }
 
+/// The largest generation scale a user-supplied `scale` may ask for: ten
+/// times the paper's instance counts. Far larger scales only exhaust memory
+/// (`1e12` asks the allocator for an exabyte).
+pub const MAX_SCALE: f64 = 10.0;
+
+/// Checks a user-supplied generation scale before any dataset is built:
+/// finite and in `(0, MAX_SCALE]`. The error names the bound.
+pub fn check_scale(scale: f64) -> Result<f64, String> {
+    if scale.is_finite() && scale > 0.0 && scale <= MAX_SCALE {
+        Ok(scale)
+    } else {
+        Err(format!(
+            "scale must be a number in (0, {MAX_SCALE}], got {scale:?}"
+        ))
+    }
+}
+
 /// Scales a paper-size count by `scale`, with a floor so tiny scales still
 /// produce usable datasets.
 pub(crate) fn scaled(paper_count: usize, scale: f64, floor: usize) -> usize {
@@ -192,6 +209,17 @@ pub fn dataset_by_name(name: &str, scale: f64, seed: u64) -> Option<Dataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scales_outside_the_bound_are_rejected() {
+        for good in [0.02, 0.5, 1.0, MAX_SCALE] {
+            assert_eq!(check_scale(good), Ok(good));
+        }
+        for bad in [0.0, -1.0, 1e12, 1e300, f64::NAN, f64::INFINITY] {
+            let err = check_scale(bad).unwrap_err();
+            assert!(err.contains("(0, 10]"), "{err}");
+        }
+    }
 
     #[test]
     fn all_datasets_validate_at_small_scale() {

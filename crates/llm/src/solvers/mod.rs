@@ -26,6 +26,8 @@ use crate::knowledge::{KnowledgeBase, Memorizer};
 use crate::profile::ModelProfile;
 use crate::rng::gaussian;
 use crate::rng::Rng;
+use dprep_tabular::context::ParsedInstance;
+use dprep_text::WordSet;
 
 /// One solved question: the final answer line and the reasoning line.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,22 +81,21 @@ pub fn solve(
     questions: &[Question],
     rng: &mut Rng,
 ) -> Vec<(usize, SolvedAnswer)> {
-    // The entity-matching bar depends on the prompt alone: its few-shot
+    // The matching tasks' bar depends on the request alone: its few-shot
     // pairs are scored once per request, not once per question.
-    let em_bar = std::cell::OnceCell::new();
+    let bar = std::cell::OnceCell::new();
     questions
         .iter()
         .map(|question| {
             let answer = match ctx.prompt.task {
                 Some(TaskKind::ErrorDetection) => ed::solve(ctx, question, rng),
                 Some(TaskKind::Imputation) => di::solve(ctx, question, rng),
-                Some(TaskKind::SchemaMatching) => sm::solve(ctx, question, rng),
-                Some(TaskKind::EntityMatching) => em::solve(
-                    ctx,
-                    question,
-                    *em_bar.get_or_init(|| em::match_bar(ctx)),
-                    rng,
-                ),
+                Some(TaskKind::SchemaMatching) => {
+                    sm::solve(ctx, question, *bar.get_or_init(|| sm::match_bar(ctx)), rng)
+                }
+                Some(TaskKind::EntityMatching) => {
+                    em::solve(ctx, question, *bar.get_or_init(|| em::match_bar(ctx)), rng)
+                }
                 None => SolvedAnswer {
                     answer: "unclear".into(),
                     reason: "The request does not specify a recognizable task.".into(),
@@ -155,25 +156,24 @@ pub fn calibrate_threshold(
 /// the "homogeneity" of a batch. Cluster batching raises this, which lowers
 /// effective noise (the paper observes the LLM "identifies commonalities in
 /// questions and generates consistent solutions").
+///
+/// Each question's word set is built once per request — `k` builds for a
+/// batch of `k` questions, not two per pair — and each pair is one merge of
+/// two sorted word lists, so the normalizing and allocating work of a
+/// request is linear in its batch.
 pub fn batch_homogeneity(questions: &[Question]) -> f64 {
     if questions.len() < 2 {
         return 0.0;
     }
-    let texts: Vec<String> = questions
+    let sets: Vec<WordSet> = questions
         .iter()
-        .map(|q| {
-            q.instances
-                .iter()
-                .map(|i| i.flat_text())
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
+        .map(|q| WordSet::from_texts(q.instances.iter().flat_map(ParsedInstance::values)))
         .collect();
     let mut total = 0.0;
     let mut pairs = 0usize;
-    for i in 0..texts.len() {
-        for j in (i + 1)..texts.len() {
-            total += dprep_text::jaccard_tokens(&texts[i], &texts[j]);
+    for (i, a) in sets.iter().enumerate() {
+        for b in &sets[i + 1..] {
+            total += a.jaccard(b);
             pairs += 1;
         }
     }
@@ -184,6 +184,132 @@ pub fn batch_homogeneity(questions: &[Question]) -> f64 {
 mod tests {
     use super::*;
     use dprep_tabular::context::parse_instance;
+    use dprep_text::normalize::normalized_words;
+    use dprep_text::{jaccard_tokens, overlap_tokens};
+    use std::collections::HashSet;
+
+    /// Word-set Jaccard built from two hash sets per call: the reference
+    /// the sorted-merge form must match bit for bit.
+    fn hash_set_jaccard(a: &str, b: &str) -> f64 {
+        let sa: HashSet<String> = normalized_words(a).into_iter().collect();
+        let sb: HashSet<String> = normalized_words(b).into_iter().collect();
+        if sa.is_empty() && sb.is_empty() {
+            return 1.0;
+        }
+        sa.intersection(&sb).count() as f64 / sa.union(&sb).count() as f64
+    }
+
+    /// Word-set overlap coefficient built from two hash sets per call.
+    fn hash_set_overlap(a: &str, b: &str) -> f64 {
+        let sa: HashSet<String> = normalized_words(a).into_iter().collect();
+        let sb: HashSet<String> = normalized_words(b).into_iter().collect();
+        if sa.is_empty() && sb.is_empty() {
+            return 1.0;
+        }
+        if sa.is_empty() || sb.is_empty() {
+            return 0.0;
+        }
+        sa.intersection(&sb).count() as f64 / sa.len().min(sb.len()) as f64
+    }
+
+    /// Homogeneity as the pairwise formula: each question's instance texts
+    /// joined, and both texts of every `i < j` pair re-normalized.
+    fn pairwise_homogeneity(questions: &[Question]) -> f64 {
+        if questions.len() < 2 {
+            return 0.0;
+        }
+        let texts = question_texts(questions);
+        let mut total = 0.0;
+        let mut pairs = 0usize;
+        for i in 0..texts.len() {
+            for j in (i + 1)..texts.len() {
+                total += hash_set_jaccard(&texts[i], &texts[j]);
+                pairs += 1;
+            }
+        }
+        total / pairs as f64
+    }
+
+    fn question_texts(questions: &[Question]) -> Vec<String> {
+        questions
+            .iter()
+            .map(|q| {
+                q.instances
+                    .iter()
+                    .map(ParsedInstance::flat_text)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect()
+    }
+
+    /// A seeded batch of `k` questions: one or two instances each, fields
+    /// missing at random, values drawn with repetition from words with
+    /// case, punctuation and multi-byte variants, and some questions
+    /// repeating an earlier one verbatim.
+    fn random_batch(rng: &mut Rng, k: usize) -> Vec<Question> {
+        const WORDS: &str = "apple|Apple|APPLE!|iphone|12|12gb|café|CAFÉ|cafe|东京|东|é|É|St.|\
+                             John's|a-b|new york|New-York|x||  |...|İstanbul|straße";
+        let words: Vec<&str> = WORDS.split('|').collect();
+        let mut batch: Vec<Question> = Vec::with_capacity(k);
+        for number in 1..=k {
+            let instances = match batch.get(rng.range_usize(0, batch.len().max(1))) {
+                Some(earlier) if rng.bool(0.2) => earlier.instances.clone(),
+                _ => (0..rng.range_incl(1usize, 2))
+                    .map(|_| ParsedInstance {
+                        fields: (0..rng.range_incl(0usize, 4))
+                            .map(|f| {
+                                let value = (!rng.bool(0.2)).then(|| {
+                                    (0..rng.range_incl(0usize, 5))
+                                        .map(|_| *rng.choose(&words).expect("words"))
+                                        .collect::<Vec<_>>()
+                                        .join(" ")
+                                });
+                                (format!("a{f}"), value)
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+            };
+            batch.push(Question {
+                number,
+                instances,
+                target_attribute: None,
+                text: String::new(),
+            });
+        }
+        batch
+    }
+
+    #[test]
+    fn homogeneity_is_bit_equal_to_the_pairwise_hash_set_formula() {
+        let mut rng = Rng::seed_from_u64(0x4f0d_7a11);
+        for k in 0..=20 {
+            for _ in 0..6 {
+                let batch = random_batch(&mut rng, k);
+                assert_eq!(
+                    batch_homogeneity(&batch).to_bits(),
+                    pairwise_homogeneity(&batch).to_bits(),
+                    "k = {k}: {batch:?}"
+                );
+                let texts = question_texts(&batch);
+                for a in &texts {
+                    for b in &texts {
+                        assert_eq!(
+                            jaccard_tokens(a, b).to_bits(),
+                            hash_set_jaccard(a, b).to_bits(),
+                            "{a:?} vs {b:?}"
+                        );
+                        assert_eq!(
+                            overlap_tokens(a, b).to_bits(),
+                            hash_set_overlap(a, b).to_bits(),
+                            "{a:?} vs {b:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn threshold_midpoint_when_separable() {

@@ -115,20 +115,12 @@ pub fn score_pair(
 
 const DEFAULT_THRESHOLD: f64 = 0.60;
 
-/// Solves one schema-matching question.
-pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> SolvedAnswer {
-    if question.instances.len() < 2 {
-        return SolvedAnswer {
-            answer: "no".into(),
-            reason: "The question does not contain two attributes to compare.".into(),
-        };
-    }
-    let a = &question.instances[0];
-    let b = &question.instances[1];
+/// The match bar a request's questions are judged against: calibrated on
+/// the prompt's few-shot pairs, with zero-shot-reasoning conservatism. It
+/// depends on the prompt and the batch homogeneity alone and draws no
+/// randomness, so a request computes it once for all its questions.
+pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
     let use_reasoning = ctx.prompt.wants_reason;
-    let score = score_pair(ctx.kb, &ctx.memorizer, a, b, use_reasoning);
-
-    // Threshold: few-shot calibrated, with zero-shot-reasoning conservatism.
     let example_scores: Vec<(f64, bool)> = ctx
         .prompt
         .examples
@@ -156,6 +148,26 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> Sol
         // collapsing to 5.9 F1 here). Homogeneous batches soften it.
         threshold += 0.38 * (1.0 - ctx.homogeneity).clamp(0.2, 1.0);
     }
+    threshold
+}
+
+/// Solves one schema-matching question against the request's
+/// [`match_bar`].
+pub fn solve(
+    ctx: &SolverContext<'_>,
+    question: &Question,
+    threshold: f64,
+    rng: &mut Rng,
+) -> SolvedAnswer {
+    if question.instances.len() < 2 {
+        return SolvedAnswer {
+            answer: "no".into(),
+            reason: "The question does not contain two attributes to compare.".into(),
+        };
+    }
+    let a = &question.instances[0];
+    let b = &question.instances[1];
+    let score = score_pair(ctx.kb, &ctx.memorizer, a, b, ctx.prompt.wants_reason);
 
     let noisy = score + ctx.noise(rng);
     let is_match = noisy > threshold;
@@ -209,7 +221,7 @@ mod tests {
             criteria_wander: 0.0,
         };
         let mut rng = rng_for(0, user);
-        solve(&ctx, &prompt.questions[0], &mut rng)
+        solve(&ctx, &prompt.questions[0], match_bar(&ctx), &mut rng)
     }
 
     const SM_REASONING: &str =
@@ -287,7 +299,7 @@ mod tests {
             criteria_wander: 0.0,
         };
         let mut rng = rng_for(0, "anchored");
-        let ans = solve(&ctx, &prompt.questions[0], &mut rng);
+        let ans = solve(&ctx, &prompt.questions[0], match_bar(&ctx), &mut rng);
         assert_eq!(ans.answer, "yes");
     }
 

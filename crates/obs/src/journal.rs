@@ -494,13 +494,27 @@ impl DurableJournal {
     }
 
     /// Recovers a journal from disk: parses the header and every entry,
-    /// truncates a torn final line (recording a warning), and reopens the
-    /// file for appends. A malformed line that is *not* the final line is
+    /// truncates a torn final line (recording a warning), writes the
+    /// newline a whole final line may have lost, and reopens the file for
+    /// appends. A malformed line that is *not* the final line is
     /// corruption and a hard error, as is a missing or malformed header.
     pub fn resume(path: impl AsRef<Path>) -> Result<ResumedJournal, String> {
         let path = path.as_ref().to_path_buf();
-        let contents = std::fs::read_to_string(&path)
+        let bytes = std::fs::read(&path)
             .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
+        let contents = match String::from_utf8(bytes) {
+            Ok(contents) => contents,
+            // A write torn inside a multi-byte character ends the file with
+            // an incomplete one. Its line is torn anyway: drop the partial
+            // character and let the torn-line rule below truncate the line.
+            Err(e) if e.utf8_error().error_len().is_none() => {
+                let valid = e.utf8_error().valid_up_to();
+                let mut bytes = e.into_bytes();
+                bytes.truncate(valid);
+                String::from_utf8(bytes).expect("bytes up to valid_up_to are UTF-8")
+            }
+            Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
+        };
         // (1-based line number, byte offset of line end, line text).
         let mut lines: Vec<(usize, usize, &str)> = Vec::new();
         let mut offset = 0usize;
@@ -618,8 +632,16 @@ impl DurableJournal {
             .write(true)
             .open(&path)
             .map_err(|e| format!("cannot reopen journal {}: {e}", path.display()))?;
+        // A short write can stop between a line and its newline: the line
+        // is accepted, but the next append must not be glued onto it.
+        let newline = if contents[..valid_end].ends_with('\n') {
+            ""
+        } else {
+            "\n"
+        };
         file.set_len(valid_end as u64)
             .and_then(|()| file.seek(SeekFrom::End(0)).map(|_| ()))
+            .and_then(|()| file.write_all(newline.as_bytes()))
             .map_err(|e| format!("cannot repair journal {}: {e}", path.display()))?;
         let seen = entries
             .iter()
@@ -874,6 +896,31 @@ mod tests {
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         let err = DurableJournal::resume(&path).unwrap_err();
         assert!(err.contains("corrupt at line 2"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_final_line_missing_only_its_newline_is_kept_and_terminated() {
+        // A short write can stop right before a line's newline. The line is
+        // whole, so resume keeps it — and the next append must start on a
+        // line of its own, or the following resume sees one merged line.
+        let path = temp_path("unterminated");
+        let journal = DurableJournal::fresh(&path, "m", "c", 1).unwrap();
+        journal.ensure_header(9).unwrap();
+        journal.append(&sample_entry(1)).unwrap();
+        journal.append(&sample_entry(2)).unwrap();
+        drop(journal);
+        let full = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, full.strip_suffix('\n').unwrap()).unwrap();
+        let resumed = DurableJournal::resume(&path).unwrap();
+        assert_eq!(resumed.entries.len(), 2);
+        assert!(resumed.warning.is_none(), "{:?}", resumed.warning);
+        resumed.journal.append(&sample_entry(3)).unwrap();
+        drop(resumed);
+        let again = DurableJournal::resume(&path).unwrap();
+        assert!(again.warning.is_none(), "{:?}", again.warning);
+        let fingerprints: Vec<u64> = again.entries.iter().map(|e| e.fingerprint).collect();
+        assert_eq!(fingerprints, [1, 2, 3]);
         std::fs::remove_file(&path).ok();
     }
 

@@ -38,17 +38,20 @@ impl ParsedInstance {
         self.fields.iter().map(|(n, _)| n.as_str()).collect()
     }
 
+    /// The non-missing values, in serialization order: an instance's text.
+    pub fn values(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().filter_map(|(_, v)| v.as_deref())
+    }
+
     /// All non-missing values concatenated — handy for embedding and
     /// similarity computations over whole instances.
     pub fn flat_text(&self) -> String {
         let mut out = String::new();
-        for (_, v) in &self.fields {
-            if let Some(v) = v {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(v);
+        for v in self.values() {
+            if !out.is_empty() {
+                out.push(' ');
             }
+            out.push_str(v);
         }
         out
     }

@@ -15,6 +15,6 @@ pub use ngram::{char_ngrams, word_ngrams};
 pub use normalize::{collapse_whitespace, normalize};
 pub use similarity::{
     cosine_tf, dice_char_ngrams, jaccard_tokens, jaro, jaro_winkler, levenshtein,
-    normalized_levenshtein, overlap_tokens,
+    normalized_levenshtein, overlap_tokens, WordSet,
 };
 pub use tokenize::{count_tokens, tokenize, Token};

@@ -6,6 +6,7 @@
 //! (b) the classical baselines (Magellan-style feature vectors, SMAT-style
 //! similarity matrices).
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::ngram::char_ngrams;
@@ -102,32 +103,74 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     j + prefix as f64 * 0.1 * (1.0 - j)
 }
 
+/// The normalized words of a text (see [`normalized_words`]), sorted and
+/// deduplicated. Built once, a word set compares against any number of
+/// others by merging two sorted lists, so comparing `k` texts pairwise
+/// normalizes each text once instead of `k - 1` times.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WordSet {
+    words: Vec<String>,
+}
+
+impl WordSet {
+    /// The word set of one text.
+    pub fn new(text: &str) -> WordSet {
+        WordSet::from_texts([text])
+    }
+
+    /// The word set of several texts together: the same set as that of the
+    /// texts joined by spaces, since normalization never joins words across
+    /// whitespace.
+    pub fn from_texts<'a>(texts: impl IntoIterator<Item = &'a str>) -> WordSet {
+        let mut words: Vec<String> = texts.into_iter().flat_map(normalized_words).collect();
+        words.sort_unstable();
+        words.dedup();
+        WordSet { words }
+    }
+
+    /// Jaccard similarity `|A ∩ B| / |A ∪ B|`; two empty sets are identical.
+    pub fn jaccard(&self, other: &WordSet) -> f64 {
+        if self.words.is_empty() && other.words.is_empty() {
+            return 1.0;
+        }
+        let inter = self.intersection_len(other);
+        let union = self.words.len() + other.words.len() - inter;
+        inter as f64 / union as f64
+    }
+
+    /// Number of words in both sets, by one merge of the sorted lists.
+    fn intersection_len(&self, other: &WordSet) -> usize {
+        let (mut i, mut j, mut shared) = (0, 0, 0);
+        while i < self.words.len() && j < other.words.len() {
+            match self.words[i].cmp(&other.words[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    shared += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        shared
+    }
+}
+
 /// Jaccard similarity over normalized word sets.
 pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = normalized_words(a).into_iter().collect();
-    let sb: HashSet<String> = normalized_words(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    let union = sa.union(&sb).count();
-    inter as f64 / union as f64
+    WordSet::new(a).jaccard(&WordSet::new(b))
 }
 
 /// Overlap coefficient over normalized word sets:
 /// `|A ∩ B| / min(|A|, |B|)`. More forgiving than Jaccard when one string is
 /// a short form of the other (e.g. abbreviated product titles).
 pub fn overlap_tokens(a: &str, b: &str) -> f64 {
-    let sa: HashSet<String> = normalized_words(a).into_iter().collect();
-    let sb: HashSet<String> = normalized_words(b).into_iter().collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
+    let (sa, sb) = (WordSet::new(a), WordSet::new(b));
+    match (sa.words.len(), sb.words.len()) {
+        (0, 0) => 1.0,
+        (0, _) | (_, 0) => 0.0,
+        (la, lb) => sa.intersection_len(&sb) as f64 / la.min(lb) as f64,
     }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count();
-    inter as f64 / sa.len().min(sb.len()) as f64
 }
 
 /// Dice coefficient over character n-grams (multiset-free, set semantics).

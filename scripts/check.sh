@@ -76,15 +76,15 @@ cargo run --release -q -p dprep-bench --bin bench_scale -- \
   --max-rss-mb 64 --min-rows-per-sec 2000 --out BENCH_scale.json
 
 echo "== bench-regression gate (pinned Table 3 sweep vs BENCH_baseline.json) =="
-# Fails on any billed-token change or a >20% virtual-latency regression,
-# and prints the sweep's per-component cost table.
+# Fails on any billed-token or F1 change or a >20% virtual-latency
+# regression, and prints the sweep's per-component cost table.
 cargo run --release -q -p dprep-bench --bin bench_report -- \
   --out BENCH_report.json --check BENCH_baseline.json
 
 echo "== router gate (cascade cost/F1 frontier vs BENCH_router_baseline.json) =="
 # Table 3 sweep x {sim-gpt-3.5, sim-gpt-4, cascade} at pinned scale/seed
-# (~10k billed instances): per-arm billed tokens and escalation-leg counts
-# must match the checked-in baseline exactly; total virtual latency gets
+# (~10k billed instances): per-arm billed tokens, escalation-leg counts and
+# F1 must match the checked-in baseline exactly; total virtual latency gets
 # the same 20% tolerance as bench_report.
 cargo run --release -q -p dprep-bench --bin bench_router -- \
   --out BENCH_router.json --check BENCH_router_baseline.json

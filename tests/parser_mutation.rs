@@ -3,18 +3,19 @@
 //! and `RunReport::from_contents` (`dprep report` inputs), and
 //! `DurableJournal::resume` (`--resume`). Every mutant of a valid input
 //! must come back as a value or a clean error — never a panic, and never a
-//! stack overflow that takes the whole process down.
+//! stack overflow that takes the whole process down. Journal recovery must
+//! also never replay a torn line, wherever a crash cut the file.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dprep_rng::Rng;
 use llm_data_preprocessors::core::{Durability, PipelineConfig, Preprocessor};
 use llm_data_preprocessors::datasets::dataset_by_name;
 use llm_data_preprocessors::llm::{CacheLayer, FaultLayer, ModelProfile, RetryLayer, SimulatedLlm};
 use llm_data_preprocessors::obs::{
-    parse_trace, DurableJournal, Json, JsonlTracer, RunReport, Tracer,
+    parse_trace, DurableJournal, JournalEntry, Json, JsonlTracer, RunReport, Tracer,
 };
 
 /// Mutants per parser.
@@ -42,7 +43,14 @@ struct Corpus {
     frame: String,
 }
 
-fn corpus() -> Corpus {
+/// The corpus, built by one real run shared by every test in this file
+/// (they would otherwise race on the run's journal path).
+fn corpus() -> &'static Corpus {
+    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+    CORPUS.get_or_init(build_corpus)
+}
+
+fn build_corpus() -> Corpus {
     let ds = dataset_by_name("Restaurant", 2.0, 0).unwrap();
     let jsonl = Arc::new(JsonlTracer::new());
     let tracer = Arc::clone(&jsonl) as Arc<dyn Tracer>;
@@ -193,5 +201,65 @@ fn mutated_inputs_never_panic_any_parser() {
             let _ = DurableJournal::resume(&path);
         },
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Journal recovery never replays a torn or merged line. A real journal is
+/// cut at every byte offset of its last two lines (a crash can stop a write
+/// anywhere: between a line and its newline, or inside a multi-byte
+/// character), resumed, extended by one append, and resumed again: the
+/// result is exactly the entries whose lines survived whole, plus the new
+/// one.
+#[test]
+fn journals_cut_anywhere_resume_to_their_whole_lines_plus_new_appends() {
+    let corpus = corpus();
+    let path = temp_path("cut");
+    // Five entries of the corpus journal, then one whose text is not ASCII
+    // (as a user's data can make it), appended by the journal itself.
+    std::fs::write(&path, corpus.journal[..6].join("\n") + "\n").unwrap();
+    let resumed = DurableJournal::resume(&path).unwrap();
+    let fresh_fingerprint =
+        |entries: &[JournalEntry]| entries.iter().map(|e| e.fingerprint).max().unwrap() + 1;
+    let mut wide = resumed.entries[0].clone();
+    wide.fingerprint = fresh_fingerprint(&resumed.entries);
+    wide.text = "Answer 1: Montréal, 東京\nyes\n".to_string();
+    resumed.journal.append(&wide).unwrap();
+    drop(resumed);
+    let full = std::fs::read_to_string(&path).unwrap();
+    let entries = DurableJournal::resume(&path).unwrap().entries;
+    assert_eq!(entries.len(), 6);
+    let mut extra = entries[0].clone();
+    extra.fingerprint = fresh_fingerprint(&entries);
+
+    // Byte offset where each entry's line text ends (before its newline).
+    let lines: Vec<&str> = full.lines().collect();
+    let mut text_ends = Vec::new();
+    let mut offset = 0;
+    for line in &lines {
+        offset += line.len();
+        text_ends.push(offset);
+        offset += 1;
+    }
+    let text_ends = &text_ends[1..];
+    let cut_from = full.len() - lines[lines.len() - 1].len() - lines[lines.len() - 2].len() - 2;
+    for cut in cut_from..=full.len() {
+        std::fs::write(&path, &full.as_bytes()[..cut]).unwrap();
+        let whole = text_ends.iter().filter(|&&end| end <= cut).count();
+        let resumed = DurableJournal::resume(&path)
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: first resume failed: {e}"));
+        assert_eq!(resumed.entries, entries[..whole], "cut at byte {cut}");
+        resumed.journal.append(&extra).unwrap();
+        drop(resumed);
+        let again = DurableJournal::resume(&path)
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: second resume failed: {e}"));
+        assert!(
+            again.warning.is_none(),
+            "cut at byte {cut}: {:?}",
+            again.warning
+        );
+        let mut expected = entries[..whole].to_vec();
+        expected.push(extra.clone());
+        assert_eq!(again.entries, expected, "cut at byte {cut}");
+    }
     std::fs::remove_file(&path).ok();
 }

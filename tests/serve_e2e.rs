@@ -1,7 +1,8 @@
 //! End-to-end serving tests: a live multi-tenant daemon over TCP, with
 //! concurrent tenants proven bit-identical to their one-shot runs, a
-//! budget-tripped tenant isolated from the others, and kill + resume with
-//! exactly-once billing through per-job journals.
+//! budget-tripped tenant isolated from the others, kill + resume with
+//! exactly-once billing through per-job journals, and absurd job sizes
+//! answered with an error instead of taking the daemon down.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -13,7 +14,7 @@ use llm_data_preprocessors::core::{
     result_fingerprint, Durability, ExecutionOptions, JobGrant, JobHandler, JobOutcome, KillSwitch,
     PipelineConfig, Preprocessor, TenantLedger,
 };
-use llm_data_preprocessors::datasets::dataset_by_name;
+use llm_data_preprocessors::datasets::{check_scale, dataset_by_name};
 use llm_data_preprocessors::llm::{
     warm_cache_store, CacheLayer, ModelProfile, RetryLayer, SimulatedLlm,
 };
@@ -36,7 +37,7 @@ fn handler(dir: Option<PathBuf>) -> Arc<JobHandler> {
             .get("dataset")
             .and_then(Json::as_str)
             .ok_or("no dataset")?;
-        let scale = body.get("scale").and_then(Json::as_f64).unwrap_or(0.5);
+        let scale = check_scale(body.get("scale").and_then(Json::as_f64).unwrap_or(0.5))?;
         let ds = dataset_by_name(name, scale, SEED).ok_or("unknown dataset")?;
         let mut config = PipelineConfig::best(ds.task);
         config.plan_shard_size = Some(2);
@@ -368,6 +369,56 @@ fn absurd_worker_counts_reply_like_one_worker() {
         assert_eq!(
             num_field(&huge, "tokens_billed"),
             num_field(&one, "tokens_billed")
+        );
+        submit(addr, &op("shutdown"));
+        server.join().unwrap().expect("daemon exits cleanly");
+    });
+}
+
+/// A submit whose `scale` would ask the allocator for an exabyte (or is not
+/// a usable scale at all) gets an error naming the bound, and the daemon
+/// keeps serving: a ping still pongs and a normal submit still runs.
+#[test]
+fn absurd_scales_are_rejected_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::bind(
+        "127.0.0.1:0",
+        JobScheduler::new(TenantLedger::new()),
+        handler(None),
+    )
+    .expect("bind");
+    let addr = daemon.local_addr();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| daemon.run());
+        for scale in [1e12, 1e300, 0.0, -1.0] {
+            let reply = submit(
+                addr,
+                &submit_body("t", "Adult", vec![("scale", Json::Num(scale))]),
+            );
+            assert_eq!(
+                reply.get("ok"),
+                Some(&Json::Bool(false)),
+                "scale {scale}: {}",
+                reply.to_json()
+            );
+            assert!(
+                str_field(&reply, "error").contains("(0, 10]"),
+                "scale {scale}: {}",
+                reply.to_json()
+            );
+        }
+        let pong = submit(addr, &op("ping"));
+        assert_eq!(
+            pong.get("pong"),
+            Some(&Json::Bool(true)),
+            "{}",
+            pong.to_json()
+        );
+        let normal = submit(addr, &submit_body("t", "Restaurant", vec![]));
+        assert_eq!(
+            normal.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            normal.to_json()
         );
         submit(addr, &op("shutdown"));
         server.join().unwrap().expect("daemon exits cleanly");
