@@ -1,12 +1,17 @@
 //! Micro-benchmarks of the substrates: tokenizer throughput, embedding,
-//! k-means, string similarity, and prompt assembly.
+//! k-means, string similarity, prompt assembly, and one simulated-model
+//! call.
 //!
 //! Run with `cargo bench -p dprep-bench --bench substrates`.
 
+use std::sync::Arc;
+
 use dprep_bench::timing::{bench, black_box, section};
 use dprep_embed::{kmeans, HashedNgramEmbedder};
-use dprep_prompt::{build_request, PromptConfig, Task};
-use dprep_text::{count_tokens, jaro_winkler, levenshtein};
+use dprep_llm::{ChatModel, ChatRequest, Fact, KnowledgeBase, ModelProfile, SimulatedLlm};
+use dprep_prompt::{build_request, PromptConfig, Task, TaskInstance};
+use dprep_tabular::csv::read_csv_typed;
+use dprep_text::{count_tokens, jaro_winkler, levenshtein, within_one_edit};
 
 const PROSE: &str = "Large language models are capable of understanding and \
      generating human-like text across a diverse range of topics, thereby \
@@ -25,6 +30,9 @@ fn main() {
             black_box("apple iphone 12 pro max 128gb"),
             black_box("apple iphone 12 pro 256gb"),
         )
+    });
+    bench("similarity/within_one_edit_word", || {
+        within_one_edit(black_box("hospital"), black_box("hospitol"))
     });
     bench("similarity/jaro_winkler_title", || {
         jaro_winkler(
@@ -60,4 +68,81 @@ fn main() {
             black_box(&batch),
         )
     });
+
+    section("simulator");
+    let model = detect_model();
+    let request = detect_request();
+    bench("simulator/ed_chat_batch15", || {
+        model.chat(black_box(&request))
+    });
+}
+
+/// The legal cities of a `dprep detect` facts file.
+const CITIES: [&str; 24] = [
+    "atlanta",
+    "augusta",
+    "boston",
+    "chicago",
+    "denver",
+    "houston",
+    "dallas",
+    "austin",
+    "phoenix",
+    "tucson",
+    "seattle",
+    "spokane",
+    "portland",
+    "salem",
+    "miami",
+    "orlando",
+    "tampa",
+    "detroit",
+    "lansing",
+    "memphis",
+    "nashville",
+    "raleigh",
+    "charlotte",
+    "richmond",
+];
+
+/// `sim-gpt-4` knowing what such a facts file states: the city lexicon and
+/// the plausible age range.
+fn detect_model() -> SimulatedLlm {
+    let mut kb = KnowledgeBase::new();
+    kb.extend(CITIES.iter().map(|city| Fact::LexiconMember {
+        domain: "city".into(),
+        value: city.to_string(),
+    }));
+    kb.add(Fact::NumericRange {
+        attribute: "age".into(),
+        min: 0.0,
+        max: 110.0,
+    });
+    SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(kb))
+}
+
+/// One error-detection request with reasoning, as `dprep detect` sends it:
+/// 15 cells of `name,age,city,state` rows in row order, among them an
+/// out-of-range age and a misspelt city.
+fn detect_request() -> ChatRequest {
+    let mut csv = String::from("name,age,city,state\n");
+    for row in 0..4 {
+        let age = if row == 1 { 212 } else { 30 + row };
+        let city = if row == 2 { "chicaqo" } else { CITIES[row * 5] };
+        csv.push_str(&format!("smith {row:06},{age},{city},GA\n"));
+    }
+    let table = read_csv_typed(&csv).expect("well-formed csv");
+    let instances: Vec<TaskInstance> = table
+        .rows()
+        .iter()
+        .flat_map(|record| {
+            ["name", "age", "city", "state"].map(|attribute| TaskInstance::ErrorDetection {
+                record: record.clone(),
+                attribute: attribute.into(),
+            })
+        })
+        .take(15)
+        .collect();
+    let batch: Vec<&TaskInstance> = instances.iter().collect();
+    build_request(&PromptConfig::best(Task::ErrorDetection), &[], &batch)
 }

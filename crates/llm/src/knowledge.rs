@@ -15,6 +15,8 @@
 
 use std::collections::HashMap;
 
+use dprep_text::normalize;
+
 use crate::rng::stable_hash;
 
 /// One world fact.
@@ -152,6 +154,33 @@ impl Memorizer {
     }
 }
 
+/// One model's memorized lexicons, built once per model by
+/// [`KnowledgeBase::lexicon_view`]: for every domain, the members the model
+/// knows, in corpus order, each normalized. A value is then checked against
+/// a domain in one pass over prepared strings, with no memorization hash
+/// and no normalization per member.
+#[derive(Debug, Clone)]
+pub struct LexiconView {
+    domains: HashMap<String, Vec<KnownMember>>,
+}
+
+impl LexiconView {
+    /// The memorized members of `domain`, in corpus order.
+    pub fn members(&self, domain: &str) -> &[KnownMember] {
+        self.domains.get(domain).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// A memorized lexicon member. Its raw value stays in the corpus; see
+/// [`KnowledgeBase::member_value`].
+#[derive(Debug, Clone)]
+pub struct KnownMember {
+    /// Index of the member's fact in the corpus the view was built from.
+    fact: usize,
+    /// The member's value, normalized.
+    pub norm: String,
+}
+
 /// The world-knowledge corpus with lookup indices.
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
@@ -286,6 +315,41 @@ impl KnowledgeBase {
                     _ => None,
                 }
             })
+    }
+
+    /// Every lexicon as `mem` memorized it: [`known_lexicon`] of each
+    /// domain, normalized.
+    ///
+    /// [`known_lexicon`]: KnowledgeBase::known_lexicon
+    pub fn lexicon_view(&self, mem: &Memorizer) -> LexiconView {
+        let domains = self
+            .lexicons
+            .iter()
+            .map(|(domain, facts)| {
+                let members = facts
+                    .iter()
+                    .filter_map(|&fact| match &self.facts[fact] {
+                        Fact::LexiconMember { value, .. } if mem.knows(&self.facts[fact]) => {
+                            Some(KnownMember {
+                                fact,
+                                norm: normalize(value),
+                            })
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                (domain.clone(), members)
+            })
+            .collect();
+        LexiconView { domains }
+    }
+
+    /// The raw value of `member`, from a view of this corpus.
+    pub fn member_value(&self, member: &KnownMember) -> &str {
+        match &self.facts[member.fact] {
+            Fact::LexiconMember { value, .. } => value,
+            _ => unreachable!("a lexicon view indexes LexiconMember facts"),
+        }
     }
 
     /// True when the corpus has any lexicon for `domain` (whether or not the
@@ -496,6 +560,38 @@ mod tests {
             (frac - expected).abs() < 0.04,
             "frac = {frac}, expected {expected:.3}"
         );
+    }
+
+    #[test]
+    fn lexicon_view_is_the_normalized_known_lexicon() {
+        let mut kb = sample_kb();
+        for i in 0..300 {
+            kb.add(Fact::LexiconMember {
+                domain: ["city", "state", "Team Name"][i % 3].into(),
+                value: format!("Value-{i}. É{}", "'s".repeat(i % 2)),
+            });
+        }
+        let mem = Memorizer {
+            model_name: "m".into(),
+            coverage: 0.55,
+            seed: 11,
+        };
+        let view = kb.lexicon_view(&mem);
+        for domain in ["city", "state", "Team Name", "absent"] {
+            let members = view.members(domain);
+            let known: Vec<&str> = kb.known_lexicon(&mem, domain).collect();
+            let raw: Vec<&str> = members.iter().map(|m| kb.member_value(m)).collect();
+            let norms: Vec<&str> = members.iter().map(|m| m.norm.as_str()).collect();
+            assert_eq!(raw, known, "{domain}");
+            assert_eq!(
+                norms,
+                known.iter().map(|v| normalize(v)).collect::<Vec<_>>(),
+                "{domain}"
+            );
+        }
+        // Coverage 0.55 keeps some members of each domain and drops others.
+        let cities = view.members("city").len();
+        assert!(cities > 20 && cities < 100, "{cities} cities known");
     }
 
     #[test]

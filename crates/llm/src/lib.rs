@@ -39,10 +39,7 @@
 //!   and partial completions),
 //! * [`router`] — cheap-first model-cascade routing ([`RouterLayer`]
 //!   escalation across routes) and the circuit breaker: per-route health
-//!   settled in plan order by [`RouteFold`], for one route or several,
-//! * [`transcript`] — request/response recording with JSONL export,
-//! * [`json`] — the dependency-free JSON reader/writer behind the
-//!   transcript format.
+//!   settled in plan order by [`RouteFold`], for one route or several.
 //!
 //! ## Determinism
 //!
@@ -54,7 +51,6 @@
 pub mod chat;
 pub mod comprehend;
 pub mod fault;
-pub mod json;
 pub mod knowledge;
 pub mod middleware;
 pub mod model;
@@ -63,7 +59,6 @@ pub mod respond;
 pub mod rng;
 pub mod router;
 pub mod solvers;
-pub mod transcript;
 pub mod usage;
 
 pub use chat::{ChatModel, ChatRequest, ChatResponse, FaultKind, Message, ResponseMeta, Role};
@@ -79,5 +74,4 @@ pub use router::{
     BreakerConfig, EscalationPolicy, RouteAttempt, RouteFold, RouteOutcome, RoutePending,
     RouteSettlement, RouterLayer, SettledLeg,
 };
-pub use transcript::{Recorded, TranscriptEntry, TranscriptRecorder};
 pub use usage::{Usage, UsageTotals};

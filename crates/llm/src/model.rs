@@ -12,13 +12,13 @@
 //! 6. inject response failures and render the completion,
 //! 7. meter completion tokens, dollar cost, and virtual latency.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dprep_text::count_tokens;
 
 use crate::chat::{ChatModel, ChatRequest, ChatResponse};
 use crate::comprehend::{comprehend, TaskKind};
-use crate::knowledge::{KnowledgeBase, Memorizer};
+use crate::knowledge::{KnowledgeBase, LexiconView, Memorizer};
 use crate::profile::ModelProfile;
 use crate::respond::{plan_response, render};
 use crate::rng::{rng_for, stable_hash};
@@ -31,6 +31,8 @@ pub struct SimulatedLlm {
     profile: ModelProfile,
     kb: Arc<KnowledgeBase>,
     seed: u64,
+    /// The memorized lexicons, built by the first request that reads one.
+    lexicons: OnceLock<LexiconView>,
 }
 
 impl SimulatedLlm {
@@ -40,6 +42,7 @@ impl SimulatedLlm {
             profile,
             kb,
             seed: 0x5eed_cafe,
+            lexicons: OnceLock::new(),
         }
     }
 
@@ -47,6 +50,7 @@ impl SimulatedLlm {
     /// all stochastic failures).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.lexicons = OnceLock::new();
         self
     }
 
@@ -192,6 +196,7 @@ impl ChatModel for SimulatedLlm {
             profile: &self.profile,
             memorizer: self.memorizer(),
             kb: &self.kb,
+            lexicons: &self.lexicons,
             prompt: &prompt,
             sigma,
             homogeneity,
@@ -334,6 +339,53 @@ mod tests {
         let resp = llm.chat(&req);
         let answered = resp.text.matches("Answer").count();
         assert!(answered < 10, "answered = {answered}");
+    }
+
+    #[test]
+    fn with_seed_starts_a_fresh_lexicon_view() {
+        let mut kb = KnowledgeBase::new();
+        for i in 0..60 {
+            kb.add(Fact::LexiconMember {
+                domain: "city".into(),
+                value: format!("City {i}"),
+            });
+        }
+        let kb = Arc::new(kb);
+        let req = ChatRequest::new(vec![
+            Message::system(
+                "You are requested to detect whether there is an error in the \
+                 given attribute of the record. MUST answer each question in two \
+                 lines. In the first line, you give the reason for the \
+                 inference. In the second line, you ONLY answer \"yes\" if the \
+                 value is erroneous or \"no\" otherwise.",
+            ),
+            Message::user(
+                "Question 1: Record is [city: \"cty 7\"]. \
+                 Is there an error in the \"city\" attribute?",
+            ),
+        ]);
+        let view = |llm: &SimulatedLlm| -> Vec<String> {
+            let view = llm.lexicons.get().expect("the request built a view");
+            view.members("city")
+                .iter()
+                .map(|m| m.norm.clone())
+                .collect()
+        };
+        let llm = SimulatedLlm::new(ModelProfile::vicuna13b(), Arc::clone(&kb)).with_seed(1);
+        assert!(llm.lexicons.get().is_none(), "built before any request");
+        llm.chat(&req);
+        let first = view(&llm);
+
+        let reseeded = llm.clone().with_seed(2);
+        assert!(reseeded.lexicons.get().is_none(), "kept across with_seed");
+        reseeded.chat(&req);
+        let second = view(&reseeded);
+        let known: Vec<String> = kb
+            .known_lexicon(&reseeded.memorizer(), "city")
+            .map(dprep_text::normalize)
+            .collect();
+        assert_eq!(second, known);
+        assert_ne!(first, second, "the seeds memorize different cities");
     }
 
     #[test]

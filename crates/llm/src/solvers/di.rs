@@ -132,9 +132,11 @@ fn gather_candidates(ctx: &SolverContext<'_>, question: &Question, target: &str)
 }
 
 fn hallucinate(ctx: &SolverContext<'_>, target: &str, rng: &mut Rng) -> (String, String) {
-    let lexicon: Vec<&str> = ctx.kb.known_lexicon(&ctx.memorizer, target).collect();
+    let lexicon = ctx.known_lexicon(target);
     if !lexicon.is_empty() {
-        let pick = lexicon[rng.range_usize(0, lexicon.len())];
+        let pick = ctx
+            .kb
+            .member_value(&lexicon[rng.range_usize(0, lexicon.len())]);
         return (
             pick.to_string(),
             format!("without direct evidence, {pick} is a typical \"{target}\" value"),
@@ -216,6 +218,7 @@ mod tests {
     use crate::knowledge::{Fact, KnowledgeBase, Memorizer};
     use crate::profile::ModelProfile;
     use crate::rng::rng_for;
+    use std::sync::OnceLock;
 
     fn kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
@@ -251,6 +254,7 @@ mod tests {
                 seed: 0,
             },
             kb,
+            lexicons: &OnceLock::new(),
             prompt: &prompt,
             sigma: 0.0,
             homogeneity: 0.0,
@@ -357,6 +361,7 @@ mod tests {
                 seed: 0,
             },
             kb: &kb,
+            lexicons: &OnceLock::new(),
             prompt: &prompt,
             sigma: 0.0,
             homogeneity: 0.0,

@@ -12,12 +12,22 @@
 //!   reasoning (chain of thought): the model checks numeric values against a
 //!   memorized or example-derived plausible range, and text values against a
 //!   memorized lexicon with typo detection (nearest-member edit distance).
+//!
+//! The deliberate checks run on every cell, so they are kept cheap. The
+//! spell-check compares each word with the common words by an
+//! allocation-free one-edit test ([`within_one_edit`]), not an edit-distance
+//! table. The lexicon check reads the model's lexicon view, built once per
+//! model with every memorized member already normalized
+//! ([`SolverContext::known_lexicon`]): it tests membership first, and only a
+//! non-member takes one pass over the members for both its most similar
+//! member and the one-edit test.
 
 use std::collections::HashSet;
 
-use dprep_text::{normalize, normalized_levenshtein};
+use dprep_text::{normalize, normalized_levenshtein, within_one_edit};
 
 use crate::comprehend::Question;
+use crate::knowledge::KnownMember;
 use crate::rng::Rng;
 use crate::solvers::{SolvedAnswer, SolverContext};
 
@@ -183,10 +193,11 @@ fn misspelled_common_word(word: &str) -> bool {
     if word.len() < 4 || COMMON_WORDS.contains(&word) {
         return false;
     }
+    // `word` is not a common word, so one edit away means exactly one.
     COMMON_WORDS
         .iter()
         .filter(|c| c.len() >= 5 && c.len().abs_diff(word.len()) <= 1)
-        .any(|c| dprep_text::levenshtein(c, word) == 1)
+        .any(|c| within_one_edit(c, word))
 }
 
 /// Universal format checks: `Some(true)` = format violated, `Some(false)` =
@@ -234,15 +245,44 @@ struct Evidence {
     phrase: String,
 }
 
-/// Smallest edit distance from `norm` to any memorized lexicon member —
-/// catches single-typo corruptions of short values ("9t" for "9th") that
-/// relative similarity misses.
-fn nearest_edit_distance(ctx: &SolverContext<'_>, target: &str, norm: &str) -> usize {
-    ctx.kb
-        .known_lexicon(&ctx.memorizer, target)
-        .map(|member| dprep_text::levenshtein(&normalize(member), norm))
-        .min()
-        .unwrap_or(usize::MAX)
+/// The lexicon check of a non-numeric value, when the corpus holds a
+/// lexicon for `target`. Lexicon facts are stored raw; the view compares in
+/// normalized space so punctuation conventions don't read as misspellings.
+fn lexicon_evidence(ctx: &SolverContext<'_>, target: &str, raw: &str, norm: &str) -> Evidence {
+    let members = ctx.known_lexicon(target);
+    if members.iter().any(|member| member.norm == norm) {
+        return Evidence {
+            score: 0.06,
+            phrase: format!("{raw:?} is a known legal value of \"{target}\""),
+        };
+    }
+    // One pass for the most similar member (the first, on ties) and for a
+    // member one edit away, which catches single-typo corruptions of short
+    // values ("9t" for "9th") that relative similarity misses.
+    let mut best_sim = 0.0f64;
+    let mut best_member: Option<&KnownMember> = None;
+    let mut one_edit = false;
+    for member in members {
+        let sim = normalized_levenshtein(&member.norm, norm);
+        if sim > best_sim {
+            best_sim = sim;
+            best_member = Some(member);
+        }
+        one_edit = one_edit || within_one_edit(&member.norm, norm);
+    }
+    if best_sim >= 0.75 || one_edit {
+        let member = best_member.map_or("", |m| ctx.kb.member_value(m));
+        return Evidence {
+            score: 0.9,
+            phrase: format!("{raw:?} looks like a misspelling of {member:?}"),
+        };
+    }
+    // With examples in the prompt the model has seen that
+    // unfamiliar-but-clean values exist, and calibrates its suspicion down.
+    Evidence {
+        score: if ctx.has_examples() { 0.32 } else { 0.55 },
+        phrase: format!("{raw:?} is not a value of \"{target}\" I recognize"),
+    }
 }
 
 /// The superficial prior plus any deeper evidence signals.
@@ -354,45 +394,7 @@ fn gather_evidence(
                 }
             }
         } else if ctx.kb.has_lexicon(target) {
-            let mut is_member = false;
-            let mut best_sim = 0.0f64;
-            let mut best_member: Option<String> = None;
-            for member in ctx.kb.known_lexicon(&ctx.memorizer, target) {
-                // Lexicon facts are stored raw; compare in normalized space
-                // so punctuation conventions don't read as misspellings.
-                let member_norm = normalize(member);
-                if member_norm == norm {
-                    is_member = true;
-                    break;
-                }
-                let sim = normalized_levenshtein(&member_norm, &norm);
-                if sim > best_sim {
-                    best_sim = sim;
-                    best_member = Some(member.to_string());
-                }
-            }
-            if is_member {
-                evidence.push(Evidence {
-                    score: 0.06,
-                    phrase: format!("{raw:?} is a known legal value of \"{target}\""),
-                });
-            } else if best_sim >= 0.75 || nearest_edit_distance(ctx, target, &norm) <= 1 {
-                evidence.push(Evidence {
-                    score: 0.9,
-                    phrase: format!(
-                        "{raw:?} looks like a misspelling of {:?}",
-                        best_member.unwrap_or_default()
-                    ),
-                });
-            } else {
-                // With examples in the prompt the model has seen that
-                // unfamiliar-but-clean values exist, and calibrates its
-                // suspicion down.
-                evidence.push(Evidence {
-                    score: if ctx.has_examples() { 0.32 } else { 0.55 },
-                    phrase: format!("{raw:?} is not a value of \"{target}\" I recognize"),
-                });
-            }
+            evidence.push(lexicon_evidence(ctx, target, raw, &norm));
         }
     }
 
@@ -474,7 +476,8 @@ mod tests {
     use crate::comprehend::comprehend;
     use crate::knowledge::{Fact, KnowledgeBase, Memorizer};
     use crate::profile::ModelProfile;
-    use crate::rng::rng_for;
+    use crate::rng::{rng_for, Rng};
+    use std::sync::OnceLock;
 
     fn kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
@@ -506,6 +509,7 @@ mod tests {
                 seed: 0,
             },
             kb,
+            lexicons: &OnceLock::new(),
             prompt: &prompt,
             sigma: 0.0,
             homogeneity: 0.0,
@@ -610,5 +614,263 @@ mod tests {
         assert!(!looks_garbage("new york"));
         assert!(!looks_garbage("770-933-0909"));
         assert!(!looks_garbage("st. john"));
+    }
+
+    /// The spell-check in its edit-distance-table form: the reference the
+    /// one-edit test must match.
+    fn misspelled_common_word_dp(word: &str) -> bool {
+        if word.len() < 4 || COMMON_WORDS.contains(&word) {
+            return false;
+        }
+        COMMON_WORDS
+            .iter()
+            .filter(|c| c.len() >= 5 && c.len().abs_diff(word.len()) <= 1)
+            .any(|c| dprep_text::levenshtein(c, word) == 1)
+    }
+
+    /// Letters, digits, a hyphen, and four multi-byte chars (é, 东, ß, İ).
+    fn edit_alphabet() -> Vec<char> {
+        ('a'..='z')
+            .chain('0'..='9')
+            .chain(['-', '\u{e9}', '\u{4e1c}', '\u{df}', '\u{130}'])
+            .collect()
+    }
+
+    #[test]
+    fn spell_check_matches_its_edit_distance_form() {
+        let alphabet = edit_alphabet();
+        // Every common word under every single deletion, substitution and
+        // insertion, multi-byte ones included.
+        let mut words: Vec<String> = Vec::new();
+        for common in COMMON_WORDS {
+            let chars: Vec<char> = common.chars().collect();
+            words.push(common.to_string());
+            for at in 0..=chars.len() {
+                if at < chars.len() {
+                    let mut deleted = chars.clone();
+                    deleted.remove(at);
+                    words.push(deleted.into_iter().collect());
+                }
+                for &c in &alphabet {
+                    if at < chars.len() {
+                        let mut substituted = chars.clone();
+                        substituted[at] = c;
+                        words.push(substituted.into_iter().collect());
+                    }
+                    let mut inserted = chars.clone();
+                    inserted.insert(at, c);
+                    words.push(inserted.into_iter().collect());
+                }
+            }
+        }
+        // And random words of up to 13 chars.
+        let mut rng = Rng::seed_from_u64(0xed_5e11);
+        for _ in 0..20_000 {
+            let len = rng.range_incl(0usize, 13);
+            words.push(
+                (0..len)
+                    .map(|_| *rng.choose(&alphabet).expect("nonempty"))
+                    .collect(),
+            );
+        }
+        let mut flagged = 0;
+        for word in &words {
+            let expected = misspelled_common_word_dp(word);
+            assert_eq!(misspelled_common_word(word), expected, "{word:?}");
+            flagged += usize::from(expected);
+        }
+        assert!(
+            flagged > 10_000,
+            "only {flagged} of {} flagged",
+            words.len()
+        );
+    }
+
+    /// The lexicon check in its two-pass form: every member of the corpus
+    /// lexicon filtered by the memorizer and normalized per call, a walk for
+    /// membership and the best similarity, then a second walk for the
+    /// nearest edit distance. The reference the one-pass check over the
+    /// lexicon view must match.
+    fn two_pass_lexicon_evidence(ctx: &SolverContext<'_>, target: &str, raw: &str) -> Evidence {
+        let norm = normalize(raw);
+        let mut is_member = false;
+        let mut best_sim = 0.0f64;
+        let mut best_member: Option<String> = None;
+        for member in ctx.kb.known_lexicon(&ctx.memorizer, target) {
+            let member_norm = normalize(member);
+            if member_norm == norm {
+                is_member = true;
+                break;
+            }
+            let sim = normalized_levenshtein(&member_norm, &norm);
+            if sim > best_sim {
+                best_sim = sim;
+                best_member = Some(member.to_string());
+            }
+        }
+        let nearest_edit_distance = ctx
+            .kb
+            .known_lexicon(&ctx.memorizer, target)
+            .map(|member| dprep_text::levenshtein(&normalize(member), &norm))
+            .min()
+            .unwrap_or(usize::MAX);
+        if is_member {
+            Evidence {
+                score: 0.06,
+                phrase: format!("{raw:?} is a known legal value of \"{target}\""),
+            }
+        } else if best_sim >= 0.75 || nearest_edit_distance <= 1 {
+            Evidence {
+                score: 0.9,
+                phrase: format!(
+                    "{raw:?} looks like a misspelling of {:?}",
+                    best_member.unwrap_or_default()
+                ),
+            }
+        } else {
+            Evidence {
+                score: if ctx.has_examples() { 0.32 } else { 0.55 },
+                phrase: format!("{raw:?} is not a value of \"{target}\" I recognize"),
+            }
+        }
+    }
+
+    /// Lexicon members: 1–3 chars, non-ASCII, and groups that differ only
+    /// in case or punctuation.
+    const MEMBERS: &[&str] = &[
+        "9th",
+        "10th",
+        "a",
+        "ab",
+        "x1",
+        "7th-8th",
+        "st. louis",
+        "st louis",
+        "St-Louis",
+        "o'hare",
+        "ohare",
+        "new york",
+        "New-York",
+        "münchen",
+        "東京",
+        "İstanbul",
+        "straße",
+        "são paulo",
+        "marietta",
+        "atlanta",
+        "savannah",
+        "--",
+    ];
+
+    #[test]
+    fn lexicon_check_matches_the_two_pass_form() {
+        let profile = ModelProfile::gpt35();
+        let question = "Question 1: Record is [city: \"x\"]. \
+                        Is there an error in the \"city\" attribute?";
+        let zero_shot = comprehend(&ChatRequest::new(vec![
+            Message::system(ED_SYSTEM_REASONING),
+            Message::user(question),
+        ]));
+        let few_shot = comprehend(&ChatRequest::new(vec![
+            Message::system(ED_SYSTEM_REASONING),
+            Message::user(question),
+            Message::assistant("Answer 1: The value reads like a city.\nno"),
+            Message::user(question),
+        ]));
+        assert!(!few_shot.examples.is_empty());
+        let alphabet: Vec<char> = edit_alphabet()
+            .into_iter()
+            .chain(['A', 'Z', '.', '\'', ' '])
+            .collect();
+        let mut rng = Rng::seed_from_u64(0xed_1e41);
+        // Verdict counts: [known member, misspelling, unrecognized].
+        let mut verdicts = [0usize; 3];
+        for round in 0..12u64 {
+            let mut kb = KnowledgeBase::new();
+            let mut members: Vec<String> = MEMBERS
+                .iter()
+                .filter(|_| rng.bool(0.7))
+                .map(|m| m.to_string())
+                .collect();
+            for _ in 0..rng.range_incl(0usize, 8) {
+                let len = rng.range_incl(1usize, 6);
+                members.push(
+                    (0..len)
+                        .map(|_| *rng.choose(&alphabet).expect("nonempty"))
+                        .collect(),
+                );
+            }
+            rng.shuffle(&mut members);
+            for value in &members {
+                kb.add(Fact::LexiconMember {
+                    domain: "city".into(),
+                    value: value.clone(),
+                });
+            }
+            // Values to check: every member, each with one or two random
+            // edits, and random strings.
+            let mut values: Vec<String> = Vec::new();
+            for member in &members {
+                values.push(member.clone());
+                for edits in 1..=2 {
+                    let mut chars: Vec<char> = member.chars().collect();
+                    for _ in 0..edits {
+                        let c = *rng.choose(&alphabet).expect("nonempty");
+                        match rng.range_usize(0, 3) {
+                            0 if !chars.is_empty() => {
+                                let at = rng.range_usize(0, chars.len());
+                                chars[at] = c;
+                            }
+                            1 if !chars.is_empty() => {
+                                chars.remove(rng.range_usize(0, chars.len()));
+                            }
+                            _ => chars.insert(rng.range_incl(0, chars.len()), c),
+                        }
+                    }
+                    values.push(chars.into_iter().collect());
+                }
+            }
+            for _ in 0..20 {
+                let len = rng.range_incl(0usize, 8);
+                values.push(
+                    (0..len)
+                        .map(|_| *rng.choose(&alphabet).expect("nonempty"))
+                        .collect(),
+                );
+            }
+            for coverage in [0.55, 1.0] {
+                for prompt in [&zero_shot, &few_shot] {
+                    let ctx = SolverContext {
+                        profile: &profile,
+                        memorizer: Memorizer {
+                            model_name: profile.name.clone(),
+                            coverage,
+                            seed: round,
+                        },
+                        kb: &kb,
+                        lexicons: &OnceLock::new(),
+                        prompt,
+                        sigma: 0.0,
+                        homogeneity: 0.0,
+                        criteria_wander: 0.0,
+                    };
+                    for raw in &values {
+                        let got = lexicon_evidence(&ctx, "city", raw, &normalize(raw));
+                        let want = two_pass_lexicon_evidence(&ctx, "city", raw);
+                        assert_eq!(
+                            (got.score.to_bits(), &got.phrase),
+                            (want.score.to_bits(), &want.phrase),
+                            "{raw:?} against {members:?} at coverage {coverage}"
+                        );
+                        verdicts[match want.score {
+                            0.06 => 0,
+                            0.9 => 1,
+                            _ => 2,
+                        }] += 1;
+                    }
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 500), "{verdicts:?}");
     }
 }

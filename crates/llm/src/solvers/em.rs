@@ -204,6 +204,7 @@ mod tests {
     use crate::knowledge::Fact;
     use crate::profile::ModelProfile;
     use crate::rng::rng_for;
+    use std::sync::OnceLock;
 
     fn solve_one(system: &str, user: &str, kb: &KnowledgeBase) -> SolvedAnswer {
         let profile = ModelProfile::gpt4();
@@ -217,6 +218,7 @@ mod tests {
                 seed: 0,
             },
             kb,
+            lexicons: &OnceLock::new(),
             prompt: &prompt,
             sigma: 0.0,
             homogeneity: 0.0,
@@ -330,6 +332,7 @@ mod tests {
                 seed: 0,
             },
             kb: &kb,
+            lexicons: &OnceLock::new(),
             prompt: &prompt,
             sigma: 0.0,
             homogeneity: 0.0,

@@ -21,8 +21,10 @@ pub mod ed;
 pub mod em;
 pub mod sm;
 
+use std::sync::OnceLock;
+
 use crate::comprehend::{ComprehendedPrompt, Question, TaskKind};
-use crate::knowledge::{KnowledgeBase, Memorizer};
+use crate::knowledge::{KnowledgeBase, KnownMember, LexiconView, Memorizer};
 use crate::profile::ModelProfile;
 use crate::rng::gaussian;
 use crate::rng::Rng;
@@ -46,6 +48,9 @@ pub struct SolverContext<'a> {
     pub memorizer: Memorizer,
     /// The world-knowledge corpus.
     pub kb: &'a KnowledgeBase,
+    /// The model's view of its memorized lexicons, built on first use by
+    /// [`known_lexicon`](SolverContext::known_lexicon).
+    pub lexicons: &'a OnceLock<LexiconView>,
     /// The comprehended prompt (components, examples).
     pub prompt: &'a ComprehendedPrompt,
     /// Effective decision-noise standard deviation for this request.
@@ -70,6 +75,14 @@ impl SolverContext<'_> {
     /// True when few-shot examples are present.
     pub fn has_examples(&self) -> bool {
         !self.prompt.examples.is_empty()
+    }
+
+    /// The model's memorized members of `domain`, in corpus order, each
+    /// normalized. The first call builds the model's lexicon view.
+    pub fn known_lexicon(&self, domain: &str) -> &[KnownMember] {
+        self.lexicons
+            .get_or_init(|| self.kb.lexicon_view(&self.memorizer))
+            .members(domain)
     }
 }
 

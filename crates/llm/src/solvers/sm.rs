@@ -193,6 +193,7 @@ mod tests {
     use crate::knowledge::Fact;
     use crate::profile::ModelProfile;
     use crate::rng::rng_for;
+    use std::sync::OnceLock;
 
     fn kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
@@ -215,6 +216,7 @@ mod tests {
                 seed: 0,
             },
             kb,
+            lexicons: &OnceLock::new(),
             prompt: &prompt,
             sigma: 0.0,
             homogeneity: 0.0,
@@ -293,6 +295,7 @@ mod tests {
                 seed: 0,
             },
             kb: &kb,
+            lexicons: &OnceLock::new(),
             prompt: &prompt,
             sigma: 0.0,
             homogeneity: 0.0,

@@ -7,18 +7,12 @@
 //!   gradient descent + L2, used by the Ditto- and Magellan-style entity
 //!   matchers and the HoloDetect-style error detector,
 //! * [`MultinomialNb`] — multinomial naive Bayes over sparse token counts,
-//!   used by the IMP-style imputer,
-//! * [`Knn`] — k-nearest-neighbour classifier over dense features,
-//! * [`StandardScaler`] — per-feature standardization.
+//!   used by the IMP-style imputer.
 //!
 //! Everything is deterministic under caller-provided seeds.
 
-pub mod knn;
 pub mod logreg;
 pub mod naive_bayes;
-pub mod scale;
 
-pub use knn::Knn;
 pub use logreg::LogisticRegression;
 pub use naive_bayes::MultinomialNb;
-pub use scale::StandardScaler;

@@ -1,8 +1,7 @@
 //! A minimal JSON reader/writer, so the workspace carries no external
 //! serialization dependency.
 //!
-//! It backs the transcript format in `dprep-llm` (which re-exports this
-//! module), the JSONL trace parser in [`crate::export`], and the
+//! It backs the JSONL trace parser in [`crate::export`] and the
 //! [`crate::report`] renderers. Supports the full JSON value grammar
 //! (objects, arrays, strings with escapes, numbers, booleans, null).
 //! Numbers round-trip through Rust's shortest-representation float

@@ -32,8 +32,7 @@
 //!   framing).
 //! * [`report`] — [`RunReport`]: renders a trace or snapshot as text,
 //!   JSON, or Prometheus exposition, and diffs two runs deterministically.
-//! * [`json`] — the workspace's dependency-free JSON reader/writer
-//!   (re-exported by `dprep-llm` for its transcript format).
+//! * [`json`] — the workspace's dependency-free JSON reader/writer.
 //! * [`journal`] — [`DurableJournal`], the crash-safe append-only run
 //!   journal (one JSONL line per terminal request outcome, fsync-free but
 //!   flushed per entry) that checkpoint/resume rehydrates completed

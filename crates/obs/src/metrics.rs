@@ -131,7 +131,7 @@ impl Histogram {
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 // Bucket i holds values with bit_length i; the top bucket
                 // also absorbs bit-length 64, so it runs to u64::MAX.
@@ -150,9 +150,9 @@ impl Histogram {
     /// Adds every sample of `other` into `self` (element-wise).
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         if other.count > 0 {
             self.min = self.min.min(other.min);
@@ -204,6 +204,12 @@ impl Histogram {
         }
         Some(h)
     }
+}
+
+/// Adds a count that a trace or snapshot supplied. Those bytes are
+/// untrusted, so the sum saturates at `usize::MAX` instead of overflowing.
+fn add(total: &mut usize, n: usize) {
+    *total = total.saturating_add(n);
 }
 
 /// Converts virtual seconds to the microsecond ticks histograms store.
@@ -266,13 +272,13 @@ impl RouteStats {
     }
 
     fn merge(&mut self, other: &RouteStats) {
-        self.legs += other.legs;
-        self.served += other.served;
-        self.escalated += other.escalated;
-        self.shorted += other.shorted;
-        self.retries += other.retries;
-        self.prompt_tokens += other.prompt_tokens;
-        self.completion_tokens += other.completion_tokens;
+        add(&mut self.legs, other.legs);
+        add(&mut self.served, other.served);
+        add(&mut self.escalated, other.escalated);
+        add(&mut self.shorted, other.shorted);
+        add(&mut self.retries, other.retries);
+        add(&mut self.prompt_tokens, other.prompt_tokens);
+        add(&mut self.completion_tokens, other.completion_tokens);
         self.cost_usd += other.cost_usd;
     }
 }
@@ -334,19 +340,23 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Total failed instances across all kinds.
     pub fn failed(&self) -> usize {
-        self.failures.values().sum()
+        self.failures.values().fold(0, |n, &k| n.saturating_add(k))
     }
 
     /// Requests served by some route (each routed request that completed
     /// past its cascade contributes exactly one served leg).
     pub fn route_served(&self) -> usize {
-        self.routes.values().map(|r| r.served).sum()
+        self.routes
+            .values()
+            .fold(0, |n, r| n.saturating_add(r.served))
     }
 
     /// Escalation legs across all routes: how often a cheaper route's
     /// answer was rejected and the request moved up the cascade.
     pub fn route_escalated(&self) -> usize {
-        self.routes.values().map(|r| r.escalated).sum()
+        self.routes
+            .values()
+            .fold(0, |n, r| n.saturating_add(r.escalated))
     }
 
     /// Escalations per served routed request (`0.0` when nothing routed).
@@ -443,7 +453,10 @@ impl MetricsSnapshot {
             };
             let mut out = BTreeMap::new();
             for (k, v) in fields {
-                *out.entry(crate::component::intern_label(k)).or_insert(0) += v.as_usize()?;
+                add(
+                    out.entry(crate::component::intern_label(k)).or_insert(0),
+                    v.as_usize()?,
+                );
             }
             Some(out)
         };
@@ -502,33 +515,33 @@ impl MetricsSnapshot {
 
     /// Adds every count and sample of `other` into `self`.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.requests += other.requests;
-        self.fresh_requests += other.fresh_requests;
-        self.cache_hits += other.cache_hits;
-        self.deduped += other.deduped;
-        self.retries += other.retries;
-        self.faulted += other.faulted;
-        self.cancelled += other.cancelled;
-        self.batch_splits += other.batch_splits;
-        self.answered += other.answered;
-        for (kind, n) in &other.failures {
-            *self.failures.entry(kind).or_insert(0) += n;
+        add(&mut self.requests, other.requests);
+        add(&mut self.fresh_requests, other.fresh_requests);
+        add(&mut self.cache_hits, other.cache_hits);
+        add(&mut self.deduped, other.deduped);
+        add(&mut self.retries, other.retries);
+        add(&mut self.faulted, other.faulted);
+        add(&mut self.cancelled, other.cancelled);
+        add(&mut self.batch_splits, other.batch_splits);
+        add(&mut self.answered, other.answered);
+        for (kind, &n) in &other.failures {
+            add(self.failures.entry(kind).or_insert(0), n);
         }
-        for (kind, n) in &other.faults_injected {
-            *self.faults_injected.entry(kind).or_insert(0) += n;
+        for (kind, &n) in &other.faults_injected {
+            add(self.faults_injected.entry(kind).or_insert(0), n);
         }
-        self.prompt_tokens += other.prompt_tokens;
-        self.completion_tokens += other.completion_tokens;
-        for (component, n) in &other.component_tokens {
-            *self.component_tokens.entry(component).or_insert(0) += n;
+        add(&mut self.prompt_tokens, other.prompt_tokens);
+        add(&mut self.completion_tokens, other.completion_tokens);
+        for (component, &n) in &other.component_tokens {
+            add(self.component_tokens.entry(component).or_insert(0), n);
         }
         for (route, stats) in &other.routes {
             self.routes.entry(route.clone()).or_default().merge(stats);
         }
         self.cost_usd += other.cost_usd;
-        self.journal_replayed += other.journal_replayed;
-        self.journal_written += other.journal_written;
-        self.journal_truncated += other.journal_truncated;
+        add(&mut self.journal_replayed, other.journal_replayed);
+        add(&mut self.journal_written, other.journal_written);
+        add(&mut self.journal_truncated, other.journal_truncated);
         self.latency_us.merge(&other.latency_us);
         self.prompt_hist.merge(&other.prompt_hist);
         self.completion_hist.merge(&other.completion_hist);
@@ -566,7 +579,7 @@ impl MetricsSnapshot {
             "  retries         {} attempts, {} requests still faulted\n",
             self.retries, self.faulted
         ));
-        if self.cancelled + self.batch_splits > 0 {
+        if self.cancelled > 0 || self.batch_splits > 0 {
             out.push_str(&format!(
                 "  degradation     {} requests cancelled by budget, {} batch splits\n",
                 self.cancelled, self.batch_splits
@@ -583,7 +596,7 @@ impl MetricsSnapshot {
         for (kind, n) in &self.faults_injected {
             out.push_str(&format!("    fault-injected {kind:<13} {n}\n"));
         }
-        if self.journal_replayed + self.journal_written + self.journal_truncated > 0 {
+        if self.journal_replayed > 0 || self.journal_written > 0 || self.journal_truncated > 0 {
             out.push_str(&format!(
                 "  journal         {} replayed, {} written, {} torn line(s) truncated\n",
                 self.journal_replayed, self.journal_written, self.journal_truncated
@@ -688,10 +701,10 @@ impl Tracer for MetricsRecorder {
                     m.cache_hits += 1;
                 } else {
                     m.fresh_requests += 1;
-                    m.retries += *retries as usize;
+                    add(&mut m.retries, *retries as usize);
                     m.faulted += usize::from(fault.is_some());
-                    m.prompt_tokens += prompt_tokens;
-                    m.completion_tokens += completion_tokens;
+                    add(&mut m.prompt_tokens, *prompt_tokens);
+                    add(&mut m.completion_tokens, *completion_tokens);
                     m.cost_usd += cost_usd;
                     m.latency_us.record(micros(*latency_secs));
                     m.prompt_hist.record(*prompt_tokens as u64);
@@ -718,7 +731,7 @@ impl Tracer for MetricsRecorder {
                     (crate::component::FRAMING, framing),
                 ] {
                     if *n > 0 {
-                        *m.component_tokens.entry(component).or_insert(0) += n;
+                        add(m.component_tokens.entry(component).or_insert(0), *n);
                     }
                 }
             }
@@ -739,9 +752,9 @@ impl Tracer for MetricsRecorder {
                     "shorted" => stats.shorted += 1,
                     _ => {}
                 }
-                stats.retries += *retries as usize;
-                stats.prompt_tokens += prompt_tokens;
-                stats.completion_tokens += completion_tokens;
+                add(&mut stats.retries, *retries as usize);
+                add(&mut stats.prompt_tokens, *prompt_tokens);
+                add(&mut stats.completion_tokens, *completion_tokens);
                 stats.cost_usd += cost_usd;
             }
             TraceEvent::Parsed { .. } => m.answered += 1,
@@ -756,8 +769,8 @@ impl Tracer for MetricsRecorder {
             } => {
                 // `replayed` folds from the per-request `Replayed` events;
                 // this event contributes the journal-file-level counters.
-                m.journal_written += written;
-                m.journal_truncated += truncated;
+                add(&mut m.journal_written, *written);
+                add(&mut m.journal_truncated, *truncated);
             }
             _ => {}
         }

@@ -145,7 +145,7 @@ impl RunReport {
         let mut out = String::new();
         out.push_str("dprep run report\n\n");
         let m = &self.metrics;
-        let instances = m.answered + m.failed();
+        let instances = m.answered.saturating_add(m.failed());
         let answer_rate = if instances > 0 {
             100.0 * m.answered as f64 / instances as f64
         } else {

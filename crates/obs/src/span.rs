@@ -49,10 +49,12 @@ pub struct SpanStat {
 }
 
 impl SpanStat {
+    /// Folds in one span or subtree. Times come from a trace, which may be
+    /// hostile, so the sums saturate instead of overflowing.
     fn add(&mut self, calls: u64, vt_us: u64, wall_us: u64) {
-        self.calls += calls;
-        self.vt_us += vt_us;
-        self.wall_us += wall_us;
+        self.calls = self.calls.saturating_add(calls);
+        self.vt_us = self.vt_us.saturating_add(vt_us);
+        self.wall_us = self.wall_us.saturating_add(wall_us);
     }
 
     /// Virtual time in seconds.
@@ -242,7 +244,7 @@ impl Tracer for SpanProfileBuilder {
             } => {
                 let pending = state.pending.entry(*request).or_default();
                 pending.retries += 1;
-                pending.backoff_us += to_us(*backoff_secs);
+                pending.backoff_us = pending.backoff_us.saturating_add(to_us(*backoff_secs));
             }
             TraceEvent::FaultInjected { request, .. } => {
                 state.pending.entry(*request).or_default().faults += 1;

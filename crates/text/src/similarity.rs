@@ -37,6 +37,30 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     row[b.len()]
 }
 
+/// True when `a` and `b` are at most one edit apart: exactly
+/// `levenshtein(a, b) <= 1`, on chars, without allocating. After their
+/// common prefix, the rests must match once one substitution, one deletion
+/// or one insertion is undone at the first differing char.
+pub fn within_one_edit(a: &str, b: &str) -> bool {
+    // Equal chars are equal bytes, so the prefix ends at the same byte
+    // offset in both strings.
+    let split = a
+        .char_indices()
+        .zip(b.chars())
+        .find(|((_, ca), cb)| ca != cb)
+        .map_or(a.len().min(b.len()), |((at, _), _)| at);
+    let (a, b) = (&a[split..], &b[split..]);
+    let (a_tail, b_tail) = (after_first_char(a), after_first_char(b));
+    a_tail == b_tail || a_tail == b || a == b_tail
+}
+
+/// `s` without its first char (empty stays empty).
+fn after_first_char(s: &str) -> &str {
+    let mut chars = s.chars();
+    chars.next();
+    chars.as_str()
+}
+
 /// Levenshtein similarity normalized to `[0, 1]` (1 = identical).
 pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
     let max_len = a.chars().count().max(b.chars().count());

@@ -7,7 +7,7 @@
 use dprep_rng::Rng;
 use dprep_text::{
     count_tokens, dice_char_ngrams, jaccard_tokens, jaro, jaro_winkler, levenshtein, normalize,
-    normalized_levenshtein, tokenize,
+    normalized_levenshtein, tokenize, within_one_edit,
 };
 
 const CASES: usize = 256;
@@ -113,4 +113,53 @@ fn normalize_output_is_clean() {
         assert!(n.chars().all(|c| !c.is_ascii_punctuation() || c == ' '));
         assert!(n.chars().all(|c| !c.is_uppercase()));
     }
+}
+
+/// ASCII letters, digits and space, plus é (2 bytes), 东 (3 bytes), ß (which
+/// uppercases to two chars) and İ (which lowercases to two chars).
+fn edit_alphabet() -> Vec<char> {
+    let mut alphabet: Vec<char> = ('a'..='z').chain('A'..='Z').chain('0'..='9').collect();
+    alphabet.extend([' ', '\u{e9}', '\u{4e1c}', '\u{df}', '\u{130}']);
+    alphabet
+}
+
+/// One random substitution, deletion or insertion, keeping `chars` within
+/// seven chars.
+fn random_edit(rng: &mut Rng, alphabet: &[char], chars: &mut Vec<char>) {
+    let c = *rng.choose(alphabet).expect("nonempty");
+    match rng.range_usize(0, 3) {
+        0 if !chars.is_empty() => {
+            let at = rng.range_usize(0, chars.len());
+            chars[at] = c;
+        }
+        1 if !chars.is_empty() => {
+            chars.remove(rng.range_usize(0, chars.len()));
+        }
+        _ if chars.len() < 7 => chars.insert(rng.range_incl(0, chars.len()), c),
+        _ => {}
+    }
+}
+
+#[test]
+fn within_one_edit_is_levenshtein_at_most_one() {
+    let mut rng = Rng::seed_from_u64(0x7e17_0008);
+    let alphabet = edit_alphabet();
+    // Verdict counts: [more than one edit apart, within one edit].
+    let mut verdicts = [0usize; 2];
+    for _ in 0..200_000 {
+        let len = rng.range_incl(0usize, 7);
+        let a: Vec<char> = (0..len)
+            .map(|_| *rng.choose(&alphabet).expect("nonempty"))
+            .collect();
+        let mut b = a.clone();
+        for _ in 0..rng.range_incl(0usize, 2) {
+            random_edit(&mut rng, &alphabet, &mut b);
+        }
+        let (a, b): (String, String) = (a.into_iter().collect(), b.into_iter().collect());
+        let expected = levenshtein(&a, &b) <= 1;
+        assert_eq!(within_one_edit(&a, &b), expected, "{a:?} / {b:?}");
+        assert_eq!(within_one_edit(&b, &a), expected, "{b:?} / {a:?}");
+        verdicts[usize::from(expected)] += 1;
+    }
+    assert!(verdicts.iter().all(|&n| n > 40_000), "{verdicts:?}");
 }

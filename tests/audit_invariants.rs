@@ -5,11 +5,10 @@
 use std::sync::Arc;
 
 use llm_data_preprocessors::core::{PipelineConfig, Preprocessor, RunResult};
-use llm_data_preprocessors::llm::json::Json;
 use llm_data_preprocessors::llm::{
     CacheLayer, CacheStore, ChatModel, FaultLayer, ModelProfile, RetryLayer, SimulatedLlm,
 };
-use llm_data_preprocessors::obs::{AuditTracer, JsonlTracer, MultiTracer, Tracer};
+use llm_data_preprocessors::obs::{AuditTracer, Json, JsonlTracer, MultiTracer, Tracer};
 
 const FAULT_RATE: f64 = 0.1;
 const FAULT_SEED: u64 = 17;

@@ -4,7 +4,8 @@
 //! `DurableJournal::resume` (`--resume`). Every mutant of a valid input
 //! must come back as a value or a clean error — never a panic, and never a
 //! stack overflow that takes the whole process down. Journal recovery must
-//! also never replay a torn line, wherever a crash cut the file.
+//! also never replay a torn line, wherever a crash cut the file, and counts
+//! too large to add up saturate in a report instead of overflowing.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -15,7 +16,7 @@ use llm_data_preprocessors::core::{Durability, PipelineConfig, Preprocessor};
 use llm_data_preprocessors::datasets::dataset_by_name;
 use llm_data_preprocessors::llm::{CacheLayer, FaultLayer, ModelProfile, RetryLayer, SimulatedLlm};
 use llm_data_preprocessors::obs::{
-    parse_trace, DurableJournal, JournalEntry, Json, JsonlTracer, RunReport, Tracer,
+    parse_trace, DurableJournal, JournalEntry, Json, JsonlTracer, ReportFormat, RunReport, Tracer,
 };
 
 /// Mutants per parser.
@@ -262,4 +263,80 @@ fn journals_cut_anywhere_resume_to_their_whole_lines_plus_new_appends() {
         assert_eq!(again.entries, expected, "cut at byte {cut}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// 2^63: two of these overflow a 64-bit count.
+const HALF_OVERFLOW: f64 = 9_223_372_036_854_775_808.0;
+
+/// The first corpus trace line of `event` that contains `marker`, with the
+/// number at `key` set to 2^63.
+fn with_half_overflow(event: &str, marker: &str, key: &str) -> String {
+    let tag = format!("\"event\":\"{event}\"");
+    let line = corpus()
+        .trace
+        .iter()
+        .find(|line| line.contains(&tag) && line.contains(marker))
+        .unwrap_or_else(|| panic!("no {event} line with {marker} in the corpus"));
+    let Json::Obj(mut fields) = Json::parse(line).unwrap() else {
+        panic!("a trace line is an object");
+    };
+    let (_, value) = fields.iter_mut().find(|(k, _)| k == key).unwrap();
+    *value = Json::Num(HALF_OVERFLOW);
+    Json::Obj(fields).to_json()
+}
+
+/// The report of a hostile input, which must parse.
+fn report(contents: String) -> RunReport {
+    RunReport::from_contents(&contents).unwrap_or_else(|e| panic!("{e}: {contents}"))
+}
+
+/// Two fresh completions billing 2^63 prompt tokens each report the
+/// saturated `usize::MAX`, not a wrapped sum (or, in a debug build, an
+/// overflow panic).
+#[test]
+fn billed_tokens_past_usize_max_saturate() {
+    let completed = with_half_overflow("completed", "\"cache_hit\":false", "prompt_tokens");
+    let billed = report(format!("{completed}\n{completed}\n"));
+    assert_eq!(billed.metrics.prompt_tokens, usize::MAX);
+    let text = billed.render(ReportFormat::Text);
+    assert!(
+        text.contains(&format!("tokens billed   {} prompt", usize::MAX)),
+        "{text}"
+    );
+}
+
+/// Two prompt-component attributions of 2^63 instance tokens each report
+/// the saturated `usize::MAX`.
+#[test]
+fn component_tokens_past_usize_max_saturate() {
+    let components = with_half_overflow("prompt_components", "\"instances\"", "instances");
+    let attributed = report(format!("{components}\n{components}\n"));
+    assert_eq!(
+        attributed.metrics.component_tokens.get("instances"),
+        Some(&usize::MAX)
+    );
+    attributed.render(ReportFormat::Text);
+}
+
+/// A snapshot that repeats a component key at 2^63 reports the saturated
+/// `usize::MAX`.
+#[test]
+fn snapshot_keys_repeated_past_usize_max_saturate() {
+    let Json::Obj(mut snapshot) = Json::parse(&corpus().snapshot).unwrap() else {
+        panic!("a snapshot is an object");
+    };
+    let (_, tokens) = snapshot
+        .iter_mut()
+        .find(|(k, _)| k == "component_tokens")
+        .unwrap();
+    *tokens = Json::Obj(vec![
+        ("instances".into(), Json::Num(HALF_OVERFLOW)),
+        ("instances".into(), Json::Num(HALF_OVERFLOW)),
+    ]);
+    let repeated = report(Json::Obj(snapshot).to_json());
+    assert_eq!(
+        repeated.metrics.component_tokens.get("instances"),
+        Some(&usize::MAX)
+    );
+    repeated.render(ReportFormat::Text);
 }
