@@ -40,6 +40,11 @@ impl Flags {
         }
     }
 
+    /// Parses `--retries N` (default 2), at most [`dprep_llm::MAX_RETRIES`].
+    pub fn retries(&self) -> Result<u32, String> {
+        dprep_llm::check_retries(self.usize_or("retries", 2)?).map_err(|e| format!("--{e}"))
+    }
+
     /// Parses a finite non-negative f64 flag (seconds, scales) with a
     /// default.
     pub fn f64_or(&self, name: &str, default: f64) -> Result<f64, String> {
@@ -102,13 +107,17 @@ pub fn model_profile(flags: &Flags) -> Result<dprep_llm::ModelProfile, String> {
         .ok_or_else(|| format!("unknown model {name:?} (see dprep help)"))
 }
 
-/// Parses the cascade flags: `--route a,b[,c…]` (model profile names,
-/// cheapest first) and `--escalate-on CLASSES` (stored canonical, so two
-/// spellings of one policy share a journal identity). Returns empty routes
-/// for a single-model run. At least two distinct, known models are
-/// required — a one-model cascade is just `--model`.
-pub fn route_spec(flags: &Flags) -> Result<(Vec<String>, Option<String>), String> {
-    let routes: Vec<String> = match flags.get("route") {
+/// Parses a cascade: `--route a,b[,c…]` (model profile names, cheapest
+/// first) and `--escalate-on CLASSES` (stored canonical, so two spellings
+/// of one policy share a journal identity), or the daemon's `route` and
+/// `escalate_on` submit fields. Returns empty routes for a single-model
+/// run. At least two distinct, known models are required — a one-model
+/// cascade is just `--model`.
+pub fn route_spec(
+    route: Option<&str>,
+    escalate_on: Option<&str>,
+) -> Result<(Vec<String>, Option<String>), String> {
+    let routes: Vec<String> = match route {
         None => Vec::new(),
         Some(spec) => {
             let names: Vec<String> = spec
@@ -135,7 +144,7 @@ pub fn route_spec(flags: &Flags) -> Result<(Vec<String>, Option<String>), String
             names
         }
     };
-    let escalate_on = match flags.get("escalate-on") {
+    let escalate_on = match escalate_on {
         None => None,
         Some(spec) => {
             if routes.is_empty() {
@@ -191,29 +200,26 @@ mod tests {
 
     #[test]
     fn route_spec_validates_the_cascade() {
-        let mut flags = Flags::default();
-        assert_eq!(route_spec(&flags).unwrap(), (Vec::new(), None));
+        assert_eq!(route_spec(None, None).unwrap(), (Vec::new(), None));
 
-        flags.set("route", "sim-gpt-3.5,sim-gpt-4");
-        let (routes, policy) = route_spec(&flags).unwrap();
+        let cascade = Some("sim-gpt-3.5,sim-gpt-4");
+        let (routes, policy) = route_spec(cascade, None).unwrap();
         assert_eq!(routes, vec!["sim-gpt-3.5", "sim-gpt-4"]);
         assert_eq!(policy, None);
 
-        flags.set("escalate-on", "partial, fault");
-        let (_, policy) = route_spec(&flags).unwrap();
+        let (_, policy) = route_spec(cascade, Some("partial, fault")).unwrap();
         assert_eq!(policy.as_deref(), Some("fault,partial"), "canonical order");
 
         for bad in ["sim-gpt-4", "sim-gpt-4,gpt-9", "sim-gpt-4,sim-gpt-4"] {
-            flags.set("route", bad);
-            assert!(route_spec(&flags).is_err(), "{bad}");
+            assert!(route_spec(Some(bad), None).is_err(), "{bad}");
         }
     }
 
     #[test]
     fn escalate_on_needs_a_route() {
-        let mut flags = Flags::default();
-        flags.set("escalate-on", "fault");
-        assert!(route_spec(&flags).unwrap_err().contains("--route"));
+        assert!(route_spec(None, Some("fault"))
+            .unwrap_err()
+            .contains("--route"));
     }
 
     #[test]

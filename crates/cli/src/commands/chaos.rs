@@ -18,10 +18,10 @@
 //!    bit-identical at `--workers N` and `--workers 1`, so the printed
 //!    report never depends on the worker count.
 //!
-//! The sweep stack is cache → retry → fault injection (order-independent
-//! layers, so parallel dispatch stays deterministic). The circuit breaker
-//! settles in plan order inside the router, so the route-outage drill
-//! exercises it at every worker count.
+//! The sweep stack is cache → retry → fault injection, built by
+//! [`StackSpec`] (order-independent layers, so parallel dispatch stays
+//! deterministic). The circuit breaker settles in plan order inside the
+//! router, so the route-outage drill exercises it at every worker count.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -30,10 +30,7 @@ use dprep_core::{
     Durability, ExecutionOptions, KillSwitch, PipelineConfig, Preprocessor, RunResult,
 };
 use dprep_datasets::{dataset_by_name, Dataset};
-use dprep_llm::{
-    warm_cache_store, CacheLayer, FaultLayer, FaultScenario, MiddlewareStats, ModelProfile,
-    RetryLayer, SimulatedLlm,
-};
+use dprep_llm::{FaultScenario, ModelProfile, StackSpec};
 use dprep_obs::{
     AuditTracer, DurableJournal, JournalEntry, MetricsRecorder, MetricsSnapshot, MultiTracer,
     TerminalKind, Tracer,
@@ -48,7 +45,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-    let retries = flags.usize_or("retries", 2)? as u32;
+    let retries = flags.retries()?;
     if flags.bool_or("soak", false)? {
         print!("{}", soak_drill(seed, retries)?);
         return Ok(());
@@ -177,10 +174,14 @@ fn sweep_run(
             .with(Arc::clone(audit) as Arc<dyn Tracer>)
             .with(Arc::clone(&recorder) as Arc<dyn Tracer>),
     );
-    let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone())).with_seed(seed);
-    let faulty = FaultLayer::scenario(sim, scenario.clone(), seed).with_tracer(Arc::clone(&tracer));
-    let retried = RetryLayer::new(faulty, retries).with_tracer(Arc::clone(&tracer));
-    let stack = CacheLayer::new(retried).with_tracer(Arc::clone(&tracer));
+    let stack = StackSpec {
+        fault: Some(scenario.clone()),
+        retries,
+        cache: true,
+        tracer: Arc::clone(&tracer),
+        ..StackSpec::new(vec![ModelProfile::gpt4()], Arc::new(ds.kb.clone()), seed)
+    }
+    .build();
     let mut config = PipelineConfig::best(ds.task);
     config.workers = workers;
     let result = Preprocessor::new(&stack, config)
@@ -293,19 +294,23 @@ impl Drill<'_> {
             multi = multi.with(Arc::clone(audit) as Arc<dyn Tracer>);
         }
         let tracer: Arc<dyn Tracer> = Arc::new(multi);
-        let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(self.ds.kb.clone()))
-            .with_seed(self.seed);
-        let faulty = FaultLayer::scenario(sim, FaultScenario::partial_batch(), self.seed)
-            .with_tracer(Arc::clone(&tracer));
-        let retried = RetryLayer::new(faulty, self.retries).with_tracer(Arc::clone(&tracer));
-        let mut cache = CacheLayer::new(retried).with_tracer(Arc::clone(&tracer));
-        if !warm.is_empty() {
-            cache = cache.with_store(warm_cache_store(warm));
+        let stack = StackSpec {
+            fault: Some(FaultScenario::partial_batch()),
+            retries: self.retries,
+            cache: true,
+            warm: warm.to_vec(),
+            tracer: Arc::clone(&tracer),
+            ..StackSpec::new(
+                vec![ModelProfile::gpt4()],
+                Arc::new(self.ds.kb.clone()),
+                self.seed,
+            )
         }
+        .build();
         let mut config = PipelineConfig::best(self.ds.task);
         config.workers = workers;
         config.plan_shard_size = self.plan_shard;
-        let mut preprocessor = Preprocessor::new(&cache, config)
+        let mut preprocessor = Preprocessor::new(&stack, config)
             .with_exec_options(ExecutionOptions {
                 workers,
                 degrade: true,
@@ -516,15 +521,18 @@ fn route_outage_drill(seed: u64, retries: u32) -> Result<String, String> {
                 .with(Arc::clone(&audit) as Arc<dyn Tracer>)
                 .with(Arc::clone(&recorder) as Arc<dyn Tracer>),
         );
-        let router = crate::commands::build_router(
-            &routes,
-            None,
-            Arc::new(ds.kb.clone()),
-            seed,
+        let router = StackSpec {
+            fault: Some(FaultScenario::route_outage()),
             retries,
-            &MiddlewareStats::shared(),
-            Some((0, FaultScenario::route_outage())),
-        )?;
+            ..crate::commands::stack_spec(
+                ModelProfile::gpt4(),
+                &routes,
+                None,
+                Arc::new(ds.kb.clone()),
+                seed,
+            )?
+        }
+        .build();
         let mut config = PipelineConfig::best(ds.task);
         config.workers = workers;
         config.routes = routes.clone();

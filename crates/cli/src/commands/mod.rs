@@ -10,28 +10,21 @@ pub mod report;
 pub mod serve;
 pub mod top;
 
+use std::path::Path;
 use std::sync::Arc;
 
 use dprep_core::{Durability, ExecStats, PipelineConfig};
-use dprep_llm::{
-    warm_cache_store, CacheLayer, ChatModel, EscalationPolicy, FaultLayer, FaultScenario,
-    KnowledgeBase, MiddlewareStats, ModelProfile, RetryLayer, RouterLayer, SimulatedLlm,
-};
-use dprep_obs::{AuditTracer, DurableJournal, JournalEntry, JsonlTracer, MultiTracer, Tracer};
+use dprep_llm::{ChatModel, EscalationPolicy, KnowledgeBase, ModelProfile, StackSpec};
+use dprep_obs::{AuditTracer, JsonlTracer, MultiTracer, Tracer};
 use dprep_tabular::Table;
 
-use crate::args::{model_profile, Flags};
+use crate::args::{model_profile, route_spec, Flags};
 use crate::facts;
 
 /// Loads a CSV file into a typed table.
 pub fn load_table(path: &str) -> Result<Table, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     dprep_tabular::csv::read_csv_typed(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Builds the simulated model from flags and a knowledge base.
-pub fn build_model(profile: ModelProfile, kb: KnowledgeBase, seed: u64) -> SimulatedLlm {
-    SimulatedLlm::new(profile, Arc::new(kb)).with_seed(seed)
 }
 
 /// Serving options shared by every model-running command: `--workers N`,
@@ -96,7 +89,7 @@ pub fn serving_from_flags(flags: &Flags) -> Result<Serving, String> {
         Some("off" | "false" | "0") => (false, None),
         Some(path) => (false, Some(path.to_string())),
     };
-    let (routes, escalate_on) = crate::args::route_spec(flags)?;
+    let (routes, escalate_on) = route_spec(flags.get("route"), flags.get("escalate-on"))?;
     if !routes.is_empty() && flags.get("model").is_some() {
         return Err(
             "--model conflicts with --route (the cascade names its own models, cheapest first)"
@@ -105,7 +98,7 @@ pub fn serving_from_flags(flags: &Flags) -> Result<Serving, String> {
     }
     Ok(Serving {
         workers,
-        retries: flags.usize_or("retries", 2)? as u32,
+        retries: flags.retries()?,
         cache: flags.bool_or("cache", false)?,
         trace: flags.get("trace").map(str::to_string),
         metrics,
@@ -138,8 +131,8 @@ pub struct ServingSetup {
 /// `match`: resolve the model profile and facts file, parse the serving
 /// flags, build the observability sinks, apply the `--workers` and
 /// `--plan-shard-size` knobs to every pass config, open or recover the run
-/// journal under the joint config descriptor, and wrap the model in the
-/// middleware stack (cache warm-started from a resumed journal).
+/// journal under the joint config descriptor, and build the serving stack
+/// (cache warm-started from a resumed journal).
 ///
 /// Multi-pass commands hand in one config per pass; the journal's config
 /// identity is the pass descriptors joined with ` ++ `, so a journal
@@ -152,7 +145,6 @@ pub fn serving_setup(
     let kb = facts::load(flags)?;
     let serving = serving_from_flags(flags)?;
     let obs = Observability::from_serving(&serving)?;
-    let stats = MiddlewareStats::shared();
     let seed = flags.seed()?;
     for config in configs.iter_mut() {
         config.workers = serving.workers;
@@ -165,80 +157,68 @@ pub fn serving_setup(
         .map(|c| c.descriptor())
         .collect::<Vec<_>>()
         .join(" ++ ");
-    let (durability, model) = if serving.routes.is_empty() {
-        let profile = model_profile(flags)?;
-        let (durability, warm) =
-            durability_from_serving(&serving, &profile.name, &descriptor, seed)?;
-        let model = apply_serving(
-            build_model(profile, kb, seed),
-            &serving,
-            &stats,
-            obs.tracer(),
-            &warm,
-        );
-        (durability, model)
-    } else {
-        let router = build_router(
+    let mut stack = StackSpec {
+        retries: serving.retries,
+        cache: serving.cache,
+        tracer: obs.tracer(),
+        ..stack_spec(
+            model_profile(flags)?,
             &serving.routes,
             serving.escalate_on.as_deref(),
             Arc::new(kb),
             seed,
-            serving.retries,
-            &stats,
-            None,
-        )?;
-        // The journal identity is the composite (`router(a->b)`): a
-        // single-model journal never resumes a cascade or vice versa.
-        let model_name = router.name().to_string();
-        let (durability, warm) = durability_from_serving(&serving, &model_name, &descriptor, seed)?;
-        let model = apply_cache(Box::new(router), &serving, &stats, obs.tracer(), &warm);
-        (durability, model)
+        )?
     };
+    let opened = Durability::open(
+        serving.journal.as_deref().map(Path::new),
+        serving.resume.as_deref().map(Path::new),
+        &stack.name(),
+        &descriptor,
+        seed,
+    )?;
+    if let Some(warning) = &opened.warning {
+        eprintln!("[journal warning] {warning}");
+    }
+    stack.warm = opened.warm;
     Ok(ServingSetup {
         serving,
         obs,
-        durability,
-        model,
+        durability: opened.durability,
+        model: stack.build(),
     })
 }
 
-/// Builds the cascade: one independent `RetryLayer(FaultLayer?(sim))`
-/// stack per route over a shared knowledge base, fronted by a
-/// [`RouterLayer`]. Route stacks deliberately carry **no tracer** — their
-/// retries are internal to each leg, and the audit reconciles routed
-/// completions against `route_leg` events, not `retry_attempt` events.
-/// `fault` wraps the route at the given index in a fault scenario (the
-/// chaos drills fault the primary and leave the escalation route calm).
-pub fn build_router(
-    route_names: &[String],
+/// The serving stack of one `model`, or of the cascade `routes` (cheapest
+/// first) under the canonical `escalate_on` policy when `routes` is not
+/// empty; see [`route_spec`]. Its name is the journal's model identity, so
+/// a single-model journal never resumes a cascade (`router(a->b)`) or vice
+/// versa.
+pub(crate) fn stack_spec(
+    model: ModelProfile,
+    routes: &[String],
     escalate_on: Option<&str>,
     kb: Arc<KnowledgeBase>,
     seed: u64,
-    retries: u32,
-    stats: &Arc<MiddlewareStats>,
-    fault: Option<(usize, FaultScenario)>,
-) -> Result<RouterLayer, String> {
+) -> Result<StackSpec, String> {
+    let models = if routes.is_empty() {
+        vec![model]
+    } else {
+        routes
+            .iter()
+            .map(|name| {
+                ModelProfile::by_name(name)
+                    .ok_or_else(|| format!("unknown route model {name:?} (see dprep help)"))
+            })
+            .collect::<Result<_, _>>()?
+    };
     let policy = match escalate_on {
         Some(spec) => EscalationPolicy::parse(spec)?,
         None => EscalationPolicy::default(),
     };
-    let mut routes: Vec<Box<dyn ChatModel>> = Vec::new();
-    for (i, name) in route_names.iter().enumerate() {
-        let profile = ModelProfile::by_name(name)
-            .ok_or_else(|| format!("unknown route model {name:?} (see dprep help)"))?;
-        let sim = SimulatedLlm::new(profile, Arc::clone(&kb)).with_seed(seed);
-        let mut stack: Box<dyn ChatModel> = match &fault {
-            Some((target, scenario)) if *target == i => {
-                Box::new(FaultLayer::scenario(sim, scenario.clone(), seed))
-            }
-            _ => Box::new(sim),
-        };
-        if retries > 0 {
-            stack = Box::new(RetryLayer::new(stack, retries).with_stats(Arc::clone(stats)));
-        }
-        routes.push(stack);
-    }
-    Ok(RouterLayer::new(routes, policy))
+    Ok(StackSpec {
+        policy,
+        ..StackSpec::new(models, kb, seed)
+    })
 }
 
 /// Probes an output path for writability without truncating existing
@@ -334,152 +314,6 @@ impl Observability {
     }
 }
 
-/// Whether two flag paths name the same file. Falls back to literal
-/// equality when either path cannot be canonicalized (e.g. does not exist
-/// yet) — a nonexistent journal target cannot be the recovered file.
-fn same_path(a: &str, b: &str) -> bool {
-    if a == b {
-        return true;
-    }
-    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
-        (Ok(ca), Ok(cb)) => ca == cb,
-        _ => false,
-    }
-}
-
-/// Builds the [`Durability`] a command's run executes under from the
-/// `--journal` / `--resume` serving flags, plus the recovered entries (for
-/// seeding a journal-warmed response cache).
-///
-/// `--resume FILE` recovers the journal — truncating a torn final line
-/// with a warning — and rejects it unless the header's model, config
-/// descriptor, and seed all match the current invocation. (The plan
-/// fingerprint in the header is checked by the executor itself, against
-/// the actual plan, before any request runs.) `--journal FILE` opens the
-/// file up front, which doubles as the startup writability probe; when it
-/// names the same file as `--resume`, the recovered handle is reused so
-/// appends extend the existing journal instead of truncating it.
-pub fn durability_from_serving(
-    serving: &Serving,
-    model_name: &str,
-    config: &str,
-    seed: u64,
-) -> Result<(Durability, Vec<JournalEntry>), String> {
-    let mut durability = Durability::new();
-    let Some(resume_path) = serving.resume.as_deref() else {
-        if let Some(journal_path) = serving.journal.as_deref() {
-            let journal = DurableJournal::fresh(journal_path, model_name, config, seed)
-                .map_err(|e| format!("cannot create journal {journal_path:?}: {e}"))?;
-            durability = durability.with_journal(Arc::new(journal));
-        }
-        return Ok((durability, Vec::new()));
-    };
-    let recovered = DurableJournal::resume(resume_path)?;
-    if let Some(warning) = &recovered.warning {
-        eprintln!("[journal warning] {warning}");
-    }
-    // An empty file (a crash between journal creation and the first header
-    // write) recovers with no header and nothing to replay: fall back to
-    // fresh-journal behaviour. `fresh` truncating the empty file is
-    // harmless even when `--journal` names the same path.
-    let Some(header) = recovered.header.clone() else {
-        drop(recovered);
-        if let Some(journal_path) = serving.journal.as_deref() {
-            let journal = DurableJournal::fresh(journal_path, model_name, config, seed)
-                .map_err(|e| format!("cannot create journal {journal_path:?}: {e}"))?;
-            durability = durability.with_journal(Arc::new(journal));
-        }
-        return Ok((durability, Vec::new()));
-    };
-    let mismatch = |what: &str, recorded: &str, current: &str| {
-        format!(
-            "journal {resume_path:?} was recorded under {what} {recorded:?} \
-             but this run uses {current:?}; refusing to resume"
-        )
-    };
-    if header.model != model_name {
-        return Err(mismatch("model", &header.model, model_name));
-    }
-    if header.config != config {
-        return Err(mismatch("config", &header.config, config));
-    }
-    if header.seed != seed {
-        return Err(mismatch(
-            "seed",
-            &header.seed.to_string(),
-            &seed.to_string(),
-        ));
-    }
-    durability = durability.with_replay(&recovered.entries, header.plan);
-    let truncated = recovered.journal.truncated();
-    match serving.journal.as_deref() {
-        // Same file: keep appending to the recovered journal (it carries
-        // its own torn-tail truncation count into the run's JournalState).
-        Some(journal_path) if same_path(journal_path, resume_path) => {
-            durability = durability.with_journal(Arc::new(recovered.journal));
-        }
-        // Different file: start it fresh; the recovered handle is dropped,
-        // so its truncation count rides on the durability instead.
-        Some(journal_path) => {
-            let journal = DurableJournal::fresh(journal_path, model_name, config, seed)
-                .map_err(|e| format!("cannot create journal {journal_path:?}: {e}"))?;
-            durability = durability
-                .with_journal(Arc::new(journal))
-                .with_truncated(truncated);
-        }
-        // Read-only resume: replay without journaling further.
-        None => durability = durability.with_truncated(truncated),
-    }
-    Ok((durability, recovered.entries))
-}
-
-/// Wraps `model` in the middleware stack the serving options ask for
-/// (cache over retry), reporting into `stats` and streaming lifecycle
-/// events into `tracer`. `warm` is the recovered journal of a resumed run:
-/// when caching is on, the cache store is pre-seeded with every journaled
-/// response the uninterrupted run's cache would have memoized, so
-/// cross-run cache hits bill identically on resume.
-pub fn apply_serving<M: ChatModel + 'static>(
-    model: M,
-    serving: &Serving,
-    stats: &Arc<MiddlewareStats>,
-    tracer: Arc<dyn Tracer>,
-    warm: &[JournalEntry],
-) -> Box<dyn ChatModel> {
-    let mut stack: Box<dyn ChatModel> = Box::new(model);
-    if serving.retries > 0 {
-        stack = Box::new(
-            RetryLayer::new(stack, serving.retries)
-                .with_stats(Arc::clone(stats))
-                .with_tracer(Arc::clone(&tracer)),
-        );
-    }
-    apply_cache(stack, serving, stats, tracer, warm)
-}
-
-/// Wraps `stack` in the response cache when `--cache on`, warm-started
-/// from a resumed journal. This is the routed path's whole middleware
-/// story — the cascade's retries live inside each route, so only the cache
-/// sits above the [`RouterLayer`].
-pub fn apply_cache(
-    stack: Box<dyn ChatModel>,
-    serving: &Serving,
-    stats: &Arc<MiddlewareStats>,
-    tracer: Arc<dyn Tracer>,
-    warm: &[JournalEntry],
-) -> Box<dyn ChatModel> {
-    if !serving.cache {
-        return stack;
-    }
-    let mut cache = CacheLayer::new(stack)
-        .with_stats(Arc::clone(stats))
-        .with_tracer(tracer);
-    if !warm.is_empty() {
-        cache = cache.with_store(warm_cache_store(warm));
-    }
-    Box::new(cache)
-}
-
 /// Prints the multi-line serving-metrics summary when `--metrics on`, and
 /// writes the snapshot JSON when `--metrics FILE` was given.
 pub fn print_metrics(
@@ -563,25 +397,12 @@ mod tests {
     }
 
     #[test]
-    fn resuming_an_empty_journal_falls_back_to_a_fresh_one() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("dprep-cli-empty-journal-{}", std::process::id()));
-        let path_str = path.to_string_lossy().to_string();
-        // A crash between journal creation and the first header write
-        // leaves a zero-length file behind.
-        std::fs::write(&path, "").unwrap();
-        let serving = Serving {
-            journal: Some(path_str.clone()),
-            resume: Some(path_str),
-            ..serving_from_flags(&Flags::default()).unwrap()
-        };
-        let (durability, warm) =
-            durability_from_serving(&serving, "sim-gpt-4", "cfg", 7).expect("empty file recovers");
-        assert!(warm.is_empty(), "nothing to replay");
-        assert!(
-            durability.journal().is_some(),
-            "journaling restarts fresh at the same path"
-        );
-        std::fs::remove_file(&path).ok();
+    fn retry_budgets_past_the_bound_are_rejected_at_flag_parse() {
+        let mut flags = Flags::default();
+        flags.set("retries", "11");
+        let err = serving_from_flags(&flags).unwrap_err();
+        assert!(err.contains("--retries must be at most 10"), "{err}");
+        flags.set("retries", "10");
+        assert_eq!(serving_from_flags(&flags).unwrap().retries, 10);
     }
 }

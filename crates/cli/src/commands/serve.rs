@@ -8,30 +8,21 @@
 //! journals (under `--journal-dir`) make submitted jobs crash-safe: a
 //! resubmitted job with the same `journal_key` replays its journal and
 //! executes only the remainder, bit-identical to an uninterrupted run.
-//!
-//! `--check on` runs the serving smoke drill instead of listening
-//! publicly: an ephemeral daemon, two tenants submitting concurrently,
-//! results checked bit-identical against one-shot runs, the Prometheus
-//! tenant series and the ledger reconciled against the replies, then a
-//! clean shutdown. CI gates on it.
 
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dprep_core::serve::{roundtrip, Daemon, JobGrant, JobHandler, JobOutcome, JobScheduler};
+use dprep_core::serve::{Daemon, JobGrant, JobHandler, JobOutcome, JobScheduler};
 use dprep_core::{
     result_fingerprint, Durability, FailureKind, OpsPlane, OverloadPolicy, PipelineConfig,
     Preprocessor, TenantLedger, WireLimits,
 };
 use dprep_datasets::{check_scale, dataset_by_name};
-use dprep_llm::{
-    warm_cache_store, CacheLayer, FaultLayer, FaultScenario, ModelProfile, RetryLayer, SimulatedLlm,
-};
-use dprep_obs::{DurableJournal, FlightRecorder, Json, SloSpec, WindowConfig};
+use dprep_llm::{check_retries, FaultScenario, ModelProfile, StackSpec};
+use dprep_obs::{FlightRecorder, Json, SloSpec, WindowConfig};
 
-use crate::args::Flags;
+use crate::args::{route_spec, Flags};
+use crate::commands::stack_spec;
 
 /// Daemon-level defaults a `submit` body can override per job.
 #[derive(Debug, Clone)]
@@ -86,8 +77,11 @@ fn sanitize(name: &str) -> String {
 ///
 /// * `dataset` (required), `scale` (in `(0, MAX_SCALE]`, checked before
 ///   the dataset is built), `seed` — the workload,
-/// * `plan_shard_size`, `retries` — serving knobs,
-/// * `scenario` — a chaos fault-scenario name for the job's middleware,
+/// * `plan_shard_size`, `retries` (at most `MAX_RETRIES`) — serving knobs,
+/// * `route`, `escalate_on` — a cascade, parsed as `--route` and
+///   `--escalate-on` are ([`route_spec`]), overriding the daemon's own,
+/// * `scenario` — a chaos fault-scenario name for the job's single model,
+///   or for its cascade's first route,
 /// * `journal_key` — with `--journal-dir`, journal this job at
 ///   `DIR/<tenant>-<key>.jsonl` and resume it when the file exists,
 /// * `kill_after` — drill hook: abort after the Nth journaled terminal.
@@ -95,156 +89,80 @@ fn sanitize(name: &str) -> String {
 /// With an ops plane attached, every job's trace stream feeds the tenant's
 /// sliding window and SLO engine through [`OpsPlane::tracer_for`].
 pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) -> Arc<JobHandler> {
+    let default_route = defaults.routes.join(",");
     Arc::new(move |body: &Json, grant: &JobGrant| {
-        let name = body
-            .get("dataset")
-            .and_then(Json::as_str)
-            .ok_or("submit has no \"dataset\" field")?;
+        let text = |key: &str| body.get(key).and_then(Json::as_str);
+        let name = text("dataset").ok_or("submit has no \"dataset\" field")?;
         let scale = check_scale(body.get("scale").and_then(Json::as_f64).unwrap_or(0.5))?;
         let seed = body
             .get("seed")
             .and_then(Json::as_usize)
             .map_or(defaults.seed, |s| s as u64);
-        let retries = body
-            .get("retries")
-            .and_then(Json::as_usize)
-            .map_or(defaults.retries, |r| r as u32);
+        let retries = match body.get("retries").and_then(Json::as_usize) {
+            Some(retries) => check_retries(retries)?,
+            None => defaults.retries,
+        };
         let shard_size = body
             .get("plan_shard_size")
             .and_then(Json::as_usize)
             .unwrap_or(defaults.plan_shard_size);
+        let (routes, escalate_on) = route_spec(
+            text("route").or((!default_route.is_empty()).then_some(default_route.as_str())),
+            text("escalate_on").or(defaults.escalate_on.as_deref()),
+        )?;
+        let fault = match text("scenario") {
+            Some(scenario) => Some(
+                FaultScenario::by_name(scenario)
+                    .ok_or_else(|| format!("unknown fault scenario {scenario:?}"))?,
+            ),
+            None => None,
+        };
         let ds = dataset_by_name(name, scale, seed)
             .ok_or_else(|| format!("unknown dataset {name:?}"))?;
-        let routes: Vec<String> = match body.get("route").and_then(Json::as_str) {
-            Some(spec) => spec
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect(),
-            None => defaults.routes.clone(),
-        };
-        if routes.len() == 1 {
-            return Err("\"route\" needs at least two models, cheapest first".into());
-        }
-        let escalate_on = match body
-            .get("escalate_on")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .or_else(|| defaults.escalate_on.clone())
-        {
-            Some(spec) => Some(
-                dprep_llm::EscalationPolicy::parse(&spec)
-                    .map_err(|e| format!("escalate_on: {e}"))?
-                    .canonical(),
-            ),
-            None => None,
-        };
-        let scenario = match body.get("scenario").and_then(Json::as_str) {
-            Some(scenario_name) => Some(
-                FaultScenario::by_name(scenario_name)
-                    .ok_or_else(|| format!("unknown fault scenario {scenario_name:?}"))?,
-            ),
-            None => None,
-        };
 
-        let mut config = PipelineConfig::best(ds.task);
-        config.plan_shard_size = Some(shard_size.max(1));
-        config.routes = routes.clone();
-        config.escalate_on = escalate_on.clone();
-
-        // The middleware core (everything below the per-job cache):
-        // single-model jobs fault/retry one sim; routed jobs cascade, the
-        // scenario faulting the primary route only. Its name is the
-        // journal's model identity, so a single-model job journal never
-        // resumes a routed one or vice versa.
-        let kb = Arc::new(ds.kb.clone());
-        let (model_name, core): (String, Box<dyn dprep_llm::ChatModel>) = if routes.is_empty() {
-            let sim = SimulatedLlm::new(ModelProfile::gpt4(), kb).with_seed(seed);
-            let faulty = match scenario {
-                Some(scenario) => FaultLayer::scenario(sim, scenario, seed),
-                None => FaultLayer::new(sim, 0.0, seed),
-            };
-            (
-                "sim-gpt-4".to_string(),
-                Box::new(RetryLayer::new(faulty, retries)),
-            )
-        } else {
-            let stats = dprep_llm::MiddlewareStats::shared();
-            let router = crate::commands::build_router(
+        // Single-model jobs serve on sim-gpt-4; every job caches.
+        let mut stack = StackSpec {
+            fault,
+            retries,
+            cache: true,
+            ..stack_spec(
+                ModelProfile::gpt4(),
                 &routes,
                 escalate_on.as_deref(),
-                kb,
+                Arc::new(ds.kb.clone()),
                 seed,
-                retries,
-                &stats,
-                scenario.map(|s| (0, s)),
-            )?;
-            (
-                dprep_llm::ChatModel::name(&router).to_string(),
-                Box::new(router),
-            )
+            )?
         };
+        let mut config = PipelineConfig::best(ds.task);
+        config.plan_shard_size = Some(shard_size.max(1));
+        config.routes = routes;
+        config.escalate_on = escalate_on;
 
-        // Per-job durability: fresh journal, or resume when a previous
-        // incarnation of the same (tenant, journal_key) left one behind.
+        // Per-job durability: a fresh journal, or a resumed one when a
+        // previous incarnation of the same (tenant, journal_key) left one
+        // behind.
+        let tenant = text("tenant").unwrap_or("default");
         let mut durability = Durability::new();
-        let mut warm = Vec::new();
         let mut journal_state = "off";
-        if let (Some(dir), Some(key)) = (
-            defaults.journal_dir.as_ref(),
-            body.get("journal_key").and_then(Json::as_str),
-        ) {
-            let tenant = body
-                .get("tenant")
-                .and_then(Json::as_str)
-                .unwrap_or("default");
+        if let (Some(dir), Some(key)) = (&defaults.journal_dir, text("journal_key")) {
             let path = dir.join(format!("{}-{}.jsonl", sanitize(tenant), sanitize(key)));
-            let descriptor = config.descriptor();
-            let existing = std::fs::metadata(&path)
-                .map(|m| m.len() > 0)
-                .unwrap_or(false);
-            if existing {
-                let recovered = DurableJournal::resume(&path)
-                    .map_err(|e| format!("cannot resume job journal {}: {e}", path.display()))?;
-                match recovered.header.clone() {
-                    Some(header) => {
-                        if header.model != model_name
-                            || header.config != descriptor
-                            || header.seed != seed
-                        {
-                            return Err(format!(
-                                "job journal {} was recorded for a different workload; \
-                                 refusing to resume",
-                                path.display()
-                            ));
-                        }
-                        warm = recovered.entries.clone();
-                        durability = durability
-                            .with_replay(&recovered.entries, header.plan)
-                            .with_journal(Arc::new(recovered.journal));
-                        journal_state = "resumed";
-                    }
-                    None => {
-                        // Crashed before the header landed: start over.
-                        let journal = DurableJournal::fresh(&path, &model_name, &descriptor, seed)
-                            .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
-                        durability = durability.with_journal(Arc::new(journal));
-                        journal_state = "fresh";
-                    }
-                }
+            let existing = std::fs::metadata(&path).is_ok_and(|m| m.len() > 0);
+            let opened = Durability::open(
+                Some(&path),
+                existing.then_some(path.as_path()),
+                &stack.name(),
+                &config.descriptor(),
+                seed,
+            )?;
+            journal_state = if opened.durability.resumes() {
+                "resumed"
             } else {
-                let journal = DurableJournal::fresh(&path, &model_name, &descriptor, seed)
-                    .map_err(|e| format!("cannot journal to {}: {e}", path.display()))?;
-                durability = durability.with_journal(Arc::new(journal));
-                journal_state = "fresh";
-            }
+                "fresh"
+            };
+            durability = opened.durability;
+            stack.warm = opened.warm;
         }
-
-        let mut model = CacheLayer::new(core);
-        if !warm.is_empty() {
-            model = model.with_store(warm_cache_store(&warm));
-        }
+        let model = stack.build();
 
         // The grant's halt doubles as the drill hook: a drain triggers it,
         // `kill_after` arms its countdown. Wiring it into the executor is
@@ -262,10 +180,6 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
             .with_shard_gate(Arc::clone(&grant.gate))
             .with_kill_switch(grant.halt.clone());
         if let Some(ops) = &ops {
-            let tenant = body
-                .get("tenant")
-                .and_then(Json::as_str)
-                .unwrap_or("default");
             preprocessor = preprocessor.with_tracer(ops.tracer_for(tenant));
         }
         let result = preprocessor.try_run(&ds.instances, &ds.few_shot)?;
@@ -414,10 +328,19 @@ fn ops_from_flags(flags: &Flags) -> Result<Arc<OpsPlane>, String> {
 
 /// Runs the command.
 pub fn run(flags: &Flags) -> Result<(), String> {
-    let (routes, escalate_on) = crate::args::route_spec(flags)?;
+    // Without this, a caller still passing the retired flag would get a
+    // daemon listening forever instead of a drill.
+    if flags.get("check").is_some() {
+        return Err(
+            "serve --check is retired: the serving drill is the serve_e2e test \
+                    suite (cargo test --test serve_e2e)"
+                .into(),
+        );
+    }
+    let (routes, escalate_on) = route_spec(flags.get("route"), flags.get("escalate-on"))?;
     let defaults = HandlerDefaults {
         seed: flags.seed()?,
-        retries: flags.usize_or("retries", 2)? as u32,
+        retries: flags.retries()?,
         plan_shard_size: {
             let n = flags.usize_or("plan-shard-size", 4)?;
             if n == 0 {
@@ -432,9 +355,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if let Some(dir) = &defaults.journal_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create --journal-dir {}: {e}", dir.display()))?;
-    }
-    if flags.bool_or("check", false)? {
-        return self_check(&defaults);
     }
     let host = flags.get("host").unwrap_or("127.0.0.1");
     let port = flags.usize_or("port", 7077)? as u16;
@@ -458,194 +378,42 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     daemon.run().map_err(|e| format!("serve failed: {e}"))
 }
 
-/// A `submit` body for the self-check drill.
-fn submit_body(tenant: &str, dataset: &str, workers: usize, budget: Option<usize>) -> Json {
-    let mut fields = vec![
-        ("op".to_string(), Json::Str("submit".to_string())),
-        ("tenant".to_string(), Json::Str(tenant.to_string())),
-        ("dataset".to_string(), Json::Str(dataset.to_string())),
-        ("scale".to_string(), Json::Num(0.5)),
-        ("workers".to_string(), Json::Num(workers as f64)),
-        ("plan_shard_size".to_string(), Json::Num(2.0)),
-    ];
-    if let Some(b) = budget {
-        fields.push(("token_budget".to_string(), Json::Num(b as f64)));
-    }
-    Json::Obj(fields)
-}
-
-/// The serving smoke drill behind `--check on` (CI gates on it): an
-/// ephemeral daemon, two tenants submitting concurrently, bit-identity
-/// against one-shot runs, metrics/ledger reconciliation, clean shutdown.
-fn self_check(defaults: &HandlerDefaults) -> Result<(), String> {
-    let handler = dataset_handler(defaults.clone(), None);
-
-    // One-shot references, computed through the same handler but outside
-    // the daemon: an idle scheduler grants every turn immediately.
-    let reference = |tenant: &str, dataset: &str| -> Result<(String, usize), String> {
-        let scheduler = JobScheduler::new(TenantLedger::new());
-        let body = submit_body(tenant, dataset, 2, None);
-        let (_, outcome) = scheduler
-            .run_job(tenant, exec_options(2), |grant| handler(&body, grant))
-            .map_err(|e| e.to_string())?;
-        let fp = outcome
-            .reply
-            .iter()
-            .find(|(k, _)| k == "fingerprint")
-            .and_then(|(_, v)| v.as_str().map(str::to_string))
-            .ok_or("reference reply has no fingerprint")?;
-        Ok((fp, outcome.tokens_billed))
-    };
-    let (alpha_fp, alpha_tokens) = reference("alpha", "Restaurant")?;
-    let (beta_fp, beta_tokens) = reference("beta", "Adult")?;
-
-    let daemon = Daemon::bind(
-        "127.0.0.1:0",
-        JobScheduler::new(TenantLedger::new()),
-        dataset_handler(defaults.clone(), None),
-    )
-    .map_err(|e| format!("cannot bind self-check daemon: {e}"))?;
-    let addr = daemon.local_addr();
-
-    let outcome: Result<(), String> = std::thread::scope(|scope| {
-        let server = scope.spawn(|| daemon.run());
-        let submit = |tenant: &str, dataset: &str| -> Result<Json, String> {
-            let mut stream =
-                TcpStream::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
-            let mut reader = BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| format!("clone failed: {e}"))?,
-            );
-            roundtrip(
-                &mut stream,
-                &mut reader,
-                &submit_body(tenant, dataset, 2, None),
-            )
-        };
-        // Two tenants in flight at once: their shards interleave through
-        // the turnstile, their results must not.
-        let (alpha, beta) = std::thread::scope(|jobs| {
-            let a = jobs.spawn(|| submit("alpha", "Restaurant"));
-            let b = jobs.spawn(|| submit("beta", "Adult"));
-            (
-                a.join().expect("alpha client"),
-                b.join().expect("beta client"),
-            )
-        });
-        let alpha = alpha?;
-        let beta = beta?;
-        let field = |reply: &Json, key: &str| -> Result<String, String> {
-            reply
-                .get(key)
-                .map(|v| v.as_str().map_or_else(|| v.to_json(), str::to_string))
-                .ok_or_else(|| format!("reply has no {key:?}: {}", reply.to_json()))
-        };
-        if field(&alpha, "fingerprint")? != alpha_fp {
-            return Err("tenant alpha: concurrent result differs from one-shot run".into());
-        }
-        if field(&beta, "fingerprint")? != beta_fp {
-            return Err("tenant beta: concurrent result differs from one-shot run".into());
-        }
-        let billed: usize = alpha
-            .get("tokens_billed")
-            .and_then(Json::as_usize)
-            .unwrap_or(0)
-            + beta
-                .get("tokens_billed")
-                .and_then(Json::as_usize)
-                .unwrap_or(0);
-        if billed != alpha_tokens + beta_tokens {
-            return Err(format!(
-                "billed tokens diverge from one-shot runs: {billed} vs {}",
-                alpha_tokens + beta_tokens
-            ));
-        }
-
-        let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
-        let mut reader = BufReader::new(
-            stream
-                .try_clone()
-                .map_err(|e| format!("clone failed: {e}"))?,
-        );
-        let stats = roundtrip(
-            &mut stream,
-            &mut reader,
-            &Json::Obj(vec![("op".to_string(), Json::Str("stats".to_string()))]),
-        )?;
-        let ledger_total: usize = match stats.get("tenants") {
-            Some(Json::Arr(rows)) => rows
-                .iter()
-                .filter_map(|r| r.get("tokens_billed").and_then(Json::as_usize))
-                .sum(),
-            _ => return Err(format!("stats has no tenants array: {}", stats.to_json())),
-        };
-        if ledger_total != billed {
-            return Err(format!(
-                "ledger reconciliation failed: ledger bills {ledger_total}, replies bill {billed}"
-            ));
-        }
-        let metrics = roundtrip(
-            &mut stream,
-            &mut reader,
-            &Json::Obj(vec![("op".to_string(), Json::Str("metrics".to_string()))]),
-        )?;
-        let prom = metrics
-            .get("prom")
-            .and_then(Json::as_str)
-            .ok_or("metrics reply has no prom text")?;
-        for needle in [
-            "dprep_tenant_prompt_tokens_total{tenant=\"alpha\"}",
-            "dprep_tenant_requests_total{tenant=\"beta\"}",
-        ] {
-            if !prom.contains(needle) {
-                return Err(format!("prom exposition is missing {needle}"));
-            }
-        }
-
-        roundtrip(
-            &mut stream,
-            &mut reader,
-            &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
-        )?;
-        server
-            .join()
-            .expect("daemon thread")
-            .map_err(|e| format!("daemon exited uncleanly: {e}"))?;
-        Ok(())
-    });
-    outcome?;
-    println!(
-        "serve self-check passed: 2 concurrent tenants bit-identical to one-shot runs, \
-         ledger and prom series reconcile, clean shutdown"
-    );
-    Ok(())
-}
-
-/// Execution options for a self-check reference run.
-fn exec_options(workers: usize) -> dprep_core::ExecutionOptions {
-    dprep_core::ExecutionOptions {
-        workers,
-        ..dprep_core::ExecutionOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dprep_core::ExecutionOptions;
+
+    /// A one-worker Adult `submit` body at `scale`.
+    fn submit_body(scale: f64) -> Json {
+        Json::Obj(vec![
+            ("op".to_string(), Json::Str("submit".to_string())),
+            ("tenant".to_string(), Json::Str("t".to_string())),
+            ("dataset".to_string(), Json::Str("Adult".to_string())),
+            ("scale".to_string(), Json::Num(scale)),
+            ("workers".to_string(), Json::Num(1.0)),
+            ("plan_shard_size".to_string(), Json::Num(2.0)),
+        ])
+    }
+
+    #[test]
+    fn the_retired_check_flag_errors_instead_of_serving() {
+        let mut flags = Flags::default();
+        flags.set("check", "on");
+        assert!(run(&flags).unwrap_err().contains("serve_e2e"));
+    }
 
     #[test]
     fn absurd_scales_fail_the_job_before_any_dataset_is_built() {
         let handler = dataset_handler(HandlerDefaults::default(), None);
         let scheduler = JobScheduler::new(TenantLedger::new());
+        let options = ExecutionOptions {
+            workers: 1,
+            ..ExecutionOptions::default()
+        };
         for scale in [1e12, 1e300, 0.0, -1.0] {
-            let mut body = submit_body("t", "Adult", 1, None);
-            if let Json::Obj(fields) = &mut body {
-                fields.retain(|(k, _)| k != "scale");
-                fields.push(("scale".to_string(), Json::Num(scale)));
-            }
+            let body = submit_body(scale);
             let err = scheduler
-                .run_job("t", exec_options(1), |grant| handler(&body, grant))
+                .run_job("t", options, |grant| handler(&body, grant))
                 .map(|_| ())
                 .unwrap_err();
             assert!(err.message().contains("(0, 10]"), "scale {scale}: {err:?}");

@@ -9,13 +9,13 @@
 //! ```
 //!
 //! World knowledge is supplied as a tab-separated facts file (see
-//! [`facts`]); without one the model falls back to generic heuristics.
-
-mod args;
-mod commands;
-mod facts;
+//! [`dprep_cli::facts`]); without one the model falls back to generic
+//! heuristics. The commands themselves live in the `dprep_cli` library;
+//! this binary dispatches argv to them and prints the usage text.
 
 use std::process::ExitCode;
+
+use dprep_cli::{args, commands};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -80,15 +80,16 @@ USAGE:
                  [--soak on]
   dprep serve    [--host ADDR] [--port N] [--journal-dir DIR] [--seed N]
                  [--tenant-budgets NAME=TOKENS,..] [--default-tenant-budget N]
-                 [--plan-shard-size N] [--retries N] [--slo SPEC,..]
-                 [--recorder DIR] [--check on]
+                 [--plan-shard-size N] [--retries N] [--route A,B]
+                 [--escalate-on CLASSES] [--slo SPEC,..] [--recorder DIR]
   dprep top      [--host ADDR] [--port N] [--interval SECS] [--once on]
                  [--format text|json] [--check on]
   dprep datasets [--scale S] [--seed N]   (0 < S <= 10; 1 = the paper's sizes)
 
 SERVING (detect/impute/clean/match):
   --workers N      executor threads (default 1; results are identical at any N)
-  --retries N      re-ask on incomplete responses up to N times (default 2; 0 = off)
+  --retries N      re-ask on incomplete responses up to N times (default 2;
+                   0 = off; at most 10)
   --cache on|off   memoize identical requests across the run (default off)
   --plan-shard-size N
                    stream the plan in shards of N batches under bounded
@@ -141,16 +142,17 @@ SERVE:
   resumable after a crash with exactly-once billing. stats returns the
   tenant ledger; metrics returns Prometheus text with a tenant label
   ({\"op\":\"metrics\",\"format\":\"raw\"} returns the scrape body verbatim
-  for real scrapers). Every job also feeds the live ops plane: per-tenant
-  sliding windows over the deterministic virtual clock, and — with
+  for real scrapers). A submit may override the daemon's --seed,
+  --retries, --plan-shard-size, --route and --escalate-on with seed,
+  retries, plan_shard_size, route and escalate_on fields, checked as the
+  flags are; scenario names a chaos fault preset for the job. Every job
+  also feeds the live ops plane: per-tenant sliding windows over the
+  deterministic virtual clock, and — with
   --slo latency-p95=SECS,failure-rate=FRAC,budget-headroom=FRAC —
   multi-window burn-rate alerting (ok -> warning -> paging) surfaced by
   the health op, in run reports, and as slo_transition trace events.
   --recorder DIR keeps a flight-recorder ring of recent events and dumps
-  a postmortem JSONL there whenever an alert pages. --check on runs the
-  serving smoke drill (ephemeral port, two concurrent tenants,
-  bit-identity, ledger/prom reconciliation, clean shutdown) instead of
-  listening.
+  a postmortem JSONL there whenever an alert pages.
 
 TOP:
   Live per-tenant table against a running daemon's health op: windowed

@@ -18,6 +18,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -26,8 +27,8 @@ use dprep_llm::{
     RouteOutcome, RoutePending, SettledLeg, Usage, UsageTotals,
 };
 use dprep_obs::{
-    DurableJournal, JournalEntry, MetricsRecorder, NullTracer, RouteLegRecord, TerminalKind,
-    TraceEvent, Tracer,
+    DurableJournal, JournalEntry, MetricsRecorder, NullTracer, ResumedJournal, RouteLegRecord,
+    TerminalKind, TraceEvent, Tracer,
 };
 use dprep_prompt::{build_request, parse_response, FewShotExample, PromptContext, TaskInstance};
 
@@ -254,6 +255,97 @@ impl Durability {
         self.journal.as_ref()
     }
 
+    /// Whether runs under this durability replay a recovered journal.
+    pub fn resumes(&self) -> bool {
+        self.resumed
+    }
+
+    /// Opens the durability a run executes under, identified by its
+    /// `model` name, config descriptor and `seed`: `journal` is the file
+    /// to append every terminal request to, `resume` the journal to
+    /// recover and replay.
+    ///
+    /// A recovered journal is rejected unless its header's model, config
+    /// and seed all match; the executor checks the header's plan
+    /// fingerprint against the actual plan before any request runs. A
+    /// recovered file with no header (a crash between creating the journal
+    /// and writing its first line) has nothing to replay, and the run
+    /// starts fresh. When `journal` names the recovered file, appends
+    /// extend it; another `journal` starts fresh, and no `journal` replays
+    /// read-only. Opening `journal` up front doubles as its writability
+    /// probe.
+    pub fn open(
+        journal: Option<&Path>,
+        resume: Option<&Path>,
+        model: &str,
+        config: &str,
+        seed: u64,
+    ) -> Result<OpenedDurability, String> {
+        let fresh = |path: &Path| {
+            DurableJournal::fresh(path, model, config, seed)
+                .map(Arc::new)
+                .map_err(|e| format!("cannot create journal {path:?}: {e}"))
+        };
+        let unresumed = |warning| -> Result<OpenedDurability, String> {
+            let mut durability = Durability::new();
+            if let Some(path) = journal {
+                durability = durability.with_journal(fresh(path)?);
+            }
+            Ok(OpenedDurability {
+                durability,
+                warm: Vec::new(),
+                warning,
+            })
+        };
+        let Some(resume_path) = resume else {
+            return unresumed(None);
+        };
+        let ResumedJournal {
+            journal: recovered,
+            header,
+            entries,
+            warning,
+        } = DurableJournal::resume(resume_path)?;
+        let Some(header) = header else {
+            drop(recovered);
+            return unresumed(warning);
+        };
+        let mismatch = |what: &str, recorded: &str, current: &str| {
+            format!(
+                "journal {resume_path:?} was recorded under {what} {recorded:?} \
+                 but this run uses {current:?}; refusing to resume"
+            )
+        };
+        if header.model != model {
+            return Err(mismatch("model", &header.model, model));
+        }
+        if header.config != config {
+            return Err(mismatch("config", &header.config, config));
+        }
+        if header.seed != seed {
+            return Err(mismatch(
+                "seed",
+                &header.seed.to_string(),
+                &seed.to_string(),
+            ));
+        }
+        let replay = Durability::new().with_replay(&entries, header.plan);
+        // The recovered handle carries its torn-tail truncation count into
+        // the run's `JournalState`; when it is dropped, the durability
+        // carries the count instead.
+        let truncated = recovered.truncated();
+        let durability = match journal {
+            Some(path) if same_path(path, resume_path) => replay.with_journal(Arc::new(recovered)),
+            Some(path) => replay.with_journal(fresh(path)?).with_truncated(truncated),
+            None => replay.with_truncated(truncated),
+        };
+        Ok(OpenedDurability {
+            durability,
+            warm: entries,
+            warning,
+        })
+    }
+
     /// Whether runs under this durability journal or replay at all.
     fn active(&self) -> bool {
         self.journal.is_some() || self.resumed
@@ -270,6 +362,31 @@ impl Durability {
     /// Drains the recovery-time truncation count (reported at most once).
     fn take_truncated(&self) -> usize {
         std::mem::take(&mut *self.truncated.lock().expect("truncated lock"))
+    }
+}
+
+/// A run's durability as [`Durability::open`] opened it.
+#[derive(Debug)]
+pub struct OpenedDurability {
+    /// Journal and replay wiring for the executor.
+    pub durability: Durability,
+    /// The recovered entries, to warm-start a response cache with; empty
+    /// unless a journal is replayed.
+    pub warm: Vec<JournalEntry>,
+    /// The recovery's note (a torn tail truncated, an empty file), if any.
+    pub warning: Option<String>,
+}
+
+/// Whether two paths name the same file. Falls back to literal equality
+/// when either path cannot be canonicalized (e.g. does not exist yet): a
+/// nonexistent journal target cannot be the recovered file.
+fn same_path(a: &Path, b: &Path) -> bool {
+    if a == b {
+        return true;
+    }
+    match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        (Ok(ca), Ok(cb)) => ca == cb,
+        _ => false,
     }
 }
 
@@ -2390,5 +2507,23 @@ mod tests {
         let other = journal_write_error(path, &Error::new(ErrorKind::PermissionDenied, "denied"));
         assert!(other.contains("journal write failed, job checkpoint incomplete:"));
         assert!(!other.contains("disk full") && !other.contains("short write"));
+    }
+
+    #[test]
+    fn resuming_an_empty_journal_falls_back_to_a_fresh_one() {
+        let path =
+            std::env::temp_dir().join(format!("dprep-core-empty-journal-{}", std::process::id()));
+        // A crash between journal creation and the first header write
+        // leaves a zero-length file behind.
+        std::fs::write(&path, "").unwrap();
+        let opened = Durability::open(Some(&path), Some(&path), "sim-gpt-4", "cfg", 7)
+            .expect("empty file recovers");
+        assert!(opened.warm.is_empty(), "nothing to replay");
+        assert!(!opened.durability.resumes());
+        assert!(
+            opened.durability.journal().is_some(),
+            "journaling restarts fresh at the same path"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

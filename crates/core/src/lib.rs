@@ -38,7 +38,7 @@ pub use blocking::{
 pub use config::{ComponentSet, PipelineConfig};
 pub use exec::{
     journal_write_error, Durability, ExecStats, ExecutionOptions, ExecutionPlan, Executor,
-    KillSwitch,
+    KillSwitch, OpenedDurability,
 };
 pub use pipeline::{FailureKind, Prediction, Preprocessor, RunResult};
 pub use repair::{Repair, RepairOutcome, Repairer};

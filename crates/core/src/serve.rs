@@ -1821,9 +1821,8 @@ fn error_reply(message: &str) -> Json {
 }
 
 /// Client-side helper: sends one request line on `stream` and parses the
-/// single-line reply. Used by the CLI's self-check, the chaos soak drill,
-/// and the e2e tests; exported so external clients don't re-implement the
-/// framing. The request goes out in one write with `TCP_NODELAY` set.
+/// single-line reply. Used by the chaos soak drill and the e2e tests;
+/// exported so external clients don't re-implement the framing. The request goes out in one write with `TCP_NODELAY` set.
 pub fn roundtrip(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,

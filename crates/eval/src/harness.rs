@@ -7,7 +7,7 @@ use dprep_baselines::{
 };
 use dprep_core::{ExecStats, FailureKind, PipelineConfig, Preprocessor};
 use dprep_datasets::Dataset;
-use dprep_llm::{ModelProfile, SimulatedLlm, UsageTotals};
+use dprep_llm::{ModelProfile, SimulatedLlm, StackSpec, UsageTotals};
 use dprep_obs::MetricsSnapshot;
 use dprep_prompt::{Task, TaskInstance};
 
@@ -77,11 +77,12 @@ pub fn run_llm_on_dataset(
     score_run(result, dataset)
 }
 
-/// Runs a model cascade (cheapest first) over a dataset under `config` and
-/// scores it — the routed counterpart of [`run_llm_on_dataset`]. Every
-/// route is its own [`SimulatedLlm`] over the shared knowledge base and
-/// seed, fronted by a [`RouterLayer`](dprep_llm::RouterLayer) with the
-/// default escalation policy; per-route billing lands in
+/// Runs a model cascade (two or more profiles, cheapest first) over a
+/// dataset under `config` and scores it — the routed counterpart of
+/// [`run_llm_on_dataset`]. Every route is its own [`SimulatedLlm`] over
+/// the shared knowledge base and seed, with no retries, fronted by a
+/// [`RouterLayer`](dprep_llm::RouterLayer) with the default escalation
+/// policy ([`StackSpec`]'s cascade); per-route billing lands in
 /// `Scored::metrics.routes`.
 pub fn run_cascade_on_dataset(
     profiles: &[ModelProfile],
@@ -90,14 +91,7 @@ pub fn run_cascade_on_dataset(
     seed: u64,
 ) -> Scored {
     let kb = Arc::new(dataset.kb.clone());
-    let routes: Vec<Box<dyn dprep_llm::ChatModel>> = profiles
-        .iter()
-        .map(|p| {
-            Box::new(SimulatedLlm::new(p.clone(), Arc::clone(&kb)).with_seed(seed))
-                as Box<dyn dprep_llm::ChatModel>
-        })
-        .collect();
-    let router = dprep_llm::RouterLayer::new(routes, dprep_llm::EscalationPolicy::default());
+    let router = StackSpec::new(profiles.to_vec(), kb, seed).build();
     let preprocessor = Preprocessor::new(&router, config.clone());
     let result = preprocessor.run(&dataset.instances, &dataset.few_shot);
     score_run(result, dataset)

@@ -37,6 +37,9 @@
 //! * [`fault`] — scenario-driven fault schedules ([`FaultScenario`]
 //!   presets: burst outages, rate-limit storms, latency spikes, garbled
 //!   and partial completions),
+//! * [`stack`] — [`StackSpec`], the one builder of a serving stack: which
+//!   models (one, or a cascade), fault scenario, retry budget, cache and
+//!   tracer, in the one layer order every caller serves through,
 //! * [`router`] — cheap-first model-cascade routing ([`RouterLayer`]
 //!   escalation across routes) and the circuit breaker: per-route health
 //!   settled in plan order by [`RouteFold`], for one route or several.
@@ -59,14 +62,15 @@ pub mod respond;
 pub mod rng;
 pub mod router;
 pub mod solvers;
+pub mod stack;
 pub mod usage;
 
 pub use chat::{ChatModel, ChatRequest, ChatResponse, FaultKind, Message, ResponseMeta, Role};
 pub use fault::{FaultEffect, FaultRule, FaultScenario};
 pub use knowledge::{Fact, KnowledgeBase};
 pub use middleware::{
-    is_complete, request_fingerprint, warm_cache_store, CacheLayer, CacheStore, FaultLayer,
-    MiddlewareStats, RetryLayer, StatsSnapshot,
+    check_retries, is_complete, request_fingerprint, warm_cache_store, CacheLayer, CacheStore,
+    FaultLayer, MiddlewareStats, RetryLayer, StatsSnapshot, MAX_RETRIES,
 };
 pub use model::SimulatedLlm;
 pub use profile::{LatencyModel, ModelProfile, Pricing, TaskSkills};
@@ -74,4 +78,5 @@ pub use router::{
     BreakerConfig, EscalationPolicy, RouteAttempt, RouteFold, RouteOutcome, RoutePending,
     RouteSettlement, RouterLayer, SettledLeg,
 };
+pub use stack::StackSpec;
 pub use usage::{Usage, UsageTotals};

@@ -158,6 +158,21 @@ pub fn request_fingerprint<M: ChatModel + ?Sized>(model: &M, request: &ChatReque
 // RetryLayer
 // ---------------------------------------------------------------------------
 
+/// The largest retry budget a user may ask for. Backoff doubles per
+/// attempt, so a budget is a bill: at 11 retries a request whose fault
+/// never clears waits 2^11 − 1 virtual seconds (34 minutes) of backoff
+/// alone.
+pub const MAX_RETRIES: u32 = 10;
+
+/// Checks a user-supplied retry budget before anything runs: at most
+/// [`MAX_RETRIES`]. The error names the bound.
+pub fn check_retries(retries: usize) -> Result<u32, String> {
+    u32::try_from(retries)
+        .ok()
+        .filter(|&r| r <= MAX_RETRIES)
+        .ok_or_else(|| format!("retries must be at most {MAX_RETRIES}, got {retries}"))
+}
+
 /// Re-issues incomplete requests with a perturbed retry salt.
 ///
 /// A response is incomplete when it carries a fault or parses to fewer
@@ -248,7 +263,8 @@ impl<M: ChatModel> ChatModel for RetryLayer<M> {
             self.stats.retries.fetch_add(1, Ordering::Relaxed);
             // Bill the failed attempt and wait out the backoff: exponential,
             // but never shorter than the provider's `retry_after` hint.
-            let exponential = self.backoff_base_secs * f64::from(1u32 << (attempts - 1));
+            let doublings = i32::try_from(attempts - 1).unwrap_or(i32::MAX);
+            let exponential = self.backoff_base_secs * 2f64.powi(doublings);
             let backoff = response
                 .meta
                 .fault
@@ -820,6 +836,31 @@ mod tests {
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.recovered, 1);
         assert_eq!(stats.exhausted, 0);
+    }
+
+    #[test]
+    fn backoff_past_32_attempts_bills_exact_powers_of_two() {
+        // 41 timed-out attempts at 30 s each plus backoffs 1 + 2 + ... +
+        // 2^39 = 2^40 - 1 seconds.
+        let model = Scripted::always_complete();
+        let layer = RetryLayer::new(
+            FaultLayer::scenario(&model, FaultScenario::route_outage(), 3),
+            40,
+        );
+        let resp = layer.chat(&batch_request(2));
+        assert_eq!(resp.meta.retries, 40);
+        assert_eq!(resp.latency_secs, 1_099_511_629_005.0);
+        assert_eq!(model.calls(), 0, "the outage never reaches the model");
+    }
+
+    #[test]
+    fn retry_budgets_past_the_bound_are_rejected() {
+        assert_eq!(check_retries(0), Ok(0));
+        assert_eq!(check_retries(MAX_RETRIES as usize), Ok(MAX_RETRIES));
+        for bad in [11, 40, 30_000, 4_294_967_296, usize::MAX] {
+            let err = check_retries(bad).unwrap_err();
+            assert!(err.contains("at most 10"), "{err}");
+        }
     }
 
     #[test]

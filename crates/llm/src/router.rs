@@ -178,6 +178,12 @@ pub struct RoutePending {
     pub attempts: Vec<RouteAttempt>,
 }
 
+/// A router's composite name over its routes, cheapest first:
+/// `router(a->b)`.
+pub(crate) fn router_name<'a>(routes: impl Iterator<Item = &'a str>) -> String {
+    format!("router({})", routes.collect::<Vec<_>>().join("->"))
+}
+
 /// Fronts an ordered list of routes, answering cheap-first.
 pub struct RouterLayer {
     routes: Vec<Box<dyn ChatModel>>,
@@ -193,14 +199,7 @@ impl RouterLayer {
     /// Panics when `routes` is empty.
     pub fn new(routes: Vec<Box<dyn ChatModel>>, policy: EscalationPolicy) -> RouterLayer {
         assert!(!routes.is_empty(), "a router needs at least one route");
-        let name = format!(
-            "router({})",
-            routes
-                .iter()
-                .map(|r| r.name().to_string())
-                .collect::<Vec<_>>()
-                .join("->")
-        );
+        let name = router_name(routes.iter().map(|r| r.name()));
         RouterLayer {
             routes,
             policy,

@@ -37,12 +37,14 @@ cargo test -q --test durable_resume
 # billing), as one shard and in shards of 2 batches.
 cargo run --release -q -p dprep-cli --bin dprep -- chaos --scenario partial-batch > /dev/null
 
-echo "== serving smoke: daemon self-check + e2e suite =="
-# Ephemeral daemon, two tenants submitting concurrently, bit-identity
-# against one-shot runs, ledger/prometheus reconciliation, clean
-# shutdown; then the TCP e2e tests (budget-trip isolation, kill+resume
-# with exactly-once billing through per-job journals).
-cargo run --release -q -p dprep-cli --bin dprep -- serve --check on > /dev/null
+echo "== serving e2e suite =="
+# The shipped job handler behind a live daemon over TCP: concurrent
+# tenants bit-identical to their one-shot runs and billing exactly their
+# one-shot tokens, budget-trip isolation, ledger rows and per-tenant
+# prometheus series matching the replies, kill+resume with exactly-once
+# billing through per-job journals, mismatched journals refused intact,
+# and rejected submits (absurd scales and retry budgets, malformed
+# cascades) leaving the daemon serving; clean shutdown after each.
 cargo test -q --test serve_e2e
 
 echo "== overload protection: storm drill + hostile-wire suite =="

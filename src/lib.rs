@@ -17,11 +17,14 @@
 //! * [`datasets`] — the 12 synthetic benchmark datasets,
 //! * [`baselines`] — HoloClean/HoloDetect/IMP/SMAT/Magellan/Ditto-style
 //!   reimplementations,
-//! * [`eval`] — metrics and the experiment harness.
+//! * [`eval`] — metrics and the experiment harness,
+//! * [`cli`] — the `dprep` commands as a library: flag parsing, the
+//!   serving setup, and the daemon's job handler.
 //!
 //! See `examples/quickstart.rs` for a three-minute tour.
 
 pub use dprep_baselines as baselines;
+pub use dprep_cli as cli;
 pub use dprep_core as core;
 pub use dprep_datasets as datasets;
 pub use dprep_embed as embed;

@@ -8,10 +8,10 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use llm_data_preprocessors::cli::commands::serve::{dataset_handler, HandlerDefaults};
 use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobScheduler};
 use llm_data_preprocessors::core::{
-    ExecutionOptions, JobGrant, JobHandler, JobOutcome, OpsPlane, PipelineConfig, Preprocessor,
-    TenantLedger,
+    ExecutionOptions, OpsPlane, PipelineConfig, Preprocessor, TenantLedger,
 };
 use llm_data_preprocessors::datasets::dataset_by_name;
 use llm_data_preprocessors::llm::{
@@ -135,28 +135,14 @@ fn paging_alert_dumps_a_parseable_postmortem() {
 #[test]
 fn daemon_health_op_reports_live_tenants_over_tcp() {
     let plane = breach_plane();
-    let handler_plane = Arc::clone(&plane);
-    let handler: Arc<JobHandler> = Arc::new(move |body: &Json, grant: &JobGrant| {
-        let tenant = body
-            .get("tenant")
-            .and_then(Json::as_str)
-            .unwrap_or("default");
-        let ds = dataset_by_name("Restaurant", 0.5, SEED).ok_or("unknown dataset")?;
-        let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone())).with_seed(SEED);
-        let mut config = PipelineConfig::best(ds.task);
-        config.plan_shard_size = Some(2);
-        let result = Preprocessor::new(&sim, config)
-            .with_exec_options(grant.options)
-            .with_shard_gate(Arc::clone(&grant.gate))
-            .with_tracer(handler_plane.tracer_for(tenant))
-            .try_run(&ds.instances, &ds.few_shot)?;
-        Ok(JobOutcome {
-            tokens_billed: result.usage.total_tokens(),
-            cost_usd: result.usage.cost_usd,
-            metrics: result.metrics,
-            ..JobOutcome::default()
-        })
-    });
+    let handler = dataset_handler(
+        HandlerDefaults {
+            seed: SEED,
+            plan_shard_size: 2,
+            ..HandlerDefaults::default()
+        },
+        Some(Arc::clone(&plane)),
+    );
     let ledger = TenantLedger::new();
     ledger.set_budget("acme", Some(1_000_000));
     let daemon = Daemon::bind("127.0.0.1:0", JobScheduler::new(ledger), handler)
@@ -174,6 +160,7 @@ fn daemon_health_op_reports_live_tenants_over_tcp() {
             &Json::Obj(vec![
                 ("op".to_string(), Json::Str("submit".to_string())),
                 ("tenant".to_string(), Json::Str("acme".to_string())),
+                ("dataset".to_string(), Json::Str("Restaurant".to_string())),
                 ("workers".to_string(), Json::Num(2.0)),
             ]),
         )

@@ -1,24 +1,21 @@
-//! End-to-end serving tests: a live multi-tenant daemon over TCP, with
-//! concurrent tenants proven bit-identical to their one-shot runs, a
-//! budget-tripped tenant isolated from the others, kill + resume with
-//! exactly-once billing through per-job journals, and absurd job sizes
-//! answered with an error instead of taking the daemon down.
+//! End-to-end serving tests over the shipped job handler
+//! (`cli::commands::serve::dataset_handler`): a live multi-tenant daemon
+//! over TCP, with concurrent tenants proven bit-identical to their
+//! one-shot runs, a budget-tripped tenant isolated from the others, kill +
+//! resume with exactly-once billing through per-job journals, and
+//! rejected submits (absurd sizes and retry budgets, malformed cascades,
+//! journals of another workload) answered with an error while the daemon
+//! keeps serving.
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use llm_data_preprocessors::cli::commands::serve::{dataset_handler, HandlerDefaults};
 use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobScheduler};
-use llm_data_preprocessors::core::{
-    result_fingerprint, Durability, ExecutionOptions, JobGrant, JobHandler, JobOutcome, KillSwitch,
-    PipelineConfig, Preprocessor, TenantLedger,
-};
-use llm_data_preprocessors::datasets::{check_scale, dataset_by_name};
-use llm_data_preprocessors::llm::{
-    warm_cache_store, CacheLayer, ModelProfile, RetryLayer, SimulatedLlm,
-};
-use llm_data_preprocessors::obs::{DurableJournal, Json};
+use llm_data_preprocessors::core::{ExecutionOptions, JobHandler, TenantLedger};
+use llm_data_preprocessors::obs::Json;
 
 const SEED: u64 = 11;
 
@@ -28,84 +25,18 @@ fn temp_dir(tag: &str) -> PathBuf {
     p
 }
 
-/// A dataset-workload handler equivalent to the CLI's: clean simulator
-/// stack, streaming plan shards, the grant's gate and options wired in,
-/// and optional per-job journaling under `dir`.
+/// The daemon's dataset handler at this suite's seed, in shards of two
+/// batches, journaling keyed jobs under `dir`.
 fn handler(dir: Option<PathBuf>) -> Arc<JobHandler> {
-    Arc::new(move |body: &Json, grant: &JobGrant| {
-        let name = body
-            .get("dataset")
-            .and_then(Json::as_str)
-            .ok_or("no dataset")?;
-        let scale = check_scale(body.get("scale").and_then(Json::as_f64).unwrap_or(0.5))?;
-        let ds = dataset_by_name(name, scale, SEED).ok_or("unknown dataset")?;
-        let mut config = PipelineConfig::best(ds.task);
-        config.plan_shard_size = Some(2);
-
-        let mut durability = Durability::new();
-        let mut warm = Vec::new();
-        let mut journal_state = "off";
-        if let (Some(dir), Some(key)) = (&dir, body.get("journal_key").and_then(Json::as_str)) {
-            let path = dir.join(format!("{key}.jsonl"));
-            if std::fs::metadata(&path)
-                .map(|m| m.len() > 0)
-                .unwrap_or(false)
-            {
-                let recovered = DurableJournal::resume(&path).map_err(|e| e.to_string())?;
-                let header = recovered.header.clone().ok_or("headerless journal")?;
-                warm = recovered.entries.clone();
-                durability = durability
-                    .with_replay(&recovered.entries, header.plan)
-                    .with_journal(Arc::new(recovered.journal));
-                journal_state = "resumed";
-            } else {
-                let journal = DurableJournal::fresh(&path, "sim-gpt-4", &config.descriptor(), SEED)
-                    .map_err(|e| e.to_string())?;
-                durability = durability.with_journal(Arc::new(journal));
-                journal_state = "fresh";
-            }
-        }
-
-        let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone())).with_seed(SEED);
-        let mut model = CacheLayer::new(RetryLayer::new(sim, 2));
-        if !warm.is_empty() {
-            model = model.with_store(warm_cache_store(&warm));
-        }
-
-        let kill = body
-            .get("kill_after")
-            .and_then(Json::as_usize)
-            .map(KillSwitch::after);
-        let mut preprocessor = Preprocessor::new(&model, config)
-            .with_exec_options(grant.options)
-            .with_durability(durability)
-            .with_shard_gate(Arc::clone(&grant.gate));
-        if let Some(kill) = &kill {
-            preprocessor = preprocessor.with_kill_switch(kill.clone());
-        }
-        let result = preprocessor.try_run(&ds.instances, &ds.few_shot)?;
-        Ok(JobOutcome {
-            reply: vec![
-                (
-                    "fingerprint".to_string(),
-                    Json::Str(format!("{:016x}", result_fingerprint(&result))),
-                ),
-                (
-                    "killed".to_string(),
-                    Json::Bool(kill.is_some_and(|k| k.fired())),
-                ),
-                ("journal".to_string(), Json::Str(journal_state.to_string())),
-                (
-                    "replayed".to_string(),
-                    Json::Num(result.metrics.journal_replayed as f64),
-                ),
-            ],
-            tokens_billed: result.usage.total_tokens(),
-            cost_usd: result.usage.cost_usd,
-            budget_tripped: result.metrics.cancelled > 0,
-            metrics: result.metrics,
-        })
-    })
+    dataset_handler(
+        HandlerDefaults {
+            seed: SEED,
+            plan_shard_size: 2,
+            journal_dir: dir,
+            ..HandlerDefaults::default()
+        },
+        None,
+    )
 }
 
 fn submit_body(tenant: &str, dataset: &str, extra: Vec<(&str, Json)>) -> Json {
@@ -167,27 +98,86 @@ fn num_field(reply: &Json, key: &str) -> usize {
         .unwrap_or_else(|| panic!("reply has no {key:?}: {}", reply.to_json()))
 }
 
+/// The ledger row of `tenant` in a `stats` reply.
+fn ledger_row(stats: &Json, tenant: &str) -> Json {
+    match stats.get("tenants") {
+        Some(Json::Arr(rows)) => rows
+            .iter()
+            .find(|r| r.get("tenant").and_then(Json::as_str) == Some(tenant))
+            .unwrap_or_else(|| panic!("no ledger row for {tenant}"))
+            .clone(),
+        _ => panic!("stats has no tenants: {}", stats.to_json()),
+    }
+}
+
+/// Asserts `reply` is an error whose text contains `needle`.
+fn assert_rejected(reply: &Json, needle: &str) {
+    assert_eq!(
+        reply.get("ok"),
+        Some(&Json::Bool(false)),
+        "{}",
+        reply.to_json()
+    );
+    assert!(
+        str_field(reply, "error").contains(needle),
+        "expected {needle:?}: {}",
+        reply.to_json()
+    );
+}
+
+/// Runs a daemon over `handler` and `ledger`, hands its address to
+/// `body`, then proves the daemon still serves (a ping pongs and a normal
+/// submit runs) and shuts it down cleanly.
+fn with_daemon(
+    handler: Arc<JobHandler>,
+    ledger: TenantLedger,
+    body: impl FnOnce(std::net::SocketAddr),
+) {
+    let daemon = Daemon::bind("127.0.0.1:0", JobScheduler::new(ledger), handler).expect("bind");
+    let addr = daemon.local_addr();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| daemon.run());
+        // Shut the daemon down even when an assertion fails, or the scope
+        // would wait on the serving thread forever instead of failing.
+        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(addr);
+            let pong = submit(addr, &op("ping"));
+            assert_eq!(
+                pong.get("pong"),
+                Some(&Json::Bool(true)),
+                "{}",
+                pong.to_json()
+            );
+            let normal = submit(addr, &submit_body("t", "Restaurant", vec![]));
+            assert_eq!(
+                normal.get("ok"),
+                Some(&Json::Bool(true)),
+                "{}",
+                normal.to_json()
+            );
+        }));
+        submit(addr, &op("shutdown"));
+        server.join().unwrap().expect("daemon exits cleanly");
+        if let Err(panic) = checked {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
 /// Three tenants in flight at once — one of them budget-tripped — and the
-/// untripped tenants' results are byte-identical to their one-shot runs.
+/// untripped tenants' results are byte-identical to their one-shot runs,
+/// billing exactly their one-shot tokens; the ledger and the Prometheus
+/// exposition agree with every reply.
 #[test]
 fn concurrent_tenants_stay_bit_identical_and_trips_stay_isolated() {
     let handler = handler(None);
-    let (fast_fp, _) = reference(&handler, "fast", "Restaurant");
+    let (fast_fp, fast_tokens) = reference(&handler, "fast", "Restaurant");
     let (slow_fp, slow_tokens) = reference(&handler, "slow", "Adult");
 
     let ledger = TenantLedger::new();
     // Enough budget to start, not enough to finish.
     ledger.set_budget("capped", Some(slow_tokens / 2));
-    let daemon = Daemon::bind(
-        "127.0.0.1:0",
-        JobScheduler::new(ledger),
-        Arc::clone(&handler),
-    )
-    .expect("bind");
-    let addr = daemon.local_addr();
-
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| daemon.run());
+    with_daemon(handler, ledger, |addr| {
         let (fast, slow, capped) = std::thread::scope(|jobs| {
             let a = jobs.spawn(|| submit(addr, &submit_body("fast", "Restaurant", vec![])));
             let b = jobs.spawn(|| submit(addr, &submit_body("slow", "Adult", vec![])));
@@ -204,6 +194,8 @@ fn concurrent_tenants_stay_bit_identical_and_trips_stay_isolated() {
             slow_fp,
             "tenant slow diverged from its one-shot run"
         );
+        assert_eq!(num_field(&fast, "tokens_billed"), fast_tokens);
+        assert_eq!(num_field(&slow, "tokens_billed"), slow_tokens);
         assert_eq!(
             capped.get("budget_tripped"),
             Some(&Json::Bool(true)),
@@ -211,36 +203,30 @@ fn concurrent_tenants_stay_bit_identical_and_trips_stay_isolated() {
             capped.to_json()
         );
 
-        // The ledger saw all three jobs and recorded the trip.
+        // The ledger saw all three jobs, recorded the trip, and bills each
+        // tenant exactly what its reply billed.
         let stats = submit(addr, &op("stats"));
-        let rows = match stats.get("tenants") {
-            Some(Json::Arr(rows)) => rows.clone(),
-            _ => panic!("stats has no tenants: {}", stats.to_json()),
-        };
-        let row = |tenant: &str| {
-            rows.iter()
-                .find(|r| r.get("tenant").and_then(Json::as_str) == Some(tenant))
-                .unwrap_or_else(|| panic!("no ledger row for {tenant}"))
-                .clone()
-        };
-        assert_eq!(num_field(&row("capped"), "jobs_tripped"), 1);
-        assert_eq!(num_field(&row("fast"), "jobs_completed"), 1);
-        assert_eq!(
-            num_field(&row("slow"), "tokens_billed"),
-            num_field(&slow, "tokens_billed")
-        );
+        assert_eq!(num_field(&ledger_row(&stats, "capped"), "jobs_tripped"), 1);
+        assert_eq!(num_field(&ledger_row(&stats, "fast"), "jobs_completed"), 1);
+        for (tenant, reply) in [("fast", &fast), ("slow", &slow), ("capped", &capped)] {
+            assert_eq!(
+                num_field(&ledger_row(&stats, tenant), "tokens_billed"),
+                num_field(reply, "tokens_billed"),
+                "ledger row of {tenant} differs from its reply"
+            );
+        }
 
         // Per-tenant prometheus series exist for every tenant that ran.
         let prom = str_field(&submit(addr, &op("metrics")), "prom");
         for tenant in ["fast", "slow", "capped"] {
-            assert!(
-                prom.contains(&format!("{{tenant=\"{tenant}\"}}")),
-                "prom exposition missing tenant {tenant}"
-            );
+            for series in [
+                "dprep_tenant_prompt_tokens_total",
+                "dprep_tenant_requests_total",
+            ] {
+                let needle = format!("{series}{{tenant=\"{tenant}\"}}");
+                assert!(prom.contains(&needle), "prom exposition misses {needle}");
+            }
         }
-
-        submit(addr, &op("shutdown"));
-        server.join().unwrap().expect("daemon exits cleanly");
     });
 }
 
@@ -253,17 +239,7 @@ fn killed_job_resumes_with_exactly_once_billing() {
     std::fs::create_dir_all(&dir).expect("journal dir");
     let handler = handler(Some(dir.clone()));
     let (fp, tokens) = reference(&handler, "t", "Adult");
-
-    let daemon = Daemon::bind(
-        "127.0.0.1:0",
-        JobScheduler::new(TenantLedger::new()),
-        Arc::clone(&handler),
-    )
-    .expect("bind");
-    let addr = daemon.local_addr();
-
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| daemon.run());
+    with_daemon(handler, TenantLedger::new(), |addr| {
         let killed = submit(
             addr,
             &submit_body(
@@ -306,23 +282,56 @@ fn killed_job_resumes_with_exactly_once_billing() {
 
         // The ledger holds both submissions: the partial billing before the
         // kill plus the exactly-once resumed total — nothing more.
-        let stats = submit(addr, &op("stats"));
-        let rows = match stats.get("tenants") {
-            Some(Json::Arr(rows)) => rows.clone(),
-            _ => panic!("stats has no tenants: {}", stats.to_json()),
-        };
-        let t = rows
-            .iter()
-            .find(|r| r.get("tenant").and_then(Json::as_str) == Some("t"))
-            .expect("ledger row for t");
+        let t = ledger_row(&submit(addr, &op("stats")), "t");
         assert_eq!(
-            num_field(t, "tokens_billed"),
+            num_field(&t, "tokens_billed"),
             num_field(&killed, "tokens_billed") + tokens
         );
-        assert_eq!(num_field(t, "jobs_completed"), 2);
+        assert_eq!(num_field(&t, "jobs_completed"), 2);
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-        submit(addr, &op("shutdown"));
-        server.join().unwrap().expect("daemon exits cleanly");
+/// A resubmitted journal key whose workload differs from the journal's —
+/// another dataset or seed (caught by the plan fingerprint), or the same
+/// cascade under another escalation policy (caught by the header's
+/// config) — is refused before anything runs, and the journal is left
+/// byte-identical, still resumable by its own workload.
+#[test]
+fn mismatched_resubmits_are_refused_and_leave_the_journal_intact() {
+    let dir = temp_dir("mismatch");
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    let text = |key: &'static str, value: &str| (key, Json::Str(value.to_string()));
+    let workload = || {
+        vec![
+            text("journal_key", "job"),
+            text("route", "sim-gpt-3.5,sim-gpt-4"),
+            ("scale", Json::Num(0.2)),
+        ]
+    };
+    let journal = dir.join("t-job.jsonl");
+    let read = |path: &Path| std::fs::read(path).expect("journal exists");
+    with_daemon(handler(Some(dir.clone())), TenantLedger::new(), |addr| {
+        let first = submit(addr, &submit_body("t", "Adult", workload()));
+        assert_eq!(str_field(&first, "journal"), "fresh", "{}", first.to_json());
+        let recorded = read(&journal);
+        for (dataset, extra) in [
+            ("Hospital", vec![]),
+            ("Adult", vec![("seed", Json::Num(12.0))]),
+            ("Adult", vec![text("escalate_on", "garbled")]),
+        ] {
+            let mut fields = workload();
+            fields.extend(extra);
+            let reply = submit(addr, &submit_body("t", dataset, fields));
+            assert_rejected(&reply, "refusing to resume");
+            assert_eq!(read(&journal), recorded, "{dataset}: journal changed");
+        }
+        let again = submit(addr, &submit_body("t", "Adult", workload()));
+        assert_eq!(str_field(&again, "journal"), "resumed");
+        assert_eq!(
+            str_field(&again, "fingerprint"),
+            str_field(&first, "fingerprint")
+        );
     });
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -332,13 +341,6 @@ fn killed_job_resumes_with_exactly_once_billing() {
 /// and replies exactly what a one-worker submit does.
 #[test]
 fn absurd_worker_counts_reply_like_one_worker() {
-    let daemon = Daemon::bind(
-        "127.0.0.1:0",
-        JobScheduler::new(TenantLedger::new()),
-        handler(None),
-    )
-    .expect("bind");
-    let addr = daemon.local_addr();
     let with_workers = |workers: f64| match submit_body("t", "Restaurant", vec![]) {
         Json::Obj(fields) => Json::Obj(
             fields
@@ -351,9 +353,7 @@ fn absurd_worker_counts_reply_like_one_worker() {
         ),
         other => other,
     };
-
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| daemon.run());
+    with_daemon(handler(None), TenantLedger::new(), |addr| {
         let one = submit(addr, &with_workers(1.0));
         let huge = submit(addr, &with_workers(1e12));
         assert_eq!(
@@ -370,8 +370,6 @@ fn absurd_worker_counts_reply_like_one_worker() {
             num_field(&huge, "tokens_billed"),
             num_field(&one, "tokens_billed")
         );
-        submit(addr, &op("shutdown"));
-        server.join().unwrap().expect("daemon exits cleanly");
     });
 }
 
@@ -380,47 +378,45 @@ fn absurd_worker_counts_reply_like_one_worker() {
 /// keeps serving: a ping still pongs and a normal submit still runs.
 #[test]
 fn absurd_scales_are_rejected_and_the_daemon_keeps_serving() {
-    let daemon = Daemon::bind(
-        "127.0.0.1:0",
-        JobScheduler::new(TenantLedger::new()),
-        handler(None),
-    )
-    .expect("bind");
-    let addr = daemon.local_addr();
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| daemon.run());
+    with_daemon(handler(None), TenantLedger::new(), |addr| {
         for scale in [1e12, 1e300, 0.0, -1.0] {
             let reply = submit(
                 addr,
                 &submit_body("t", "Adult", vec![("scale", Json::Num(scale))]),
             );
-            assert_eq!(
-                reply.get("ok"),
-                Some(&Json::Bool(false)),
-                "scale {scale}: {}",
-                reply.to_json()
-            );
-            assert!(
-                str_field(&reply, "error").contains("(0, 10]"),
-                "scale {scale}: {}",
-                reply.to_json()
-            );
+            assert_rejected(&reply, "(0, 10]");
         }
-        let pong = submit(addr, &op("ping"));
-        assert_eq!(
-            pong.get("pong"),
-            Some(&Json::Bool(true)),
-            "{}",
-            pong.to_json()
-        );
-        let normal = submit(addr, &submit_body("t", "Restaurant", vec![]));
-        assert_eq!(
-            normal.get("ok"),
-            Some(&Json::Bool(true)),
-            "{}",
-            normal.to_json()
-        );
-        submit(addr, &op("shutdown"));
-        server.join().unwrap().expect("daemon exits cleanly");
+    });
+}
+
+/// A retry budget past the bound — including one that wraps to 0 as a
+/// `u32` — is rejected instead of pinning a worker, and `route` and
+/// `escalate_on` go through the same parse as `--route` and
+/// `--escalate-on`: a cascade naming a model twice or an unknown model,
+/// or an escalation policy with no cascade, is rejected too.
+#[test]
+fn absurd_retries_and_malformed_cascades_are_rejected_and_the_daemon_keeps_serving() {
+    let text = |key: &'static str, value: &str| (key, Json::Str(value.to_string()));
+    let outage = text("scenario", "route-outage");
+    with_daemon(handler(None), TenantLedger::new(), |addr| {
+        for (extra, needle) in [
+            (
+                vec![("retries", Json::Num(11.0)), outage.clone()],
+                "at most 10",
+            ),
+            (
+                vec![("retries", Json::Num(4_294_967_296.0)), outage],
+                "at most 10",
+            ),
+            (vec![text("route", "sim-gpt-4,sim-gpt-4")], "appears twice"),
+            (
+                vec![text("route", "sim-gpt-3.5,gpt-9")],
+                "unknown route model",
+            ),
+            (vec![text("escalate_on", "fault")], "needs --route"),
+        ] {
+            let reply = submit(addr, &submit_body("t", "Restaurant", extra));
+            assert_rejected(&reply, needle);
+        }
     });
 }
