@@ -55,18 +55,27 @@ impl Default for HandlerDefaults {
     }
 }
 
-/// Keeps journal filenames shell- and filesystem-safe whatever the wire
-/// sends as tenant or key.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
+/// The journal file of a `(tenant, journal_key)` pair:
+/// `<tenant>-<key>.jsonl`, each part percent-escaped so that whatever the
+/// wire sends stays filesystem-safe and no two pairs share a file. A
+/// tenant keeps `[A-Za-z0-9._]` and a key `[A-Za-z0-9._-]` as they are;
+/// every other byte, and a tenant's `-` (the separator), is written `%XX`.
+/// A name past the file system's length limit fails the submit when its
+/// journal is created: shortening it by a non-cryptographic hash would let
+/// a crafted tenant name reach another tenant's journal.
+fn journal_file_name(tenant: &str, key: &str) -> String {
+    let escape = |part: &str, keep: &[u8]| -> String {
+        part.bytes()
+            .map(|byte| {
+                if byte.is_ascii_alphanumeric() || keep.contains(&byte) {
+                    char::from(byte).to_string()
+                } else {
+                    format!("%{byte:02X}")
+                }
+            })
+            .collect()
+    };
+    format!("{}-{}.jsonl", escape(tenant, b"._"), escape(key, b"._-"))
 }
 
 /// The production job handler: runs one dataset workload under the
@@ -83,7 +92,10 @@ fn sanitize(name: &str) -> String {
 /// * `scenario` — a chaos fault-scenario name for the job's single model,
 ///   or for its cascade's first route,
 /// * `journal_key` — with `--journal-dir`, journal this job at
-///   `DIR/<tenant>-<key>.jsonl` and resume it when the file exists,
+///   `DIR/<tenant>-<key>.jsonl` and resume it when the file exists. Both
+///   parts are percent-escaped (a tenant's `-` too), so each
+///   `(tenant, journal_key)` pair has a journal of its own; plain tenants
+///   (`[A-Za-z0-9._]`) and keys (`[A-Za-z0-9._-]`) are kept as they are,
 /// * `kill_after` — drill hook: abort after the Nth journaled terminal.
 ///
 /// With an ops plane attached, every job's trace stream feeds the tenant's
@@ -145,7 +157,7 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
         let mut durability = Durability::new();
         let mut journal_state = "off";
         if let (Some(dir), Some(key)) = (&defaults.journal_dir, text("journal_key")) {
-            let path = dir.join(format!("{}-{}.jsonl", sanitize(tenant), sanitize(key)));
+            let path = dir.join(journal_file_name(tenant, key));
             let existing = std::fs::metadata(&path).is_ok_and(|m| m.len() > 0);
             let opened = Durability::open(
                 Some(&path),
@@ -393,6 +405,31 @@ mod tests {
             ("workers".to_string(), Json::Num(1.0)),
             ("plan_shard_size".to_string(), Json::Num(2.0)),
         ])
+    }
+
+    #[test]
+    fn journal_names_keep_plain_pairs_and_never_collide() {
+        assert_eq!(journal_file_name("t", "job"), "t-job.jsonl");
+        assert_eq!(
+            journal_file_name("acme_2.x", "run-1.b"),
+            "acme_2.x-run-1.b.jsonl"
+        );
+        let pairs = [
+            ("a", "b-c"),
+            ("a-b", "c"),
+            ("x/y", "k"),
+            ("x_y", "k"),
+            ("x%2Fy", "k"),
+            ("", "-"),
+            ("-", ""),
+            ("é", "../k"),
+        ];
+        let names: std::collections::HashSet<String> = pairs
+            .iter()
+            .map(|(tenant, key)| journal_file_name(tenant, key))
+            .collect();
+        assert_eq!(names.len(), pairs.len(), "{names:?}");
+        assert!(names.iter().all(|name| !name.contains('/')), "{names:?}");
     }
 
     #[test]

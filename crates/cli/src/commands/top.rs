@@ -11,30 +11,26 @@
 //! capped exponential backoff up to `--retry` consecutive failures instead
 //! of exiting on the first one. `--format json` emits the raw health reply
 //! instead of the table.
-//!
-//! `--check on` runs the ops-plane determinism drill instead of
-//! connecting anywhere: the same breach-inducing workload is executed at
-//! several worker counts through the real job handler, and the resulting
-//! alert timelines and windowed snapshots must be byte-identical — the
-//! live ops plane observes, it never perturbs, and what it observes does
-//! not depend on scheduling. CI gates on it.
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Arc;
 
-use dprep_core::serve::{roundtrip, JobScheduler};
-use dprep_core::{ExecutionOptions, OpsPlane, TenantLedger};
-use dprep_obs::export::event_to_json;
-use dprep_obs::{Json, SloSpec, WindowConfig};
+use dprep_core::serve::roundtrip;
+use dprep_obs::Json;
 
-use super::serve::{dataset_handler, HandlerDefaults};
 use crate::args::Flags;
 
 /// Runs the command.
 pub fn run(flags: &Flags) -> Result<(), String> {
-    if flags.bool_or("check", false)? {
-        return self_check(flags.seed()?);
+    // Without this, a caller still passing the retired flag would retry
+    // against a daemon that is not there instead of running a drill.
+    if flags.get("check").is_some() {
+        return Err(
+            "top --check is retired: the ops-plane drill is the ops_plane test \
+                    alert_timelines_and_windows_are_identical_across_workers_and_repeats \
+                    (cargo test --test ops_plane)"
+                .into(),
+        );
     }
     let host = flags.get("host").unwrap_or("127.0.0.1");
     let port = flags.usize_or("port", 7077)? as u16;
@@ -178,88 +174,6 @@ fn render(health: &Json) -> String {
     out
 }
 
-/// The ops-plane determinism drill behind `--check on` (CI gates on it).
-///
-/// Runs one breach-inducing workload (a latency-spike scenario against a
-/// tight latency-p95 objective) through the real dataset handler at worker
-/// counts 1, 2, and 4, each time through a fresh [`OpsPlane`], and asserts
-/// the serialized alert timelines and windowed snapshots are byte-identical
-/// across all three — and that the timeline actually pages, so the drill
-/// cannot pass vacuously.
-fn self_check(seed: u64) -> Result<(), String> {
-    let fingerprint = |workers: usize| -> Result<(String, String), String> {
-        let plane = Arc::new(OpsPlane::new(
-            SloSpec::parse_list("latency-p95=0.5,failure-rate=0.05")?,
-            WindowConfig::default(),
-        ));
-        let defaults = HandlerDefaults {
-            seed,
-            ..HandlerDefaults::default()
-        };
-        let handler = dataset_handler(defaults, Some(Arc::clone(&plane)));
-        let scheduler = JobScheduler::new(TenantLedger::new());
-        let body = Json::Obj(vec![
-            ("op".to_string(), Json::Str("submit".to_string())),
-            ("tenant".to_string(), Json::Str("acme".to_string())),
-            ("dataset".to_string(), Json::Str("Restaurant".to_string())),
-            ("scale".to_string(), Json::Num(0.5)),
-            (
-                "scenario".to_string(),
-                Json::Str("latency-spikes".to_string()),
-            ),
-            ("plan_shard_size".to_string(), Json::Num(2.0)),
-        ]);
-        let options = ExecutionOptions {
-            workers,
-            ..ExecutionOptions::default()
-        };
-        scheduler
-            .run_job("acme", options, |grant| handler(&body, grant))
-            .map_err(|e| e.to_string())?;
-        let timeline: String = plane
-            .timelines()
-            .values()
-            .flat_map(|events| events.iter().map(event_to_json))
-            .map(|line| line + "\n")
-            .collect();
-        let windows: String = plane
-            .health()
-            .iter()
-            .map(|h| h.window.to_json().to_json() + "\n")
-            .collect();
-        Ok((timeline, windows))
-    };
-
-    let (timeline_1, windows_1) = fingerprint(1)?;
-    if !timeline_1.contains("\"to\":\"paging\"") {
-        return Err(format!(
-            "top self-check: the breach workload never paged — the drill would be vacuous\n\
-             timeline:\n{timeline_1}"
-        ));
-    }
-    for workers in [2usize, 4] {
-        let (timeline_n, windows_n) = fingerprint(workers)?;
-        if timeline_n != timeline_1 {
-            return Err(format!(
-                "top self-check: alert timeline diverges between 1 and {workers} worker(s)\n\
-                 --- 1 worker ---\n{timeline_1}--- {workers} workers ---\n{timeline_n}"
-            ));
-        }
-        if windows_n != windows_1 {
-            return Err(format!(
-                "top self-check: windowed snapshot diverges between 1 and {workers} worker(s)\n\
-                 --- 1 worker ---\n{windows_1}--- {workers} workers ---\n{windows_n}"
-            ));
-        }
-    }
-    let transitions = timeline_1.lines().count();
-    println!(
-        "top self-check passed: {transitions} alert transition(s) and windowed snapshots \
-         bit-identical across 1/2/4 workers, paging reached"
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +224,17 @@ mod tests {
             .find(|l| l.starts_with("ledger-only"))
             .expect("ledger-only row");
         assert!(ledger_line.contains('-'), "{ledger_line}");
+    }
+
+    #[test]
+    fn the_retired_check_flag_errors_instead_of_polling() {
+        let mut flags = Flags::default();
+        flags.set("check", "on");
+        let err = run(&flags).unwrap_err();
+        assert!(
+            err.contains("alert_timelines_and_windows_are_identical"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -83,7 +83,7 @@ USAGE:
                  [--plan-shard-size N] [--retries N] [--route A,B]
                  [--escalate-on CLASSES] [--slo SPEC,..] [--recorder DIR]
   dprep top      [--host ADDR] [--port N] [--interval SECS] [--once on]
-                 [--format text|json] [--check on]
+                 [--format text|json]
   dprep datasets [--scale S] [--seed N]   (0 < S <= 10; 1 = the paper's sizes)
 
 SERVING (detect/impute/clean/match):
@@ -158,10 +158,7 @@ TOP:
   Live per-tenant table against a running daemon's health op: windowed
   request/token rates, windowed error rate and p95 latency, budget
   headroom, active jobs, and SLO alert states. --once prints a single
-  snapshot; --format json emits the raw health reply. --check on runs the
-  ops-plane determinism drill instead: one breach-inducing workload at
-  1/2/4 workers must produce byte-identical alert timelines and windowed
-  snapshots, and must actually page.
+  snapshot; --format json emits the raw health reply.
 
 CHAOS:
   Sweeps the seeded fault-scenario presets (burst outages, rate-limit

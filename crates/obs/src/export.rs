@@ -1,18 +1,142 @@
 //! JSON-lines trace export.
 //!
 //! [`JsonlTracer`] serializes every event as one flat JSON object per line,
-//! tagged with an `"event"` field holding [`TraceEvent::name`]. The writer
-//! is dependency-free; numbers are emitted as JSON numbers (floats via
-//! `{:?}`, which round-trips f64 exactly).
+//! tagged with an `"event"` field holding [`TraceEvent::name`] and followed
+//! by the event's fields in the order its table entry declares them. The
+//! writer is dependency-free, and each field type's wire form is decided
+//! once, by its codec: integers and booleans as JSON literals, floats via
+//! `{:?}` (which round-trips f64 exactly; non-finite floats as `null`),
+//! strings escaped as [`crate::json`] escapes them, and an absent label as
+//! `null`.
 
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use crate::component::intern_label;
 use crate::event::TraceEvent;
-use crate::json::Json;
+use crate::json::{write_string, Json};
 use crate::tracer::Tracer;
 
+/// How one event-field type is written to and read from a JSONL line.
+pub(crate) trait WireField: Sized {
+    /// Appends the value's JSON form to `out`.
+    fn write(&self, out: &mut String);
+
+    /// Reads field `key` of a `kind` event from its JSON value, `None`
+    /// when the line has no such key.
+    fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String>;
+}
+
+fn missing(kind: &str, what: &str, key: &str) -> String {
+    format!("{kind}: missing {what} field {key:?}")
+}
+
+fn string<'a>(value: Option<&'a Json>, kind: &str, key: &str) -> Result<&'a str, String> {
+    value
+        .and_then(Json::as_str)
+        .ok_or_else(|| missing(kind, "string", key))
+}
+
+/// Unsigned integers, rejected (not wrapped) when a line's value does not
+/// fit the field's type.
+macro_rules! integer_fields {
+    ($($ty:ty),*) => {$(
+        impl WireField for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String> {
+                let n = value
+                    .and_then(Json::as_usize)
+                    .ok_or_else(|| missing(kind, "integer", key))?;
+                <$ty>::try_from(n).map_err(|_| {
+                    format!("{kind}: integer field {key:?} is out of range: {n}")
+                })
+            }
+        }
+    )*};
+}
+
+integer_fields!(u64, usize, u32);
+
+impl WireField for f64 {
+    fn write(&self, out: &mut String) {
+        if self.is_finite() {
+            // `{:?}` prints the shortest representation that round-trips.
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String> {
+        value
+            .and_then(Json::as_f64)
+            .ok_or_else(|| missing(kind, "number", key))
+    }
+}
+
+impl WireField for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String> {
+        match value {
+            Some(Json::Bool(v)) => Ok(*v),
+            _ => Err(missing(kind, "bool", key)),
+        }
+    }
+}
+
+/// Labels from a closed vocabulary (kinds, stages, reasons), read back
+/// through [`intern_label`] to their static spelling.
+impl WireField for &'static str {
+    fn write(&self, out: &mut String) {
+        write_string(self, out);
+    }
+
+    fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String> {
+        string(value, kind, key).map(intern_label)
+    }
+}
+
+/// Unbounded vocabularies (tenant names, route names, rejection reasons),
+/// which are not interned.
+impl WireField for String {
+    fn write(&self, out: &mut String) {
+        write_string(self, out);
+    }
+
+    fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String> {
+        string(value, kind, key).map(str::to_string)
+    }
+}
+
+/// An optional label: `null` when absent; a `null` or missing key reads
+/// back as `None`.
+impl WireField for Option<&'static str> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(label) => label.write(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String> {
+        match value {
+            Some(Json::Null) | None => Ok(None),
+            Some(v) => v
+                .as_str()
+                .map(|label| Some(intern_label(label)))
+                .ok_or_else(|| format!("{kind}: {key} is not a string")),
+        }
+    }
+}
+
 /// A minimal single-line JSON object writer.
-struct Line {
+pub(crate) struct Line {
     buf: String,
 }
 
@@ -25,69 +149,12 @@ impl Line {
         Line { buf }
     }
 
-    fn key(&mut self, key: &str) {
-        self.buf.push(',');
-        self.buf.push('"');
+    /// Appends `"key":value`.
+    pub(crate) fn field<T: WireField>(&mut self, key: &str, value: &T) {
+        self.buf.push_str(",\"");
         self.buf.push_str(key);
         self.buf.push_str("\":");
-    }
-
-    fn u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    fn usize(&mut self, key: &str, value: usize) -> &mut Self {
-        self.u64(key, value as u64)
-    }
-
-    fn f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key);
-        if value.is_finite() {
-            // `{:?}` prints the shortest representation that round-trips.
-            self.buf.push_str(&format!("{value:?}"));
-        } else {
-            self.buf.push_str("null");
-        }
-        self
-    }
-
-    fn bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    fn str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.key(key);
-        self.buf.push('"');
-        for ch in value.chars() {
-            match ch {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                '\r' => self.buf.push_str("\\r"),
-                '\t' => self.buf.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.buf.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
-        self
-    }
-
-    fn opt_str(&mut self, key: &str, value: Option<&str>) -> &mut Self {
-        match value {
-            Some(v) => self.str(key, v),
-            None => {
-                self.key(key);
-                self.buf.push_str("null");
-                self
-            }
-        }
+        value.write(&mut self.buf);
     }
 
     fn finish(mut self) -> String {
@@ -99,266 +166,7 @@ impl Line {
 /// Serializes one event to its JSON line (no trailing newline).
 pub fn event_to_json(event: &TraceEvent) -> String {
     let mut line = Line::new(event.name());
-    match event {
-        TraceEvent::RunStarted {
-            run,
-            instances,
-            batches,
-            requests,
-        } => {
-            line.u64("run", *run)
-                .usize("instances", *instances)
-                .usize("batches", *batches)
-                .usize("requests", *requests);
-        }
-        TraceEvent::Planned {
-            request,
-            batches,
-            instances,
-        } => {
-            line.u64("request", *request)
-                .usize("batches", *batches)
-                .usize("instances", *instances);
-        }
-        TraceEvent::Deduped { request, batch } => {
-            line.u64("request", *request).usize("batch", *batch);
-        }
-        TraceEvent::Dispatched {
-            request,
-            worker,
-            vt_start_secs,
-        } => {
-            line.u64("request", *request)
-                .usize("worker", *worker)
-                .f64("vt_start_secs", *vt_start_secs);
-        }
-        TraceEvent::CacheHit { request } => {
-            line.u64("request", *request);
-        }
-        TraceEvent::RetryAttempt {
-            request,
-            attempt,
-            prompt_tokens,
-            completion_tokens,
-            backoff_secs,
-        } => {
-            line.u64("request", *request)
-                .u64("attempt", u64::from(*attempt))
-                .usize("prompt_tokens", *prompt_tokens)
-                .usize("completion_tokens", *completion_tokens)
-                .f64("backoff_secs", *backoff_secs);
-        }
-        TraceEvent::FaultInjected { request, kind } => {
-            line.u64("request", *request).str("kind", kind);
-        }
-        TraceEvent::RouteLeg {
-            request,
-            route,
-            index,
-            outcome,
-            fault,
-            retries,
-            prompt_tokens,
-            completion_tokens,
-            cost_usd,
-            latency_secs,
-        } => {
-            line.u64("request", *request)
-                .str("route", route)
-                .u64("index", u64::from(*index))
-                .str("outcome", outcome)
-                .opt_str("fault", *fault)
-                .u64("retries", u64::from(*retries))
-                .usize("prompt_tokens", *prompt_tokens)
-                .usize("completion_tokens", *completion_tokens)
-                .f64("cost_usd", *cost_usd)
-                .f64("latency_secs", *latency_secs);
-        }
-        TraceEvent::Completed {
-            request,
-            worker,
-            cache_hit,
-            retries,
-            fault,
-            prompt_tokens,
-            completion_tokens,
-            attempt_prompt_tokens,
-            attempt_completion_tokens,
-            cost_usd,
-            latency_secs,
-            vt_start_secs,
-            vt_end_secs,
-        } => {
-            line.u64("request", *request)
-                .usize("worker", *worker)
-                .bool("cache_hit", *cache_hit)
-                .u64("retries", u64::from(*retries))
-                .opt_str("fault", *fault)
-                .usize("prompt_tokens", *prompt_tokens)
-                .usize("completion_tokens", *completion_tokens)
-                .usize("attempt_prompt_tokens", *attempt_prompt_tokens)
-                .usize("attempt_completion_tokens", *attempt_completion_tokens)
-                .f64("cost_usd", *cost_usd)
-                .f64("latency_secs", *latency_secs)
-                .f64("vt_start_secs", *vt_start_secs)
-                .f64("vt_end_secs", *vt_end_secs);
-        }
-        TraceEvent::PromptComponents {
-            request,
-            cache_hit,
-            task_spec,
-            answer_format,
-            cot,
-            few_shot,
-            instances,
-            framing,
-        } => {
-            line.u64("request", *request)
-                .bool("cache_hit", *cache_hit)
-                .usize("task_spec", *task_spec)
-                .usize("answer_format", *answer_format)
-                .usize("cot", *cot)
-                .usize("few_shot", *few_shot)
-                .usize("instances", *instances)
-                .usize("framing", *framing);
-        }
-        TraceEvent::Stage {
-            run,
-            stage,
-            wall_secs,
-            vt_secs,
-        } => {
-            line.u64("run", *run)
-                .str("stage", stage)
-                .f64("wall_secs", *wall_secs)
-                .f64("vt_secs", *vt_secs);
-        }
-        TraceEvent::Parsed { request, instance } => {
-            line.u64("request", *request).usize("instance", *instance);
-        }
-        TraceEvent::Failed {
-            request,
-            instance,
-            kind,
-        } => {
-            line.u64("request", *request)
-                .usize("instance", *instance)
-                .str("kind", kind);
-        }
-        TraceEvent::Cancelled { request, reason } => {
-            line.u64("request", *request).str("reason", reason);
-        }
-        TraceEvent::BudgetTripped {
-            run,
-            reason,
-            cancelled,
-        } => {
-            line.u64("run", *run)
-                .str("reason", reason)
-                .usize("cancelled", *cancelled);
-        }
-        TraceEvent::BatchSplit { request, instances } => {
-            line.u64("request", *request).usize("instances", *instances);
-        }
-        TraceEvent::Replayed { request } => {
-            line.u64("request", *request);
-        }
-        TraceEvent::JournalState {
-            run,
-            replayed,
-            written,
-            truncated,
-        } => {
-            line.u64("run", *run)
-                .usize("replayed", *replayed)
-                .usize("written", *written)
-                .usize("truncated", *truncated);
-        }
-        TraceEvent::JobAccepted { job, tenant } => {
-            line.u64("job", *job).str("tenant", tenant);
-        }
-        TraceEvent::JobCompleted {
-            job,
-            tenant,
-            tokens,
-            cost_usd,
-            budget_tripped,
-        } => {
-            line.u64("job", *job)
-                .str("tenant", tenant)
-                .usize("tokens", *tokens)
-                .f64("cost_usd", *cost_usd)
-                .bool("budget_tripped", *budget_tripped);
-        }
-        TraceEvent::JobRejected { tenant, reason } => {
-            line.str("tenant", tenant).str("reason", reason);
-        }
-        TraceEvent::JobShed {
-            job,
-            tenant,
-            reason,
-            retry_after_secs,
-            queued,
-            inflight,
-        } => {
-            line.u64("job", *job)
-                .str("tenant", tenant)
-                .str("reason", reason)
-                .f64("retry_after_secs", *retry_after_secs)
-                .usize("queued", *queued)
-                .usize("inflight", *inflight);
-        }
-        TraceEvent::QueueDepth { queued, inflight } => {
-            line.usize("queued", *queued).usize("inflight", *inflight);
-        }
-        TraceEvent::DrainTransition { from, to, inflight } => {
-            line.str("from", from)
-                .str("to", to)
-                .usize("inflight", *inflight);
-        }
-        TraceEvent::SloTransition {
-            tenant,
-            slo,
-            from,
-            to,
-            burn_long,
-            burn_short,
-            vt_secs,
-        } => {
-            line.str("tenant", tenant)
-                .str("slo", slo)
-                .str("from", from)
-                .str("to", to)
-                .f64("burn_long", *burn_long)
-                .f64("burn_short", *burn_short)
-                .f64("vt_secs", *vt_secs);
-        }
-        TraceEvent::RunFinished {
-            run,
-            instances,
-            answered,
-            failed,
-            requests,
-            fresh_requests,
-            cache_hits,
-            prompt_tokens,
-            completion_tokens,
-            cost_usd,
-            latency_secs,
-        } => {
-            line.u64("run", *run)
-                .usize("instances", *instances)
-                .usize("answered", *answered)
-                .usize("failed", *failed)
-                .usize("requests", *requests)
-                .usize("fresh_requests", *fresh_requests)
-                .usize("cache_hits", *cache_hits)
-                .usize("prompt_tokens", *prompt_tokens)
-                .usize("completion_tokens", *completion_tokens)
-                .f64("cost_usd", *cost_usd)
-                .f64("latency_secs", *latency_secs);
-        }
-    }
+    event.write_fields(&mut line);
     line.finish()
 }
 
@@ -372,217 +180,7 @@ pub fn event_from_json(value: &Json) -> Result<TraceEvent, String> {
         .get("event")
         .and_then(Json::as_str)
         .ok_or_else(|| "object has no \"event\" tag".to_string())?;
-    let u = |key: &str| -> Result<u64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_usize)
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("{kind}: missing integer field {key:?}"))
-    };
-    let us = |key: &str| -> Result<usize, String> { u(key).map(|v| v as usize) };
-    let f = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{kind}: missing number field {key:?}"))
-    };
-    let s = |key: &str| -> Result<&'static str, String> {
-        value
-            .get(key)
-            .and_then(Json::as_str)
-            .map(crate::component::intern_label)
-            .ok_or_else(|| format!("{kind}: missing string field {key:?}"))
-    };
-    // Owned-string fields (tenant names, rejection reasons) are unbounded
-    // vocabularies, so they are not interned like the `&'static str` kinds.
-    let so = |key: &str| -> Result<String, String> {
-        value
-            .get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{kind}: missing string field {key:?}"))
-    };
-    let b = |key: &str| -> Result<bool, String> {
-        match value.get(key) {
-            Some(Json::Bool(v)) => Ok(*v),
-            _ => Err(format!("{kind}: missing bool field {key:?}")),
-        }
-    };
-    match kind {
-        "run_started" => Ok(TraceEvent::RunStarted {
-            run: u("run")?,
-            instances: us("instances")?,
-            batches: us("batches")?,
-            requests: us("requests")?,
-        }),
-        "planned" => Ok(TraceEvent::Planned {
-            request: u("request")?,
-            batches: us("batches")?,
-            instances: us("instances")?,
-        }),
-        "deduped" => Ok(TraceEvent::Deduped {
-            request: u("request")?,
-            batch: us("batch")?,
-        }),
-        "dispatched" => Ok(TraceEvent::Dispatched {
-            request: u("request")?,
-            worker: us("worker")?,
-            vt_start_secs: f("vt_start_secs")?,
-        }),
-        "cache_hit" => Ok(TraceEvent::CacheHit {
-            request: u("request")?,
-        }),
-        "retry_attempt" => Ok(TraceEvent::RetryAttempt {
-            request: u("request")?,
-            attempt: u("attempt")? as u32,
-            prompt_tokens: us("prompt_tokens")?,
-            completion_tokens: us("completion_tokens")?,
-            backoff_secs: f("backoff_secs")?,
-        }),
-        "fault_injected" => Ok(TraceEvent::FaultInjected {
-            request: u("request")?,
-            kind: s("kind")?,
-        }),
-        "route_leg" => Ok(TraceEvent::RouteLeg {
-            request: u("request")?,
-            route: so("route")?,
-            index: u("index")? as u32,
-            outcome: s("outcome")?,
-            fault: match value.get("fault") {
-                Some(Json::Null) | None => None,
-                Some(v) => Some(crate::component::intern_label(
-                    v.as_str().ok_or("route_leg: fault is not a string")?,
-                )),
-            },
-            retries: u("retries")? as u32,
-            prompt_tokens: us("prompt_tokens")?,
-            completion_tokens: us("completion_tokens")?,
-            cost_usd: f("cost_usd")?,
-            latency_secs: f("latency_secs")?,
-        }),
-        "completed" => Ok(TraceEvent::Completed {
-            request: u("request")?,
-            worker: us("worker")?,
-            cache_hit: b("cache_hit")?,
-            retries: u("retries")? as u32,
-            fault: match value.get("fault") {
-                Some(Json::Null) | None => None,
-                Some(v) => Some(crate::component::intern_label(
-                    v.as_str().ok_or("completed: fault is not a string")?,
-                )),
-            },
-            prompt_tokens: us("prompt_tokens")?,
-            completion_tokens: us("completion_tokens")?,
-            attempt_prompt_tokens: us("attempt_prompt_tokens")?,
-            attempt_completion_tokens: us("attempt_completion_tokens")?,
-            cost_usd: f("cost_usd")?,
-            latency_secs: f("latency_secs")?,
-            vt_start_secs: f("vt_start_secs")?,
-            vt_end_secs: f("vt_end_secs")?,
-        }),
-        "prompt_components" => Ok(TraceEvent::PromptComponents {
-            request: u("request")?,
-            cache_hit: b("cache_hit")?,
-            task_spec: us("task_spec")?,
-            answer_format: us("answer_format")?,
-            cot: us("cot")?,
-            few_shot: us("few_shot")?,
-            instances: us("instances")?,
-            framing: us("framing")?,
-        }),
-        "stage" => Ok(TraceEvent::Stage {
-            run: u("run")?,
-            stage: s("stage")?,
-            wall_secs: f("wall_secs")?,
-            vt_secs: f("vt_secs")?,
-        }),
-        "parsed" => Ok(TraceEvent::Parsed {
-            request: u("request")?,
-            instance: us("instance")?,
-        }),
-        "failed" => Ok(TraceEvent::Failed {
-            request: u("request")?,
-            instance: us("instance")?,
-            kind: s("kind")?,
-        }),
-        "cancelled" => Ok(TraceEvent::Cancelled {
-            request: u("request")?,
-            reason: s("reason")?,
-        }),
-        "budget_tripped" => Ok(TraceEvent::BudgetTripped {
-            run: u("run")?,
-            reason: s("reason")?,
-            cancelled: us("cancelled")?,
-        }),
-        "batch_split" => Ok(TraceEvent::BatchSplit {
-            request: u("request")?,
-            instances: us("instances")?,
-        }),
-        "replayed" => Ok(TraceEvent::Replayed {
-            request: u("request")?,
-        }),
-        "journal_state" => Ok(TraceEvent::JournalState {
-            run: u("run")?,
-            replayed: us("replayed")?,
-            written: us("written")?,
-            truncated: us("truncated")?,
-        }),
-        "job_accepted" => Ok(TraceEvent::JobAccepted {
-            job: u("job")?,
-            tenant: so("tenant")?,
-        }),
-        "job_completed" => Ok(TraceEvent::JobCompleted {
-            job: u("job")?,
-            tenant: so("tenant")?,
-            tokens: us("tokens")?,
-            cost_usd: f("cost_usd")?,
-            budget_tripped: b("budget_tripped")?,
-        }),
-        "job_rejected" => Ok(TraceEvent::JobRejected {
-            tenant: so("tenant")?,
-            reason: so("reason")?,
-        }),
-        "job_shed" => Ok(TraceEvent::JobShed {
-            job: u("job")?,
-            tenant: so("tenant")?,
-            reason: so("reason")?,
-            retry_after_secs: f("retry_after_secs")?,
-            queued: us("queued")?,
-            inflight: us("inflight")?,
-        }),
-        "queue_depth" => Ok(TraceEvent::QueueDepth {
-            queued: us("queued")?,
-            inflight: us("inflight")?,
-        }),
-        "drain_transition" => Ok(TraceEvent::DrainTransition {
-            from: s("from")?,
-            to: s("to")?,
-            inflight: us("inflight")?,
-        }),
-        "slo_transition" => Ok(TraceEvent::SloTransition {
-            tenant: so("tenant")?,
-            slo: s("slo")?,
-            from: s("from")?,
-            to: s("to")?,
-            burn_long: f("burn_long")?,
-            burn_short: f("burn_short")?,
-            vt_secs: f("vt_secs")?,
-        }),
-        "run_finished" => Ok(TraceEvent::RunFinished {
-            run: u("run")?,
-            instances: us("instances")?,
-            answered: us("answered")?,
-            failed: us("failed")?,
-            requests: us("requests")?,
-            fresh_requests: us("fresh_requests")?,
-            cache_hits: us("cache_hits")?,
-            prompt_tokens: us("prompt_tokens")?,
-            completion_tokens: us("completion_tokens")?,
-            cost_usd: f("cost_usd")?,
-            latency_secs: f("latency_secs")?,
-        }),
-        other => Err(format!("unknown event kind {other:?}")),
-    }
+    TraceEvent::read_fields(kind, value)
 }
 
 /// Parses a whole JSONL trace (one event object per non-empty line) back
@@ -712,14 +310,15 @@ mod tests {
     #[test]
     fn escapes_control_characters() {
         let mut line = Line::new("x");
-        line.str("v", "a\"b\\c\nd\u{1}");
+        line.field("v", &"a\"b\\c\nd\u{1}");
         let out = line.finish();
         assert_eq!(out, "{\"event\":\"x\",\"v\":\"a\\\"b\\\\c\\nd\\u0001\"}");
     }
 
-    #[test]
-    fn every_variant_round_trips_through_jsonl() {
-        let events = vec![
+    /// One event of every kind, two `route_leg`s (a shorted leg with a
+    /// fault, a served one without).
+    fn every_variant() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::RunStarted {
                 run: 7,
                 instances: 12,
@@ -890,7 +489,49 @@ mod tests {
                 cost_usd: 0.003,
                 latency_secs: 4.5,
             },
-        ];
+        ]
+    }
+
+    /// The exact lines [`every_variant`] serializes to: key order, `{:?}`
+    /// floats, `null` faults and string escapes.
+    const GOLDEN: &str = r#"{"event":"run_started","run":7,"instances":12,"batches":3,"requests":2}
+{"event":"planned","request":701,"batches":2,"instances":8}
+{"event":"deduped","request":701,"batch":1}
+{"event":"stage","run":7,"stage":"plan","wall_secs":0.001,"vt_secs":0.0}
+{"event":"dispatched","request":701,"worker":3,"vt_start_secs":0.5}
+{"event":"cache_hit","request":701}
+{"event":"retry_attempt","request":702,"attempt":1,"prompt_tokens":40,"completion_tokens":4,"backoff_secs":1.0}
+{"event":"fault_injected","request":702,"kind":"timeout"}
+{"event":"route_leg","request":702,"route":"sim-gpt-3.5","index":0,"outcome":"shorted","fault":"timeout","retries":0,"prompt_tokens":0,"completion_tokens":0,"cost_usd":0.0,"latency_secs":0.0}
+{"event":"route_leg","request":702,"route":"sim-gpt-4","index":1,"outcome":"served","fault":null,"retries":1,"prompt_tokens":80,"completion_tokens":8,"cost_usd":0.003,"latency_secs":4.5}
+{"event":"completed","request":702,"worker":0,"cache_hit":false,"retries":1,"fault":"timeout","prompt_tokens":80,"completion_tokens":8,"attempt_prompt_tokens":40,"attempt_completion_tokens":4,"cost_usd":0.003,"latency_secs":4.5,"vt_start_secs":0.5,"vt_end_secs":5.0}
+{"event":"prompt_components","request":702,"cache_hit":false,"task_spec":20,"answer_format":14,"cot":0,"few_shot":16,"instances":22,"framing":8}
+{"event":"parsed","request":702,"instance":0}
+{"event":"failed","request":702,"instance":1,"kind":"skipped-answer"}
+{"event":"cancelled","request":703,"reason":"token-budget"}
+{"event":"budget_tripped","run":7,"reason":"token-budget","cancelled":1}
+{"event":"batch_split","request":704,"instances":4}
+{"event":"replayed","request":702}
+{"event":"journal_state","run":7,"replayed":1,"written":1,"truncated":1}
+{"event":"job_accepted","job":11,"tenant":"acme"}
+{"event":"job_completed","job":11,"tenant":"acme","tokens":88,"cost_usd":0.004,"budget_tripped":true}
+{"event":"job_rejected","tenant":"bmce","reason":"tenant \"bmce\" token budget exhausted"}
+{"event":"job_shed","job":12,"tenant":"bmce","reason":"overloaded","retry_after_secs":1.5,"queued":4,"inflight":2}
+{"event":"queue_depth","queued":3,"inflight":2}
+{"event":"drain_transition","from":"serving","to":"draining","inflight":2}
+{"event":"slo_transition","tenant":"acme","slo":"latency-p95","from":"ok","to":"warning","burn_long":1.25,"burn_short":2.5,"vt_secs":42.5}
+{"event":"run_finished","run":7,"instances":12,"answered":11,"failed":1,"requests":2,"fresh_requests":1,"cache_hits":1,"prompt_tokens":80,"completion_tokens":8,"cost_usd":0.003,"latency_secs":4.5}
+"#;
+
+    #[test]
+    fn every_variant_round_trips_through_jsonl() {
+        let events = every_variant();
+        let mut tags: Vec<&str> = events.iter().map(TraceEvent::name).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        let mut declared = TraceEvent::TAGS.to_vec();
+        declared.sort_unstable();
+        assert_eq!(tags, declared, "every table entry needs an event here");
         let trace: String = events
             .iter()
             .map(|e| event_to_json(e) + "\n")
@@ -898,6 +539,65 @@ mod tests {
             + "\n"; // blank lines are tolerated
         let parsed = parse_trace(&trace).unwrap();
         assert_eq!(parsed, events);
+        for (event, line) in events.iter().zip(trace.lines()) {
+            let request = Json::parse(line)
+                .unwrap()
+                .get("request")
+                .map(|r| r.as_usize().unwrap() as u64);
+            assert_eq!(event.request(), request, "{line}");
+        }
+    }
+
+    #[test]
+    fn every_variant_writes_its_golden_line() {
+        let written: String = every_variant()
+            .iter()
+            .map(|e| event_to_json(e) + "\n")
+            .collect();
+        assert_eq!(written, GOLDEN);
+        let stage = event_to_json(&TraceEvent::Stage {
+            run: 1,
+            stage: "plan",
+            wall_secs: f64::NAN,
+            vt_secs: f64::INFINITY,
+        });
+        assert_eq!(
+            stage,
+            "{\"event\":\"stage\",\"run\":1,\"stage\":\"plan\",\"wall_secs\":null,\"vt_secs\":null}"
+        );
+    }
+
+    #[test]
+    fn u32_fields_past_their_range_are_rejected_not_wrapped() {
+        for (kind, key) in [
+            ("retry_attempt", "attempt"),
+            ("route_leg", "index"),
+            ("route_leg", "retries"),
+            ("completed", "retries"),
+        ] {
+            let line = GOLDEN
+                .lines()
+                .find(|l| l.starts_with(&format!("{{\"event\":\"{kind}\"")))
+                .unwrap();
+            let with = |n: f64| {
+                let mut value = Json::parse(line).unwrap();
+                if let Json::Obj(fields) = &mut value {
+                    fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = Json::Num(n);
+                }
+                event_from_json(&value)
+            };
+            assert!(
+                with(f64::from(u32::MAX)).is_ok(),
+                "{kind}.{key} at u32::MAX"
+            );
+            for n in [4_294_967_296.0, 4_294_967_297.0] {
+                let err = with(n).unwrap_err();
+                assert!(
+                    err.contains(kind) && err.contains(key) && err.contains("out of range"),
+                    "{kind}.{key} = {n}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

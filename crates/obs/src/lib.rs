@@ -11,9 +11,11 @@
 //! * [`event`] — [`TraceEvent`], the request-lifecycle vocabulary: planned,
 //!   deduped, dispatched-on-worker, cache-hit, retry-attempt,
 //!   fault-injected, parsed, failed-with-kind, bracketed by run start/finish
-//!   events carrying the run's totals. Events use **virtual time** (the
-//!   simulator's latency model), not wall clocks, so traces are
-//!   reproducible.
+//!   events carrying the run's totals, plus the daemon's job and SLO
+//!   events. Events use **virtual time** (the simulator's latency model),
+//!   so traces are reproducible; the one wall-clock field is `stage`'s
+//!   `wall_secs`. Each event is declared once, in a table that generates
+//!   its name and its JSONL writer and reader.
 //! * [`tracer`] — the [`Tracer`] sink trait plus combinators:
 //!   [`NullTracer`] (default, near-zero overhead), [`MultiTracer`]
 //!   (fan-out), [`CollectingTracer`] (in-memory, for tests).

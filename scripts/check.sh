@@ -59,11 +59,12 @@ echo "== overload protection: storm drill + hostile-wire suite =="
 cargo run --release -q -p dprep-cli --bin dprep -- chaos --overload on > /dev/null
 cargo test -q --test wire_hardening
 
-echo "== live ops plane: dprep top determinism drill + tests =="
+echo "== live ops plane tests =="
 # One breach-inducing workload (latency spikes against a tight latency-p95
-# objective) at 1/2/4 workers: the alert timelines and windowed snapshots
-# must be byte-identical and must actually reach paging.
-cargo run --release -q -p dprep-cli --bin dprep -- top --check on > /dev/null
+# objective) through the shipped job handler at 1/2/4 workers and a
+# repeat: the alert timelines and windowed snapshots must be
+# byte-identical and must actually reach paging. Also the daemon's health
+# op over TCP, the paging postmortem, and transitions through JSONL.
 cargo test -q --test ops_plane
 
 echo "== streaming-planner scaling smoke (10k rows, stream vs materialized) =="

@@ -1,7 +1,8 @@
-//! Live ops plane tests: windowed metrics and SLO alert timelines must be
-//! bit-identical across worker counts and repeat runs, the daemon's
-//! `health` op must report them over TCP, and a paging alert must leave a
-//! parseable flight-recorder postmortem behind.
+//! Live ops plane tests over the shipped job handler
+//! (`cli::commands::serve::dataset_handler`): windowed metrics and SLO
+//! alert timelines must be bit-identical across worker counts and repeat
+//! runs, the daemon's `health` op must report them over TCP, and a paging
+//! alert must leave a parseable flight-recorder postmortem behind.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -10,13 +11,7 @@ use std::sync::Arc;
 
 use llm_data_preprocessors::cli::commands::serve::{dataset_handler, HandlerDefaults};
 use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobScheduler};
-use llm_data_preprocessors::core::{
-    ExecutionOptions, OpsPlane, PipelineConfig, Preprocessor, TenantLedger,
-};
-use llm_data_preprocessors::datasets::dataset_by_name;
-use llm_data_preprocessors::llm::{
-    FaultLayer, FaultScenario, ModelProfile, RetryLayer, SimulatedLlm,
-};
+use llm_data_preprocessors::core::{ExecutionOptions, OpsPlane, TenantLedger};
 use llm_data_preprocessors::obs::export::event_to_json;
 use llm_data_preprocessors::obs::{FlightRecorder, Json, SloSpec, TraceEvent, WindowConfig};
 
@@ -31,23 +26,35 @@ fn breach_plane() -> Arc<OpsPlane> {
     ))
 }
 
-/// Runs one Restaurant ED job under a latency-spike scenario with the
-/// plane's tracer wired in, at the given worker count.
+/// Runs the breach workload through the shipped job handler with the
+/// plane wired in, at the given worker count: one Restaurant ED job at
+/// scale 0.5 and seed 0 under the latency-spike scenario, in shards of
+/// two batches, submitted through the daemon's scheduler.
 fn run_breach_job(plane: &Arc<OpsPlane>, tenant: &str, workers: usize) {
-    let ds = dataset_by_name("Restaurant", 0.5, SEED).unwrap();
-    let sim = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone())).with_seed(SEED);
-    let faulty = FaultLayer::scenario(sim, FaultScenario::by_name("latency-spikes").unwrap(), SEED);
-    let model = RetryLayer::new(faulty, 2);
-    let mut config = PipelineConfig::best(ds.task);
-    config.plan_shard_size = Some(2);
-    let result = Preprocessor::new(&model, config)
-        .with_exec_options(ExecutionOptions {
-            workers,
-            ..ExecutionOptions::default()
-        })
-        .with_tracer(plane.tracer_for(tenant))
-        .run(&ds.instances, &ds.few_shot);
-    assert!(!result.predictions.is_empty());
+    let handler = dataset_handler(
+        HandlerDefaults {
+            seed: 0,
+            ..HandlerDefaults::default()
+        },
+        Some(Arc::clone(plane)),
+    );
+    let text = |key: &str, value: &str| (key.to_string(), Json::Str(value.to_string()));
+    let body = Json::Obj(vec![
+        text("op", "submit"),
+        text("tenant", tenant),
+        text("dataset", "Restaurant"),
+        ("scale".to_string(), Json::Num(0.5)),
+        text("scenario", "latency-spikes"),
+        ("plan_shard_size".to_string(), Json::Num(2.0)),
+    ]);
+    let options = ExecutionOptions {
+        workers,
+        ..ExecutionOptions::default()
+    };
+    let (_, outcome) = JobScheduler::new(TenantLedger::new())
+        .run_job(tenant, options, |grant| handler(&body, grant))
+        .expect("breach job runs");
+    assert!(outcome.tokens_billed > 0);
 }
 
 /// Serializes a plane's alert timelines and window snapshots for

@@ -2,10 +2,10 @@
 //! (`cli::commands::serve::dataset_handler`): a live multi-tenant daemon
 //! over TCP, with concurrent tenants proven bit-identical to their
 //! one-shot runs, a budget-tripped tenant isolated from the others, kill +
-//! resume with exactly-once billing through per-job journals, and
-//! rejected submits (absurd sizes and retry budgets, malformed cascades,
-//! journals of another workload) answered with an error while the daemon
-//! keeps serving.
+//! resume with exactly-once billing through per-job journals (one per
+//! tenant and key), and rejected submits (absurd sizes and retry budgets,
+//! malformed cascades, journals of another workload) answered with an
+//! error while the daemon keeps serving.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -333,6 +333,47 @@ fn mismatched_resubmits_are_refused_and_leave_the_journal_intact() {
             str_field(&first, "fingerprint")
         );
     });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Pairs that a lossy file name would send to one journal — tenant `a`
+/// with key `b-c` beside tenant `a-b` with key `c` (the separator inside
+/// a name), and tenants `x/y` and `x_y` with key `k` (an unsafe byte
+/// beside its replacement) — each journal apart: every first submit
+/// starts fresh and leaves a file of its own.
+#[test]
+fn colliding_tenant_and_key_pairs_get_journals_of_their_own() {
+    let dir = temp_dir("collide");
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    with_daemon(handler(Some(dir.clone())), TenantLedger::new(), |addr| {
+        for (tenant, key) in [("a", "b-c"), ("a-b", "c"), ("x/y", "k"), ("x_y", "k")] {
+            let extra = vec![
+                ("journal_key", Json::Str(key.to_string())),
+                ("scale", Json::Num(0.1)),
+            ];
+            let reply = submit(addr, &submit_body(tenant, "Adult", extra));
+            assert_eq!(
+                str_field(&reply, "journal"),
+                "fresh",
+                "tenant {tenant:?}, key {key:?}: {}",
+                reply.to_json()
+            );
+        }
+    });
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("journal dir")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files,
+        [
+            "a%2Db-c.jsonl",
+            "a-b-c.jsonl",
+            "x%2Fy-k.jsonl",
+            "x_y-k.jsonl"
+        ]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
