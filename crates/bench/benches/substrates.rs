@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the substrates: tokenizer throughput, embedding,
-//! k-means, string similarity, prompt assembly, and one simulated-model
-//! call.
+//! k-means, string similarity, prompt assembly, one simulated-model call,
+//! and that call's batch-homogeneity share.
 //!
 //! Run with `cargo bench -p dprep-bench --bench substrates`.
 
@@ -8,6 +8,8 @@ use std::sync::Arc;
 
 use dprep_bench::timing::{bench, black_box, section};
 use dprep_embed::{kmeans, HashedNgramEmbedder};
+use dprep_llm::comprehend::comprehend;
+use dprep_llm::solvers::batch_homogeneity;
 use dprep_llm::{ChatModel, ChatRequest, Fact, KnowledgeBase, ModelProfile, SimulatedLlm};
 use dprep_prompt::{build_request, PromptConfig, Task, TaskInstance};
 use dprep_tabular::csv::read_csv_typed;
@@ -74,6 +76,10 @@ fn main() {
     let request = detect_request();
     bench("simulator/ed_chat_batch15", || {
         model.chat(black_box(&request))
+    });
+    let questions = comprehend(&request).questions;
+    bench("simulator/batch_homogeneity_ed15", || {
+        batch_homogeneity(black_box(&questions))
     });
 }
 

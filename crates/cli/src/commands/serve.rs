@@ -110,9 +110,12 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
             .get("seed")
             .and_then(Json::as_usize)
             .map_or(defaults.seed, |s| s as u64);
-        let retries = match body.get("retries").and_then(Json::as_usize) {
-            Some(retries) => check_retries(retries)?,
-            None => defaults.retries,
+        // A whole number past the exact range is past any retry bound.
+        let retries = match body.get("retries") {
+            Some(retries) if retries.is_whole() => {
+                check_retries(retries.as_usize().unwrap_or(usize::MAX))?
+            }
+            _ => defaults.retries,
         };
         let shard_size = body
             .get("plan_shard_size")

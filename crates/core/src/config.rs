@@ -109,8 +109,10 @@ pub struct PipelineConfig {
     pub fit_context: bool,
     /// Seed for batching shuffles.
     pub seed: u64,
-    /// Worker threads the executor dispatches batch requests across
-    /// (1 = serial). Results are bit-identical at any worker count.
+    /// Worker threads the executor dispatches batch requests across, and
+    /// the plan survey renders and fingerprints batches on (1 = serial in
+    /// the calling thread; neither spawns more threads than it has work
+    /// items). Results are bit-identical at any worker count.
     pub workers: usize,
     /// Plan shard size: when set (and > 0), the run plans and executes in
     /// shards of this many batches, bounding planner memory by the shard

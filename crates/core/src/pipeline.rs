@@ -187,7 +187,8 @@ impl<'a, M: ChatModel + ?Sized> Preprocessor<'a, M> {
 
     /// Overrides the executor options wholesale (deadline, token budget,
     /// batch degradation, workers). When set, the override's `workers`
-    /// field wins over [`PipelineConfig::workers`].
+    /// field wins over [`PipelineConfig::workers`], for the plan survey as
+    /// for the executor.
     pub fn with_exec_options(mut self, options: ExecutionOptions) -> Self {
         self.exec_options = Some(options);
         self
@@ -278,7 +279,13 @@ impl<'a, M: ChatModel + ?Sized> Preprocessor<'a, M> {
             Some(shard_size) => shard_size,
             None => usize::MAX,
         };
-        let mut stream = PlanStream::new(self.model, &self.config, instances, examples, shard_size);
+        // The survey renders on as many threads as the executor dispatches
+        // on, whichever of the two set that count.
+        let config = PipelineConfig {
+            workers: options.workers,
+            ..self.config.clone()
+        };
+        let mut stream = PlanStream::new(self.model, &config, instances, examples, shard_size);
         executor.try_run_stream(self.model, &mut stream)
     }
 }

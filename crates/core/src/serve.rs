@@ -463,7 +463,8 @@ pub struct OverloadSnapshot {
 /// What the scheduler grants an admitted job: its id, its turnstile gate
 /// (wire it into the executor with `with_shard_gate`), its effective
 /// execution options — the requested options with `token_budget` clamped
-/// to the tenant's remaining allowance — and its drain halt.
+/// to the tenant's remaining allowance and `workers` to the job's
+/// turnstile share — and its drain halt.
 pub struct JobGrant {
     /// Job id (per-scheduler, starts at 1).
     pub job: u64,
@@ -846,13 +847,18 @@ impl JobScheduler {
         if self.draining() {
             halt.trigger();
         }
+        // A job runs on no more threads than its turnstile share: the
+        // survey spans the whole plan, not one shard, so an unclamped
+        // count would spawn a thread per batch.
+        let gate = self.turnstile.register(job, requested.workers);
         let grant = JobGrant {
             job,
-            gate: Arc::new(self.turnstile.register(job, requested.workers)),
             options: ExecutionOptions {
+                workers: gate.share,
                 token_budget: effective_budget,
                 ..requested
             },
+            gate: Arc::new(gate),
             halt,
         };
         self.tracer.record(&TraceEvent::JobAccepted {
@@ -2070,6 +2076,32 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["job_accepted", "job_completed", "job_rejected"]);
         assert_eq!(scheduler.active_jobs(), 0);
+    }
+
+    /// A job asking for 2^40 workers is granted the turnstile's limit, the
+    /// machine's available parallelism, like its share: the body only
+    /// records the grant, so nothing is spawned.
+    #[test]
+    fn granted_workers_are_clamped_to_the_turnstile_share() {
+        let scheduler = JobScheduler::new(TenantLedger::new());
+        let limit = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (asked, granted) in [(1 << 40, limit), (0, 1), (1, 1)] {
+            let mut seen = None;
+            scheduler
+                .run_job(
+                    "t",
+                    ExecutionOptions {
+                        workers: asked,
+                        ..ExecutionOptions::default()
+                    },
+                    |grant| {
+                        seen = Some(grant.options.workers);
+                        Ok(JobOutcome::default())
+                    },
+                )
+                .unwrap();
+            assert_eq!(seen, Some(granted), "asked for {asked}");
+        }
     }
 
     /// An outcome that bills `tokens` at a flat 0.01 $/token.

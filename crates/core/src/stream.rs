@@ -12,20 +12,31 @@
 //! The stream is built in a **survey pass** and consumed in a **render
 //! pass**:
 //!
-//! 1. **Survey** ([`PlanStream::new`]): walk every batch in plan order,
-//!    render its request and fingerprint it for dedup. What survives is
-//!    O(batches) indices and O(unique) `u64`s: the batch→unique-request
-//!    map, the unique fingerprint list (hence the global plan fingerprint,
-//!    known **before** any dispatch, so the journal header and resume
-//!    check need no shard), per-unique batch/instance totals, and each
-//!    unique request's last referencing batch (the executor's
-//!    response-retention horizon). The survey keeps the rendered requests
-//!    its first shard will yield and drops every other render.
+//! 1. **Survey** ([`PlanStream::new`]): render every batch's request and
+//!    fingerprint it for dedup, then walk the fingerprints in plan order.
+//!    Rendering and fingerprinting run on the run's worker threads
+//!    ([`PipelineConfig::workers`]): the batches are cut into at most that
+//!    many contiguous chunks, the calling thread surveys the first and one
+//!    scoped thread each of the others, so one worker or one batch spawns
+//!    no thread. Each chunk keeps only the renders of batches in the first
+//!    shard. The dedup walk is serial, in plan order, so what survives is
+//!    the same at any worker count: O(batches) indices and O(unique)
+//!    `u64`s — the batch→unique-request map, the unique fingerprint list
+//!    (hence the global plan fingerprint, known **before** any dispatch,
+//!    so the journal header and resume check need no shard), per-unique
+//!    batch/instance totals, and each unique request's last referencing
+//!    batch (the executor's response-retention horizon) — plus the
+//!    rendered requests its first shard will yield. Every other render is
+//!    dropped.
 //! 2. **Render** ([`PlanStream::next_shard`]): hand the requests *first
 //!    seen* in the next `shard_size` batches to the executor as a
 //!    [`PlanShard`]. The first shard's come from the survey; later shards
-//!    re-render theirs, and a `debug_assert` checks each re-render against
-//!    the surveyed fingerprint.
+//!    re-render theirs on the calling thread, and a `debug_assert` checks
+//!    each re-render against the surveyed fingerprint.
+//!
+//! The `prompt-build` stage times the survey's render-and-fingerprint
+//! phase as wall time, plus the later shards' re-renders; the `plan` stage
+//! times batching, the dedup walk and the shard bookkeeping.
 //!
 //! Deduplication order, fingerprints, sections, and batch membership do
 //! not depend on the shard size: every shard size walks the same
@@ -33,7 +44,7 @@
 //! price of bounded memory is one extra render per unique request outside
 //! the first shard, so a one-shard plan renders every batch exactly once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use dprep_llm::{request_fingerprint, ChatModel, ChatRequest};
 use dprep_prompt::{make_batches, FewShotExample, PromptConfig, PromptContext, TaskInstance};
@@ -83,7 +94,7 @@ pub struct PlanStream<'a> {
     /// The requests first seen in the first shard, with their section
     /// counts, rendered by the survey and kept so that shard is not
     /// rendered twice.
-    first_renders: Vec<(ChatRequest, [usize; 5])>,
+    first_renders: Vec<Render>,
     /// Next batch to yield.
     cursor: usize,
     /// Next unique request to render (first-occurrence order).
@@ -96,9 +107,10 @@ pub struct PlanStream<'a> {
     /// Wall-clock seconds deciding batch membership and dedup, aggregated
     /// across the survey pass and every shard yielded so far.
     plan_wall_secs: f64,
-    /// Wall-clock seconds rendering prompts, aggregated the same way.
+    /// Wall-clock seconds rendering and fingerprinting prompts (the
+    /// survey's pool phase) and re-rendering later shards.
     prompt_build_wall_secs: f64,
-    /// Scratch buffer of instance refs, reused for every batch render.
+    /// Scratch buffer of instance refs, reused for every shard re-render.
     scratch_refs: Vec<&'a TaskInstance>,
 }
 
@@ -106,7 +118,10 @@ impl<'a> PlanStream<'a> {
     /// Surveys the whole plan (batching, dedup, fingerprints), keeping
     /// only the first shard's rendered requests, ready to yield shards of
     /// `shard_size` batches. `shard_size` is clamped to at least 1;
-    /// `usize::MAX` makes the whole plan one shard.
+    /// `usize::MAX` makes the whole plan one shard. Renders and
+    /// fingerprints run on `config.workers` threads, never more than there
+    /// are batches (see the module docs); the result does not depend on
+    /// the count.
     pub fn new<M: ChatModel + ?Sized>(
         model: &M,
         config: &PipelineConfig,
@@ -124,11 +139,28 @@ impl<'a> PlanStream<'a> {
         let strategy = effective_strategy(model, config, instances, shots);
 
         let plan_started = std::time::Instant::now();
-        let context_started = std::time::Instant::now();
-        let context = PromptContext::new(&prompt_config, shots);
-        let mut prompt_build_wall_secs = context_started.elapsed().as_secs_f64();
-
         let batches = make_batches(instances, &strategy, config.seed);
+        let pool_started = std::time::Instant::now();
+        let context = PromptContext::new(&prompt_config, shots);
+        let (keys, mut renders) = survey_renders(
+            model,
+            &context,
+            instances,
+            &batches,
+            config.temperature,
+            shard_size,
+            config.workers,
+        );
+        let prompt_build_wall_secs = pool_started.elapsed().as_secs_f64();
+
+        // The dedup walk: serial, in plan order, so unique numbering and
+        // every per-unique total are what a one-thread survey produces.
+        // Dedup key: everything that determines a deterministic model's
+        // response — the same fingerprint `CacheLayer` memoizes by. Both
+        // resolve the temperature first, so an unset `None` and an explicit
+        // default can never defeat dedup on one side only. Deduping here
+        // (not in a cache layer racing under the executor) keeps hit counts
+        // worker-independent.
         let mut batch_request = Vec::with_capacity(batches.len());
         let mut fingerprints: Vec<u64> = Vec::new();
         let mut last_batch_of: Vec<usize> = Vec::new();
@@ -136,28 +168,10 @@ impl<'a> PlanStream<'a> {
         let mut instances_per: Vec<usize> = Vec::new();
         let mut first_renders = Vec::new();
         let mut seen: HashMap<u64, usize> = HashMap::new();
-        let mut scratch_refs: Vec<&'a TaskInstance> = Vec::new();
-        for (batch_idx, batch) in batches.iter().enumerate() {
-            scratch_refs.clear();
-            scratch_refs.extend(batch.iter().map(|&i| &instances[i]));
-            let build_started = std::time::Instant::now();
-            let (mut request, sections) = context.build(&scratch_refs);
-            prompt_build_wall_secs += build_started.elapsed().as_secs_f64();
-            if let Some(t) = config.temperature {
-                request = request.with_temperature(t);
-            }
-            // Dedup key: everything that determines a deterministic model's
-            // response — the same fingerprint `CacheLayer` memoizes by.
-            // Both resolve the temperature first, so an unset `None` and an
-            // explicit default can never defeat dedup on one side only.
-            // Deduping here (not in a cache layer racing under the
-            // executor) keeps hit counts worker-independent. Outside the
-            // first shard the rendered request dies here — only the key
-            // and the bookkeeping survive the survey.
-            let key = request_fingerprint(model, &request);
+        for (batch_idx, (batch, &key)) in batches.iter().zip(&keys).enumerate() {
             let request_index = *seen.entry(key).or_insert_with(|| {
-                if batch_idx < shard_size {
-                    first_renders.push((request, sections.as_array()));
+                if let Some(kept) = renders.get_mut(batch_idx) {
+                    first_renders.push(kept.take().expect("a first occurrence keeps its render"));
                 }
                 fingerprints.push(key);
                 last_batch_of.push(batch_idx);
@@ -170,6 +184,8 @@ impl<'a> PlanStream<'a> {
             instances_per[request_index] += batch.len();
             batch_request.push(request_index);
         }
+        // What is left are renders of repeats: they die with the survey.
+        drop(renders);
 
         PlanStream {
             shard_size,
@@ -190,7 +206,7 @@ impl<'a> PlanStream<'a> {
             plan_wall_secs: (plan_started.elapsed().as_secs_f64() - prompt_build_wall_secs)
                 .max(0.0),
             prompt_build_wall_secs,
-            scratch_refs,
+            scratch_refs: Vec::new(),
         }
     }
 
@@ -357,11 +373,78 @@ impl<'a> PlanStream<'a> {
         self.plan_wall_secs
     }
 
-    /// Wall-clock seconds spent rendering prompts, across the survey and
-    /// every shard yielded so far.
+    /// Wall-clock seconds spent rendering prompts, across the survey (its
+    /// render-and-fingerprint phase, fingerprints included) and every
+    /// shard yielded so far.
     pub fn prompt_build_wall_secs(&self) -> f64 {
         self.prompt_build_wall_secs
     }
+}
+
+/// A rendered request with its prompt-component token counts.
+type Render = (ChatRequest, [usize; 5]);
+
+/// Renders and fingerprints every batch: the survey's pool phase. Returns
+/// each batch's dedup key, in plan order, and the renders of the batches in
+/// the first shard (`None` for a batch that repeats an earlier batch of
+/// its chunk, which cannot be a first occurrence).
+///
+/// The batches are cut into at most `workers` contiguous chunks, one per
+/// thread; the calling thread surveys the first, so one worker or one
+/// batch spawns no thread. Each batch's key and render depend on the batch
+/// alone, so the result is the same at any worker count.
+fn survey_renders<M: ChatModel + ?Sized>(
+    model: &M,
+    context: &PromptContext,
+    instances: &[TaskInstance],
+    batches: &[Vec<usize>],
+    temperature: Option<f64>,
+    shard_size: usize,
+    workers: usize,
+) -> (Vec<u64>, Vec<Option<Render>>) {
+    let chunk = |first: usize, part: &[Vec<usize>]| {
+        let mut keys = Vec::with_capacity(part.len());
+        let mut renders = Vec::new();
+        let mut kept = HashSet::new();
+        let mut refs: Vec<&TaskInstance> = Vec::new();
+        for (batch_idx, batch) in (first..).zip(part) {
+            refs.clear();
+            refs.extend(batch.iter().map(|&i| &instances[i]));
+            let (mut request, sections) = context.build(&refs);
+            if let Some(t) = temperature {
+                request = request.with_temperature(t);
+            }
+            let key = request_fingerprint(model, &request);
+            keys.push(key);
+            // Outside the first shard the render dies here: only the key
+            // survives the survey.
+            if batch_idx < shard_size {
+                renders.push(kept.insert(key).then(|| (request, sections.as_array())));
+            }
+        }
+        (keys, renders)
+    };
+    let threads = workers.clamp(1, batches.len().max(1));
+    if threads == 1 {
+        return chunk(0, batches);
+    }
+    let len = batches.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let chunk = &chunk;
+        let rest: Vec<_> = batches
+            .chunks(len)
+            .enumerate()
+            .skip(1)
+            .map(|(c, part)| scope.spawn(move || chunk(c * len, part)))
+            .collect();
+        let (mut keys, mut renders) = chunk(0, &batches[..len]);
+        for handle in rest {
+            let (more_keys, more_renders) = handle.join().expect("survey thread panicked");
+            keys.extend(more_keys);
+            renders.extend(more_renders);
+        }
+        (keys, renders)
+    })
 }
 
 /// The batching strategy a run actually uses: the configured strategy with
@@ -462,55 +545,75 @@ mod tests {
 
     /// Reassembling every shard must reproduce the materialized plan
     /// byte-for-byte: batches, requests, sections, fingerprints, and the
-    /// global plan fingerprint.
+    /// global plan fingerprint — at every survey worker count, against a
+    /// one-worker plan. A survey keeps the renders of its first shard's
+    /// unique requests and no others.
     #[test]
     fn shards_reassemble_into_the_materialized_plan() {
         let model = EchoModel;
-        let config = config();
         // batch_size 1 on duplicated instances also exercises dedup.
         for (n, dup_every, shard_size) in
             [(10, 0, 1), (10, 0, 2), (23, 0, 4), (23, 0, 100), (12, 3, 2)]
         {
-            let mut config = config.clone();
+            let mut config = config();
             if dup_every > 0 {
                 config.components.batching = false;
             }
             let instances = em_instances(n, dup_every);
             let plan = ExecutionPlan::build(&model, &config, &instances, &[]);
-            let mut stream = PlanStream::new(&model, &config, &instances, &[], shard_size);
-            assert_eq!(stream.fingerprint(), plan.fingerprint());
-            assert_eq!(stream.n_batches(), plan.batches().len());
-            assert_eq!(stream.n_requests(), plan.requests().len());
-            assert_eq!(stream.deduped_batches(), plan.deduped_batches());
-
-            let mut batches = Vec::new();
-            let mut requests = Vec::new();
-            let mut sections = Vec::new();
-            let mut fingerprints = Vec::new();
-            while let Some(shard) = stream.next_shard(&model) {
-                assert_eq!(shard.first_batch, batches.len());
-                assert_eq!(shard.first_request, requests.len());
-                assert!(shard.batches.len() <= shard_size.max(1));
-                batches.extend(shard.batches);
-                requests.extend(shard.requests);
-                sections.extend(shard.sections);
-                fingerprints.extend(shard.fingerprints);
-            }
-            for (streamed, planned) in batches.iter().zip(plan.batches()) {
-                assert_eq!(streamed.instance_indices, planned.instance_indices);
-                assert_eq!(streamed.request_index, planned.request_index);
-            }
-            assert_eq!(batches.len(), plan.batches().len());
-            assert_eq!(requests.len(), plan.requests().len());
-            for (streamed, planned) in requests.iter().zip(plan.requests()) {
-                assert_eq!(streamed.messages.len(), planned.messages.len());
-                for (a, b) in streamed.messages.iter().zip(&planned.messages) {
-                    assert_eq!(a.content, b.content);
+            for workers in [1, 2, 3, 1 << 40] {
+                let config = PipelineConfig {
+                    workers,
+                    ..config.clone()
+                };
+                let at = format!("n {n}, shard {shard_size}, workers {workers}");
+                let pooled = ExecutionPlan::build(&model, &config, &instances, &[]);
+                assert_eq!(pooled.fingerprint(), plan.fingerprint(), "{at}");
+                assert_eq!(pooled.fingerprints(), plan.fingerprints(), "{at}");
+                let mut stream = PlanStream::new(&model, &config, &instances, &[], shard_size);
+                assert_eq!(stream.fingerprint(), plan.fingerprint(), "{at}");
+                assert_eq!(stream.n_batches(), plan.batches().len(), "{at}");
+                assert_eq!(stream.n_requests(), plan.requests().len(), "{at}");
+                assert_eq!(stream.deduped_batches(), plan.deduped_batches(), "{at}");
+                let first_shard = &stream.batch_request[..shard_size.min(stream.n_batches())];
+                let first_uniques: HashSet<_> = first_shard.iter().collect();
+                assert_eq!(stream.first_renders.len(), first_uniques.len(), "{at}");
+                if shard_size < stream.n_batches() {
+                    assert!(stream.first_renders.len() < stream.n_requests(), "{at}");
                 }
-                assert_eq!(streamed.prompt_tokens_hint, planned.prompt_tokens_hint);
+
+                let mut batches = Vec::new();
+                let mut requests = Vec::new();
+                let mut sections = Vec::new();
+                let mut fingerprints = Vec::new();
+                while let Some(shard) = stream.next_shard(&model) {
+                    assert_eq!(shard.first_batch, batches.len(), "{at}");
+                    assert_eq!(shard.first_request, requests.len(), "{at}");
+                    assert!(shard.batches.len() <= shard_size.max(1), "{at}");
+                    batches.extend(shard.batches);
+                    requests.extend(shard.requests);
+                    sections.extend(shard.sections);
+                    fingerprints.extend(shard.fingerprints);
+                }
+                for (streamed, planned) in batches.iter().zip(plan.batches()) {
+                    assert_eq!(streamed.instance_indices, planned.instance_indices, "{at}");
+                    assert_eq!(streamed.request_index, planned.request_index, "{at}");
+                }
+                assert_eq!(batches.len(), plan.batches().len(), "{at}");
+                assert_eq!(requests.len(), plan.requests().len(), "{at}");
+                for (streamed, planned) in requests.iter().zip(plan.requests()) {
+                    assert_eq!(streamed.messages.len(), planned.messages.len(), "{at}");
+                    for (a, b) in streamed.messages.iter().zip(&planned.messages) {
+                        assert_eq!(a.content, b.content, "{at}");
+                    }
+                    assert_eq!(
+                        streamed.prompt_tokens_hint, planned.prompt_tokens_hint,
+                        "{at}"
+                    );
+                }
+                assert_eq!(sections, plan.sections(), "{at}");
+                assert_eq!(fingerprints, plan.fingerprints(), "{at}");
             }
-            assert_eq!(sections, plan.sections());
-            assert_eq!(fingerprints, plan.fingerprints());
         }
     }
 

@@ -127,12 +127,18 @@ fn assert_identical(result: &RunResult, reference: &RunResult, label: &str) {
 fn streaming_matches_materialized_at_every_shard_size_and_worker_count() {
     let model = FlakyModel { skip: 2 };
     let instances = em_instances(23, 5);
-    let config = config(3);
+    let mut one_worker: Option<RunResult> = None;
     for workers in [1usize, 4] {
         let options = ExecutionOptions {
             workers,
             degrade: true,
             ..ExecutionOptions::default()
+        };
+        // The survey renders on the executor's worker count, as
+        // `Preprocessor::try_run` sets it up.
+        let config = PipelineConfig {
+            workers,
+            ..config(3)
         };
         let plan = ExecutionPlan::build(&model, &config, &instances, &[]);
         let reference = Executor::new(options).run(&model, &plan);
@@ -140,6 +146,8 @@ fn streaming_matches_materialized_at_every_shard_size_and_worker_count() {
             reference.stats.splits > 0,
             "workload must exercise the ladder"
         );
+        let one_worker = one_worker.get_or_insert_with(|| reference.clone());
+        assert_identical(&reference, one_worker, &format!("workers={workers}"));
         for shard_size in [1usize, 2, 3, 7, 1000] {
             let audit = Arc::new(AuditTracer::new());
             let mut stream = PlanStream::new(&model, &config, &instances, &[], shard_size);

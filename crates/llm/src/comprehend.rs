@@ -50,8 +50,6 @@ pub struct Question {
     pub instances: Vec<ParsedInstance>,
     /// Target attribute named in the question, if any.
     pub target_attribute: Option<String>,
-    /// Raw question text.
-    pub text: String,
 }
 
 /// Everything the model understood about a request.
@@ -118,10 +116,11 @@ fn detect_target_attribute(text: &str) -> Option<String> {
 }
 
 /// Splits a message body on `"{prefix} {number}:"` markers, returning
-/// `(number, segment)` pairs. Text before the first marker is ignored;
-/// if no marker exists the whole body is one segment numbered 1.
-fn split_numbered(body: &str, prefix: &str) -> Vec<(usize, String)> {
-    let mut segments: Vec<(usize, String)> = Vec::new();
+/// `(number, segment)` pairs, each segment trimmed. Text before the first
+/// marker is ignored; if no marker exists the whole body is one segment
+/// numbered 1.
+fn split_numbered<'a>(body: &'a str, prefix: &str) -> Vec<(usize, &'a str)> {
+    let mut segments: Vec<(usize, &str)> = Vec::new();
     let mut cursor = 0usize;
     let mut current: Option<(usize, usize)> = None; // (number, start)
     let marker = format!("{prefix} ");
@@ -133,7 +132,7 @@ fn split_numbered(body: &str, prefix: &str) -> Vec<(usize, String)> {
         let after_digits = &after[digits.len()..];
         if !digits.is_empty() && after_digits.starts_with(':') {
             if let Some((num, start)) = current.take() {
-                segments.push((num, body[start..at].trim().to_string()));
+                segments.push((num, body[start..at].trim()));
             }
             let number: usize = digits.parse().unwrap_or(0);
             let content_start = at + marker.len() + digits.len() + 1;
@@ -144,12 +143,12 @@ fn split_numbered(body: &str, prefix: &str) -> Vec<(usize, String)> {
         }
     }
     if let Some((num, start)) = current {
-        segments.push((num, body[start..].trim().to_string()));
+        segments.push((num, body[start..].trim()));
     }
     if segments.is_empty() {
         let trimmed = body.trim();
         if !trimmed.is_empty() {
-            segments.push((1, trimmed.to_string()));
+            segments.push((1, trimmed));
         }
     }
     segments
@@ -212,10 +211,10 @@ pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt {
             let questions = split_numbered(&non_system[i].content, "Question");
             let answers = split_numbered(&non_system[i + 1].content, "Answer");
             for (q, a) in questions.iter().zip(answers.iter()) {
-                let (reason, answer) = parse_answer_segment(&a.1);
+                let (reason, answer) = parse_answer_segment(a.1);
                 examples.push(Example {
-                    instances: extract_instances(&q.1),
-                    target_attribute: detect_target_attribute(&q.1),
+                    instances: extract_instances(q.1),
+                    target_attribute: detect_target_attribute(q.1),
                     reason,
                     answer,
                 });
@@ -234,9 +233,8 @@ pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt {
             for (number, text) in split_numbered(&last.content, "Question") {
                 questions.push(Question {
                     number,
-                    instances: extract_instances(&text),
-                    target_attribute: detect_target_attribute(&text),
-                    text,
+                    instances: extract_instances(text),
+                    target_attribute: detect_target_attribute(text),
                 });
             }
         }
@@ -410,8 +408,8 @@ mod tests {
     fn split_numbered_handles_noise() {
         let segs = split_numbered("preamble Question 1: first Question 2: second", "Question");
         assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0], (1, "first".to_string()));
-        assert_eq!(segs[1], (2, "second".to_string()));
+        assert_eq!(segs[0], (1, "first"));
+        assert_eq!(segs[1], (2, "second"));
         // "Question" not followed by "<digits>:" is not a marker.
         let segs = split_numbered("the Question here Question 1: real", "Question");
         assert_eq!(segs.len(), 1);

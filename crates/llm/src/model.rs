@@ -118,10 +118,12 @@ impl ChatModel for SimulatedLlm {
             self.seed ^ stable_hash(request.retry_salt, self.profile.name.as_bytes()),
             &full_text,
         );
-        let prompt = comprehend(request);
+        let mut prompt = comprehend(request);
 
-        // Context overflow: only the questions that fit are answered.
-        let mut questions = prompt.questions.clone();
+        // Context overflow: only the questions that fit are answered. The
+        // questions move out of the prompt: from here on they are read
+        // from `questions` alone.
+        let mut questions = std::mem::take(&mut prompt.questions);
         if context_fill > 1.0 && !questions.is_empty() {
             let keep = ((questions.len() as f64 / context_fill).floor() as usize).max(1);
             questions.truncate(keep);

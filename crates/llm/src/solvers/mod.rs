@@ -21,6 +21,7 @@ pub mod ed;
 pub mod em;
 pub mod sm;
 
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::comprehend::{ComprehendedPrompt, Question, TaskKind};
@@ -29,7 +30,7 @@ use crate::profile::ModelProfile;
 use crate::rng::gaussian;
 use crate::rng::Rng;
 use dprep_tabular::context::ParsedInstance;
-use dprep_text::WordSet;
+use dprep_text::normalize_into;
 
 /// One solved question: the final answer line and the reasoning line.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +52,8 @@ pub struct SolverContext<'a> {
     /// The model's view of its memorized lexicons, built on first use by
     /// [`known_lexicon`](SolverContext::known_lexicon).
     pub lexicons: &'a OnceLock<LexiconView>,
-    /// The comprehended prompt (components, examples).
+    /// The comprehended prompt (components, examples). Its questions are
+    /// the ones [`solve`] is handed; the model moves them out first.
     pub prompt: &'a ComprehendedPrompt,
     /// Effective decision-noise standard deviation for this request.
     pub sigma: f64,
@@ -170,23 +172,67 @@ pub fn calibrate_threshold(
 /// effective noise (the paper observes the LLM "identifies commonalities in
 /// questions and generates consistent solutions").
 ///
-/// Each question's word set is built once per request — `k` builds for a
-/// batch of `k` questions, not two per pair — and each pair is one merge of
-/// two sorted word lists, so the normalizing and allocating work of a
-/// request is linear in its batch.
+/// The request's instance values are normalized once, into one buffer.
+/// Each distinct word gets an id and each question one bitset row over
+/// those ids, so a pair's intersection is a few `AND`s and popcounts. The
+/// pairs are summed in the same order, with the same integer counts, as
+/// [`WordSet::jaccard`](dprep_text::WordSet::jaccard) over each question's
+/// word set, so the result is bit-identical to that form.
 pub fn batch_homogeneity(questions: &[Question]) -> f64 {
     if questions.len() < 2 {
         return 0.0;
     }
-    let sets: Vec<WordSet> = questions
-        .iter()
-        .map(|q| WordSet::from_texts(q.instances.iter().flat_map(ParsedInstance::values)))
+    // Question `q`'s words are the space-separated words of
+    // `text[ends[q - 1]..ends[q]]`.
+    let mut text = String::new();
+    let mut ends = Vec::with_capacity(questions.len());
+    for question in questions {
+        for value in question.instances.iter().flat_map(ParsedInstance::values) {
+            normalize_into(value, &mut text);
+            text.push(' ');
+        }
+        ends.push(text.len());
+    }
+    let mut ids: HashMap<&str, usize> = HashMap::new();
+    let mut word_ids = Vec::new();
+    let mut id_ends = Vec::with_capacity(questions.len());
+    let mut start = 0;
+    for &end in &ends {
+        for word in text[start..end].split(' ').filter(|w| !w.is_empty()) {
+            let next = ids.len();
+            word_ids.push(*ids.entry(word).or_insert(next));
+        }
+        id_ends.push(word_ids.len());
+        start = end;
+    }
+    let width = ids.len().div_ceil(64);
+    let mut rows = vec![0u64; questions.len() * width];
+    let mut start = 0;
+    for (q, &end) in id_ends.iter().enumerate() {
+        let row = &mut rows[q * width..(q + 1) * width];
+        for &id in &word_ids[start..end] {
+            row[id / 64] |= 1 << (id % 64);
+        }
+        start = end;
+    }
+    let row = |q: usize| &rows[q * width..(q + 1) * width];
+    let sizes: Vec<usize> = (0..questions.len())
+        .map(|q| row(q).iter().map(|w| w.count_ones() as usize).sum())
         .collect();
     let mut total = 0.0;
     let mut pairs = 0usize;
-    for (i, a) in sets.iter().enumerate() {
-        for b in &sets[i + 1..] {
-            total += a.jaccard(b);
+    for i in 0..questions.len() {
+        for j in i + 1..questions.len() {
+            total += if sizes[i] == 0 && sizes[j] == 0 {
+                1.0
+            } else {
+                let shared: usize = row(i)
+                    .iter()
+                    .zip(row(j))
+                    .map(|(a, b)| (a & b).count_ones() as usize)
+                    .sum();
+                shared as f64 / (sizes[i] + sizes[j] - shared) as f64
+            };
             pairs += 1;
         }
     }
@@ -257,24 +303,33 @@ mod tests {
     }
 
     /// A seeded batch of `k` questions: one or two instances each, fields
-    /// missing at random, values drawn with repetition from words with
-    /// case, punctuation and multi-byte variants, and some questions
-    /// repeating an earlier one verbatim.
+    /// missing at random, and values drawn with repetition from words with
+    /// case, punctuation and multi-byte variants and from numbered tokens,
+    /// so that a large batch holds more than 64, or more than 128, distinct
+    /// words (one, two or three bitset words per question). Some questions
+    /// repeat an earlier one verbatim.
     fn random_batch(rng: &mut Rng, k: usize) -> Vec<Question> {
         const WORDS: &str = "apple|Apple|APPLE!|iphone|12|12gb|café|CAFÉ|cafe|东京|东|é|É|St.|\
                              John's|a-b|new york|New-York|x||  |...|İstanbul|straße";
         let words: Vec<&str> = WORDS.split('|').collect();
+        let word = |rng: &mut Rng| {
+            if rng.bool(0.7) {
+                format!("Tok{}", rng.range_usize(0, 1000))
+            } else {
+                rng.choose(&words).expect("words").to_string()
+            }
+        };
         let mut batch: Vec<Question> = Vec::with_capacity(k);
         for number in 1..=k {
             let instances = match batch.get(rng.range_usize(0, batch.len().max(1))) {
                 Some(earlier) if rng.bool(0.2) => earlier.instances.clone(),
                 _ => (0..rng.range_incl(1usize, 2))
                     .map(|_| ParsedInstance {
-                        fields: (0..rng.range_incl(0usize, 4))
+                        fields: (0..rng.range_incl(0usize, 6))
                             .map(|f| {
                                 let value = (!rng.bool(0.2)).then(|| {
-                                    (0..rng.range_incl(0usize, 5))
-                                        .map(|_| *rng.choose(&words).expect("words"))
+                                    (0..rng.range_incl(0usize, 8))
+                                        .map(|_| word(rng))
                                         .collect::<Vec<_>>()
                                         .join(" ")
                                 });
@@ -288,7 +343,6 @@ mod tests {
                 number,
                 instances,
                 target_attribute: None,
-                text: String::new(),
             });
         }
         batch
@@ -297,6 +351,8 @@ mod tests {
     #[test]
     fn homogeneity_is_bit_equal_to_the_pairwise_hash_set_formula() {
         let mut rng = Rng::seed_from_u64(0x4f0d_7a11);
+        // Batches by distinct-word count: up to 64, 65..=128, over 128.
+        let mut widths = [0usize; 3];
         for k in 0..=20 {
             for _ in 0..6 {
                 let batch = random_batch(&mut rng, k);
@@ -306,6 +362,9 @@ mod tests {
                     "k = {k}: {batch:?}"
                 );
                 let texts = question_texts(&batch);
+                let distinct: HashSet<String> =
+                    texts.iter().flat_map(|t| normalized_words(t)).collect();
+                widths[(distinct.len().saturating_sub(1) / 64).min(2)] += 1;
                 for a in &texts {
                     for b in &texts {
                         assert_eq!(
@@ -322,6 +381,10 @@ mod tests {
                 }
             }
         }
+        assert!(
+            widths.iter().all(|&n| n >= 10),
+            "batches by width: {widths:?}"
+        );
     }
 
     #[test]
@@ -349,7 +412,6 @@ mod tests {
             number: 1,
             instances: vec![parse_instance(text).unwrap()],
             target_attribute: None,
-            text: text.to_string(),
         };
         let similar = vec![
             make_q("[title: \"apple iphone 12 black\"]"),

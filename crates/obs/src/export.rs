@@ -37,8 +37,9 @@ fn string<'a>(value: Option<&'a Json>, kind: &str, key: &str) -> Result<&'a str,
         .ok_or_else(|| missing(kind, "string", key))
 }
 
-/// Unsigned integers, rejected (not wrapped) when a line's value does not
-/// fit the field's type.
+/// Unsigned integers, rejected (not wrapped, rounded or saturated) when a
+/// line's value does not fit the field's type or is not exact as a JSON
+/// number (2^53 and past, see [`Json::as_usize`]).
 macro_rules! integer_fields {
     ($($ty:ty),*) => {$(
         impl WireField for $ty {
@@ -47,12 +48,14 @@ macro_rules! integer_fields {
             }
 
             fn read(value: Option<&Json>, kind: &str, key: &str) -> Result<Self, String> {
-                let n = value
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| missing(kind, "integer", key))?;
-                <$ty>::try_from(n).map_err(|_| {
+                let out_of_range = |n: &dyn std::fmt::Display| {
                     format!("{kind}: integer field {key:?} is out of range: {n}")
-                })
+                };
+                let n = value.and_then(Json::as_usize).ok_or_else(|| match value {
+                    Some(whole @ Json::Num(n)) if whole.is_whole() => out_of_range(n),
+                    _ => missing(kind, "integer", key),
+                })?;
+                <$ty>::try_from(n).map_err(|_| out_of_range(&n))
             }
         }
     )*};
@@ -597,6 +600,33 @@ mod tests {
                     "{kind}.{key} = {n}: {err}"
                 );
             }
+        }
+    }
+
+    /// A `u64` field past 2^53 would read back as a rounded neighbour, and
+    /// `1e30` as a saturated `u64::MAX`: both are refused as out of range,
+    /// naming the field, while 2^53 - 1 still round-trips.
+    #[test]
+    fn integers_past_two_to_the_53_are_rejected_not_rounded() {
+        let read = |line: &str| event_from_json(&Json::parse(line).unwrap());
+        let largest = TraceEvent::CacheHit {
+            request: 9_007_199_254_740_991,
+        };
+        assert_eq!(read(&event_to_json(&largest)), Ok(largest));
+        let rounded = event_to_json(&TraceEvent::CacheHit {
+            request: 9_007_199_254_740_993,
+        });
+        for line in [
+            rounded.as_str(),
+            "{\"event\":\"cache_hit\",\"request\":1e30}",
+        ] {
+            let err = read(line).unwrap_err();
+            assert!(
+                err.contains("cache_hit")
+                    && err.contains("\"request\"")
+                    && err.contains("out of range"),
+                "{line}: {err}"
+            );
         }
     }
 

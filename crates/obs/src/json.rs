@@ -51,6 +51,9 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// 2^53: every integer below it has an f64 of its own.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
 impl Json {
     /// The value under `key`, when this is an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -76,12 +79,21 @@ impl Json {
         }
     }
 
-    /// Integer view (numbers with no fractional part).
+    /// Integer view: a non-negative whole number below 2^53, where an f64
+    /// holds every integer exactly. Past it, the number read may be a
+    /// rounded neighbour of the one written (`9007199254740993` reads as
+    /// `…992`), so the view refuses it, as it refuses a fraction.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
+            Json::Num(n) if self.is_whole() && *n < EXACT_INTEGERS => Some(*n as usize),
             _ => None,
         }
+    }
+
+    /// Whether this is a non-negative whole number, of any size: a value
+    /// [`as_usize`](Self::as_usize) refuses only for being out of range.
+    pub fn is_whole(&self) -> bool {
+        matches!(self, Json::Num(n) if *n >= 0.0 && n.fract() == 0.0)
     }
 
     /// Array view.
@@ -464,6 +476,23 @@ mod tests {
     fn integers_render_without_exponent() {
         assert_eq!(Json::Num(1_000_000.0).to_json(), "1000000");
         assert_eq!(Json::Num(0.004).to_json(), "0.004");
+    }
+
+    #[test]
+    fn integers_are_exact_below_two_to_the_53() {
+        let read = |text: &str| Json::parse(text).unwrap();
+        assert_eq!(
+            read("9007199254740991").as_usize(),
+            Some(9_007_199_254_740_991)
+        );
+        for text in ["9007199254740992", "9007199254740993", "1e30"] {
+            assert_eq!(read(text).as_usize(), None, "{text}");
+            assert!(read(text).is_whole(), "{text}");
+        }
+        for text in ["1.5", "-1", "\"3\""] {
+            assert_eq!(read(text).as_usize(), None, "{text}");
+            assert!(!read(text).is_whole(), "{text}");
+        }
     }
 
     #[test]

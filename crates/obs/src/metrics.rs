@@ -182,27 +182,39 @@ impl Histogram {
 
     /// Parses a histogram serialized by [`to_json`](Self::to_json).
     pub fn from_json(value: &Json) -> Option<Histogram> {
-        let count = value.get("count")?.as_usize()? as u64;
+        let count = total(value.get("count")?)? as u64;
         let mut h = Histogram {
             count,
-            sum: value.get("sum")?.as_usize()? as u64,
+            sum: total(value.get("sum")?)? as u64,
             min: if count == 0 {
                 u64::MAX
             } else {
-                value.get("min")?.as_usize()? as u64
+                total(value.get("min")?)? as u64
             },
-            max: value.get("max")?.as_usize()? as u64,
+            max: total(value.get("max")?)? as u64,
             ..Histogram::default()
         };
         for pair in value.get("buckets")?.as_arr()? {
             let pair = pair.as_arr()?;
-            let index = pair.first()?.as_usize()?;
+            let index = total(pair.first()?)?;
             if index >= BUCKETS {
                 return None;
             }
-            h.buckets[index] = pair.get(1)?.as_usize()? as u64;
+            h.buckets[index] = total(pair.get(1)?)? as u64;
         }
         Some(h)
+    }
+}
+
+/// Reads a count a snapshot carries: any non-negative whole number,
+/// saturating at `usize::MAX`. A snapshot's totals saturate at that bound
+/// when folded (a histogram's at `u64::MAX`), and JSON writes either as
+/// 2^64, past the exact range of [`Json::as_usize`]; read back
+/// saturating, a saturated total is the value that was written.
+fn total(value: &Json) -> Option<usize> {
+    match value {
+        Json::Num(n) if value.is_whole() => Some(*n as usize),
+        _ => None,
     }
 }
 
@@ -260,13 +272,13 @@ impl RouteStats {
 
     fn from_json(value: &Json) -> Option<RouteStats> {
         Some(RouteStats {
-            legs: value.get("legs")?.as_usize()?,
-            served: value.get("served")?.as_usize()?,
-            escalated: value.get("escalated")?.as_usize()?,
-            shorted: value.get("shorted")?.as_usize()?,
-            retries: value.get("retries")?.as_usize()?,
-            prompt_tokens: value.get("prompt_tokens")?.as_usize()?,
-            completion_tokens: value.get("completion_tokens")?.as_usize()?,
+            legs: total(value.get("legs")?)?,
+            served: total(value.get("served")?)?,
+            escalated: total(value.get("escalated")?)?,
+            shorted: total(value.get("shorted")?)?,
+            retries: total(value.get("retries")?)?,
+            prompt_tokens: total(value.get("prompt_tokens")?)?,
+            completion_tokens: total(value.get("completion_tokens")?)?,
             cost_usd: value.get("cost_usd")?.as_f64()?,
         })
     }
@@ -455,30 +467,27 @@ impl MetricsSnapshot {
             for (k, v) in fields {
                 add(
                     out.entry(crate::component::intern_label(k)).or_insert(0),
-                    v.as_usize()?,
+                    total(v)?,
                 );
             }
             Some(out)
         };
         Some(MetricsSnapshot {
-            requests: value.get("requests")?.as_usize()?,
-            fresh_requests: value.get("fresh_requests")?.as_usize()?,
-            cache_hits: value.get("cache_hits")?.as_usize()?,
-            deduped: value.get("deduped")?.as_usize()?,
-            retries: value.get("retries")?.as_usize()?,
-            faulted: value.get("faulted")?.as_usize()?,
+            requests: total(value.get("requests")?)?,
+            fresh_requests: total(value.get("fresh_requests")?)?,
+            cache_hits: total(value.get("cache_hits")?)?,
+            deduped: total(value.get("deduped")?)?,
+            retries: total(value.get("retries")?)?,
+            faulted: total(value.get("faulted")?)?,
             // Absent in snapshots written before the chaos harness: treat
             // as zero so old baselines keep parsing.
-            cancelled: value.get("cancelled").and_then(Json::as_usize).unwrap_or(0),
-            batch_splits: value
-                .get("batch_splits")
-                .and_then(Json::as_usize)
-                .unwrap_or(0),
-            answered: value.get("answered")?.as_usize()?,
+            cancelled: value.get("cancelled").and_then(total).unwrap_or(0),
+            batch_splits: value.get("batch_splits").and_then(total).unwrap_or(0),
+            answered: total(value.get("answered")?)?,
             failures: map("failures")?,
             faults_injected: map("faults_injected")?,
-            prompt_tokens: value.get("prompt_tokens")?.as_usize()?,
-            completion_tokens: value.get("completion_tokens")?.as_usize()?,
+            prompt_tokens: total(value.get("prompt_tokens")?)?,
+            completion_tokens: total(value.get("completion_tokens")?)?,
             component_tokens: map("component_tokens")?,
             // Absent in snapshots written before the cascade router: an
             // un-routed run has no per-route rows.
@@ -495,18 +504,9 @@ impl MetricsSnapshot {
             },
             cost_usd: value.get("cost_usd")?.as_f64()?,
             // Absent in snapshots written before durable runs: zero.
-            journal_replayed: value
-                .get("journal_replayed")
-                .and_then(Json::as_usize)
-                .unwrap_or(0),
-            journal_written: value
-                .get("journal_written")
-                .and_then(Json::as_usize)
-                .unwrap_or(0),
-            journal_truncated: value
-                .get("journal_truncated")
-                .and_then(Json::as_usize)
-                .unwrap_or(0),
+            journal_replayed: value.get("journal_replayed").and_then(total).unwrap_or(0),
+            journal_written: value.get("journal_written").and_then(total).unwrap_or(0),
+            journal_truncated: value.get("journal_truncated").and_then(total).unwrap_or(0),
             latency_us: Histogram::from_json(value.get("latency_us")?)?,
             prompt_hist: Histogram::from_json(value.get("prompt_hist")?)?,
             completion_hist: Histogram::from_json(value.get("completion_hist")?)?,

@@ -12,7 +12,7 @@ pub mod similarity;
 pub mod tokenize;
 
 pub use ngram::{char_ngrams, word_ngrams};
-pub use normalize::{collapse_whitespace, normalize};
+pub use normalize::{collapse_whitespace, normalize, normalize_into};
 pub use similarity::{
     cosine_tf, dice_char_ngrams, jaccard_tokens, jaro, jaro_winkler, levenshtein,
     normalized_levenshtein, overlap_tokens, within_one_edit, WordSet,

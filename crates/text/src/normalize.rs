@@ -7,6 +7,16 @@
 /// apart from the possessive.
 pub fn normalize(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
+    normalize_into(text, &mut out);
+    out
+}
+
+/// Appends the normalized form of `text` (see [`normalize`]) to `out`,
+/// leaving what `out` already holds as it is. The appended form neither
+/// starts nor ends with a space, so texts appended with a space between
+/// them split into the same words as each text normalized alone.
+pub fn normalize_into(text: &str, out: &mut String) {
+    let start = out.len();
     let mut last_space = true;
     for c in text.chars() {
         let mapped = if c.is_alphanumeric() {
@@ -29,10 +39,9 @@ pub fn normalize(text: &str) -> String {
             }
         }
     }
-    while out.ends_with(' ') {
+    while out.len() > start && out.ends_with(' ') {
         out.pop();
     }
-    out
 }
 
 /// Collapses runs of whitespace into single spaces and trims the ends.
@@ -90,6 +99,18 @@ mod tests {
     #[test]
     fn unicode_preserved() {
         assert_eq!(normalize("Café TOKYO"), "café tokyo");
+    }
+
+    #[test]
+    fn appends_without_touching_the_prefix() {
+        let mut out = String::from("kept ");
+        normalize_into("  St. John's!  ", &mut out);
+        assert_eq!(out, "kept st john s");
+        normalize_into("...", &mut out);
+        assert_eq!(out, "kept st john s", "a wordless text appends nothing");
+        let mut out = String::from("trailing ");
+        normalize_into("", &mut out);
+        assert_eq!(out, "trailing ", "the caller's own space stays");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! must come back as a value or a clean error — never a panic, and never a
 //! stack overflow that takes the whole process down. Journal recovery must
 //! also never replay a torn line, wherever a crash cut the file, and counts
-//! too large to add up saturate in a report instead of overflowing.
+//! too large to add up saturate in a report instead of overflowing (a trace
+//! line's own count past 2^53 is refused as out of range).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -268,9 +269,17 @@ fn journals_cut_anywhere_resume_to_their_whole_lines_plus_new_appends() {
 /// 2^63: two of these overflow a 64-bit count.
 const HALF_OVERFLOW: f64 = 9_223_372_036_854_775_808.0;
 
+/// 2^53 - 1: the largest count a trace line carries exactly, and so the
+/// largest a trace parses.
+const LARGEST_EXACT: f64 = 9_007_199_254_740_991.0;
+
+/// Lines at `LARGEST_EXACT` whose counts add up past `usize::MAX` (2048
+/// add up to just under it).
+const LINES_PAST_USIZE_MAX: usize = 2049;
+
 /// The first corpus trace line of `event` that contains `marker`, with the
-/// number at `key` set to 2^63.
-fn with_half_overflow(event: &str, marker: &str, key: &str) -> String {
+/// number at `key` set to `count`.
+fn with_count(event: &str, marker: &str, key: &str, count: f64) -> String {
     let tag = format!("\"event\":\"{event}\"");
     let line = corpus()
         .trace
@@ -281,8 +290,21 @@ fn with_half_overflow(event: &str, marker: &str, key: &str) -> String {
         panic!("a trace line is an object");
     };
     let (_, value) = fields.iter_mut().find(|(k, _)| k == key).unwrap();
-    *value = Json::Num(HALF_OVERFLOW);
+    *value = Json::Num(count);
     Json::Obj(fields).to_json()
+}
+
+/// A trace whose `key` counts add up past `usize::MAX`: the corpus line,
+/// at the largest exact count, `LINES_PAST_USIZE_MAX` times. The same line
+/// at 2^63 is refused as out of range, naming the field.
+fn trace_past_usize_max(event: &str, marker: &str, key: &str) -> String {
+    let hostile = with_count(event, marker, key, HALF_OVERFLOW);
+    let err = RunReport::from_contents(&hostile).unwrap_err();
+    assert!(
+        err.contains(&format!("{key:?}")) && err.contains("out of range"),
+        "{err}"
+    );
+    format!("{}\n", with_count(event, marker, key, LARGEST_EXACT)).repeat(LINES_PAST_USIZE_MAX)
 }
 
 /// The report of a hostile input, which must parse.
@@ -290,13 +312,13 @@ fn report(contents: String) -> RunReport {
     RunReport::from_contents(&contents).unwrap_or_else(|e| panic!("{e}: {contents}"))
 }
 
-/// Two fresh completions billing 2^63 prompt tokens each report the
-/// saturated `usize::MAX`, not a wrapped sum (or, in a debug build, an
-/// overflow panic).
+/// Fresh completions billing 2^53 - 1 prompt tokens each, adding up past
+/// `usize::MAX`, report the saturated `usize::MAX`, not a wrapped sum (or,
+/// in a debug build, an overflow panic).
 #[test]
 fn billed_tokens_past_usize_max_saturate() {
-    let completed = with_half_overflow("completed", "\"cache_hit\":false", "prompt_tokens");
-    let billed = report(format!("{completed}\n{completed}\n"));
+    let completed = trace_past_usize_max("completed", "\"cache_hit\":false", "prompt_tokens");
+    let billed = report(completed);
     assert_eq!(billed.metrics.prompt_tokens, usize::MAX);
     let text = billed.render(ReportFormat::Text);
     assert!(
@@ -305,12 +327,12 @@ fn billed_tokens_past_usize_max_saturate() {
     );
 }
 
-/// Two prompt-component attributions of 2^63 instance tokens each report
-/// the saturated `usize::MAX`.
+/// Prompt-component attributions of 2^53 - 1 instance tokens each, adding
+/// up past `usize::MAX`, report the saturated `usize::MAX`.
 #[test]
 fn component_tokens_past_usize_max_saturate() {
-    let components = with_half_overflow("prompt_components", "\"instances\"", "instances");
-    let attributed = report(format!("{components}\n{components}\n"));
+    let components = trace_past_usize_max("prompt_components", "\"instances\"", "instances");
+    let attributed = report(components);
     assert_eq!(
         attributed.metrics.component_tokens.get("instances"),
         Some(&usize::MAX)

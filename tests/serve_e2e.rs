@@ -431,7 +431,8 @@ fn absurd_scales_are_rejected_and_the_daemon_keeps_serving() {
 }
 
 /// A retry budget past the bound — including one that wraps to 0 as a
-/// `u32` — is rejected instead of pinning a worker, and `route` and
+/// `u32`, and one past the range JSON holds exactly — is rejected instead
+/// of pinning a worker or falling back to the default, and `route` and
 /// `escalate_on` go through the same parse as `--route` and
 /// `--escalate-on`: a cascade naming a model twice or an unknown model,
 /// or an escalation policy with no cascade, is rejected too.
@@ -446,9 +447,10 @@ fn absurd_retries_and_malformed_cascades_are_rejected_and_the_daemon_keeps_servi
                 "at most 10",
             ),
             (
-                vec![("retries", Json::Num(4_294_967_296.0)), outage],
+                vec![("retries", Json::Num(4_294_967_296.0)), outage.clone()],
                 "at most 10",
             ),
+            (vec![("retries", Json::Num(1e30)), outage], "at most 10"),
             (vec![text("route", "sim-gpt-4,sim-gpt-4")], "appears twice"),
             (
                 vec![text("route", "sim-gpt-3.5,gpt-9")],
