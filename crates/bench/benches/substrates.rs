@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the substrates: tokenizer throughput, embedding,
-//! k-means, string similarity, prompt assembly, one simulated-model call,
-//! and that call's batch-homogeneity share.
+//! k-means, string similarity, prompt assembly, and one `dprep detect`
+//! request's round trip: its render, one simulated-model call, and that
+//! call's comprehension and batch-homogeneity shares.
 //!
 //! Run with `cargo bench -p dprep-bench --bench substrates`.
 
@@ -10,8 +11,8 @@ use dprep_bench::timing::{bench, black_box, section};
 use dprep_embed::{kmeans, HashedNgramEmbedder};
 use dprep_llm::comprehend::comprehend;
 use dprep_llm::solvers::batch_homogeneity;
-use dprep_llm::{ChatModel, ChatRequest, Fact, KnowledgeBase, ModelProfile, SimulatedLlm};
-use dprep_prompt::{build_request, PromptConfig, Task, TaskInstance};
+use dprep_llm::{ChatModel, Fact, KnowledgeBase, ModelProfile, SimulatedLlm};
+use dprep_prompt::{build_request, PromptConfig, PromptContext, Task, TaskInstance};
 use dprep_tabular::csv::read_csv_typed;
 use dprep_text::{count_tokens, jaro_winkler, levenshtein, within_one_edit};
 
@@ -71,15 +72,25 @@ fn main() {
         )
     });
 
+    let instances = detect_instances();
+    let detect_batch: Vec<&TaskInstance> = instances.iter().collect();
+    let detect_context = PromptContext::new(&PromptConfig::best(Task::ErrorDetection), &[]);
+    bench("prompt/render_ed15", || {
+        detect_context.build(black_box(&detect_batch))
+    });
+
     section("simulator");
     let model = detect_model();
-    let request = detect_request();
+    let (request, _) = detect_context.build(&detect_batch);
     bench("simulator/ed_chat_batch15", || {
         model.chat(black_box(&request))
     });
-    let questions = comprehend(&request).questions;
+    bench("simulator/comprehend_ed15", || {
+        comprehend(black_box(&request)).questions.len()
+    });
+    let prompt = comprehend(&request);
     bench("simulator/batch_homogeneity_ed15", || {
-        batch_homogeneity(black_box(&questions))
+        batch_homogeneity(black_box(&prompt.questions))
     });
 }
 
@@ -127,10 +138,12 @@ fn detect_model() -> SimulatedLlm {
     SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(kb))
 }
 
-/// One error-detection request with reasoning, as `dprep detect` sends it:
-/// 15 cells of `name,age,city,state` rows in row order, among them an
-/// out-of-range age and a misspelt city.
-fn detect_request() -> ChatRequest {
+/// The instances of one error-detection request, as `dprep detect` batches
+/// them: 15 cells of `name,age,city,state` rows in row order, among them
+/// an out-of-range age and a misspelt city. Rendered with reasoning on
+/// (`PromptConfig::best`), they are the request the simulator benches
+/// answer.
+fn detect_instances() -> Vec<TaskInstance> {
     let mut csv = String::from("name,age,city,state\n");
     for row in 0..4 {
         let age = if row == 1 { 212 } else { 30 + row };
@@ -138,7 +151,7 @@ fn detect_request() -> ChatRequest {
         csv.push_str(&format!("smith {row:06},{age},{city},GA\n"));
     }
     let table = read_csv_typed(&csv).expect("well-formed csv");
-    let instances: Vec<TaskInstance> = table
+    table
         .rows()
         .iter()
         .flat_map(|record| {
@@ -148,7 +161,5 @@ fn detect_request() -> ChatRequest {
             })
         })
         .take(15)
-        .collect();
-    let batch: Vec<&TaskInstance> = instances.iter().collect();
-    build_request(&PromptConfig::best(Task::ErrorDetection), &[], &batch)
+        .collect()
 }

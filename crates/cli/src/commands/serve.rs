@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dprep_core::serve::{Daemon, JobGrant, JobHandler, JobOutcome, JobScheduler};
+use dprep_core::serve::{whole_field, Daemon, JobGrant, JobHandler, JobOutcome, JobScheduler};
 use dprep_core::{
     result_fingerprint, Durability, FailureKind, OpsPlane, OverloadPolicy, PipelineConfig,
     Preprocessor, TenantLedger, WireLimits,
@@ -106,10 +106,7 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
         let text = |key: &str| body.get(key).and_then(Json::as_str);
         let name = text("dataset").ok_or("submit has no \"dataset\" field")?;
         let scale = check_scale(body.get("scale").and_then(Json::as_f64).unwrap_or(0.5))?;
-        let seed = body
-            .get("seed")
-            .and_then(Json::as_usize)
-            .map_or(defaults.seed, |s| s as u64);
+        let seed = whole_field(body, "seed")?.map_or(defaults.seed, |s| s as u64);
         // A whole number past the exact range is past any retry bound.
         let retries = match body.get("retries") {
             Some(retries) if retries.is_whole() => {
@@ -117,10 +114,8 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
             }
             _ => defaults.retries,
         };
-        let shard_size = body
-            .get("plan_shard_size")
-            .and_then(Json::as_usize)
-            .unwrap_or(defaults.plan_shard_size);
+        let shard_size = whole_field(body, "plan_shard_size")?.unwrap_or(defaults.plan_shard_size);
+        let kill_after = whole_field(body, "kill_after")?;
         let (routes, escalate_on) = route_spec(
             text("route").or((!default_route.is_empty()).then_some(default_route.as_str())),
             text("escalate_on").or(defaults.escalate_on.as_deref()),
@@ -183,7 +178,7 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
         // `kill_after` arms its countdown. Wiring it into the executor is
         // what makes a drain checkpoint journaled jobs (and stop
         // unjournaled ones) at their next shard boundary.
-        if let Some(n) = body.get("kill_after").and_then(Json::as_usize) {
+        if let Some(n) = kill_after {
             if n == 0 {
                 return Err("\"kill_after\" must be at least 1".into());
             }

@@ -1633,6 +1633,13 @@ impl Daemon {
     /// wins when both are present, and the scheduler's policy default
     /// applies when neither is.
     fn submit(&self, body: &Json) -> Json {
+        let (workers, token_budget) = match (
+            whole_field(body, "workers"),
+            whole_field(body, "token_budget"),
+        ) {
+            (Ok(workers), Ok(token_budget)) => (workers, token_budget),
+            (Err(e), _) | (_, Err(e)) => return error_reply(&e),
+        };
         let tenant = body
             .get("tenant")
             .and_then(Json::as_str)
@@ -1647,12 +1654,8 @@ impl Daemon {
                     .map(|ms| ms / 1000.0)
             });
         let requested = ExecutionOptions {
-            workers: body
-                .get("workers")
-                .and_then(Json::as_usize)
-                .unwrap_or(1)
-                .max(1),
-            token_budget: body.get("token_budget").and_then(Json::as_usize),
+            workers: workers.unwrap_or(1).max(1),
+            token_budget,
             deadline_secs,
             ..ExecutionOptions::default()
         };
@@ -1824,6 +1827,23 @@ fn error_reply(message: &str) -> Json {
         ("ok".to_string(), Json::Bool(false)),
         ("error".to_string(), Json::Str(message.to_string())),
     ])
+}
+
+/// Reads the optional integer field `key` of a request body: `Ok(None)`
+/// when it is absent, its value when it is a non-negative whole number.
+/// Any other value — a fraction, a negative, a string, `null` — is an
+/// error naming the field, so a typo is refused rather than read as no
+/// value at all. A whole number past the range JSON holds exactly (2^53)
+/// reads as absent, as it always has.
+pub fn whole_field(body: &Json, key: &str) -> Result<Option<usize>, String> {
+    match body.get(key) {
+        None => Ok(None),
+        Some(value) if value.is_whole() => Ok(value.as_usize()),
+        Some(value) => Err(format!(
+            "\"{key}\" must be a non-negative whole number, not {}",
+            value.to_json()
+        )),
+    }
 }
 
 /// Client-side helper: sends one request line on `stream` and parses the
@@ -2076,6 +2096,28 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["job_accepted", "job_completed", "job_rejected"]);
         assert_eq!(scheduler.active_jobs(), 0);
+    }
+
+    #[test]
+    fn whole_fields_refuse_what_is_not_a_whole_number() {
+        let body = |value: Json| Json::Obj(vec![("n".to_string(), value)]);
+        assert_eq!(whole_field(&Json::Obj(vec![]), "n"), Ok(None));
+        assert_eq!(whole_field(&body(Json::Num(7.0)), "n"), Ok(Some(7)));
+        assert_eq!(
+            whole_field(&body(Json::Num(1e300)), "n"),
+            Ok(None),
+            "a whole number past 2^53 still reads as absent"
+        );
+        for bad in [
+            Json::Num(1.5),
+            Json::Num(-5.0),
+            Json::Str("500".into()),
+            Json::Null,
+            Json::Bool(true),
+        ] {
+            let error = whole_field(&body(bad), "n").unwrap_err();
+            assert!(error.starts_with("\"n\" must be"), "{error}");
+        }
     }
 
     /// A job asking for 2^40 workers is granted the turnstile's limit, the

@@ -1,5 +1,7 @@
 //! The chat-completion API surface.
 
+use dprep_rng::StableHasher;
+
 use crate::usage::Usage;
 
 /// Role of a chat message.
@@ -11,6 +13,18 @@ pub enum Role {
     User,
     /// Model turns (few-shot answers, generated completions).
     Assistant,
+}
+
+impl Role {
+    /// The tag that opens the role's messages in
+    /// [`ChatRequest::full_text`].
+    pub(crate) fn tag(self) -> &'static str {
+        match self {
+            Role::System => "system",
+            Role::User => "user",
+            Role::Assistant => "assistant",
+        }
+    }
 }
 
 /// One chat message.
@@ -125,21 +139,37 @@ impl ChatRequest {
     }
 
     /// Concatenated text of all messages (used for seeding and token
-    /// counting).
+    /// counting): per message, its role tag, `": "`, its content and a
+    /// newline.
     pub fn full_text(&self) -> String {
-        let mut out = String::new();
-        for m in &self.messages {
-            let tag = match m.role {
-                Role::System => "system",
-                Role::User => "user",
-                Role::Assistant => "assistant",
-            };
-            out.push_str(tag);
-            out.push_str(": ");
-            out.push_str(&m.content);
-            out.push('\n');
-        }
+        let mut out = String::with_capacity(self.full_text_pieces().map(str::len).sum());
+        out.extend(self.full_text_pieces());
         out
+    }
+
+    /// Feeds the bytes of [`full_text`](Self::full_text) to `hasher`
+    /// without building the string.
+    pub(crate) fn hash_full_text(&self, hasher: &mut StableHasher) {
+        for piece in self.full_text_pieces() {
+            hasher.write(piece.as_bytes());
+        }
+    }
+
+    /// [`dprep_rng::stable_hash`] of [`full_text`](Self::full_text) under
+    /// `seed`, without building the string.
+    pub(crate) fn full_text_hash(&self, seed: u64) -> u64 {
+        let mut hasher = StableHasher::new(seed);
+        self.hash_full_text(&mut hasher);
+        hasher.finish()
+    }
+
+    /// The one definition of the full-text bytes, which
+    /// [`full_text`](Self::full_text) concatenates and
+    /// [`hash_full_text`](Self::hash_full_text) hashes.
+    fn full_text_pieces(&self) -> impl Iterator<Item = &str> {
+        self.messages
+            .iter()
+            .flat_map(|m| [m.role.tag(), ": ", m.content.as_str(), "\n"])
     }
 }
 
@@ -341,6 +371,52 @@ mod tests {
         let text = req.full_text();
         assert!(text.contains("system: be brief"));
         assert!(text.contains("user: hi"));
+    }
+
+    /// The full text as it was built before the hasher shared its
+    /// definition: the reference both forms must match.
+    fn pushed_full_text(request: &ChatRequest) -> String {
+        let mut out = String::new();
+        for m in &request.messages {
+            let tag = match m.role {
+                Role::System => "system",
+                Role::User => "user",
+                Role::Assistant => "assistant",
+            };
+            out.push_str(tag);
+            out.push_str(": ");
+            out.push_str(&m.content);
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn full_text_and_its_hash_walk_the_same_bytes() {
+        let mut rng = dprep_rng::Rng::seed_from_u64(0xf011_7e47);
+        let alphabet = ['a', 'Z', ' ', '\n', ':', '"', '\\', '\u{b}', 'é', '东'];
+        for _ in 0..200 {
+            let messages = (0..rng.range_incl(0usize, 4))
+                .map(|_| {
+                    let content: String = (0..rng.range_incl(0usize, 40))
+                        .map(|_| *rng.choose(&alphabet).expect("nonempty"))
+                        .collect();
+                    match rng.range_usize(0, 3) {
+                        0 => Message::system(content),
+                        1 => Message::user(content),
+                        _ => Message::assistant(content),
+                    }
+                })
+                .collect();
+            let request = ChatRequest::new(messages);
+            let text = pushed_full_text(&request);
+            assert_eq!(request.full_text(), text);
+            let seed = rng.next_u64();
+            assert_eq!(
+                request.full_text_hash(seed),
+                dprep_rng::stable_hash(seed, text.as_bytes())
+            );
+        }
     }
 
     #[test]

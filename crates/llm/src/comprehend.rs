@@ -9,7 +9,12 @@
 //! grammar in [`dprep_tabular::context`]).
 //!
 //! Nothing here consults ground truth or any out-of-band channel — only the
-//! characters of the request.
+//! characters of the request. What the reader finds, it borrows from
+//! those characters: names, target attributes, values and answers are
+//! slices of the request's messages, and a value is owned only when an
+//! escape had to be removed from it.
+
+use std::borrow::Cow;
 
 use dprep_tabular::context::{extract_instances, ParsedInstance};
 
@@ -30,46 +35,50 @@ pub enum TaskKind {
 
 /// One few-shot example reconstructed from a user/assistant turn pair.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Example {
+pub struct Example<'a> {
     /// Data instances appearing in the question.
-    pub instances: Vec<ParsedInstance>,
+    pub instances: Vec<ParsedInstance<'a>>,
     /// Target attribute named in the question, if any.
-    pub target_attribute: Option<String>,
-    /// Reasoning line of the answer, when present.
-    pub reason: Option<String>,
+    pub target_attribute: Option<&'a str>,
+    /// Reasoning line of the answer, when present (several reasoning
+    /// lines are joined by spaces, the one case that owns its text).
+    pub reason: Option<Cow<'a, str>>,
     /// Final answer line.
-    pub answer: String,
+    pub answer: &'a str,
 }
 
 /// One question in the (possibly batched) final user message.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Question {
+pub struct Question<'a> {
     /// 1-based question number as written in the prompt.
     pub number: usize,
     /// Data instances in the question (1 for ED/DI, 2 for SM/EM).
-    pub instances: Vec<ParsedInstance>,
+    pub instances: Vec<ParsedInstance<'a>>,
     /// Target attribute named in the question, if any.
-    pub target_attribute: Option<String>,
+    pub target_attribute: Option<&'a str>,
 }
 
 /// Everything the model understood about a request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ComprehendedPrompt {
+pub struct ComprehendedPrompt<'a> {
     /// Detected task, if any instruction matched.
     pub task: Option<TaskKind>,
     /// Prompt-level target attribute (per-question attributes override it).
-    pub target_attribute: Option<String>,
+    /// Borrowed when the request has one system message; several are read
+    /// as one joined text, which owns what is found in it.
+    pub target_attribute: Option<Cow<'a, str>>,
     /// Whether the prompt demands a reasoning line (chain of thought).
     pub wants_reason: bool,
     /// Whether the prompt asks to confirm the target attribute (the ED
     /// safeguard of §3.1).
     pub confirm_target: bool,
-    /// A data-type hint for imputation (e.g. "a range of integers").
-    pub type_hint: Option<String>,
+    /// A data-type hint for imputation (e.g. "a range of integers"), held
+    /// as the target attribute is.
+    pub type_hint: Option<Cow<'a, str>>,
     /// Few-shot examples.
-    pub examples: Vec<Example>,
+    pub examples: Vec<Example<'a>>,
     /// Questions to answer.
-    pub questions: Vec<Question>,
+    pub questions: Vec<Question<'a>>,
 }
 
 /// First `"quoted"` substring after `marker`, on the same line — scanning
@@ -86,8 +95,8 @@ fn quoted_after<'a>(text: &'a str, marker: &str) -> Option<&'a str> {
     Some(&after_open[..close])
 }
 
-fn detect_task(text: &str) -> Option<TaskKind> {
-    let lower = text.to_lowercase();
+/// The task named by an instruction, read from its lowercased text.
+fn detect_task(lower: &str) -> Option<TaskKind> {
     if lower.contains("error") {
         Some(TaskKind::ErrorDetection)
     } else if lower.contains("infer the value") || lower.contains("impute") {
@@ -101,41 +110,54 @@ fn detect_task(text: &str) -> Option<TaskKind> {
     }
 }
 
-fn detect_target_attribute(text: &str) -> Option<String> {
-    for marker in [
+fn detect_target_attribute(text: &str) -> Option<&str> {
+    [
         "error in the",
         "value of the",
         "infer the value of the",
         "the target attribute is",
-    ] {
-        if let Some(attr) = quoted_after(text, marker) {
-            return Some(attr.to_string());
-        }
-    }
-    None
+    ]
+    .into_iter()
+    .find_map(|marker| quoted_after(text, marker))
 }
 
-/// Splits a message body on `"{prefix} {number}:"` markers, returning
-/// `(number, segment)` pairs, each segment trimmed. Text before the first
-/// marker is ignored; if no marker exists the whole body is one segment
-/// numbered 1.
-fn split_numbered<'a>(body: &'a str, prefix: &str) -> Vec<(usize, &'a str)> {
+/// The data-type hint of an instruction: the quoted text after
+/// `attribute can be`, or else the rest of the first line that says it.
+fn detect_type_hint(text: &str) -> Option<&str> {
+    quoted_after(text, "attribute can be").or_else(|| {
+        text.lines().find_map(|l| {
+            let l = l.trim();
+            l.contains("attribute can be").then(|| {
+                l.split("can be")
+                    .nth(1)
+                    .unwrap_or("")
+                    .trim()
+                    .trim_end_matches('.')
+            })
+        })
+    })
+}
+
+/// Splits a message body on `"{marker}{number}:"` markers (`marker`
+/// carries its trailing space), returning `(number, segment)` pairs, each
+/// segment trimmed. Text before the first marker is ignored; if no marker
+/// exists the whole body is one segment numbered 1. A number too large for
+/// `usize` reads as 0.
+fn split_numbered<'a>(body: &'a str, marker: &str) -> Vec<(usize, &'a str)> {
     let mut segments: Vec<(usize, &str)> = Vec::new();
     let mut cursor = 0usize;
     let mut current: Option<(usize, usize)> = None; // (number, start)
-    let marker = format!("{prefix} ");
-    while let Some(found) = body[cursor..].find(&marker) {
+    while let Some(found) = body[cursor..].find(marker) {
         let at = cursor + found;
         // Parse "<number>:" directly after the marker.
         let after = &body[at + marker.len()..];
-        let digits: String = after.chars().take_while(char::is_ascii_digit).collect();
-        let after_digits = &after[digits.len()..];
-        if !digits.is_empty() && after_digits.starts_with(':') {
+        let digits = after.bytes().take_while(u8::is_ascii_digit).count();
+        if digits > 0 && after[digits..].starts_with(':') {
             if let Some((num, start)) = current.take() {
                 segments.push((num, body[start..at].trim()));
             }
-            let number: usize = digits.parse().unwrap_or(0);
-            let content_start = at + marker.len() + digits.len() + 1;
+            let number: usize = after[..digits].parse().unwrap_or(0);
+            let content_start = at + marker.len() + digits + 1;
             current = Some((number, content_start));
             cursor = content_start;
         } else {
@@ -154,49 +176,62 @@ fn split_numbered<'a>(body: &'a str, prefix: &str) -> Vec<(usize, &'a str)> {
     segments
 }
 
-fn parse_answer_segment(segment: &str) -> (Option<String>, String) {
-    let lines: Vec<&str> = segment
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .collect();
-    match lines.as_slice() {
-        [] => (None, String::new()),
-        [only] => (None, (*only).to_string()),
-        [first @ .., last] => (Some(first.join(" ")), (*last).to_string()),
+/// An answer segment's reasoning (every nonblank line but the last,
+/// trimmed and joined by spaces) and its answer (the last such line).
+fn parse_answer_segment(segment: &str) -> (Option<Cow<'_, str>>, &str) {
+    let mut lines = segment.lines().map(str::trim).filter(|l| !l.is_empty());
+    let Some(mut last) = lines.next() else {
+        return (None, "");
+    };
+    let mut reason: Option<Cow<'_, str>> = None;
+    for line in lines {
+        reason = Some(match reason {
+            None => Cow::Borrowed(last),
+            Some(joined) => {
+                let mut joined = joined.into_owned();
+                joined.push(' ');
+                joined.push_str(last);
+                Cow::Owned(joined)
+            }
+        });
+        last = line;
     }
+    (reason, last)
 }
 
-/// Reads a chat request into a [`ComprehendedPrompt`].
-pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt {
-    let mut instruction_text = String::new();
-    for m in &request.messages {
-        if m.role == Role::System {
-            instruction_text.push_str(&m.content);
-            instruction_text.push('\n');
+/// Reads a chat request into a [`ComprehendedPrompt`] that borrows from it.
+pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt<'_> {
+    // The instruction: the system messages' text. One message (what the
+    // prompt builder sends) is read in place; several are joined by
+    // newlines. Every marker the reader looks for lies within one line,
+    // so the join finds what the messages would.
+    let mut system = request.messages.iter().filter(|m| m.role == Role::System);
+    let instruction: Cow<'_, str> = match (system.next(), system.next()) {
+        (None, _) => Cow::Borrowed(""),
+        (Some(only), None) => Cow::Borrowed(&only.content),
+        (Some(first), Some(second)) => {
+            let mut joined = first.content.clone();
+            for m in std::iter::once(second).chain(system) {
+                joined.push('\n');
+                joined.push_str(&m.content);
+            }
+            Cow::Owned(joined)
         }
-    }
-
-    let task = detect_task(&instruction_text);
-    let target_attribute = detect_target_attribute(&instruction_text);
-    let lower_instruction = instruction_text.to_lowercase();
-    let wants_reason = lower_instruction.contains("reason");
-    let confirm_target = lower_instruction.contains("confirm the target attribute");
-    let type_hint = quoted_after(&instruction_text, "attribute can be")
-        .map(str::to_string)
-        .or_else(|| {
-            instruction_text.lines().find_map(|l| {
-                let l = l.trim();
-                l.contains("attribute can be").then(|| {
-                    l.split("can be")
-                        .nth(1)
-                        .unwrap_or("")
-                        .trim()
-                        .trim_end_matches('.')
-                        .to_string()
-                })
-            })
-        });
+    };
+    let lower = instruction.to_lowercase();
+    let task = detect_task(&lower);
+    let wants_reason = lower.contains("reason");
+    let confirm_target = lower.contains("confirm the target attribute");
+    let (target_attribute, type_hint) = match &instruction {
+        Cow::Borrowed(text) => (
+            detect_target_attribute(text).map(Cow::Borrowed),
+            detect_type_hint(text).map(Cow::Borrowed),
+        ),
+        Cow::Owned(text) => (
+            detect_target_attribute(text).map(|t| Cow::Owned(t.to_string())),
+            detect_type_hint(text).map(|t| Cow::Owned(t.to_string())),
+        ),
+    };
 
     // Few-shot examples: every (user, assistant) adjacent pair.
     let non_system: Vec<&Message> = request
@@ -208,8 +243,8 @@ pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt {
     let mut i = 0;
     while i + 1 < non_system.len() {
         if non_system[i].role == Role::User && non_system[i + 1].role == Role::Assistant {
-            let questions = split_numbered(&non_system[i].content, "Question");
-            let answers = split_numbered(&non_system[i + 1].content, "Answer");
+            let questions = split_numbered(&non_system[i].content, "Question ");
+            let answers = split_numbered(&non_system[i + 1].content, "Answer ");
             for (q, a) in questions.iter().zip(answers.iter()) {
                 let (reason, answer) = parse_answer_segment(a.1);
                 examples.push(Example {
@@ -230,13 +265,13 @@ pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt {
     let mut questions = Vec::new();
     if let Some(last) = request.messages.last() {
         if last.role == Role::User {
-            for (number, text) in split_numbered(&last.content, "Question") {
-                questions.push(Question {
-                    number,
-                    instances: extract_instances(text),
-                    target_attribute: detect_target_attribute(text),
-                });
-            }
+            let segments = split_numbered(&last.content, "Question ");
+            questions.reserve_exact(segments.len());
+            questions.extend(segments.into_iter().map(|(number, text)| Question {
+                number,
+                instances: extract_instances(text),
+                target_attribute: detect_target_attribute(text),
+            }));
         }
     }
 
@@ -284,7 +319,8 @@ mod tests {
 
     #[test]
     fn detects_di_task_and_target() {
-        let c = comprehend(&di_request());
+        let request = di_request();
+        let c = comprehend(&request);
         assert_eq!(c.task, Some(TaskKind::Imputation));
         assert_eq!(c.target_attribute.as_deref(), Some("city"));
         assert!(c.wants_reason);
@@ -293,27 +329,26 @@ mod tests {
 
     #[test]
     fn parses_few_shot_examples() {
-        let c = comprehend(&di_request());
+        let request = di_request();
+        let c = comprehend(&request);
         assert_eq!(c.examples.len(), 1);
         let ex = &c.examples[0];
         assert_eq!(ex.answer, "marietta");
         assert!(ex.reason.as_deref().unwrap().contains("770"));
         assert_eq!(ex.instances.len(), 1);
-        assert_eq!(
-            ex.instances[0].get("phone"),
-            Some(&Some("770-933-0909".to_string()))
-        );
+        assert_eq!(ex.instances[0].get("phone"), Some(Some("770-933-0909")));
     }
 
     #[test]
     fn parses_batched_questions() {
-        let c = comprehend(&di_request());
+        let request = di_request();
+        let c = comprehend(&request);
         assert_eq!(c.questions.len(), 2);
         assert_eq!(c.questions[0].number, 1);
         assert_eq!(c.questions[1].number, 2);
         assert_eq!(
             c.questions[1].instances[0].get("phone"),
-            Some(&Some("770-111-2222".to_string()))
+            Some(Some("770-111-2222"))
         );
     }
 
@@ -333,7 +368,7 @@ mod tests {
         let c = comprehend(&req);
         assert_eq!(c.task, Some(TaskKind::ErrorDetection));
         assert!(c.confirm_target);
-        assert_eq!(c.questions[0].target_attribute.as_deref(), Some("age"));
+        assert_eq!(c.questions[0].target_attribute, Some("age"));
     }
 
     #[test]
@@ -358,6 +393,41 @@ mod tests {
             ),
         ]);
         assert_eq!(comprehend(&sm).task, Some(TaskKind::SchemaMatching));
+    }
+
+    /// Several system messages read as one text, their join; what is
+    /// found in the join is owned, what is found in one message borrowed.
+    #[test]
+    fn several_system_messages_read_as_their_join() {
+        let user = Message::user("Question 1: Record is [hoursperweek: ???].");
+        let one = ChatRequest::new(vec![
+            Message::system(
+                "You are requested to infer the value of the \"hoursperweek\" attribute.\n\
+                 The \"hoursperweek\" attribute can be a range of integers.\n\
+                 Give the reason first.",
+            ),
+            user.clone(),
+        ]);
+        let split = ChatRequest::new(vec![
+            Message::system(
+                "You are requested to infer the value of the \"hoursperweek\" attribute.",
+            ),
+            Message::system(
+                "The \"hoursperweek\" attribute can be a range of integers.\n\
+                 Give the reason first.",
+            ),
+            user,
+        ]);
+        let (joined, parts) = (comprehend(&one), comprehend(&split));
+        assert_eq!(joined, parts);
+        assert_eq!(joined.task, Some(TaskKind::Imputation));
+        assert!(joined.wants_reason);
+        assert!(matches!(
+            joined.target_attribute,
+            Some(Cow::Borrowed("hoursperweek"))
+        ));
+        assert!(matches!(parts.target_attribute, Some(Cow::Owned(_))));
+        assert_eq!(parts.type_hint.as_deref(), Some("a range of integers"));
     }
 
     #[test]
@@ -406,12 +476,12 @@ mod tests {
 
     #[test]
     fn split_numbered_handles_noise() {
-        let segs = split_numbered("preamble Question 1: first Question 2: second", "Question");
+        let segs = split_numbered("preamble Question 1: first Question 2: second", "Question ");
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0], (1, "first"));
         assert_eq!(segs[1], (2, "second"));
         // "Question" not followed by "<digits>:" is not a marker.
-        let segs = split_numbered("the Question here Question 1: real", "Question");
+        let segs = split_numbered("the Question here Question 1: real", "Question ");
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].0, 1);
         assert_eq!(segs[0].1, "real");

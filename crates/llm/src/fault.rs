@@ -16,8 +16,6 @@
 //! tests recovery. A single model behind a one-route [`crate::RouterLayer`]
 //! gets the same breaker.
 
-use dprep_rng::stable_hash;
-
 use crate::chat::ChatRequest;
 
 /// What a firing [`FaultRule`] does to the request or its response.
@@ -94,13 +92,13 @@ impl FaultRule {
     ///
     /// The decision is a pure function of the seed, the rule tag, the
     /// prompt text, and — only for non-persistent rules — the retry salt.
-    fn fire(&self, seed: u64, request: &ChatRequest, full_text: &str) -> Option<u64> {
+    fn fire(&self, seed: u64, request: &ChatRequest) -> Option<u64> {
         let effective_salt = if self.persist_attempts > 0 {
             0
         } else {
             request.retry_salt
         };
-        let h = stable_hash(seed ^ self.tag ^ effective_salt, full_text.as_bytes());
+        let h = request.full_text_hash(seed ^ self.tag ^ effective_salt);
         let roll = (h >> 11) as f64 / (1u64 << 53) as f64;
         if roll >= self.rate.clamp(0.0, 1.0) {
             return None;
@@ -125,15 +123,10 @@ pub struct FaultScenario {
 
 impl FaultScenario {
     /// The first rule that fires for this request, with its decision hash.
-    pub(crate) fn decide(
-        &self,
-        seed: u64,
-        request: &ChatRequest,
-        full_text: &str,
-    ) -> Option<(&FaultRule, u64)> {
+    pub(crate) fn decide(&self, seed: u64, request: &ChatRequest) -> Option<(&FaultRule, u64)> {
         self.rules
             .iter()
-            .find_map(|rule| rule.fire(seed, request, full_text).map(|h| (rule, h)))
+            .find_map(|rule| rule.fire(seed, request).map(|h| (rule, h)))
     }
 
     /// A calm network: no rules, no faults.
@@ -315,18 +308,18 @@ mod tests {
         // Find a request the outage hits at salt 0.
         let hit = (0..200)
             .map(|i| req(&format!("case {i}")))
-            .find(|r| rule.fire(9, r, &r.full_text()).is_some())
+            .find(|r| rule.fire(9, r).is_some())
             .expect("a 30% rule hits within 200 requests");
         // Persistent: same decision for every salt below the horizon...
         for salt in 0..u64::from(rule.persist_attempts) {
             let salted = hit.clone().with_retry_salt(salt);
-            assert!(rule.fire(9, &salted, &salted.full_text()).is_some());
+            assert!(rule.fire(9, &salted).is_some());
         }
         // ...and clear once the request has been retried past it.
         let cleared = hit
             .clone()
             .with_retry_salt(u64::from(rule.persist_attempts));
-        assert!(rule.fire(9, &cleared, &cleared.full_text()).is_none());
+        assert!(rule.fire(9, &cleared).is_none());
     }
 
     #[test]
@@ -335,9 +328,7 @@ mod tests {
         for i in 0..32 {
             for salt in [0u64, 1, 5, 100] {
                 let r = req(&format!("case {i}")).with_retry_salt(salt);
-                let (rule, _) = scenario
-                    .decide(9, &r, &r.full_text())
-                    .expect("always fires");
+                let (rule, _) = scenario.decide(9, &r).expect("always fires");
                 assert_eq!(rule.effect, FaultEffect::Timeout);
             }
         }

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use dprep_text::normalize;
 
-use crate::rng::stable_hash;
+use dprep_rng::StableHasher;
 
 /// One world fact.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,25 +85,33 @@ pub enum Fact {
 impl Fact {
     /// A stable identity string used for memorization hashing.
     pub fn key(&self) -> String {
-        match self {
-            Fact::AreaCode { prefix, city } => format!("area:{prefix}:{city}"),
+        let mut key = String::new();
+        self.write_key(&mut key);
+        key
+    }
+
+    /// Writes the fact's [`key`](Fact::key) to `out` (a string, or a
+    /// hasher that never needs the string).
+    fn write_key(&self, out: &mut impl std::fmt::Write) {
+        let _ = match self {
+            Fact::AreaCode { prefix, city } => write!(out, "area:{prefix}:{city}"),
             Fact::Brand {
                 token,
                 manufacturer,
-            } => format!("brand:{token}:{manufacturer}"),
-            Fact::LexiconMember { domain, value } => format!("lex:{domain}:{value}"),
-            Fact::NumericRange { attribute, .. } => format!("range:{attribute}"),
+            } => write!(out, "brand:{token}:{manufacturer}"),
+            Fact::LexiconMember { domain, value } => write!(out, "lex:{domain}:{value}"),
+            Fact::NumericRange { attribute, .. } => write!(out, "range:{attribute}"),
             Fact::AttrSynonym { a, b } => {
                 let (x, y) = if a <= b { (a, b) } else { (b, a) };
-                format!("syn:{x}:{y}")
+                write!(out, "syn:{x}:{y}")
             }
-            Fact::Alias { canonical, variant } => format!("alias:{canonical}:{variant}"),
+            Fact::Alias { canonical, variant } => write!(out, "alias:{canonical}:{variant}"),
             Fact::Cue {
                 attribute,
                 token,
                 value,
-            } => format!("cue:{attribute}:{token}:{value}"),
-        }
+            } => write!(out, "cue:{attribute}:{token}:{value}"),
+        };
     }
 
     /// How long-tail this fact is: the exponent applied to a model's
@@ -146,8 +154,12 @@ impl Memorizer {
     /// model, while long-tail facts (street-name cues, cryptic schema
     /// synonyms) track the raw coverage or worse.
     pub fn knows(&self, fact: &Fact) -> bool {
-        let key = format!("{}::{}", self.model_name, fact.key());
-        let h = stable_hash(self.seed, key.as_bytes());
+        // The hash of `"{model name}::{fact key}"`, streamed.
+        let mut hasher = StableHasher::new(self.seed);
+        hasher.write(self.model_name.as_bytes());
+        hasher.write(b"::");
+        fact.write_key(&mut hasher);
+        let h = hasher.finish();
         let effective = self.coverage.powf(fact.rarity());
         // Map to [0,1) and compare against coverage.
         (h as f64 / u64::MAX as f64) < effective
@@ -619,5 +631,59 @@ mod tests {
             b: "x".into(),
         };
         assert_eq!(f1.key(), f2.key());
+    }
+
+    #[test]
+    fn streamed_memorization_hash_matches_the_formatted_key() {
+        let facts = [
+            Fact::AreaCode {
+                prefix: "770".into(),
+                city: "marietta".into(),
+            },
+            Fact::Brand {
+                token: "thinkpad".into(),
+                manufacturer: "lenovo".into(),
+            },
+            Fact::LexiconMember {
+                domain: "city".into(),
+                value: "münchen".into(),
+            },
+            Fact::NumericRange {
+                attribute: "age".into(),
+                min: 0.0,
+                max: 1.0,
+            },
+            Fact::AttrSynonym {
+                a: "zip".into(),
+                b: "postcode".into(),
+            },
+            Fact::Alias {
+                canonical: "india pale ale".into(),
+                variant: "ipa".into(),
+            },
+            Fact::Cue {
+                attribute: "city".into(),
+                token: "powers ferry".into(),
+                value: "marietta".into(),
+            },
+        ];
+        let mut known = 0;
+        for seed in 0..64u64 {
+            for model_name in ["sim-gpt-4", "sim-gpt-3.5", ""] {
+                let mem = Memorizer {
+                    model_name: model_name.into(),
+                    coverage: 0.5,
+                    seed,
+                };
+                for fact in &facts {
+                    let key = format!("{}::{}", mem.model_name, fact.key());
+                    let h = dprep_rng::stable_hash(seed, key.as_bytes());
+                    let formatted = (h as f64 / u64::MAX as f64) < 0.5f64.powf(fact.rarity());
+                    assert_eq!(mem.knows(fact), formatted, "{key}");
+                    known += usize::from(formatted);
+                }
+            }
+        }
+        assert!(known > 200 && known < 64 * 3 * 7 - 200, "{known}");
     }
 }

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dprep_obs::{JournalEntry, NullTracer, TerminalKind, TraceEvent, Tracer};
-use dprep_rng::stable_hash;
+use dprep_rng::StableHasher;
 use dprep_text::count_tokens;
 
 use crate::chat::{ChatModel, ChatRequest, ChatResponse, FaultKind};
@@ -144,14 +144,19 @@ pub fn is_complete(request: &ChatRequest, response: &ChatResponse) -> bool {
 /// one layer and identical by the other. The trace id is deliberately
 /// excluded: it never affects the model's output.
 pub fn request_fingerprint<M: ChatModel + ?Sized>(model: &M, request: &ChatRequest) -> u64 {
+    use std::fmt::Write;
     let temperature = request.temperature_or(model.default_temperature());
-    let descriptor = format!(
-        "{}|{temperature}|{}|{}",
+    // The hash of the descriptor `"{name}|{temperature}|{salt}|{full
+    // text}"`, streamed: neither the descriptor nor the full text is built.
+    let mut hasher = StableHasher::new(0x00ca_c4e0);
+    let _ = write!(
+        hasher,
+        "{}|{temperature}|{}|",
         model.name(),
-        request.retry_salt,
-        request.full_text()
+        request.retry_salt
     );
-    stable_hash(0x00ca_c4e0, descriptor.as_bytes())
+    request.hash_full_text(&mut hasher);
+    hasher.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -570,10 +575,9 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
     }
 
     fn chat(&self, request: &ChatRequest) -> ChatResponse {
-        let full_text = request.full_text();
         match &self.mode {
             FaultMode::Uniform { rate } => {
-                let h = stable_hash(self.seed ^ request.retry_salt, full_text.as_bytes());
+                let h = request.full_text_hash(self.seed ^ request.retry_salt);
                 let roll = (h >> 11) as f64 / (1u64 << 53) as f64;
                 if roll >= *rate {
                     return self.inner.chat(request);
@@ -589,13 +593,13 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
                     kind: kind.label(),
                 });
                 if h & 1 == 0 {
-                    self.timeout_response(request, &full_text)
+                    self.timeout_response(request)
                 } else {
                     self.truncate_response(request)
                 }
             }
             FaultMode::Scenario(scenario) => {
-                let Some((rule, h)) = scenario.decide(self.seed, request, &full_text) else {
+                let Some((rule, h)) = scenario.decide(self.seed, request) else {
                     return self.inner.chat(request);
                 };
                 self.stats.faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -603,7 +607,7 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
                     request: request.trace_id,
                     kind: rule.effect.label(),
                 });
-                self.apply_effect(rule.effect, h, request, &full_text)
+                self.apply_effect(rule.effect, h, request)
             }
         }
     }
@@ -612,13 +616,13 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
 impl<M: ChatModel> FaultLayer<M> {
     /// Timeout: the prompt was transmitted (and billed) but nothing came
     /// back before the deadline.
-    fn timeout_response(&self, request: &ChatRequest, full_text: &str) -> ChatResponse {
+    fn timeout_response(&self, request: &ChatRequest) -> ChatResponse {
         let mut response = ChatResponse::new(
             String::new(),
             Usage {
                 prompt_tokens: request
                     .prompt_tokens_hint
-                    .unwrap_or_else(|| count_tokens(full_text)),
+                    .unwrap_or_else(|| count_tokens(&request.full_text())),
                 completion_tokens: 0,
             },
             TIMEOUT_LATENCY_SECS,
@@ -641,15 +645,9 @@ impl<M: ChatModel> FaultLayer<M> {
         response
     }
 
-    fn apply_effect(
-        &self,
-        effect: FaultEffect,
-        h: u64,
-        request: &ChatRequest,
-        full_text: &str,
-    ) -> ChatResponse {
+    fn apply_effect(&self, effect: FaultEffect, h: u64, request: &ChatRequest) -> ChatResponse {
         match effect {
-            FaultEffect::Timeout => self.timeout_response(request, full_text),
+            FaultEffect::Timeout => self.timeout_response(request),
             FaultEffect::Truncate => self.truncate_response(request),
             FaultEffect::Transient => {
                 // Connection reset before anything was transmitted: nothing
@@ -928,6 +926,44 @@ mod tests {
         assert_eq!(served.text, "Answer 1: yes\nAnswer 2: yes\n");
         assert_eq!(served.usage.prompt_tokens, 100);
         assert_eq!(served.latency_secs, 0.0);
+    }
+
+    /// The fingerprint as it was computed before it was streamed: the
+    /// descriptor formatted in full, then hashed.
+    fn formatted_fingerprint<M: ChatModel>(model: &M, request: &ChatRequest) -> u64 {
+        let temperature = request.temperature_or(model.default_temperature());
+        let descriptor = format!(
+            "{}|{temperature}|{}|{}",
+            model.name(),
+            request.retry_salt,
+            request.full_text()
+        );
+        dprep_rng::stable_hash(0x00ca_c4e0, descriptor.as_bytes())
+    }
+
+    #[test]
+    fn streamed_fingerprint_matches_the_formatted_descriptor() {
+        let model = Scripted::always_complete();
+        let mut rng = dprep_rng::Rng::seed_from_u64(0xf1_9e77);
+        for k in 0..40 {
+            let mut req = batch_request(k % 7);
+            if rng.bool(0.5) {
+                req.messages
+                    .push(Message::assistant("Answer 1: yes\nné \u{b}"));
+            }
+            req.retry_salt = rng.next_u64() >> rng.range_usize(0, 64);
+            req.temperature = match rng.range_usize(0, 4) {
+                0 => None,
+                1 => Some(0.75),
+                2 => Some(rng.f64() * 2.0),
+                _ => Some(1e-7),
+            };
+            assert_eq!(
+                request_fingerprint(&model, &req),
+                formatted_fingerprint(&model, &req),
+                "{req:?}"
+            );
+        }
     }
 
     #[test]

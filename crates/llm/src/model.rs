@@ -21,7 +21,7 @@ use crate::comprehend::{comprehend, TaskKind};
 use crate::knowledge::{KnowledgeBase, LexiconView, Memorizer};
 use crate::profile::ModelProfile;
 use crate::respond::{plan_response, render};
-use crate::rng::{rng_for, stable_hash};
+use crate::rng::{stable_hash, Rng};
 use crate::solvers::{batch_homogeneity, solve, SolverContext};
 use crate::usage::Usage;
 
@@ -99,25 +99,25 @@ impl ChatModel for SimulatedLlm {
     }
 
     fn chat(&self, request: &ChatRequest) -> ChatResponse {
-        let full_text = request.full_text();
         // The prompt builder already tokenized the prompt to size the
         // batch; reuse its count instead of tokenizing a second time.
         let prompt_tokens = request
             .prompt_tokens_hint
-            .unwrap_or_else(|| count_tokens(&full_text));
+            .unwrap_or_else(|| count_tokens(&request.full_text()));
         debug_assert_eq!(
             prompt_tokens,
-            count_tokens(&full_text),
+            count_tokens(&request.full_text()),
             "prompt_tokens_hint disagrees with the request text"
         );
         let context_fill = prompt_tokens as f64 / self.profile.context_window as f64;
 
         // The retry salt perturbs the noise stream without touching the
-        // prompt text: salt 0 reproduces the unsalted stream exactly.
-        let mut rng = rng_for(
+        // prompt text: salt 0 reproduces the unsalted stream exactly. The
+        // stream is seeded by the full text's hash, streamed from the
+        // messages (as `rng_for` would hash the assembled text).
+        let mut rng = Rng::seed_from_u64(request.full_text_hash(
             self.seed ^ stable_hash(request.retry_salt, self.profile.name.as_bytes()),
-            &full_text,
-        );
+        ));
         let mut prompt = comprehend(request);
 
         // Context overflow: only the questions that fit are answered. The
@@ -171,15 +171,15 @@ impl ChatModel for SimulatedLlm {
                 let Some(instance) = q.instances.first() else {
                     continue;
                 };
-                let current = q.target_attribute.clone();
+                let current = q.target_attribute;
                 let others: Vec<&str> = instance
                     .fields
                     .iter()
-                    .map(|(n, _)| n.as_str())
-                    .filter(|n| Some(*n) != current.as_deref())
+                    .map(|(n, _)| *n)
+                    .filter(|n| Some(*n) != current)
                     .collect();
                 if let Some(&pick) = others.get(rng.range_usize(0, others.len().max(1))) {
-                    q.target_attribute = Some(pick.to_string());
+                    q.target_attribute = Some(pick);
                 }
             }
         }

@@ -45,7 +45,7 @@ fn format_adherence(profile: &ModelProfile, task: Option<TaskKind>) -> f64 {
 ///   probability `(1 - instruction_following) × k × 0.02`.
 pub fn plan_response(
     profile: &ModelProfile,
-    prompt: &ComprehendedPrompt,
+    prompt: &ComprehendedPrompt<'_>,
     mut answers: Vec<(usize, SolvedAnswer)>,
     context_fill: f64,
     rng: &mut Rng,
@@ -93,7 +93,7 @@ pub fn plan_response(
 /// reasoning line when chain-of-thought was requested). Garbled segments
 /// ramble without the marker so downstream parsing fails, as a misbehaving
 /// model's output would.
-pub fn render(prompt: &ComprehendedPrompt, segments: &[AnswerSegment]) -> String {
+pub fn render(prompt: &ComprehendedPrompt<'_>, segments: &[AnswerSegment]) -> String {
     use std::fmt::Write;
     // Writing segments straight into one pre-sized buffer keeps this on the
     // dispatch hot path free of per-answer temporaries: a million-row run
@@ -153,17 +153,17 @@ mod tests {
     use crate::comprehend::comprehend;
     use crate::rng::rng_for;
 
-    fn em_prompt(reason: bool) -> ComprehendedPrompt {
+    fn em_request(reason: bool) -> ChatRequest {
         let system = if reason {
             "Decide whether the two given records refer to the same entity. \
              MUST answer in two lines; give the reason first."
         } else {
             "Decide whether the two given records refer to the same entity."
         };
-        comprehend(&ChatRequest::new(vec![
+        ChatRequest::new(vec![
             Message::system(system),
             Message::user("Question 1: Record A is [t: \"x\"]. Record B is [t: \"x\"]."),
-        ]))
+        ])
     }
 
     fn solved(answer: &str) -> SolvedAnswer {
@@ -175,7 +175,8 @@ mod tests {
 
     #[test]
     fn renders_two_line_format_with_reasoning() {
-        let prompt = em_prompt(true);
+        let request = em_request(true);
+        let prompt = comprehend(&request);
         let segs = vec![AnswerSegment {
             number: 1,
             solved: solved("yes"),
@@ -187,7 +188,8 @@ mod tests {
 
     #[test]
     fn renders_single_line_without_reasoning() {
-        let prompt = em_prompt(false);
+        let request = em_request(false);
+        let prompt = comprehend(&request);
         let segs = vec![AnswerSegment {
             number: 2,
             solved: solved("no"),
@@ -200,7 +202,8 @@ mod tests {
     fn garble_does_not_corrupt_the_neighboring_answer() {
         // A garbled slot must cost exactly its own answer: the adjacent
         // well-formed answers still parse to their solved values.
-        let prompt = em_prompt(true);
+        let request = em_request(true);
+        let prompt = comprehend(&request);
         let segs = vec![
             AnswerSegment {
                 number: 1,
@@ -228,7 +231,8 @@ mod tests {
 
     #[test]
     fn garbled_segments_lack_the_marker() {
-        let prompt = em_prompt(true);
+        let request = em_request(true);
+        let prompt = comprehend(&request);
         let segs = vec![AnswerSegment {
             number: 1,
             solved: solved("yes"),
@@ -241,7 +245,8 @@ mod tests {
     #[test]
     fn reliable_model_rarely_garbles() {
         let profile = crate::profile::ModelProfile::gpt4();
-        let prompt = em_prompt(true);
+        let request = em_request(true);
+        let prompt = comprehend(&request);
         let mut garbled = 0;
         for i in 0..200 {
             let mut rng = rng_for(i, "seed");
@@ -256,13 +261,14 @@ mod tests {
     #[test]
     fn weak_model_garbles_freeform_tasks() {
         let profile = crate::profile::ModelProfile::vicuna13b();
-        let prompt = comprehend(&ChatRequest::new(vec![
+        let request = ChatRequest::new(vec![
             Message::system(
                 "You are requested to infer the value of the \"city\" attribute. \
                  MUST answer in two lines; give the reason first.",
             ),
             Message::user("Question 1: Record is [city: ???]."),
-        ]));
+        ]);
+        let prompt = comprehend(&request);
         let mut garbled = 0;
         for i in 0..200 {
             let mut rng = rng_for(i, "seed");
@@ -282,7 +288,8 @@ mod tests {
 
     #[test]
     fn empty_answers_render_fallback() {
-        let prompt = em_prompt(false);
+        let request = em_request(false);
+        let prompt = comprehend(&request);
         let text = render(&prompt, &[]);
         assert!(text.contains("could not find"));
     }
@@ -290,7 +297,8 @@ mod tests {
     #[test]
     fn context_pressure_increases_garbling() {
         let profile = crate::profile::ModelProfile::vicuna13b();
-        let prompt = em_prompt(false);
+        let request = em_request(false);
+        let prompt = comprehend(&request);
         let count_garbled = |fill: f64| {
             (0..300)
                 .filter(|&i| {

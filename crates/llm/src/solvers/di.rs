@@ -31,7 +31,7 @@ struct Candidate {
     phrase: String,
 }
 
-fn phone_prefix(instance: &ParsedInstance) -> Option<String> {
+fn phone_prefix(instance: &ParsedInstance<'_>) -> Option<String> {
     for (name, value) in &instance.fields {
         if !name.to_lowercase().contains("phone") {
             continue;
@@ -46,10 +46,10 @@ fn phone_prefix(instance: &ParsedInstance) -> Option<String> {
 }
 
 /// All 1..=3-word phrases from the instance's non-target fields.
-fn evidence_phrases(instance: &ParsedInstance, target: &str) -> Vec<String> {
+fn evidence_phrases(instance: &ParsedInstance<'_>, target: &str) -> Vec<String> {
     let mut phrases = Vec::new();
     for (name, value) in &instance.fields {
-        if name == target {
+        if *name == target {
             continue;
         }
         let Some(value) = value else { continue };
@@ -70,7 +70,11 @@ fn evidence_phrases(instance: &ParsedInstance, target: &str) -> Vec<String> {
     phrases
 }
 
-fn gather_candidates(ctx: &SolverContext<'_>, question: &Question, target: &str) -> Vec<Candidate> {
+fn gather_candidates(
+    ctx: &SolverContext<'_>,
+    question: &Question<'_>,
+    target: &str,
+) -> Vec<Candidate> {
     let mut candidates: Vec<Candidate> = Vec::new();
     let Some(instance) = question.instances.first() else {
         return candidates;
@@ -111,19 +115,19 @@ fn gather_candidates(ctx: &SolverContext<'_>, question: &Question, target: &str)
 
     // Few-shot answer prior.
     if ctx.has_examples() {
-        let mut counts: HashMap<String, usize> = HashMap::new();
+        let mut counts: HashMap<&str, usize> = HashMap::new();
         let mut total = 0usize;
         for ex in &ctx.prompt.examples {
-            if ex.target_attribute.as_deref() == Some(target) && !ex.answer.is_empty() {
-                *counts.entry(ex.answer.clone()).or_insert(0) += 1;
+            if ex.target_attribute == Some(target) && !ex.answer.is_empty() {
+                *counts.entry(ex.answer).or_insert(0) += 1;
                 total += 1;
             }
         }
-        if let Some((value, count)) = counts.into_iter().max_by_key(|(v, c)| (*c, v.clone())) {
+        if let Some((value, count)) = counts.into_iter().max_by_key(|&(v, c)| (c, v)) {
             candidates.push(Candidate {
                 weight: 0.2 + 0.2 * (count as f64 / total.max(1) as f64),
                 phrase: format!("\"{value}\" is the most common answer in the examples"),
-                value,
+                value: value.to_string(),
             });
         }
     }
@@ -164,19 +168,16 @@ fn apply_type_hint(ctx: &SolverContext<'_>, value: &str) -> String {
 }
 
 /// Solves one imputation question.
-pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> SolvedAnswer {
+pub fn solve(ctx: &SolverContext<'_>, question: &Question<'_>, rng: &mut Rng) -> SolvedAnswer {
     let target = question
         .target_attribute
-        .clone()
-        .or_else(|| ctx.prompt.target_attribute.clone())
+        .or(ctx.prompt.target_attribute.as_deref())
         .or_else(|| {
             // Fall back to the instance's missing field.
-            question.instances.first().and_then(|i| {
-                i.fields
-                    .iter()
-                    .find(|(_, v)| v.is_none())
-                    .map(|(n, _)| n.clone())
-            })
+            question
+                .instances
+                .first()
+                .and_then(|i| i.fields.iter().find(|(_, v)| v.is_none()).map(|(n, _)| *n))
         });
     let Some(target) = target else {
         return SolvedAnswer {
@@ -185,7 +186,7 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> Sol
         };
     };
 
-    let mut candidates = gather_candidates(ctx, question, &target);
+    let mut candidates = gather_candidates(ctx, question, target);
 
     // Decision noise perturbs candidate weights — with high noise a weaker
     // candidate (or a hallucination) can win.
@@ -201,7 +202,7 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> Sol
     let (value, phrase) = match candidates.first() {
         // A sufficiently noisy draw abandons evidence for a hallucination.
         Some(best) if best.weight > 0.15 => (best.value.clone(), best.phrase.clone()),
-        _ => hallucinate(ctx, &target, rng),
+        _ => hallucinate(ctx, target, rng),
     };
 
     SolvedAnswer {

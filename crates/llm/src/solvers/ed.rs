@@ -21,8 +21,15 @@
 //! ([`SolverContext::known_lexicon`]): it tests membership first, and only a
 //! non-member takes one pass over the members for both its most similar
 //! member and the one-edit test.
+//!
+//! Each evidence signal carries its score and a phrase: the values its
+//! sentence names, not the sentence. The signals are scored first; only
+//! the decisive one's phrase is written, into the one buffer that also
+//! holds the target line, with the target and value borrowed from the
+//! request.
 
 use std::collections::HashSet;
+use std::fmt::Write;
 
 use dprep_text::{normalize, normalized_levenshtein, within_one_edit};
 
@@ -43,9 +50,8 @@ fn learn_criteria(ctx: &SolverContext<'_>, target: &str) -> LearnedCriteria {
     let mut crit = LearnedCriteria::default();
     let mut numeric_clean: Vec<f64> = Vec::new();
     for ex in &ctx.prompt.examples {
-        let ex_target = match &ex.target_attribute {
-            Some(t) => t.as_str(),
-            None => continue,
+        let Some(ex_target) = ex.target_attribute else {
+            continue;
         };
         if ex_target != target {
             continue;
@@ -54,10 +60,10 @@ fn learn_criteria(ctx: &SolverContext<'_>, target: &str) -> LearnedCriteria {
             .instances
             .first()
             .and_then(|i| i.get(ex_target))
-            .and_then(|v| v.clone());
+            .flatten();
         let Some(value) = value else { continue };
         let is_error = ex.answer.to_lowercase().starts_with('y');
-        let norm = normalize(&value);
+        let norm = normalize(value);
         if is_error {
             crit.error_values.insert(norm);
         } else {
@@ -84,28 +90,28 @@ fn learn_criteria(ctx: &SolverContext<'_>, target: &str) -> LearnedCriteria {
 /// lone characters, heavy symbol content, digits inside an alphabetic value.
 fn looks_garbage(raw: &str) -> bool {
     let trimmed = raw.trim();
-    if trimmed.is_empty() {
+    let Some(first) = trimmed.chars().next() else {
         return false;
-    }
-    let chars: Vec<char> = trimmed.chars().collect();
-    if chars.len() == 1 && chars[0].is_alphabetic() {
+    };
+    let chars = || trimmed.chars();
+    let len = chars().count();
+    if len == 1 && first.is_alphabetic() {
         return true;
     }
     // Placeholder symbols; comparison/format characters (<, >, =, %, $, _)
     // are ordinary in data values and do not count.
-    let symbolish = chars
-        .iter()
-        .filter(|c| matches!(**c, '#' | '@' | '!' | '*' | '?' | '^' | '~' | '|'))
+    let symbolish = chars()
+        .filter(|c| matches!(c, '#' | '@' | '!' | '*' | '?' | '^' | '~' | '|'))
         .count();
-    if symbolish as f64 / chars.len() as f64 > 0.25 {
+    if symbolish as f64 / len as f64 > 0.25 {
         return true;
     }
     // Repeated single character ("xxxxx", "#####").
-    if chars.len() >= 3 && chars.iter().all(|&c| c == chars[0]) {
+    if len >= 3 && chars().all(|c| c == first) {
         return true;
     }
-    let letters = chars.iter().filter(|c| c.is_alphabetic()).count();
-    let digits = chars.iter().filter(|c| c.is_ascii_digit()).count();
+    let letters = chars().filter(|c| c.is_alphabetic()).count();
+    let digits = chars().filter(|c| c.is_ascii_digit()).count();
     // Digits embedded in a mostly alphabetic token (e.g. "mari3tta") —
     // hyphenated or coded labels like "7th-8th" and "ga_pn-3" are ordinary.
     if letters >= 3
@@ -203,9 +209,15 @@ fn misspelled_common_word(word: &str) -> bool {
 /// Universal format checks: `Some(true)` = format violated, `Some(false)` =
 /// format satisfied, `None` = no known format applies.
 fn format_violation(target: &str, raw: &str) -> Option<bool> {
-    let lower_target = target.to_lowercase();
-    // Phone numbers: digits and separators only, 10 digits.
-    if lower_target.contains("phone") {
+    // Phone numbers: digits and separators only, 10 digits. The target
+    // names a phone when its lowercase form holds "phone"; no non-ASCII
+    // character lowercases to one of those letters, so an ASCII
+    // case-insensitive search over the bytes is that test.
+    if target
+        .as_bytes()
+        .windows(5)
+        .any(|w| w.eq_ignore_ascii_case(b"phone"))
+    {
         let digits = raw.chars().filter(char::is_ascii_digit).count();
         let ok = digits == 10
             && raw
@@ -238,23 +250,115 @@ fn generic_numeric_suspicion(n: f64) -> f64 {
     0.15
 }
 
-/// One evidence signal: an error score in `[0, 1]` (0.5 = uninformative) and
-/// the phrase used in the reasoning line.
-struct Evidence {
-    score: f64,
-    phrase: String,
+/// What a piece of evidence says, as the values its sentence names.
+/// [`Phrase::write`] renders it about the checked value `raw` of the
+/// attribute `target`; only the decisive signal's phrase is ever written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Phrase<'a> {
+    /// The prior for a number.
+    PlausibleNumber(f64),
+    /// The prior for garbage.
+    Malformed,
+    /// The prior for ordinary text.
+    OrdinaryText,
+    /// The value was labeled erroneous in a few-shot example.
+    LabeledErroneous,
+    /// The value was labeled clean in a few-shot example.
+    LabeledClean,
+    /// A universal format check failed.
+    FormatViolated,
+    /// A universal format check passed.
+    WellFormed,
+    /// A word of the normalized value misspells a common word.
+    MisspelledWord(&'a str),
+    /// A number outside the memorized plausible range.
+    OutsideRange { n: f64, min: f64, max: f64 },
+    /// A number inside the memorized plausible range.
+    WithinRange { n: f64, min: f64, max: f64 },
+    /// A number outside the range the examples suggest.
+    OutsideExampleRange(f64),
+    /// A number inside the range the examples suggest.
+    WithinExampleRange,
+    /// A member of the memorized lexicon.
+    KnownMember,
+    /// Close to this memorized lexicon member.
+    MisspellingOf(&'a str),
+    /// A lexicon exists, and the value is not near any member.
+    Unrecognized,
 }
 
-/// The lexicon check of a non-numeric value, when the corpus holds a
-/// lexicon for `target`. Lexicon facts are stored raw; the view compares in
-/// normalized space so punctuation conventions don't read as misspellings.
-fn lexicon_evidence(ctx: &SolverContext<'_>, target: &str, raw: &str, norm: &str) -> Evidence {
+impl Phrase<'_> {
+    /// Appends the phrase to `out`.
+    fn write(self, out: &mut String, target: &str, raw: &str) {
+        let _ = match self {
+            Phrase::PlausibleNumber(n) => {
+                write!(out, "the value {n} looks generally plausible as a number")
+            }
+            Phrase::Malformed => write!(out, "the value {raw:?} looks malformed"),
+            Phrase::OrdinaryText => write!(out, "the value {raw:?} reads like ordinary text"),
+            Phrase::LabeledErroneous => {
+                write!(
+                    out,
+                    "an identical value was labeled erroneous in the examples"
+                )
+            }
+            Phrase::LabeledClean => {
+                write!(out, "an identical value was labeled clean in the examples")
+            }
+            Phrase::FormatViolated => {
+                write!(out, "{raw:?} violates the expected format of \"{target}\"")
+            }
+            Phrase::WellFormed => write!(out, "{raw:?} is well-formed for \"{target}\""),
+            Phrase::MisspelledWord(bad) => {
+                write!(out, "\"{bad}\" is a misspelling of a common word")
+            }
+            Phrase::OutsideRange { n, min, max } => write!(
+                out,
+                "{n} falls outside the plausible range {min}..{max} for \"{target}\""
+            ),
+            Phrase::WithinRange { n, min, max } => write!(
+                out,
+                "{n} is within the plausible range {min}..{max} for \"{target}\""
+            ),
+            Phrase::OutsideExampleRange(n) => {
+                write!(out, "{n} falls outside the range suggested by the examples")
+            }
+            Phrase::WithinExampleRange => {
+                write!(out, "the value is consistent with the examples' range")
+            }
+            Phrase::KnownMember => write!(out, "{raw:?} is a known legal value of \"{target}\""),
+            Phrase::MisspellingOf(member) => {
+                write!(out, "{raw:?} looks like a misspelling of {member:?}")
+            }
+            Phrase::Unrecognized => {
+                write!(out, "{raw:?} is not a value of \"{target}\" I recognize")
+            }
+        };
+    }
+}
+
+/// One evidence signal: an error score in `[0, 1]` (0.5 = uninformative) and
+/// the phrase the reasoning line uses if it decides.
+#[derive(Debug, Clone, Copy)]
+struct Evidence<'a> {
+    score: f64,
+    phrase: Phrase<'a>,
+}
+
+impl<'a> Evidence<'a> {
+    fn new(score: f64, phrase: Phrase<'a>) -> Self {
+        Evidence { score, phrase }
+    }
+}
+
+/// The lexicon check of a non-numeric value whose normalized form is
+/// `norm`, when the corpus holds a lexicon for `target`. Lexicon facts are
+/// stored raw; the view compares in normalized space so punctuation
+/// conventions don't read as misspellings.
+fn lexicon_evidence<'c>(ctx: &SolverContext<'c>, target: &str, norm: &str) -> Evidence<'c> {
     let members = ctx.known_lexicon(target);
     if members.iter().any(|member| member.norm == norm) {
-        return Evidence {
-            score: 0.06,
-            phrase: format!("{raw:?} is a known legal value of \"{target}\""),
-        };
+        return Evidence::new(0.06, Phrase::KnownMember);
     }
     // One pass for the most similar member (the first, on ties) and for a
     // member one edit away, which catches single-typo corruptions of short
@@ -272,66 +376,50 @@ fn lexicon_evidence(ctx: &SolverContext<'_>, target: &str, raw: &str, norm: &str
     }
     if best_sim >= 0.75 || one_edit {
         let member = best_member.map_or("", |m| ctx.kb.member_value(m));
-        return Evidence {
-            score: 0.9,
-            phrase: format!("{raw:?} looks like a misspelling of {member:?}"),
-        };
+        return Evidence::new(0.9, Phrase::MisspellingOf(member));
     }
     // With examples in the prompt the model has seen that
     // unfamiliar-but-clean values exist, and calibrates its suspicion down.
-    Evidence {
-        score: if ctx.has_examples() { 0.32 } else { 0.55 },
-        phrase: format!("{raw:?} is not a value of \"{target}\" I recognize"),
-    }
+    Evidence::new(
+        if ctx.has_examples() { 0.32 } else { 0.55 },
+        Phrase::Unrecognized,
+    )
 }
 
 /// The superficial prior plus any deeper evidence signals.
-struct Assessment {
-    prior: Evidence,
-    evidence: Vec<Evidence>,
+struct Assessment<'a> {
+    prior: Evidence<'a>,
+    evidence: Vec<Evidence<'a>>,
 }
 
-fn gather_evidence(
-    ctx: &SolverContext<'_>,
+/// Scores the value `raw` of `target` (normalized: `norm`); phrases borrow
+/// from `norm` and from the corpus.
+fn gather_evidence<'a>(
+    ctx: &SolverContext<'a>,
     target: &str,
     raw: &str,
+    norm: &'a str,
     crit: &LearnedCriteria,
-) -> Assessment {
+) -> Assessment<'a> {
     let mut evidence = Vec::new();
-    let norm = normalize(raw);
     let as_number = raw.trim().parse::<f64>().ok();
 
     // Superficial prior — what the model concludes with no deliberate
     // checking at all.
     let prior = if let Some(n) = as_number {
-        Evidence {
-            score: generic_numeric_suspicion(n),
-            phrase: format!("the value {n} looks generally plausible as a number"),
-        }
+        Evidence::new(generic_numeric_suspicion(n), Phrase::PlausibleNumber(n))
     } else if looks_garbage(raw) {
-        Evidence {
-            score: 0.85,
-            phrase: format!("the value {raw:?} looks malformed"),
-        }
+        Evidence::new(0.85, Phrase::Malformed)
     } else {
-        Evidence {
-            score: 0.12,
-            phrase: format!("the value {raw:?} reads like ordinary text"),
-        }
+        Evidence::new(0.12, Phrase::OrdinaryText)
     };
 
     // Few-shot value sets: associative recall, full strength.
     if ctx.has_examples() {
-        if crit.error_values.contains(&norm) {
-            evidence.push(Evidence {
-                score: 0.95,
-                phrase: "an identical value was labeled erroneous in the examples".into(),
-            });
-        } else if crit.clean_values.contains(&norm) {
-            evidence.push(Evidence {
-                score: 0.05,
-                phrase: "an identical value was labeled clean in the examples".into(),
-            });
+        if crit.error_values.contains(norm) {
+            evidence.push(Evidence::new(0.95, Phrase::LabeledErroneous));
+        } else if crit.clean_values.contains(norm) {
+            evidence.push(Evidence::new(0.05, Phrase::LabeledClean));
         }
     }
 
@@ -345,56 +433,31 @@ fn gather_evidence(
     let before_checks = evidence.len();
     if deliberate {
         match format_violation(target, raw) {
-            Some(true) => evidence.push(Evidence {
-                score: 0.92,
-                phrase: format!("{raw:?} violates the expected format of \"{target}\""),
-            }),
-            Some(false) => evidence.push(Evidence {
-                score: 0.08,
-                phrase: format!("{raw:?} is well-formed for \"{target}\""),
-            }),
+            Some(true) => evidence.push(Evidence::new(0.92, Phrase::FormatViolated)),
+            Some(false) => evidence.push(Evidence::new(0.08, Phrase::WellFormed)),
             None => {}
         }
         if as_number.is_none() {
             if let Some(bad) = norm.split(' ').find(|w| misspelled_common_word(w)) {
-                evidence.push(Evidence {
-                    score: 0.88,
-                    phrase: format!("\"{bad}\" is a misspelling of a common word"),
-                });
+                evidence.push(Evidence::new(0.88, Phrase::MisspelledWord(bad)));
             }
         }
         if let Some(n) = as_number {
             if let Some((min, max)) = ctx.kb.numeric_range(&ctx.memorizer, target) {
-                if n < min || n > max {
-                    evidence.push(Evidence {
-                        score: 0.94,
-                        phrase: format!(
-                            "{n} falls outside the plausible range {min}..{max} for \"{target}\""
-                        ),
-                    });
+                evidence.push(if n < min || n > max {
+                    Evidence::new(0.94, Phrase::OutsideRange { n, min, max })
                 } else {
-                    evidence.push(Evidence {
-                        score: 0.07,
-                        phrase: format!(
-                            "{n} is within the plausible range {min}..{max} for \"{target}\""
-                        ),
-                    });
-                }
+                    Evidence::new(0.07, Phrase::WithinRange { n, min, max })
+                });
             } else if let Some((min, max)) = crit.clean_range {
-                if n < min || n > max {
-                    evidence.push(Evidence {
-                        score: 0.86,
-                        phrase: format!("{n} falls outside the range suggested by the examples"),
-                    });
+                evidence.push(if n < min || n > max {
+                    Evidence::new(0.86, Phrase::OutsideExampleRange(n))
                 } else {
-                    evidence.push(Evidence {
-                        score: 0.12,
-                        phrase: "the value is consistent with the examples' range".into(),
-                    });
-                }
+                    Evidence::new(0.12, Phrase::WithinExampleRange)
+                });
             }
         } else if ctx.kb.has_lexicon(target) {
-            evidence.push(lexicon_evidence(ctx, target, raw, &norm));
+            evidence.push(lexicon_evidence(ctx, target, norm));
         }
     }
 
@@ -407,11 +470,10 @@ fn gather_evidence(
 }
 
 /// Solves one error-detection question.
-pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> SolvedAnswer {
+pub fn solve(ctx: &SolverContext<'_>, question: &Question<'_>, rng: &mut Rng) -> SolvedAnswer {
     let target = question
         .target_attribute
-        .clone()
-        .or_else(|| ctx.prompt.target_attribute.clone());
+        .or(ctx.prompt.target_attribute.as_deref());
     let Some(target) = target else {
         return SolvedAnswer {
             answer: "no".into(),
@@ -424,19 +486,17 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> Sol
             reason: "No record was provided.".into(),
         };
     };
-    let value = match instance.get(&target) {
-        Some(Some(v)) => v.clone(),
+    let Some(Some(value)) = instance.get(target) else {
         // A missing cell is not an error in the paper's problem setup.
-        Some(None) | None => {
-            return SolvedAnswer {
-                answer: "no".into(),
-                reason: format!("The \"{target}\" cell is empty rather than erroneous."),
-            };
-        }
+        return SolvedAnswer {
+            answer: "no".into(),
+            reason: format!("The \"{target}\" cell is empty rather than erroneous."),
+        };
     };
 
-    let crit = learn_criteria(ctx, &target);
-    let assessment = gather_evidence(ctx, &target, &value, &crit);
+    let crit = learn_criteria(ctx, target);
+    let norm = normalize(value);
+    let assessment = gather_evidence(ctx, target, value, &norm, &crit);
 
     // The most decisive deliberate signal wins; with none available the
     // superficial prior decides.
@@ -454,14 +514,24 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question, rng: &mut Rng) -> Sol
     let score = decisive.score + ctx.criteria_wander + ctx.noise(rng);
     let is_error = score > 0.5;
 
-    let mut reason = String::new();
+    // The target line, the check's opening and the quoted value are a
+    // lower bound of the reason's length: reserved up front, they leave
+    // only the phrase to grow the buffer.
+    let mut reason = String::with_capacity(
+        if ctx.prompt.confirm_target {
+            28 + target.len()
+        } else {
+            0
+        } + 26
+            + target.len()
+            + value.len(),
+    );
     if ctx.prompt.confirm_target {
-        reason.push_str(&format!("The target attribute is \"{target}\". "));
+        let _ = write!(reason, "The target attribute is \"{target}\". ");
     }
-    reason.push_str(&format!(
-        "I checked the \"{target}\" value {value:?}: {}.",
-        decisive.phrase
-    ));
+    let _ = write!(reason, "I checked the \"{target}\" value {value:?}: ");
+    decisive.phrase.write(&mut reason, target, value);
+    reason.push('.');
 
     SolvedAnswer {
         answer: if is_error { "yes".into() } else { "no".into() },
@@ -686,12 +756,23 @@ mod tests {
         );
     }
 
+    /// An evidence signal with its phrase formatted eagerly, as every
+    /// signal's was before phrases became values.
+    struct EagerEvidence {
+        score: f64,
+        phrase: String,
+    }
+
     /// The lexicon check in its two-pass form: every member of the corpus
     /// lexicon filtered by the memorizer and normalized per call, a walk for
     /// membership and the best similarity, then a second walk for the
     /// nearest edit distance. The reference the one-pass check over the
     /// lexicon view must match.
-    fn two_pass_lexicon_evidence(ctx: &SolverContext<'_>, target: &str, raw: &str) -> Evidence {
+    fn two_pass_lexicon_evidence(
+        ctx: &SolverContext<'_>,
+        target: &str,
+        raw: &str,
+    ) -> EagerEvidence {
         let norm = normalize(raw);
         let mut is_member = false;
         let mut best_sim = 0.0f64;
@@ -715,12 +796,12 @@ mod tests {
             .min()
             .unwrap_or(usize::MAX);
         if is_member {
-            Evidence {
+            EagerEvidence {
                 score: 0.06,
                 phrase: format!("{raw:?} is a known legal value of \"{target}\""),
             }
         } else if best_sim >= 0.75 || nearest_edit_distance <= 1 {
-            Evidence {
+            EagerEvidence {
                 score: 0.9,
                 phrase: format!(
                     "{raw:?} looks like a misspelling of {:?}",
@@ -728,11 +809,315 @@ mod tests {
                 ),
             }
         } else {
-            Evidence {
+            EagerEvidence {
                 score: if ctx.has_examples() { 0.32 } else { 0.55 },
                 phrase: format!("{raw:?} is not a value of \"{target}\" I recognize"),
             }
         }
+    }
+
+    /// The garbage heuristic as it read when it collected the value's
+    /// characters into a vector first.
+    fn collected_looks_garbage(raw: &str) -> bool {
+        let trimmed = raw.trim();
+        if trimmed.is_empty() {
+            return false;
+        }
+        let chars: Vec<char> = trimmed.chars().collect();
+        if chars.len() == 1 && chars[0].is_alphabetic() {
+            return true;
+        }
+        let symbolish = chars
+            .iter()
+            .filter(|c| matches!(**c, '#' | '@' | '!' | '*' | '?' | '^' | '~' | '|'))
+            .count();
+        if symbolish as f64 / chars.len() as f64 > 0.25 {
+            return true;
+        }
+        if chars.len() >= 3 && chars.iter().all(|&c| c == chars[0]) {
+            return true;
+        }
+        let letters = chars.iter().filter(|c| c.is_alphabetic()).count();
+        let digits = chars.iter().filter(|c| c.is_ascii_digit()).count();
+        letters >= 3
+            && (1..=2).contains(&digits)
+            && !trimmed.contains(' ')
+            && !trimmed.contains('-')
+            && !trimmed.contains('_')
+    }
+
+    /// The format checks as they read when the target was lowercased to
+    /// look for a phone.
+    fn lowercased_format_violation(target: &str, raw: &str) -> Option<bool> {
+        if target.to_lowercase().contains("phone") {
+            let digits = raw.chars().filter(char::is_ascii_digit).count();
+            let ok = digits == 10
+                && raw
+                    .chars()
+                    .all(|c| c.is_ascii_digit() || c == '-' || c == ' ' || c == '(' || c == ')');
+            return Some(!ok);
+        }
+        if raw.contains('%') {
+            let ok = raw
+                .trim()
+                .strip_suffix('%')
+                .map(|prefix| !prefix.is_empty() && prefix.parse::<f64>().is_ok())
+                .unwrap_or(false);
+            return Some(!ok);
+        }
+        None
+    }
+
+    /// Evidence gathering with every phrase formatted as it is found, as
+    /// it read before phrases became values (the lexicon check in its
+    /// two-pass form): the reference for the scores and the written
+    /// phrases.
+    fn eager_evidence(
+        ctx: &SolverContext<'_>,
+        target: &str,
+        raw: &str,
+        crit: &LearnedCriteria,
+    ) -> (EagerEvidence, Vec<EagerEvidence>) {
+        let e = |score: f64, phrase: String| EagerEvidence { score, phrase };
+        let mut evidence = Vec::new();
+        let norm = normalize(raw);
+        let as_number = raw.trim().parse::<f64>().ok();
+        let prior = if let Some(n) = as_number {
+            e(
+                generic_numeric_suspicion(n),
+                format!("the value {n} looks generally plausible as a number"),
+            )
+        } else if collected_looks_garbage(raw) {
+            e(0.85, format!("the value {raw:?} looks malformed"))
+        } else {
+            e(0.12, format!("the value {raw:?} reads like ordinary text"))
+        };
+        if ctx.has_examples() {
+            if crit.error_values.contains(&norm) {
+                evidence.push(e(
+                    0.95,
+                    "an identical value was labeled erroneous in the examples".into(),
+                ));
+            } else if crit.clean_values.contains(&norm) {
+                evidence.push(e(
+                    0.05,
+                    "an identical value was labeled clean in the examples".into(),
+                ));
+            }
+        }
+        let deliberate = ctx.prompt.wants_reason || ctx.has_examples();
+        let attenuation = if ctx.prompt.wants_reason { 1.0 } else { 0.45 };
+        let before_checks = evidence.len();
+        if deliberate {
+            match lowercased_format_violation(target, raw) {
+                Some(true) => evidence.push(e(
+                    0.92,
+                    format!("{raw:?} violates the expected format of \"{target}\""),
+                )),
+                Some(false) => {
+                    evidence.push(e(0.08, format!("{raw:?} is well-formed for \"{target}\"")))
+                }
+                None => {}
+            }
+            if as_number.is_none() {
+                if let Some(bad) = norm.split(' ').find(|w| misspelled_common_word(w)) {
+                    evidence.push(e(
+                        0.88,
+                        format!("\"{bad}\" is a misspelling of a common word"),
+                    ));
+                }
+            }
+            if let Some(n) = as_number {
+                if let Some((min, max)) = ctx.kb.numeric_range(&ctx.memorizer, target) {
+                    evidence.push(if n < min || n > max {
+                        e(
+                            0.94,
+                            format!(
+                                "{n} falls outside the plausible range {min}..{max} for \"{target}\""
+                            ),
+                        )
+                    } else {
+                        e(
+                            0.07,
+                            format!(
+                                "{n} is within the plausible range {min}..{max} for \"{target}\""
+                            ),
+                        )
+                    });
+                } else if let Some((min, max)) = crit.clean_range {
+                    evidence.push(if n < min || n > max {
+                        e(
+                            0.86,
+                            format!("{n} falls outside the range suggested by the examples"),
+                        )
+                    } else {
+                        e(
+                            0.12,
+                            "the value is consistent with the examples' range".into(),
+                        )
+                    });
+                }
+            } else if ctx.kb.has_lexicon(target) {
+                evidence.push(two_pass_lexicon_evidence(ctx, target, raw));
+            }
+        }
+        for e in evidence.iter_mut().skip(before_checks) {
+            e.score = 0.5 + (e.score - 0.5) * attenuation;
+        }
+        (prior, evidence)
+    }
+
+    fn written(evidence: &Evidence<'_>, target: &str, raw: &str) -> (u64, String) {
+        let mut phrase = String::new();
+        evidence.phrase.write(&mut phrase, target, raw);
+        (evidence.score.to_bits(), phrase)
+    }
+
+    #[test]
+    fn phrase_values_write_what_the_eager_phrases_said() {
+        let profile = ModelProfile::gpt4();
+        let mut kb = kb();
+        kb.add(Fact::NumericRange {
+            attribute: "PHONE".into(),
+            min: 0.5,
+            max: 1e9,
+        });
+        let ed = |user: &str| {
+            ChatRequest::new(vec![
+                Message::system(ED_SYSTEM_REASONING),
+                Message::user(user.to_string()),
+            ])
+        };
+        let few_shot = |system: &str| {
+            ChatRequest::new(vec![
+                Message::system(system.to_string()),
+                Message::user(
+                    "Question 1: Record is [age: \"250\"]. Is there an error in the \"age\" attribute?\n\
+                     Question 2: Record is [age: \"30\"]. Is there an error in the \"age\" attribute?\n\
+                     Question 3: Record is [age: \"41.5\"]. Is there an error in the \"age\" attribute?\n\
+                     Question 4: Record is [city: \"atlantaa\"]. Is there an error in the \"city\" attribute?",
+                ),
+                Message::assistant("Answer 1: out of range\nyes\nAnswer 2: fine\nno\nAnswer 3: fine\nno\nAnswer 4: typo\nyes"),
+                Message::user("Question 1: Record is [age: \"1\"]."),
+            ])
+        };
+        let requests = [
+            ed("Question 1: Record is [age: \"1\"]."),
+            ChatRequest::new(vec![
+                Message::system("Detect whether there is an error. Answer yes or no."),
+                Message::user("Question 1: Record is [age: \"1\"]."),
+            ]),
+            few_shot(ED_SYSTEM_REASONING),
+            few_shot("Detect whether there is an error. Answer yes or no."),
+        ];
+        let prompts: Vec<_> = requests.iter().map(comprehend).collect();
+        // Values: numbers in and out of every range, garbage, ordinary and
+        // misspelt text, lexicon members and near misses, phone and
+        // percentage formats, escapes, non-ASCII and control characters.
+        const VALUES: &[&str] = &[
+            "250",
+            "30",
+            "41.5",
+            "-7",
+            "1e300",
+            "NaN",
+            "inf",
+            "0.5",
+            "12",
+            "1e6",
+            "1000001",
+            "atlanta",
+            "atlantaa",
+            "marietta",
+            "Marietta!",
+            "mariettta",
+            "x",
+            "#####",
+            "mari3tta",
+            "new york",
+            "hospitol care",
+            "medicall center",
+            "770-933-0909",
+            "(770) 933 0909",
+            "770-933-090",
+            "45%",
+            "4.5 %",
+            "%",
+            "abc%",
+            "\"quoted\\",
+            "tab\u{b}vt",
+            "é",
+            "东京",
+            "İstanbul",
+            "",
+            "  ",
+            "st. john's",
+            "zzz",
+            "Q",
+            "ab!!",
+        ];
+        const TARGETS: &[&str] = &[
+            "age",
+            "city",
+            "phone",
+            "PHONE",
+            "Phone_Number",
+            "İphone",
+            "ph one",
+            "\u{212a}phone",
+            "name",
+        ];
+        let mut rng = Rng::seed_from_u64(0xed_9a5e);
+        let mut checked = [0usize; 2];
+        for prompt in &prompts {
+            for coverage in [0.5, 1.0] {
+                let ctx = SolverContext {
+                    profile: &profile,
+                    memorizer: Memorizer {
+                        model_name: profile.name.clone(),
+                        coverage,
+                        seed: 3,
+                    },
+                    kb: &kb,
+                    lexicons: &OnceLock::new(),
+                    prompt,
+                    sigma: 0.0,
+                    homogeneity: 0.0,
+                    criteria_wander: 0.0,
+                };
+                for &target in TARGETS {
+                    let crit = learn_criteria(&ctx, target);
+                    let mut values: Vec<String> = VALUES.iter().map(|v| v.to_string()).collect();
+                    for _ in 0..20 {
+                        let a = *rng.choose(VALUES).expect("nonempty");
+                        let b = *rng.choose(VALUES).expect("nonempty");
+                        values.push(format!("{a} {b}"));
+                    }
+                    for raw in &values {
+                        let norm = normalize(raw);
+                        let got = gather_evidence(&ctx, target, raw, &norm, &crit);
+                        let (prior, evidence) = eager_evidence(&ctx, target, raw, &crit);
+                        assert_eq!(
+                            written(&got.prior, target, raw),
+                            (prior.score.to_bits(), prior.phrase),
+                            "{target:?} {raw:?}"
+                        );
+                        let got: Vec<_> = got
+                            .evidence
+                            .iter()
+                            .map(|e| written(e, target, raw))
+                            .collect();
+                        let want: Vec<_> = evidence
+                            .into_iter()
+                            .map(|e| (e.score.to_bits(), e.phrase))
+                            .collect();
+                        assert_eq!(got, want, "{target:?} {raw:?}");
+                        checked[usize::from(!want.is_empty())] += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked.iter().all(|&n| n > 300), "{checked:?}");
     }
 
     /// Lexicon members: 1–3 chars, non-ASCII, and groups that differ only
@@ -767,16 +1152,18 @@ mod tests {
         let profile = ModelProfile::gpt35();
         let question = "Question 1: Record is [city: \"x\"]. \
                         Is there an error in the \"city\" attribute?";
-        let zero_shot = comprehend(&ChatRequest::new(vec![
+        let zero_shot = ChatRequest::new(vec![
             Message::system(ED_SYSTEM_REASONING),
             Message::user(question),
-        ]));
-        let few_shot = comprehend(&ChatRequest::new(vec![
+        ]);
+        let zero_shot = comprehend(&zero_shot);
+        let few_shot = ChatRequest::new(vec![
             Message::system(ED_SYSTEM_REASONING),
             Message::user(question),
             Message::assistant("Answer 1: The value reads like a city.\nno"),
             Message::user(question),
-        ]));
+        ]);
+        let few_shot = comprehend(&few_shot);
         assert!(!few_shot.examples.is_empty());
         let alphabet: Vec<char> = edit_alphabet()
             .into_iter()
@@ -855,11 +1242,11 @@ mod tests {
                         criteria_wander: 0.0,
                     };
                     for raw in &values {
-                        let got = lexicon_evidence(&ctx, "city", raw, &normalize(raw));
+                        let got = lexicon_evidence(&ctx, "city", &normalize(raw));
                         let want = two_pass_lexicon_evidence(&ctx, "city", raw);
                         assert_eq!(
-                            (got.score.to_bits(), &got.phrase),
-                            (want.score.to_bits(), &want.phrase),
+                            written(&got, "city", raw),
+                            (want.score.to_bits(), want.phrase),
                             "{raw:?} against {members:?} at coverage {coverage}"
                         );
                         verdicts[match want.score {

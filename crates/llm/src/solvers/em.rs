@@ -79,8 +79,8 @@ fn value_similarity(kb: &KnowledgeBase, mem: &Memorizer, a: &str, b: &str, contr
 pub fn score_pair_with_contrast(
     kb: &KnowledgeBase,
     mem: &Memorizer,
-    a: &ParsedInstance,
-    b: &ParsedInstance,
+    a: &ParsedInstance<'_>,
+    b: &ParsedInstance<'_>,
     contrast: f64,
 ) -> f64 {
     let mut total = 0.0;
@@ -124,8 +124,8 @@ pub fn score_pair_with_contrast(
 pub fn score_pair(
     kb: &KnowledgeBase,
     mem: &Memorizer,
-    a: &ParsedInstance,
-    b: &ParsedInstance,
+    a: &ParsedInstance<'_>,
+    b: &ParsedInstance<'_>,
 ) -> f64 {
     score_pair_with_contrast(kb, mem, a, b, 0.0)
 }
@@ -169,7 +169,7 @@ pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
 /// [`match_bar`].
 pub fn solve(
     ctx: &SolverContext<'_>,
-    question: &Question,
+    question: &Question<'_>,
     threshold: f64,
     rng: &mut Rng,
 ) -> SolvedAnswer {

@@ -22,6 +22,7 @@ pub mod em;
 pub mod sm;
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
 
 use crate::comprehend::{ComprehendedPrompt, Question, TaskKind};
@@ -29,6 +30,7 @@ use crate::knowledge::{KnowledgeBase, KnownMember, LexiconView, Memorizer};
 use crate::profile::ModelProfile;
 use crate::rng::gaussian;
 use crate::rng::Rng;
+use dprep_rng::StableHasher;
 use dprep_tabular::context::ParsedInstance;
 use dprep_text::normalize_into;
 
@@ -54,7 +56,7 @@ pub struct SolverContext<'a> {
     pub lexicons: &'a OnceLock<LexiconView>,
     /// The comprehended prompt (components, examples). Its questions are
     /// the ones [`solve`] is handed; the model moves them out first.
-    pub prompt: &'a ComprehendedPrompt,
+    pub prompt: &'a ComprehendedPrompt<'a>,
     /// Effective decision-noise standard deviation for this request.
     pub sigma: f64,
     /// Mean pairwise similarity of the batch's questions (see
@@ -93,7 +95,7 @@ impl SolverContext<'_> {
 /// number. Questions under an unrecognized task produce a refusal answer.
 pub fn solve(
     ctx: &SolverContext<'_>,
-    questions: &[Question],
+    questions: &[Question<'_>],
     rng: &mut Rng,
 ) -> Vec<(usize, SolvedAnswer)> {
     // The matching tasks' bar depends on the request alone: its few-shot
@@ -177,14 +179,23 @@ pub fn calibrate_threshold(
 /// those ids, so a pair's intersection is a few `AND`s and popcounts. The
 /// pairs are summed in the same order, with the same integer counts, as
 /// [`WordSet::jaccard`](dprep_text::WordSet::jaccard) over each question's
-/// word set, so the result is bit-identical to that form.
-pub fn batch_homogeneity(questions: &[Question]) -> f64 {
+/// word set, so the result is bit-identical to that form. Word ids are
+/// given in order of first occurrence, whatever the map's hasher.
+pub fn batch_homogeneity(questions: &[Question<'_>]) -> f64 {
     if questions.len() < 2 {
         return 0.0;
     }
     // Question `q`'s words are the space-separated words of
-    // `text[ends[q - 1]..ends[q]]`.
-    let mut text = String::new();
+    // `text[ends[q - 1]..ends[q]]`. Normalizing rarely lengthens a value,
+    // so the values' own lengths size the buffer.
+    let mut text = String::with_capacity(
+        questions
+            .iter()
+            .flat_map(|q| &q.instances)
+            .flat_map(ParsedInstance::values)
+            .map(|v| v.len() + 1)
+            .sum(),
+    );
     let mut ends = Vec::with_capacity(questions.len());
     for question in questions {
         for value in question.instances.iter().flat_map(ParsedInstance::values) {
@@ -193,8 +204,16 @@ pub fn batch_homogeneity(questions: &[Question]) -> f64 {
         }
         ends.push(text.len());
     }
-    let mut ids: HashMap<&str, usize> = HashMap::new();
-    let mut word_ids = Vec::new();
+    // Every word is followed by a space, so the spaces bound the words,
+    // and the distinct words the map holds. Its keys are short words, on
+    // which the workspace's FNV hasher is cheaper than the default SipHash.
+    // They come from the request, but only from what fits the model's
+    // context window, so words crafted to collide cost at most quadratic
+    // time in that many words.
+    let words = text.bytes().filter(|&b| b == b' ').count();
+    let mut ids: HashMap<&str, usize, BuildHasherDefault<StableHasher>> =
+        HashMap::with_capacity_and_hasher(words, BuildHasherDefault::default());
+    let mut word_ids = Vec::with_capacity(words);
     let mut id_ends = Vec::with_capacity(questions.len());
     let mut start = 0;
     for &end in &ends {
@@ -245,6 +264,7 @@ mod tests {
     use dprep_tabular::context::parse_instance;
     use dprep_text::normalize::normalized_words;
     use dprep_text::{jaccard_tokens, overlap_tokens};
+    use std::borrow::Cow;
     use std::collections::HashSet;
 
     /// Word-set Jaccard built from two hash sets per call: the reference
@@ -273,7 +293,7 @@ mod tests {
 
     /// Homogeneity as the pairwise formula: each question's instance texts
     /// joined, and both texts of every `i < j` pair re-normalized.
-    fn pairwise_homogeneity(questions: &[Question]) -> f64 {
+    fn pairwise_homogeneity(questions: &[Question<'_>]) -> f64 {
         if questions.len() < 2 {
             return 0.0;
         }
@@ -289,7 +309,7 @@ mod tests {
         total / pairs as f64
     }
 
-    fn question_texts(questions: &[Question]) -> Vec<String> {
+    fn question_texts(questions: &[Question<'_>]) -> Vec<String> {
         questions
             .iter()
             .map(|q| {
@@ -308,7 +328,8 @@ mod tests {
     /// so that a large batch holds more than 64, or more than 128, distinct
     /// words (one, two or three bitset words per question). Some questions
     /// repeat an earlier one verbatim.
-    fn random_batch(rng: &mut Rng, k: usize) -> Vec<Question> {
+    fn random_batch(rng: &mut Rng, k: usize) -> Vec<Question<'static>> {
+        const NAMES: [&str; 7] = ["a0", "a1", "a2", "a3", "a4", "a5", "a6"];
         const WORDS: &str = "apple|Apple|APPLE!|iphone|12|12gb|café|CAFÉ|cafe|东京|东|é|É|St.|\
                              John's|a-b|new york|New-York|x||  |...|İstanbul|straße";
         let words: Vec<&str> = WORDS.split('|').collect();
@@ -319,7 +340,7 @@ mod tests {
                 rng.choose(&words).expect("words").to_string()
             }
         };
-        let mut batch: Vec<Question> = Vec::with_capacity(k);
+        let mut batch: Vec<Question<'static>> = Vec::with_capacity(k);
         for number in 1..=k {
             let instances = match batch.get(rng.range_usize(0, batch.len().max(1))) {
                 Some(earlier) if rng.bool(0.2) => earlier.instances.clone(),
@@ -328,12 +349,14 @@ mod tests {
                         fields: (0..rng.range_incl(0usize, 6))
                             .map(|f| {
                                 let value = (!rng.bool(0.2)).then(|| {
-                                    (0..rng.range_incl(0usize, 8))
-                                        .map(|_| word(rng))
-                                        .collect::<Vec<_>>()
-                                        .join(" ")
+                                    Cow::Owned(
+                                        (0..rng.range_incl(0usize, 8))
+                                            .map(|_| word(rng))
+                                            .collect::<Vec<_>>()
+                                            .join(" "),
+                                    )
                                 });
-                                (format!("a{f}"), value)
+                                (NAMES[f], value)
                             })
                             .collect(),
                     })
@@ -408,11 +431,13 @@ mod tests {
 
     #[test]
     fn homogeneity_of_similar_batch_is_high() {
-        let make_q = |text: &str| Question {
-            number: 1,
-            instances: vec![parse_instance(text).unwrap()],
-            target_attribute: None,
-        };
+        fn make_q(text: &str) -> Question<'_> {
+            Question {
+                number: 1,
+                instances: vec![parse_instance(text).unwrap()],
+                target_attribute: None,
+            }
+        }
         let similar = vec![
             make_q("[title: \"apple iphone 12 black\"]"),
             make_q("[title: \"apple iphone 12 white\"]"),

@@ -65,16 +65,16 @@ fn name_similarity(a: &str, b: &str) -> f64 {
     sim
 }
 
-fn field<'a>(instance: &'a ParsedInstance, name: &str) -> &'a str {
-    instance.get(name).and_then(|v| v.as_deref()).unwrap_or("")
+fn field<'a>(instance: &'a ParsedInstance<'_>, name: &str) -> &'a str {
+    instance.get(name).flatten().unwrap_or("")
 }
 
 /// Match score for two `(name, description)` attribute instances.
 pub fn score_pair(
     kb: &KnowledgeBase,
     mem: &Memorizer,
-    a: &ParsedInstance,
-    b: &ParsedInstance,
+    a: &ParsedInstance<'_>,
+    b: &ParsedInstance<'_>,
     use_reasoning: bool,
 ) -> f64 {
     let name_a = normalize(field(a, "name"));
@@ -155,7 +155,7 @@ pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
 /// [`match_bar`].
 pub fn solve(
     ctx: &SolverContext<'_>,
-    question: &Question,
+    question: &Question<'_>,
     threshold: f64,
     rng: &mut Rng,
 ) -> SolvedAnswer {

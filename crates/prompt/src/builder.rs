@@ -130,6 +130,19 @@ fn message_tokens(tag: &str, content: &str) -> usize {
     count_tokens(tag) + 1 + count_tokens(content)
 }
 
+/// Appends `Question {number}: {question body}` and a newline to `out`.
+pub(crate) fn write_numbered_question(
+    out: &mut String,
+    number: usize,
+    instance: &TaskInstance,
+    feature_indices: Option<&[usize]>,
+) {
+    use std::fmt::Write;
+    let _ = write!(out, "Question {number}: ");
+    instance.write_question(out, feature_indices);
+    out.push('\n');
+}
+
 /// Invariant prompt parts of one execution plan, rendered and tokenized
 /// once.
 ///
@@ -227,16 +240,15 @@ impl PromptContext {
         }
 
         // The batch body is the one per-request render on the planning hot
-        // path; write each question straight into the buffer instead of
-        // allocating a `format!` temporary per line.
+        // path: every question, and every record in it, is written
+        // straight into this one buffer.
         let mut body = String::new();
         for (i, instance) in batch.iter().enumerate() {
-            use std::fmt::Write;
-            let _ = writeln!(
-                body,
-                "Question {}: {}",
+            write_numbered_question(
+                &mut body,
                 i + 1,
-                instance.question_text(self.config.feature_indices.as_deref())
+                instance,
+                self.config.feature_indices.as_deref(),
             );
         }
         sections.instances = count_tokens(&body);
@@ -316,7 +328,7 @@ mod tests {
         assert_eq!(c.examples.len(), 1);
         assert_eq!(c.examples[0].answer, "marietta");
         assert_eq!(c.questions.len(), 2);
-        assert_eq!(c.questions[0].target_attribute.as_deref(), Some("city"));
+        assert_eq!(c.questions[0].target_attribute, Some("city"));
     }
 
     #[test]
@@ -331,7 +343,7 @@ mod tests {
         let c = comprehend(&req);
         assert_eq!(c.task, Some(TaskKind::ErrorDetection));
         assert!(c.confirm_target);
-        assert_eq!(c.questions[0].target_attribute.as_deref(), Some("age"));
+        assert_eq!(c.questions[0].target_attribute, Some("age"));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use dprep_llm::Message;
 
+use crate::builder::write_numbered_question;
 use crate::task::TaskInstance;
 
 /// One labeled few-shot example.
@@ -56,10 +57,7 @@ pub fn render_examples(
     let mut answers = String::new();
     for (i, ex) in examples.iter().enumerate() {
         let n = i + 1;
-        questions.push_str(&format!(
-            "Question {n}: {}\n",
-            ex.instance.question_text(feature_indices)
-        ));
+        write_numbered_question(&mut questions, n, &ex.instance, feature_indices);
         if reasoning {
             answers.push_str(&format!("Answer {n}: {}\n{}\n", ex.reason, ex.answer));
         } else {

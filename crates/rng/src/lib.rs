@@ -17,18 +17,74 @@
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a hash of `bytes`, mixed with `seed`.
+/// FNV-1a hash of `bytes`, mixed with `seed`: [`StableHasher`] fed the
+/// bytes in one piece.
 pub fn stable_hash(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut hasher = StableHasher::new(seed);
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// The streaming form of [`stable_hash`]: bytes fed in any number of
+/// pieces hash as their concatenation does, so a text that exists only as
+/// parts (a request's messages, a formatted descriptor) is hashed without
+/// being assembled first. It is also a `fmt::Write` sink, so `write!`
+/// hashes the bytes `format!` would have produced, and a
+/// [`std::hash::Hasher`], so a hash map can key on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StableHasher {
+    state: u64,
+}
+
+impl StableHasher {
+    /// A hasher mixed with `seed`; nothing fed yet.
+    pub fn new(seed: u64) -> Self {
+        StableHasher {
+            state: FNV_OFFSET ^ seed,
+        }
     }
-    // Final avalanche (splitmix64 finalizer) so similar strings diverge.
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= b as u64;
+            self.state = self.state.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of everything fed so far. Feeding more afterwards goes on
+    /// from the same state.
+    pub fn finish(&self) -> u64 {
+        // Final avalanche (splitmix64 finalizer) so similar strings diverge.
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+impl Default for StableHasher {
+    /// Seed 0.
+    fn default() -> Self {
+        StableHasher::new(0)
+    }
+}
+
+impl std::fmt::Write for StableHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl std::hash::Hasher for StableHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        StableHasher::write(self, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        StableHasher::finish(self)
+    }
 }
 
 /// splitmix64 step: expands a 64-bit seed into a stream of well-mixed words.
@@ -205,6 +261,47 @@ mod tests {
         assert_eq!(stable_hash(1, b"abc"), stable_hash(1, b"abc"));
         assert_ne!(stable_hash(1, b"abc"), stable_hash(1, b"abd"));
         assert_ne!(stable_hash(1, b"abc"), stable_hash(2, b"abc"));
+    }
+
+    /// FNV-1a with the splitmix64 finalizer, byte by byte, as
+    /// `stable_hash` read before the streaming hasher took its body.
+    fn one_shot_hash(seed: u64, bytes: &[u8]) -> u64 {
+        let mut h = FNV_OFFSET ^ seed;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        let mut z = h;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn streamed_pieces_hash_as_their_concatenation() {
+        use std::fmt::Write;
+        let mut rng = Rng::seed_from_u64(0x57ab_1e00);
+        for _ in 0..500 {
+            let seed = rng.next_u64();
+            let len = rng.range_incl(0usize, 200);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(stable_hash(seed, &bytes), one_shot_hash(seed, &bytes));
+            // Any cut into pieces hashes the same.
+            let mut hasher = StableHasher::new(seed);
+            let mut at = 0;
+            while at < bytes.len() {
+                let end = rng.range_incl(at, bytes.len());
+                hasher.write(&bytes[at..end]);
+                at = end;
+            }
+            assert_eq!(hasher.finish(), one_shot_hash(seed, &bytes));
+        }
+        // `write!` hashes exactly the bytes `format!` produces.
+        let (name, temperature, salt) = ("sim-gpt-4", 0.75f64, 3u64);
+        let mut hasher = StableHasher::new(9);
+        let _ = write!(hasher, "{name}|{temperature}|{salt}|");
+        let text = format!("{name}|{temperature}|{salt}|");
+        assert_eq!(hasher.finish(), stable_hash(9, text.as_bytes()));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use context::{contextualize, contextualize_selected, parse_instance, ParsedInstance};
+pub use context::{contextualize, contextualize_selected_into, parse_instance, ParsedInstance};
 pub use error::TabularError;
 pub use record::Record;
 pub use schema::{AttrType, Attribute, Schema};

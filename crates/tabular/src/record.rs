@@ -11,11 +11,14 @@ use crate::value::Value;
 ///
 /// A record holds its values plus an [`Arc`] to the schema they conform to,
 /// so records can travel independently of their table (the paper's problem
-/// definitions hand the LLM one record — or one pair — at a time).
+/// definitions hand the LLM one record — or one pair — at a time). The
+/// values sit behind an [`Arc`] too: a clone shares the row instead of
+/// copying it (one instance per checked cell all point at one row), and
+/// [`set`](Record::set) copies a shared row before it writes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     schema: Arc<Schema>,
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Record {
@@ -27,7 +30,10 @@ impl Record {
                 expected: schema.len(),
             });
         }
-        Ok(Record { schema, values })
+        Ok(Record {
+            schema,
+            values: values.into(),
+        })
     }
 
     /// The schema this record conforms to.
@@ -50,7 +56,8 @@ impl Record {
         self.schema.index_of(name).and_then(|i| self.values.get(i))
     }
 
-    /// Replaces the value at `index`, returning the previous value.
+    /// Replaces the value at `index`, returning the previous value. A row
+    /// shared with other clones is copied first, so they keep their value.
     pub fn set(&mut self, index: usize, value: Value) -> Result<Value, TabularError> {
         if index >= self.values.len() {
             return Err(TabularError::AttributeIndexOutOfRange {
@@ -58,7 +65,10 @@ impl Record {
                 len: self.values.len(),
             });
         }
-        Ok(std::mem::replace(&mut self.values[index], value))
+        Ok(std::mem::replace(
+            &mut Arc::make_mut(&mut self.values)[index],
+            value,
+        ))
     }
 
     /// A copy of the record with the cell at `index` masked as
@@ -153,6 +163,18 @@ mod tests {
         assert_eq!(prev, Value::text("carey's corner"));
         assert_eq!(r.get(0), Some(&Value::text("new")));
         assert!(r.set(9, Value::Missing).is_err());
+    }
+
+    #[test]
+    fn set_on_a_clone_leaves_the_shared_row_alone() {
+        let original = sample();
+        let mut copy = original.clone();
+        copy.set(1, Value::text("atlanta")).unwrap();
+        assert_eq!(original.get(1), Some(&Value::text("marietta")));
+        assert_eq!(copy.get(1), Some(&Value::text("atlanta")));
+        let masked = original.with_missing(0).unwrap();
+        assert!(masked.get(0).unwrap().is_missing());
+        assert_eq!(original.get(0), Some(&Value::text("carey's corner")));
     }
 
     #[test]

@@ -126,11 +126,32 @@ fn csv_round_trips() {
 #[test]
 fn parse_instance_never_panics() {
     let mut rng = Rng::seed_from_u64(0x7ab_0003);
-    // Arbitrary printable garbage may fail to parse, but must never panic.
-    let alphabet: Vec<u8> = (b' '..=b'~').chain([b'\n', b'\t']).collect();
-    for _ in 0..CASES {
+    // Arbitrary garbage may fail to parse, but must never panic: printable
+    // ASCII, control characters (`\x0B` among them), and multi-byte
+    // characters, which the byte walk must never cut inside — after a
+    // backslash, before a quote, at the end of the text.
+    let alphabet: Vec<char> = (' '..='~')
+        .chain([
+            '\n',
+            '\t',
+            '\u{b}',
+            '\u{0}',
+            '\r',
+            'é',
+            '东',
+            '\u{a0}',
+            '\u{1f600}',
+        ])
+        .collect();
+    let grammar: Vec<char> = "[]:,\"\\? é东\u{b}".chars().collect();
+    for case in 0..CASES * 8 {
         let len = rng.range_incl(0usize, 120);
-        let text = rng.ascii_string(&alphabet, len);
+        // Every other case draws from the grammar's own characters, where
+        // near misses of well-formed instances are dense.
+        let pool = if case % 2 == 0 { &alphabet } else { &grammar };
+        let text: String = (0..len)
+            .map(|_| *rng.choose(pool).expect("nonempty"))
+            .collect();
         let _ = parse_instance(&text);
         let _ = dprep_tabular::context::extract_instances(&text);
     }

@@ -107,18 +107,10 @@ fn every_task_and_component_combination_round_trips() {
                     }
                     if task == Task::ErrorDetection {
                         assert_eq!(c.confirm_target, reasoning, "{label}");
-                        assert_eq!(
-                            c.questions[0].target_attribute.as_deref(),
-                            Some("brand"),
-                            "{label}"
-                        );
+                        assert_eq!(c.questions[0].target_attribute, Some("brand"), "{label}");
                     }
                     if task == Task::Imputation {
-                        assert_eq!(
-                            c.questions[0].target_attribute.as_deref(),
-                            Some("brand"),
-                            "{label}"
-                        );
+                        assert_eq!(c.questions[0].target_attribute, Some("brand"), "{label}");
                     }
                 }
             }

@@ -377,22 +377,30 @@ fn colliding_tenant_and_key_pairs_get_journals_of_their_own() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `body` with its field `key` set to `value`, replaced in place when the
+/// body has one.
+fn with_field(body: Json, key: &str, value: Json) -> Json {
+    let Json::Obj(mut fields) = body else {
+        return body;
+    };
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some(field) => field.1 = value,
+        None => fields.push((key.to_string(), value)),
+    }
+    Json::Obj(fields)
+}
+
 /// A client's `workers` is a ceiling on threads, not an allocation: a
 /// submit asking for 10^12 workers runs on the threads its plan can use
 /// and replies exactly what a one-worker submit does.
 #[test]
 fn absurd_worker_counts_reply_like_one_worker() {
-    let with_workers = |workers: f64| match submit_body("t", "Restaurant", vec![]) {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| match k.as_str() {
-                    "workers" => (k, Json::Num(workers)),
-                    _ => (k, v),
-                })
-                .collect(),
-        ),
-        other => other,
+    let with_workers = |workers: f64| {
+        with_field(
+            submit_body("t", "Restaurant", vec![]),
+            "workers",
+            Json::Num(workers),
+        )
     };
     with_daemon(handler(None), TenantLedger::new(), |addr| {
         let one = submit(addr, &with_workers(1.0));
@@ -411,6 +419,42 @@ fn absurd_worker_counts_reply_like_one_worker() {
             num_field(&huge, "tokens_billed"),
             num_field(&one, "tokens_billed")
         );
+    });
+}
+
+/// A present integer field that is not a non-negative whole number — a
+/// fraction, a negative, a string, `null` — is refused with an error
+/// naming the field, before any model call: the tenant is billed nothing.
+/// (Such a `token_budget` once read as no budget, and a Restaurant job
+/// billed its unbudgeted tokens.)
+#[test]
+fn malformed_integer_fields_are_refused_and_bill_nothing() {
+    let text = |s: &str| Json::Str(s.to_string());
+    let cases = [
+        ("token_budget", Json::Num(1.5)),
+        ("token_budget", Json::Num(-5.0)),
+        ("token_budget", text("500")),
+        ("token_budget", Json::Null),
+        ("workers", Json::Num(0.5)),
+        ("seed", Json::Num(-1.0)),
+        ("plan_shard_size", text("4")),
+        ("kill_after", Json::Null),
+    ];
+    with_daemon(handler(None), TenantLedger::new(), |addr| {
+        for (key, value) in cases {
+            let request = with_field(submit_body("typo", "Restaurant", vec![]), key, value);
+            assert_rejected(&submit(addr, &request), &format!("\"{key}\" must be"));
+        }
+        let stats = submit(addr, &op("stats"));
+        let billed: usize = match stats.get("tenants") {
+            Some(Json::Arr(rows)) => rows
+                .iter()
+                .filter(|row| row.get("tenant").and_then(Json::as_str) == Some("typo"))
+                .map(|row| num_field(row, "tokens_billed"))
+                .sum(),
+            _ => 0,
+        };
+        assert_eq!(billed, 0, "{}", stats.to_json());
     });
 }
 
