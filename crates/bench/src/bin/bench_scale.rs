@@ -19,8 +19,9 @@
 //! ```
 //!
 //! Gates (for CI smoke use): `--max-rss-mb M` fails the process when any
-//! streaming run's peak RSS exceeds M, and `--min-rows-per-sec R` fails
-//! it when any run throughputs below R.
+//! run's peak RSS exceeds M — streaming or materialized, since the
+//! materialized run is the one-shard plan every CLI run uses by default —
+//! and `--min-rows-per-sec R` fails it when any run throughputs below R.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,7 +159,7 @@ fn main() {
         let m = run.get("mode").and_then(Json::as_str).unwrap_or("?");
         let n = field(run, "rows");
         if let Some(ceiling) = max_rss_mb {
-            if m == "stream" && field(run, "peak_rss_mb") > ceiling {
+            if field(run, "peak_rss_mb") > ceiling {
                 problems.push(format!(
                     "{n} rows ({m}): peak RSS {:.1} MB exceeds the {ceiling:.1} MB ceiling",
                     field(run, "peak_rss_mb")

@@ -1,5 +1,8 @@
 //! `dprep detect` — cell-level error detection over a CSV file.
 
+use std::fmt::Display;
+use std::io::{BufWriter, Write};
+
 use dprep_core::{PipelineConfig, Preprocessor};
 use dprep_prompt::{Task, TaskInstance};
 
@@ -20,10 +23,11 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         model,
     } = serving_setup(flags, &mut [&mut config])?;
 
+    // Per checked cell: its row and the index of its attribute in `attrs`.
     let mut instances = Vec::new();
     let mut cells = Vec::new();
     for (row_idx, row) in table.rows().iter().enumerate() {
-        for attr in &attrs {
+        for (attr_idx, attr) in attrs.iter().enumerate() {
             if row
                 .get_by_name(attr)
                 .map(|v| v.is_missing())
@@ -35,7 +39,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
                 record: row.clone(),
                 attribute: attr.clone(),
             });
-            cells.push((row_idx, attr.clone()));
+            cells.push((row_idx, attr_idx));
         }
     }
     if instances.is_empty() {
@@ -47,35 +51,40 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .with_tracer(obs.tracer());
     let result = preprocessor.try_run(&instances, &[])?;
 
-    println!("row\tattribute\tvalue\tverdict\treason");
+    // One locked, buffered writer for the whole table, flushed before the
+    // footer goes to stderr.
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let written = |e: std::io::Error| format!("cannot write the results: {e}");
+    writeln!(out, "row\tattribute\tvalue\tverdict\treason").map_err(written)?;
+    let all = flags.get("all").is_some();
     let mut flagged = 0usize;
-    for ((row_idx, attr), prediction) in cells.iter().zip(&result.predictions) {
+    for (&(row_idx, attr_idx), prediction) in cells.iter().zip(&result.predictions) {
         let verdict = prediction.as_yes_no();
         if verdict == Some(true) {
             flagged += 1;
         }
         // Print errors always; clean cells only with --all true.
-        if verdict == Some(true) || flags.get("all").is_some() {
-            let value = table
-                .row(*row_idx)
-                .and_then(|r| r.get_by_name(attr))
-                .map(|v| v.to_string())
-                .unwrap_or_default();
+        if verdict == Some(true) || all {
+            let attr = &attrs[attr_idx];
+            let value: &dyn Display = match table.row(row_idx).and_then(|r| r.get_by_name(attr)) {
+                Some(value) => value,
+                None => &"",
+            };
             let reason = prediction
                 .answer()
-                .and_then(|a| a.reason.clone())
+                .and_then(|a| a.reason.as_deref())
                 .unwrap_or_default();
-            println!(
-                "{row_idx}\t{attr}\t{value}\t{}\t{reason}",
-                match (verdict, prediction.failure()) {
-                    (Some(true), _) => "error",
-                    (Some(false), _) => "ok",
-                    (None, Some(kind)) => kind.label(),
-                    (None, None) => "unparsed",
-                }
-            );
+            let label = match (verdict, prediction.failure()) {
+                (Some(true), _) => "error",
+                (Some(false), _) => "ok",
+                (None, Some(kind)) => kind.label(),
+                (None, None) => "unparsed",
+            };
+            writeln!(out, "{row_idx}\t{attr}\t{value}\t{label}\t{reason}").map_err(written)?;
         }
     }
+    out.flush().map_err(written)?;
+    drop(out);
     eprintln!("{flagged} of {} cells flagged", instances.len());
     print_usage_footer(&result.usage, Some(&result.stats));
     print_metrics(&serving, &result.metrics)?;

@@ -1,6 +1,8 @@
 //! `dprep match` — full entity matching between two CSV files: blocking
 //! (§2.1) then pairwise LLM matching.
 
+use std::io::{BufWriter, Write};
+
 use dprep_core::blocking::{EmbeddingBlocker, NgramBlocker};
 use dprep_core::{PipelineConfig, Preprocessor};
 use dprep_prompt::{Task, TaskInstance};
@@ -67,18 +69,26 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .with_tracer(obs.tracer());
     let result = preprocessor.try_run(&instances, &[])?;
 
-    println!("left\tright\tleft_record\tright_record");
+    // One locked, buffered writer for the whole table, flushed before the
+    // footer goes to stderr.
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    let written = |e: std::io::Error| format!("cannot write the results: {e}");
+    writeln!(out, "left\tright\tleft_record\tright_record").map_err(written)?;
     let mut matches = 0usize;
     for (&(i, j), prediction) in candidates.iter().zip(&result.predictions) {
         if prediction.as_yes_no() == Some(true) {
             matches += 1;
-            println!(
+            writeln!(
+                out,
                 "{i}\t{j}\t{}\t{}",
                 dprep_tabular::context::contextualize(&left.rows()[i]),
                 dprep_tabular::context::contextualize(&right.rows()[j]),
-            );
+            )
+            .map_err(written)?;
         }
     }
+    out.flush().map_err(written)?;
+    drop(out);
     eprintln!(
         "{matches} matching pair(s) of {} candidates",
         candidates.len()

@@ -4,11 +4,17 @@
 //! Planning — batching, context-window fitting, rendering, dedup, and
 //! fingerprinting — happens in [`crate::stream`]. A [`PlanStream`] yields
 //! the plan in shards; an [`ExecutionPlan`] is the same survey with the
-//! whole plan as its one shard, rendered before the run. Both run through
+//! whole plan as its one shard, surveyed before the run. Both run through
 //! the same loop: for each shard, [`Executor`] dispatches the shard's
 //! unique requests across `N` worker threads (`std::thread::scope`,
 //! work-stealing off an atomic cursor), folds their terminals into the
 //! ledger in plan order, then parses the shard's batches in plan order.
+//!
+//! The work beside each model call happens on the worker that makes it:
+//! the worker builds the request (around the body the survey kept, or one
+//! it renders), sends it, parses the completion into per-position answers,
+//! and drops the request. The plan-order fold and parse loop then only
+//! bill and move answers into predictions.
 //!
 //! Because batch membership, request payloads, and deduplication are all
 //! fixed by the survey before the first dispatch, and aggregation walks
@@ -22,20 +28,23 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use dprep_llm::middleware::expected_answers;
 use dprep_llm::{
-    is_complete, request_fingerprint, ChatModel, ChatRequest, ChatResponse, FaultKind, RouteFold,
-    RouteOutcome, RoutePending, SettledLeg, Usage, UsageTotals,
+    is_complete, is_complete_for, request_fingerprint, ChatModel, ChatRequest, ChatResponse,
+    FaultKind, RouteFold, RouteOutcome, RoutePending, SettledLeg, Usage, UsageTotals,
 };
 use dprep_obs::{
     DurableJournal, JournalEntry, MetricsRecorder, NullTracer, ResumedJournal, RouteLegRecord,
     TerminalKind, TraceEvent, Tracer,
 };
-use dprep_prompt::{build_request, parse_response, FewShotExample, PromptContext, TaskInstance};
+use dprep_prompt::{
+    build_request, parse_batch, BatchAnswers, FewShotExample, PromptContext, TaskInstance,
+};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::{FailureKind, Prediction, RunResult};
 use crate::serve::ShardGate;
-use crate::stream::{PlanShard, PlanStream};
+use crate::stream::{PlanShard, PlanStream, RenderScratch};
 
 /// One planned batch: which instances it covers and which unique request
 /// serves it.
@@ -52,8 +61,9 @@ pub struct PlannedBatch {
 
 /// Everything about a run that is decided before the model is called: the
 /// [`PlanStream`] survey with the whole plan as its one shard. [`build`]
-/// finishes all planning and rendering before it returns; the accessors
-/// read that shard.
+/// finishes all planning before it returns, and keeps every unique
+/// request's body for the worker that will send it; the accessors read
+/// that shard.
 ///
 /// [`build`]: ExecutionPlan::build
 #[derive(Debug)]
@@ -74,7 +84,7 @@ impl<'a> ExecutionPlan<'a> {
         examples: &[FewShotExample],
     ) -> ExecutionPlan<'a> {
         let mut survey = PlanStream::new(model, config, instances, examples, usize::MAX);
-        let shard = survey.next_shard(model).unwrap_or_default();
+        let shard = survey.next_shard().unwrap_or_default();
         ExecutionPlan { survey, shard }
     }
 
@@ -83,16 +93,34 @@ impl<'a> ExecutionPlan<'a> {
         &self.shard.batches
     }
 
-    /// The unique requests the plan dispatches (deduplicated).
-    pub fn requests(&self) -> &[ChatRequest] {
-        &self.shard.requests
+    /// The unique requests the plan dispatches (deduplicated), each
+    /// rendered on demand, as the worker that sends it builds it. For tests
+    /// and inspection: a run builds each request once, on its worker, and
+    /// this leaves the plan's kept bodies in place.
+    pub fn requests(&self) -> Vec<ChatRequest> {
+        self.rendered()
+            .into_iter()
+            .map(|(request, _)| request)
+            .collect()
     }
 
     /// Per-request prompt-component token counts, aligned with
-    /// [`requests`](Self::requests). Order: task-spec, answer-format, cot,
-    /// few-shot, instances (message framing is the billed remainder).
-    pub fn sections(&self) -> &[[usize; 5]] {
-        &self.shard.sections
+    /// [`requests`](Self::requests) and rendered on demand like them.
+    /// Order: task-spec, answer-format, cot, few-shot, instances (message
+    /// framing is the billed remainder).
+    pub fn sections(&self) -> Vec<[usize; 5]> {
+        self.rendered()
+            .into_iter()
+            .map(|(_, sections)| sections)
+            .collect()
+    }
+
+    /// Every unique request with its section counts, freshly rendered.
+    fn rendered(&self) -> Vec<(ChatRequest, [usize; 5])> {
+        let mut scratch = RenderScratch::default();
+        (0..self.shard.fingerprints.len())
+            .map(|i| self.survey.render_request(&self.shard, i, &mut scratch))
+            .collect()
     }
 
     /// Batches whose request is served by an earlier identical batch.
@@ -574,10 +602,14 @@ impl Executor {
     }
 
     /// [`try_run`](Self::try_run) over a streaming plan: consumes `stream`
-    /// shard by shard — rendering, dispatching, folding, and parsing each
-    /// shard before the next — so the executor holds at most one shard of
-    /// rendered requests plus the responses still referenced by a later
-    /// batch, instead of the whole plan.
+    /// shard by shard — dispatching, folding, and parsing each shard before
+    /// the next — so the executor holds at most one shard of batches plus
+    /// the responses still referenced by a later batch, instead of the
+    /// whole plan. Each request is built on the worker that sends it and
+    /// lives only while it is in flight: in the first shard around the
+    /// body the survey kept, in later shards around a body the worker
+    /// renders. The worker also parses the completion, so the plan-order
+    /// fold and parse only bill and move answers.
     ///
     /// **Shard size.** Predictions, usage totals, serving counters, and the
     /// metrics snapshot are the same at every shard size and worker count:
@@ -594,7 +626,11 @@ impl Executor {
     /// ulp. A run resumed at the shard size it was journaled under is
     /// always bit-identical. In a trace, `Planned`/`Deduped` arrive per
     /// shard (same payloads, global totals), and the four `Stage` events
-    /// arrive once at the end with wall-clock totals across every shard.
+    /// arrive once at the end with wall-clock totals across every shard:
+    /// `plan` and `prompt-build` are the survey's (plus the shard
+    /// bookkeeping), `dispatch` holds the workers' renders, model calls and
+    /// parses, and `parse` the plan-order loop that moves answers into
+    /// predictions (and parses what settlement replaced).
     pub fn try_run_stream<M: ChatModel + ?Sized>(
         &self,
         model: &M,
@@ -702,9 +738,9 @@ impl Executor {
             // dispatch, fold, and parse — and is released even on an
             // error return, so a failing job never wedges the rotation.
             let _turn = self.gate.as_deref().map(GateTurn::acquire);
-            let shard = shards.next(model).expect("a shard remains");
+            let shard = shards.next().expect("a shard remains");
             let survey = shards.survey();
-            for i in 0..shard.requests.len() {
+            for i in 0..shard.fingerprints.len() {
                 let g = shard.first_request + i;
                 emit(TraceEvent::Planned {
                     request: base_id + g as u64,
@@ -726,8 +762,8 @@ impl Executor {
             let dispatch_started = std::time::Instant::now();
             let dispatched = self.dispatch_slice(
                 model,
-                &shard.requests,
-                &shard.fingerprints,
+                survey,
+                &shard,
                 base_id + shard.first_request as u64,
                 &mut clocks,
             );
@@ -744,8 +780,6 @@ impl Executor {
                     model,
                     base_id + g as u64,
                     shard.fingerprints[i],
-                    &shard.requests[i],
-                    shard.sections[i],
                     &mut d,
                     &mut route_fold,
                     &mut gauge,
@@ -768,17 +802,21 @@ impl Executor {
                 break;
             }
 
-            // Predictions: parse each batch's response and classify the
-            // misses. A batch whose request was budget-cancelled fails
-            // wholesale; a multi-instance batch with unanswered instances
-            // enters the degradation ladder when enabled (failure events
-            // for its missed instances are deferred until the ladder
-            // exhausts, so every instance gets exactly one terminal event).
+            // Predictions: move each batch's answers into place and
+            // classify the misses. A batch whose request was
+            // budget-cancelled fails wholesale; a multi-instance batch with
+            // unanswered instances enters the degradation ladder when
+            // enabled (failure events for its missed instances are deferred
+            // until the ladder exhausts, so every instance gets exactly one
+            // terminal event).
             let parse_started = std::time::Instant::now();
-            for batch in &shard.batches {
+            for (offset, batch) in shard.batches.iter().enumerate() {
                 let g = batch.request_index;
+                // The last batch a response serves takes its answers; an
+                // earlier one, served by dedup, copies them.
+                let last_use = survey.last_batch_of(g) == shard.first_batch + offset;
                 let d = (!request_cancelled[g]).then(|| {
-                    live.get(&g)
+                    live.get_mut(&g)
                         .expect("response retained until its last referencing batch")
                 });
                 let fired = self.parse_one_batch(
@@ -786,6 +824,7 @@ impl Executor {
                     &batch.instance_indices,
                     base_id + g as u64,
                     d,
+                    last_use,
                     reasoning,
                     instances,
                     survey.context(),
@@ -908,9 +947,10 @@ impl Executor {
     /// Folds one dispatched request's terminal into the ledger: either a
     /// budget cancellation (the gauge tripped before this request's slot in
     /// plan order) or a completion with its billing, component attribution,
-    /// and journal append. The run loop walks unique requests in plan order
-    /// at every shard size, so the fold sequence (and therefore the
-    /// journal, the gauge, and every counter) does not depend on it.
+    /// and, when a journal is attached, its journal entry. The run loop
+    /// walks unique requests in plan order at every shard size, so the fold
+    /// sequence (and therefore the journal, the gauge, and every counter)
+    /// does not depend on it.
     ///
     /// The `Completed` / `Parsed` / `Failed` / `Cancelled` events this fold
     /// emits are the observability plane's deterministic spine: the sliding
@@ -928,8 +968,6 @@ impl Executor {
         model: &M,
         request_id: u64,
         fingerprint: u64,
-        request: &ChatRequest,
-        sections: [usize; 5],
         d: &mut DispatchedResponse,
         route_fold: &mut RouteFold,
         gauge: &mut BudgetGauge,
@@ -996,6 +1034,11 @@ impl Executor {
             }
             d.response = settlement.response;
             settled_cost = Some(settlement.cost_usd);
+            // The worker saw the speculative response: the settled one is
+            // judged here, and parsed in the plan-order loop.
+            if self.durability.journal.is_some() {
+                d.complete = is_complete_for(d.expected, &d.response);
+            }
         }
         let response = &d.response;
         let fresh = !response.meta.cache_hit;
@@ -1038,7 +1081,7 @@ impl Executor {
         // fresh and attributes zero everywhere.
         let attributed = if fresh {
             let attempts = response.meta.retries as usize + 1;
-            let scaled = sections.map(|n| n * attempts);
+            let scaled = d.sections.map(|n| n * attempts);
             dprep_obs::component::reconcile(scaled, response.usage.prompt_tokens)
         } else {
             [0; 6]
@@ -1053,17 +1096,29 @@ impl Executor {
             instances: attributed[4],
             framing: attributed[5],
         });
-        let mut entry = completion_entry(fingerprint, request, response, attempt, cost);
-        entry.legs = d.legs.clone();
-        self.journal_append(&entry)?;
+        if self.durability.journal.is_some() {
+            // Answers parsed on the worker leave the text no other reader.
+            let text = if d.answers.is_some() {
+                std::mem::take(&mut d.response.text)
+            } else {
+                d.response.text.clone()
+            };
+            let mut entry =
+                completion_entry(fingerprint, &d.response, text, d.complete, attempt, cost);
+            entry.legs = std::mem::take(&mut d.legs);
+            self.journal_append(&entry)?;
+        }
         let killed = self.kill.as_ref().is_some_and(KillSwitch::on_terminal);
         Ok((false, killed))
     }
 
-    /// Parses one batch's response into predictions: answered instances get
+    /// Turns one batch's response into predictions: answered instances get
     /// their extracted answers, misses are classified (or handed to the
     /// degradation ladder when enabled), and a batch whose request was
-    /// budget-cancelled (`d` is `None`) fails wholesale. Returns whether an
+    /// budget-cancelled (`d` is `None`) fails wholesale. The worker parsed
+    /// the response already, unless settlement replaced it; then it is
+    /// parsed here, once. The answers move into the predictions at the
+    /// response's `last_use` and are copied before it. Returns whether an
     /// armed kill switch fired mid-ladder.
     #[allow(clippy::too_many_arguments)]
     fn parse_one_batch<M: ChatModel + ?Sized>(
@@ -1071,7 +1126,8 @@ impl Executor {
         model: &M,
         instance_indices: &[usize],
         request_id: u64,
-        d: Option<&DispatchedResponse>,
+        d: Option<&mut DispatchedResponse>,
+        last_use: bool,
         reasoning: bool,
         instances: &[TaskInstance],
         context: &PromptContext,
@@ -1096,8 +1152,27 @@ impl Executor {
             }
             return Ok(false);
         };
+        let parsed = d.answers.get_or_insert_with(|| {
+            parse_batch(&d.response.text, reasoning, instance_indices.len())
+        });
+        let nothing_parsed = parsed.nothing_parsed;
+        let mut missed: Vec<usize> = Vec::new();
+        for (position, &instance_idx) in instance_indices.iter().enumerate() {
+            let slot = parsed.answers.get_mut(position);
+            let extracted = slot.and_then(|slot| if last_use { slot.take() } else { slot.clone() });
+            match extracted {
+                Some(extracted) => {
+                    *answered += 1;
+                    emit(TraceEvent::Parsed {
+                        request: request_id,
+                        instance: instance_idx,
+                    });
+                    predictions[instance_idx] = Prediction::Answered(extracted);
+                }
+                None => missed.push(instance_idx),
+            }
+        }
         let response = &d.response;
-        let answers = parse_response(&response.text, reasoning);
         // A retried request accumulates usage over attempts; only the
         // final attempt's own prompt says whether the window overflowed.
         let attempt_prompt = response
@@ -1106,20 +1181,6 @@ impl Executor {
             .unwrap_or(response.usage)
             .prompt_tokens;
         let overflowed = attempt_prompt > model.context_window();
-        let mut missed: Vec<usize> = Vec::new();
-        for (position, &instance_idx) in instance_indices.iter().enumerate() {
-            match answers.get(&(position + 1)) {
-                Some(extracted) => {
-                    *answered += 1;
-                    emit(TraceEvent::Parsed {
-                        request: request_id,
-                        instance: instance_idx,
-                    });
-                    predictions[instance_idx] = Prediction::Answered(extracted.clone());
-                }
-                None => missed.push(instance_idx),
-            }
-        }
         if missed.is_empty() {
             return Ok(false);
         }
@@ -1148,7 +1209,7 @@ impl Executor {
             response.meta.fault,
             response.meta.retries,
             overflowed,
-            answers.is_empty(),
+            nothing_parsed,
         );
         for &instance_idx in &missed {
             emit(TraceEvent::Failed {
@@ -1325,17 +1386,22 @@ impl Executor {
                 instances: attributed[4],
                 framing: attributed[5],
             });
-            let mut entry = completion_entry(fingerprint, &request, &response, attempt, cost);
-            entry.legs = legs;
-            self.journal_append(&entry)?;
+            if self.durability.journal.is_some() {
+                let text = response.text.clone();
+                let complete = is_complete(&request, &response);
+                let mut entry =
+                    completion_entry(fingerprint, &response, text, complete, attempt, cost);
+                entry.legs = legs;
+                self.journal_append(&entry)?;
+            }
             if self.kill.as_ref().is_some_and(KillSwitch::on_terminal) {
                 return Ok(recovered);
             }
-            let answers = parse_response(&response.text, reasoning);
+            let parsed = parse_batch(&response.text, reasoning, group.len());
             let overflowed = attempt.prompt_tokens > model.context_window();
             let mut still_missed: Vec<usize> = Vec::new();
-            for (position, &instance_idx) in group.iter().enumerate() {
-                match answers.get(&(position + 1)) {
+            for (&instance_idx, extracted) in group.iter().zip(parsed.answers) {
+                match extracted {
                     Some(extracted) => {
                         recovered += 1;
                         stats.split_recovered += 1;
@@ -1343,7 +1409,7 @@ impl Executor {
                             request: sub_id,
                             instance: instance_idx,
                         });
-                        predictions[instance_idx] = Prediction::Answered(extracted.clone());
+                        predictions[instance_idx] = Prediction::Answered(extracted);
                     }
                     None => still_missed.push(instance_idx),
                 }
@@ -1356,7 +1422,7 @@ impl Executor {
                     response.meta.fault,
                     response.meta.retries,
                     overflowed,
-                    answers.is_empty(),
+                    parsed.nothing_parsed,
                 );
                 emit(TraceEvent::Failed {
                     request: sub_id,
@@ -1375,118 +1441,131 @@ impl Executor {
         Ok(recovered)
     }
 
-    /// Dispatches a slice of unique requests across the configured workers,
+    /// Dispatches a shard's unique requests across the configured workers,
     /// continuing each worker's virtual clock from `clocks` (and writing the
     /// advanced clocks back). The run loop calls it once per plan shard, so
     /// virtual-time spans accumulate across shards exactly as they would in
     /// one uninterrupted dispatch. `clocks` holds one clock per thread the
-    /// slice can use: `workers.min(requests.len())`, at least one.
+    /// shard can use: `workers.min(requests)`, at least one.
+    ///
+    /// Each request is handled start to end by the worker that claims it:
+    /// built from its kept or freshly rendered body, sent, judged complete
+    /// (for the journal), parsed into per-position answers, and dropped.
+    /// The completion text is dropped too once parsed, unless a journal
+    /// entry will carry it. A cascade response is not parsed: settlement
+    /// replaces it in the plan-order fold.
     ///
     /// Request ids are `base_id + index`. A request whose fingerprint is in
     /// the replay map rehydrates from its journal entry instead of reaching
-    /// the model; its journaled latency still advances the worker's virtual
-    /// clock, so the span layout matches the uninterrupted run at the same
-    /// worker count.
-    fn dispatch_slice<M: ChatModel + ?Sized>(
+    /// the model, and parses from the journaled text; its journaled latency
+    /// still advances the worker's virtual clock, so the span layout
+    /// matches the uninterrupted run at the same worker count.
+    fn dispatch_slice<'a, M: ChatModel + ?Sized>(
         &self,
         model: &M,
-        requests: &[ChatRequest],
-        fingerprints: &[u64],
+        survey: &PlanStream<'a>,
+        shard: &PlanShard,
         base_id: u64,
         clocks: &mut [f64],
     ) -> Vec<DispatchedResponse> {
-        // A routed model stack stashes its speculative cascade legs keyed
-        // by trace id; collecting them here (still on the dispatching
-        // worker) keeps settlement a pure plan-order fold.
-        type Served = (
-            ChatResponse,
-            bool,
-            Option<RoutePending>,
-            Vec<RouteLegRecord>,
-            Option<f64>,
-        );
-        let serve = |idx: usize, request: &ChatRequest| -> Served {
-            match self.durability.take_replay(fingerprints[idx]) {
-                Some(entry) => {
-                    let response = replay_response(&entry);
-                    (response, true, None, entry.legs, Some(entry.cost_usd))
-                }
-                None => {
-                    let response = model.chat(request);
-                    let pending = model.take_route_pending(request.trace_id);
-                    (response, false, pending, Vec::new(), None)
-                }
+        let journaled = self.durability.journal.is_some();
+        let reasoning = survey.reasoning();
+        let n = shard.fingerprints.len();
+        let serve = |idx: usize,
+                     worker: usize,
+                     clock: &mut f64,
+                     scratch: &mut RenderScratch<'a>|
+         -> DispatchedResponse {
+            let (request, sections) = survey.take_request(shard, idx, scratch);
+            let request = request.with_trace_id(base_id + idx as u64);
+            debug_assert_eq!(
+                request_fingerprint(model, &request),
+                shard.fingerprints[idx],
+                "a request built on its worker diverged from the survey"
+            );
+            self.tracer.record(&TraceEvent::Dispatched {
+                request: request.trace_id,
+                worker,
+                vt_start_secs: *clock,
+            });
+            // A routed model stack stashes its speculative cascade legs
+            // keyed by trace id; collecting them here (still on the
+            // dispatching worker) keeps settlement a pure plan-order fold.
+            let (mut response, replayed, pending, legs, replay_cost) =
+                match self.durability.take_replay(shard.fingerprints[idx]) {
+                    Some(entry) => {
+                        let response = replay_response(&entry);
+                        (response, true, None, entry.legs, Some(entry.cost_usd))
+                    }
+                    None => {
+                        let response = model.chat(&request);
+                        let pending = model.take_route_pending(request.trace_id);
+                        (response, false, pending, Vec::new(), None)
+                    }
+                };
+            let expected = if journaled {
+                expected_answers(&request)
+            } else {
+                0
+            };
+            drop(request);
+            let complete = journaled && is_complete_for(expected, &response);
+            let answers = pending.is_none().then(|| {
+                let questions = shard.batches[shard.request_batches[idx]]
+                    .instance_indices
+                    .len();
+                parse_batch(&response.text, reasoning, questions)
+            });
+            if answers.is_some() && !journaled {
+                response.text = String::new();
+            }
+            let vt_start_secs = *clock;
+            *clock += response.latency_secs;
+            DispatchedResponse {
+                response,
+                replayed,
+                pending,
+                legs,
+                replay_cost,
+                sections,
+                complete,
+                expected,
+                answers,
+                worker,
+                vt_start_secs,
+                vt_end_secs: *clock,
             }
         };
-        if self.options.workers <= 1 || requests.len() <= 1 {
+        if self.options.workers <= 1 || n <= 1 {
             let clock = &mut clocks[0];
-            return requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let request = r.clone().with_trace_id(base_id + i as u64);
-                    self.tracer.record(&TraceEvent::Dispatched {
-                        request: request.trace_id,
-                        worker: 0,
-                        vt_start_secs: *clock,
-                    });
-                    let (response, replayed, pending, legs, replay_cost) = serve(i, &request);
-                    let vt_start_secs = *clock;
-                    *clock += response.latency_secs;
-                    DispatchedResponse {
-                        response,
-                        replayed,
-                        pending,
-                        legs,
-                        replay_cost,
-                        worker: 0,
-                        vt_start_secs,
-                        vt_end_secs: *clock,
-                    }
-                })
+            let mut scratch = RenderScratch::default();
+            return (0..n)
+                .map(|idx| serve(idx, 0, clock, &mut scratch))
                 .collect();
         }
 
         let slots: Vec<Mutex<Option<DispatchedResponse>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
+            (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        let workers = self.options.workers.min(requests.len());
+        let workers = self.options.workers.min(n);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
                     let slots = &slots;
                     let cursor = &cursor;
-                    let tracer = &self.tracer;
                     let serve = &serve;
                     // Each worker runs its own virtual clock: spans on one
                     // worker are sequential, workers overlap.
                     let mut clock = clocks[worker];
                     scope.spawn(move || {
+                        let mut scratch = RenderScratch::default();
                         loop {
                             let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= requests.len() {
+                            if idx >= n {
                                 break;
                             }
-                            let request = requests[idx].clone().with_trace_id(base_id + idx as u64);
-                            tracer.record(&TraceEvent::Dispatched {
-                                request: request.trace_id,
-                                worker,
-                                vt_start_secs: clock,
-                            });
-                            let (response, replayed, pending, legs, replay_cost) =
-                                serve(idx, &request);
-                            let vt_start_secs = clock;
-                            clock += response.latency_secs;
-                            *slots[idx].lock().expect("slot poisoned") = Some(DispatchedResponse {
-                                response,
-                                replayed,
-                                pending,
-                                legs,
-                                replay_cost,
-                                worker,
-                                vt_start_secs,
-                                vt_end_secs: clock,
-                            });
+                            let served = serve(idx, worker, &mut clock, &mut scratch);
+                            *slots[idx].lock().expect("slot poisoned") = Some(served);
                         }
                         clock
                     })
@@ -1509,10 +1588,10 @@ impl Executor {
 
 /// Where the run loop takes its shards from.
 enum Shards<'r, 'a> {
-    /// A built plan's survey and its one shard, already rendered; the
-    /// shard is `None` once the loop has taken it.
+    /// A built plan's survey and its one shard; the shard is `None` once
+    /// the loop has taken it.
     Plan(&'r PlanStream<'a>, Option<&'r PlanShard>),
-    /// A stream, rendering each shard when the loop asks for it.
+    /// A stream, yielding each shard when the loop asks for it.
     Stream(&'r mut PlanStream<'a>),
 }
 
@@ -1534,10 +1613,10 @@ impl<'r, 'a> Shards<'r, 'a> {
     }
 
     /// Takes the next shard.
-    fn next<M: ChatModel + ?Sized>(&mut self, model: &M) -> Option<Cow<'r, PlanShard>> {
+    fn next(&mut self) -> Option<Cow<'r, PlanShard>> {
         match self {
             Shards::Plan(_, shard) => shard.take().map(Cow::Borrowed),
-            Shards::Stream(stream) => stream.next_shard(model).map(Cow::Owned),
+            Shards::Stream(stream) => stream.next_shard().map(Cow::Owned),
         }
     }
 }
@@ -1575,6 +1654,18 @@ struct DispatchedResponse {
     /// settled per-leg sum, which the composite model's own pricing cannot
     /// re-derive from the summed usage.
     replay_cost: Option<f64>,
+    /// The request's prompt-component token counts, as its render counted
+    /// them.
+    sections: [usize; 5],
+    /// Whether the response fully serves the request: the journal entry's
+    /// `complete`. Judged only when a journal is attached.
+    complete: bool,
+    /// The request's `Question N:` count, which a response settlement
+    /// replaces is judged against. Counted only when a journal is attached.
+    expected: usize,
+    /// The response parsed by position, on the worker; `None` until a
+    /// response that settlement replaces is parsed in the plan-order loop.
+    answers: Option<BatchAnswers>,
     worker: usize,
     vt_start_secs: f64,
     vt_end_secs: f64,
@@ -1660,21 +1751,23 @@ fn replay_response(entry: &JournalEntry) -> ChatResponse {
     response
 }
 
-/// The journal entry for a completed request. `complete` records whether
-/// the response fully served the request — exactly the condition the cache
+/// The journal entry for a completed request, without route legs: `text`
+/// is the response's completion, and `complete` whether the response fully
+/// served the request ([`is_complete`]) — exactly the condition the cache
 /// layer memoizes under, so a journal-warmed cache on resume holds the same
 /// entries the uninterrupted run's store would.
 fn completion_entry(
     fingerprint: u64,
-    request: &ChatRequest,
     response: &ChatResponse,
+    text: String,
+    complete: bool,
     attempt: Usage,
     cost: f64,
 ) -> JournalEntry {
     JournalEntry {
         fingerprint,
         kind: TerminalKind::Completed,
-        text: response.text.clone(),
+        text,
         prompt_tokens: response.usage.prompt_tokens,
         completion_tokens: response.usage.completion_tokens,
         attempt_prompt_tokens: attempt.prompt_tokens,
@@ -1682,7 +1775,7 @@ fn completion_entry(
         retries: response.meta.retries,
         fault: response.meta.fault.map(|f| f.label().to_string()),
         cache_hit: response.meta.cache_hit,
-        complete: is_complete(request, response),
+        complete,
         cost_usd: cost,
         latency_secs: response.latency_secs,
         legs: Vec::new(),

@@ -1830,15 +1830,21 @@ fn error_reply(message: &str) -> Json {
 }
 
 /// Reads the optional integer field `key` of a request body: `Ok(None)`
-/// when it is absent, its value when it is a non-negative whole number.
-/// Any other value — a fraction, a negative, a string, `null` — is an
-/// error naming the field, so a typo is refused rather than read as no
-/// value at all. A whole number past the range JSON holds exactly (2^53)
-/// reads as absent, as it always has.
+/// when it is absent, its value when it is a non-negative whole number
+/// below 2^53, the range JSON holds exactly. Any other value — a
+/// fraction, a negative, a string, `null`, or a whole number at or past
+/// 2^53, which may be a rounded neighbour of the one sent — is an error
+/// naming the field, so a typo is refused rather than read as no value at
+/// all.
 pub fn whole_field(body: &Json, key: &str) -> Result<Option<usize>, String> {
     match body.get(key) {
         None => Ok(None),
-        Some(value) if value.is_whole() => Ok(value.as_usize()),
+        Some(value) if value.is_whole() => value.as_usize().map(Some).ok_or_else(|| {
+            format!(
+                "\"{key}\" must be below 2^53 (9007199254740992), not {}",
+                value.to_json()
+            )
+        }),
         Some(value) => Err(format!(
             "\"{key}\" must be a non-negative whole number, not {}",
             value.to_json()
@@ -2103,10 +2109,13 @@ mod tests {
         let body = |value: Json| Json::Obj(vec![("n".to_string(), value)]);
         assert_eq!(whole_field(&Json::Obj(vec![]), "n"), Ok(None));
         assert_eq!(whole_field(&body(Json::Num(7.0)), "n"), Ok(Some(7)));
+        for huge in [9_007_199_254_740_992.0, 1e16, 1e300] {
+            let error = whole_field(&body(Json::Num(huge)), "n").unwrap_err();
+            assert!(error.starts_with("\"n\" must be below 2^53"), "{error}");
+        }
         assert_eq!(
-            whole_field(&body(Json::Num(1e300)), "n"),
-            Ok(None),
-            "a whole number past 2^53 still reads as absent"
+            whole_field(&body(Json::Num(9_007_199_254_740_991.0)), "n"),
+            Ok(Some(9_007_199_254_740_991))
         );
         for bad in [
             Json::Num(1.5),

@@ -2,52 +2,66 @@
 //! fingerprinting, yielded as bounded-memory plan shards.
 //!
 //! [`PlanStream`] yields a plan in fixed-size shards of batches, so the
-//! executor holds at most one shard of rendered requests (plus the
+//! executor holds at most one shard of batches and kept bodies (plus the
 //! responses still referenced by a later batch) at a time. A materialized
 //! [`crate::exec::ExecutionPlan`] is the same stream with the whole plan
-//! as its one shard, rendered before `build` returns.
+//! as its one shard, surveyed before `build` returns.
 //!
 //! ## Two passes
 //!
-//! The stream is built in a **survey pass** and consumed in a **render
-//! pass**:
+//! The stream is built in a **survey pass** and consumed in a **shard
+//! pass**; each request is built on the worker that sends it.
 //!
-//! 1. **Survey** ([`PlanStream::new`]): render every batch's request and
+//! 1. **Survey** ([`PlanStream::new`]): render every batch's body and
 //!    fingerprint it for dedup, then walk the fingerprints in plan order.
-//!    Rendering and fingerprinting run on the run's worker threads
+//!    Each thread renders into one buffer, reused batch after batch, and
+//!    fingerprints the body by continuing a [`FingerprintPrefix`] taken
+//!    once after the plan-invariant prefix (model name, temperature, salt,
+//!    system message and few-shot turns), so a batch hashes only its own
+//!    bytes. Rendering and fingerprinting run on the run's worker threads
 //!    ([`PipelineConfig::workers`]): the batches are cut into at most that
 //!    many contiguous chunks, the calling thread surveys the first and one
 //!    scoped thread each of the others, so one worker or one batch spawns
-//!    no thread. Each chunk keeps only the renders of batches in the first
-//!    shard. The dedup walk is serial, in plan order, so what survives is
-//!    the same at any worker count: O(batches) indices and O(unique)
-//!    `u64`s — the batch→unique-request map, the unique fingerprint list
-//!    (hence the global plan fingerprint, known **before** any dispatch,
-//!    so the journal header and resume check need no shard), per-unique
-//!    batch/instance totals, and each unique request's last referencing
-//!    batch (the executor's response-retention horizon) — plus the
-//!    rendered requests its first shard will yield. Every other render is
-//!    dropped.
-//! 2. **Render** ([`PlanStream::next_shard`]): hand the requests *first
-//!    seen* in the next `shard_size` batches to the executor as a
-//!    [`PlanShard`]. The first shard's come from the survey; later shards
-//!    re-render theirs on the calling thread, and a `debug_assert` checks
-//!    each re-render against the surveyed fingerprint.
+//!    no thread. Of the first shard's batches, each first occurrence keeps
+//!    an exact-size copy of its body and the body's token count
+//!    ([`KeptBody`]); no other body outlives its batch, and no
+//!    [`ChatRequest`] is built. The dedup walk is serial, in plan order,
+//!    so what survives is the same at any worker count: O(batches)
+//!    indices and O(unique) `u64`s — the batch→unique-request map, the
+//!    unique fingerprint list (hence the global plan fingerprint, known
+//!    **before** any dispatch, so the journal header and resume check need
+//!    no shard), per-unique batch/instance totals, and each unique
+//!    request's last referencing batch (the executor's response-retention
+//!    horizon) — plus the bodies its first shard keeps.
+//! 2. **Shards** ([`PlanStream::next_shard`]): hand the next `shard_size`
+//!    batches to the executor as a [`PlanShard`], with the fingerprints,
+//!    and the first shard's kept bodies, of the unique requests first seen
+//!    in them. Nothing renders here.
+//! 3. **On the worker**: the executor's worker that sends a unique request
+//!    builds it ([`PromptContext::frame`] around the body), moving the
+//!    kept body in, or, in a later shard (or a plan run a second time),
+//!    rendering the body into a buffer of its own. It drops the request
+//!    once the response is in, so a request — and the system message and
+//!    few-shot turns each one copies — lives only while it is in flight.
 //!
 //! The `prompt-build` stage times the survey's render-and-fingerprint
-//! phase as wall time, plus the later shards' re-renders; the `plan` stage
-//! times batching, the dedup walk and the shard bookkeeping.
+//! phase as wall time; the `plan` stage times batching, the dedup walk and
+//! the shard bookkeeping. Renders on the worker fall inside the executor's
+//! `dispatch` stage, beside the model calls.
 //!
 //! Deduplication order, fingerprints, sections, and batch membership do
 //! not depend on the shard size: every shard size walks the same
 //! `make_batches` output in the same order with the same dedup key. The
 //! price of bounded memory is one extra render per unique request outside
-//! the first shard, so a one-shard plan renders every batch exactly once.
+//! the first shard, on the worker that sends it, so a one-shard plan
+//! renders every batch exactly once.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, PoisonError};
 
-use dprep_llm::{request_fingerprint, ChatModel, ChatRequest};
+use dprep_llm::{ChatModel, ChatRequest, FingerprintPrefix};
 use dprep_prompt::{make_batches, FewShotExample, PromptConfig, PromptContext, TaskInstance};
+use dprep_text::count_tokens;
 
 use crate::config::PipelineConfig;
 use crate::exec::{context_fitted_batch_size, PlannedBatch};
@@ -56,22 +70,84 @@ use crate::exec::{context_fitted_batch_size, PlannedBatch};
 /// unique requests that first occur in them. Request indices in
 /// [`batches`](Self::batches) are **global** (into the whole plan's unique
 /// request sequence); requests already seen in an earlier shard are not
-/// re-rendered — the executor still holds their responses.
+/// sent again — the executor still holds their responses.
 #[derive(Debug, Clone, Default)]
 pub struct PlanShard {
     /// Global index of the first batch in this shard.
     pub first_batch: usize,
     /// The shard's batches, in plan order; `request_index` is global.
     pub batches: Vec<PlannedBatch>,
-    /// Global index of the first request in `requests`.
+    /// Global index of the first unique request first seen in this shard.
     pub first_request: usize,
-    /// Unique requests first seen in this shard (global indices
-    /// `first_request..first_request + requests.len()`).
-    pub requests: Vec<ChatRequest>,
-    /// Prompt-component token counts, aligned with `requests`.
-    pub sections: Vec<[usize; 5]>,
-    /// Request fingerprints, aligned with `requests`.
+    /// Per unique request first seen in this shard (global indices
+    /// `first_request..first_request + fingerprints.len()`): the index
+    /// into [`batches`](Self::batches) of its first batch, whose instances
+    /// its prompt asks about.
+    pub request_batches: Vec<usize>,
+    /// The survey's kept bodies, aligned with `request_batches`: filled in
+    /// the first shard, empty in later ones, whose worker renders the body.
+    pub bodies: Vec<KeptBody>,
+    /// Request fingerprints, aligned with `request_batches`.
     pub fingerprints: Vec<u64>,
+}
+
+/// A first-shard batch body the survey kept for the worker that sends its
+/// request: the text, at its exact size, and its token count. The worker
+/// takes it, so each kept body moves into exactly one request; a plan run
+/// a second time finds it gone and renders on the worker.
+#[derive(Debug, Default)]
+pub struct KeptBody(Mutex<Option<(Box<str>, usize)>>);
+
+impl KeptBody {
+    /// An exact-size copy of `body`, with its token count.
+    fn keep(body: &str) -> KeptBody {
+        KeptBody(Mutex::new(Some((body.into(), count_tokens(body)))))
+    }
+
+    /// Takes the body and its token count, leaving the slot empty.
+    fn take(&self) -> Option<(String, usize)> {
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.take()
+            .map(|(text, tokens)| (text.into_string(), tokens))
+    }
+
+    /// A copy of the body and its token count, leaving them kept.
+    #[cfg(test)]
+    fn get(&self) -> Option<(String, usize)> {
+        let slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.as_ref()
+            .map(|(text, tokens)| (text.to_string(), *tokens))
+    }
+}
+
+impl Clone for KeptBody {
+    fn clone(&self) -> KeptBody {
+        let slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        KeptBody(Mutex::new(slot.clone()))
+    }
+}
+
+/// One thread's render buffers, reused for every batch body it renders.
+#[derive(Debug, Default)]
+pub(crate) struct RenderScratch<'a> {
+    body: String,
+    refs: Vec<&'a TaskInstance>,
+}
+
+impl<'a> RenderScratch<'a> {
+    /// Renders the body of the batch over `indices` into the buffer.
+    fn render(
+        &mut self,
+        context: &PromptContext,
+        instances: &'a [TaskInstance],
+        indices: &[usize],
+    ) -> &str {
+        self.refs.clear();
+        self.refs.extend(indices.iter().map(|&i| &instances[i]));
+        self.body.clear();
+        context.write_body(&mut self.body, &self.refs);
+        &self.body
+    }
 }
 
 /// A plan yielded incrementally as fixed-size shards (see the module docs).
@@ -91,13 +167,13 @@ pub struct PlanStream<'a> {
     batches_per: Vec<usize>,
     /// Per unique request: how many instances those batches cover.
     instances_per: Vec<usize>,
-    /// The requests first seen in the first shard, with their section
-    /// counts, rendered by the survey and kept so that shard is not
+    /// The bodies of the requests first seen in the first shard, in
+    /// first-occurrence order, kept by the survey so that shard is not
     /// rendered twice.
-    first_renders: Vec<Render>,
+    first_bodies: Vec<KeptBody>,
     /// Next batch to yield.
     cursor: usize,
-    /// Next unique request to render (first-occurrence order).
+    /// Next unique request to yield (first-occurrence order).
     next_request: usize,
     n_instances: usize,
     prompt_config: PromptConfig,
@@ -107,16 +183,13 @@ pub struct PlanStream<'a> {
     /// Wall-clock seconds deciding batch membership and dedup, aggregated
     /// across the survey pass and every shard yielded so far.
     plan_wall_secs: f64,
-    /// Wall-clock seconds rendering and fingerprinting prompts (the
-    /// survey's pool phase) and re-rendering later shards.
+    /// Wall-clock seconds of the survey's render-and-fingerprint phase.
     prompt_build_wall_secs: f64,
-    /// Scratch buffer of instance refs, reused for every shard re-render.
-    scratch_refs: Vec<&'a TaskInstance>,
 }
 
 impl<'a> PlanStream<'a> {
     /// Surveys the whole plan (batching, dedup, fingerprints), keeping
-    /// only the first shard's rendered requests, ready to yield shards of
+    /// only the first shard's batch bodies, ready to yield shards of
     /// `shard_size` batches. `shard_size` is clamped to at least 1;
     /// `usize::MAX` makes the whole plan one shard. Renders and
     /// fingerprints run on `config.workers` threads, never more than there
@@ -142,12 +215,16 @@ impl<'a> PlanStream<'a> {
         let batches = make_batches(instances, &strategy, config.seed);
         let pool_started = std::time::Instant::now();
         let context = PromptContext::new(&prompt_config, shots);
-        let (keys, mut renders) = survey_renders(
-            model,
+        // Every request of the plan is this template with its own body.
+        let (mut template, _) = context.frame(String::new(), 0);
+        template.temperature = config.temperature;
+        let prefix = FingerprintPrefix::new(model, &template);
+        drop(template);
+        let (keys, mut kept) = survey_renders(
             &context,
+            &prefix,
             instances,
             &batches,
-            config.temperature,
             shard_size,
             config.workers,
         );
@@ -166,12 +243,12 @@ impl<'a> PlanStream<'a> {
         let mut last_batch_of: Vec<usize> = Vec::new();
         let mut batches_per: Vec<usize> = Vec::new();
         let mut instances_per: Vec<usize> = Vec::new();
-        let mut first_renders = Vec::new();
+        let mut first_bodies = Vec::new();
         let mut seen: HashMap<u64, usize> = HashMap::new();
         for (batch_idx, (batch, &key)) in batches.iter().zip(&keys).enumerate() {
             let request_index = *seen.entry(key).or_insert_with(|| {
-                if let Some(kept) = renders.get_mut(batch_idx) {
-                    first_renders.push(kept.take().expect("a first occurrence keeps its render"));
+                if let Some(body) = kept.get_mut(batch_idx) {
+                    first_bodies.push(body.take().expect("a first occurrence keeps its body"));
                 }
                 fingerprints.push(key);
                 last_batch_of.push(batch_idx);
@@ -184,8 +261,8 @@ impl<'a> PlanStream<'a> {
             instances_per[request_index] += batch.len();
             batch_request.push(request_index);
         }
-        // What is left are renders of repeats: they die with the survey.
-        drop(renders);
+        // What is left are bodies of repeats: they die with the survey.
+        drop(kept);
 
         PlanStream {
             shard_size,
@@ -195,7 +272,7 @@ impl<'a> PlanStream<'a> {
             last_batch_of,
             batches_per,
             instances_per,
-            first_renders,
+            first_bodies,
             cursor: 0,
             next_request: 0,
             n_instances: instances.len(),
@@ -206,18 +283,15 @@ impl<'a> PlanStream<'a> {
             plan_wall_secs: (plan_started.elapsed().as_secs_f64() - prompt_build_wall_secs)
                 .max(0.0),
             prompt_build_wall_secs,
-            scratch_refs: Vec::new(),
         }
     }
 
-    /// Yields the next shard, rendering its requests unless the survey
-    /// kept them (the first shard), or `None` when the plan is exhausted.
-    /// Timing accrues into
-    /// [`plan_wall_secs`](Self::plan_wall_secs) /
-    /// [`prompt_build_wall_secs`](Self::prompt_build_wall_secs) so the
-    /// totals aggregate across every shard instead of reflecting only the
+    /// Yields the next shard, with the kept bodies of its unique requests
+    /// when it is the first, or `None` when the plan is exhausted. Its
+    /// time accrues into [`plan_wall_secs`](Self::plan_wall_secs), so the
+    /// total aggregates across every shard instead of reflecting only the
     /// last one.
-    pub fn next_shard<M: ChatModel + ?Sized>(&mut self, model: &M) -> Option<PlanShard> {
+    pub fn next_shard(&mut self) -> Option<PlanShard> {
         if self.is_exhausted() {
             return None;
         }
@@ -229,16 +303,12 @@ impl<'a> PlanStream<'a> {
             .min(self.cursor.saturating_add(self.shard_size));
         let first_request = self.next_request;
         let mut shard_batches = Vec::with_capacity(end - first_batch);
-        let mut requests: Vec<ChatRequest> = Vec::new();
-        let mut sections: Vec<[usize; 5]> = Vec::new();
-        let mut fingerprints: Vec<u64> = Vec::new();
-        let mut render_secs = 0.0;
-        // Non-empty on the first shard only, in first-occurrence order —
+        let mut request_batches = Vec::new();
+        // Non-empty for the first shard only, in first-occurrence order —
         // exactly the order the loop below meets that shard's uniques.
-        let mut kept = std::mem::take(&mut self.first_renders).into_iter();
+        let mut bodies = std::mem::take(&mut self.first_bodies);
         for batch_idx in first_batch..end {
             let request_index = self.batch_request[batch_idx];
-            let instance_indices = std::mem::take(&mut self.batches[batch_idx]);
             if request_index >= self.next_request {
                 // First occurrence of this unique request: uniques are
                 // numbered in first-occurrence order, so walking batches in
@@ -247,48 +317,70 @@ impl<'a> PlanStream<'a> {
                     request_index, self.next_request,
                     "unique order is contiguous"
                 );
-                let (request, request_sections) = match kept.next() {
-                    Some(rendered) => rendered,
-                    None => {
-                        self.scratch_refs.clear();
-                        self.scratch_refs
-                            .extend(instance_indices.iter().map(|&i| &self.instances[i]));
-                        let build_started = std::time::Instant::now();
-                        let (mut request, request_sections) =
-                            self.context.build(&self.scratch_refs);
-                        render_secs += build_started.elapsed().as_secs_f64();
-                        if let Some(t) = self.temperature {
-                            request = request.with_temperature(t);
-                        }
-                        debug_assert_eq!(
-                            request_fingerprint(model, &request),
-                            self.fingerprints[request_index],
-                            "shard re-render diverged from the survey pass"
-                        );
-                        (request, request_sections.as_array())
-                    }
-                };
-                requests.push(request);
-                sections.push(request_sections);
-                fingerprints.push(self.fingerprints[request_index]);
+                request_batches.push(shard_batches.len());
                 self.next_request = request_index + 1;
             }
             shard_batches.push(PlannedBatch {
-                instance_indices,
+                instance_indices: std::mem::take(&mut self.batches[batch_idx]),
                 request_index,
             });
         }
+        bodies.resize_with(request_batches.len(), KeptBody::default);
         self.cursor = end;
-        self.prompt_build_wall_secs += render_secs;
-        self.plan_wall_secs += (shard_started.elapsed().as_secs_f64() - render_secs).max(0.0);
+        self.plan_wall_secs += shard_started.elapsed().as_secs_f64();
         Some(PlanShard {
             first_batch,
             batches: shard_batches,
             first_request,
-            requests,
-            sections,
-            fingerprints,
+            request_batches,
+            bodies,
+            fingerprints: self.fingerprints[first_request..self.next_request].to_vec(),
         })
+    }
+
+    /// Builds unique request `i` of `shard` (its temperature set, no trace
+    /// id), with its prompt-component token counts, for the worker that
+    /// sends it: around the body the survey kept, which it takes, or else
+    /// around a body rendered into `scratch`.
+    pub(crate) fn take_request(
+        &self,
+        shard: &PlanShard,
+        i: usize,
+        scratch: &mut RenderScratch<'a>,
+    ) -> (ChatRequest, [usize; 5]) {
+        let body = shard.bodies.get(i).and_then(KeptBody::take);
+        self.frame(body.unwrap_or_else(|| self.render(shard, i, scratch)))
+    }
+
+    /// Builds unique request `i` of `shard` from a fresh render, leaving
+    /// any kept body in place.
+    pub(crate) fn render_request(
+        &self,
+        shard: &PlanShard,
+        i: usize,
+        scratch: &mut RenderScratch<'a>,
+    ) -> (ChatRequest, [usize; 5]) {
+        self.frame(self.render(shard, i, scratch))
+    }
+
+    /// Renders unique request `i`'s body into `scratch` and copies it out
+    /// at its exact size, with its token count.
+    fn render(
+        &self,
+        shard: &PlanShard,
+        i: usize,
+        scratch: &mut RenderScratch<'a>,
+    ) -> (String, usize) {
+        let batch = &shard.batches[shard.request_batches[i]];
+        let body = scratch.render(&self.context, self.instances, &batch.instance_indices);
+        (body.to_string(), count_tokens(body))
+    }
+
+    /// The request around a body and its token count.
+    fn frame(&self, (body, tokens): (String, usize)) -> (ChatRequest, [usize; 5]) {
+        let (mut request, sections) = self.context.frame(body, tokens);
+        request.temperature = self.temperature;
+        (request, sections.as_array())
     }
 
     /// The global plan fingerprint: a deterministic fold over the unique
@@ -373,56 +465,49 @@ impl<'a> PlanStream<'a> {
         self.plan_wall_secs
     }
 
-    /// Wall-clock seconds spent rendering prompts, across the survey (its
-    /// render-and-fingerprint phase, fingerprints included) and every
-    /// shard yielded so far.
+    /// Wall-clock seconds the survey spent rendering and fingerprinting
+    /// batch bodies. Renders on the executor's workers, for shards after
+    /// the first, are timed in its `dispatch` stage instead.
     pub fn prompt_build_wall_secs(&self) -> f64 {
         self.prompt_build_wall_secs
     }
 }
 
-/// A rendered request with its prompt-component token counts.
-type Render = (ChatRequest, [usize; 5]);
-
-/// Renders and fingerprints every batch: the survey's pool phase. Returns
-/// each batch's dedup key, in plan order, and the renders of the batches in
-/// the first shard (`None` for a batch that repeats an earlier batch of
-/// its chunk, which cannot be a first occurrence).
+/// Renders and fingerprints every batch body: the survey's pool phase.
+/// Returns each batch's dedup key, in plan order, and a kept body for each
+/// batch in the first shard (`None` for a batch that repeats an earlier
+/// batch of its chunk, which cannot be a first occurrence).
 ///
 /// The batches are cut into at most `workers` contiguous chunks, one per
 /// thread; the calling thread surveys the first, so one worker or one
-/// batch spawns no thread. Each batch's key and render depend on the batch
-/// alone, so the result is the same at any worker count.
-fn survey_renders<M: ChatModel + ?Sized>(
-    model: &M,
+/// batch spawns no thread. Each thread renders into one reused buffer and
+/// keys a body by continuing `prefix` over it. A batch's key and body
+/// depend on the batch alone, so the result is the same at any worker
+/// count.
+fn survey_renders(
     context: &PromptContext,
+    prefix: &FingerprintPrefix,
     instances: &[TaskInstance],
     batches: &[Vec<usize>],
-    temperature: Option<f64>,
     shard_size: usize,
     workers: usize,
-) -> (Vec<u64>, Vec<Option<Render>>) {
+) -> (Vec<u64>, Vec<Option<KeptBody>>) {
     let chunk = |first: usize, part: &[Vec<usize>]| {
         let mut keys = Vec::with_capacity(part.len());
-        let mut renders = Vec::new();
-        let mut kept = HashSet::new();
-        let mut refs: Vec<&TaskInstance> = Vec::new();
+        let mut kept = Vec::new();
+        let mut seen = HashSet::new();
+        let mut scratch = RenderScratch::default();
         for (batch_idx, batch) in (first..).zip(part) {
-            refs.clear();
-            refs.extend(batch.iter().map(|&i| &instances[i]));
-            let (mut request, sections) = context.build(&refs);
-            if let Some(t) = temperature {
-                request = request.with_temperature(t);
-            }
-            let key = request_fingerprint(model, &request);
+            let body = scratch.render(context, instances, batch);
+            let key = prefix.finish(body);
             keys.push(key);
-            // Outside the first shard the render dies here: only the key
+            // Outside the first shard the body dies here: only the key
             // survives the survey.
             if batch_idx < shard_size {
-                renders.push(kept.insert(key).then(|| (request, sections.as_array())));
+                kept.push(seen.insert(key).then(|| KeptBody::keep(body)));
             }
         }
-        (keys, renders)
+        (keys, kept)
     };
     let threads = workers.clamp(1, batches.len().max(1));
     if threads == 1 {
@@ -437,13 +522,13 @@ fn survey_renders<M: ChatModel + ?Sized>(
             .skip(1)
             .map(|(c, part)| scope.spawn(move || chunk(c * len, part)))
             .collect();
-        let (mut keys, mut renders) = chunk(0, &batches[..len]);
+        let (mut keys, mut kept) = chunk(0, &batches[..len]);
         for handle in rest {
-            let (more_keys, more_renders) = handle.join().expect("survey thread panicked");
+            let (more_keys, more_kept) = handle.join().expect("survey thread panicked");
             keys.extend(more_keys);
-            renders.extend(more_renders);
+            kept.extend(more_kept);
         }
-        (keys, renders)
+        (keys, kept)
     })
 }
 
@@ -491,7 +576,7 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::exec::ExecutionPlan;
-    use dprep_llm::{ChatModel, ChatResponse, Usage};
+    use dprep_llm::{request_fingerprint, ChatModel, ChatResponse, Usage};
     use dprep_prompt::Task;
     use dprep_tabular::{Record, Schema, Value};
 
@@ -544,10 +629,14 @@ mod tests {
     }
 
     /// Reassembling every shard must reproduce the materialized plan
-    /// byte-for-byte: batches, requests, sections, fingerprints, and the
-    /// global plan fingerprint — at every survey worker count, against a
-    /// one-worker plan. A survey keeps the renders of its first shard's
-    /// unique requests and no others.
+    /// byte-for-byte: batches, fingerprints, and the global plan
+    /// fingerprint — at every survey worker count, against a one-worker
+    /// plan. The survey keeps the bodies of its first shard's unique
+    /// requests and no others, each the body a fresh render writes with
+    /// its token count; the request a worker builds from a kept body, or
+    /// from its own render in a later shard, is the plan's request, with
+    /// the plan's sections and the surveyed fingerprint; and a kept body
+    /// moves into exactly one request.
     #[test]
     fn shards_reassemble_into_the_materialized_plan() {
         let model = EchoModel;
@@ -561,6 +650,8 @@ mod tests {
             }
             let instances = em_instances(n, dup_every);
             let plan = ExecutionPlan::build(&model, &config, &instances, &[]);
+            let planned_requests = plan.requests();
+            let planned_sections = plan.sections();
             for workers in [1, 2, 3, 1 << 40] {
                 let config = PipelineConfig {
                     workers,
@@ -573,26 +664,52 @@ mod tests {
                 let mut stream = PlanStream::new(&model, &config, &instances, &[], shard_size);
                 assert_eq!(stream.fingerprint(), plan.fingerprint(), "{at}");
                 assert_eq!(stream.n_batches(), plan.batches().len(), "{at}");
-                assert_eq!(stream.n_requests(), plan.requests().len(), "{at}");
+                assert_eq!(stream.n_requests(), planned_requests.len(), "{at}");
                 assert_eq!(stream.deduped_batches(), plan.deduped_batches(), "{at}");
                 let first_shard = &stream.batch_request[..shard_size.min(stream.n_batches())];
                 let first_uniques: HashSet<_> = first_shard.iter().collect();
-                assert_eq!(stream.first_renders.len(), first_uniques.len(), "{at}");
+                assert_eq!(stream.first_bodies.len(), first_uniques.len(), "{at}");
                 if shard_size < stream.n_batches() {
-                    assert!(stream.first_renders.len() < stream.n_requests(), "{at}");
+                    assert!(stream.first_bodies.len() < stream.n_requests(), "{at}");
                 }
 
                 let mut batches = Vec::new();
-                let mut requests = Vec::new();
-                let mut sections = Vec::new();
                 let mut fingerprints = Vec::new();
-                while let Some(shard) = stream.next_shard(&model) {
+                let mut scratch = RenderScratch::default();
+                while let Some(shard) = stream.next_shard() {
                     assert_eq!(shard.first_batch, batches.len(), "{at}");
-                    assert_eq!(shard.first_request, requests.len(), "{at}");
+                    assert_eq!(shard.first_request, fingerprints.len(), "{at}");
                     assert!(shard.batches.len() <= shard_size.max(1), "{at}");
+                    let uniques = shard.fingerprints.len();
+                    assert_eq!(shard.request_batches.len(), uniques, "{at}");
+                    assert_eq!(shard.bodies.len(), uniques, "{at}");
+                    for i in 0..uniques {
+                        let g = shard.first_request + i;
+                        let batch = &shard.batches[shard.request_batches[i]];
+                        assert_eq!(batch.request_index, g, "{at}");
+                        let planned = &planned_requests[g];
+                        let kept = shard.bodies[i].get();
+                        match &kept {
+                            Some((body, tokens)) => {
+                                assert_eq!(shard.first_batch, 0, "{at}: kept outside shard 0");
+                                assert_eq!(body, &planned.messages.last().unwrap().content);
+                                assert_eq!(*tokens, planned_sections[g][4], "{at}");
+                            }
+                            None => assert_ne!(shard.first_batch, 0, "{at}: shard 0 keeps all"),
+                        }
+                        let (built, sections) = stream.take_request(&shard, i, &mut scratch);
+                        assert_eq!(&built, planned, "{at}: request {g}");
+                        assert_eq!(sections, planned_sections[g], "{at}: request {g}");
+                        assert_eq!(
+                            request_fingerprint(&model, &built),
+                            shard.fingerprints[i],
+                            "{at}: request {g}"
+                        );
+                        assert!(shard.bodies[i].get().is_none(), "{at}: taken once");
+                        let (again, _) = stream.take_request(&shard, i, &mut scratch);
+                        assert_eq!(&again, planned, "{at}: rendered again once taken");
+                    }
                     batches.extend(shard.batches);
-                    requests.extend(shard.requests);
-                    sections.extend(shard.sections);
                     fingerprints.extend(shard.fingerprints);
                 }
                 for (streamed, planned) in batches.iter().zip(plan.batches()) {
@@ -600,25 +717,14 @@ mod tests {
                     assert_eq!(streamed.request_index, planned.request_index, "{at}");
                 }
                 assert_eq!(batches.len(), plan.batches().len(), "{at}");
-                assert_eq!(requests.len(), plan.requests().len(), "{at}");
-                for (streamed, planned) in requests.iter().zip(plan.requests()) {
-                    assert_eq!(streamed.messages.len(), planned.messages.len(), "{at}");
-                    for (a, b) in streamed.messages.iter().zip(&planned.messages) {
-                        assert_eq!(a.content, b.content, "{at}");
-                    }
-                    assert_eq!(
-                        streamed.prompt_tokens_hint, planned.prompt_tokens_hint,
-                        "{at}"
-                    );
-                }
-                assert_eq!(sections, plan.sections(), "{at}");
                 assert_eq!(fingerprints, plan.fingerprints(), "{at}");
             }
         }
     }
 
     /// Per-unique totals must be global (all shards), matching what the
-    /// materialized executor reports in `Planned` events.
+    /// materialized executor reports in `Planned` events; a request first
+    /// seen in shard 0 is neither kept nor yielded again by a later shard.
     #[test]
     fn per_request_totals_are_global_across_shards() {
         let model = EchoModel;
@@ -632,20 +738,25 @@ mod tests {
         assert_eq!(stream.batches_per(0), 7);
         assert_eq!(stream.instances_per(0), 7);
         assert_eq!(stream.last_batch_of(0), 6);
-        let first = stream.next_shard(&model).expect("one shard");
-        assert_eq!(first.requests.len(), 1);
+        let first = stream.next_shard().expect("one shard");
+        assert_eq!(first.fingerprints.len(), 1);
+        assert!(first.bodies[0].get().is_some(), "shard 0 keeps its body");
         let mut rest = 0;
-        while let Some(shard) = stream.next_shard(&model) {
-            assert!(shard.requests.is_empty(), "request must not re-render");
+        while let Some(shard) = stream.next_shard() {
+            assert!(
+                shard.fingerprints.is_empty(),
+                "request must not be sent again"
+            );
+            assert!(shard.bodies.is_empty() && shard.request_batches.is_empty());
             rest += shard.batches.len();
         }
         assert_eq!(rest, 5);
     }
 
     /// Timing aggregates across shards: each yielded shard can only grow
-    /// the totals, never replace them with its own slice. The first
-    /// shard's requests were rendered by the survey, so only later shards
-    /// add render time.
+    /// the plan total, never replace it with its own slice. Every render
+    /// the stream times is the survey's; later shards render on the
+    /// executor's workers, inside its `dispatch` stage.
     #[test]
     fn stage_timing_accumulates_across_shards() {
         let model = EchoModel;
@@ -654,24 +765,10 @@ mod tests {
         let mut stream = PlanStream::new(&model, &config, &instances, &[], 2);
         let survey_build = stream.prompt_build_wall_secs();
         assert!(survey_build > 0.0, "survey renders every batch");
-        let mut last_build = survey_build;
         let mut last_plan = stream.plan_wall_secs();
-        while let Some(shard) = stream.next_shard(&model) {
-            assert!(
-                stream.prompt_build_wall_secs() >= last_build,
-                "prompt-build wall must be monotone across shards"
-            );
+        while stream.next_shard().is_some() {
             assert!(stream.plan_wall_secs() >= last_plan);
-            if shard.first_batch == 0 {
-                assert_eq!(
-                    stream.prompt_build_wall_secs(),
-                    survey_build,
-                    "the survey already rendered the first shard"
-                );
-            } else if !shard.requests.is_empty() {
-                assert!(stream.prompt_build_wall_secs() > last_build);
-            }
-            last_build = stream.prompt_build_wall_secs();
+            assert_eq!(stream.prompt_build_wall_secs(), survey_build);
             last_plan = stream.plan_wall_secs();
         }
     }

@@ -155,6 +155,23 @@ impl ChatRequest {
         }
     }
 
+    /// Feeds `hasher` the bytes of [`full_text`](Self::full_text) that
+    /// come before the last message's content: every earlier message
+    /// whole, then the last one's role tag and separator. What follows
+    /// them is that content and [`MESSAGE_END`]. Feeds nothing when there
+    /// is no message.
+    pub(crate) fn hash_full_text_before_last(&self, hasher: &mut StableHasher) {
+        let Some((last, leading)) = self.messages.split_last() else {
+            return;
+        };
+        for piece in leading.iter().flat_map(Message::full_text_pieces) {
+            hasher.write(piece.as_bytes());
+        }
+        let [tag, separator, _, _] = last.full_text_pieces();
+        hasher.write(tag.as_bytes());
+        hasher.write(separator.as_bytes());
+    }
+
     /// [`dprep_rng::stable_hash`] of [`full_text`](Self::full_text) under
     /// `seed`, without building the string.
     pub(crate) fn full_text_hash(&self, seed: u64) -> u64 {
@@ -163,13 +180,22 @@ impl ChatRequest {
         hasher.finish()
     }
 
-    /// The one definition of the full-text bytes, which
-    /// [`full_text`](Self::full_text) concatenates and
-    /// [`hash_full_text`](Self::hash_full_text) hashes.
+    /// The full-text bytes, which [`full_text`](Self::full_text)
+    /// concatenates and [`hash_full_text`](Self::hash_full_text) hashes.
     fn full_text_pieces(&self) -> impl Iterator<Item = &str> {
-        self.messages
-            .iter()
-            .flat_map(|m| [m.role.tag(), ": ", m.content.as_str(), "\n"])
+        self.messages.iter().flat_map(Message::full_text_pieces)
+    }
+}
+
+/// What closes each message in [`ChatRequest::full_text`].
+pub(crate) const MESSAGE_END: &str = "\n";
+
+impl Message {
+    /// The one definition of a message's share of
+    /// [`ChatRequest::full_text`]: its role tag, `": "`, its content and
+    /// [`MESSAGE_END`].
+    fn full_text_pieces(&self) -> [&str; 4] {
+        [self.role.tag(), ": ", self.content.as_str(), MESSAGE_END]
     }
 }
 

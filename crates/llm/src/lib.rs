@@ -69,8 +69,9 @@ pub use chat::{ChatModel, ChatRequest, ChatResponse, FaultKind, Message, Respons
 pub use fault::{FaultEffect, FaultRule, FaultScenario};
 pub use knowledge::{Fact, KnowledgeBase};
 pub use middleware::{
-    check_retries, is_complete, request_fingerprint, warm_cache_store, CacheLayer, CacheStore,
-    FaultLayer, MiddlewareStats, RetryLayer, StatsSnapshot, MAX_RETRIES,
+    check_retries, is_complete, is_complete_for, request_fingerprint, warm_cache_store, CacheLayer,
+    CacheStore, FaultLayer, FingerprintPrefix, MiddlewareStats, RetryLayer, StatsSnapshot,
+    MAX_RETRIES,
 };
 pub use model::SimulatedLlm;
 pub use profile::{LatencyModel, ModelProfile, Pricing, TaskSkills};

@@ -33,7 +33,7 @@ use dprep_obs::{JournalEntry, NullTracer, TerminalKind, TraceEvent, Tracer};
 use dprep_rng::StableHasher;
 use dprep_text::count_tokens;
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse, FaultKind};
+use crate::chat::{ChatModel, ChatRequest, ChatResponse, FaultKind, MESSAGE_END};
 use crate::fault::{FaultEffect, FaultScenario};
 use crate::usage::Usage;
 
@@ -126,11 +126,13 @@ pub fn answered_count(response: &ChatResponse) -> usize {
 /// Whether a response fully serves its request: no serving-layer fault, and
 /// at least as many answers as questions.
 pub fn is_complete(request: &ChatRequest, response: &ChatResponse) -> bool {
-    if response.meta.fault.is_some() {
-        return false;
-    }
-    let expected = expected_answers(request);
-    expected == 0 || answered_count(response) >= expected
+    is_complete_for(expected_answers(request), response)
+}
+
+/// [`is_complete`] for a request that asks `expected` questions (its
+/// [`expected_answers`]), for a caller that no longer holds the request.
+pub fn is_complete_for(expected: usize, response: &ChatResponse) -> bool {
+    response.meta.fault.is_none() && (expected == 0 || answered_count(response) >= expected)
 }
 
 /// Stable fingerprint of everything that determines a deterministic model's
@@ -144,10 +146,17 @@ pub fn is_complete(request: &ChatRequest, response: &ChatResponse) -> bool {
 /// one layer and identical by the other. The trace id is deliberately
 /// excluded: it never affects the model's output.
 pub fn request_fingerprint<M: ChatModel + ?Sized>(model: &M, request: &ChatRequest) -> u64 {
+    let mut hasher = descriptor_hasher(model, request);
+    request.hash_full_text(&mut hasher);
+    hasher.finish()
+}
+
+/// The fingerprint's hasher after the descriptor's head. The fingerprint
+/// is the hash of `"{name}|{temperature}|{salt}|{full text}"`, streamed:
+/// neither the descriptor nor the full text is ever built.
+fn descriptor_hasher<M: ChatModel + ?Sized>(model: &M, request: &ChatRequest) -> StableHasher {
     use std::fmt::Write;
     let temperature = request.temperature_or(model.default_temperature());
-    // The hash of the descriptor `"{name}|{temperature}|{salt}|{full
-    // text}"`, streamed: neither the descriptor nor the full text is built.
     let mut hasher = StableHasher::new(0x00ca_c4e0);
     let _ = write!(
         hasher,
@@ -155,8 +164,47 @@ pub fn request_fingerprint<M: ChatModel + ?Sized>(model: &M, request: &ChatReque
         model.name(),
         request.retry_salt
     );
-    request.hash_full_text(&mut hasher);
-    hasher.finish()
+    hasher
+}
+
+/// [`request_fingerprint`] split at the last message's content, for
+/// requests that differ in nothing else.
+///
+/// A plan's requests share their model, temperature, salt, system message
+/// and few-shot turns; only the last user turn, the batch, differs.
+/// [`new`](Self::new) hashes that shared prefix once, and
+/// [`finish`](Self::finish) continues a copy of its hasher state over one
+/// batch's content, so fingerprinting a batch hashes only the batch.
+#[derive(Debug, Clone, Copy)]
+pub struct FingerprintPrefix {
+    state: StableHasher,
+}
+
+impl FingerprintPrefix {
+    /// Hashes everything [`request_fingerprint`] reads from `template` and
+    /// `model` before the template's last message's content.
+    ///
+    /// # Panics
+    /// Panics when `template` has no message: there is no content to
+    /// continue from.
+    pub fn new<M: ChatModel + ?Sized>(model: &M, template: &ChatRequest) -> FingerprintPrefix {
+        assert!(
+            !template.messages.is_empty(),
+            "a fingerprint prefix needs a last message"
+        );
+        let mut state = descriptor_hasher(model, template);
+        template.hash_full_text_before_last(&mut state);
+        FingerprintPrefix { state }
+    }
+
+    /// The [`request_fingerprint`] of the template with its last message's
+    /// content replaced by `content`.
+    pub fn finish(&self, content: &str) -> u64 {
+        let mut hasher = self.state;
+        hasher.write(content.as_bytes());
+        hasher.write(MESSAGE_END.as_bytes());
+        hasher.finish()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -960,6 +1008,17 @@ mod tests {
             };
             assert_eq!(
                 request_fingerprint(&model, &req),
+                formatted_fingerprint(&model, &req),
+                "{req:?}"
+            );
+            // Split at the last message's content, with that content kept
+            // or replaced.
+            let prefix = FingerprintPrefix::new(&model, &req);
+            let last = req.messages.last().unwrap().content.clone();
+            assert_eq!(prefix.finish(&last), request_fingerprint(&model, &req));
+            req.messages.last_mut().unwrap().content = format!("{k}\n{last}é");
+            assert_eq!(
+                prefix.finish(&req.messages.last().unwrap().content),
                 formatted_fingerprint(&model, &req),
                 "{req:?}"
             );

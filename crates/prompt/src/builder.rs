@@ -213,48 +213,62 @@ impl PromptContext {
 
     /// Builds the request for one batch under the shared sections. The
     /// request is byte-identical to [`build_request`] on the same inputs;
-    /// only the batch body is rendered and tokenized per call.
+    /// only the batch body is rendered and tokenized per call: it is
+    /// [`write_body`](Self::write_body) then [`frame`](Self::frame).
     ///
     /// # Panics
     /// Panics when `batch` is empty or an instance's task differs from the
     /// context's configuration.
     pub fn build(&self, batch: &[&TaskInstance]) -> (ChatRequest, PromptSections) {
+        let mut body = String::new();
+        self.write_body(&mut body, batch);
+        let body_tokens = count_tokens(&body);
+        self.frame(body, body_tokens)
+    }
+
+    /// Appends one batch's body — its questions, numbered `Question 1..k`,
+    /// one line each — to `out`. This is the one per-request render: every
+    /// question, and every record in it, is written straight into the
+    /// caller's buffer, so a caller rendering many batches reuses one.
+    ///
+    /// # Panics
+    /// Panics when `batch` is empty or an instance's task differs from the
+    /// context's configuration.
+    pub fn write_body(&self, out: &mut String, batch: &[&TaskInstance]) {
         assert!(!batch.is_empty(), "cannot build a prompt with no instances");
         assert!(
             batch.iter().all(|i| i.task() == self.config.task),
             "instance task does not match the prompt configuration"
         );
+        for (i, instance) in batch.iter().enumerate() {
+            write_numbered_question(out, i + 1, instance, self.config.feature_indices.as_deref());
+        }
+    }
+
+    /// The request around a rendered body: the shared system message and
+    /// few-shot turns, then `body` as the last user turn. `body_tokens`
+    /// must be `count_tokens(&body)`: the request's
+    /// [`ChatRequest::prompt_tokens_hint`] and the sections' `instances`
+    /// count are built from it, and the serving model trusts the hint.
+    pub fn frame(&self, body: String, body_tokens: usize) -> (ChatRequest, PromptSections) {
         let mut sections = PromptSections {
             task_spec: self.task_spec,
             answer_format: self.answer_format,
             cot: self.cot,
+            instances: body_tokens,
             ..PromptSections::default()
         };
-        let mut full_text_tokens = self.system_message_tokens;
-        let mut messages = vec![Message::system(self.system.to_string())];
+        let mut full_text_tokens =
+            self.system_message_tokens + count_tokens("user") + 1 + body_tokens;
+        let mut messages = Vec::with_capacity(if self.few_shot.is_some() { 4 } else { 2 });
+        messages.push(Message::system(self.system.to_string()));
         if let Some(fs) = &self.few_shot {
             sections.few_shot = fs.section_tokens;
             full_text_tokens += fs.message_tokens;
             messages.push(Message::user(fs.user.to_string()));
             messages.push(Message::assistant(fs.assistant.to_string()));
         }
-
-        // The batch body is the one per-request render on the planning hot
-        // path: every question, and every record in it, is written
-        // straight into this one buffer.
-        let mut body = String::new();
-        for (i, instance) in batch.iter().enumerate() {
-            write_numbered_question(
-                &mut body,
-                i + 1,
-                instance,
-                self.config.feature_indices.as_deref(),
-            );
-        }
-        sections.instances = count_tokens(&body);
-        full_text_tokens += count_tokens("user") + 1 + sections.instances;
         messages.push(Message::user(body));
-
         (
             ChatRequest::new(messages).with_prompt_tokens_hint(full_text_tokens),
             sections,

@@ -38,5 +38,5 @@ pub use builder::{
 pub use fewshot::FewShotExample;
 #[doc(hidden)]
 pub use parse::parse_response_legacy;
-pub use parse::{parse_response, ExtractedAnswer};
+pub use parse::{parse_batch, parse_response, BatchAnswers, ExtractedAnswer};
 pub use task::{AttrSpec, Task, TaskInstance};

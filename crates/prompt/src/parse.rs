@@ -17,15 +17,38 @@ pub struct ExtractedAnswer {
 }
 
 impl ExtractedAnswer {
-    /// Interprets the value as a yes/no verdict, `None` when it is neither.
+    /// Interprets the value as a yes/no verdict, `None` when it is neither:
+    /// after trimming it and any trailing `.`, one of `yes`, `y`, `true`
+    /// or `no`, `n`, `false`, in any case.
+    ///
+    /// The words are ASCII, so the value is compared ASCII
+    /// case-insensitively, without a lowercased copy. That reads exactly
+    /// what Unicode lowercasing would: the one non-ASCII char that
+    /// lowercases to a lone ASCII letter, U+212A KELVIN SIGN, becomes `k`,
+    /// which none of the words contains.
     pub fn as_yes_no(&self) -> Option<bool> {
-        let v = self.value.trim().trim_end_matches('.').to_lowercase();
-        match v.as_str() {
-            "yes" | "y" | "true" => Some(true),
-            "no" | "n" | "false" => Some(false),
-            _ => None,
+        let v = self.value.trim().trim_end_matches('.');
+        let is_any = |words: [&str; 3]| words.iter().any(|w| v.eq_ignore_ascii_case(w));
+        if is_any(["yes", "y", "true"]) {
+            Some(true)
+        } else if is_any(["no", "n", "false"]) {
+            Some(false)
+        } else {
+            None
         }
     }
+}
+
+/// A completion parsed for one batch of `k` questions, by position: what
+/// [`parse_response`] finds under the numbers `1..=k`, without the map.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct BatchAnswers {
+    /// Question `p + 1`'s answer at index `p`, `None` when none parsed.
+    pub answers: Vec<Option<ExtractedAnswer>>,
+    /// Whether nothing parsed under any number, `1..=k` or past it: the
+    /// map [`parse_response`] returns would be empty. A miss in a
+    /// response that answered nothing is a format violation.
+    pub nothing_parsed: bool,
 }
 
 /// The `Answer N:` marker prefix both scanners look for.
@@ -118,62 +141,85 @@ impl<'a> Iterator for AnswerScanner<'a> {
 /// `expect_reason` says whether the prompt requested the two-line format:
 /// when true, the last line of a segment is the value and the earlier lines
 /// are the reason; when false, the whole segment is the value. Duplicate
-/// numbers keep the first occurrence.
+/// numbers keep the first occurrence that holds an answer.
 ///
-/// This is the dispatch/parse hot path: it walks the completion once with an
-/// index-based scanner and allocates only the final `reason`/`value`
-/// `String`s — no intermediate line vectors or segment copies.
+/// It walks the completion once with an index-based scanner and allocates
+/// only the map and each answer's `reason`/`value` `String`s — no
+/// intermediate line vectors or segment copies. [`parse_batch`] is the
+/// same parse by position, for a caller that knows the batch size.
 pub fn parse_response(text: &str, expect_reason: bool) -> BTreeMap<usize, ExtractedAnswer> {
     let mut answers = BTreeMap::new();
     for (number, segment) in AnswerScanner::new(text) {
-        if number == 0 || answers.contains_key(&number) {
+        // A trimmed segment holds a non-empty line exactly when it is not
+        // empty itself, so an empty one is the only segment with no value.
+        if number == 0 || segment.is_empty() || answers.contains_key(&number) {
             continue;
         }
-        let extracted = if expect_reason {
-            // Stream the trimmed, non-empty lines: the running `last` becomes
-            // the value; everything before it accretes into the reason.
-            let mut reason = String::new();
-            let mut last: Option<&str> = None;
-            for line in segment.split('\n') {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                if let Some(prev) = last.replace(line) {
-                    if !reason.is_empty() {
-                        reason.push(' ');
-                    }
-                    reason.push_str(prev);
-                }
-            }
-            let Some(value) = last else { continue };
-            ExtractedAnswer {
-                reason: (!reason.is_empty()).then_some(reason),
-                value: value.to_string(),
-            }
-        } else {
-            let mut value = String::new();
-            for line in segment.split('\n') {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                if !value.is_empty() {
-                    value.push(' ');
-                }
-                value.push_str(line);
-            }
-            if value.is_empty() {
-                continue;
-            }
-            ExtractedAnswer {
-                reason: None,
-                value,
-            }
-        };
-        answers.insert(number, extracted);
+        answers.insert(number, extract(segment, expect_reason));
     }
     answers
+}
+
+/// [`parse_response`] for a batch of `questions` questions, by position:
+/// question `p + 1`'s answer lands at index `p`, answers numbered past the
+/// batch are dropped, and the one thing the map said about them — whether
+/// anything parsed at all — is kept as [`BatchAnswers::nothing_parsed`].
+/// The vector and every string are allocated at their final size.
+pub fn parse_batch(text: &str, expect_reason: bool, questions: usize) -> BatchAnswers {
+    let mut answers: Vec<Option<ExtractedAnswer>> = Vec::with_capacity(questions);
+    answers.resize_with(questions, || None);
+    let mut nothing_parsed = true;
+    for (number, segment) in AnswerScanner::new(text) {
+        if number == 0 || segment.is_empty() {
+            continue;
+        }
+        nothing_parsed = false;
+        if let Some(slot @ None) = answers.get_mut(number - 1) {
+            *slot = Some(extract(segment, expect_reason));
+        }
+    }
+    BatchAnswers {
+        answers,
+        nothing_parsed,
+    }
+}
+
+/// The answer in one non-empty, trimmed `Answer N:` segment. With
+/// `expect_reason`, its last non-empty line is the value and the lines
+/// before it, joined by spaces, the reason; without, all its lines joined
+/// are the value. Lines are trimmed, and empty ones skipped.
+fn extract(segment: &str, expect_reason: bool) -> ExtractedAnswer {
+    let lines = segment
+        .split('\n')
+        .map(str::trim)
+        .filter(|line| !line.is_empty());
+    if !expect_reason {
+        return ExtractedAnswer {
+            reason: None,
+            value: joined(lines),
+        };
+    }
+    let count = lines.clone().count();
+    let value = lines.clone().next_back().unwrap_or_default().to_string();
+    ExtractedAnswer {
+        reason: (count > 1).then(|| joined(lines.take(count - 1))),
+        value,
+    }
+}
+
+/// `lines` joined by single spaces, in a string of exactly that length.
+fn joined<'a>(lines: impl Iterator<Item = &'a str> + Clone) -> String {
+    let (count, bytes) = lines
+        .clone()
+        .fold((0usize, 0usize), |(n, b), line| (n + 1, b + line.len()));
+    let mut out = String::with_capacity(bytes + count.saturating_sub(1));
+    for line in lines {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(line);
+    }
+    out
 }
 
 /// The pre-scanner implementation of [`parse_response`], retained verbatim as
@@ -292,6 +338,63 @@ mod tests {
             value: "possibly".into(),
         };
         assert_eq!(unclear.as_yes_no(), None);
+    }
+
+    /// `as_yes_no` as it was, through a Unicode-lowercased copy.
+    fn as_yes_no_oracle(value: &str) -> Option<bool> {
+        match value.trim().trim_end_matches('.').to_lowercase().as_str() {
+            "yes" | "y" | "true" => Some(true),
+            "no" | "n" | "false" => Some(false),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn yes_no_reads_what_the_lowercased_copy_read() {
+        // Letters of the six words in both cases, the Kelvin sign (which
+        // lowercases to `k`), the dotted capital I (to `i` + U+0307), and
+        // the trimmed and stripped decorations.
+        let alphabet: Vec<char> = "yesnotrufaYESNOTRUFAk\u{212a}\u{130}i. \t\u{a0}"
+            .chars()
+            .collect();
+        let words = [
+            "yes", "no", "y", "n", "true", "false", "YeS.", "nO..", " Y ", "x",
+        ];
+        let mut rng = dprep_rng::Rng::seed_from_u64(0x07e5_00a0);
+        for case in 0..20_000 {
+            let value: String = if case % 2 == 0 {
+                let len = rng.range_usize(0, 7);
+                (0..len)
+                    .map(|_| *rng.choose(&alphabet).expect("alphabet"))
+                    .collect()
+            } else {
+                // A word with one char swapped for a random one.
+                let word = *rng.choose(&words).expect("words");
+                let mut chars: Vec<char> = word.chars().collect();
+                let at = rng.range_usize(0, chars.len());
+                chars[at] = *rng.choose(&alphabet).expect("alphabet");
+                chars.into_iter().collect()
+            };
+            let answer = ExtractedAnswer {
+                reason: None,
+                value: value.clone(),
+            };
+            assert_eq!(answer.as_yes_no(), as_yes_no_oracle(&value), "{value:?}");
+        }
+        for value in [
+            "\u{212a}",
+            "yes\u{130}",
+            "TRUE.",
+            " no. ",
+            "\u{130}",
+            "n\u{212a}",
+        ] {
+            let answer = ExtractedAnswer {
+                reason: None,
+                value: value.into(),
+            };
+            assert_eq!(answer.as_yes_no(), as_yes_no_oracle(value), "{value:?}");
+        }
     }
 
     #[test]

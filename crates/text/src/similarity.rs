@@ -6,35 +6,54 @@
 //! (b) the classical baselines (Magellan-style feature vectors, SMAT-style
 //! similarity matrices).
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::ngram::char_ngrams;
 use crate::normalize::normalized_words;
 
-/// Levenshtein edit distance (insert/delete/substitute, unit costs).
+/// Levenshtein edit distance (insert/delete/substitute, unit costs), on
+/// chars.
+///
+/// One DP row per thread is reused from call to call, and two ASCII
+/// strings are compared byte by byte, so a call allocates nothing once its
+/// thread has seen a string as long as `b`. ED's lexicon check calls this
+/// once per memorized member for every value that is not a member.
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
+    thread_local! {
+        static ROW: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     }
-    if b.is_empty() {
-        return a.len();
-    }
-    // Single-row DP.
-    let mut row: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.iter().enumerate() {
+    ROW.with_borrow_mut(|row| {
+        if a.is_ascii() && b.is_ascii() {
+            edit_distance(a.bytes(), b.bytes(), b.len(), row)
+        } else {
+            edit_distance(a.chars(), b.chars(), b.chars().count(), row)
+        }
+    })
+}
+
+/// The single-row Levenshtein DP of `a` against `b` (`b_len` items long),
+/// in `row`, which it resizes.
+fn edit_distance<T: PartialEq>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T> + Clone,
+    b_len: usize,
+    row: &mut Vec<usize>,
+) -> usize {
+    row.clear();
+    row.extend(0..=b_len);
+    for (i, ca) in a.enumerate() {
         let mut prev_diag = row[0];
         row[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
+        for (j, cb) in b.clone().enumerate() {
             let cost = usize::from(ca != cb);
             let next = (row[j + 1] + 1).min(row[j] + 1).min(prev_diag + cost);
             prev_diag = row[j + 1];
             row[j + 1] = next;
         }
     }
-    row[b.len()]
+    row[b_len]
 }
 
 /// True when `a` and `b` are at most one edit apart: exactly

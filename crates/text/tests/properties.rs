@@ -163,3 +163,70 @@ fn within_one_edit_is_levenshtein_at_most_one() {
     }
     assert!(verdicts.iter().all(|&n| n > 40_000), "{verdicts:?}");
 }
+
+/// The allocating DP `levenshtein` ran before it reused one row per thread
+/// and compared ASCII strings by byte: two char vectors and a row per call.
+fn levenshtein_oracle(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    if a.is_empty() {
+        return b.len();
+    }
+    if b.is_empty() {
+        return a.len();
+    }
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.iter().enumerate() {
+        let mut prev_diag = row[0];
+        row[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let cost = usize::from(ca != cb);
+            let next = (row[j + 1] + 1).min(row[j] + 1).min(prev_diag + cost);
+            prev_diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
+}
+
+#[test]
+fn levenshtein_matches_the_allocating_dp() {
+    let mut rng = Rng::seed_from_u64(0x7e17_000b);
+    let ascii: Vec<char> = "abcdefgh ".chars().collect();
+    let mixed: Vec<char> = "abcé东\u{212a}".chars().collect();
+    let draw = |rng: &mut Rng, alphabet: &[char]| -> String {
+        let len = rng.range_incl(0usize, 24);
+        (0..len)
+            .map(|_| *rng.choose(alphabet).expect("nonempty"))
+            .collect()
+    };
+    for case in 0..4 * CASES {
+        // ASCII pairs take the byte path, the rest the char path; small
+        // alphabets make near-equal strings common.
+        let a = draw(&mut rng, if case % 3 == 0 { &mixed } else { &ascii });
+        let b = match case % 5 {
+            0 => a.clone(),
+            1 => String::new(),
+            2 => {
+                let mut b = a.clone();
+                b.push_str(&draw(&mut rng, &mixed));
+                b
+            }
+            _ => draw(&mut rng, if case % 2 == 0 { &mixed } else { &ascii }),
+        };
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            assert_eq!(
+                levenshtein(x, y),
+                levenshtein_oracle(x, y),
+                "{x:?} vs {y:?}"
+            );
+        }
+    }
+    assert_eq!(levenshtein("", ""), 0);
+    assert_eq!(levenshtein("东京", "东"), 1);
+    assert_eq!(
+        levenshtein("caf\u{e9}", "cafe"),
+        1,
+        "é is one char, two bytes"
+    );
+}

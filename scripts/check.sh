@@ -69,11 +69,12 @@ cargo test -q --test ops_plane
 
 echo "== streaming-planner scaling smoke (10k rows, stream vs materialized) =="
 # Runs both plan modes at 10k rows, asserts their predictions agree via
-# checksum, and gates the streaming run's peak RSS and both runs'
-# throughput. The ceilings are generous (the 10k streaming run peaks
-# around 9 MB and 60k+ rows/sec on a dev container) so only a regression
-# in kind — a materialized plan sneaking back into the streaming path, or
-# an order-of-magnitude slowdown — trips them.
+# checksum, and gates both runs' peak RSS and throughput: the
+# materialized run is the one-shard plan every CLI run uses by default.
+# The ceilings are generous (the 10k runs peak around 9-13 MB and 60k+
+# rows/sec on a dev container) so only a regression in kind — a plan
+# holding every rendered request again, or an order-of-magnitude
+# slowdown — trips them.
 cargo run --release -q -p dprep-bench --bin bench_scale -- \
   --rows 10000 --shard-size 64 --mode both \
   --max-rss-mb 64 --min-rows-per-sec 2000 --out BENCH_scale.json

@@ -458,6 +458,40 @@ fn malformed_integer_fields_are_refused_and_bill_nothing() {
     });
 }
 
+/// A whole number at or past 2^53, where JSON no longer holds every
+/// integer exactly, is refused naming the field and the bound — not read
+/// as absent, which ran a `"seed": 1e16` under the default seed — and the
+/// daemon keeps serving: a ping still pongs and a normal submit still runs.
+#[test]
+fn integers_past_2_53_are_refused_and_the_daemon_keeps_serving() {
+    with_daemon(handler(None), TenantLedger::new(), |addr| {
+        for key in ["seed", "token_budget"] {
+            let request = with_field(
+                submit_body("huge", "Restaurant", vec![]),
+                key,
+                Json::Num(1e16),
+            );
+            let reply = submit(addr, &request);
+            assert_rejected(&reply, &format!("\"{key}\" must be below 2^53"));
+        }
+        let pong = submit(addr, &op("ping"));
+        assert_eq!(
+            pong.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            pong.to_json()
+        );
+        let normal = submit(addr, &submit_body("huge", "Restaurant", vec![]));
+        assert_eq!(
+            normal.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            normal.to_json()
+        );
+        assert!(num_field(&normal, "tokens_billed") > 0);
+    });
+}
+
 /// A submit whose `scale` would ask the allocator for an exabyte (or is not
 /// a usable scale at all) gets an error naming the bound, and the daemon
 /// keeps serving: a ping still pongs and a normal submit still runs.
