@@ -1,13 +1,16 @@
 //! `dprep clean` — detect-then-repair: flag suspicious cells and re-impute
 //! them, emitting the repaired CSV on stdout and the audit trail on stderr.
 
+use std::io::Write;
+
 use dprep_core::{PipelineConfig, Repairer};
 use dprep_prompt::Task;
 use dprep_tabular::csv::write_csv;
 
 use crate::args::Flags;
 use crate::commands::{
-    attrs_for, load_table, print_metrics, print_usage_footer, serving_setup, ServingSetup,
+    attrs_for, load_table, print_metrics, print_usage_footer, serving_setup, write_stdout,
+    ServingSetup,
 };
 
 /// Runs the command.
@@ -33,7 +36,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .with_tracer(obs.tracer());
     let outcome = repairer.try_repair(&table, &attrs, &[], &[])?;
 
-    print!("{}", write_csv(&outcome.table));
+    write_stdout(|out| out.write_all(write_csv(&outcome.table).as_bytes()))?;
     for repair in &outcome.repairs {
         eprintln!(
             "row {}, {}: {:?} -> {}",

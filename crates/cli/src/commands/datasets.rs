@@ -1,6 +1,9 @@
 //! `dprep datasets` — list the built-in synthetic benchmarks.
 
+use std::io::Write;
+
 use crate::args::Flags;
+use crate::commands::write_stdout;
 
 /// Runs the command.
 pub fn run(flags: &Flags) -> Result<(), String> {
@@ -11,20 +14,26 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             .map_err(|_| format!("--scale must be a number, got {raw:?}"))?,
     };
     let scale = dprep_datasets::check_scale(scale).map_err(|e| format!("--{e}"))?;
-    println!(
-        "{:<16} {:<18} {:>10} {:>9} {:>7}",
-        "dataset", "task", "instances", "few-shot", "facts"
-    );
-    for ds in dprep_datasets::all_datasets(scale, flags.seed()?) {
-        println!(
+    let datasets = dprep_datasets::all_datasets(scale, flags.seed()?);
+    write_stdout(|out| {
+        writeln!(
+            out,
             "{:<16} {:<18} {:>10} {:>9} {:>7}",
-            ds.name,
-            ds.task.name(),
-            ds.len(),
-            ds.few_shot.len(),
-            ds.kb.len()
-        );
-    }
+            "dataset", "task", "instances", "few-shot", "facts"
+        )?;
+        for ds in &datasets {
+            writeln!(
+                out,
+                "{:<16} {:<18} {:>10} {:>9} {:>7}",
+                ds.name,
+                ds.task.name(),
+                ds.len(),
+                ds.few_shot.len(),
+                ds.kb.len()
+            )?;
+        }
+        Ok(())
+    })?;
     eprintln!("(generated at scale {scale}; scale 1.0 = the paper's instance counts)");
     Ok(())
 }

@@ -1,14 +1,15 @@
 //! `dprep detect` — cell-level error detection over a CSV file.
 
 use std::fmt::Display;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 
 use dprep_core::{PipelineConfig, Preprocessor};
 use dprep_prompt::{Task, TaskInstance};
 
 use crate::args::Flags;
 use crate::commands::{
-    attrs_for, load_table, print_metrics, print_usage_footer, serving_setup, ServingSetup,
+    attrs_for, load_table, print_metrics, print_usage_footer, serving_setup, write_stdout,
+    ServingSetup,
 };
 
 /// Runs the command.
@@ -51,40 +52,38 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .with_tracer(obs.tracer());
     let result = preprocessor.try_run(&instances, &[])?;
 
-    // One locked, buffered writer for the whole table, flushed before the
-    // footer goes to stderr.
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    let written = |e: std::io::Error| format!("cannot write the results: {e}");
-    writeln!(out, "row\tattribute\tvalue\tverdict\treason").map_err(written)?;
     let all = flags.get("all").is_some();
     let mut flagged = 0usize;
-    for (&(row_idx, attr_idx), prediction) in cells.iter().zip(&result.predictions) {
-        let verdict = prediction.as_yes_no();
-        if verdict == Some(true) {
-            flagged += 1;
+    write_stdout(|out| {
+        writeln!(out, "row\tattribute\tvalue\tverdict\treason")?;
+        for (&(row_idx, attr_idx), prediction) in cells.iter().zip(&result.predictions) {
+            let verdict = prediction.as_yes_no();
+            if verdict == Some(true) {
+                flagged += 1;
+            }
+            // Print errors always; clean cells only with --all true.
+            if verdict == Some(true) || all {
+                let attr = &attrs[attr_idx];
+                let cell = table.row(row_idx).and_then(|r| r.get_by_name(attr));
+                let value: &dyn Display = match cell {
+                    Some(value) => value,
+                    None => &"",
+                };
+                let reason = prediction
+                    .answer()
+                    .and_then(|a| a.reason.as_deref())
+                    .unwrap_or_default();
+                let label = match (verdict, prediction.failure()) {
+                    (Some(true), _) => "error",
+                    (Some(false), _) => "ok",
+                    (None, Some(kind)) => kind.label(),
+                    (None, None) => "unparsed",
+                };
+                writeln!(out, "{row_idx}\t{attr}\t{value}\t{label}\t{reason}")?;
+            }
         }
-        // Print errors always; clean cells only with --all true.
-        if verdict == Some(true) || all {
-            let attr = &attrs[attr_idx];
-            let value: &dyn Display = match table.row(row_idx).and_then(|r| r.get_by_name(attr)) {
-                Some(value) => value,
-                None => &"",
-            };
-            let reason = prediction
-                .answer()
-                .and_then(|a| a.reason.as_deref())
-                .unwrap_or_default();
-            let label = match (verdict, prediction.failure()) {
-                (Some(true), _) => "error",
-                (Some(false), _) => "ok",
-                (None, Some(kind)) => kind.label(),
-                (None, None) => "unparsed",
-            };
-            writeln!(out, "{row_idx}\t{attr}\t{value}\t{label}\t{reason}").map_err(written)?;
-        }
-    }
-    out.flush().map_err(written)?;
-    drop(out);
+        Ok(())
+    })?;
     eprintln!("{flagged} of {} cells flagged", instances.len());
     print_usage_footer(&result.usage, Some(&result.stats));
     print_metrics(&serving, &result.metrics)?;

@@ -1,12 +1,16 @@
 //! `dprep impute` — fill missing cells of one attribute and emit the
 //! completed CSV on stdout.
 
+use std::io::Write;
+
 use dprep_core::{PipelineConfig, Preprocessor};
 use dprep_prompt::{Task, TaskInstance};
 use dprep_tabular::{csv::write_csv, Table, Value};
 
 use crate::args::Flags;
-use crate::commands::{load_table, print_metrics, print_usage_footer, serving_setup, ServingSetup};
+use crate::commands::{
+    load_table, print_metrics, print_usage_footer, serving_setup, write_stdout, ServingSetup,
+};
 
 /// Runs the command.
 pub fn run(flags: &Flags) -> Result<(), String> {
@@ -39,7 +43,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     }
     if instances.is_empty() {
         eprintln!("nothing to impute: no missing {attribute:?} cells");
-        print!("{}", write_csv(&table));
+        write_stdout(|out| out.write_all(write_csv(&table).as_bytes()))?;
         return obs.finish();
     }
 
@@ -61,7 +65,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     }
     let completed = Table::from_records(std::sync::Arc::clone(table.schema()), rows)
         .map_err(|e| e.to_string())?;
-    print!("{}", write_csv(&completed));
+    write_stdout(|out| out.write_all(write_csv(&completed).as_bytes()))?;
     eprintln!("imputed {filled} of {} missing cells", instances.len());
     print_usage_footer(&result.usage, Some(&result.stats));
     print_metrics(&serving, &result.metrics)?;

@@ -1,14 +1,16 @@
 //! `dprep match` — full entity matching between two CSV files: blocking
 //! (§2.1) then pairwise LLM matching.
 
-use std::io::{BufWriter, Write};
+use std::io::Write;
 
 use dprep_core::blocking::{EmbeddingBlocker, NgramBlocker};
 use dprep_core::{PipelineConfig, Preprocessor};
 use dprep_prompt::{Task, TaskInstance};
 
 use crate::args::Flags;
-use crate::commands::{load_table, print_metrics, print_usage_footer, serving_setup, ServingSetup};
+use crate::commands::{
+    load_table, print_metrics, print_usage_footer, serving_setup, write_stdout, ServingSetup,
+};
 
 /// Runs the command.
 pub fn run(flags: &Flags) -> Result<(), String> {
@@ -69,26 +71,22 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .with_tracer(obs.tracer());
     let result = preprocessor.try_run(&instances, &[])?;
 
-    // One locked, buffered writer for the whole table, flushed before the
-    // footer goes to stderr.
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    let written = |e: std::io::Error| format!("cannot write the results: {e}");
-    writeln!(out, "left\tright\tleft_record\tright_record").map_err(written)?;
     let mut matches = 0usize;
-    for (&(i, j), prediction) in candidates.iter().zip(&result.predictions) {
-        if prediction.as_yes_no() == Some(true) {
-            matches += 1;
-            writeln!(
-                out,
-                "{i}\t{j}\t{}\t{}",
-                dprep_tabular::context::contextualize(&left.rows()[i]),
-                dprep_tabular::context::contextualize(&right.rows()[j]),
-            )
-            .map_err(written)?;
+    write_stdout(|out| {
+        writeln!(out, "left\tright\tleft_record\tright_record")?;
+        for (&(i, j), prediction) in candidates.iter().zip(&result.predictions) {
+            if prediction.as_yes_no() == Some(true) {
+                matches += 1;
+                writeln!(
+                    out,
+                    "{i}\t{j}\t{}\t{}",
+                    dprep_tabular::context::contextualize(&left.rows()[i]),
+                    dprep_tabular::context::contextualize(&right.rows()[j]),
+                )?;
+            }
         }
-    }
-    out.flush().map_err(written)?;
-    drop(out);
+        Ok(())
+    })?;
     eprintln!(
         "{matches} matching pair(s) of {} candidates",
         candidates.len()

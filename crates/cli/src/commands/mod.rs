@@ -10,6 +10,7 @@ pub mod report;
 pub mod serve;
 pub mod top;
 
+use std::io::{BufWriter, StdoutLock, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -25,6 +26,18 @@ use crate::facts;
 pub fn load_table(path: &str) -> Result<Table, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     dprep_tabular::csv::read_csv_typed(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Writes a command's results to stdout through one locked, buffered
+/// writer, flushed before it returns. A closed or failing stdout is the
+/// error `cannot write the results: …`, not a panic.
+pub fn write_stdout(
+    write: impl FnOnce(&mut BufWriter<StdoutLock<'static>>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write the results: {e}"))
 }
 
 /// Serving options shared by every model-running command: `--workers N`,

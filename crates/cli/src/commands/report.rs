@@ -5,7 +5,11 @@
 //! (`dprep report run.trace`), so it parses its argv directly instead of
 //! going through [`crate::args::parse_flags`], which rejects positionals.
 
+use std::io::Write;
+
 use dprep_obs::{ReportFormat, RunReport};
+
+use crate::commands::write_stdout;
 
 /// Runs the command on the raw argv after `report`.
 pub fn run(argv: &[String]) -> Result<(), String> {
@@ -31,14 +35,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     match (diff, inputs.as_slice()) {
         (false, [path]) => {
             let report = load(path)?;
-            print!("{}", report.render(format));
-            Ok(())
+            write_stdout(|out| out.write_all(report.render(format).as_bytes()))
         }
         (true, [a, b]) => {
             let before = load(a)?;
             let after = load(b)?;
-            print!("{}", before.render_diff(&after));
-            Ok(())
+            write_stdout(|out| out.write_all(before.render_diff(&after).as_bytes()))
         }
         (false, _) => Err("report needs exactly one input file (or --diff A B)".into()),
         (true, _) => Err("report --diff needs exactly two input files".into()),

@@ -12,13 +12,14 @@
 //! of exiting on the first one. `--format json` emits the raw health reply
 //! instead of the table.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
 use dprep_core::serve::roundtrip;
 use dprep_obs::Json;
 
 use crate::args::Flags;
+use crate::commands::write_stdout;
 
 /// Runs the command.
 pub fn run(flags: &Flags) -> Result<(), String> {
@@ -62,11 +63,13 @@ pub fn run(flags: &Flags) -> Result<(), String> {
                 continue;
             }
         };
-        if format == "json" {
-            println!("{}", health.to_json());
-        } else {
-            print!("{}", render(&health));
-        }
+        write_stdout(|out| {
+            if format == "json" {
+                writeln!(out, "{}", health.to_json())
+            } else {
+                out.write_all(render(&health).as_bytes())
+            }
+        })?;
         if once {
             return Ok(());
         }

@@ -13,6 +13,7 @@
 //! heuristics. The commands themselves live in the `dprep_cli` library;
 //! this binary dispatches argv to them and prints the usage text.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use dprep_cli::{args, commands};
@@ -50,10 +51,7 @@ fn main() -> ExitCode {
         "serve" => commands::serve::run(&parsed),
         "top" => commands::top::run(&parsed),
         "datasets" => commands::datasets::run(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
+        "help" | "--help" | "-h" => commands::write_stdout(|out| writeln!(out, "{}", usage())),
         other => Err(format!("unknown command {other:?}")),
     };
     match result {

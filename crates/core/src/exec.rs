@@ -9,6 +9,8 @@
 //! unique requests across `N` worker threads (`std::thread::scope`,
 //! work-stealing off an atomic cursor), folds their terminals into the
 //! ledger in plan order, then parses the shard's batches in plan order.
+//! After the last shard, the degradation ladder re-asks what the parse
+//! left unanswered through the same send and fold, on the calling thread.
 //!
 //! The work beside each model call happens on the worker that makes it:
 //! the worker builds the request (around the body the survey kept, or one
@@ -23,23 +25,21 @@
 //! same counters. Parallelism changes wall-clock time and nothing else.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dprep_llm::middleware::expected_answers;
 use dprep_llm::{
-    is_complete, is_complete_for, request_fingerprint, ChatModel, ChatRequest, ChatResponse,
-    FaultKind, RouteFold, RouteOutcome, RoutePending, SettledLeg, Usage, UsageTotals,
+    is_complete_for, request_fingerprint, ChatModel, ChatRequest, ChatResponse, FaultKind,
+    RouteFold, RouteOutcome, RoutePending, SettledLeg, Usage, UsageTotals,
 };
 use dprep_obs::{
     DurableJournal, JournalEntry, MetricsRecorder, NullTracer, ResumedJournal, RouteLegRecord,
     TerminalKind, TraceEvent, Tracer,
 };
-use dprep_prompt::{
-    build_request, parse_batch, BatchAnswers, FewShotExample, PromptContext, TaskInstance,
-};
+use dprep_prompt::{build_request, parse_batch, BatchAnswers, FewShotExample, TaskInstance};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::{FailureKind, Prediction, RunResult};
@@ -569,9 +569,13 @@ impl Executor {
     /// scoped threads; each response lands in its plan slot, and all
     /// aggregation (usage totals, counters, per-instance predictions)
     /// happens afterwards in plan order — so the result is bit-identical to
-    /// a serial run. Only the live `dispatched` events interleave
-    /// nondeterministically in a trace; every total, counter, and the
-    /// metrics snapshot are worker-count independent.
+    /// a serial run: every total, counter, the metrics snapshot and the
+    /// journal are worker-count independent. A trace is not, past one
+    /// worker: the `dispatched` events and the middleware's own
+    /// (`retry_attempt`, `cache_hit`, `fault_injected`) are recorded live
+    /// on the worker threads and interleave in claim order, and each
+    /// `completed` event carries the `worker` and `vt_start_secs` /
+    /// `vt_end_secs` of the thread that claimed its request.
     ///
     /// **Ledger semantics.** [`UsageTotals`] bills *fresh* model work only:
     /// a cache-hit response replays recorded text and metadata but spends
@@ -611,26 +615,23 @@ impl Executor {
     /// renders. The worker also parses the completion, so the plan-order
     /// fold and parse only bill and move answers.
     ///
-    /// **Shard size.** Predictions, usage totals, serving counters, and the
-    /// metrics snapshot are the same at every shard size and worker count:
-    /// dedup and batch membership come from the same survey, unique
-    /// requests are folded in the same global plan order (each worker's
-    /// virtual clock persists across shards), and the budget gauge charges
-    /// along the same sequence. So is the journal, byte for byte, when no
-    /// degradation ladder runs. The ladder runs when a shard parses, so
-    /// with it the shard size shows in three places: ladder entries land
-    /// in the journal at shard boundaries (the same entry set), a budget
-    /// that trips mid-run can cancel a different (never larger) suffix of
-    /// requests, and the billed `cost_usd` / `latency_secs` totals — the
-    /// same addends summed in a different order — can differ in the last
-    /// ulp. A run resumed at the shard size it was journaled under is
-    /// always bit-identical. In a trace, `Planned`/`Deduped` arrive per
-    /// shard (same payloads, global totals), and the four `Stage` events
-    /// arrive once at the end with wall-clock totals across every shard:
-    /// `plan` and `prompt-build` are the survey's (plus the shard
-    /// bookkeeping), `dispatch` holds the workers' renders, model calls and
-    /// parses, and `parse` the plan-order loop that moves answers into
-    /// predictions (and parses what settlement replaced).
+    /// **Shard size.** Predictions, usage totals, serving counters, the
+    /// metrics snapshot and the journal bytes are the same at every shard
+    /// size and worker count, f64 bits included: dedup and batch
+    /// membership come from the same survey, unique requests are folded in
+    /// the same global plan order (each worker's virtual clock persists
+    /// across shards), and the degradation ladder runs once, after the last
+    /// shard, so every primary request is billed before any ladder request
+    /// and the budget gauge and the breaker advance along the same
+    /// sequence. A journal written at one shard size resumes bit-identically
+    /// at another. In a trace, `Planned`/`Deduped` arrive per shard (same
+    /// payloads, global totals), ladder events follow the last batch's
+    /// `parsed`/`failed` events, and the four `Stage` events arrive once at
+    /// the end with wall-clock totals across every shard: `plan` and
+    /// `prompt-build` are the survey's (plus the shard bookkeeping),
+    /// `dispatch` holds the workers' renders, model calls and parses, and
+    /// `parse` the plan-order loop that moves answers into predictions
+    /// (and parses what settlement replaced) and the ladder.
     pub fn try_run_stream<M: ChatModel + ?Sized>(
         &self,
         model: &M,
@@ -642,7 +643,7 @@ impl Executor {
     /// The run loop behind [`try_run`](Self::try_run) and
     /// [`try_run_stream`](Self::try_run_stream): per shard, dispatch its
     /// unique requests, fold every terminal in plan order, then parse every
-    /// batch in plan order.
+    /// batch in plan order; after the last shard, run the ladder.
     fn run_shards<M: ChatModel + ?Sized>(
         &self,
         model: &M,
@@ -654,9 +655,6 @@ impl Executor {
         let n_requests = survey.n_requests();
         let n_batches = survey.n_batches();
         let deduped = survey.deduped_batches();
-        let instances = survey.instances();
-        let temperature = survey.temperature();
-        let reasoning = survey.reasoning();
         if let Some(expected) = self
             .durability
             .expected_plan
@@ -699,22 +697,17 @@ impl Executor {
         });
 
         let mut predictions = vec![Prediction::Failed(FailureKind::SkippedAnswer); n_instances];
-        let mut usage = UsageTotals::default();
-        let mut stats = ExecStats {
-            requests: n_requests,
-            deduped,
-            ..ExecStats::default()
+        let mut ledger = Ledger {
+            usage: UsageTotals::default(),
+            stats: ExecStats {
+                requests: n_requests,
+                deduped,
+                ..ExecStats::default()
+            },
+            gauge: BudgetGauge::new(self.options.deadline_secs, self.options.token_budget),
+            breaker: RouteFold::default(),
+            replayed: 0,
         };
-        // The budget gauge folds along the plan-order walk. Every request
-        // of a shard is dispatched speculatively (so cache state and
-        // response content stay worker-count independent), but the gauge
-        // is authoritative: once the cumulative billed latency or tokens
-        // reach a configured ceiling, every later response is discarded
-        // unbilled — a `cancelled` terminal event instead of a completion.
-        let mut gauge = BudgetGauge::new(self.options.deadline_secs, self.options.token_budget);
-        // One settlement fold for the whole run: breaker state carries
-        // across shards exactly as along one plan-order walk.
-        let mut route_fold = RouteFold::default();
         let mut request_cancelled = vec![false; n_requests];
         let mut batch_seen = vec![false; n_requests];
         // Responses that a batch in a not-yet-parsed shard still references;
@@ -725,9 +718,9 @@ impl Executor {
         // dispatch of the whole plan. No shard spawns more threads than the
         // plan has unique requests, whatever `workers` asks for.
         let mut clocks = vec![0.0; self.options.workers.min(n_requests).max(1)];
-        let mut replayed_count = 0usize;
-        let mut answered = 0usize;
-        let mut ladder_requests = 0usize;
+        // Batches the parse left with unanswered instances, in plan order,
+        // for the degradation ladder after the last shard.
+        let mut ladder: Vec<MissedBatch> = Vec::new();
         let mut dispatch_wall_secs = 0.0;
         let mut dispatch_vt_secs = 0.0;
         let mut parse_wall_secs = 0.0;
@@ -773,7 +766,7 @@ impl Executor {
             // order. Cache hits bill zero fresh tokens/cost/latency — the
             // run that missed already paid for the attempt this response
             // replays.
-            let vt_before_fold = usage.latency_secs;
+            let vt_before_fold = ledger.usage.latency_secs;
             for (i, mut d) in dispatched.into_iter().enumerate() {
                 let g = shard.first_request + i;
                 let (cancelled, fired) = self.fold_terminal(
@@ -781,11 +774,7 @@ impl Executor {
                     base_id + g as u64,
                     shard.fingerprints[i],
                     &mut d,
-                    &mut route_fold,
-                    &mut gauge,
-                    &mut usage,
-                    &mut stats,
-                    &mut replayed_count,
+                    &mut ledger,
                     &emit,
                 )?;
                 request_cancelled[g] = cancelled;
@@ -797,7 +786,7 @@ impl Executor {
                     break;
                 }
             }
-            dispatch_vt_secs += usage.latency_secs - vt_before_fold;
+            dispatch_vt_secs += ledger.usage.latency_secs - vt_before_fold;
             if killed {
                 break;
             }
@@ -805,10 +794,10 @@ impl Executor {
             // Predictions: move each batch's answers into place and
             // classify the misses. A batch whose request was
             // budget-cancelled fails wholesale; a multi-instance batch with
-            // unanswered instances enters the degradation ladder when
-            // enabled (failure events for its missed instances are deferred
-            // until the ladder exhausts, so every instance gets exactly one
-            // terminal event).
+            // unanswered instances is queued for the degradation ladder
+            // when enabled (failure events for its missed instances are
+            // deferred until the ladder exhausts, so every instance gets
+            // exactly one terminal event).
             let parse_started = std::time::Instant::now();
             for (offset, batch) in shard.batches.iter().enumerate() {
                 let g = batch.request_index;
@@ -819,29 +808,30 @@ impl Executor {
                     live.get_mut(&g)
                         .expect("response retained until its last referencing batch")
                 });
-                let fired = self.parse_one_batch(
+                self.parse_one_batch(
                     model,
                     &batch.instance_indices,
                     base_id + g as u64,
                     d,
                     last_use,
-                    reasoning,
-                    instances,
-                    survey.context(),
-                    temperature,
-                    &mut gauge,
-                    &mut usage,
-                    &mut stats,
+                    survey.reasoning(),
                     &mut predictions,
-                    &mut answered,
-                    &mut ladder_requests,
-                    &mut replayed_count,
+                    &mut ladder,
+                    &emit,
+                );
+            }
+            // The ladder runs once, after the last shard has parsed and
+            // inside its gate turn: every primary request is billed before
+            // any ladder request, whatever the shard size.
+            if shards.is_exhausted() && !ladder.is_empty() {
+                killed = self.run_ladder(
+                    model,
+                    survey,
+                    std::mem::take(&mut ladder),
+                    &mut ledger,
+                    &mut predictions,
                     &emit,
                 )?;
-                if fired {
-                    killed = true;
-                    break;
-                }
             }
             parse_wall_secs += parse_started.elapsed().as_secs_f64();
             if killed {
@@ -858,8 +848,8 @@ impl Executor {
         if killed {
             return Ok(RunResult {
                 predictions,
-                usage,
-                stats,
+                usage: ledger.usage,
+                stats: ledger.stats,
                 metrics: recorder.snapshot(),
             });
         }
@@ -892,6 +882,13 @@ impl Executor {
             vt_secs: 0.0,
         });
 
+        let Ledger {
+            usage,
+            stats,
+            gauge,
+            replayed,
+            ..
+        } = ledger;
         if let Some(reason) = gauge.tripped {
             emit(TraceEvent::BudgetTripped {
                 run: run_id,
@@ -904,21 +901,21 @@ impl Executor {
             let journal = self.durability.journal.as_deref();
             emit(TraceEvent::JournalState {
                 run: run_id,
-                replayed: replayed_count,
+                replayed,
                 written: journal.map_or(0, |j| j.written() - written_before),
                 truncated: journal.map_or(0, DurableJournal::take_truncated)
                     + self.durability.take_truncated(),
             });
         }
 
-        let total_requests = n_requests + ladder_requests;
+        let answered = predictions.iter().filter(|p| p.failure().is_none()).count();
         emit(TraceEvent::RunFinished {
             run: run_id,
             instances: n_instances,
             answered,
             failed: n_instances - answered,
-            requests: total_requests,
-            fresh_requests: total_requests - stats.cache_hits - stats.cancelled,
+            requests: stats.requests,
+            fresh_requests: stats.requests - stats.cache_hits - stats.cancelled,
             cache_hits: stats.cache_hits,
             prompt_tokens: usage.prompt_tokens,
             completion_tokens: usage.completion_tokens,
@@ -948,9 +945,10 @@ impl Executor {
     /// budget cancellation (the gauge tripped before this request's slot in
     /// plan order) or a completion with its billing, component attribution,
     /// and, when a journal is attached, its journal entry. The run loop
-    /// walks unique requests in plan order at every shard size, so the fold
-    /// sequence (and therefore the journal, the gauge, and every counter)
-    /// does not depend on it.
+    /// walks unique requests in plan order at every shard size, then the
+    /// ladder's sub-requests after the last shard, so the fold sequence
+    /// (and therefore the journal, the gauge, the breaker and every
+    /// counter) does not depend on it.
     ///
     /// The `Completed` / `Parsed` / `Failed` / `Cancelled` events this fold
     /// emits are the observability plane's deterministic spine: the sliding
@@ -962,22 +960,17 @@ impl Executor {
     ///
     /// Returns `(cancelled, killed)`; `killed` means an armed kill switch
     /// fired on this terminal and the run must return its partial result.
-    #[allow(clippy::too_many_arguments)]
     fn fold_terminal<M: ChatModel + ?Sized>(
         &self,
         model: &M,
         request_id: u64,
         fingerprint: u64,
         d: &mut DispatchedResponse,
-        route_fold: &mut RouteFold,
-        gauge: &mut BudgetGauge,
-        usage: &mut UsageTotals,
-        stats: &mut ExecStats,
-        replayed_count: &mut usize,
+        ledger: &mut Ledger,
         emit: &dyn Fn(TraceEvent),
     ) -> Result<(bool, bool), String> {
-        if let Some(reason) = gauge.tripped {
-            stats.cancelled += 1;
+        if let Some(reason) = ledger.gauge.tripped {
+            ledger.stats.cancelled += 1;
             emit(TraceEvent::Cancelled {
                 request: request_id,
                 reason,
@@ -991,7 +984,7 @@ impl Executor {
             // model call happened, but its billed numbers re-enter the
             // ledger so the resumed run's totals match the
             // uninterrupted run's.
-            *replayed_count += 1;
+            ledger.replayed += 1;
             emit(TraceEvent::Replayed {
                 request: request_id,
             });
@@ -1013,7 +1006,7 @@ impl Executor {
                         })
                     })
                     .collect();
-                route_fold.replay(&outcomes);
+                ledger.breaker.replay(&outcomes);
                 for (index, leg) in d.legs.iter().enumerate() {
                     emit(route_leg_event(request_id, index, leg));
                 }
@@ -1027,15 +1020,15 @@ impl Executor {
             // decisions happen here, not at dispatch, so they are
             // worker-count independent. The settled response replaces
             // the speculative one for billing, parsing, and journaling.
-            let settlement = route_fold.settle(pending);
+            let settlement = ledger.breaker.settle(pending);
             d.legs = settlement.legs.iter().map(settled_leg_record).collect();
             for (index, leg) in d.legs.iter().enumerate() {
                 emit(route_leg_event(request_id, index, leg));
             }
             d.response = settlement.response;
             settled_cost = Some(settlement.cost_usd);
-            // The worker saw the speculative response: the settled one is
-            // judged here, and parsed in the plan-order loop.
+            // `send` saw the speculative response: the settled one is
+            // judged here, and parsed by the loop that reads its answers.
             if self.durability.journal.is_some() {
                 d.complete = is_complete_for(d.expected, &d.response);
             }
@@ -1051,12 +1044,16 @@ impl Executor {
             0.0
         };
         if fresh {
-            usage.record(&response.usage, cost, response.latency_secs);
-            stats.retries += response.meta.retries as usize;
-            stats.faulted += usize::from(response.meta.fault.is_some());
-            gauge.charge(response.latency_secs, response.usage.total_tokens());
+            ledger
+                .usage
+                .record(&response.usage, cost, response.latency_secs);
+            ledger.stats.retries += response.meta.retries as usize;
+            ledger.stats.faulted += usize::from(response.meta.fault.is_some());
+            ledger
+                .gauge
+                .charge(response.latency_secs, response.usage.total_tokens());
         } else {
-            stats.cache_hits += 1;
+            ledger.stats.cache_hits += 1;
         }
         emit(TraceEvent::Completed {
             request: request_id,
@@ -1113,13 +1110,12 @@ impl Executor {
     }
 
     /// Turns one batch's response into predictions: answered instances get
-    /// their extracted answers, misses are classified (or handed to the
+    /// their extracted answers, misses are classified (or queued for the
     /// degradation ladder when enabled), and a batch whose request was
     /// budget-cancelled (`d` is `None`) fails wholesale. The worker parsed
     /// the response already, unless settlement replaced it; then it is
     /// parsed here, once. The answers move into the predictions at the
-    /// response's `last_use` and are copied before it. Returns whether an
-    /// armed kill switch fired mid-ladder.
+    /// response's `last_use` and are copied before it.
     #[allow(clippy::too_many_arguments)]
     fn parse_one_batch<M: ChatModel + ?Sized>(
         &self,
@@ -1129,18 +1125,10 @@ impl Executor {
         d: Option<&mut DispatchedResponse>,
         last_use: bool,
         reasoning: bool,
-        instances: &[TaskInstance],
-        context: &PromptContext,
-        temperature: Option<f64>,
-        gauge: &mut BudgetGauge,
-        usage: &mut UsageTotals,
-        stats: &mut ExecStats,
         predictions: &mut [Prediction],
-        answered: &mut usize,
-        ladder_requests: &mut usize,
-        replayed_count: &mut usize,
+        ladder: &mut Vec<MissedBatch>,
         emit: &dyn Fn(TraceEvent),
-    ) -> Result<bool, String> {
+    ) {
         let Some(d) = d else {
             for &instance_idx in instance_indices {
                 emit(TraceEvent::Failed {
@@ -1150,7 +1138,7 @@ impl Executor {
                 });
                 predictions[instance_idx] = Prediction::Failed(FailureKind::BudgetExhausted);
             }
-            return Ok(false);
+            return;
         };
         let parsed = d.answers.get_or_insert_with(|| {
             parse_batch(&d.response.text, reasoning, instance_indices.len())
@@ -1162,7 +1150,6 @@ impl Executor {
             let extracted = slot.and_then(|slot| if last_use { slot.take() } else { slot.clone() });
             match extracted {
                 Some(extracted) => {
-                    *answered += 1;
                     emit(TraceEvent::Parsed {
                         request: request_id,
                         instance: instance_idx,
@@ -1172,45 +1159,20 @@ impl Executor {
                 None => missed.push(instance_idx),
             }
         }
-        let response = &d.response;
-        // A retried request accumulates usage over attempts; only the
-        // final attempt's own prompt says whether the window overflowed.
-        let attempt_prompt = response
-            .meta
-            .attempt_usage
-            .unwrap_or(response.usage)
-            .prompt_tokens;
-        let overflowed = attempt_prompt > model.context_window();
         if missed.is_empty() {
-            return Ok(false);
+            return;
         }
         if self.options.degrade && instance_indices.len() > 1 {
-            *answered += self.degrade_batch(
-                model,
-                instances,
-                context,
-                temperature,
-                reasoning,
-                d,
-                request_id,
-                &missed,
-                instance_indices.len(),
-                gauge,
-                usage,
-                stats,
-                predictions,
-                ladder_requests,
-                replayed_count,
-                emit,
-            )?;
-            return Ok(self.kill.as_ref().is_some_and(KillSwitch::fired));
+            ladder.push(MissedBatch {
+                request: request_id,
+                missed,
+                batch_len: instance_indices.len(),
+                worker: d.worker,
+                vt_end_secs: d.vt_end_secs,
+            });
+            return;
         }
-        let kind = classify_miss(
-            response.meta.fault,
-            response.meta.retries,
-            overflowed,
-            nothing_parsed,
-        );
+        let kind = classify_miss(model, &d.response, nothing_parsed);
         for &instance_idx in &missed {
             emit(TraceEvent::Failed {
                 request: request_id,
@@ -1219,226 +1181,197 @@ impl Executor {
             });
             predictions[instance_idx] = Prediction::Failed(kind);
         }
+    }
+
+    /// The graceful-degradation ladder, run once after the last shard over
+    /// the batches the parse left with misses, in plan order: each batch's
+    /// missed instances are rebuilt into smaller sub-batches and sent one
+    /// at a time until every instance is answered or has shrunk to a
+    /// single-instance request that still fails. Returns whether an armed
+    /// kill switch fired.
+    ///
+    /// The ladder never re-sends a group identical to the one that missed
+    /// (see [`requeue_misses`]). Each sub-request is sent by [`send`] on the
+    /// calling thread, on its parent's worker and virtual clock, and folded
+    /// by [`fold_terminal`] exactly like a primary request: replayed,
+    /// settled through the run's one breaker, billed, journaled, and
+    /// counted by the kill switch. Once the budget gauge trips, the
+    /// remaining groups are never sent and fail with `BudgetExhausted`.
+    ///
+    /// [`send`]: Self::send
+    /// [`fold_terminal`]: Self::fold_terminal
+    fn run_ladder<M: ChatModel + ?Sized>(
+        &self,
+        model: &M,
+        survey: &PlanStream<'_>,
+        ladder: Vec<MissedBatch>,
+        ledger: &mut Ledger,
+        predictions: &mut [Prediction],
+        emit: &dyn Fn(TraceEvent),
+    ) -> Result<bool, String> {
+        let reasoning = survey.reasoning();
+        for batch in ladder {
+            let mut clock = batch.vt_end_secs;
+            let mut queue = VecDeque::new();
+            requeue_misses(&mut queue, batch.missed, batch.batch_len);
+            while let Some(group) = queue.pop_front() {
+                if ledger.gauge.tripped.is_some() {
+                    // Never sent, so nothing to cancel: the group's
+                    // instances fail as budget-exhausted.
+                    for &instance_idx in &group {
+                        emit(TraceEvent::Failed {
+                            request: batch.request,
+                            instance: instance_idx,
+                            kind: FailureKind::BudgetExhausted.label(),
+                        });
+                        predictions[instance_idx] =
+                            Prediction::Failed(FailureKind::BudgetExhausted);
+                    }
+                    continue;
+                }
+                let sub_id = dprep_obs::reserve_request_ids(1);
+                let refs: Vec<&TaskInstance> =
+                    group.iter().map(|&i| &survey.instances()[i]).collect();
+                let (mut request, sections) = survey.context().build(&refs);
+                request.temperature = survey.temperature();
+                let request = request.with_trace_id(sub_id);
+                let fingerprint = request_fingerprint(model, &request);
+                emit(TraceEvent::Planned {
+                    request: sub_id,
+                    batches: 1,
+                    instances: group.len(),
+                });
+                emit(TraceEvent::BatchSplit {
+                    request: sub_id,
+                    instances: group.len(),
+                });
+                ledger.stats.splits += 1;
+                ledger.stats.requests += 1;
+                let mut d = self.send(
+                    model,
+                    request,
+                    fingerprint,
+                    sections.as_array(),
+                    group.len(),
+                    reasoning,
+                    batch.worker,
+                    &mut clock,
+                );
+                let (_, killed) =
+                    self.fold_terminal(model, sub_id, fingerprint, &mut d, ledger, emit)?;
+                if killed {
+                    return Ok(true);
+                }
+                let parsed = d
+                    .answers
+                    .get_or_insert_with(|| parse_batch(&d.response.text, reasoning, group.len()));
+                let mut still_missed: Vec<usize> = Vec::new();
+                for (&instance_idx, extracted) in group.iter().zip(&mut parsed.answers) {
+                    match extracted.take() {
+                        Some(extracted) => {
+                            ledger.stats.split_recovered += 1;
+                            emit(TraceEvent::Parsed {
+                                request: sub_id,
+                                instance: instance_idx,
+                            });
+                            predictions[instance_idx] = Prediction::Answered(extracted);
+                        }
+                        None => still_missed.push(instance_idx),
+                    }
+                }
+                if still_missed.is_empty() {
+                    continue;
+                }
+                if group.len() == 1 {
+                    let kind = classify_miss(model, &d.response, parsed.nothing_parsed);
+                    emit(TraceEvent::Failed {
+                        request: sub_id,
+                        instance: still_missed[0],
+                        kind: kind.label(),
+                    });
+                    predictions[still_missed[0]] = Prediction::Failed(kind);
+                } else {
+                    requeue_misses(&mut queue, still_missed, group.len());
+                }
+            }
+        }
         Ok(false)
     }
 
-    /// The graceful-degradation ladder for one failing batch: rebuilds the
-    /// missed instances into smaller sub-batches and dispatches them
-    /// serially (plan order, single virtual clock) until every instance is
-    /// answered or has shrunk to a single-instance request that still
-    /// fails. Returns the number of instances recovered.
+    /// Sends one request and readies its response for the plan-order fold:
+    /// replays it from the journal or calls the model, takes the cascade's
+    /// pending legs, judges `complete` for the journal (only when one is
+    /// attached), parses the completion into `questions` answers by
+    /// position unless settlement will replace it, drops the text when no
+    /// journal will carry it, and advances `clock` by the response's
+    /// latency.
     ///
-    /// The ladder never re-dispatches a group identical to the batch it is
-    /// degrading — a deterministic model given the same prompt and salt
-    /// returns the same response, faults included. When a strict subset of
-    /// the batch missed, that subset is retried whole (its prompt already
-    /// differs from the parent's); when the whole batch missed, the ladder
-    /// seeds with its halves. Each sub-request is planned, completed, and
-    /// billed exactly like a primary request, so the ledger invariants
-    /// (one terminal event per request, attempt-reconciled billing) hold
-    /// under audit, and the budget gauge keeps charging — a mid-ladder trip
-    /// fails the remaining groups with `BudgetExhausted`.
+    /// Shard requests are sent by the worker that claims them, ladder
+    /// sub-requests on the calling thread. A replayed request parses from
+    /// its journaled text, and its journaled latency still advances the
+    /// clock, so the span layout matches the uninterrupted run.
     #[allow(clippy::too_many_arguments)]
-    fn degrade_batch<M: ChatModel + ?Sized>(
+    fn send<M: ChatModel + ?Sized>(
         &self,
         model: &M,
-        instances: &[TaskInstance],
-        context: &PromptContext,
-        temperature: Option<f64>,
+        request: ChatRequest,
+        fingerprint: u64,
+        sections: [usize; 5],
+        questions: usize,
         reasoning: bool,
-        parent: &DispatchedResponse,
-        parent_request_id: u64,
-        missed: &[usize],
-        batch_len: usize,
-        gauge: &mut BudgetGauge,
-        usage: &mut UsageTotals,
-        stats: &mut ExecStats,
-        predictions: &mut [Prediction],
-        ladder_requests: &mut usize,
-        replayed_count: &mut usize,
-        emit: &dyn Fn(TraceEvent),
-    ) -> Result<usize, String> {
-        let mut recovered = 0usize;
-        let mut ladder_clock = parent.vt_end_secs;
-        let mut queue: std::collections::VecDeque<Vec<usize>> = std::collections::VecDeque::new();
-        if missed.len() < batch_len {
-            queue.push_back(missed.to_vec());
+        worker: usize,
+        clock: &mut f64,
+    ) -> DispatchedResponse {
+        self.tracer.record(&TraceEvent::Dispatched {
+            request: request.trace_id,
+            worker,
+            vt_start_secs: *clock,
+        });
+        // A routed model stack stashes its speculative cascade legs keyed
+        // by trace id; collecting them here, on the sending thread, keeps
+        // settlement a pure plan-order fold.
+        let (mut response, replayed, pending, legs, replay_cost) =
+            match self.durability.take_replay(fingerprint) {
+                Some(entry) => {
+                    let response = replay_response(&entry);
+                    (response, true, None, entry.legs, Some(entry.cost_usd))
+                }
+                None => {
+                    let response = model.chat(&request);
+                    let pending = model.take_route_pending(request.trace_id);
+                    (response, false, pending, Vec::new(), None)
+                }
+            };
+        let journaled = self.durability.journal.is_some();
+        let expected = if journaled {
+            expected_answers(&request)
         } else {
-            let mid = missed.len().div_ceil(2);
-            queue.push_back(missed[..mid].to_vec());
-            queue.push_back(missed[mid..].to_vec());
+            0
+        };
+        drop(request);
+        let complete = journaled && is_complete_for(expected, &response);
+        let answers = pending
+            .is_none()
+            .then(|| parse_batch(&response.text, reasoning, questions));
+        if answers.is_some() && !journaled {
+            response.text = String::new();
         }
-        while let Some(group) = queue.pop_front() {
-            if gauge.tripped.is_some() {
-                // The budget ran out mid-ladder: the remaining groups are
-                // never dispatched (nothing to cancel — they were never
-                // planned), their instances fail as budget-exhausted.
-                for &instance_idx in &group {
-                    emit(TraceEvent::Failed {
-                        request: parent_request_id,
-                        instance: instance_idx,
-                        kind: FailureKind::BudgetExhausted.label(),
-                    });
-                    predictions[instance_idx] = Prediction::Failed(FailureKind::BudgetExhausted);
-                }
-                continue;
-            }
-            let sub_id = dprep_obs::reserve_request_ids(1);
-            let refs: Vec<&TaskInstance> = group.iter().map(|&i| &instances[i]).collect();
-            let (mut request, request_sections) = context.build(&refs);
-            if let Some(t) = temperature {
-                request = request.with_temperature(t);
-            }
-            let request = request.with_trace_id(sub_id);
-            let fingerprint = request_fingerprint(model, &request);
-            emit(TraceEvent::Planned {
-                request: sub_id,
-                batches: 1,
-                instances: group.len(),
-            });
-            emit(TraceEvent::BatchSplit {
-                request: sub_id,
-                instances: group.len(),
-            });
-            stats.splits += 1;
-            stats.requests += 1;
-            *ladder_requests += 1;
-            self.tracer.record(&TraceEvent::Dispatched {
-                request: sub_id,
-                worker: parent.worker,
-                vt_start_secs: ladder_clock,
-            });
-            let (mut response, mut legs, pending, replay_cost) =
-                match self.durability.take_replay(fingerprint) {
-                    Some(entry) => {
-                        *replayed_count += 1;
-                        emit(TraceEvent::Replayed { request: sub_id });
-                        let response = replay_response(&entry);
-                        (response, entry.legs, None, Some(entry.cost_usd))
-                    }
-                    None => {
-                        let response = model.chat(&request);
-                        let pending = model.take_route_pending(sub_id);
-                        (response, Vec::new(), pending, None)
-                    }
-                };
-            let mut settled_cost = replay_cost;
-            if let Some(pending) = pending {
-                // Ladder sub-requests settle statelessly: their position
-                // relative to later primary folds depends on the shard
-                // size, so advancing the shared breaker here would make
-                // routing depend on it too. Every leg bills and the last
-                // one serves.
-                let settlement = RouteFold::settle_passthrough(pending);
-                legs = settlement.legs.iter().map(settled_leg_record).collect();
-                response = settlement.response;
-                settled_cost = Some(settlement.cost_usd);
-            }
-            for (index, leg) in legs.iter().enumerate() {
-                emit(route_leg_event(sub_id, index, leg));
-            }
-            let vt_start_secs = ladder_clock;
-            ladder_clock += response.latency_secs;
-            let fresh = !response.meta.cache_hit;
-            let attempt = response.meta.attempt_usage.unwrap_or(response.usage);
-            let cost = if fresh {
-                settled_cost.unwrap_or_else(|| model.cost_usd(&response.usage))
-            } else {
-                0.0
-            };
-            if fresh {
-                usage.record(&response.usage, cost, response.latency_secs);
-                stats.retries += response.meta.retries as usize;
-                stats.faulted += usize::from(response.meta.fault.is_some());
-                gauge.charge(response.latency_secs, response.usage.total_tokens());
-            } else {
-                stats.cache_hits += 1;
-            }
-            emit(TraceEvent::Completed {
-                request: sub_id,
-                worker: parent.worker,
-                cache_hit: response.meta.cache_hit,
-                retries: response.meta.retries,
-                fault: response.meta.fault.map(FaultKind::label),
-                prompt_tokens: response.usage.prompt_tokens,
-                completion_tokens: response.usage.completion_tokens,
-                attempt_prompt_tokens: attempt.prompt_tokens,
-                attempt_completion_tokens: attempt.completion_tokens,
-                cost_usd: cost,
-                latency_secs: response.latency_secs,
-                vt_start_secs,
-                vt_end_secs: ladder_clock,
-            });
-            let attributed = if fresh {
-                let attempts = response.meta.retries as usize + 1;
-                let scaled = request_sections.as_array().map(|n| n * attempts);
-                dprep_obs::component::reconcile(scaled, response.usage.prompt_tokens)
-            } else {
-                [0; 6]
-            };
-            emit(TraceEvent::PromptComponents {
-                request: sub_id,
-                cache_hit: response.meta.cache_hit,
-                task_spec: attributed[0],
-                answer_format: attributed[1],
-                cot: attributed[2],
-                few_shot: attributed[3],
-                instances: attributed[4],
-                framing: attributed[5],
-            });
-            if self.durability.journal.is_some() {
-                let text = response.text.clone();
-                let complete = is_complete(&request, &response);
-                let mut entry =
-                    completion_entry(fingerprint, &response, text, complete, attempt, cost);
-                entry.legs = legs;
-                self.journal_append(&entry)?;
-            }
-            if self.kill.as_ref().is_some_and(KillSwitch::on_terminal) {
-                return Ok(recovered);
-            }
-            let parsed = parse_batch(&response.text, reasoning, group.len());
-            let overflowed = attempt.prompt_tokens > model.context_window();
-            let mut still_missed: Vec<usize> = Vec::new();
-            for (&instance_idx, extracted) in group.iter().zip(parsed.answers) {
-                match extracted {
-                    Some(extracted) => {
-                        recovered += 1;
-                        stats.split_recovered += 1;
-                        emit(TraceEvent::Parsed {
-                            request: sub_id,
-                            instance: instance_idx,
-                        });
-                        predictions[instance_idx] = Prediction::Answered(extracted);
-                    }
-                    None => still_missed.push(instance_idx),
-                }
-            }
-            if still_missed.is_empty() {
-                continue;
-            }
-            if group.len() == 1 {
-                let kind = classify_miss(
-                    response.meta.fault,
-                    response.meta.retries,
-                    overflowed,
-                    parsed.nothing_parsed,
-                );
-                emit(TraceEvent::Failed {
-                    request: sub_id,
-                    instance: still_missed[0],
-                    kind: kind.label(),
-                });
-                predictions[still_missed[0]] = Prediction::Failed(kind);
-            } else if still_missed.len() < group.len() {
-                queue.push_back(still_missed);
-            } else {
-                let mid = still_missed.len().div_ceil(2);
-                queue.push_back(still_missed[..mid].to_vec());
-                queue.push_back(still_missed[mid..].to_vec());
-            }
+        let vt_start_secs = *clock;
+        *clock += response.latency_secs;
+        DispatchedResponse {
+            response,
+            replayed,
+            pending,
+            legs,
+            replay_cost,
+            sections,
+            complete,
+            expected,
+            answers,
+            worker,
+            vt_start_secs,
+            vt_end_secs: *clock,
         }
-        Ok(recovered)
     }
 
     /// Dispatches a shard's unique requests across the configured workers,
@@ -1448,18 +1381,10 @@ impl Executor {
     /// one uninterrupted dispatch. `clocks` holds one clock per thread the
     /// shard can use: `workers.min(requests)`, at least one.
     ///
-    /// Each request is handled start to end by the worker that claims it:
-    /// built from its kept or freshly rendered body, sent, judged complete
-    /// (for the journal), parsed into per-position answers, and dropped.
-    /// The completion text is dropped too once parsed, unless a journal
-    /// entry will carry it. A cascade response is not parsed: settlement
-    /// replaces it in the plan-order fold.
-    ///
-    /// Request ids are `base_id + index`. A request whose fingerprint is in
-    /// the replay map rehydrates from its journal entry instead of reaching
-    /// the model, and parses from the journaled text; its journaled latency
-    /// still advances the worker's virtual clock, so the span layout
-    /// matches the uninterrupted run at the same worker count.
+    /// Each request is handled start to end by the worker that claims it,
+    /// which builds it from its kept or freshly rendered body, checks it
+    /// against the surveyed fingerprint and hands it to
+    /// [`send`](Self::send). Request ids are `base_id + index`.
     fn dispatch_slice<'a, M: ChatModel + ?Sized>(
         &self,
         model: &M,
@@ -1468,8 +1393,6 @@ impl Executor {
         base_id: u64,
         clocks: &mut [f64],
     ) -> Vec<DispatchedResponse> {
-        let journaled = self.durability.journal.is_some();
-        let reasoning = survey.reasoning();
         let n = shard.fingerprints.len();
         let serve = |idx: usize,
                      worker: usize,
@@ -1483,58 +1406,19 @@ impl Executor {
                 shard.fingerprints[idx],
                 "a request built on its worker diverged from the survey"
             );
-            self.tracer.record(&TraceEvent::Dispatched {
-                request: request.trace_id,
-                worker,
-                vt_start_secs: *clock,
-            });
-            // A routed model stack stashes its speculative cascade legs
-            // keyed by trace id; collecting them here (still on the
-            // dispatching worker) keeps settlement a pure plan-order fold.
-            let (mut response, replayed, pending, legs, replay_cost) =
-                match self.durability.take_replay(shard.fingerprints[idx]) {
-                    Some(entry) => {
-                        let response = replay_response(&entry);
-                        (response, true, None, entry.legs, Some(entry.cost_usd))
-                    }
-                    None => {
-                        let response = model.chat(&request);
-                        let pending = model.take_route_pending(request.trace_id);
-                        (response, false, pending, Vec::new(), None)
-                    }
-                };
-            let expected = if journaled {
-                expected_answers(&request)
-            } else {
-                0
-            };
-            drop(request);
-            let complete = journaled && is_complete_for(expected, &response);
-            let answers = pending.is_none().then(|| {
-                let questions = shard.batches[shard.request_batches[idx]]
-                    .instance_indices
-                    .len();
-                parse_batch(&response.text, reasoning, questions)
-            });
-            if answers.is_some() && !journaled {
-                response.text = String::new();
-            }
-            let vt_start_secs = *clock;
-            *clock += response.latency_secs;
-            DispatchedResponse {
-                response,
-                replayed,
-                pending,
-                legs,
-                replay_cost,
+            let questions = shard.batches[shard.request_batches[idx]]
+                .instance_indices
+                .len();
+            self.send(
+                model,
+                request,
+                shard.fingerprints[idx],
                 sections,
-                complete,
-                expected,
-                answers,
+                questions,
+                survey.reasoning(),
                 worker,
-                vt_start_secs,
-                vt_end_secs: *clock,
-            }
+                clock,
+            )
         };
         if self.options.workers <= 1 || n <= 1 {
             let clock = &mut clocks[0];
@@ -1663,11 +1547,47 @@ struct DispatchedResponse {
     /// The request's `Question N:` count, which a response settlement
     /// replaces is judged against. Counted only when a journal is attached.
     expected: usize,
-    /// The response parsed by position, on the worker; `None` until a
-    /// response that settlement replaces is parsed in the plan-order loop.
+    /// The response parsed by position, by `send`; `None` until a response
+    /// that settlement replaces is parsed by the loop that reads it.
     answers: Option<BatchAnswers>,
     worker: usize,
     vt_start_secs: f64,
+    vt_end_secs: f64,
+}
+
+/// The run's plan-order fold state, which [`Executor::fold_terminal`]
+/// advances once per terminal request: the primaries shard by shard, then
+/// the ladder's sub-requests.
+struct Ledger {
+    usage: UsageTotals,
+    stats: ExecStats,
+    /// The budget fold. Every request of a shard is dispatched
+    /// speculatively (so cache state and response content stay
+    /// worker-count independent), but the gauge is authoritative: once the
+    /// cumulative billed latency or tokens reach a configured ceiling,
+    /// every later response is discarded unbilled — a `cancelled` terminal
+    /// event instead of a completion.
+    gauge: BudgetGauge,
+    /// The run's one circuit breaker: a cascade's settlement, whether the
+    /// request is a primary or a ladder sub-request.
+    breaker: RouteFold,
+    /// Requests rehydrated from the journal.
+    replayed: usize,
+}
+
+/// A batch the plan-order parse left with unanswered instances, queued for
+/// the degradation ladder.
+struct MissedBatch {
+    /// The batch's request id, which a budget-exhausted group's failures
+    /// name.
+    request: u64,
+    /// The unanswered instances, in question order.
+    missed: Vec<usize>,
+    /// How many instances the batch asked about.
+    batch_len: usize,
+    /// The worker that sent the batch's request and its virtual clock
+    /// after it: the ladder's sub-requests continue from there.
+    worker: usize,
     vt_end_secs: f64,
 }
 
@@ -1753,7 +1673,7 @@ fn replay_response(entry: &JournalEntry) -> ChatResponse {
 
 /// The journal entry for a completed request, without route legs: `text`
 /// is the response's completion, and `complete` whether the response fully
-/// served the request ([`is_complete`]) — exactly the condition the cache
+/// served the request ([`dprep_llm::is_complete`]) — exactly the condition the cache
 /// layer memoizes under, so a journal-warmed cache on resume holds the same
 /// entries the uninterrupted run's store would.
 fn completion_entry(
@@ -1821,22 +1741,42 @@ impl BudgetGauge {
     }
 }
 
-/// Why an instance's answer is missing from an otherwise-delivered response.
-fn classify_miss(
-    fault: Option<FaultKind>,
-    retries: u32,
-    overflowed: bool,
+/// Queues the `missed` instances of a group that asked about `asked`
+/// instances, for the ladder to send again. A deterministic model given
+/// the same prompt and salt returns the same response, faults included, so
+/// the ladder never re-sends a group identical to the one that missed: a
+/// strict subset is retried whole (its prompt already differs), and a
+/// whole miss is split in halves.
+fn requeue_misses(queue: &mut VecDeque<Vec<usize>>, missed: Vec<usize>, asked: usize) {
+    if missed.len() < asked {
+        queue.push_back(missed);
+    } else {
+        let mid = missed.len().div_ceil(2);
+        queue.push_back(missed[..mid].to_vec());
+        queue.push_back(missed[mid..].to_vec());
+    }
+}
+
+/// Why an instance's answer is missing from an otherwise-delivered
+/// response, of which `nothing_parsed` says whether any answer parsed.
+fn classify_miss<M: ChatModel + ?Sized>(
+    model: &M,
+    response: &ChatResponse,
     nothing_parsed: bool,
 ) -> FailureKind {
+    let fault = response.meta.fault;
+    // A retried request accumulates usage over attempts; only the final
+    // attempt's own prompt says whether the window overflowed.
+    let attempt = response.meta.attempt_usage.unwrap_or(response.usage);
     if matches!(fault, Some(FaultKind::CircuitOpen)) {
         FailureKind::CircuitOpen
     } else if fault.is_some() {
-        if retries > 0 {
+        if response.meta.retries > 0 {
             FailureKind::RetriesExhausted
         } else {
             FailureKind::Faulted
         }
-    } else if overflowed {
+    } else if attempt.prompt_tokens > model.context_window() {
         FailureKind::ContextOverflow
     } else if nothing_parsed {
         FailureKind::FormatViolation

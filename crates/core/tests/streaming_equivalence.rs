@@ -1,10 +1,11 @@
-//! Streaming-planner equivalence: a run through `PlanStream` +
+//! Streaming-planner determinism: a run through `PlanStream` +
 //! `Executor::try_run_stream` must be bit-identical to the materialized
 //! `ExecutionPlan` + `Executor::try_run` path at every shard size and worker
-//! count — same predictions, usage totals, serving counters, and metrics
-//! snapshot — and a ladder-free streaming run must write the byte-identical
-//! journal. Kill-point drills prove that a streaming run resumed from a
-//! partial journal reproduces the uninterrupted streaming run exactly.
+//! count — same predictions, usage totals, serving counters, metrics
+//! snapshot and journal bytes, with the degradation ladder on and under a
+//! budget that trips mid-ladder. Kill-point drills prove that a streaming
+//! run resumed from a partial journal, at another shard size, reproduces
+//! the uninterrupted run exactly.
 
 use std::sync::Arc;
 
@@ -93,32 +94,8 @@ fn config(batch_size: usize) -> PipelineConfig {
 fn assert_identical(result: &RunResult, reference: &RunResult, label: &str) {
     assert_eq!(result.predictions, reference.predictions, "{label}");
     assert_eq!(result.stats, reference.stats, "{label}");
-    assert_eq!(result.usage.requests, reference.usage.requests, "{label}");
-    assert_eq!(
-        result.usage.total_tokens(),
-        reference.usage.total_tokens(),
-        "{label}"
-    );
-    assert!(
-        (result.usage.cost_usd - reference.usage.cost_usd).abs() < 1e-15,
-        "{label}"
-    );
-    assert!(
-        (result.usage.latency_secs - reference.usage.latency_secs).abs() < 1e-15,
-        "{label}"
-    );
-    // When the degradation ladder runs, streaming sums the same per-request
-    // costs in shard order instead of materialized order, so the f64 total
-    // can differ in the last ulp; every other metric is integral.
-    let mut metrics = result.metrics.clone();
-    let mut reference_metrics = reference.metrics.clone();
-    assert!(
-        (metrics.cost_usd - reference_metrics.cost_usd).abs() < 1e-15,
-        "{label}"
-    );
-    metrics.cost_usd = 0.0;
-    reference_metrics.cost_usd = 0.0;
-    assert_eq!(metrics, reference_metrics, "{label}");
+    assert_eq!(result.usage, reference.usage, "{label}");
+    assert_eq!(result.metrics, reference.metrics, "{label}");
 }
 
 /// The tentpole equivalence: dedup + parse misses + the degradation ladder,
@@ -224,37 +201,83 @@ fn journal_path(name: &str) -> std::path::PathBuf {
     p
 }
 
-/// With no degradation ladder in play, the streaming journal is not just the
-/// same entry set — it is the byte-identical file.
-#[test]
-fn ladder_free_streaming_journal_is_byte_identical() {
-    let model = FlakyModel { skip: 999 }; // answers everything: no ladder
-    let instances = em_instances(12, 4);
-    let config = config(2);
-    let materialized_path = journal_path("bytes-materialized");
-    let plan = ExecutionPlan::build(&model, &config, &instances, &[]);
-    let journal = Arc::new(DurableJournal::fresh(&materialized_path, "flaky", "cfg", 0).unwrap());
-    Executor::serial()
-        .with_durability(Durability::new().with_journal(journal))
-        .run(&model, &plan);
-    let reference_bytes = std::fs::read(&materialized_path).unwrap();
-    assert!(!reference_bytes.is_empty());
-    for shard_size in [1usize, 3, 100] {
-        let path = journal_path(&format!("bytes-shard-{shard_size}"));
-        let journal = Arc::new(DurableJournal::fresh(&path, "flaky", "cfg", 0).unwrap());
-        let mut stream = PlanStream::new(&model, &config, &instances, &[], shard_size);
-        Executor::serial()
-            .with_durability(Durability::new().with_journal(journal))
-            .try_run_stream(&model, &mut stream)
-            .unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            reference_bytes,
-            "shard_size={shard_size}"
-        );
-        std::fs::remove_file(&path).ok();
+/// Runs `instances` journaled, materialized when `shard_size` is `None` and
+/// streamed in shards of `shard_size` batches otherwise; returns the result
+/// and the journal's bytes.
+fn journaled_run(
+    model: &FlakyModel,
+    config: &PipelineConfig,
+    instances: &[TaskInstance],
+    options: ExecutionOptions,
+    shard_size: Option<usize>,
+    name: &str,
+) -> (RunResult, Vec<u8>) {
+    let path = journal_path(name);
+    let journal = Arc::new(DurableJournal::fresh(&path, "flaky", "cfg", 0).unwrap());
+    let executor = Executor::new(options).with_durability(Durability::new().with_journal(journal));
+    let result = match shard_size {
+        None => executor.run(model, &ExecutionPlan::build(model, config, instances, &[])),
+        Some(shard_size) => {
+            let mut stream = PlanStream::new(model, config, instances, &[], shard_size);
+            executor.try_run_stream(model, &mut stream).unwrap()
+        }
+    };
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    (result, bytes)
+}
+
+/// Runs `instances` journaled at one shard and at shard sizes 1, 2, 3 and
+/// 7, at one and four workers, and asserts every run matches the one-shard
+/// one-worker run: results and journal bytes. Returns that reference.
+fn assert_shard_size_never_shows(
+    model: &FlakyModel,
+    instances: &[TaskInstance],
+    batch_size: usize,
+    options: ExecutionOptions,
+    name: &str,
+) -> RunResult {
+    let mut reference: Option<(RunResult, Vec<u8>)> = None;
+    for workers in [1usize, 4] {
+        let config = PipelineConfig {
+            workers,
+            ..config(batch_size)
+        };
+        let options = ExecutionOptions { workers, ..options };
+        for shard_size in [None, Some(1), Some(2), Some(3), Some(7)] {
+            let label = format!("{name} shard_size={shard_size:?} workers={workers}");
+            let file = format!("{name}-{workers}-{}", shard_size.unwrap_or(0));
+            let (result, bytes) =
+                journaled_run(model, &config, instances, options, shard_size, &file);
+            match &reference {
+                None => reference = Some((result, bytes)),
+                Some((reference, reference_bytes)) => {
+                    assert_identical(&result, reference, &label);
+                    assert!(bytes == *reference_bytes, "{label}: journal bytes differ");
+                }
+            }
+        }
     }
-    std::fs::remove_file(&materialized_path).ok();
+    let (reference, bytes) = reference.expect("a reference run");
+    assert!(!bytes.is_empty());
+    reference
+}
+
+/// With the degradation ladder on, the streaming journal is not just the
+/// same entry set — it is the byte-identical file at every shard size.
+#[test]
+fn streaming_journal_is_byte_identical_with_the_ladder() {
+    let model = FlakyModel { skip: 2 };
+    let options = ExecutionOptions {
+        degrade: true,
+        ..ExecutionOptions::default()
+    };
+    let reference =
+        assert_shard_size_never_shows(&model, &em_instances(12, 4), 2, options, "ladder");
+    assert!(
+        reference.stats.splits > 0,
+        "workload must exercise the ladder"
+    );
 }
 
 /// Stage events aggregate across shards: exactly four, once, with the other
@@ -286,45 +309,51 @@ fn streaming_emits_aggregated_stage_events_once() {
     assert_eq!(result.metrics.answered, 10);
 }
 
-/// A tripped token budget cancels the identical request suffix in both paths
-/// when no ladder interleaves extra charges.
+/// A token budget that trips mid-ladder fails the same ladder groups and
+/// cancels the same requests at every shard size: every primary request is
+/// billed before any ladder request, whatever the shard size.
 #[test]
-fn budget_cancellation_matches_materialized_without_a_ladder() {
-    let model = FlakyModel { skip: 999 };
-    let instances = em_instances(12, 0);
-    let config = config(2);
-    // Each request bills 120 tokens; 300 lets three complete
-    // (charge-then-check) and cancels the rest.
+fn a_budget_tripping_mid_ladder_is_the_same_at_every_shard_size() {
+    let model = FlakyModel { skip: 2 };
+    // Each three-question request bills 130 tokens and each one-question
+    // ladder retry 110: the eight primaries bill 1,040, and 1,700 trips on
+    // the sixth retry.
     let options = ExecutionOptions {
-        token_budget: Some(300),
+        degrade: true,
+        token_budget: Some(1_700),
         ..ExecutionOptions::default()
     };
-    let plan = ExecutionPlan::build(&model, &config, &instances, &[]);
-    let reference = Executor::new(options).run(&model, &plan);
-    assert!(reference.stats.cancelled > 0);
-    for shard_size in [1usize, 2, 4] {
-        let mut stream = PlanStream::new(&model, &config, &instances, &[], shard_size);
-        let result = Executor::new(options)
-            .try_run_stream(&model, &mut stream)
-            .unwrap();
-        assert_identical(&result, &reference, &format!("shard_size={shard_size}"));
-    }
+    let reference =
+        assert_shard_size_never_shows(&model, &em_instances(24, 0), 3, options, "budget");
+    assert!(reference.stats.splits > 0, "the ladder ran");
+    assert!(
+        reference
+            .predictions
+            .iter()
+            .any(|p| p.failure() == Some(dprep_core::FailureKind::BudgetExhausted)),
+        "the budget tripped mid-ladder"
+    );
 }
 
-/// The kill-point drill on the streaming path: kill after every terminal,
-/// resume streaming from the partial journal, and land bit-identical to the
-/// uninterrupted streaming run — the journal contract survives sharding.
+/// The kill-point drill on the streaming path, ladder on: kill after every
+/// terminal, resume from the partial journal at another shard size, and
+/// land bit-identical to the uninterrupted run — the journal contract
+/// survives sharding, and a journal does not depend on the shard size.
 #[test]
 fn killed_and_resumed_streaming_runs_are_bit_identical() {
-    let model = FlakyModel { skip: 999 };
+    let model = FlakyModel { skip: 2 };
     let instances = em_instances(8, 0);
     let config = config(2);
-    let shard_size = 2;
-    let run_streaming = |durability: Durability,
+    let options = ExecutionOptions {
+        degrade: true,
+        ..ExecutionOptions::default()
+    };
+    let run_streaming = |shard_size: usize,
+                         durability: Durability,
                          kill: Option<KillSwitch>,
                          tracer: Option<Arc<dyn Tracer>>|
      -> RunResult {
-        let mut executor = Executor::serial().with_durability(durability);
+        let mut executor = Executor::new(options).with_durability(durability);
         if let Some(kill) = kill {
             executor = executor.with_kill_switch(kill);
         }
@@ -334,15 +363,16 @@ fn killed_and_resumed_streaming_runs_are_bit_identical() {
         let mut stream = PlanStream::new(&model, &config, &instances, &[], shard_size);
         executor.try_run_stream(&model, &mut stream).unwrap()
     };
-    let reference = run_streaming(Durability::new(), None, None);
+    let reference = run_streaming(2, Durability::new(), None, None);
     let n_requests = reference.stats.requests;
-    assert_eq!(n_requests, 4);
+    assert_eq!(n_requests, 8, "four batches and a ladder retry each");
 
     for kill_at in 1..=n_requests {
         let path = journal_path(&format!("kill-{kill_at}"));
         let journal = Arc::new(DurableJournal::fresh(&path, "flaky", "cfg", 0).unwrap());
         let kill = KillSwitch::after(kill_at);
         let killed = run_streaming(
+            2,
             Durability::new().with_journal(journal),
             Some(kill.clone()),
             None,
@@ -364,6 +394,7 @@ fn killed_and_resumed_streaming_runs_are_bit_identical() {
         let audit = Arc::new(AuditTracer::new());
         let plan = recovered.require_header().unwrap().plan;
         let resumed = run_streaming(
+            3,
             Durability::new()
                 .with_journal(Arc::new(recovered.journal))
                 .with_replay(&recovered.entries, plan),
@@ -376,9 +407,7 @@ fn killed_and_resumed_streaming_runs_are_bit_identical() {
             "kill_at={kill_at}"
         );
         assert_eq!(resumed.stats, reference.stats, "kill_at={kill_at}");
-        assert_eq!(resumed.usage.total_tokens(), reference.usage.total_tokens());
-        assert!((resumed.usage.cost_usd - reference.usage.cost_usd).abs() < 1e-15);
-        assert!((resumed.usage.latency_secs - reference.usage.latency_secs).abs() < 1e-15);
+        assert_eq!(resumed.usage, reference.usage, "kill_at={kill_at}");
         let mut metrics = resumed.metrics.clone();
         assert_eq!(metrics.journal_replayed, kill_at);
         assert_eq!(metrics.journal_written, n_requests - kill_at);

@@ -539,32 +539,6 @@ impl RouteFold {
         finish_settlement(pending, legs, served)
     }
 
-    /// Settles a cascade **without** consulting or advancing any breaker:
-    /// every leg bills, the last leg serves. The degradation ladder uses
-    /// this — its sub-requests settle at parse time, whose position
-    /// relative to later folds depends on plan-shard boundaries, so letting
-    /// them touch breaker state would make routing depend on the shard
-    /// size.
-    pub fn settle_passthrough(pending: RoutePending) -> RouteSettlement {
-        let legs: Vec<SettledLeg> = pending
-            .attempts
-            .iter()
-            .enumerate()
-            .map(|(i, a)| SettledLeg {
-                route: a.route.clone(),
-                index: i as u32,
-                outcome: RouteOutcome::Escalated,
-                fault: a.fault,
-                retries: a.retries,
-                usage: a.usage,
-                cost_usd: a.cost_usd,
-                latency_secs: a.latency_secs,
-            })
-            .collect();
-        let served = legs.len().checked_sub(1);
-        finish_settlement(pending, legs, served)
-    }
-
     /// Re-applies a replayed (journaled) request's settled legs to the
     /// breaker fold, so requests settling after a resume see exactly the
     /// breaker state the uninterrupted run would have reached. The
@@ -960,23 +934,6 @@ mod tests {
         let a = live.settle(pending_of(&router, &ask(2)));
         let b = resumed.settle(pending_of(&router, &ask(2)));
         assert_eq!(a.legs, b.legs);
-    }
-
-    #[test]
-    fn passthrough_settlement_bills_every_leg_and_ignores_breakers() {
-        let primary = Arc::new(Route::new("cheap", 0).faulting(FaultKind::Timeout));
-        let secondary = Arc::new(Route::new("pricey", 64));
-        let router = RouterLayer::new(
-            vec![
-                Box::new(primary.clone()) as Box<dyn ChatModel>,
-                Box::new(secondary.clone()),
-            ],
-            EscalationPolicy::default(),
-        );
-        let s = RouteFold::settle_passthrough(pending_of(&router, &ask(2)));
-        assert_eq!(s.legs[0].outcome, RouteOutcome::Escalated);
-        assert_eq!(s.legs[1].outcome, RouteOutcome::Served);
-        assert_eq!(s.response.usage.prompt_tokens, 200);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end chaos robustness: a token budget tripping mid-run leaves a
 //! partial, bit-identical, audited result; routed runs stay bit-identical
-//! under every fault preset and bill exactly once across a resume; and a
+//! under every fault preset, with and without the degradation ladder and at
+//! every shard size, and bill exactly once across a resume; and a
 //! one-route cascade's plan-order circuit breaker shorts a hard-down
 //! model's requests unbilled at any worker count.
 
@@ -25,8 +26,20 @@ fn run_with_options(
     options: ExecutionOptions,
     tracer: Arc<dyn Tracer>,
 ) -> RunResult {
+    run_sharded(ds, model, options, None, tracer)
+}
+
+/// [`run_with_options`] in plan shards of `plan_shard_size` batches.
+fn run_sharded(
+    ds: &Dataset,
+    model: &dyn ChatModel,
+    options: ExecutionOptions,
+    plan_shard_size: Option<usize>,
+    tracer: Arc<dyn Tracer>,
+) -> RunResult {
     let mut config = PipelineConfig::best(ds.task);
     config.workers = options.workers;
+    config.plan_shard_size = plan_shard_size;
     Preprocessor::new(model, config)
         .with_exec_options(options)
         .with_tracer(tracer)
@@ -122,17 +135,29 @@ fn token_budget_trips_mid_run_with_partial_results() {
     assert_eq!(runs[0].stats.cancelled, runs[1].stats.cancelled);
 }
 
-/// A cheap-first cascade with `scenario` injected on the primary route.
-/// Route stacks carry no tracer: the ledger audit reconciles routed
-/// completions against their `route_leg` events, not retry attempts.
-fn faulted_cascade(ds: &Dataset, scenario: &FaultScenario, seed: u64) -> RouterLayer {
+/// A cheap-first cascade with `scenario` injected on the primary route, and
+/// `secondary` on the secondary when given. Route stacks carry no tracer:
+/// the ledger audit reconciles routed completions against their
+/// `route_leg` events, not retry attempts.
+fn faulted_cascade(
+    ds: &Dataset,
+    scenario: &FaultScenario,
+    secondary: Option<&FaultScenario>,
+    seed: u64,
+) -> RouterLayer {
     let kb = Arc::new(ds.kb.clone());
     let primary = SimulatedLlm::new(ModelProfile::gpt35(), Arc::clone(&kb)).with_seed(seed);
     let primary = RetryLayer::new(FaultLayer::scenario(primary, scenario.clone(), seed), 2);
-    let secondary = SimulatedLlm::new(ModelProfile::gpt4(), Arc::clone(&kb)).with_seed(seed);
-    let secondary = RetryLayer::new(secondary, 2);
+    let model = SimulatedLlm::new(ModelProfile::gpt4(), Arc::clone(&kb)).with_seed(seed);
+    let secondary: Box<dyn ChatModel> = match secondary {
+        Some(faults) => Box::new(RetryLayer::new(
+            FaultLayer::scenario(model, faults.clone(), seed),
+            2,
+        )),
+        None => Box::new(RetryLayer::new(model, 2)),
+    };
     RouterLayer::new(
-        vec![Box::new(primary), Box::new(secondary)],
+        vec![Box::new(primary), secondary],
         EscalationPolicy::default(),
     )
 }
@@ -143,45 +168,91 @@ fn routed_runs_are_bit_identical_under_every_fault_preset() {
     // routing settles in plan order, so predictions, billed usage, and the
     // whole metrics snapshot (per-route ledger included) must not depend
     // on the worker count — and the ledger must audit clean throughout.
+    // Again with the degradation ladder on and the secondary answering
+    // partial batches, so the ladder runs, at one shard and in shards of
+    // 1, 2 and 3 batches: the ladder runs after the last shard through the
+    // same fold and breaker, so the shard size must not show either.
     let ds = dataset_by_name("Adult", 0.05, 0).unwrap();
+    let partial = FaultScenario::partial_batch();
     for scenario in FaultScenario::presets() {
-        let mut reference: Option<RunResult> = None;
-        for workers in [1usize, 2, 4] {
-            let audit = Arc::new(AuditTracer::new());
-            let router = faulted_cascade(&ds, &scenario, 7);
-            let result = run_with_options(
-                &ds,
-                &router,
-                ExecutionOptions {
-                    workers,
-                    ..ExecutionOptions::default()
-                },
-                Arc::clone(&audit) as Arc<dyn Tracer>,
-            );
-            audit.assert_clean();
-            assert_eq!(result.predictions.len(), ds.len(), "{}", scenario.name);
-            match &reference {
-                None => reference = Some(result),
-                Some(reference) => {
-                    assert_eq!(
-                        result.predictions, reference.predictions,
-                        "{} at workers={workers}",
+        for degrade in [false, true] {
+            let secondary = degrade.then_some(&partial);
+            let shard_sizes: &[Option<usize>] = if degrade {
+                &[None, Some(1), Some(2), Some(3)]
+            } else {
+                &[None]
+            };
+            let mut reference: Option<RunResult> = None;
+            for workers in [1usize, 2, 4] {
+                for &shard_size in shard_sizes {
+                    let label = format!(
+                        "{} degrade={degrade} shard_size={shard_size:?} workers={workers}",
                         scenario.name
                     );
-                    assert_eq!(
-                        result.usage, reference.usage,
-                        "{} at workers={workers}",
-                        scenario.name
+                    let audit = Arc::new(AuditTracer::new());
+                    let collector = Arc::new(CollectingTracer::new());
+                    let tracer: Arc<dyn Tracer> = Arc::new(
+                        MultiTracer::new()
+                            .with(Arc::clone(&audit) as Arc<dyn Tracer>)
+                            .with(Arc::clone(&collector) as Arc<dyn Tracer>),
                     );
-                    assert_eq!(
-                        result.metrics, reference.metrics,
-                        "{} at workers={workers}",
-                        scenario.name
+                    let router = faulted_cascade(&ds, &scenario, secondary, 7);
+                    let result = run_sharded(
+                        &ds,
+                        &router,
+                        ExecutionOptions {
+                            workers,
+                            degrade,
+                            ..ExecutionOptions::default()
+                        },
+                        shard_size,
+                        tracer,
                     );
+                    audit.assert_clean();
+                    assert_eq!(result.predictions.len(), ds.len(), "{label}");
+                    if degrade && scenario.name == "route-outage" {
+                        // Every primary leg fails and the secondary drops
+                        // answers: the ladder runs, and its legs on the
+                        // dead primary meet the breaker the primaries
+                        // opened.
+                        assert!(result.stats.splits > 0, "{label}: the ladder never ran");
+                        assert!(
+                            shorted_ladder_legs(&collector.events()) > 0,
+                            "{label}: no ladder leg met the open breaker"
+                        );
+                    }
+                    match &reference {
+                        None => reference = Some(result),
+                        Some(reference) => {
+                            assert_eq!(result.predictions, reference.predictions, "{label}");
+                            assert_eq!(result.stats, reference.stats, "{label}");
+                            assert_eq!(result.usage, reference.usage, "{label}");
+                            assert_eq!(result.metrics, reference.metrics, "{label}");
+                        }
+                    }
                 }
             }
         }
     }
+}
+
+/// Ladder sub-requests whose primary leg settled shorted: the dead
+/// primary's breaker, opened by the primary requests, shorts them too.
+fn shorted_ladder_legs(events: &[TraceEvent]) -> usize {
+    let ladder: std::collections::HashSet<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::BatchSplit { request, .. } => Some(*request),
+            _ => None,
+        })
+        .collect();
+    events
+        .iter()
+        .filter(|e| {
+            matches!(e, TraceEvent::RouteLeg { request, index: 0, outcome, .. }
+                if ladder.contains(request) && *outcome == "shorted")
+        })
+        .count()
 }
 
 #[test]
@@ -195,7 +266,7 @@ fn escalations_bill_exactly_once_across_a_mid_run_resume() {
     let scenario = FaultScenario::burst_outage();
     let reference = run_with_options(
         &ds,
-        &faulted_cascade(&ds, &scenario, 7),
+        &faulted_cascade(&ds, &scenario, None, 7),
         ExecutionOptions::default(),
         Arc::new(MultiTracer::new()),
     );
@@ -205,7 +276,7 @@ fn escalations_bill_exactly_once_across_a_mid_run_resume() {
     let mut path = std::env::temp_dir();
     path.push(format!("dprep-chaos-test-resume-{}", std::process::id()));
     let journal = Arc::new(DurableJournal::fresh(&path, "router", "c", 7).unwrap());
-    let router = faulted_cascade(&ds, &scenario, 7);
+    let router = faulted_cascade(&ds, &scenario, None, 7);
     let mut config = PipelineConfig::best(ds.task);
     config.workers = 2;
     let journaled = Preprocessor::new(&router, config.clone())
