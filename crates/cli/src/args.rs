@@ -40,6 +40,13 @@ impl Flags {
         }
     }
 
+    /// Parses `--port N` with a default, at most 65,535; `0` asks the
+    /// system for a free port.
+    pub fn port_or(&self, default: u16) -> Result<u16, String> {
+        let port = self.usize_or("port", usize::from(default))?;
+        u16::try_from(port).map_err(|_| format!("--port must be at most 65535, got {port}"))
+    }
+
     /// Parses `--retries N` (default 2), at most [`dprep_llm::MAX_RETRIES`].
     pub fn retries(&self) -> Result<u32, String> {
         dprep_llm::check_retries(self.usize_or("retries", 2)?).map_err(|e| format!("--{e}"))
@@ -237,6 +244,19 @@ mod tests {
         assert_eq!(flags.usize_or("workers", 1).unwrap(), 8);
         flags.set("workers", "-2");
         assert!(flags.usize_or("workers", 1).is_err());
+    }
+
+    #[test]
+    fn ports_past_65535_are_refused_instead_of_wrapping() {
+        let mut flags = Flags::default();
+        assert_eq!(flags.port_or(7077).unwrap(), 7077);
+        for (raw, port) in [("0", 0), ("65535", 65535)] {
+            flags.set("port", raw);
+            assert_eq!(flags.port_or(7077).unwrap(), port, "{raw}");
+        }
+        flags.set("port", "70000");
+        let err = flags.port_or(7077).unwrap_err();
+        assert!(err.contains("--port must be at most 65535"), "{err}");
     }
 
     #[test]

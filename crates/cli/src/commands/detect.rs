@@ -14,6 +14,7 @@ use crate::commands::{
 
 /// Runs the command.
 pub fn run(flags: &Flags) -> Result<(), String> {
+    let all = flags.bool_or("all", false)?;
     let table = load_table(flags.require("input")?)?;
     let attrs = attrs_for(flags, &table)?;
     let mut config = PipelineConfig::best(Task::ErrorDetection);
@@ -52,7 +53,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .with_tracer(obs.tracer());
     let result = preprocessor.try_run(&instances, &[])?;
 
-    let all = flags.get("all").is_some();
     let mut flagged = 0usize;
     write_stdout(|out| {
         writeln!(out, "row\tattribute\tvalue\tverdict\treason")?;
@@ -61,7 +61,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             if verdict == Some(true) {
                 flagged += 1;
             }
-            // Print errors always; clean cells only with --all true.
+            // Print errors always; clean cells only with --all on.
             if verdict == Some(true) || all {
                 let attr = &attrs[attr_idx];
                 let cell = table.row(row_idx).and_then(|r| r.get_by_name(attr));

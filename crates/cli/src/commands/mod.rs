@@ -1,6 +1,5 @@
 //! CLI subcommands.
 
-pub mod chaos;
 pub mod clean;
 pub mod datasets;
 pub mod detect;

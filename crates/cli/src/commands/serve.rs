@@ -89,14 +89,13 @@ fn journal_file_name(tenant: &str, key: &str) -> String {
 /// * `plan_shard_size`, `retries` (at most `MAX_RETRIES`) — serving knobs,
 /// * `route`, `escalate_on` — a cascade, parsed as `--route` and
 ///   `--escalate-on` are ([`route_spec`]), overriding the daemon's own,
-/// * `scenario` — a chaos fault-scenario name for the job's single model,
-///   or for its cascade's first route,
+/// * `scenario` — a fault-preset name ([`FaultScenario::by_name`]) for
+///   the job's single model, or for its cascade's first route,
 /// * `journal_key` — with `--journal-dir`, journal this job at
 ///   `DIR/<tenant>-<key>.jsonl` and resume it when the file exists. Both
 ///   parts are percent-escaped (a tenant's `-` too), so each
 ///   `(tenant, journal_key)` pair has a journal of its own; plain tenants
-///   (`[A-Za-z0-9._]`) and keys (`[A-Za-z0-9._-]`) are kept as they are,
-/// * `kill_after` — drill hook: abort after the Nth journaled terminal.
+///   (`[A-Za-z0-9._]`) and keys (`[A-Za-z0-9._-]`) are kept as they are.
 ///
 /// With an ops plane attached, every job's trace stream feeds the tenant's
 /// sliding window and SLO engine through [`OpsPlane::tracer_for`].
@@ -115,7 +114,6 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
             _ => defaults.retries,
         };
         let shard_size = whole_field(body, "plan_shard_size")?.unwrap_or(defaults.plan_shard_size);
-        let kill_after = whole_field(body, "kill_after")?;
         let (routes, escalate_on) = route_spec(
             text("route").or((!default_route.is_empty()).then_some(default_route.as_str())),
             text("escalate_on").or(defaults.escalate_on.as_deref()),
@@ -174,16 +172,9 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
         }
         let model = stack.build();
 
-        // The grant's halt doubles as the drill hook: a drain triggers it,
-        // `kill_after` arms its countdown. Wiring it into the executor is
-        // what makes a drain checkpoint journaled jobs (and stop
-        // unjournaled ones) at their next shard boundary.
-        if let Some(n) = kill_after {
-            if n == 0 {
-                return Err("\"kill_after\" must be at least 1".into());
-            }
-            grant.halt.arm_after(n);
-        }
+        // Wiring the grant's halt into the executor is what makes a drain
+        // checkpoint journaled jobs (and stop unjournaled ones) at their
+        // next shard boundary.
         let mut preprocessor = Preprocessor::new(&model, config)
             .with_exec_options(grant.options)
             .with_durability(durability)
@@ -367,7 +358,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             .map_err(|e| format!("cannot create --journal-dir {}: {e}", dir.display()))?;
     }
     let host = flags.get("host").unwrap_or("127.0.0.1");
-    let port = flags.usize_or("port", 7077)? as u16;
+    let port = flags.port_or(7077)?;
     let ledger = ledger_from_flags(flags)?;
     let policy = policy_from_flags(flags)?;
     let wire = wire_from_flags(flags)?;

@@ -34,7 +34,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         );
     }
     let host = flags.get("host").unwrap_or("127.0.0.1");
-    let port = flags.usize_or("port", 7077)? as u16;
+    let port = flags.port_or(7077)?;
     let once = flags.bool_or("once", false)?;
     let interval = flags.usize_or("interval", 2)?.max(1);
     let format = flags.get("format").unwrap_or("text");

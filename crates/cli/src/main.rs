@@ -47,7 +47,6 @@ fn main() -> ExitCode {
         "clean" => commands::clean::run(&parsed),
         "impute" => commands::impute::run(&parsed),
         "match" => commands::match_cmd::run(&parsed),
-        "chaos" => commands::chaos::run(&parsed),
         "serve" => commands::serve::run(&parsed),
         "top" => commands::top::run(&parsed),
         "datasets" => commands::datasets::run(&parsed),
@@ -68,21 +67,27 @@ fn usage() -> &'static str {
 
 USAGE:
   dprep detect   --input FILE [--attrs A,B] [--model NAME] [--facts FILE] [--seed N]
+                 [--all on|off]
   dprep impute   --input FILE --attribute NAME [--model NAME] [--facts FILE] [--seed N]
   dprep clean    --input FILE [--attrs A,B] [--model NAME] [--facts FILE] [--seed N]
   dprep match    --left FILE --right FILE [--blocker ngram|embedding|none]
                  [--model NAME] [--facts FILE] [--seed N]
   dprep report   FILE [--format text|json|prom]
   dprep report   --diff BEFORE AFTER
-  dprep chaos    [--scenario NAME] [--workers N] [--retries N] [--seed N]
-                 [--soak on]
   dprep serve    [--host ADDR] [--port N] [--journal-dir DIR] [--seed N]
                  [--tenant-budgets NAME=TOKENS,..] [--default-tenant-budget N]
                  [--plan-shard-size N] [--retries N] [--route A,B]
                  [--escalate-on CLASSES] [--slo SPEC,..] [--recorder DIR]
+                 [--max-inflight N] [--max-queued N] [--tenant-inflight N]
+                 [--default-deadline SECS] [--max-frame-bytes N]
+                 [--frame-timeout SECS] [--idle-timeout SECS]
+                 [--write-timeout SECS]
   dprep top      [--host ADDR] [--port N] [--interval SECS] [--once on]
-                 [--format text|json]
+                 [--retry N] [--format text|json]
   dprep datasets [--scale S] [--seed N]   (0 < S <= 10; 1 = the paper's sizes)
+
+DETECT:
+  Prints the flagged cells; --all on prints every checked cell.
 
 SERVING (detect/impute/clean/match):
   --workers N      executor threads (default 1; results are identical at any N)
@@ -128,8 +133,12 @@ REPORT:
 
 SERVE:
   Long-running multi-tenant daemon: newline-delimited JSON over TCP, one
-  object per line, ops ping | submit | stats | metrics | health |
-  shutdown. Each submit names a dataset workload (scale in (0, 10],
+  object per line. Ops: ping | submit | stats | metrics | health | drain |
+  shutdown. --port is at most 65535 (0 picks a free port).
+  drain stops admitting jobs (queued ones shed), halts every job in
+  flight at its next shard boundary (a journaled one resumes from there
+  when resubmitted), and closes the daemon once they settle.
+  Each submit names a dataset workload (scale in (0, 10],
   default 0.5) plus a tenant; concurrent
   jobs interleave fairly at plan-shard granularity through a round-robin
   turnstile that runs them side by side while their workers fit the
@@ -143,7 +152,7 @@ SERVE:
   for real scrapers). A submit may override the daemon's --seed,
   --retries, --plan-shard-size, --route and --escalate-on with seed,
   retries, plan_shard_size, route and escalate_on fields, checked as the
-  flags are; scenario names a chaos fault preset for the job. Every job
+  flags are; scenario names a fault preset for the job. Every job
   also feeds the live ops plane: per-tenant sliding windows over the
   deterministic virtual clock, and — with
   --slo latency-p95=SECS,failure-rate=FRAC,budget-headroom=FRAC —
@@ -151,27 +160,23 @@ SERVE:
   the health op, in run reports, and as slo_transition trace events.
   --recorder DIR keeps a flight-recorder ring of recent events and dumps
   a postmortem JSONL there whenever an alert pages.
+  Overload protection (every cap off by default): --max-inflight N bounds
+  concurrent jobs, --max-queued N adds a bounded wait queue (without it
+  excess jobs shed at once), --tenant-inflight N caps one tenant's
+  concurrency, and --default-deadline SECS applies a deadline to jobs
+  that set none. A shed submit replies rejected (overloaded, with a
+  retry_after hint; deadline; or draining) and bills nothing. Wire limits:
+  --max-frame-bytes N caps one request line, --frame-timeout SECS bounds
+  reading a started line, --idle-timeout SECS closes a silent
+  connection, --write-timeout SECS bounds writing a reply.
 
 TOP:
   Live per-tenant table against a running daemon's health op: windowed
   request/token rates, windowed error rate and p95 latency, budget
   headroom, active jobs, and SLO alert states. --once prints a single
-  snapshot; --format json emits the raw health reply.
-
-CHAOS:
-  Sweeps the seeded fault-scenario presets (burst outages, rate-limit
-  storms, latency spikes, garbled completions, partial batch answers) over
-  a pinned ED/EM workload with graceful batch degradation on, asserting
-  terminal coverage, the serving-ledger audit, monotone degradation, and
-  bit-identical results across worker counts; then runs the route-outage
-  drill (a cascade's primary hard-down: the router's plan-order circuit
-  breaker shorts the dead primary's legs unbilled while the secondary
-  serves, bit-identical at 1/2/4 workers), and the kill-point drill: a
-  journaled run is aborted after every Nth terminal event in turn and
-  resumed, asserting bit-identity with the uninterrupted run and
-  exactly-once billing at every kill point — once with the whole plan as
-  one shard and once in shards of 2 batches. Any violation fails the
-  command.
+  snapshot; --format json emits the raw health reply. A failed poll
+  retries with capped exponential backoff, giving up after --retry N
+  consecutive failures (default 5).
 
 MODELS: sim-gpt-4 (default), sim-gpt-3.5, sim-gpt-3, sim-vicuna-13b
 

@@ -442,22 +442,13 @@ impl KillSwitch {
 
     /// A switch that never fires on its own: the countdown is parked at
     /// `usize::MAX` so terminal events cannot plausibly drain it, and only
-    /// an explicit [`trigger`](Self::trigger) (or a later
-    /// [`arm_after`](Self::arm_after)) fires it. Serve drains hand one of
-    /// these to every in-flight job as its checkpoint halt handle.
+    /// an explicit [`trigger`](Self::trigger) fires it. Serve drains hand
+    /// one of these to every in-flight job as its checkpoint halt handle.
     pub fn unarmed() -> KillSwitch {
         KillSwitch {
             countdown: Arc::new(AtomicUsize::new(usize::MAX)),
             fired: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// Re-arms the countdown so the switch fires after `n` further
-    /// terminal events (`n >= 1`). Existing clones observe the new
-    /// countdown: the counter is shared.
-    pub fn arm_after(&self, n: usize) {
-        assert!(n >= 1, "a kill switch must allow at least one terminal");
-        self.countdown.store(n, Ordering::Relaxed);
     }
 
     /// Fires the switch immediately. The owning run stops at its next
@@ -631,7 +622,10 @@ impl Executor {
     /// `prompt-build` are the survey's (plus the shard bookkeeping),
     /// `dispatch` holds the workers' renders, model calls and parses, and
     /// `parse` the plan-order loop that moves answers into predictions
-    /// (and parses what settlement replaced) and the ladder.
+    /// (and parses what settlement replaced) and the ladder. Their
+    /// `vt_secs` split the billed latency: `dispatch` holds the primary
+    /// requests' and `parse` the ladder's, so the four sum to
+    /// `usage.latency_secs`.
     pub fn try_run_stream<M: ChatModel + ?Sized>(
         &self,
         model: &M,
@@ -724,6 +718,7 @@ impl Executor {
         let mut dispatch_wall_secs = 0.0;
         let mut dispatch_vt_secs = 0.0;
         let mut parse_wall_secs = 0.0;
+        let mut ladder_vt_secs = 0.0;
         let mut killed = false;
 
         while !shards.is_exhausted() {
@@ -824,6 +819,7 @@ impl Executor {
             // inside its gate turn: every primary request is billed before
             // any ladder request, whatever the shard size.
             if shards.is_exhausted() && !ladder.is_empty() {
+                let vt_before_ladder = ledger.usage.latency_secs;
                 killed = self.run_ladder(
                     model,
                     survey,
@@ -832,6 +828,7 @@ impl Executor {
                     &mut predictions,
                     &emit,
                 )?;
+                ladder_vt_secs = ledger.usage.latency_secs - vt_before_ladder;
             }
             parse_wall_secs += parse_started.elapsed().as_secs_f64();
             if killed {
@@ -879,7 +876,7 @@ impl Executor {
             run: run_id,
             stage: "parse",
             wall_secs: parse_wall_secs,
-            vt_secs: 0.0,
+            vt_secs: ladder_vt_secs,
         });
 
         let Ledger {
@@ -2497,7 +2494,7 @@ mod tests {
     }
 
     #[test]
-    fn unarmed_kill_switch_fires_only_on_trigger_or_rearm() {
+    fn unarmed_kill_switch_fires_only_on_trigger() {
         let kill = KillSwitch::unarmed();
         assert!(!kill.fired());
         // Terminal events never drain an unarmed countdown.
@@ -2507,14 +2504,6 @@ mod tests {
         kill.trigger();
         assert!(kill.fired());
         assert!(kill.on_terminal());
-
-        // Clones share the countdown, so a late arm_after is observed.
-        let armed = KillSwitch::unarmed();
-        let clone = armed.clone();
-        armed.arm_after(2);
-        assert!(!clone.on_terminal());
-        assert!(clone.on_terminal());
-        assert!(armed.fired());
     }
 
     #[test]

@@ -1853,8 +1853,9 @@ pub fn whole_field(body: &Json, key: &str) -> Result<Option<usize>, String> {
 }
 
 /// Client-side helper: sends one request line on `stream` and parses the
-/// single-line reply. Used by the chaos soak drill and the e2e tests;
-/// exported so external clients don't re-implement the framing. The request goes out in one write with `TCP_NODELAY` set.
+/// single-line reply. Used by `dprep top` and the serving tests; exported
+/// so external clients don't re-implement the framing. The request goes
+/// out in one write with `TCP_NODELAY` set.
 pub fn roundtrip(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,

@@ -309,6 +309,44 @@ fn streaming_emits_aggregated_stage_events_once() {
     assert_eq!(result.metrics.answered, 10);
 }
 
+/// The four `Stage` events' `vt_secs` sum to the billed latency, ladder
+/// included: `dispatch` holds the primary requests' share and `parse`,
+/// which runs the ladder, the rest.
+#[test]
+fn stage_virtual_times_sum_to_the_billed_latency_with_the_ladder() {
+    let model = FlakyModel { skip: 2 };
+    let instances = em_instances(12, 4);
+    let options = ExecutionOptions {
+        degrade: true,
+        ..ExecutionOptions::default()
+    };
+    for shard_size in [None, Some(1)] {
+        let tracer = Arc::new(CollectingTracer::new());
+        let config = PipelineConfig {
+            plan_shard_size: shard_size,
+            ..config(3)
+        };
+        let result = Preprocessor::new(&model, config)
+            .with_exec_options(options)
+            .with_tracer(tracer.clone() as Arc<dyn Tracer>)
+            .run(&instances, &[]);
+        assert!(result.stats.splits > 0, "workload must exercise the ladder");
+        let mut stages = Vec::new();
+        for event in tracer.events() {
+            if let dprep_obs::TraceEvent::Stage { stage, vt_secs, .. } = event {
+                stages.push((stage, vt_secs));
+            }
+        }
+        let vt = |name: &str| stages.iter().find(|(s, _)| *s == name).unwrap().1;
+        assert!(vt("parse") > 0.0, "shard_size={shard_size:?}: {stages:?}");
+        let sum: f64 = stages.iter().map(|(_, vt)| vt).sum();
+        assert_eq!(
+            sum, result.usage.latency_secs,
+            "shard_size={shard_size:?}: {stages:?}"
+        );
+    }
+}
+
 /// A token budget that trips mid-ladder fails the same ladder groups and
 /// cancels the same requests at every shard size: every primary request is
 /// billed before any ladder request, whatever the shard size.

@@ -115,7 +115,7 @@ impl FaultRule {
 /// firing rule wins. An empty rule list is a perfectly calm network.
 #[derive(Debug, Clone)]
 pub struct FaultScenario {
-    /// Preset name (stable; used by `dprep chaos --scenario`).
+    /// Preset name (stable; a daemon submit's `scenario` field names it).
     pub name: &'static str,
     /// Rules, checked in order; the first that fires is applied.
     pub rules: Vec<FaultRule>,
@@ -269,7 +269,8 @@ impl FaultScenario {
         ]
     }
 
-    /// Looks up a preset by its stable name.
+    /// Looks up a preset by its stable name, as a daemon submit's
+    /// `scenario` field gives it.
     pub fn by_name(name: &str) -> Option<FaultScenario> {
         FaultScenario::presets()
             .into_iter()

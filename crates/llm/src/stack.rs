@@ -1,8 +1,8 @@
 //! One builder for the serving stack every caller runs through.
 //!
 //! [`StackSpec::build`] owns the layer order, so the CLI commands, the
-//! daemon's job handler, the chaos drills and the eval harness assemble
-//! the same stack from the same description:
+//! daemon's job handler, the eval harness and the robustness tests
+//! assemble the same stack from the same description:
 //!
 //! ```text
 //! one model:  CacheLayer? ── RetryLayer? ── FaultLayer? ── SimulatedLlm

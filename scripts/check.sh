@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health check: formatting, lints, and the full test suite.
+# Repo health check: formatting, lints, rustdoc, the workspace test suite
+# (which holds every robustness drill) and the three bench binaries.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,50 +23,6 @@ echo "== bench_e2e builds and passes its tests against the library crates =="
 # Its build shares the workspace's target directory, as run.sh does.
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
   cargo test -q --locked --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
-
-echo "== serving-ledger audit invariants =="
-cargo test -q --test audit_invariants
-cargo test -q -p dprep-core --lib exec::tests::audit_tracer_passes_on_a_faulty_retried_cached_run
-
-echo "== durable runs: journal resume tests + chaos drills =="
-cargo test -q --test durable_resume
-# One-scenario sweep still runs the route-outage drill (primary route
-# hard-down: the router's plan-order breaker shorts its legs unbilled,
-# every request served by the secondary, per-route billing reconciled,
-# bit-identical at workers 1/2/4) and the full kill-point drill (kill after
-# every Nth terminal event, resume, assert bit-identity and exactly-once
-# billing), as one shard and in shards of 2 batches.
-cargo run --release -q -p dprep-cli --bin dprep -- chaos --scenario partial-batch > /dev/null
-
-echo "== serving e2e suite =="
-# The shipped job handler behind a live daemon over TCP: concurrent
-# tenants bit-identical to their one-shot runs and billing exactly their
-# one-shot tokens, budget-trip isolation, ledger rows and per-tenant
-# prometheus series matching the replies, kill+resume with exactly-once
-# billing through per-job journals, mismatched journals refused intact,
-# and rejected submits (absurd scales and retry budgets, malformed
-# cascades) leaving the daemon serving; clean shutdown after each.
-cargo test -q --test serve_e2e
-
-echo "== overload protection: storm drill + hostile-wire suite =="
-# 16-submit storm at 4x capacity against a live daemon: admitted jobs
-# bit-identical with bounded p95, the rest shed with retry_after hints
-# billing exactly zero (audit invariant 10 + ledger reconciliation), a
-# 1s deadline trips into deterministic partials, and a mid-storm drain
-# checkpoints in-flight jobs that then resume bit-identically at
-# workers 1/2/4 with exactly-once billing. The wire suite replays an
-# oversized frame, binary garbage, a torn frame, a slow loris, and a
-# silent client — each costs only its own connection.
-cargo run --release -q -p dprep-cli --bin dprep -- chaos --overload on > /dev/null
-cargo test -q --test wire_hardening
-
-echo "== live ops plane tests =="
-# One breach-inducing workload (latency spikes against a tight latency-p95
-# objective) through the shipped job handler at 1/2/4 workers and a
-# repeat: the alert timelines and windowed snapshots must be
-# byte-identical and must actually reach paging. Also the daemon's health
-# op over TCP, the paging postmortem, and transitions through JSONL.
-cargo test -q --test ops_plane
 
 echo "== streaming-planner scaling smoke (10k rows, stream vs materialized) =="
 # Runs both plan modes at 10k rows, asserts their predictions agree via

@@ -1,9 +1,11 @@
 //! End-to-end chaos robustness: a token budget tripping mid-run leaves a
 //! partial, bit-identical, audited result; routed runs stay bit-identical
 //! under every fault preset, with and without the degradation ladder and at
-//! every shard size, and bill exactly once across a resume; and a
-//! one-route cascade's plan-order circuit breaker shorts a hard-down
-//! model's requests unbilled at any worker count.
+//! every shard size, and bill exactly once across a resume; a cascade
+//! fails over from a hard-down primary; a single model under every preset
+//! answers every instance, no fewer with the ladder on; and a one-route
+//! cascade's plan-order circuit breaker shorts a hard-down model's
+//! requests unbilled at any worker count.
 
 use std::sync::Arc;
 
@@ -13,10 +15,10 @@ use llm_data_preprocessors::core::{
 use llm_data_preprocessors::datasets::{dataset_by_name, Dataset};
 use llm_data_preprocessors::llm::{
     BreakerConfig, ChatModel, EscalationPolicy, FaultLayer, FaultScenario, ModelProfile,
-    RetryLayer, RouterLayer, SimulatedLlm,
+    RetryLayer, RouterLayer, SimulatedLlm, StackSpec,
 };
 use llm_data_preprocessors::obs::{
-    AuditTracer, CollectingTracer, DurableJournal, MultiTracer, TraceEvent, Tracer,
+    AuditTracer, CollectingTracer, DurableJournal, MetricsRecorder, MultiTracer, TraceEvent, Tracer,
 };
 
 /// Runs a dataset through the pipeline with explicit execution options.
@@ -210,6 +212,9 @@ fn routed_runs_are_bit_identical_under_every_fault_preset() {
                     );
                     audit.assert_clean();
                     assert_eq!(result.predictions.len(), ds.len(), "{label}");
+                    if !degrade && scenario.name == "route-outage" {
+                        assert_fails_over_from_a_dead_primary(&result, &label);
+                    }
                     if degrade && scenario.name == "route-outage" {
                         // Every primary leg fails and the secondary drops
                         // answers: the ladder runs, and its legs on the
@@ -232,6 +237,106 @@ fn routed_runs_are_bit_identical_under_every_fault_preset() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// With the primary hard-down and the secondary calm, no completion
+/// faults: the secondary serves every fresh request, the dead primary
+/// serves none, its breaker shorts legs, and the per-route ledger sums to
+/// the billed totals.
+fn assert_fails_over_from_a_dead_primary(result: &RunResult, label: &str) {
+    let metrics = &result.metrics;
+    let (primary, secondary) = (&metrics.routes["sim-gpt-3.5"], &metrics.routes["sim-gpt-4"]);
+    assert_eq!(result.stats.faulted, 0, "{label}: a request went unserved");
+    assert_eq!(primary.served, 0, "{label}: the dead primary served a leg");
+    assert_eq!(secondary.served, metrics.fresh_requests, "{label}");
+    assert!(primary.shorted > 0, "{label}: the breaker never shorted");
+    assert_eq!(
+        (
+            primary.prompt_tokens + secondary.prompt_tokens,
+            primary.completion_tokens + secondary.completion_tokens
+        ),
+        (metrics.prompt_tokens, metrics.completion_tokens),
+        "{label}: route-attributed tokens"
+    );
+    let route_cost = primary.cost_usd + secondary.cost_usd;
+    assert!(
+        (route_cost - metrics.cost_usd).abs() < 1e-6,
+        "{label}: routes bill ${route_cost}, the run ${}",
+        metrics.cost_usd
+    );
+}
+
+/// The single-model stack shape: `sim-gpt-4` behind `StackSpec`'s fault →
+/// retry → cache under every preset but the route outage (with no cascade
+/// to fail over to, it only grinds every batch to retries-exhausted), on
+/// an ED, a DI and an EM dataset. Each runs with the ladder off and on at
+/// two workers, and on at one: every instance gets a prediction, the
+/// ladder answers no fewer, the two worker counts agree on predictions,
+/// metrics and injected faults, and the audit stays clean.
+#[test]
+fn single_model_runs_answer_everything_under_every_preset() {
+    let datasets = [
+        dataset_by_name("Adult", 0.05, 0).unwrap(),
+        dataset_by_name("Restaurant", 2.0, 0).unwrap(),
+        dataset_by_name("Beer", 1.0, 0).unwrap(),
+    ];
+    for scenario in FaultScenario::presets() {
+        if scenario.name == "route-outage" {
+            continue;
+        }
+        let (mut injected, mut splits) = (0, 0);
+        for ds in &datasets {
+            let label = format!("{}/{}", ds.name, scenario.name);
+            let audit = Arc::new(AuditTracer::new());
+            let run = |workers: usize, degrade: bool| {
+                let recorder = Arc::new(MetricsRecorder::new());
+                let tracer: Arc<dyn Tracer> = Arc::new(
+                    MultiTracer::new()
+                        .with(Arc::clone(&audit) as Arc<dyn Tracer>)
+                        .with(Arc::clone(&recorder) as Arc<dyn Tracer>),
+                );
+                let stack = StackSpec {
+                    fault: Some(scenario.clone()),
+                    retries: 2,
+                    cache: true,
+                    tracer: Arc::clone(&tracer),
+                    ..StackSpec::new(vec![ModelProfile::gpt4()], Arc::new(ds.kb.clone()), 0)
+                }
+                .build();
+                let options = ExecutionOptions {
+                    workers,
+                    degrade,
+                    ..ExecutionOptions::default()
+                };
+                let result = run_with_options(ds, stack.as_ref(), options, tracer);
+                let faults: usize = recorder.snapshot().faults_injected.values().sum();
+                (result, faults)
+            };
+            let (base, _) = run(2, false);
+            let (ladder, faults) = run(2, true);
+            let (serial, serial_faults) = run(1, true);
+            assert_eq!(base.predictions.len(), ds.len(), "{label}");
+            assert_eq!(ladder.predictions.len(), ds.len(), "{label}");
+            let answered = |r: &RunResult| r.predictions.len() - r.failed_count();
+            assert!(
+                answered(&ladder) >= answered(&base),
+                "{label}: the ladder lost answers"
+            );
+            assert_eq!(ladder.predictions, serial.predictions, "{label}");
+            assert_eq!(ladder.metrics, serial.metrics, "{label}");
+            assert_eq!(faults, serial_faults, "{label}: injected faults");
+            audit.assert_clean();
+            injected += faults;
+            splits += ladder.stats.splits;
+        }
+        // What makes the sweep mean something: every preset but calm
+        // injects faults, and partial batches make the ladder split.
+        let name = scenario.name;
+        assert_eq!(injected > 0, name != "calm", "{name}: {injected} faults");
+        if name == "partial-batch" {
+            assert!(splits > 0, "{name}: the ladder never split");
         }
     }
 }

@@ -1,25 +1,33 @@
 //! Durable-run integration tests: a journaled run torn mid-write resumes
 //! bit-identically, a stale journal header is rejected before any request
-//! executes, and a budget-tripped run resumes under a raised budget to the
-//! same result an uninterrupted run at that budget produces.
+//! executes, a budget-tripped run resumes under a raised budget to the
+//! same result an uninterrupted run at that budget produces, and a run
+//! killed at any of its terminal events resumes bit-identically with every
+//! request billed exactly once.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use llm_data_preprocessors::core::{
-    Durability, ExecutionOptions, PipelineConfig, Preprocessor, RunResult,
+    Durability, ExecutionOptions, KillSwitch, PipelineConfig, Preprocessor, RunResult,
 };
 use llm_data_preprocessors::datasets::{dataset_by_name, Dataset};
 use llm_data_preprocessors::llm::{
     warm_cache_store, CacheLayer, ChatModel, ChatRequest, ChatResponse, EscalationPolicy,
-    FaultLayer, ModelProfile, RetryLayer, RouterLayer, SimulatedLlm, Usage,
+    FaultLayer, FaultScenario, ModelProfile, RetryLayer, RouterLayer, SimulatedLlm, StackSpec,
+    Usage,
 };
-use llm_data_preprocessors::obs::{DurableJournal, JournalEntry, MetricsSnapshot, TerminalKind};
+use llm_data_preprocessors::obs::{
+    AuditTracer, CollectingTracer, DurableJournal, JournalEntry, MetricsSnapshot, NullTracer,
+    TerminalKind, Tracer,
+};
 
 const FAULT_RATE: f64 = 0.1;
 const FAULT_SEED: u64 = 17;
 const RETRIES: u32 = 2;
+/// Adult's scale in the kill-point sweep, whose cost grows with its square.
+const KILL_SCALE: f64 = 0.03;
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -316,4 +324,149 @@ fn budget_tripped_run_resumes_under_a_raised_budget() {
         strip_journal_counters(reference.metrics)
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// One run of the shipped shape under `partial-batch` faults with the
+/// ladder on: `sim-gpt-4` behind `StackSpec`'s fault → retry → cache, the
+/// cache warmed with `warm`, in shards of `plan_shard` batches (`None`:
+/// one shard), stopped by `kill` when it fires.
+fn faulted_ladder_run(
+    ds: &Dataset,
+    plan_shard: Option<usize>,
+    workers: usize,
+    durability: Durability,
+    kill: KillSwitch,
+    warm: &[JournalEntry],
+    tracer: Arc<dyn Tracer>,
+) -> RunResult {
+    let stack = StackSpec {
+        fault: Some(FaultScenario::partial_batch()),
+        retries: RETRIES,
+        cache: true,
+        warm: warm.to_vec(),
+        tracer: Arc::clone(&tracer),
+        ..StackSpec::new(vec![ModelProfile::gpt4()], Arc::new(ds.kb.clone()), 0)
+    }
+    .build();
+    let mut config = PipelineConfig::best(ds.task);
+    config.workers = workers;
+    config.plan_shard_size = plan_shard;
+    Preprocessor::new(stack.as_ref(), config)
+        .with_exec_options(ExecutionOptions {
+            workers,
+            degrade: true,
+            ..ExecutionOptions::default()
+        })
+        .with_durability(durability)
+        .with_tracer(tracer)
+        .with_kill_switch(kill)
+        .try_run(&ds.instances, &ds.few_shot)
+        .expect("durable run accepted")
+}
+
+/// The sorted fingerprints of the completed requests a journal holds.
+fn completed_fingerprints(path: &std::path::Path) -> Vec<u64> {
+    let mut fingerprints: Vec<u64> = DurableJournal::resume(path)
+        .unwrap()
+        .entries
+        .iter()
+        .filter(|e| e.kind == TerminalKind::Completed)
+        .map(|e| e.fingerprint)
+        .collect();
+    fingerprints.sort_unstable();
+    fingerprints
+}
+
+/// Journals an uninterrupted run, then for every kill point N kills a run
+/// right after its Nth journaled terminal (where a crash there would stop
+/// it) and resumes it from that journal: predictions, usage, stats and
+/// metrics (minus the journal counters) match the uninterrupted run, the
+/// audit is clean, and the final journal holds each completed fingerprint
+/// once, the same set as the uninterrupted run's. Resumes alternate
+/// between one and two workers, with the cache warmed from the recovered
+/// journal.
+fn assert_every_kill_point_resumes(ds: &Dataset, plan_shard: Option<usize>) {
+    let mode = format!("shard size {plan_shard:?}");
+    let journal_at = |n: usize| temp_path(&format!("kill-{}-{n}", plan_shard.unwrap_or(0)));
+    let fresh_journal =
+        |n: usize| Arc::new(DurableJournal::fresh(journal_at(n), "sim-gpt-4", "kill", 0).unwrap());
+
+    let journal = fresh_journal(0);
+    let collector = Arc::new(CollectingTracer::new());
+    let reference = faulted_ladder_run(
+        ds,
+        plan_shard,
+        2,
+        Durability::new().with_journal(Arc::clone(&journal)),
+        KillSwitch::unarmed(),
+        &[],
+        Arc::clone(&collector) as Arc<dyn Tracer>,
+    );
+    // What makes the sweep mean something: faults were injected, the
+    // ladder split a batch, and more than 2 primary requests put a shard
+    // boundary inside the sweep in shards of 2 batches.
+    let stats = &reference.stats;
+    assert!(collector.count("fault_injected") > 0, "{mode}: no fault");
+    assert!(stats.splits > 0, "{mode}: the ladder never split");
+    assert!(stats.requests - stats.splits > 2, "{mode}: one shard");
+    let kill_points = journal.written();
+    drop(journal);
+    let oracle = completed_fingerprints(&journal_at(0));
+    std::fs::remove_file(journal_at(0)).ok();
+
+    for n in 1..=kill_points {
+        let label = format!("{mode} kill point {n}");
+        let kill = KillSwitch::after(n);
+        let durability = Durability::new().with_journal(fresh_journal(n));
+        let tracer = Arc::new(NullTracer);
+        faulted_ladder_run(ds, plan_shard, 2, durability, kill.clone(), &[], tracer);
+        assert!(kill.fired(), "{label}: the switch never fired");
+
+        // Resume keeps journaling into the same file, as a restarted
+        // command with --resume and --journal on one file does.
+        let recovered = DurableJournal::resume(journal_at(n)).unwrap();
+        let durability = Durability::new()
+            .with_replay(&recovered.entries, recovered.require_header().unwrap().plan)
+            .with_journal(Arc::new(recovered.journal));
+        let audit = Arc::new(AuditTracer::new());
+        let workers = if n % 2 == 0 { 1 } else { 2 };
+        let tracer = Arc::clone(&audit) as Arc<dyn Tracer>;
+        let resumed = faulted_ladder_run(
+            ds,
+            plan_shard,
+            workers,
+            durability,
+            KillSwitch::unarmed(),
+            &recovered.entries,
+            tracer,
+        );
+        assert_eq!(resumed.predictions, reference.predictions, "{label}");
+        assert_eq!(resumed.usage, reference.usage, "{label}");
+        assert_eq!(resumed.stats, reference.stats, "{label}");
+        assert_eq!(
+            strip_journal_counters(resumed.metrics),
+            strip_journal_counters(reference.metrics.clone()),
+            "{label}"
+        );
+        audit.assert_clean();
+        let fingerprints = completed_fingerprints(&journal_at(n));
+        assert!(
+            fingerprints.windows(2).all(|w| w[0] != w[1]),
+            "{label}: a fingerprint was billed twice"
+        );
+        assert_eq!(fingerprints, oracle, "{label}");
+        std::fs::remove_file(journal_at(n)).ok();
+    }
+}
+
+#[test]
+fn every_kill_point_resumes_bit_identically_and_bills_once() {
+    let ds = dataset_by_name("Adult", KILL_SCALE, 0).unwrap();
+    assert_every_kill_point_resumes(&ds, None);
+}
+
+#[test]
+fn every_kill_point_in_two_batch_shards_resumes_bit_identically_and_bills_once() {
+    let ds = dataset_by_name("Adult", KILL_SCALE, 0).unwrap();
+    assert_every_kill_point_resumes(&ds, Some(2));
 }

@@ -1,8 +1,11 @@
 //! Live ops plane tests over the shipped job handler
 //! (`cli::commands::serve::dataset_handler`): windowed metrics and SLO
-//! alert timelines must be bit-identical across worker counts and repeat
-//! runs, the daemon's `health` op must report them over TCP, and a paging
-//! alert must leave a parseable flight-recorder postmortem behind.
+//! alert timelines under a breach-inducing workload (latency spikes
+//! against a tight latency-p95 objective) must reach paging and be
+//! bit-identical across worker counts and repeat runs, the daemon's
+//! `health` op must report them over TCP, a paging alert must leave a
+//! parseable flight-recorder postmortem behind, and SLO transitions must
+//! round-trip through JSONL.
 
 use std::io::BufReader;
 use std::net::TcpStream;

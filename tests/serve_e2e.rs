@@ -1,21 +1,29 @@
 //! End-to-end serving tests over the shipped job handler
 //! (`cli::commands::serve::dataset_handler`): a live multi-tenant daemon
-//! over TCP, with concurrent tenants proven bit-identical to their
-//! one-shot runs, a budget-tripped tenant isolated from the others, kill +
-//! resume with exactly-once billing through per-job journals (one per
-//! tenant and key), and rejected submits (absurd sizes and retry budgets,
-//! malformed cascades, journals of another workload) answered with an
-//! error while the daemon keeps serving.
+//! over TCP, with concurrent tenants (one under injected faults) proven
+//! bit-identical to their one-shot runs and billing exactly their one-shot
+//! tokens, a budget-tripped tenant isolated from the others, ledger rows
+//! and per-tenant Prometheus series matching the replies, kill + resume
+//! with exactly-once billing through per-job journals (one per tenant and
+//! key), overload protection (a storm shed at no cost, deadlines, a drain
+//! into journals that resume bit-identically), and rejected submits
+//! (absurd sizes and retry budgets, malformed cascades, journals of
+//! another workload) answered with an error while the daemon keeps
+//! serving; every daemon shuts down cleanly.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use llm_data_preprocessors::cli::commands::serve::{dataset_handler, HandlerDefaults};
-use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobScheduler};
-use llm_data_preprocessors::core::{ExecutionOptions, JobHandler, TenantLedger};
-use llm_data_preprocessors::obs::Json;
+use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobGrant, JobScheduler, ShardGate};
+use llm_data_preprocessors::core::{
+    ExecutionOptions, JobHandler, JobOutcome, KillSwitch, OverloadPolicy, TenantLedger,
+};
+use llm_data_preprocessors::obs::{AuditTracer, DurableJournal, Json, TerminalKind, Tracer};
 
 const SEED: u64 = 11;
 
@@ -54,27 +62,40 @@ fn op(name: &str) -> Json {
     Json::Obj(vec![("op".to_string(), Json::Str(name.to_string()))])
 }
 
-/// One-shot reference through the same handler under an idle scheduler.
-fn reference(handler: &Arc<JobHandler>, tenant: &str, dataset: &str) -> (String, usize) {
+/// One-shot run of `body` through the same handler under an idle
+/// scheduler, with the deadline a submit's `deadline_ms` would set.
+fn one_shot(handler: &Arc<JobHandler>, body: &Json, deadline_secs: Option<f64>) -> JobOutcome {
     let scheduler = JobScheduler::new(TenantLedger::new());
-    let body = submit_body(tenant, dataset, vec![]);
+    let options = ExecutionOptions {
+        workers: 2,
+        deadline_secs,
+        ..ExecutionOptions::default()
+    };
+    let tenant = str_field(body, "tenant");
     let (_, outcome) = scheduler
-        .run_job(
-            tenant,
-            ExecutionOptions {
-                workers: 2,
-                ..ExecutionOptions::default()
-            },
-            |grant| handler(&body, grant),
-        )
+        .run_job(&tenant, options, |grant| handler(body, grant))
         .expect("reference run");
-    let fp = outcome
-        .reply
-        .iter()
-        .find(|(k, _)| k == "fingerprint")
-        .and_then(|(_, v)| v.as_str().map(str::to_string))
-        .expect("reference fingerprint");
-    (fp, outcome.tokens_billed)
+    outcome
+}
+
+/// The fingerprint and billed tokens of `outcome`'s reply.
+fn billed(outcome: &JobOutcome) -> (String, usize) {
+    let reply = Json::Obj(outcome.reply.to_vec());
+    (str_field(&reply, "fingerprint"), outcome.tokens_billed)
+}
+
+/// One-shot reference through the same handler under an idle scheduler.
+fn reference(
+    handler: &Arc<JobHandler>,
+    tenant: &str,
+    dataset: &str,
+    extra: Vec<(&str, Json)>,
+) -> (String, usize) {
+    billed(&one_shot(
+        handler,
+        &submit_body(tenant, dataset, extra),
+        None,
+    ))
 }
 
 fn submit(addr: std::net::SocketAddr, request: &Json) -> Json {
@@ -98,16 +119,21 @@ fn num_field(reply: &Json, key: &str) -> usize {
         .unwrap_or_else(|| panic!("reply has no {key:?}: {}", reply.to_json()))
 }
 
-/// The ledger row of `tenant` in a `stats` reply.
-fn ledger_row(stats: &Json, tenant: &str) -> Json {
+/// The tenants' rows of a `stats` reply.
+fn ledger_rows(stats: &Json) -> &[Json] {
     match stats.get("tenants") {
-        Some(Json::Arr(rows)) => rows
-            .iter()
-            .find(|r| r.get("tenant").and_then(Json::as_str) == Some(tenant))
-            .unwrap_or_else(|| panic!("no ledger row for {tenant}"))
-            .clone(),
+        Some(Json::Arr(rows)) => rows,
         _ => panic!("stats has no tenants: {}", stats.to_json()),
     }
+}
+
+/// The ledger row of `tenant` in a `stats` reply.
+fn ledger_row(stats: &Json, tenant: &str) -> Json {
+    ledger_rows(stats)
+        .iter()
+        .find(|r| r.get("tenant").and_then(Json::as_str) == Some(tenant))
+        .unwrap_or_else(|| panic!("no ledger row for {tenant}"))
+        .clone()
 }
 
 /// Asserts `reply` is an error whose text contains `needle`.
@@ -125,6 +151,34 @@ fn assert_rejected(reply: &Json, needle: &str) {
     );
 }
 
+/// Runs a daemon over `handler` and `scheduler` and hands its address to
+/// `body`, which must close the daemon (a shutdown or a drain); the
+/// daemon must then exit cleanly. When `body` panics the daemon is shut
+/// down anyway, or the scope would wait on the serving thread forever
+/// instead of failing.
+fn with_daemon_over(
+    handler: Arc<JobHandler>,
+    scheduler: JobScheduler,
+    body: impl FnOnce(std::net::SocketAddr),
+) {
+    let daemon = Daemon::bind("127.0.0.1:0", scheduler, handler).expect("bind");
+    let addr = daemon.local_addr();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| daemon.run());
+        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr)));
+        if let Err(panic) = checked {
+            // No wait for the reply: a daemon that closed itself after a
+            // drain still holds its socket but answers nothing.
+            if let Ok(mut stream) = TcpStream::connect(addr) {
+                stream.write_all(b"{\"op\":\"shutdown\"}\n").ok();
+            }
+            server.join().ok();
+            std::panic::resume_unwind(panic);
+        }
+        server.join().unwrap().expect("daemon exits cleanly");
+    });
+}
+
 /// Runs a daemon over `handler` and `ledger`, hands its address to
 /// `body`, then proves the daemon still serves (a ping pongs and a normal
 /// submit runs) and shuts it down cleanly.
@@ -133,53 +187,43 @@ fn with_daemon(
     ledger: TenantLedger,
     body: impl FnOnce(std::net::SocketAddr),
 ) {
-    let daemon = Daemon::bind("127.0.0.1:0", JobScheduler::new(ledger), handler).expect("bind");
-    let addr = daemon.local_addr();
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| daemon.run());
-        // Shut the daemon down even when an assertion fails, or the scope
-        // would wait on the serving thread forever instead of failing.
-        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            body(addr);
-            let pong = submit(addr, &op("ping"));
-            assert_eq!(
-                pong.get("pong"),
-                Some(&Json::Bool(true)),
-                "{}",
-                pong.to_json()
-            );
-            let normal = submit(addr, &submit_body("t", "Restaurant", vec![]));
-            assert_eq!(
-                normal.get("ok"),
-                Some(&Json::Bool(true)),
-                "{}",
-                normal.to_json()
-            );
-        }));
+    with_daemon_over(handler, JobScheduler::new(ledger), |addr| {
+        body(addr);
+        let pong = submit(addr, &op("ping"));
+        assert_eq!(
+            pong.get("pong"),
+            Some(&Json::Bool(true)),
+            "{}",
+            pong.to_json()
+        );
+        let normal = submit(addr, &submit_body("t", "Restaurant", vec![]));
+        assert_eq!(
+            normal.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            normal.to_json()
+        );
         submit(addr, &op("shutdown"));
-        server.join().unwrap().expect("daemon exits cleanly");
-        if let Err(panic) = checked {
-            std::panic::resume_unwind(panic);
-        }
     });
 }
 
-/// Three tenants in flight at once — one of them budget-tripped — and the
-/// untripped tenants' results are byte-identical to their one-shot runs,
-/// billing exactly their one-shot tokens; the ledger and the Prometheus
-/// exposition agree with every reply.
+/// Three tenants in flight at once — one under `partial-batch` faults, one
+/// budget-tripped — and the untripped tenants' results are byte-identical
+/// to their one-shot runs, billing exactly their one-shot tokens; the
+/// ledger and the Prometheus exposition agree with every reply.
 #[test]
 fn concurrent_tenants_stay_bit_identical_and_trips_stay_isolated() {
     let handler = handler(None);
-    let (fast_fp, fast_tokens) = reference(&handler, "fast", "Restaurant");
-    let (slow_fp, slow_tokens) = reference(&handler, "slow", "Adult");
+    let faulted = || vec![("scenario", Json::Str("partial-batch".to_string()))];
+    let (fast_fp, fast_tokens) = reference(&handler, "fast", "Restaurant", faulted());
+    let (slow_fp, slow_tokens) = reference(&handler, "slow", "Adult", vec![]);
 
     let ledger = TenantLedger::new();
     // Enough budget to start, not enough to finish.
     ledger.set_budget("capped", Some(slow_tokens / 2));
     with_daemon(handler, ledger, |addr| {
         let (fast, slow, capped) = std::thread::scope(|jobs| {
-            let a = jobs.spawn(|| submit(addr, &submit_body("fast", "Restaurant", vec![])));
+            let a = jobs.spawn(|| submit(addr, &submit_body("fast", "Restaurant", faulted())));
             let b = jobs.spawn(|| submit(addr, &submit_body("slow", "Adult", vec![])));
             let c = jobs.spawn(|| submit(addr, &submit_body("capped", "Adult", vec![])));
             (a.join().unwrap(), b.join().unwrap(), c.join().unwrap())
@@ -238,17 +282,28 @@ fn killed_job_resumes_with_exactly_once_billing() {
     let dir = temp_dir("kill");
     std::fs::create_dir_all(&dir).expect("journal dir");
     let handler = handler(Some(dir.clone()));
-    let (fp, tokens) = reference(&handler, "t", "Adult");
-    with_daemon(handler, TenantLedger::new(), |addr| {
+    let (fp, tokens) = reference(&handler, "t", "Adult", vec![]);
+    // The first job's halt fires after its second journaled terminal, where
+    // a crash there would have stopped it.
+    let first = AtomicBool::new(true);
+    let killing: Arc<JobHandler> = Arc::new(move |body: &Json, grant: &JobGrant| {
+        if !first.swap(false, Ordering::Relaxed) {
+            return handler(body, grant);
+        }
+        let grant = JobGrant {
+            halt: KillSwitch::after(2),
+            gate: Arc::clone(&grant.gate),
+            ..*grant
+        };
+        handler(body, &grant)
+    });
+    with_daemon(killing, TenantLedger::new(), |addr| {
         let killed = submit(
             addr,
             &submit_body(
                 "t",
                 "Adult",
-                vec![
-                    ("journal_key", Json::Str("job1".to_string())),
-                    ("kill_after", Json::Num(2.0)),
-                ],
+                vec![("journal_key", Json::Str("job1".to_string()))],
             ),
         );
         assert_eq!(
@@ -289,6 +344,237 @@ fn killed_job_resumes_with_exactly_once_billing() {
         );
         assert_eq!(num_field(&t, "jobs_completed"), 2);
     });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job's shard gate that parks the job at its second turn, before
+/// taking it, until `go` closes, and first tells `parked` it got there.
+struct ParkAtSecondTurn {
+    inner: Arc<dyn ShardGate>,
+    turns: AtomicUsize,
+    parked: mpsc::Sender<()>,
+    go: Arc<Mutex<mpsc::Receiver<()>>>,
+}
+
+impl ShardGate for ParkAtSecondTurn {
+    fn acquire(&self) {
+        if self.turns.fetch_add(1, Ordering::Relaxed) == 1 {
+            self.parked.send(()).ok();
+            self.go.lock().expect("go lock").recv().ok();
+        }
+        self.inner.acquire();
+    }
+
+    fn release(&self) {
+        self.inner.release();
+    }
+}
+
+/// Overload protection through the shipped handler, with an
+/// `AuditTracer` on every scheduler:
+/// 1. a 16-submit storm at 4× the capacity of `max_inflight 2, max_queued
+///    2, tenant_inflight 1`: admitted jobs match their one-shot run, the
+///    rest shed as `overloaded` with a `retry_after` hint;
+/// 2. shed jobs bill zero: the ledger bills what the admitted replies
+///    bill, and its `jobs_shed` counts every shed;
+/// 3. a 1 s deadline trips into the one-shot run's partials under that
+///    deadline, and a 0 ms one sheds as `deadline`;
+/// 4. a drain while two journaled jobs hold their slots, each after its
+///    first shard, checkpoints both mid-run, sheds a late submit as
+///    `draining`, and the daemon closes by itself;
+/// 5. the journals resume at workers 1, 2 and 4 on a fresh daemon,
+///    bit-identical to the uninterrupted run, billed once, and with no
+///    fingerprint journaled twice.
+#[test]
+fn overload_sheds_at_no_cost_and_drains_into_resumable_journals() {
+    let dir = temp_dir("overload");
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    let handler = handler(Some(dir.clone()));
+    let (storm_fp, storm_tokens) = reference(&handler, "storm", "Restaurant", vec![]);
+    let tight = one_shot(
+        &handler,
+        &submit_body("tight", "Restaurant", vec![]),
+        Some(1.0),
+    );
+    assert!(tight.budget_tripped, "the 1 s deadline never tripped");
+    let adult = || vec![("scale", Json::Num(0.2))];
+    let resumable = reference(&handler, "resume", "Adult", adult());
+    let audited = |policy: OverloadPolicy| {
+        let audit = Arc::new(AuditTracer::new());
+        let scheduler = JobScheduler::new(TenantLedger::new())
+            .with_policy(policy)
+            .with_tracer(Arc::clone(&audit) as Arc<dyn Tracer>);
+        (scheduler, audit)
+    };
+
+    let (scheduler, audit) = audited(OverloadPolicy {
+        max_inflight: Some(2),
+        max_queued: Some(2),
+        tenant_inflight: Some(1),
+        default_deadline_secs: None,
+    });
+    with_daemon_over(Arc::clone(&handler), scheduler, |addr| {
+        let timed: Vec<(Json, Duration)> = std::thread::scope(|clients| {
+            let storm: Vec<_> = (0..16)
+                .map(|i| {
+                    let body = submit_body(&format!("storm-{}", i % 4), "Restaurant", vec![]);
+                    clients.spawn(move || {
+                        let started = Instant::now();
+                        (submit(addr, &body), started.elapsed())
+                    })
+                })
+                .collect();
+            storm.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let (admitted, shed): (Vec<_>, Vec<_>) = timed
+            .iter()
+            .partition(|(r, _)| r.get("ok") == Some(&Json::Bool(true)));
+        assert!(admitted.len() >= 2 && !shed.is_empty(), "{timed:?}");
+        // Shedding at admission keeps the excess out of the admitted jobs'
+        // way, so their p95 wall time stays bounded under the storm.
+        let mut walls: Vec<Duration> = admitted.iter().map(|(_, wall)| *wall).collect();
+        walls.sort_unstable();
+        let p95 = walls[(walls.len() * 95).div_ceil(100) - 1];
+        assert!(p95 <= Duration::from_secs(120), "admitted p95 {p95:?}");
+        for (reply, _) in &admitted {
+            assert_eq!(str_field(reply, "fingerprint"), storm_fp);
+            assert_eq!(num_field(reply, "tokens_billed"), storm_tokens);
+        }
+        for (reply, _) in &shed {
+            assert_eq!(str_field(reply, "rejected"), "overloaded");
+            let retry_after = reply.get("retry_after").and_then(Json::as_f64);
+            assert!(retry_after > Some(0.0), "{}", reply.to_json());
+        }
+
+        let stats = submit(addr, &op("stats"));
+        let total = |key: &str| -> usize {
+            ledger_rows(&stats)
+                .iter()
+                .map(|row| num_field(row, key))
+                .sum()
+        };
+        assert_eq!(total("tokens_billed"), admitted.len() * storm_tokens);
+        assert_eq!(total("jobs_shed"), shed.len());
+
+        let deadline =
+            |ms: f64| submit_body("tight", "Restaurant", vec![("deadline_ms", Json::Num(ms))]);
+        let tripped = submit(addr, &deadline(1000.0));
+        assert_eq!(tripped.get("budget_tripped"), Some(&Json::Bool(true)));
+        assert_eq!(
+            (
+                str_field(&tripped, "fingerprint"),
+                num_field(&tripped, "tokens_billed")
+            ),
+            billed(&tight)
+        );
+        assert_eq!(
+            str_field(&submit(addr, &deadline(0.0)), "rejected"),
+            "deadline"
+        );
+        submit(addr, &op("shutdown"));
+    });
+    audit.assert_clean();
+
+    let journaled = [("ja", "drain-a"), ("jb", "drain-b")];
+    let keyed = |tenant: &str, key: &str| {
+        let key = ("journal_key", Json::Str(key.to_string()));
+        submit_body(tenant, "Adult", [adult(), vec![key]].concat())
+    };
+    // The journaled jobs park at their second shard turn, holding their
+    // slots with a shard journaled, until `go` drops: after the drain has
+    // fired their halts, or when an assertion fails first, so a failure
+    // never leaves them waiting.
+    let (go, go_rx) = mpsc::channel::<()>();
+    let go_rx = Arc::new(Mutex::new(go_rx));
+    let (parked_tx, parked) = mpsc::channel::<()>();
+    let gated: Arc<JobHandler> = {
+        let handler = Arc::clone(&handler);
+        Arc::new(move |body: &Json, grant: &JobGrant| {
+            let gate = Arc::new(ParkAtSecondTurn {
+                inner: Arc::clone(&grant.gate),
+                turns: AtomicUsize::new(0),
+                parked: parked_tx.clone(),
+                go: Arc::clone(&go_rx),
+            });
+            let halt = grant.halt.clone();
+            handler(
+                body,
+                &JobGrant {
+                    gate,
+                    halt,
+                    ..*grant
+                },
+            )
+        })
+    };
+    let journal_of = |tenant: &str, key: &str| dir.join(format!("{tenant}-{key}.jsonl"));
+    let (scheduler, audit) = audited(OverloadPolicy::default());
+    with_daemon_over(gated, scheduler, |addr| {
+        std::thread::scope(|clients| {
+            let jobs: Vec<_> = journaled
+                .iter()
+                .map(|&(tenant, key)| clients.spawn(move || submit(addr, &keyed(tenant, key))))
+                .collect();
+            for _ in &journaled {
+                let wait = parked.recv_timeout(Duration::from_secs(30));
+                assert!(wait.is_ok(), "a job never reached its second shard");
+            }
+            assert_eq!(str_field(&submit(addr, &op("drain")), "state"), "draining");
+            let late = submit(addr, &submit_body("late", "Restaurant", vec![]));
+            assert_eq!(str_field(&late, "rejected"), "draining");
+            drop(go);
+            for job in jobs {
+                let reply = job.join().unwrap();
+                assert_eq!(
+                    reply.get("ok"),
+                    Some(&Json::Bool(true)),
+                    "{}",
+                    reply.to_json()
+                );
+                assert_eq!(
+                    reply.get("killed"),
+                    Some(&Json::Bool(true)),
+                    "not checkpointed"
+                );
+            }
+        });
+    });
+    audit.assert_clean();
+    // The drain landed mid-run: each checkpoint holds a whole shard and more.
+    for (tenant, key) in journaled {
+        let journal = DurableJournal::resume(journal_of(tenant, key)).expect("a journal");
+        let entries = journal.entries.len();
+        assert!(entries > 2, "{tenant}: checkpointed {entries} entries");
+    }
+
+    let (scheduler, audit) = audited(OverloadPolicy::default());
+    with_daemon_over(Arc::clone(&handler), scheduler, |addr| {
+        for (tenant, key) in journaled {
+            for workers in [1.0, 2.0, 4.0] {
+                let body = with_field(keyed(tenant, key), "workers", Json::Num(workers));
+                let resumed = submit(addr, &body);
+                let label = format!("{tenant} at workers {workers}");
+                assert_eq!(str_field(&resumed, "journal"), "resumed", "{label}");
+                let reply = (
+                    str_field(&resumed, "fingerprint"),
+                    num_field(&resumed, "tokens_billed"),
+                );
+                assert_eq!(reply, resumable, "{label}");
+            }
+            let journal = DurableJournal::resume(journal_of(tenant, key));
+            let mut fingerprints: Vec<u64> = journal
+                .expect("a journal")
+                .entries
+                .iter()
+                .filter(|e| e.kind == TerminalKind::Completed)
+                .map(|e| e.fingerprint)
+                .collect();
+            fingerprints.sort_unstable();
+            assert!(fingerprints.windows(2).all(|w| w[0] != w[1]), "{tenant}");
+        }
+        submit(addr, &op("shutdown"));
+    });
+    audit.assert_clean();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -438,7 +724,6 @@ fn malformed_integer_fields_are_refused_and_bill_nothing() {
         ("workers", Json::Num(0.5)),
         ("seed", Json::Num(-1.0)),
         ("plan_shard_size", text("4")),
-        ("kill_after", Json::Null),
     ];
     with_daemon(handler(None), TenantLedger::new(), |addr| {
         for (key, value) in cases {
