@@ -365,6 +365,8 @@ pub fn print_usage_footer(usage: &dprep_llm::UsageTotals, stats: Option<&ExecSta
 }
 
 /// Resolves the attribute list for `--attrs` (default: every attribute).
+/// Refuses a name the table lacks, and a name given twice, which would
+/// check, bill and print each of its cells twice.
 pub fn attrs_for(flags: &Flags, table: &Table) -> Result<Vec<String>, String> {
     match flags.get("attrs") {
         None => Ok(table
@@ -381,6 +383,9 @@ pub fn attrs_for(flags: &Flags, table: &Table) -> Result<Vec<String>, String> {
                         "attribute {name:?} not in the table (has: {})",
                         table.schema().names().join(", ")
                     ));
+                }
+                if out.iter().any(|seen| seen == name) {
+                    return Err(format!("--attrs names {name:?} twice"));
                 }
                 out.push(name.to_string());
             }
@@ -406,6 +411,17 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         flags.set("plan-shard-size", "64");
         assert_eq!(serving_from_flags(&flags).unwrap().plan_shard, Some(64));
+    }
+
+    #[test]
+    fn attrs_refuses_a_name_given_twice() {
+        let table = dprep_tabular::csv::read_csv_typed("name,city\nann,boston\n").unwrap();
+        let mut flags = Flags::default();
+        flags.set("attrs", "city,name, city");
+        let err = attrs_for(&flags, &table).unwrap_err();
+        assert_eq!(err, "--attrs names \"city\" twice");
+        flags.set("attrs", "city,name");
+        assert_eq!(attrs_for(&flags, &table).unwrap(), ["city", "name"]);
     }
 
     #[test]

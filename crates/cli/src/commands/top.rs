@@ -85,6 +85,10 @@ fn backoff_delay(attempt: usize) -> std::time::Duration {
     std::time::Duration::from_millis(millis.min(8_000))
 }
 
+/// How long one `health` poll waits for its reply: a daemon that accepts
+/// the connection but never answers fails the poll instead of hanging it.
+const HEALTH_DEADLINE: std::time::Duration = std::time::Duration::from_secs(5);
+
 /// One `health` round trip against the daemon.
 fn poll(host: &str, port: u16) -> Result<Json, String> {
     let mut stream = TcpStream::connect((host, port))
@@ -98,6 +102,7 @@ fn poll(host: &str, port: u16) -> Result<Json, String> {
         &mut stream,
         &mut reader,
         &Json::Obj(vec![("op".to_string(), Json::Str("health".to_string()))]),
+        HEALTH_DEADLINE,
     )?;
     if reply.get("ok") != Some(&Json::Bool(true)) {
         return Err(format!("health op failed: {}", reply.to_json()));

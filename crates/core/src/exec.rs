@@ -6,8 +6,8 @@
 //! the plan in shards; an [`ExecutionPlan`] is the same survey with the
 //! whole plan as its one shard, surveyed before the run. Both run through
 //! the same loop: for each shard, [`Executor`] dispatches the shard's
-//! unique requests across `N` worker threads (`std::thread::scope`,
-//! work-stealing off an atomic cursor), folds their terminals into the
+//! unique requests across `N` worker threads (the calling thread and
+//! `N - 1` scoped ones, work-stealing off an atomic cursor), folds their terminals into the
 //! ledger in plan order, then parses the shard's batches in plan order.
 //! After the last shard, the degradation ladder re-asks what the parse
 //! left unanswered through the same send and fold, on the calling thread.
@@ -15,8 +15,9 @@
 //! The work beside each model call happens on the worker that makes it:
 //! the worker builds the request (around the body the survey kept, or one
 //! it renders), sends it, parses the completion into per-position answers,
-//! and drops the request. The plan-order fold and parse loop then only
-//! bill and move answers into predictions.
+//! each shrunk to what the run's [`PredictionSink`] keeps of it, and drops
+//! the request. The plan-order fold and parse loop then only bill and move
+//! answers into the sink, which takes each instance's outcome once.
 //!
 //! Because batch membership, request payloads, and deduplication are all
 //! fixed by the survey before the first dispatch, and aggregation walks
@@ -39,10 +40,12 @@ use dprep_obs::{
     DurableJournal, JournalEntry, MetricsRecorder, NullTracer, ResumedJournal, RouteLegRecord,
     TerminalKind, TraceEvent, Tracer,
 };
-use dprep_prompt::{build_request, parse_batch, BatchAnswers, FewShotExample, TaskInstance};
+use dprep_prompt::{
+    build_request, parse_batch_with, BatchAnswers, FewShotExample, InstanceSource, TaskInstance,
+};
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{FailureKind, Prediction, RunResult};
+use crate::pipeline::{unanswered, FailureKind, PredictionSink, RunResult};
 use crate::serve::ShardGate;
 use crate::stream::{PlanShard, PlanStream, RenderScratch};
 
@@ -556,8 +559,9 @@ impl Executor {
 
     /// Runs the plan against `model`.
     ///
-    /// With `workers > 1`, requests are claimed off an atomic cursor by
-    /// scoped threads; each response lands in its plan slot, and all
+    /// With `workers > 1`, requests are claimed off an atomic cursor by the
+    /// calling thread and scoped threads; each response lands in its plan
+    /// slot, and all
     /// aggregation (usage totals, counters, per-instance predictions)
     /// happens afterwards in plan order — so the result is bit-identical to
     /// a serial run: every total, counter, the metrics snapshot and the
@@ -593,7 +597,12 @@ impl Executor {
         model: &M,
         plan: &ExecutionPlan<'_>,
     ) -> Result<RunResult, String> {
-        self.run_shards(model, Shards::Plan(&plan.survey, Some(&plan.shard)))
+        let predictions = unanswered(plan.survey.n_instances());
+        self.run_shards(
+            model,
+            Shards::Plan(&plan.survey, Some(&plan.shard)),
+            predictions,
+        )
     }
 
     /// [`try_run`](Self::try_run) over a streaming plan: consumes `stream`
@@ -605,6 +614,9 @@ impl Executor {
     /// body the survey kept, in later shards around a body the worker
     /// renders. The worker also parses the completion, so the plan-order
     /// fold and parse only bill and move answers.
+    ///
+    /// The calling thread is one of the workers, as in the survey: a shard
+    /// of `N` workers spawns `N - 1` threads.
     ///
     /// **Shard size.** Predictions, usage totals, serving counters, the
     /// metrics snapshot and the journal bytes are the same at every shard
@@ -621,8 +633,8 @@ impl Executor {
     /// the end with wall-clock totals across every shard: `plan` and
     /// `prompt-build` are the survey's (plus the shard bookkeeping),
     /// `dispatch` holds the workers' renders, model calls and parses, and
-    /// `parse` the plan-order loop that moves answers into predictions
-    /// (and parses what settlement replaced) and the ladder. Their
+    /// `parse` the plan-order loop that moves answers into the sink (and
+    /// parses what settlement replaced) and the ladder. Their
     /// `vt_secs` split the billed latency: `dispatch` holds the primary
     /// requests' and `parse` the ladder's, so the four sum to
     /// `usage.latency_secs`.
@@ -631,18 +643,35 @@ impl Executor {
         model: &M,
         stream: &mut PlanStream<'_>,
     ) -> Result<RunResult, String> {
-        self.run_shards(model, Shards::Stream(stream))
+        let predictions = unanswered(stream.n_instances());
+        self.try_run_stream_into(model, stream, predictions)
+    }
+
+    /// [`try_run_stream`](Self::try_run_stream), handing each instance's
+    /// outcome to `sink` instead of a vector of predictions (see
+    /// [`PredictionSink`]); the result carries the sink. The sink starts
+    /// with every instance at its default, which a run a kill switch
+    /// stopped leaves in place for the instances it never reached.
+    pub fn try_run_stream_into<M: ChatModel + ?Sized, K: PredictionSink>(
+        &self,
+        model: &M,
+        stream: &mut PlanStream<'_>,
+        sink: K,
+    ) -> Result<RunResult<K>, String> {
+        self.run_shards(model, Shards::Stream(stream), sink)
     }
 
     /// The run loop behind [`try_run`](Self::try_run) and
-    /// [`try_run_stream`](Self::try_run_stream): per shard, dispatch its
-    /// unique requests, fold every terminal in plan order, then parse every
-    /// batch in plan order; after the last shard, run the ladder.
-    fn run_shards<M: ChatModel + ?Sized>(
+    /// [`try_run_stream_into`](Self::try_run_stream_into): per shard,
+    /// dispatch its unique requests, fold every terminal in plan order,
+    /// then parse every batch in plan order into `sink`; after the last
+    /// shard, run the ladder.
+    fn run_shards<M: ChatModel + ?Sized, K: PredictionSink>(
         &self,
         model: &M,
         mut shards: Shards<'_, '_>,
-    ) -> Result<RunResult, String> {
+        sink: K,
+    ) -> Result<RunResult<K>, String> {
         let survey = shards.survey();
         let plan_fp = survey.fingerprint();
         let n_instances = survey.n_instances();
@@ -690,7 +719,7 @@ impl Executor {
             requests: n_requests,
         });
 
-        let mut predictions = vec![Prediction::Failed(FailureKind::SkippedAnswer); n_instances];
+        let mut outcomes = Outcomes { sink, answered: 0 };
         let mut ledger = Ledger {
             usage: UsageTotals::default(),
             stats: ExecStats {
@@ -704,9 +733,11 @@ impl Executor {
         };
         let mut request_cancelled = vec![false; n_requests];
         let mut batch_seen = vec![false; n_requests];
-        // Responses that a batch in a not-yet-parsed shard still references;
-        // bounded by how far dedup reaches across shards, not by plan size.
-        let mut live: HashMap<usize, DispatchedResponse> = HashMap::new();
+        // Responses of earlier shards that a batch in a not-yet-parsed shard
+        // still references; bounded by how far dedup reaches across shards,
+        // not by plan size. A shard's own responses stay in its dispatch
+        // order until the shard is parsed.
+        let mut live: HashMap<usize, DispatchedResponse<K::Answer>> = HashMap::new();
         // One virtual clock per thread a shard can use, persisting across
         // shards, so the virtual-time span layout matches one uninterrupted
         // dispatch of the whole plan. No shard spawns more threads than the
@@ -748,10 +779,11 @@ impl Executor {
             }
 
             let dispatch_started = std::time::Instant::now();
-            let dispatched = self.dispatch_slice(
+            let mut dispatched = self.dispatch_slice(
                 model,
                 survey,
                 &shard,
+                &outcomes.sink,
                 base_id + shard.first_request as u64,
                 &mut clocks,
             );
@@ -762,20 +794,17 @@ impl Executor {
             // run that missed already paid for the attempt this response
             // replays.
             let vt_before_fold = ledger.usage.latency_secs;
-            for (i, mut d) in dispatched.into_iter().enumerate() {
+            for (i, d) in dispatched.iter_mut().enumerate() {
                 let g = shard.first_request + i;
                 let (cancelled, fired) = self.fold_terminal(
                     model,
                     base_id + g as u64,
                     shard.fingerprints[i],
-                    &mut d,
+                    d,
                     &mut ledger,
                     &emit,
                 )?;
                 request_cancelled[g] = cancelled;
-                if !cancelled {
-                    live.insert(g, d);
-                }
                 if fired {
                     killed = true;
                     break;
@@ -799,9 +828,11 @@ impl Executor {
                 // The last batch a response serves takes its answers; an
                 // earlier one, served by dedup, copies them.
                 let last_use = survey.last_batch_of(g) == shard.first_batch + offset;
-                let d = (!request_cancelled[g]).then(|| {
-                    live.get_mut(&g)
-                        .expect("response retained until its last referencing batch")
+                let d = (!request_cancelled[g]).then(|| match g.checked_sub(shard.first_request) {
+                    Some(i) => &mut dispatched[i],
+                    None => live
+                        .get_mut(&g)
+                        .expect("response retained until its last referencing batch"),
                 });
                 self.parse_one_batch(
                     model,
@@ -810,7 +841,7 @@ impl Executor {
                     d,
                     last_use,
                     survey.reasoning(),
-                    &mut predictions,
+                    &mut outcomes,
                     &mut ladder,
                     &emit,
                 );
@@ -825,7 +856,7 @@ impl Executor {
                     survey,
                     std::mem::take(&mut ladder),
                     &mut ledger,
-                    &mut predictions,
+                    &mut outcomes,
                     &emit,
                 )?;
                 ladder_vt_secs = ledger.usage.latency_secs - vt_before_ladder;
@@ -835,16 +866,21 @@ impl Executor {
                 break;
             }
 
-            // Drop responses no later batch references: `frontier` is the
-            // first batch of the next shard, so anything whose last use is
-            // behind it is done.
+            // Keep only responses a later batch references: `frontier` is
+            // the first batch of the next shard, so anything whose last use
+            // is behind it is done.
             let frontier = shard.first_batch + shard.batches.len();
             live.retain(|&g, _| survey.last_batch_of(g) >= frontier);
+            for (g, d) in (shard.first_request..).zip(dispatched) {
+                if !request_cancelled[g] && survey.last_batch_of(g) >= frontier {
+                    live.insert(g, d);
+                }
+            }
         }
 
         if killed {
             return Ok(RunResult {
-                predictions,
+                predictions: outcomes.sink,
                 usage: ledger.usage,
                 stats: ledger.stats,
                 metrics: recorder.snapshot(),
@@ -905,7 +941,7 @@ impl Executor {
             });
         }
 
-        let answered = predictions.iter().filter(|p| p.failure().is_none()).count();
+        let answered = outcomes.answered;
         emit(TraceEvent::RunFinished {
             run: run_id,
             instances: n_instances,
@@ -921,7 +957,7 @@ impl Executor {
         });
 
         Ok(RunResult {
-            predictions,
+            predictions: outcomes.sink,
             usage,
             stats,
             metrics: recorder.snapshot(),
@@ -957,12 +993,12 @@ impl Executor {
     ///
     /// Returns `(cancelled, killed)`; `killed` means an armed kill switch
     /// fired on this terminal and the run must return its partial result.
-    fn fold_terminal<M: ChatModel + ?Sized>(
+    fn fold_terminal<M: ChatModel + ?Sized, A>(
         &self,
         model: &M,
         request_id: u64,
         fingerprint: u64,
-        d: &mut DispatchedResponse,
+        d: &mut DispatchedResponse<A>,
         ledger: &mut Ledger,
         emit: &dyn Fn(TraceEvent),
     ) -> Result<(bool, bool), String> {
@@ -1106,53 +1142,49 @@ impl Executor {
         Ok((false, killed))
     }
 
-    /// Turns one batch's response into predictions: answered instances get
-    /// their extracted answers, misses are classified (or queued for the
-    /// degradation ladder when enabled), and a batch whose request was
-    /// budget-cancelled (`d` is `None`) fails wholesale. The worker parsed
-    /// the response already, unless settlement replaced it; then it is
-    /// parsed here, once. The answers move into the predictions at the
-    /// response's `last_use` and are copied before it.
+    /// Turns one batch's response into outcomes: answered instances get
+    /// their answers, misses are classified (or queued for the degradation
+    /// ladder when enabled), and a batch whose request was budget-cancelled
+    /// (`d` is `None`) fails wholesale. The worker parsed the response
+    /// already, keeping what the sink keeps of each answer, unless
+    /// settlement replaced it; then it is parsed here, once, the same way.
+    /// The answers move into the sink at the response's `last_use` and are
+    /// copied before it.
     #[allow(clippy::too_many_arguments)]
-    fn parse_one_batch<M: ChatModel + ?Sized>(
+    fn parse_one_batch<M: ChatModel + ?Sized, K: PredictionSink>(
         &self,
         model: &M,
         instance_indices: &[usize],
         request_id: u64,
-        d: Option<&mut DispatchedResponse>,
+        d: Option<&mut DispatchedResponse<K::Answer>>,
         last_use: bool,
         reasoning: bool,
-        predictions: &mut [Prediction],
+        outcomes: &mut Outcomes<K>,
         ladder: &mut Vec<MissedBatch>,
         emit: &dyn Fn(TraceEvent),
     ) {
         let Some(d) = d else {
             for &instance_idx in instance_indices {
-                emit(TraceEvent::Failed {
-                    request: request_id,
-                    instance: instance_idx,
-                    kind: FailureKind::BudgetExhausted.label(),
-                });
-                predictions[instance_idx] = Prediction::Failed(FailureKind::BudgetExhausted);
+                outcomes.failed(request_id, instance_idx, FailureKind::BudgetExhausted, emit);
             }
             return;
         };
+        let sink = &outcomes.sink;
         let parsed = d.answers.get_or_insert_with(|| {
-            parse_batch(&d.response.text, reasoning, instance_indices.len())
+            parse_batch_with(
+                &d.response.text,
+                reasoning,
+                instance_indices.len(),
+                |answer| sink.shrink(answer),
+            )
         });
         let nothing_parsed = parsed.nothing_parsed;
         let mut missed: Vec<usize> = Vec::new();
         for (position, &instance_idx) in instance_indices.iter().enumerate() {
             let slot = parsed.answers.get_mut(position);
-            let extracted = slot.and_then(|slot| if last_use { slot.take() } else { slot.clone() });
-            match extracted {
-                Some(extracted) => {
-                    emit(TraceEvent::Parsed {
-                        request: request_id,
-                        instance: instance_idx,
-                    });
-                    predictions[instance_idx] = Prediction::Answered(extracted);
-                }
+            let kept = slot.and_then(|slot| if last_use { slot.take() } else { slot.clone() });
+            match kept {
+                Some(answer) => outcomes.parsed(request_id, instance_idx, answer, emit),
                 None => missed.push(instance_idx),
             }
         }
@@ -1171,12 +1203,7 @@ impl Executor {
         }
         let kind = classify_miss(model, &d.response, nothing_parsed);
         for &instance_idx in &missed {
-            emit(TraceEvent::Failed {
-                request: request_id,
-                instance: instance_idx,
-                kind: kind.label(),
-            });
-            predictions[instance_idx] = Prediction::Failed(kind);
+            outcomes.failed(request_id, instance_idx, kind, emit);
         }
     }
 
@@ -1197,13 +1224,13 @@ impl Executor {
     ///
     /// [`send`]: Self::send
     /// [`fold_terminal`]: Self::fold_terminal
-    fn run_ladder<M: ChatModel + ?Sized>(
+    fn run_ladder<M: ChatModel + ?Sized, K: PredictionSink>(
         &self,
         model: &M,
         survey: &PlanStream<'_>,
         ladder: Vec<MissedBatch>,
         ledger: &mut Ledger,
-        predictions: &mut [Prediction],
+        outcomes: &mut Outcomes<K>,
         emit: &dyn Fn(TraceEvent),
     ) -> Result<bool, String> {
         let reasoning = survey.reasoning();
@@ -1216,21 +1243,17 @@ impl Executor {
                     // Never sent, so nothing to cancel: the group's
                     // instances fail as budget-exhausted.
                     for &instance_idx in &group {
-                        emit(TraceEvent::Failed {
-                            request: batch.request,
-                            instance: instance_idx,
-                            kind: FailureKind::BudgetExhausted.label(),
-                        });
-                        predictions[instance_idx] =
-                            Prediction::Failed(FailureKind::BudgetExhausted);
+                        outcomes.failed(
+                            batch.request,
+                            instance_idx,
+                            FailureKind::BudgetExhausted,
+                            emit,
+                        );
                     }
                     continue;
                 }
                 let sub_id = dprep_obs::reserve_request_ids(1);
-                let refs: Vec<&TaskInstance> =
-                    group.iter().map(|&i| &survey.instances()[i]).collect();
-                let (mut request, sections) = survey.context().build(&refs);
-                request.temperature = survey.temperature();
+                let (request, sections) = survey.group_request(&group);
                 let request = request.with_trace_id(sub_id);
                 let fingerprint = request_fingerprint(model, &request);
                 emit(TraceEvent::Planned {
@@ -1248,9 +1271,10 @@ impl Executor {
                     model,
                     request,
                     fingerprint,
-                    sections.as_array(),
+                    sections,
                     group.len(),
                     reasoning,
+                    &outcomes.sink,
                     batch.worker,
                     &mut clock,
                 );
@@ -1259,19 +1283,18 @@ impl Executor {
                 if killed {
                     return Ok(true);
                 }
-                let parsed = d
-                    .answers
-                    .get_or_insert_with(|| parse_batch(&d.response.text, reasoning, group.len()));
+                let sink = &outcomes.sink;
+                let parsed = d.answers.get_or_insert_with(|| {
+                    parse_batch_with(&d.response.text, reasoning, group.len(), |answer| {
+                        sink.shrink(answer)
+                    })
+                });
                 let mut still_missed: Vec<usize> = Vec::new();
-                for (&instance_idx, extracted) in group.iter().zip(&mut parsed.answers) {
-                    match extracted.take() {
-                        Some(extracted) => {
+                for (&instance_idx, kept) in group.iter().zip(&mut parsed.answers) {
+                    match kept.take() {
+                        Some(answer) => {
                             ledger.stats.split_recovered += 1;
-                            emit(TraceEvent::Parsed {
-                                request: sub_id,
-                                instance: instance_idx,
-                            });
-                            predictions[instance_idx] = Prediction::Answered(extracted);
+                            outcomes.parsed(sub_id, instance_idx, answer, emit);
                         }
                         None => still_missed.push(instance_idx),
                     }
@@ -1281,12 +1304,7 @@ impl Executor {
                 }
                 if group.len() == 1 {
                     let kind = classify_miss(model, &d.response, parsed.nothing_parsed);
-                    emit(TraceEvent::Failed {
-                        request: sub_id,
-                        instance: still_missed[0],
-                        kind: kind.label(),
-                    });
-                    predictions[still_missed[0]] = Prediction::Failed(kind);
+                    outcomes.failed(sub_id, still_missed[0], kind, emit);
                 } else {
                     requeue_misses(&mut queue, still_missed, group.len());
                 }
@@ -1299,16 +1317,16 @@ impl Executor {
     /// replays it from the journal or calls the model, takes the cascade's
     /// pending legs, judges `complete` for the journal (only when one is
     /// attached), parses the completion into `questions` answers by
-    /// position unless settlement will replace it, drops the text when no
-    /// journal will carry it, and advances `clock` by the response's
-    /// latency.
+    /// position, each shrunk to what `sink` keeps of it, unless settlement
+    /// will replace it, drops the text when no journal will carry it, and
+    /// advances `clock` by the response's latency.
     ///
     /// Shard requests are sent by the worker that claims them, ladder
     /// sub-requests on the calling thread. A replayed request parses from
     /// its journaled text, and its journaled latency still advances the
     /// clock, so the span layout matches the uninterrupted run.
     #[allow(clippy::too_many_arguments)]
-    fn send<M: ChatModel + ?Sized>(
+    fn send<M: ChatModel + ?Sized, K: PredictionSink>(
         &self,
         model: &M,
         request: ChatRequest,
@@ -1316,9 +1334,10 @@ impl Executor {
         sections: [usize; 5],
         questions: usize,
         reasoning: bool,
+        sink: &K,
         worker: usize,
         clock: &mut f64,
-    ) -> DispatchedResponse {
+    ) -> DispatchedResponse<K::Answer> {
         self.tracer.record(&TraceEvent::Dispatched {
             request: request.trace_id,
             worker,
@@ -1347,9 +1366,11 @@ impl Executor {
         };
         drop(request);
         let complete = journaled && is_complete_for(expected, &response);
-        let answers = pending
-            .is_none()
-            .then(|| parse_batch(&response.text, reasoning, questions));
+        let answers = pending.is_none().then(|| {
+            parse_batch_with(&response.text, reasoning, questions, |answer| {
+                sink.shrink(answer)
+            })
+        });
         if answers.is_some() && !journaled {
             response.text = String::new();
         }
@@ -1382,20 +1403,21 @@ impl Executor {
     /// which builds it from its kept or freshly rendered body, checks it
     /// against the surveyed fingerprint and hands it to
     /// [`send`](Self::send). Request ids are `base_id + index`.
-    fn dispatch_slice<'a, M: ChatModel + ?Sized>(
+    fn dispatch_slice<M: ChatModel + ?Sized, K: PredictionSink>(
         &self,
         model: &M,
-        survey: &PlanStream<'a>,
+        survey: &PlanStream<'_>,
         shard: &PlanShard,
+        sink: &K,
         base_id: u64,
         clocks: &mut [f64],
-    ) -> Vec<DispatchedResponse> {
+    ) -> Vec<DispatchedResponse<K::Answer>> {
         let n = shard.fingerprints.len();
         let serve = |idx: usize,
                      worker: usize,
                      clock: &mut f64,
-                     scratch: &mut RenderScratch<'a>|
-         -> DispatchedResponse {
+                     scratch: &mut RenderScratch|
+         -> DispatchedResponse<K::Answer> {
             let (request, sections) = survey.take_request(shard, idx, scratch);
             let request = request.with_trace_id(base_id + idx as u64);
             debug_assert_eq!(
@@ -1413,6 +1435,7 @@ impl Executor {
                 sections,
                 questions,
                 survey.reasoning(),
+                sink,
                 worker,
                 clock,
             )
@@ -1425,34 +1448,36 @@ impl Executor {
                 .collect();
         }
 
-        let slots: Vec<Mutex<Option<DispatchedResponse>>> =
+        let slots: Vec<Mutex<Option<DispatchedResponse<K::Answer>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
+        // Each worker runs its own virtual clock: spans on one worker are
+        // sequential, workers overlap. It returns its clock when the shard
+        // runs out of requests.
+        let work = |worker: usize, mut clock: f64| -> f64 {
+            let mut scratch = RenderScratch::default();
+            loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    return clock;
+                }
+                let served = serve(idx, worker, &mut clock, &mut scratch);
+                *slots[idx].lock().expect("slot poisoned") = Some(served);
+            }
+        };
         let workers = self.options.workers.min(n);
+        // The calling thread is worker 0, as in the survey, so it reuses
+        // the memory the survey's first chunk of bodies frees as it sends.
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
+            let work = &work;
+            let handles: Vec<_> = (1..workers)
                 .map(|worker| {
-                    let slots = &slots;
-                    let cursor = &cursor;
-                    let serve = &serve;
-                    // Each worker runs its own virtual clock: spans on one
-                    // worker are sequential, workers overlap.
-                    let mut clock = clocks[worker];
-                    scope.spawn(move || {
-                        let mut scratch = RenderScratch::default();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n {
-                                break;
-                            }
-                            let served = serve(idx, worker, &mut clock, &mut scratch);
-                            *slots[idx].lock().expect("slot poisoned") = Some(served);
-                        }
-                        clock
-                    })
+                    let clock = clocks[worker];
+                    scope.spawn(move || work(worker, clock))
                 })
                 .collect();
-            for (worker, handle) in handles.into_iter().enumerate() {
+            clocks[0] = work(0, clocks[0]);
+            for (worker, handle) in (1..).zip(handles) {
                 clocks[worker] = handle.join().expect("worker panicked");
             }
         });
@@ -1520,8 +1545,9 @@ impl Drop for GateTurn<'_> {
     }
 }
 
-/// A response plus where and when (in virtual time) it was served.
-struct DispatchedResponse {
+/// A response plus where and when (in virtual time) it was served, with
+/// its answers in the sink's form `A`.
+struct DispatchedResponse<A> {
     response: ChatResponse,
     /// Rehydrated from a run journal — no model call happened.
     replayed: bool,
@@ -1544,9 +1570,10 @@ struct DispatchedResponse {
     /// The request's `Question N:` count, which a response settlement
     /// replaces is judged against. Counted only when a journal is attached.
     expected: usize,
-    /// The response parsed by position, by `send`; `None` until a response
-    /// that settlement replaces is parsed by the loop that reads it.
-    answers: Option<BatchAnswers>,
+    /// The response parsed by position, by `send`, each answer shrunk to
+    /// what the sink keeps; `None` until a response that settlement
+    /// replaces is parsed by the loop that reads it.
+    answers: Option<BatchAnswers<A>>,
     worker: usize,
     vt_start_secs: f64,
     vt_end_secs: f64,
@@ -1570,6 +1597,45 @@ struct Ledger {
     breaker: RouteFold,
     /// Requests rehydrated from the journal.
     replayed: usize,
+}
+
+/// The run's prediction sink, and how many instances it was handed an
+/// answer for. Each outcome goes to the sink beside the instance's one
+/// `parsed` or `failed` event.
+struct Outcomes<K> {
+    sink: K,
+    answered: usize,
+}
+
+impl<K: PredictionSink> Outcomes<K> {
+    /// Instance `instance` is answered by request `request`.
+    fn parsed(
+        &mut self,
+        request: u64,
+        instance: usize,
+        answer: K::Answer,
+        emit: &dyn Fn(TraceEvent),
+    ) {
+        emit(TraceEvent::Parsed { request, instance });
+        self.answered += 1;
+        self.sink.put(instance, Ok(answer));
+    }
+
+    /// Instance `instance` is left without an answer by request `request`.
+    fn failed(
+        &mut self,
+        request: u64,
+        instance: usize,
+        kind: FailureKind,
+        emit: &dyn Fn(TraceEvent),
+    ) {
+        emit(TraceEvent::Failed {
+            request,
+            instance,
+            kind: kind.label(),
+        });
+        self.sink.put(instance, Err(kind));
+    }
 }
 
 /// A batch the plan-order parse left with unanswered instances, queued for
@@ -1789,10 +1855,10 @@ fn classify_miss<M: ChatModel + ?Sized>(
 /// there is nothing to sample; returns 1 when even the fixed prompt
 /// overhead (instructions + few-shot examples + one question) blows the
 /// budget — a single oversized question cannot be split further.
-pub fn context_fitted_batch_size<M: ChatModel + ?Sized>(
+pub fn context_fitted_batch_size<M: ChatModel + ?Sized, S: InstanceSource + ?Sized>(
     model: &M,
     config: &PipelineConfig,
-    instances: &[TaskInstance],
+    instances: &S,
     shots: &[FewShotExample],
 ) -> usize {
     let configured = config.effective_batch_size();
@@ -1800,11 +1866,12 @@ pub fn context_fitted_batch_size<M: ChatModel + ?Sized>(
         return configured.max(1);
     }
     let prompt_config = config.prompt_config();
-    let sample = build_request(&prompt_config, shots, &[&instances[0]]);
+    let first = instances.instance(0);
+    let sample = build_request(&prompt_config, shots, &[&first]);
     let fixed_plus_one = dprep_text::count_tokens(&sample.full_text());
-    let per_question = dprep_text::count_tokens(
-        &instances[0].question_text(prompt_config.feature_indices.as_deref()),
-    ) + 8;
+    let per_question =
+        dprep_text::count_tokens(&first.question_text(prompt_config.feature_indices.as_deref()))
+            + 8;
     let budget = (model.context_window() as f64 * 0.85) as usize;
     if fixed_plus_one >= budget {
         return 1;
@@ -1815,6 +1882,7 @@ pub fn context_fitted_batch_size<M: ChatModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Prediction;
     use dprep_llm::{CacheLayer, ChatResponse, RetryLayer, Usage};
     use dprep_prompt::Task;
     use dprep_tabular::{Record, Schema, Value};
@@ -2310,6 +2378,82 @@ mod tests {
                 assert_eq!(result.metrics, reference.metrics, "workers={workers}");
             } else {
                 reference = Some(result);
+            }
+        }
+    }
+
+    /// A sink that records every outcome it is handed, keeping of each
+    /// answer only its yes/no verdict.
+    #[derive(Default)]
+    struct Recording {
+        puts: Vec<(usize, Result<Option<bool>, FailureKind>)>,
+    }
+
+    impl PredictionSink for Recording {
+        type Answer = Option<bool>;
+
+        fn shrink(&self, answer: dprep_prompt::ExtractedAnswer) -> Option<bool> {
+            answer.as_yes_no()
+        }
+
+        fn put(&mut self, instance: usize, outcome: Result<Option<bool>, FailureKind>) {
+            self.puts.push((instance, outcome));
+        }
+    }
+
+    /// A sink is handed each instance's outcome exactly once — answers
+    /// copied by dedup, ladder recoveries and budget failures included —
+    /// and what it is handed is what the vector of predictions holds, at
+    /// every shard size and worker count.
+    #[test]
+    fn a_sink_takes_each_outcome_once_and_agrees_with_the_predictions() {
+        let unique = em_instances(12);
+        let repeated: Vec<TaskInstance> = unique[..6].iter().chain(&unique[..6]).cloned().collect();
+        // Batches of 3 the model leaves unanswered, split by the ladder
+        // until a token budget trips; then single-instance batches, half
+        // of them served by dedup.
+        for (instances, batch_size, budget) in [(&unique, 3, Some(260)), (&repeated, 1, None)] {
+            let mut config = PipelineConfig::best(Task::EntityMatching);
+            config.components.few_shot = false;
+            config.components.reasoning = false;
+            config.batch_size = batch_size;
+            config.fit_context = false;
+            for (workers, shard) in [(1, usize::MAX), (3, 1), (2, 2)] {
+                let exec = Executor::new(ExecutionOptions {
+                    workers,
+                    degrade: true,
+                    token_budget: budget,
+                    ..ExecutionOptions::default()
+                });
+                let at = format!("batch {batch_size}, workers {workers}, shard {shard}");
+                let mut stream = PlanStream::new(&SingletonModel, &config, instances, &[], shard);
+                let reference = exec.try_run_stream(&SingletonModel, &mut stream).unwrap();
+                if budget.is_some() {
+                    assert!(reference.stats.splits > 0, "{at}: the ladder runs");
+                    let exhausted = reference.failure_breakdown()[5];
+                    assert_eq!(exhausted.0, FailureKind::BudgetExhausted);
+                    assert!(exhausted.1 > 0, "{at}: the budget trips");
+                } else {
+                    assert_eq!(reference.stats.deduped, 6, "{at}");
+                }
+                let mut stream = PlanStream::new(&SingletonModel, &config, instances, &[], shard);
+                let recorded = exec
+                    .try_run_stream_into(&SingletonModel, &mut stream, Recording::default())
+                    .unwrap();
+                assert_eq!(recorded.stats, reference.stats, "{at}");
+                assert_eq!(recorded.metrics, reference.metrics, "{at}");
+                let mut puts = recorded.predictions.puts;
+                puts.sort_by_key(|&(instance, _)| instance);
+                let expected: Vec<_> = reference
+                    .predictions
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| match p {
+                        Prediction::Answered(answer) => (i, Ok(answer.as_yes_no())),
+                        Prediction::Failed(kind) => (i, Err(*kind)),
+                    })
+                    .collect();
+                assert_eq!(puts, expected, "{at}");
             }
         }
     }

@@ -40,7 +40,7 @@ pub use exec::{
     journal_write_error, Durability, ExecStats, ExecutionOptions, ExecutionPlan, Executor,
     KillSwitch, OpenedDurability,
 };
-pub use pipeline::{FailureKind, Prediction, Preprocessor, RunResult};
+pub use pipeline::{FailureKind, Prediction, PredictionSink, Preprocessor, RunResult};
 pub use repair::{Repair, RepairOutcome, Repairer};
 pub use serve::{
     result_fingerprint, Daemon, JobError, JobGrant, JobHandler, JobOutcome, JobScheduler, OpsPlane,

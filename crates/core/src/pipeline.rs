@@ -14,12 +14,18 @@
 //! [`crate::config::PipelineConfig::workers`]. Without
 //! [`crate::config::PipelineConfig::plan_shard_size`] the whole plan is
 //! one shard.
+//!
+//! A run reads its instances through an [`InstanceSource`] and hands each
+//! instance's outcome to a [`PredictionSink`]. A slice of instances and a
+//! vector of [`Prediction`]s are the source and the sink of
+//! [`Preprocessor::try_run`]; a caller with a leaner representation of
+//! either passes its own to [`Preprocessor::try_run_into`].
 
 use std::sync::Arc;
 
 use dprep_llm::{ChatModel, UsageTotals};
 use dprep_obs::{MetricsSnapshot, NullTracer, Tracer};
-use dprep_prompt::{ExtractedAnswer, FewShotExample, TaskInstance};
+use dprep_prompt::{ExtractedAnswer, FewShotExample, InstanceSource, TaskInstance};
 
 use crate::config::PipelineConfig;
 use crate::exec::{Durability, ExecStats, ExecutionOptions, Executor, KillSwitch};
@@ -114,12 +120,65 @@ impl Prediction {
     }
 }
 
-/// Result of a full run: one prediction per input instance (same order)
-/// plus usage totals and serving-layer counters.
+/// Where a run hands each instance's outcome.
+///
+/// The executor hands instance `i` its outcome exactly once, in plan
+/// order, where it emits the instance's `parsed` or `failed` event,
+/// degradation ladder included. A run a kill switch stopped never reaches
+/// the rest, which keep the sink's starting value, a skipped answer.
+///
+/// A parsed answer reaches the sink in the sink's own [`Answer`] form:
+/// the worker that parses a response [`shrink`]s each of its answers
+/// before the response waits for the plan-order fold, so what waits is
+/// only what the sink keeps. `Vec<Prediction>` keeps every answer whole.
+///
+/// [`Answer`]: PredictionSink::Answer
+/// [`shrink`]: PredictionSink::shrink
+pub trait PredictionSink: Sync {
+    /// What the sink keeps of a parsed answer. Cloned when one response
+    /// serves several batches through deduplication.
+    type Answer: Clone + Send;
+
+    /// Shrinks one parsed answer to what the sink keeps of it. Called on
+    /// the worker thread that parsed the response.
+    fn shrink(&self, answer: ExtractedAnswer) -> Self::Answer;
+
+    /// Takes instance `instance`'s outcome: its answer, or why it has none.
+    fn put(&mut self, instance: usize, outcome: Result<Self::Answer, FailureKind>);
+}
+
+/// One prediction per instance, every answer whole: the sink of
+/// [`Preprocessor::try_run`]. It must hold one prediction per instance
+/// before the run starts.
+impl PredictionSink for Vec<Prediction> {
+    type Answer = ExtractedAnswer;
+
+    fn shrink(&self, answer: ExtractedAnswer) -> ExtractedAnswer {
+        answer
+    }
+
+    fn put(&mut self, instance: usize, outcome: Result<ExtractedAnswer, FailureKind>) {
+        self[instance] = match outcome {
+            Ok(answer) => Prediction::Answered(answer),
+            Err(kind) => Prediction::Failed(kind),
+        };
+    }
+}
+
+/// `n` predictions at the default an instance keeps until its outcome
+/// arrives: a skipped answer.
+pub(crate) fn unanswered(n: usize) -> Vec<Prediction> {
+    vec![Prediction::Failed(FailureKind::SkippedAnswer); n]
+}
+
+/// Result of a full run: the prediction sink, by default one prediction
+/// per input instance (same order), plus usage totals and serving-layer
+/// counters.
 #[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Per-instance predictions, parallel to the input slice.
-    pub predictions: Vec<Prediction>,
+pub struct RunResult<P = Vec<Prediction>> {
+    /// The run's prediction sink: by default, per-instance predictions,
+    /// parallel to the input slice.
+    pub predictions: P,
     /// Aggregated tokens, cost, and virtual time.
     pub usage: UsageTotals,
     /// Request-level counters (dedup, retries, cache hits, faults).
@@ -254,6 +313,21 @@ impl<'a, M: ChatModel + ?Sized> Preprocessor<'a, M> {
         instances: &[TaskInstance],
         examples: &[FewShotExample],
     ) -> Result<RunResult, String> {
+        self.try_run_into(instances, unanswered(instances.len()), examples)
+    }
+
+    /// [`try_run`](Self::try_run) over the instances `source` reads,
+    /// handing each instance's outcome to `sink` (see [`PredictionSink`]),
+    /// which the result carries as its `predictions`. The run reads each
+    /// instance from the source only while a batch that holds it is
+    /// rendered, so a source that builds instances on demand never holds
+    /// them all.
+    pub fn try_run_into<S: InstanceSource + ?Sized, K: PredictionSink>(
+        &self,
+        source: &S,
+        sink: K,
+        examples: &[FewShotExample],
+    ) -> Result<RunResult<K>, String> {
         let options = self.exec_options.unwrap_or(ExecutionOptions {
             workers: self.config.workers,
             ..ExecutionOptions::default()
@@ -285,8 +359,8 @@ impl<'a, M: ChatModel + ?Sized> Preprocessor<'a, M> {
             workers: options.workers,
             ..self.config.clone()
         };
-        let mut stream = PlanStream::new(self.model, &config, instances, examples, shard_size);
-        executor.try_run_stream(self.model, &mut stream)
+        let mut stream = PlanStream::new(self.model, &config, source, examples, shard_size);
+        executor.try_run_stream_into(self.model, &mut stream, sink)
     }
 }
 
@@ -563,7 +637,8 @@ mod tests {
     fn context_fit_empty_slice_keeps_configured_size() {
         let model = ScriptedModel::new("yes");
         let config = fit_config(12);
-        assert_eq!(context_fitted_batch_size(&model, &config, &[], &[]), 12);
+        let none: &[TaskInstance] = &[];
+        assert_eq!(context_fitted_batch_size(&model, &config, none, &[]), 12);
     }
 
     #[test]

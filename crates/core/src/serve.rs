@@ -68,7 +68,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dprep_obs::{
@@ -1181,7 +1181,12 @@ enum FrameOutcome {
 /// EOF and cannot unwrap JSON). A connection serves requests sequentially;
 /// concurrency comes from concurrent connections.
 pub struct Daemon {
-    listener: TcpListener,
+    /// The bound listener, until [`run`](Self::run) takes it; `run` drops
+    /// it when it stops accepting, so a client that connects after the
+    /// daemon closed is refused instead of queued unanswered.
+    listener: Mutex<Option<TcpListener>>,
+    /// The address the listener was bound to.
+    addr: SocketAddr,
     scheduler: JobScheduler,
     handler: Arc<JobHandler>,
     tenants: Mutex<BTreeMap<String, MetricsSnapshot>>,
@@ -1207,7 +1212,8 @@ impl Daemon {
     ) -> std::io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
         Ok(Daemon {
-            listener,
+            addr: listener.local_addr()?,
+            listener: Mutex::new(Some(listener)),
             scheduler,
             handler,
             tenants: Mutex::new(BTreeMap::new()),
@@ -1238,7 +1244,7 @@ impl Daemon {
 
     /// The bound address (read the ephemeral port from here).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("bound listener")
+        self.addr
     }
 
     /// The job scheduler (ledger access for tests and reports).
@@ -1290,18 +1296,29 @@ impl Daemon {
     /// Serves until shutdown is requested — or until a drain quiesces
     /// (no jobs in flight, none queued), which completes the drain chain
     /// (`draining → closed`) and stops accepting. Either way the loop
-    /// then waits for in-flight connections to finish.
+    /// then closes the listener, so a later connect is refused, and waits
+    /// for in-flight connections to finish. A daemon serves once: a second
+    /// `run` finds no listener and fails.
     pub fn run(&self) -> std::io::Result<()> {
+        let listener = self
+            .listener
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .ok_or_else(|| {
+                std::io::Error::other("the daemon has already served; bind a new one")
+            })?;
         let result = std::thread::scope(|scope| {
             self.close_if_drained();
             while !self.shutdown.load(Ordering::SeqCst) {
-                let (stream, _) = self.listener.accept()?;
+                let (stream, _) = listener.accept()?;
                 // The wake connection, or a client racing the stop.
                 if self.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 scope.spawn(move || self.serve_connection(stream));
             }
+            drop(listener);
             Ok(())
         });
         // All connection threads have joined: nothing can be in flight.
@@ -1853,29 +1870,44 @@ pub fn whole_field(body: &Json, key: &str) -> Result<Option<usize>, String> {
 }
 
 /// Client-side helper: sends one request line on `stream` and parses the
-/// single-line reply. Used by `dprep top` and the serving tests; exported
-/// so external clients don't re-implement the framing. The request goes
-/// out in one write with `TCP_NODELAY` set.
+/// single-line reply, waiting for it at most `deadline` from the send.
+/// Used by `dprep top` and the serving tests; exported so external
+/// clients don't re-implement the framing. The request goes out in one
+/// write with `TCP_NODELAY` set. A reply that has not arrived by the
+/// deadline is an error naming the deadline; the reader's own read
+/// timeout is restored either way.
 pub fn roundtrip(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     request: &Json,
+    deadline: Duration,
 ) -> Result<Json, String> {
     let _ = stream.set_nodelay(true);
+    let until = Instant::now() + deadline;
     write_frame(stream, request).map_err(|e| format!("send failed: {e}"))?;
+    let own_timeout = reader.get_ref().read_timeout().ok().flatten();
     let mut line = String::new();
-    loop {
+    let received = loop {
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break Err(format!("no reply within the {deadline:?} deadline"));
+        }
+        if let Err(e) = reader.get_ref().set_read_timeout(Some(left)) {
+            break Err(format!("cannot bound the wait for a reply: {e}"));
+        }
         match reader.read_line(&mut line) {
-            Ok(0) => return Err("daemon closed the connection".to_string()),
-            Ok(_) => break,
+            Ok(0) => break Err("daemon closed the connection".to_string()),
+            Ok(_) => break Ok(()),
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) => {}
-            Err(e) => return Err(format!("receive failed: {e}")),
+            Err(e) => break Err(format!("receive failed: {e}")),
         }
-    }
+    };
+    let _ = reader.get_ref().set_read_timeout(own_timeout);
+    received?;
     Json::parse(line.trim()).map_err(|e| format!("malformed reply: {e}"))
 }
 
@@ -2509,6 +2541,7 @@ mod tests {
                     ("op".to_string(), Json::Str("submit".to_string())),
                     ("tenant".to_string(), Json::Str("acme".to_string())),
                 ]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             assert_eq!(submit.get("ok"), Some(&Json::Bool(true)));
@@ -2517,6 +2550,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("health".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             assert_eq!(health.get("ok"), Some(&Json::Bool(true)));
@@ -2548,6 +2582,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             server.join().unwrap().unwrap();
@@ -2581,6 +2616,7 @@ mod tests {
                     ("op".to_string(), Json::Str("submit".to_string())),
                     ("tenant".to_string(), Json::Str("acme".to_string())),
                 ]),
+                REPLY_DEADLINE,
             )
             .unwrap();
 
@@ -2613,6 +2649,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("metrics".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             assert_eq!(
@@ -2624,6 +2661,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             server.join().unwrap().unwrap();
@@ -2661,6 +2699,54 @@ mod tests {
         Json::Obj(vec![("op".to_string(), Json::Str(name.to_string()))])
     }
 
+    /// How long a test client waits for any one reply.
+    const REPLY_DEADLINE: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn a_closed_daemon_refuses_new_clients_and_a_silent_peer_times_out() {
+        let daemon = idle_daemon("127.0.0.1:0");
+        let addr = daemon.local_addr();
+        let done = serve_in_background(&daemon);
+        let (mut stream, mut reader) = connect(&daemon);
+        roundtrip(&mut stream, &mut reader, &op("drain"), REPLY_DEADLINE).unwrap();
+        drop((stream, reader));
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("a quiet drain closes the daemon")
+            .unwrap();
+
+        // The daemon value lives on, its listener does not: a fresh client
+        // is refused, or closed, within a second, never queued unanswered.
+        let started = Instant::now();
+        if let Ok(late) = TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+            late.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+            let mut byte = [0u8; 1];
+            let read = std::io::Read::read(&mut &late, &mut byte);
+            assert!(matches!(read, Ok(0)), "a closed daemon left {read:?}");
+        }
+        assert!(started.elapsed() < Duration::from_secs(1));
+        let again = daemon.run().expect_err("a daemon serves once");
+        assert!(again.to_string().contains("already served"), "{again}");
+
+        // A peer that accepts the connection and never replies.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(silent.local_addr().unwrap()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let started = Instant::now();
+        let deadline = Duration::from_millis(200);
+        let err = roundtrip(&mut stream, &mut reader, &op("ping"), deadline).unwrap_err();
+        assert_eq!(err, "no reply within the 200ms deadline");
+        let waited = started.elapsed();
+        assert!(
+            waited >= deadline && waited < Duration::from_secs(5),
+            "{waited:?}"
+        );
+        assert_eq!(
+            reader.get_ref().read_timeout().unwrap(),
+            None,
+            "timeout restored"
+        );
+    }
+
     #[test]
     fn request_shutdown_wakes_an_accept_loop_with_no_client() {
         // The wildcard bind must still wake: the wake connection goes to
@@ -2670,7 +2756,7 @@ mod tests {
             let done = serve_in_background(&daemon);
             // One served ping puts the loop back into a blocking accept.
             let (mut stream, mut reader) = connect(&daemon);
-            roundtrip(&mut stream, &mut reader, &op("ping")).unwrap();
+            roundtrip(&mut stream, &mut reader, &op("ping"), REPLY_DEADLINE).unwrap();
             drop((stream, reader));
 
             daemon.request_shutdown();
@@ -2685,7 +2771,7 @@ mod tests {
         let daemon = idle_daemon("127.0.0.1:0");
         let done = serve_in_background(&daemon);
         let (mut stream, mut reader) = connect(&daemon);
-        let drained = roundtrip(&mut stream, &mut reader, &op("drain")).unwrap();
+        let drained = roundtrip(&mut stream, &mut reader, &op("drain"), REPLY_DEADLINE).unwrap();
         assert_eq!(
             drained.get("state").and_then(Json::as_str),
             Some("draining")
@@ -2725,7 +2811,7 @@ mod tests {
             if panics {
                 fields.push(("panic".to_string(), Json::Bool(true)));
             }
-            roundtrip(&mut stream, &mut reader, &Json::Obj(fields)).unwrap()
+            roundtrip(&mut stream, &mut reader, &Json::Obj(fields), REPLY_DEADLINE).unwrap()
         };
 
         let failed = submit(true);
@@ -2747,7 +2833,7 @@ mod tests {
         assert_eq!(ok.get("tokens_billed").and_then(Json::as_usize), Some(3));
 
         // Nothing leaked in flight, so a drain goes quiet and closes.
-        roundtrip(&mut stream, &mut reader, &op("drain")).unwrap();
+        roundtrip(&mut stream, &mut reader, &op("drain"), REPLY_DEADLINE).unwrap();
         drop((stream, reader));
         done.recv_timeout(Duration::from_secs(5))
             .expect("a quiet drain closes the daemon")
@@ -2766,7 +2852,7 @@ mod tests {
         let mut millis: Vec<f64> = (0..20)
             .map(|_| {
                 let started = Instant::now();
-                roundtrip(&mut stream, &mut reader, &op("ping")).unwrap();
+                roundtrip(&mut stream, &mut reader, &op("ping"), REPLY_DEADLINE).unwrap();
                 started.elapsed().as_secs_f64() * 1e3
             })
             .collect();
@@ -2777,7 +2863,7 @@ mod tests {
             millis[10]
         );
 
-        roundtrip(&mut stream, &mut reader, &op("shutdown")).unwrap();
+        roundtrip(&mut stream, &mut reader, &op("shutdown"), REPLY_DEADLINE).unwrap();
         drop((stream, reader));
         done.recv_timeout(Duration::from_secs(5))
             .expect("shutdown stops the daemon")
@@ -2808,6 +2894,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("ping".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             assert_eq!(ping.get("pong"), Some(&Json::Bool(true)));
@@ -2820,6 +2907,7 @@ mod tests {
                     ("tenant".to_string(), Json::Str("acme".to_string())),
                     ("cost".to_string(), Json::Num(0.25)),
                 ]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             assert_eq!(submit.get("ok"), Some(&Json::Bool(true)));
@@ -2833,6 +2921,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("stats".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             let tenants = match stats.get("tenants") {
@@ -2849,6 +2938,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("warp".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
@@ -2857,6 +2947,7 @@ mod tests {
                 &mut stream,
                 &mut reader,
                 &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+                REPLY_DEADLINE,
             )
             .unwrap();
             assert_eq!(down.get("shutting_down"), Some(&Json::Bool(true)));

@@ -12,6 +12,14 @@
 //! The stream is built in a **survey pass** and consumed in a **shard
 //! pass**; each request is built on the worker that sends it.
 //!
+//! Every read of an instance goes through the run's [`InstanceSource`]:
+//! batching (cluster batching embeds each instance's text), the
+//! context-window fit, the survey's renders, the renders of later shards
+//! on the workers, and the degradation ladder's. A render reads each of
+//! its batch's instances as it writes that instance's question, so a
+//! source that builds instances on demand holds at most one at a time per
+//! rendering thread, and the stream holds none.
+//!
 //! 1. **Survey** ([`PlanStream::new`]): render every batch's body and
 //!    fingerprint it for dedup, then walk the fingerprints in plan order.
 //!    Each thread renders into one buffer, reused batch after batch, and
@@ -60,7 +68,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, PoisonError};
 
 use dprep_llm::{ChatModel, ChatRequest, FingerprintPrefix};
-use dprep_prompt::{make_batches, FewShotExample, PromptConfig, PromptContext, TaskInstance};
+use dprep_prompt::{make_batches, FewShotExample, InstanceSource, PromptConfig, PromptContext};
 use dprep_text::count_tokens;
 
 use crate::config::PipelineConfig;
@@ -127,25 +135,23 @@ impl Clone for KeptBody {
     }
 }
 
-/// One thread's render buffers, reused for every batch body it renders.
+/// One thread's render buffer, reused for every batch body it renders.
 #[derive(Debug, Default)]
-pub(crate) struct RenderScratch<'a> {
+pub(crate) struct RenderScratch {
     body: String,
-    refs: Vec<&'a TaskInstance>,
 }
 
-impl<'a> RenderScratch<'a> {
-    /// Renders the body of the batch over `indices` into the buffer.
+impl RenderScratch {
+    /// Renders the body of the batch over `indices` into the buffer,
+    /// reading each instance from `source` as its question is written.
     fn render(
         &mut self,
         context: &PromptContext,
-        instances: &'a [TaskInstance],
+        source: &dyn InstanceSource,
         indices: &[usize],
     ) -> &str {
-        self.refs.clear();
-        self.refs.extend(indices.iter().map(|&i| &instances[i]));
         self.body.clear();
-        context.write_body(&mut self.body, &self.refs);
+        context.write_batch(&mut self.body, source, indices.iter().copied());
         &self.body
     }
 }
@@ -175,10 +181,10 @@ pub struct PlanStream<'a> {
     cursor: usize,
     /// Next unique request to yield (first-occurrence order).
     next_request: usize,
-    n_instances: usize,
     prompt_config: PromptConfig,
     context: PromptContext,
-    instances: &'a [TaskInstance],
+    /// Where the plan's instances are read from, batch by batch.
+    source: Box<dyn InstanceSource + Send + 'a>,
     temperature: Option<f64>,
     /// Wall-clock seconds deciding batch membership and dedup, aggregated
     /// across the survey pass and every shard yielded so far.
@@ -188,20 +194,25 @@ pub struct PlanStream<'a> {
 }
 
 impl<'a> PlanStream<'a> {
-    /// Surveys the whole plan (batching, dedup, fingerprints), keeping
-    /// only the first shard's batch bodies, ready to yield shards of
-    /// `shard_size` batches. `shard_size` is clamped to at least 1;
-    /// `usize::MAX` makes the whole plan one shard. Renders and
-    /// fingerprints run on `config.workers` threads, never more than there
-    /// are batches (see the module docs); the result does not depend on
-    /// the count.
-    pub fn new<M: ChatModel + ?Sized>(
+    /// Surveys the whole plan (batching, dedup, fingerprints) over the
+    /// instances `instances` reads, keeping only the first shard's batch
+    /// bodies, ready to yield shards of `shard_size` batches. `shard_size`
+    /// is clamped to at least 1; `usize::MAX` makes the whole plan one
+    /// shard. Renders and fingerprints run on `config.workers` threads,
+    /// never more than there are batches (see the module docs); the result
+    /// does not depend on the count.
+    ///
+    /// `instances` is any [`InstanceSource`], a slice of instances
+    /// included; every read of an instance, here and in the run, goes
+    /// through it.
+    pub fn new<M: ChatModel + ?Sized, S: InstanceSource + ?Sized>(
         model: &M,
         config: &PipelineConfig,
-        instances: &'a [TaskInstance],
+        instances: &'a S,
         examples: &[FewShotExample],
         shard_size: usize,
     ) -> PlanStream<'a> {
+        let source: Box<dyn InstanceSource + Send + 'a> = Box::new(instances);
         let shots: &[FewShotExample] = if config.components.few_shot {
             examples
         } else {
@@ -209,10 +220,10 @@ impl<'a> PlanStream<'a> {
         };
         let shard_size = shard_size.max(1);
         let prompt_config = config.prompt_config();
-        let strategy = effective_strategy(model, config, instances, shots);
+        let strategy = effective_strategy(model, config, &*source, shots);
 
         let plan_started = std::time::Instant::now();
-        let batches = make_batches(instances, &strategy, config.seed);
+        let batches = make_batches(&*source, &strategy, config.seed);
         let pool_started = std::time::Instant::now();
         let context = PromptContext::new(&prompt_config, shots);
         // Every request of the plan is this template with its own body.
@@ -223,7 +234,7 @@ impl<'a> PlanStream<'a> {
         let (keys, mut kept) = survey_renders(
             &context,
             &prefix,
-            instances,
+            &*source,
             &batches,
             shard_size,
             config.workers,
@@ -275,10 +286,9 @@ impl<'a> PlanStream<'a> {
             first_bodies,
             cursor: 0,
             next_request: 0,
-            n_instances: instances.len(),
             prompt_config,
             context,
-            instances,
+            source,
             temperature: config.temperature,
             plan_wall_secs: (plan_started.elapsed().as_secs_f64() - prompt_build_wall_secs)
                 .max(0.0),
@@ -346,7 +356,7 @@ impl<'a> PlanStream<'a> {
         &self,
         shard: &PlanShard,
         i: usize,
-        scratch: &mut RenderScratch<'a>,
+        scratch: &mut RenderScratch,
     ) -> (ChatRequest, [usize; 5]) {
         let body = shard.bodies.get(i).and_then(KeptBody::take);
         self.frame(body.unwrap_or_else(|| self.render(shard, i, scratch)))
@@ -358,21 +368,27 @@ impl<'a> PlanStream<'a> {
         &self,
         shard: &PlanShard,
         i: usize,
-        scratch: &mut RenderScratch<'a>,
+        scratch: &mut RenderScratch,
     ) -> (ChatRequest, [usize; 5]) {
         self.frame(self.render(shard, i, scratch))
     }
 
+    /// Builds the request of a group of instances outside the plan's
+    /// batches (the degradation ladder's), rendered from the source, with
+    /// its prompt-component token counts.
+    pub(crate) fn group_request(&self, group: &[usize]) -> (ChatRequest, [usize; 5]) {
+        let mut body = String::new();
+        self.context
+            .write_batch(&mut body, &*self.source, group.iter().copied());
+        let tokens = count_tokens(&body);
+        self.frame((body, tokens))
+    }
+
     /// Renders unique request `i`'s body into `scratch` and copies it out
     /// at its exact size, with its token count.
-    fn render(
-        &self,
-        shard: &PlanShard,
-        i: usize,
-        scratch: &mut RenderScratch<'a>,
-    ) -> (String, usize) {
+    fn render(&self, shard: &PlanShard, i: usize, scratch: &mut RenderScratch) -> (String, usize) {
         let batch = &shard.batches[shard.request_batches[i]];
-        let body = scratch.render(&self.context, self.instances, &batch.instance_indices);
+        let body = scratch.render(&self.context, &*self.source, &batch.instance_indices);
         (body.to_string(), count_tokens(body))
     }
 
@@ -414,7 +430,7 @@ impl<'a> PlanStream<'a> {
 
     /// Instances covered by the plan.
     pub fn n_instances(&self) -> usize {
-        self.n_instances
+        self.source.len()
     }
 
     /// Batches served by deduplication against an earlier identical batch.
@@ -442,21 +458,6 @@ impl<'a> PlanStream<'a> {
     /// Whether prompts request the two-line reasoning format.
     pub fn reasoning(&self) -> bool {
         self.prompt_config.reasoning
-    }
-
-    /// The instance slice the plan covers (outlives the stream borrow).
-    pub fn instances(&self) -> &'a [TaskInstance] {
-        self.instances
-    }
-
-    /// The sampling temperature applied to every request.
-    pub(crate) fn temperature(&self) -> Option<f64> {
-        self.temperature
-    }
-
-    /// The shared prompt context (degradation ladder re-renders through it).
-    pub(crate) fn context(&self) -> &PromptContext {
-        &self.context
     }
 
     /// Wall-clock seconds spent deciding batch membership and dedup, across
@@ -487,7 +488,7 @@ impl<'a> PlanStream<'a> {
 fn survey_renders(
     context: &PromptContext,
     prefix: &FingerprintPrefix,
-    instances: &[TaskInstance],
+    source: &dyn InstanceSource,
     batches: &[Vec<usize>],
     shard_size: usize,
     workers: usize,
@@ -498,7 +499,7 @@ fn survey_renders(
         let mut seen = HashSet::new();
         let mut scratch = RenderScratch::default();
         for (batch_idx, batch) in (first..).zip(part) {
-            let body = scratch.render(context, instances, batch);
+            let body = scratch.render(context, source, batch);
             let key = prefix.finish(body);
             keys.push(key);
             // Outside the first shard the body dies here: only the key
@@ -538,7 +539,7 @@ fn survey_renders(
 fn effective_strategy<M: ChatModel + ?Sized>(
     model: &M,
     config: &PipelineConfig,
-    instances: &[TaskInstance],
+    instances: &dyn InstanceSource,
     shots: &[FewShotExample],
 ) -> dprep_prompt::BatchStrategy {
     let strategy = config.batch_strategy();
@@ -577,7 +578,7 @@ mod tests {
     use crate::config::PipelineConfig;
     use crate::exec::ExecutionPlan;
     use dprep_llm::{request_fingerprint, ChatModel, ChatResponse, Usage};
-    use dprep_prompt::Task;
+    use dprep_prompt::{Task, TaskInstance};
     use dprep_tabular::{Record, Schema, Value};
 
     struct EchoModel;

@@ -12,7 +12,7 @@
 use dprep_embed::{kmeans, HashedNgramEmbedder};
 use dprep_rng::Rng;
 
-use crate::task::TaskInstance;
+use crate::source::InstanceSource;
 
 /// How to group instances into batches.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +45,10 @@ impl BatchStrategy {
 
 /// Groups instance indices `0..n` into batches per the strategy,
 /// deterministic under `seed`. Every index appears in exactly one batch.
-pub fn make_batches(
-    instances: &[TaskInstance],
+/// Random batching reads only the source's length; cluster batching
+/// embeds each instance's text, one instance at a time.
+pub fn make_batches<S: InstanceSource + ?Sized>(
+    instances: &S,
     strategy: &BatchStrategy,
     seed: u64,
 ) -> Vec<Vec<usize>> {
@@ -65,9 +67,8 @@ pub fn make_batches(
         }
         BatchStrategy::Cluster { clusters, .. } => {
             let embedder = HashedNgramEmbedder::default();
-            let vectors: Vec<_> = instances
-                .iter()
-                .map(|i| embedder.embed(&i.flat_text()))
+            let vectors: Vec<_> = (0..n)
+                .map(|i| embedder.embed(&instances.instance(i).flat_text()))
                 .collect();
             let k = (*clusters).clamp(1, n);
             let result = kmeans(&vectors, k, seed);
@@ -92,6 +93,7 @@ pub fn make_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskInstance;
     use dprep_tabular::{Record, Schema, Value};
 
     fn em_instances(texts: &[&str]) -> Vec<TaskInstance> {
@@ -178,7 +180,8 @@ mod tests {
 
     #[test]
     fn empty_input_no_batches() {
-        assert!(make_batches(&[], &BatchStrategy::Random { batch_size: 4 }, 0).is_empty());
+        let none: &[TaskInstance] = &[];
+        assert!(make_batches(none, &BatchStrategy::Random { batch_size: 4 }, 0).is_empty());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use dprep_llm::{ChatRequest, Message};
 use dprep_text::count_tokens;
 
 use crate::fewshot::{render_examples, FewShotExample};
+use crate::source::InstanceSource;
 use crate::task::{Task, TaskInstance};
 use crate::template::{system_sections, TemplateOptions};
 
@@ -227,21 +228,44 @@ impl PromptContext {
     }
 
     /// Appends one batch's body — its questions, numbered `Question 1..k`,
-    /// one line each — to `out`. This is the one per-request render: every
-    /// question, and every record in it, is written straight into the
-    /// caller's buffer, so a caller rendering many batches reuses one.
+    /// one line each — to `out`. It is [`write_batch`](Self::write_batch)
+    /// over the batch's own instances.
     ///
     /// # Panics
     /// Panics when `batch` is empty or an instance's task differs from the
     /// context's configuration.
     pub fn write_body(&self, out: &mut String, batch: &[&TaskInstance]) {
-        assert!(!batch.is_empty(), "cannot build a prompt with no instances");
-        assert!(
-            batch.iter().all(|i| i.task() == self.config.task),
-            "instance task does not match the prompt configuration"
-        );
-        for (i, instance) in batch.iter().enumerate() {
-            write_numbered_question(out, i + 1, instance, self.config.feature_indices.as_deref());
+        self.write_batch(out, batch, 0..batch.len());
+    }
+
+    /// Appends the body of the batch of `source`'s instances at `batch`, in
+    /// question order, to `out`. This is the one per-request render: each
+    /// instance is read from the source as its question is written, and
+    /// every question, and every record in it, is written straight into
+    /// the caller's buffer, so a caller rendering many batches reuses one.
+    ///
+    /// # Panics
+    /// Panics when `batch` is empty or an instance's task differs from the
+    /// context's configuration.
+    pub fn write_batch<S: InstanceSource + ?Sized>(
+        &self,
+        out: &mut String,
+        source: &S,
+        batch: impl ExactSizeIterator<Item = usize>,
+    ) {
+        assert!(batch.len() > 0, "cannot build a prompt with no instances");
+        for (k, i) in batch.enumerate() {
+            let instance = source.instance(i);
+            assert!(
+                instance.task() == self.config.task,
+                "instance task does not match the prompt configuration"
+            );
+            write_numbered_question(
+                out,
+                k + 1,
+                &instance,
+                self.config.feature_indices.as_deref(),
+            );
         }
     }
 

@@ -20,7 +20,9 @@
 //!   batching over instance embeddings,
 //! * [`builder`] — assembles complete [`ChatRequest`]s
 //!   (contextualization §3.3 + feature selection §3.4 included),
-//! * [`parse`] — extracts per-question answers back out of completions.
+//! * [`parse`] — extracts per-question answers back out of completions,
+//! * [`source`] — [`InstanceSource`]: a run's instances, read one at a
+//!   time.
 //!
 //! [`ChatRequest`]: dprep_llm::ChatRequest
 
@@ -28,6 +30,7 @@ pub mod batch;
 pub mod builder;
 pub mod fewshot;
 pub mod parse;
+pub mod source;
 pub mod task;
 pub mod template;
 
@@ -38,5 +41,6 @@ pub use builder::{
 pub use fewshot::FewShotExample;
 #[doc(hidden)]
 pub use parse::parse_response_legacy;
-pub use parse::{parse_batch, parse_response, BatchAnswers, ExtractedAnswer};
+pub use parse::{parse_batch, parse_batch_with, parse_response, BatchAnswers, ExtractedAnswer};
+pub use source::InstanceSource;
 pub use task::{AttrSpec, Task, TaskInstance};

@@ -41,10 +41,12 @@ impl ExtractedAnswer {
 
 /// A completion parsed for one batch of `k` questions, by position: what
 /// [`parse_response`] finds under the numbers `1..=k`, without the map.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BatchAnswers {
+/// Each answer is an [`ExtractedAnswer`], or what [`parse_batch_with`]
+/// keeps of one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchAnswers<A = ExtractedAnswer> {
     /// Question `p + 1`'s answer at index `p`, `None` when none parsed.
-    pub answers: Vec<Option<ExtractedAnswer>>,
+    pub answers: Vec<Option<A>>,
     /// Whether nothing parsed under any number, `1..=k` or past it: the
     /// map [`parse_response`] returns would be empty. A miss in a
     /// response that answered nothing is a format violation.
@@ -166,7 +168,19 @@ pub fn parse_response(text: &str, expect_reason: bool) -> BTreeMap<usize, Extrac
 /// anything parsed at all — is kept as [`BatchAnswers::nothing_parsed`].
 /// The vector and every string are allocated at their final size.
 pub fn parse_batch(text: &str, expect_reason: bool, questions: usize) -> BatchAnswers {
-    let mut answers: Vec<Option<ExtractedAnswer>> = Vec::with_capacity(questions);
+    parse_batch_with(text, expect_reason, questions, |answer| answer)
+}
+
+/// [`parse_batch`], keeping of each answer only what `keep` makes of it,
+/// as soon as it is extracted: a caller that needs less than the whole
+/// answer never holds every answer's strings at once.
+pub fn parse_batch_with<A>(
+    text: &str,
+    expect_reason: bool,
+    questions: usize,
+    mut keep: impl FnMut(ExtractedAnswer) -> A,
+) -> BatchAnswers<A> {
+    let mut answers: Vec<Option<A>> = Vec::with_capacity(questions);
     answers.resize_with(questions, || None);
     let mut nothing_parsed = true;
     for (number, segment) in AnswerScanner::new(text) {
@@ -175,7 +189,7 @@ pub fn parse_batch(text: &str, expect_reason: bool, questions: usize) -> BatchAn
         }
         nothing_parsed = false;
         if let Some(slot @ None) = answers.get_mut(number - 1) {
-            *slot = Some(extract(segment, expect_reason));
+            *slot = Some(keep(extract(segment, expect_reason)));
         }
     }
     BatchAnswers {

@@ -5,16 +5,17 @@
 //! becomes the schema (all-text by default; callers can type columns with
 //! [`read_csv_typed`]).
 
-use std::sync::Arc;
-
 use crate::error::TabularError;
 use crate::schema::{AttrType, Attribute, Schema};
 use crate::table::Table;
 use crate::value::Value;
 
-/// Parses a CSV document into raw string rows.
-fn parse_rows(input: &str) -> Result<Vec<Vec<String>>, TabularError> {
-    let mut rows: Vec<Vec<String>> = Vec::new();
+/// Parses a CSV document into raw string rows, handing each row to
+/// `row_done` as it ends, so no more than one row's fields are held.
+fn parse_rows(
+    input: &str,
+    mut row_done: impl FnMut(Vec<String>) -> Result<(), TabularError>,
+) -> Result<(), TabularError> {
     let mut field = String::new();
     let mut row: Vec<String> = Vec::new();
     let mut in_quotes = false;
@@ -55,7 +56,7 @@ fn parse_rows(input: &str) -> Result<Vec<Vec<String>>, TabularError> {
                 '\r' => {}
                 '\n' => {
                     row.push(std::mem::take(&mut field));
-                    rows.push(std::mem::take(&mut row));
+                    row_done(std::mem::take(&mut row))?;
                     line += 1;
                 }
                 _ => field.push(c),
@@ -70,108 +71,88 @@ fn parse_rows(input: &str) -> Result<Vec<Vec<String>>, TabularError> {
     }
     if !field.is_empty() || !row.is_empty() {
         row.push(field);
-        rows.push(row);
+        row_done(row)?;
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Reads a CSV document whose header row defines an all-text schema.
 pub fn read_csv(input: &str) -> Result<Table, TabularError> {
-    read_csv_with(input, |_| AttrType::Text)
-}
-
-/// Reads a CSV document, inferring each cell's type with [`Value::infer`].
-/// Column types in the schema are set per `type_of(column name)`.
-pub fn read_csv_typed(input: &str) -> Result<Table, TabularError> {
-    read_csv_with(input, |_| AttrType::Text).map(|table| {
-        // Re-infer values; keep schema text-typed unless a column is fully
-        // numeric, in which case mark it numeric.
-        retype(table)
+    read_csv_with(input, |_, raw| {
+        if raw.is_empty() || raw == "???" {
+            Value::Missing
+        } else {
+            Value::Text(raw)
+        }
     })
 }
 
-fn retype(table: Table) -> Table {
-    let n = table.schema().len();
-    let mut numeric = vec![true; n];
-    let mut inferred_rows: Vec<Vec<Value>> = Vec::with_capacity(table.len());
-    for row in table.rows() {
-        let mut vals = Vec::with_capacity(n);
-        for (i, v) in row.values().iter().enumerate() {
-            let iv = match v {
-                Value::Text(s) => Value::infer(s),
-                other => other.clone(),
-            };
-            if !iv.is_missing() && iv.as_f64().is_none() {
-                numeric[i] = false;
-            }
-            vals.push(iv);
+/// Reads a CSV document, inferring each cell's type with [`Value::infer`]
+/// as its row is read. A column whose non-missing cells are all numeric is
+/// typed numeric in the schema; every other column is text.
+pub fn read_csv_typed(input: &str) -> Result<Table, TabularError> {
+    let mut numeric: Vec<bool> = Vec::new();
+    let table = read_csv_with(input, |column, raw| {
+        let value = Value::infer(&raw);
+        if column >= numeric.len() {
+            numeric.resize(column + 1, true);
         }
-        inferred_rows.push(vals);
-    }
-    let attrs: Vec<Attribute> = table
-        .schema()
-        .attributes()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| Attribute {
-            name: a.name.clone(),
-            description: a.description.clone(),
-            dtype: if numeric[i] {
-                AttrType::Numeric
-            } else {
-                AttrType::Text
-            },
-        })
-        .collect();
-    let schema = Schema::new(attrs).expect("names unchanged").shared();
-    let mut out = Table::new(Arc::clone(&schema));
-    for vals in inferred_rows {
-        out.push_values(vals).expect("arity unchanged");
-    }
-    out
+        if !value.is_missing() && value.as_f64().is_none() {
+            numeric[column] = false;
+        }
+        value
+    })?;
+    Ok(table.retyped(|column| {
+        if numeric.get(column).copied().unwrap_or(true) {
+            AttrType::Numeric
+        } else {
+            AttrType::Text
+        }
+    }))
 }
 
-fn read_csv_with(input: &str, type_of: impl Fn(&str) -> AttrType) -> Result<Table, TabularError> {
-    let rows = parse_rows(input)?;
-    let mut it = rows.into_iter();
-    let header = it.next().ok_or(TabularError::CsvParse {
-        line: 1,
-        reason: "empty document".into(),
-    })?;
-    let attrs: Vec<Attribute> = header
-        .iter()
-        .map(|name| Attribute {
-            name: name.clone(),
-            description: None,
-            dtype: type_of(name),
-        })
-        .collect();
-    let schema = Schema::new(attrs)?.shared();
-    let mut table = Table::new(Arc::clone(&schema));
-    for (i, row) in it.enumerate() {
-        if row.len() != schema.len() {
-            return Err(TabularError::CsvParse {
-                line: i + 2,
-                reason: format!(
-                    "row has {} fields but header has {}",
-                    row.len(),
-                    schema.len()
-                ),
-            });
+/// Reads a CSV document whose header row names an all-text schema, each
+/// cell's value made by `cell(column index, raw field)` as its row is read:
+/// the table is built row by row, with no copy of the document's fields.
+fn read_csv_with(
+    input: &str,
+    mut cell: impl FnMut(usize, String) -> Value,
+) -> Result<Table, TabularError> {
+    let mut table: Option<Table> = None;
+    parse_rows(input, |row| {
+        if let Some(table) = table.as_mut() {
+            if row.len() != table.schema().len() {
+                return Err(TabularError::CsvParse {
+                    line: table.len() + 2,
+                    reason: format!(
+                        "row has {} fields but header has {}",
+                        row.len(),
+                        table.schema().len()
+                    ),
+                });
+            }
+            let values = row
+                .into_iter()
+                .enumerate()
+                .map(|(column, raw)| cell(column, raw))
+                .collect();
+            return table.push_values(values);
         }
-        let values = row
+        let attrs: Vec<Attribute> = row
             .into_iter()
-            .map(|s| {
-                if s.is_empty() || s == "???" {
-                    Value::Missing
-                } else {
-                    Value::Text(s)
-                }
+            .map(|name| Attribute {
+                name,
+                description: None,
+                dtype: AttrType::Text,
             })
             .collect();
-        table.push_values(values)?;
-    }
-    Ok(table)
+        table = Some(Table::new(Schema::new(attrs)?.shared()));
+        Ok(())
+    })?;
+    table.ok_or(TabularError::CsvParse {
+        line: 1,
+        reason: "empty document".into(),
+    })
 }
 
 fn write_field(out: &mut String, field: &str) {

@@ -36,6 +36,16 @@ impl Record {
         })
     }
 
+    /// The record's values under `schema`, which must have the same
+    /// arity.
+    pub(crate) fn with_schema(self, schema: Arc<Schema>) -> Record {
+        debug_assert_eq!(schema.len(), self.values.len());
+        Record {
+            schema,
+            values: self.values,
+        }
+    }
+
     /// The schema this record conforms to.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::error::TabularError;
 use crate::record::Record;
-use crate::schema::Schema;
+use crate::schema::{AttrType, Attribute, Schema};
 use crate::value::Value;
 
 /// A relational table.
@@ -66,6 +66,29 @@ impl Table {
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// The same rows under a schema whose column `i` has type `dtype(i)`,
+    /// names and descriptions unchanged. The rows' values are shared with
+    /// the records they come from, not copied.
+    pub(crate) fn retyped(self, dtype: impl Fn(usize) -> AttrType) -> Table {
+        let attrs = self
+            .schema
+            .attributes()
+            .iter()
+            .enumerate()
+            .map(|(i, attr)| Attribute {
+                dtype: dtype(i),
+                ..attr.clone()
+            })
+            .collect();
+        let schema = Schema::new(attrs).expect("names unchanged").shared();
+        let rows = self
+            .rows
+            .into_iter()
+            .map(|record| record.with_schema(Arc::clone(&schema)))
+            .collect();
+        Table { schema, rows }
     }
 
     /// Appends a row built from raw values.

@@ -12,7 +12,10 @@
 //!   render or the simulator's reading shows here first;
 //! * a whole one-worker `Preprocessor::try_run` over a fixed 1,000-row
 //!   detect table, with the peak of its live heap bytes too: a request
-//!   rendered twice, or a completion text kept past its parse, shows here.
+//!   rendered twice, or a completion text kept past its parse, shows here;
+//! * the same table run the way `dprep detect` runs it, through its cell
+//!   source and verdict sink: an instance kept per cell, or a reason kept
+//!   for a cell the command never prints, shows in its peak.
 //!
 //! The counting allocator counts only on the thread that asked for it, so
 //! nothing else the test harness does is counted. A one-worker run spawns
@@ -29,10 +32,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use llm_data_preprocessors::cli::commands::detect::{Cells, Verdict, Verdicts};
 use llm_data_preprocessors::core::{PipelineConfig, Preprocessor};
 use llm_data_preprocessors::llm::comprehend::comprehend;
 use llm_data_preprocessors::llm::{ChatModel, Fact, KnowledgeBase, ModelProfile, SimulatedLlm};
-use llm_data_preprocessors::prompt::{PromptConfig, PromptContext, Task, TaskInstance};
+use llm_data_preprocessors::prompt::{
+    InstanceSource, PromptConfig, PromptContext, Task, TaskInstance,
+};
 use llm_data_preprocessors::tabular::csv::read_csv_typed;
 use llm_data_preprocessors::tabular::Table;
 
@@ -178,9 +184,15 @@ fn one_detect_request_allocates_within_its_ceilings() {
 /// the counts repeat exactly: building a request around a second render
 /// of its body instead of the one the survey kept read 41,103 (41,370),
 /// and keeping every completion text past its parse peaked at 2,069,710
-/// bytes.
-const RUN_ALLOCATIONS_CEILING: (usize, usize) = (41_000, 41_270);
-const RUN_PEAK_BYTES_CEILING: (usize, usize) = (1_300_000, 1_300_000);
+/// bytes. A shard's responses then stayed in dispatch order instead of
+/// moving into a map, and the counts fell to 40,818 (41,085) and
+/// 1,029,287 bytes; the ceilings fell with them.
+const RUN_ALLOCATIONS_CEILING: (usize, usize) = (40_992, 41_262);
+const RUN_PEAK_BYTES_CEILING: (usize, usize) = (1_090_000, 1_090_000);
+/// What the one-worker 1,000-row run held at its peak before the
+/// verdict sink: the slice run's peak when the gate was set. With the
+/// instance vector it ran on, that is what `dprep detect` used to hold.
+const SLICE_RUN_PEAK_BYTES: usize = 1_234_638;
 
 #[test]
 fn one_worker_detect_run_allocates_within_its_ceilings() {
@@ -224,6 +236,65 @@ fn one_worker_detect_run_allocates_within_its_ceilings() {
         );
     }
     eprintln!("one-worker 1,000-row detect run: {counts:?}");
+}
+
+/// Ceilings of the run through `dprep detect`'s source and sink, as
+/// (release, debug): allocations, then peak live heap bytes. Measured when
+/// the gate was set: 44,829 allocations (45,096 in a debug build), about
+/// one more per cell than the slice run, for the instance each render
+/// builds, and a peak of 708,993 live bytes (in both), most of it the
+/// batch bodies the survey keeps. Before the sink, the command held its
+/// instance vector, 400,000 bytes, and the slice run's 1,234,638.
+const DETECT_ALLOCATIONS_CEILING: (usize, usize) = (45_003, 45_273);
+const DETECT_PEAK_BYTES_CEILING: (usize, usize) = (730_000, 730_000);
+
+#[test]
+fn one_worker_detect_command_run_allocates_within_its_ceilings() {
+    let model = detect_model();
+    let table = detect_table(1_000);
+    let attrs: Vec<String> = ["name", "age", "city", "state"].map(String::from).into();
+    let preprocessor = Preprocessor::new(&model, PipelineConfig::best(Task::ErrorDetection));
+    // Warm the model's lexicon view, as the slice run does.
+    let first: Vec<TaskInstance> = detect_cells(&table).take(1).collect();
+    preprocessor.try_run(&first, &[]).expect("a run");
+
+    let (result, tally) = tallied(|| {
+        let cells = Cells::new(&table, &attrs)?;
+        let verdicts = Verdicts::new(cells.len(), false);
+        preprocessor.try_run_into(&cells, verdicts, &[])
+    });
+    let result = result.expect("a run");
+    assert_eq!(result.usage.requests, 267);
+    let flagged = (0..4_000)
+        .filter(|&cell| result.predictions.verdict(cell) == Verdict::Error)
+        .count();
+    assert!(flagged > 0, "the table holds errors");
+
+    // What the command held before: every cell's instance, and the slice
+    // run over them.
+    let (instances, built) = tallied(|| detect_cells(&table).collect::<Vec<_>>());
+    drop(instances);
+    let before = built.peak as usize + SLICE_RUN_PEAK_BYTES;
+    let peak = tally.peak.max(0) as usize;
+    assert!(
+        peak < before / 2,
+        "the run peaked at {peak} live bytes, not under half of the {before} it held before"
+    );
+    let counts = [
+        (
+            "allocations",
+            tally.allocations,
+            ceiling(DETECT_ALLOCATIONS_CEILING),
+        ),
+        ("peak live bytes", peak, ceiling(DETECT_PEAK_BYTES_CEILING)),
+    ];
+    for (what, count, ceiling) in counts {
+        assert!(
+            count <= ceiling,
+            "the run's {what} read {count}, over its ceiling of {ceiling}: {counts:?}"
+        );
+    }
+    eprintln!("one-worker 1,000-row `dprep detect` run: {counts:?}, before: {before}");
 }
 
 /// `sim-gpt-4` knowing the facts a `dprep detect` facts file states.

@@ -11,6 +11,7 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use llm_data_preprocessors::cli::commands::serve::{dataset_handler, HandlerDefaults};
 use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobScheduler};
@@ -19,6 +20,9 @@ use llm_data_preprocessors::obs::export::event_to_json;
 use llm_data_preprocessors::obs::{FlightRecorder, Json, SloSpec, TraceEvent, WindowConfig};
 
 const SEED: u64 = 23;
+
+/// How long a client waits for any one reply before the test fails.
+const REPLY_DEADLINE: Duration = Duration::from_secs(600);
 
 /// A breach-inducing plane: objectives tight enough that the
 /// latency-spike workload below always pages.
@@ -173,6 +177,7 @@ fn daemon_health_op_reports_live_tenants_over_tcp() {
                 ("dataset".to_string(), Json::Str("Restaurant".to_string())),
                 ("workers".to_string(), Json::Num(2.0)),
             ]),
+            REPLY_DEADLINE,
         )
         .unwrap();
         assert_eq!(submit.get("ok"), Some(&Json::Bool(true)), "{submit:?}");
@@ -181,6 +186,7 @@ fn daemon_health_op_reports_live_tenants_over_tcp() {
             &mut stream,
             &mut reader,
             &Json::Obj(vec![("op".to_string(), Json::Str("health".to_string()))]),
+            REPLY_DEADLINE,
         )
         .unwrap();
         assert_eq!(health.get("ok"), Some(&Json::Bool(true)));
@@ -226,6 +232,7 @@ fn daemon_health_op_reports_live_tenants_over_tcp() {
             &mut stream,
             &mut reader,
             &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+            REPLY_DEADLINE,
         )
         .unwrap();
         server.join().unwrap().unwrap();

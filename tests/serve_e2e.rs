@@ -11,7 +11,7 @@
 //! another workload) answered with an error while the daemon keeps
 //! serving; every daemon shuts down cleanly.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -26,6 +26,10 @@ use llm_data_preprocessors::core::{
 use llm_data_preprocessors::obs::{AuditTracer, DurableJournal, Json, TerminalKind, Tracer};
 
 const SEED: u64 = 11;
+
+/// How long a client waits for any one reply: far past the slowest job
+/// here, so only a daemon that stopped answering reaches it.
+const REPLY_DEADLINE: Duration = Duration::from_secs(600);
 
 fn temp_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -101,7 +105,7 @@ fn reference(
 fn submit(addr: std::net::SocketAddr, request: &Json) -> Json {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    roundtrip(&mut stream, &mut reader, request).expect("roundtrip")
+    roundtrip(&mut stream, &mut reader, request, REPLY_DEADLINE).expect("roundtrip")
 }
 
 fn str_field(reply: &Json, key: &str) -> String {
@@ -167,11 +171,7 @@ fn with_daemon_over(
         let server = scope.spawn(|| daemon.run());
         let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr)));
         if let Err(panic) = checked {
-            // No wait for the reply: a daemon that closed itself after a
-            // drain still holds its socket but answers nothing.
-            if let Ok(mut stream) = TcpStream::connect(addr) {
-                stream.write_all(b"{\"op\":\"shutdown\"}\n").ok();
-            }
+            daemon.request_shutdown();
             server.join().ok();
             std::panic::resume_unwind(panic);
         }

@@ -12,6 +12,9 @@ use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobScheduler};
 use llm_data_preprocessors::core::{JobOutcome, TenantLedger, WireLimits};
 use llm_data_preprocessors::obs::Json;
 
+/// How long a client waits for any one reply before the test fails.
+const REPLY_DEADLINE: Duration = Duration::from_secs(60);
+
 /// A trivial handler — the hostile clients below never get far enough to
 /// invoke it, and the sanity pings don't submit.
 fn noop_daemon() -> Daemon {
@@ -45,6 +48,7 @@ fn assert_serving(addr: SocketAddr) {
         &mut stream,
         &mut reader,
         &Json::Obj(vec![("op".to_string(), Json::Str("ping".to_string()))]),
+        REPLY_DEADLINE,
     )
     .expect("ping roundtrip");
     assert_eq!(
@@ -173,6 +177,7 @@ fn hostile_clients_cost_their_own_connection_only() {
             &mut stream,
             &mut reader,
             &Json::Obj(vec![("op".to_string(), Json::Str("ping".to_string()))]),
+            REPLY_DEADLINE,
         )
         .expect("recovered roundtrip");
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
@@ -182,6 +187,7 @@ fn hostile_clients_cost_their_own_connection_only() {
             &mut stream,
             &mut reader,
             &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+            REPLY_DEADLINE,
         )
         .expect("shutdown roundtrip");
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
@@ -225,6 +231,7 @@ fn frames_at_the_limit_still_serve() {
             &mut stream3,
             &mut reader3,
             &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+            REPLY_DEADLINE,
         )
         .expect("shutdown");
         server.join().unwrap().expect("daemon exits cleanly");
@@ -264,6 +271,7 @@ fn deeply_nested_frames_get_an_error_not_a_crash() {
             &mut stream,
             &mut reader,
             &Json::Obj(vec![("op".to_string(), Json::Str("shutdown".to_string()))]),
+            REPLY_DEADLINE,
         )
         .expect("shutdown");
         server.join().unwrap().expect("daemon exits cleanly");
