@@ -1,13 +1,17 @@
 //! Micro-benchmarks of the substrates: tokenizer throughput, embedding,
-//! k-means, string similarity, prompt assembly, and one `dprep detect`
-//! request's round trip: its render, one simulated-model call, and that
-//! call's comprehension and batch-homogeneity shares.
+//! k-means, string similarity, prompt assembly, one `dprep detect`
+//! request's round trip (its render, one simulated-model call, and that
+//! call's comprehension and batch-homogeneity shares), and one warm
+//! simulated call on each of the daemon's heaviest requests: an
+//! entity-matching batch and an error-detection batch, each with its
+//! dataset's few-shot examples.
 //!
 //! Run with `cargo bench -p dprep-bench --bench substrates`.
 
 use std::sync::Arc;
 
 use dprep_bench::timing::{bench, black_box, section};
+use dprep_datasets::{dataset_by_name, Dataset};
 use dprep_embed::{kmeans, HashedNgramEmbedder};
 use dprep_llm::comprehend::comprehend;
 use dprep_llm::solvers::batch_homogeneity;
@@ -41,6 +45,26 @@ fn main() {
         jaro_winkler(
             black_box("apple iphone 12 pro max 128gb"),
             black_box("apple iphone 12 pro 256gb"),
+        )
+    });
+    // The bit-parallel path (ASCII, second string at most 64 bytes), then
+    // the char path past 64 bytes and on non-ASCII text.
+    bench("similarity/jaro_winkler_ascii", || {
+        jaro_winkler(
+            black_box("sierra nevada brewing co pale ale"),
+            black_box("sierra nevada pale ale brewing company"),
+        )
+    });
+    bench("similarity/jaro_winkler_long", || {
+        jaro_winkler(
+            black_box("samsung galaxy tab s7 11 inch wifi 128gb android tablet mystic black"),
+            black_box("samsung galaxy tab s7 11in 128 gb wi-fi android tablet in mystic black"),
+        )
+    });
+    bench("similarity/jaro_winkler_non_ascii", || {
+        jaro_winkler(
+            black_box("brasserie dupont saison dupont bière"),
+            black_box("saison dupont brasserie bière de ferme"),
         )
     });
 
@@ -92,6 +116,31 @@ fn main() {
     bench("simulator/batch_homogeneity_ed15", || {
         batch_homogeneity(black_box(&prompt.questions))
     });
+
+    // A daemon small job's requests (scale 0.5), to a warm `sim-gpt-4`:
+    // the first call reads the shared prefix, the timed ones reuse it.
+    let (model, request) = fewshot_request("Beer", Task::EntityMatching);
+    bench("simulator/em_chat_beer_fewshot10", || {
+        model.chat(black_box(&request))
+    });
+    let (model, request) = fewshot_request("Hospital", Task::ErrorDetection);
+    bench("simulator/ed_chat_hospital_fewshot", || {
+        model.chat(black_box(&request))
+    });
+}
+
+/// `sim-gpt-4` over the corpus of the named dataset (scale 0.5, seed 11),
+/// and the dataset's first 15-instance batch with its few-shot examples,
+/// as `PipelineConfig::best` renders it; the model has answered it once.
+fn fewshot_request(name: &str, task: Task) -> (SimulatedLlm, dprep_llm::ChatRequest) {
+    let ds: Dataset = dataset_by_name(name, 0.5, 11).expect("a dataset");
+    assert_eq!(ds.task, task, "{name}");
+    let model = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone()));
+    let context = PromptContext::new(&PromptConfig::best(task), &ds.few_shot);
+    let batch: Vec<&TaskInstance> = ds.instances.iter().take(15).collect();
+    let (request, _) = context.build(&batch);
+    model.chat(&request);
+    (model, request)
 }
 
 /// The legal cities of a `dprep detect` facts file.

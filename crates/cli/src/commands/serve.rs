@@ -12,7 +12,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dprep_core::serve::{whole_field, Daemon, JobGrant, JobHandler, JobOutcome, JobScheduler};
+use dprep_core::serve::{
+    whole_field, Daemon, JobGrant, JobHandler, JobOutcome, JobScheduler, MAX_WIRE_SECS,
+};
 use dprep_core::{
     result_fingerprint, Durability, FailureKind, OpsPlane, OverloadPolicy, PipelineConfig,
     Preprocessor, TenantLedger, WireLimits,
@@ -302,6 +304,11 @@ fn wire_from_flags(flags: &Flags) -> Result<WireLimits, String> {
     ] {
         if secs <= 0.0 {
             return Err(format!("--{name} must be positive seconds"));
+        }
+        if secs > MAX_WIRE_SECS {
+            return Err(format!(
+                "--{name} must be at most {MAX_WIRE_SECS} seconds (365 days), got {secs}"
+            ));
         }
     }
     Ok(limits)

@@ -168,7 +168,8 @@ SERVE:
   retry_after hint; deadline; or draining) and bills nothing. Wire limits:
   --max-frame-bytes N caps one request line, --frame-timeout SECS bounds
   reading a started line, --idle-timeout SECS closes a silent
-  connection, --write-timeout SECS bounds writing a reply.
+  connection, --write-timeout SECS bounds writing a reply; each timeout
+  is at most 31536000 seconds (365 days).
 
 TOP:
   Live per-tenant table against a running daemon's health op: windowed

@@ -1129,6 +1129,23 @@ pub struct WireLimits {
     pub write_secs: f64,
 }
 
+/// The longest wire timeout a daemon's operator may set, in seconds (365
+/// days). Longer ones mean "never" in practice; past `u64::MAX` seconds a
+/// [`Duration`] cannot hold them at all.
+pub const MAX_WIRE_SECS: f64 = 31_536_000.0;
+
+/// `secs` as a [`Duration`], saturating instead of panicking: a count past
+/// what a `Duration` holds reads as the longest one, and a negative or NaN
+/// count as none. A [`WireLimits`] built in code is not checked against
+/// [`MAX_WIRE_SECS`], so its timeouts go through here.
+fn wire_duration(secs: f64) -> Duration {
+    Duration::try_from_secs_f64(secs).unwrap_or(if secs > 0.0 {
+        Duration::MAX
+    } else {
+        Duration::ZERO
+    })
+}
+
 impl Default for WireLimits {
     fn default() -> WireLimits {
         WireLimits {
@@ -1336,7 +1353,7 @@ impl Daemon {
         // take; the write timeout stops a non-reading peer from pinning
         // this thread on a full socket buffer.
         let _ = stream.set_read_timeout(Some(READ_POLL));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs_f64(self.wire.write_secs)));
+        let _ = stream.set_write_timeout(Some(wire_duration(self.wire.write_secs)));
         let _ = stream.set_nodelay(true);
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
@@ -1398,8 +1415,8 @@ impl Daemon {
     /// progress, so a byte-at-a-time slow loris still times out; the idle
     /// clock only runs while no frame has started.
     fn read_frame(&self, reader: &mut BufReader<TcpStream>) -> FrameOutcome {
-        let idle_limit = Duration::from_secs_f64(self.wire.idle_secs);
-        let frame_limit = Duration::from_secs_f64(self.wire.frame_secs);
+        let idle_limit = wire_duration(self.wire.idle_secs);
+        let frame_limit = wire_duration(self.wire.frame_secs);
         let idle_since = Instant::now();
         let mut frame_since: Option<Instant> = None;
         let mut frame: Vec<u8> = Vec::new();
@@ -2839,6 +2856,41 @@ mod tests {
             .expect("a quiet drain closes the daemon")
             .unwrap();
         assert_eq!(daemon.scheduler().drain_label(), "closed");
+    }
+
+    /// Timeouts no `Duration` holds, set in code past the flags' check,
+    /// saturate: the daemon still answers a ping and a shutdown.
+    #[test]
+    fn wire_timeouts_past_any_duration_still_serve() {
+        assert_eq!(wire_duration(1e300), Duration::MAX);
+        assert_eq!(wire_duration(f64::INFINITY), Duration::MAX);
+        assert_eq!(wire_duration(f64::NAN), Duration::ZERO);
+        assert_eq!(wire_duration(-1.0), Duration::ZERO);
+        assert_eq!(wire_duration(2.5), Duration::from_millis(2_500));
+        let handler: Arc<JobHandler> =
+            Arc::new(|_body: &Json, _grant: &JobGrant| Ok(JobOutcome::default()));
+        let daemon = Daemon::bind(
+            "127.0.0.1:0",
+            JobScheduler::new(TenantLedger::new()),
+            handler,
+        )
+        .unwrap()
+        .with_wire_limits(WireLimits {
+            frame_secs: 1e300,
+            idle_secs: f64::INFINITY,
+            write_secs: 1e300,
+            ..WireLimits::default()
+        });
+        let daemon = Arc::new(daemon);
+        let done = serve_in_background(&daemon);
+        let (mut stream, mut reader) = connect(&daemon);
+        let ping = roundtrip(&mut stream, &mut reader, &op("ping"), REPLY_DEADLINE).unwrap();
+        assert_eq!(ping.get("pong"), Some(&Json::Bool(true)));
+        roundtrip(&mut stream, &mut reader, &op("shutdown"), REPLY_DEADLINE).unwrap();
+        drop((stream, reader));
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("shutdown stops the daemon")
+            .unwrap();
     }
 
     #[test]

@@ -199,13 +199,42 @@ fn parse_answer_segment(segment: &str) -> (Option<Cow<'_, str>>, &str) {
     (reason, last)
 }
 
-/// Reads a chat request into a [`ComprehendedPrompt`] that borrows from it.
+/// Splits a request's messages into its prefix and its questions turn.
+///
+/// When the last message is a user turn, it holds the questions and the
+/// prefix is every message before it. Otherwise the prefix is the whole
+/// list and there are no questions. Everything [`read_prefix`] finds lies
+/// in the prefix, so requests with byte-identical prefixes read alike up
+/// to their questions.
+pub(crate) fn split_prefix(messages: &[Message]) -> (&[Message], Option<&Message>) {
+    match messages.split_last() {
+        Some((last, prefix)) if last.role == Role::User => (prefix, Some(last)),
+        _ => (messages, None),
+    }
+}
+
+/// Reads a chat request into a [`ComprehendedPrompt`] that borrows from it:
+/// its prefix (every message before a final user turn, or all of them
+/// when the last is not a user turn), then that turn's questions. A model
+/// reads the two apart, so that it can keep what it read of a prefix.
 pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt<'_> {
+    let (prefix, turn) = split_prefix(&request.messages);
+    let mut prompt = read_prefix(prefix);
+    if let Some(turn) = turn {
+        prompt.questions = read_questions(&turn.content);
+    }
+    prompt
+}
+
+/// Reads a request's prefix: the instruction of its system messages and
+/// the few-shot examples of its (user, assistant) turn pairs. The result
+/// has no questions.
+pub(crate) fn read_prefix(prefix: &[Message]) -> ComprehendedPrompt<'_> {
     // The instruction: the system messages' text. One message (what the
     // prompt builder sends) is read in place; several are joined by
     // newlines. Every marker the reader looks for lies within one line,
     // so the join finds what the messages would.
-    let mut system = request.messages.iter().filter(|m| m.role == Role::System);
+    let mut system = prefix.iter().filter(|m| m.role == Role::System);
     let instruction: Cow<'_, str> = match (system.next(), system.next()) {
         (None, _) => Cow::Borrowed(""),
         (Some(only), None) => Cow::Borrowed(&only.content),
@@ -234,11 +263,7 @@ pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt<'_> {
     };
 
     // Few-shot examples: every (user, assistant) adjacent pair.
-    let non_system: Vec<&Message> = request
-        .messages
-        .iter()
-        .filter(|m| m.role != Role::System)
-        .collect();
+    let non_system: Vec<&Message> = prefix.iter().filter(|m| m.role != Role::System).collect();
     let mut examples = Vec::new();
     let mut i = 0;
     while i + 1 < non_system.len() {
@@ -260,21 +285,6 @@ pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt<'_> {
         }
     }
 
-    // Batch questions: the last user message (if it is not part of a
-    // question/answer example pair, i.e. it is the final message).
-    let mut questions = Vec::new();
-    if let Some(last) = request.messages.last() {
-        if last.role == Role::User {
-            let segments = split_numbered(&last.content, "Question ");
-            questions.reserve_exact(segments.len());
-            questions.extend(segments.into_iter().map(|(number, text)| Question {
-                number,
-                instances: extract_instances(text),
-                target_attribute: detect_target_attribute(text),
-            }));
-        }
-    }
-
     ComprehendedPrompt {
         task,
         target_attribute,
@@ -282,8 +292,21 @@ pub fn comprehend(request: &ChatRequest) -> ComprehendedPrompt<'_> {
         confirm_target,
         type_hint,
         examples,
-        questions,
+        questions: Vec::new(),
     }
+}
+
+/// Reads the numbered questions of a questions turn, each with its data
+/// instances and its target attribute.
+pub(crate) fn read_questions(turn: &str) -> Vec<Question<'_>> {
+    split_numbered(turn, "Question ")
+        .into_iter()
+        .map(|(number, text)| Question {
+            number,
+            instances: extract_instances(text),
+            target_attribute: detect_target_attribute(text),
+        })
+        .collect()
 }
 
 #[cfg(test)]

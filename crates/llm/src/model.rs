@@ -3,7 +3,9 @@
 //! Request lifecycle:
 //!
 //! 1. tokenize the prompt (usage accounting; context-window check),
-//! 2. comprehend the prompt text (task, components, examples, questions),
+//! 2. read the prompt's prefix (task, components, what the few-shot
+//!    examples teach), or reuse the reading of an identical prefix, and
+//!    read the questions of its last turn,
 //! 3. derive the effective decision-noise sigma from the profile, the
 //!    temperature, and the prompt components present,
 //! 4. for error detection without the "confirm the target attribute"
@@ -12,17 +14,18 @@
 //! 6. inject response failures and render the completion,
 //! 7. meter completion tokens, dollar cost, and virtual latency.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use dprep_rng::StableHasher;
 use dprep_text::count_tokens;
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse};
-use crate::comprehend::{comprehend, TaskKind};
+use crate::chat::{ChatModel, ChatRequest, ChatResponse, Message, MESSAGE_END};
+use crate::comprehend::{read_prefix, read_questions, split_prefix, TaskKind};
 use crate::knowledge::{KnowledgeBase, LexiconView, Memorizer};
 use crate::profile::ModelProfile;
 use crate::respond::{plan_response, render};
 use crate::rng::{stable_hash, Rng};
-use crate::solvers::{batch_homogeneity, solve, SolverContext};
+use crate::solvers::{batch_homogeneity, solve, PrefixReading, SolverContext};
 use crate::usage::Usage;
 
 /// The deterministic simulated LLM.
@@ -31,18 +34,71 @@ pub struct SimulatedLlm {
     profile: ModelProfile,
     kb: Arc<KnowledgeBase>,
     seed: u64,
+    /// The memorization filter of this profile and seed.
+    memorizer: Memorizer,
     /// The memorized lexicons, built by the first request that reads one.
     lexicons: OnceLock<LexiconView>,
+    /// The reading of the last prefix a request showed this model.
+    prefix: PrefixSlot,
+}
+
+/// One prefix this model read (see [`split_prefix`]): its key, where the
+/// full-text hash stands after it, and what reading it yielded.
+#[derive(Debug)]
+struct Prefix {
+    /// The prefix's messages.
+    key: Vec<Message>,
+    /// Whether a questions turn followed the key. The same messages read
+    /// alike either way, but hash differently: the turn's role tag is
+    /// hashed with them.
+    questions_turn: bool,
+    /// The full-text hash at retry salt 0, after the key's bytes and the
+    /// questions turn's role tag: what is left to hash is that turn's
+    /// content and its end.
+    hash: StableHasher,
+    /// What the prefix teaches this model.
+    reading: PrefixReading,
+}
+
+/// The last prefix a model read. A request whose prefix matches it reuses
+/// it; any other replaces it. Calls share it behind one lock, held only to
+/// copy or swap the pointer: a prefix is read and compared outside it. A
+/// poisoned lock still holds a whole pointer, so it is recovered.
+#[derive(Debug, Default)]
+struct PrefixSlot(Mutex<Option<Arc<Prefix>>>);
+
+impl PrefixSlot {
+    fn get(&self) -> Option<Arc<Prefix>> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    fn set(&self, prefix: Arc<Prefix>) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(prefix);
+    }
+}
+
+impl Clone for PrefixSlot {
+    /// A clone of a model keeps its reading: it has the same corpus and
+    /// memorizer until [`SimulatedLlm::with_seed`] replaces them.
+    fn clone(&self) -> Self {
+        PrefixSlot(Mutex::new(self.get()))
+    }
 }
 
 impl SimulatedLlm {
     /// Creates a model over the given world-knowledge corpus.
     pub fn new(profile: ModelProfile, kb: Arc<KnowledgeBase>) -> Self {
+        let seed = 0x5eed_cafe;
         SimulatedLlm {
+            memorizer: memorizer(&profile, seed),
             profile,
             kb,
-            seed: 0x5eed_cafe,
+            seed,
             lexicons: OnceLock::new(),
+            prefix: PrefixSlot::default(),
         }
     }
 
@@ -50,7 +106,9 @@ impl SimulatedLlm {
     /// all stochastic failures).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.memorizer = memorizer(&self.profile, seed);
         self.lexicons = OnceLock::new();
+        self.prefix = PrefixSlot::default();
         self
     }
 
@@ -61,11 +119,7 @@ impl SimulatedLlm {
 
     /// The memorization filter this model applies to the corpus.
     pub fn memorizer(&self) -> Memorizer {
-        Memorizer {
-            model_name: self.profile.name.clone(),
-            coverage: self.profile.knowledge_coverage,
-            seed: self.seed,
-        }
+        self.memorizer.clone()
     }
 
     fn task_skill(&self, task: Option<TaskKind>) -> f64 {
@@ -76,6 +130,48 @@ impl SimulatedLlm {
             Some(TaskKind::EntityMatching) => self.profile.skills.em,
             None => 0.5,
         }
+    }
+
+    /// The seed of the noise stream's full-text hash under retry salt
+    /// `salt`. Salt 0 reproduces the unsalted stream exactly.
+    fn hash_seed(&self, salt: u64) -> u64 {
+        self.seed ^ stable_hash(salt, self.profile.name.as_bytes())
+    }
+
+    /// The prefix of `request` as this model read it: the kept reading
+    /// when its key is byte-identical, else a fresh one, which is kept in
+    /// its place. Both are a pure function of the model and the prefix,
+    /// so a request answers alike whichever it gets.
+    fn prefix(&self, request: &ChatRequest) -> Arc<Prefix> {
+        let (key, turn) = split_prefix(&request.messages);
+        if let Some(kept) = self.prefix.get() {
+            if kept.questions_turn == turn.is_some() && kept.key == key {
+                return kept;
+            }
+        }
+        let mut hash = StableHasher::new(self.hash_seed(0));
+        if turn.is_some() {
+            request.hash_full_text_before_last(&mut hash);
+        } else {
+            request.hash_full_text(&mut hash);
+        }
+        let fresh = Arc::new(Prefix {
+            key: key.to_vec(),
+            questions_turn: turn.is_some(),
+            hash,
+            reading: PrefixReading::new(&read_prefix(key), &self.kb, &self.memorizer),
+        });
+        self.prefix.set(Arc::clone(&fresh));
+        fresh
+    }
+}
+
+/// The memorization filter of `profile` under `seed`.
+fn memorizer(profile: &ModelProfile, seed: u64) -> Memorizer {
+    Memorizer {
+        model_name: profile.name.clone(),
+        coverage: profile.knowledge_coverage,
+        seed,
     }
 }
 
@@ -111,40 +207,50 @@ impl ChatModel for SimulatedLlm {
         );
         let context_fill = prompt_tokens as f64 / self.profile.context_window as f64;
 
-        // The retry salt perturbs the noise stream without touching the
-        // prompt text: salt 0 reproduces the unsalted stream exactly. The
-        // stream is seeded by the full text's hash, streamed from the
-        // messages (as `rng_for` would hash the assembled text).
-        let mut rng = Rng::seed_from_u64(request.full_text_hash(
-            self.seed ^ stable_hash(request.retry_salt, self.profile.name.as_bytes()),
-        ));
-        let mut prompt = comprehend(request);
+        let prefix = self.prefix(request);
+        let reading = &prefix.reading;
+        let turn = split_prefix(&request.messages).1;
 
-        // Context overflow: only the questions that fit are answered. The
-        // questions move out of the prompt: from here on they are read
-        // from `questions` alone.
-        let mut questions = std::mem::take(&mut prompt.questions);
+        // The retry salt perturbs the noise stream without touching the
+        // prompt text. The stream is seeded by the full text's hash: at
+        // salt 0, the prefix's hash state continued over the questions
+        // turn; a salted retry hashes its whole text.
+        let seed = if request.retry_salt == 0 {
+            let mut hash = prefix.hash;
+            if let Some(turn) = turn {
+                hash.write(turn.content.as_bytes());
+                hash.write(MESSAGE_END.as_bytes());
+            }
+            hash.finish()
+        } else {
+            request.full_text_hash(self.hash_seed(request.retry_salt))
+        };
+        debug_assert_eq!(
+            seed,
+            request.full_text_hash(self.hash_seed(request.retry_salt)),
+            "the prefix's hash state disagrees with the request text"
+        );
+        let mut rng = Rng::seed_from_u64(seed);
+
+        // Context overflow: only the questions that fit are answered.
+        let mut questions = turn.map_or_else(Vec::new, |turn| read_questions(&turn.content));
         if context_fill > 1.0 && !questions.is_empty() {
             let keep = ((questions.len() as f64 / context_fill).floor() as usize).max(1);
             questions.truncate(keep);
         }
 
         // --- Effective decision noise ---------------------------------
-        let skill = self.task_skill(prompt.task);
+        let skill = self.task_skill(reading.task);
         let temp_mult = 0.55 + 0.6 * request.temperature_or(self.profile.default_temperature);
-        let reason_mult = if prompt.wants_reason { 1.0 } else { 1.25 };
-        let fewshot_mult = if prompt.examples.is_empty() {
-            1.15
-        } else {
-            1.0
-        };
+        let reason_mult = if reading.wants_reason { 1.0 } else { 1.25 };
+        let fewshot_mult = if reading.has_examples { 1.0 } else { 1.15 };
         let k = questions.len().max(1);
         let batch_mult = (1.0 + 0.015 * (k as f64 - 1.0)).min(1.25);
         let homogeneity = batch_homogeneity(&questions);
         let homogeneity_mult = 1.0 - 0.3 * homogeneity;
         // Pairwise matching is a more stable judgment for LLMs than the
         // open-ended tasks; its decisions wobble less at equal skill.
-        let task_mult = if prompt.task == Some(TaskKind::EntityMatching) {
+        let task_mult = if reading.task == Some(TaskKind::EntityMatching) {
             0.55
         } else {
             1.0
@@ -162,7 +268,7 @@ impl ChatModel for SimulatedLlm {
         // Without the confirmation safeguard the model sometimes evaluates
         // a different attribute of the record (§3.1 motivates the
         // safeguard precisely because of this failure).
-        if prompt.task == Some(TaskKind::ErrorDetection) && !prompt.confirm_target {
+        if reading.task == Some(TaskKind::ErrorDetection) && !reading.confirm_target {
             let p_drift = ((1.0 - self.profile.instruction_following) * 2.0 + 0.10).min(0.4);
             for q in &mut questions {
                 if rng.f64() >= p_drift {
@@ -188,18 +294,18 @@ impl ChatModel for SimulatedLlm {
         // Zero-shot criteria wander: with no examples the model's internal
         // notion of "erroneous" drifts per request (shared across the
         // request's whole batch). Skill dampens it.
-        let criteria_wander = if prompt.examples.is_empty() {
-            crate::rng::gaussian(&mut rng) * 0.5 * (1.25 - skill)
-        } else {
+        let criteria_wander = if reading.has_examples {
             0.0
+        } else {
+            crate::rng::gaussian(&mut rng) * 0.5 * (1.25 - skill)
         };
 
         let ctx = SolverContext {
             profile: &self.profile,
-            memorizer: self.memorizer(),
+            memorizer: &self.memorizer,
             kb: &self.kb,
             lexicons: &self.lexicons,
-            prompt: &prompt,
+            reading,
             sigma,
             homogeneity,
             criteria_wander,
@@ -207,8 +313,8 @@ impl ChatModel for SimulatedLlm {
         let answers = solve(&ctx, &questions, &mut rng);
 
         // --- Render with failures ---------------------------------------
-        let segments = plan_response(&self.profile, &prompt, answers, context_fill, &mut rng);
-        let text = render(&prompt, &segments);
+        let segments = plan_response(&self.profile, reading.task, answers, context_fill, &mut rng);
+        let text = render(reading.wants_reason, &segments);
 
         let completion_tokens = count_tokens(&text);
         let usage = Usage {
@@ -388,6 +494,64 @@ mod tests {
             .collect();
         assert_eq!(second, known);
         assert_ne!(first, second, "the seeds memorize different cities");
+    }
+
+    /// The model keeps the reading of the last prefix it saw: a request
+    /// with that prefix reuses it, another prefix (or the same messages
+    /// with no questions turn after them) replaces it, and `with_seed`
+    /// starts afresh, because what examples teach depends on the
+    /// memorizer.
+    #[test]
+    fn the_last_prefix_reading_is_kept_until_another_prefix_or_seed() {
+        let system = Message::system(
+            "Decide whether the two given records refer to the same entity. \
+             Give the reason first.",
+        );
+        let example = [
+            Message::user(
+                "Question 1: Record A is [title: \"ipa six pack\"]. \
+                 Record B is [title: \"india pale ale 6 pack\"].",
+            ),
+            Message::assistant("Answer 1: Same beer.\nyes"),
+        ];
+        let question = |title: &str| {
+            Message::user(format!(
+                "Question 1: Record A is [title: \"{title}\"]. Record B is [title: \"{title}s\"]."
+            ))
+        };
+        let few_shot = |title: &str| {
+            let mut messages = vec![system.clone()];
+            messages.extend(example.iter().cloned());
+            messages.push(question(title));
+            ChatRequest::new(messages)
+        };
+        let kept = |llm: &SimulatedLlm| llm.prefix.get();
+        let llm = SimulatedLlm::new(ModelProfile::gpt4(), kb()).with_seed(3);
+        assert!(kept(&llm).is_none(), "read before any request");
+
+        let first = llm.chat(&few_shot("stout"));
+        let reading = kept(&llm).expect("the request was read");
+        assert_eq!(reading.key.len(), 3);
+        assert!(reading.reading.has_examples && reading.reading.wants_reason);
+        llm.chat(&few_shot("porter"));
+        assert!(Arc::ptr_eq(&reading, &kept(&llm).expect("kept")), "reused");
+
+        let zero_shot = ChatRequest::new(vec![system.clone(), question("stout")]);
+        llm.chat(&zero_shot);
+        let other = kept(&llm).expect("kept");
+        assert!(!Arc::ptr_eq(&reading, &other), "another prefix replaces it");
+        assert!(!other.reading.has_examples);
+        let headless = ChatRequest::new(vec![system.clone()]);
+        llm.chat(&headless);
+        assert!(
+            !Arc::ptr_eq(&other, &kept(&llm).expect("kept")),
+            "no questions turn"
+        );
+        assert_eq!(llm.chat(&few_shot("stout")), first, "read again alike");
+
+        let reseeded = llm.clone().with_seed(4);
+        assert!(kept(&reseeded).is_none(), "kept across with_seed");
+        assert!(kept(&llm.clone()).is_some(), "a clone keeps it");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! those failures with probabilities derived from the model profile, then
 //! renders the final completion text.
 
-use crate::comprehend::{ComprehendedPrompt, TaskKind};
+use crate::comprehend::TaskKind;
 use crate::profile::ModelProfile;
 use crate::rng::Rng;
 use crate::solvers::SolvedAnswer;
@@ -45,7 +45,7 @@ fn format_adherence(profile: &ModelProfile, task: Option<TaskKind>) -> f64 {
 ///   probability `(1 - instruction_following) × k × 0.02`.
 pub fn plan_response(
     profile: &ModelProfile,
-    prompt: &ComprehendedPrompt<'_>,
+    task: Option<TaskKind>,
     mut answers: Vec<(usize, SolvedAnswer)>,
     context_fill: f64,
     rng: &mut Rng,
@@ -73,7 +73,7 @@ pub fn plan_response(
         }
     }
 
-    let adherence = format_adherence(profile, prompt.task);
+    let adherence = format_adherence(profile, task);
     let p_garble =
         ((1.0 - adherence) * (0.6 + 0.8 * context_fill.clamp(0.0, 1.0))).clamp(0.0, 0.98);
 
@@ -87,35 +87,59 @@ pub fn plan_response(
         .collect()
 }
 
+/// The rambling that stands in for a garbled segment's answer, around its
+/// ordinal and its answer.
+const RAMBLE: [&str; 3] = [
+    "Well, regarding the ",
+    " question, it is hard to say definitively without more context. \
+     One might lean toward ",
+    " but several caveats apply, and overall I would want to verify further.\n",
+];
+
 /// Renders the final completion text.
 ///
 /// Well-formed segments follow the requested format (`Answer N:` plus a
 /// reasoning line when chain-of-thought was requested). Garbled segments
 /// ramble without the marker so downstream parsing fails, as a misbehaving
 /// model's output would.
-pub fn render(prompt: &ComprehendedPrompt<'_>, segments: &[AnswerSegment]) -> String {
+pub fn render(wants_reason: bool, segments: &[AnswerSegment]) -> String {
     use std::fmt::Write;
-    // Writing segments straight into one pre-sized buffer keeps this on the
-    // dispatch hot path free of per-answer temporaries: a million-row run
-    // renders tens of millions of answer lines through here.
-    let mut out = String::with_capacity(segments.iter().map(|s| 24 + s.solved.answer.len()).sum());
+    // Writing segments straight into one buffer, sized for every line up
+    // front, keeps this on the dispatch hot path free of per-answer
+    // temporaries and of regrowth: a million-row run renders tens of
+    // millions of answer lines through here. `Answer N: ` and the line
+    // ends fit in 24 bytes for any N below 10^13, and an ordinal in 22.
+    let ramble: usize = RAMBLE.iter().map(|piece| piece.len()).sum();
+    let capacity = segments
+        .iter()
+        .map(|s| {
+            let answer = s.solved.answer.len();
+            if s.garbled {
+                ramble + 22 + answer
+            } else if wants_reason {
+                24 + s.solved.reason.len() + answer
+            } else {
+                24 + answer
+            }
+        })
+        .sum();
+    let mut out = String::with_capacity(capacity);
     // Rambling about garbled questions comes first, as unstructured
     // preamble: text before the first `Answer N:` marker is ignored by
     // parsers, so a garble costs exactly its own answer slot. (Appended
     // after a well-formed segment it would be absorbed into *that*
     // segment and corrupt a correctly answered question.)
     for seg in segments.iter().filter(|s| s.garbled) {
-        let _ = writeln!(
+        let [opening, middle, closing] = RAMBLE;
+        let _ = write!(
             out,
-            "Well, regarding the {} question, it is hard to say definitively \
-             without more context. One might lean toward {} but several \
-             caveats apply, and overall I would want to verify further.",
+            "{opening}{}{middle}{}{closing}",
             Ordinal(seg.number),
             seg.solved.answer
         );
     }
     for seg in segments.iter().filter(|s| !s.garbled) {
-        if prompt.wants_reason {
+        if wants_reason {
             let _ = writeln!(
                 out,
                 "Answer {}: {}\n{}",
@@ -182,7 +206,7 @@ mod tests {
             solved: solved("yes"),
             garbled: false,
         }];
-        let text = render(&prompt, &segs);
+        let text = render(prompt.wants_reason, &segs);
         assert_eq!(text, "Answer 1: Because.\nyes\n");
     }
 
@@ -195,7 +219,7 @@ mod tests {
             solved: solved("no"),
             garbled: false,
         }];
-        assert_eq!(render(&prompt, &segs), "Answer 2: no\n");
+        assert_eq!(render(prompt.wants_reason, &segs), "Answer 2: no\n");
     }
 
     #[test]
@@ -221,7 +245,7 @@ mod tests {
                 garbled: false,
             },
         ];
-        let text = render(&prompt, &segs);
+        let text = render(prompt.wants_reason, &segs);
         let parsed = dprep_prompt::parse_response(&text, true);
         assert_eq!(parsed.len(), 2, "{text}");
         assert_eq!(parsed[&1].value, "yes");
@@ -238,7 +262,7 @@ mod tests {
             solved: solved("yes"),
             garbled: true,
         }];
-        let text = render(&prompt, &segs);
+        let text = render(prompt.wants_reason, &segs);
         assert!(!text.contains("Answer 1:"));
     }
 
@@ -250,7 +274,13 @@ mod tests {
         let mut garbled = 0;
         for i in 0..200 {
             let mut rng = rng_for(i, "seed");
-            let segs = plan_response(&profile, &prompt, vec![(1, solved("yes"))], 0.1, &mut rng);
+            let segs = plan_response(
+                &profile,
+                prompt.task,
+                vec![(1, solved("yes"))],
+                0.1,
+                &mut rng,
+            );
             if segs.iter().any(|s| s.garbled) {
                 garbled += 1;
             }
@@ -274,7 +304,7 @@ mod tests {
             let mut rng = rng_for(i, "seed");
             let segs = plan_response(
                 &profile,
-                &prompt,
+                prompt.task,
                 vec![(1, solved("atlanta"))],
                 0.3,
                 &mut rng,
@@ -290,7 +320,7 @@ mod tests {
     fn empty_answers_render_fallback() {
         let request = em_request(false);
         let prompt = comprehend(&request);
-        let text = render(&prompt, &[]);
+        let text = render(prompt.wants_reason, &[]);
         assert!(text.contains("could not find"));
     }
 
@@ -303,9 +333,15 @@ mod tests {
             (0..300)
                 .filter(|&i| {
                     let mut rng = rng_for(i, "fill");
-                    plan_response(&profile, &prompt, vec![(1, solved("yes"))], fill, &mut rng)
-                        .iter()
-                        .any(|s| s.garbled)
+                    plan_response(
+                        &profile,
+                        prompt.task,
+                        vec![(1, solved("yes"))],
+                        fill,
+                        &mut rng,
+                    )
+                    .iter()
+                    .any(|s| s.garbled)
                 })
                 .count()
         };

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use dprep_tabular::context::ParsedInstance;
 use dprep_text::normalize;
 
-use crate::comprehend::Question;
+use crate::comprehend::{Example, Question};
 use crate::rng::Rng;
 use crate::solvers::{SolvedAnswer, SolverContext};
 
@@ -82,7 +82,7 @@ fn gather_candidates(
 
     // Phone area code → city-like targets.
     if let Some(prefix) = phone_prefix(instance) {
-        if let Some(city) = ctx.kb.city_for_area_code(&ctx.memorizer, &prefix) {
+        if let Some(city) = ctx.kb.city_for_area_code(ctx.memorizer, &prefix) {
             candidates.push(Candidate {
                 value: city.to_string(),
                 weight: 0.9,
@@ -93,7 +93,7 @@ fn gather_candidates(
 
     // Generic memorized cues over the record's phrases.
     for phrase in evidence_phrases(instance, target) {
-        if let Some(value) = ctx.kb.cue_value(&ctx.memorizer, target, &phrase) {
+        if let Some(value) = ctx.kb.cue_value(ctx.memorizer, target, &phrase) {
             candidates.push(Candidate {
                 value: value.to_string(),
                 weight: 0.85,
@@ -103,7 +103,7 @@ fn gather_candidates(
         // Brand facts answer manufacturer-like targets.
         let t = target.to_lowercase();
         if t.contains("manufacturer") || t.contains("brand") {
-            if let Some(maker) = ctx.kb.manufacturer_for_token(&ctx.memorizer, &phrase) {
+            if let Some(maker) = ctx.kb.manufacturer_for_token(ctx.memorizer, &phrase) {
                 candidates.push(Candidate {
                     value: maker.to_string(),
                     weight: 0.88,
@@ -114,25 +114,53 @@ fn gather_candidates(
     }
 
     // Few-shot answer prior.
-    if ctx.has_examples() {
+    if let Some(prior) = ctx.reading.answer_prior(target) {
+        candidates.push(Candidate {
+            weight: prior.weight,
+            phrase: format!(
+                "\"{}\" is the most common answer in the examples",
+                prior.value
+            ),
+            value: prior.value.clone(),
+        });
+    }
+
+    candidates
+}
+
+/// The answer the examples give most often for one target attribute
+/// (the greatest on ties), weighted by its share of their answers.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct AnswerPrior {
+    value: String,
+    weight: f64,
+}
+
+/// The answer prior `examples` teach for each target attribute they name
+/// with a non-empty answer, in order of first mention.
+pub(crate) fn answer_priors(examples: &[Example<'_>]) -> Vec<(String, AnswerPrior)> {
+    let mut priors: Vec<(String, AnswerPrior)> = Vec::new();
+    for target in examples.iter().filter_map(|ex| ex.target_attribute) {
+        if priors.iter().any(|(t, _)| t == target) {
+            continue;
+        }
         let mut counts: HashMap<&str, usize> = HashMap::new();
         let mut total = 0usize;
-        for ex in &ctx.prompt.examples {
+        for ex in examples {
             if ex.target_attribute == Some(target) && !ex.answer.is_empty() {
                 *counts.entry(ex.answer).or_insert(0) += 1;
                 total += 1;
             }
         }
         if let Some((value, count)) = counts.into_iter().max_by_key(|&(v, c)| (c, v)) {
-            candidates.push(Candidate {
-                weight: 0.2 + 0.2 * (count as f64 / total.max(1) as f64),
-                phrase: format!("\"{value}\" is the most common answer in the examples"),
+            let prior = AnswerPrior {
                 value: value.to_string(),
-            });
+                weight: 0.2 + 0.2 * (count as f64 / total.max(1) as f64),
+            };
+            priors.push((target.to_string(), prior));
         }
     }
-
-    candidates
+    priors
 }
 
 fn hallucinate(ctx: &SolverContext<'_>, target: &str, rng: &mut Rng) -> (String, String) {
@@ -155,7 +183,7 @@ fn hallucinate(ctx: &SolverContext<'_>, target: &str, rng: &mut Rng) -> (String,
 /// Formats a numeric answer as a range when the prompt hinted the attribute
 /// "can be a range" (§3.1's data-type hint).
 fn apply_type_hint(ctx: &SolverContext<'_>, value: &str) -> String {
-    let Some(hint) = &ctx.prompt.type_hint else {
+    let Some(hint) = &ctx.reading.type_hint else {
         return value.to_string();
     };
     if !hint.to_lowercase().contains("range") {
@@ -171,7 +199,7 @@ fn apply_type_hint(ctx: &SolverContext<'_>, value: &str) -> String {
 pub fn solve(ctx: &SolverContext<'_>, question: &Question<'_>, rng: &mut Rng) -> SolvedAnswer {
     let target = question
         .target_attribute
-        .or(ctx.prompt.target_attribute.as_deref())
+        .or(ctx.reading.target_attribute.as_deref())
         .or_else(|| {
             // Fall back to the instance's missing field.
             question
@@ -219,6 +247,7 @@ mod tests {
     use crate::knowledge::{Fact, KnowledgeBase, Memorizer};
     use crate::profile::ModelProfile;
     use crate::rng::rng_for;
+    use crate::solvers::PrefixReading;
     use std::sync::OnceLock;
 
     fn kb() -> KnowledgeBase {
@@ -247,16 +276,18 @@ mod tests {
         let profile = ModelProfile::gpt4();
         let req = ChatRequest::new(vec![Message::system(system), Message::user(user)]);
         let prompt = comprehend(&req);
+        let memorizer = Memorizer {
+            model_name: profile.name.clone(),
+            coverage,
+            seed: 0,
+        };
+        let reading = PrefixReading::new(&prompt, kb, &memorizer);
         let ctx = SolverContext {
             profile: &profile,
-            memorizer: Memorizer {
-                model_name: profile.name.clone(),
-                coverage,
-                seed: 0,
-            },
+            memorizer: &memorizer,
             kb,
             lexicons: &OnceLock::new(),
-            prompt: &prompt,
+            reading: &reading,
             sigma: 0.0,
             homogeneity: 0.0,
             criteria_wander: 0.0,
@@ -354,16 +385,18 @@ mod tests {
             ),
         ]);
         let prompt = comprehend(&req);
+        let memorizer = Memorizer {
+            model_name: profile.name.clone(),
+            coverage: 1.0,
+            seed: 0,
+        };
+        let reading = PrefixReading::new(&prompt, &kb, &memorizer);
         let ctx = SolverContext {
             profile: &profile,
-            memorizer: Memorizer {
-                model_name: profile.name.clone(),
-                coverage: 1.0,
-                seed: 0,
-            },
+            memorizer: &memorizer,
             kb: &kb,
             lexicons: &OnceLock::new(),
-            prompt: &prompt,
+            reading: &reading,
             sigma: 0.0,
             homogeneity: 0.0,
             criteria_wander: 0.0,

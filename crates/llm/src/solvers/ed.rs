@@ -28,28 +28,48 @@
 //! holds the target line, with the target and value borrowed from the
 //! request.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::fmt::Write;
 
 use dprep_text::{normalize, normalized_levenshtein, within_one_edit};
 
-use crate::comprehend::Question;
+use crate::comprehend::{Example, Question};
 use crate::knowledge::KnownMember;
 use crate::rng::Rng;
 use crate::solvers::{SolvedAnswer, SolverContext};
 
 /// Criteria learned from few-shot examples for one target attribute.
-#[derive(Debug, Default)]
-struct LearnedCriteria {
-    clean_values: HashSet<String>,
-    error_values: HashSet<String>,
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct LearnedCriteria {
+    clean_values: BTreeSet<String>,
+    error_values: BTreeSet<String>,
     clean_range: Option<(f64, f64)>,
 }
 
-fn learn_criteria(ctx: &SolverContext<'_>, target: &str) -> LearnedCriteria {
+/// What a target no example names is checked against: nothing learned.
+static NO_CRITERIA: LearnedCriteria = LearnedCriteria {
+    clean_values: BTreeSet::new(),
+    error_values: BTreeSet::new(),
+    clean_range: None,
+};
+
+/// The criteria `examples` teach for each target attribute they name, in
+/// order of first mention.
+pub(crate) fn learn_criteria(examples: &[Example<'_>]) -> Vec<(String, LearnedCriteria)> {
+    let mut learned: Vec<(String, LearnedCriteria)> = Vec::new();
+    for target in examples.iter().filter_map(|ex| ex.target_attribute) {
+        if learned.iter().all(|(t, _)| t != target) {
+            learned.push((target.to_string(), criteria_for(examples, target)));
+        }
+    }
+    learned
+}
+
+/// The criteria `examples` teach for `target`.
+fn criteria_for(examples: &[Example<'_>], target: &str) -> LearnedCriteria {
     let mut crit = LearnedCriteria::default();
     let mut numeric_clean: Vec<f64> = Vec::new();
-    for ex in &ctx.prompt.examples {
+    for ex in examples {
         let Some(ex_target) = ex.target_attribute else {
             continue;
         };
@@ -428,8 +448,8 @@ fn gather_evidence<'a>(
     // also activate them — seeing labeled errors primes the model to look —
     // but only associatively: their verdicts are attenuated toward
     // uncertainty.
-    let deliberate = ctx.prompt.wants_reason || ctx.has_examples();
-    let attenuation = if ctx.prompt.wants_reason { 1.0 } else { 0.45 };
+    let deliberate = ctx.reading.wants_reason || ctx.has_examples();
+    let attenuation = if ctx.reading.wants_reason { 1.0 } else { 0.45 };
     let before_checks = evidence.len();
     if deliberate {
         match format_violation(target, raw) {
@@ -443,7 +463,7 @@ fn gather_evidence<'a>(
             }
         }
         if let Some(n) = as_number {
-            if let Some((min, max)) = ctx.kb.numeric_range(&ctx.memorizer, target) {
+            if let Some((min, max)) = ctx.kb.numeric_range(ctx.memorizer, target) {
                 evidence.push(if n < min || n > max {
                     Evidence::new(0.94, Phrase::OutsideRange { n, min, max })
                 } else {
@@ -473,7 +493,7 @@ fn gather_evidence<'a>(
 pub fn solve(ctx: &SolverContext<'_>, question: &Question<'_>, rng: &mut Rng) -> SolvedAnswer {
     let target = question
         .target_attribute
-        .or(ctx.prompt.target_attribute.as_deref());
+        .or(ctx.reading.target_attribute.as_deref());
     let Some(target) = target else {
         return SolvedAnswer {
             answer: "no".into(),
@@ -494,9 +514,9 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question<'_>, rng: &mut Rng) ->
         };
     };
 
-    let crit = learn_criteria(ctx, target);
+    let crit = ctx.reading.criteria(target).unwrap_or(&NO_CRITERIA);
     let norm = normalize(value);
-    let assessment = gather_evidence(ctx, target, value, &norm, &crit);
+    let assessment = gather_evidence(ctx, target, value, &norm, crit);
 
     // The most decisive deliberate signal wins; with none available the
     // superficial prior decides.
@@ -518,7 +538,7 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question<'_>, rng: &mut Rng) ->
     // lower bound of the reason's length: reserved up front, they leave
     // only the phrase to grow the buffer.
     let mut reason = String::with_capacity(
-        if ctx.prompt.confirm_target {
+        if ctx.reading.confirm_target {
             28 + target.len()
         } else {
             0
@@ -526,7 +546,7 @@ pub fn solve(ctx: &SolverContext<'_>, question: &Question<'_>, rng: &mut Rng) ->
             + target.len()
             + value.len(),
     );
-    if ctx.prompt.confirm_target {
+    if ctx.reading.confirm_target {
         let _ = write!(reason, "The target attribute is \"{target}\". ");
     }
     let _ = write!(reason, "I checked the \"{target}\" value {value:?}: ");
@@ -547,6 +567,7 @@ mod tests {
     use crate::knowledge::{Fact, KnowledgeBase, Memorizer};
     use crate::profile::ModelProfile;
     use crate::rng::{rng_for, Rng};
+    use crate::solvers::PrefixReading;
     use std::sync::OnceLock;
 
     fn kb() -> KnowledgeBase {
@@ -571,16 +592,18 @@ mod tests {
         let profile = ModelProfile::gpt4();
         let req = ChatRequest::new(vec![Message::system(system), Message::user(user)]);
         let prompt = comprehend(&req);
+        let memorizer = Memorizer {
+            model_name: profile.name.clone(),
+            coverage: 1.0,
+            seed: 0,
+        };
+        let reading = PrefixReading::new(&prompt, kb, &memorizer);
         let ctx = SolverContext {
             profile: &profile,
-            memorizer: Memorizer {
-                model_name: profile.name.clone(),
-                coverage: 1.0,
-                seed: 0,
-            },
+            memorizer: &memorizer,
             kb,
             lexicons: &OnceLock::new(),
-            prompt: &prompt,
+            reading: &reading,
             sigma: 0.0,
             homogeneity: 0.0,
             criteria_wander: 0.0,
@@ -777,7 +800,7 @@ mod tests {
         let mut is_member = false;
         let mut best_sim = 0.0f64;
         let mut best_member: Option<String> = None;
-        for member in ctx.kb.known_lexicon(&ctx.memorizer, target) {
+        for member in ctx.kb.known_lexicon(ctx.memorizer, target) {
             let member_norm = normalize(member);
             if member_norm == norm {
                 is_member = true;
@@ -791,7 +814,7 @@ mod tests {
         }
         let nearest_edit_distance = ctx
             .kb
-            .known_lexicon(&ctx.memorizer, target)
+            .known_lexicon(ctx.memorizer, target)
             .map(|member| dprep_text::levenshtein(&normalize(member), &norm))
             .min()
             .unwrap_or(usize::MAX);
@@ -905,8 +928,8 @@ mod tests {
                 ));
             }
         }
-        let deliberate = ctx.prompt.wants_reason || ctx.has_examples();
-        let attenuation = if ctx.prompt.wants_reason { 1.0 } else { 0.45 };
+        let deliberate = ctx.reading.wants_reason || ctx.has_examples();
+        let attenuation = if ctx.reading.wants_reason { 1.0 } else { 0.45 };
         let before_checks = evidence.len();
         if deliberate {
             match lowercased_format_violation(target, raw) {
@@ -928,7 +951,7 @@ mod tests {
                 }
             }
             if let Some(n) = as_number {
-                if let Some((min, max)) = ctx.kb.numeric_range(&ctx.memorizer, target) {
+                if let Some((min, max)) = ctx.kb.numeric_range(ctx.memorizer, target) {
                     evidence.push(if n < min || n > max {
                         e(
                             0.94,
@@ -1071,22 +1094,24 @@ mod tests {
         let mut checked = [0usize; 2];
         for prompt in &prompts {
             for coverage in [0.5, 1.0] {
+                let memorizer = Memorizer {
+                    model_name: profile.name.clone(),
+                    coverage,
+                    seed: 3,
+                };
+                let reading = PrefixReading::new(prompt, &kb, &memorizer);
                 let ctx = SolverContext {
                     profile: &profile,
-                    memorizer: Memorizer {
-                        model_name: profile.name.clone(),
-                        coverage,
-                        seed: 3,
-                    },
+                    memorizer: &memorizer,
                     kb: &kb,
                     lexicons: &OnceLock::new(),
-                    prompt,
+                    reading: &reading,
                     sigma: 0.0,
                     homogeneity: 0.0,
                     criteria_wander: 0.0,
                 };
                 for &target in TARGETS {
-                    let crit = learn_criteria(&ctx, target);
+                    let crit = ctx.reading.criteria(target).unwrap_or(&NO_CRITERIA);
                     let mut values: Vec<String> = VALUES.iter().map(|v| v.to_string()).collect();
                     for _ in 0..20 {
                         let a = *rng.choose(VALUES).expect("nonempty");
@@ -1095,8 +1120,8 @@ mod tests {
                     }
                     for raw in &values {
                         let norm = normalize(raw);
-                        let got = gather_evidence(&ctx, target, raw, &norm, &crit);
-                        let (prior, evidence) = eager_evidence(&ctx, target, raw, &crit);
+                        let got = gather_evidence(&ctx, target, raw, &norm, crit);
+                        let (prior, evidence) = eager_evidence(&ctx, target, raw, crit);
                         assert_eq!(
                             written(&got.prior, target, raw),
                             (prior.score.to_bits(), prior.phrase),
@@ -1227,16 +1252,18 @@ mod tests {
             }
             for coverage in [0.55, 1.0] {
                 for prompt in [&zero_shot, &few_shot] {
+                    let memorizer = Memorizer {
+                        model_name: profile.name.clone(),
+                        coverage,
+                        seed: round,
+                    };
+                    let reading = PrefixReading::new(prompt, &kb, &memorizer);
                     let ctx = SolverContext {
                         profile: &profile,
-                        memorizer: Memorizer {
-                            model_name: profile.name.clone(),
-                            coverage,
-                            seed: round,
-                        },
+                        memorizer: &memorizer,
                         kb: &kb,
                         lexicons: &OnceLock::new(),
-                        prompt,
+                        reading: &reading,
                         sigma: 0.0,
                         homogeneity: 0.0,
                         criteria_wander: 0.0,

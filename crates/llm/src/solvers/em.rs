@@ -15,36 +15,52 @@
 //! present in the prompt, so dropping noisy attributes mechanically raises
 //! accuracy.
 
-use dprep_tabular::context::ParsedInstance;
-use dprep_text::{jaro_winkler, normalize, overlap_tokens};
+use std::cell::RefCell;
 
-use crate::comprehend::Question;
+use dprep_tabular::context::ParsedInstance;
+use dprep_text::{jaro_winkler, normalize_into, overlap_tokens};
+
+use crate::comprehend::{Example, Question};
 use crate::knowledge::{KnowledgeBase, Memorizer};
 use crate::rng::Rng;
-use crate::solvers::{calibrate_threshold, SolvedAnswer, SolverContext};
+use crate::solvers::{calibrate_threshold, CalibratedBar, SolvedAnswer, SolverContext};
 
-/// Canonicalizes every word through the model's memorized aliases
-/// (`ipa` → `india pale ale`), so known abbreviation variants score as
-/// equal.
-fn canonical_text(kb: &KnowledgeBase, mem: &Memorizer, raw: &str) -> String {
-    let norm = normalize(raw);
-    let mut out: Vec<String> = Vec::new();
-    for word in norm.split(' ').filter(|w| !w.is_empty()) {
-        match kb.canonicalize(mem, word) {
-            Some(canon) => out.push(canon.to_string()),
-            None => out.push(word.to_string()),
+/// Writes `raw` into `out` with every word canonicalized through the
+/// model's memorized aliases (`ipa` → `india pale ale`), so known
+/// abbreviation variants score as equal: `raw` normalized into `norm`,
+/// then its words, each canonicalized, joined by spaces.
+fn canonical_text_into(
+    kb: &KnowledgeBase,
+    mem: &Memorizer,
+    raw: &str,
+    norm: &mut String,
+    out: &mut String,
+) {
+    norm.clear();
+    normalize_into(raw, norm);
+    out.clear();
+    for (i, word) in norm.split(' ').filter(|w| !w.is_empty()).enumerate() {
+        if i > 0 {
+            out.push(' ');
         }
+        out.push_str(kb.canonicalize(mem, word).unwrap_or(word));
     }
-    out.join(" ")
 }
 
 /// Digit-bearing tokens of a normalized string (version years, model
 /// numbers) — the tokens that distinguish products within one line.
-fn numeric_tokens(s: &str) -> std::collections::HashSet<String> {
+fn numeric_tokens(s: &str) -> impl Iterator<Item = &str> + Clone {
     s.split(' ')
-        .filter(|w| w.chars().any(|c| c.is_ascii_digit()))
-        .map(str::to_string)
-        .collect()
+        .filter(|w| w.bytes().any(|c| c.is_ascii_digit()))
+}
+
+/// True when both strings carry number-bearing tokens and none of them
+/// is shared.
+fn numbers_disagree(a: &str, b: &str) -> bool {
+    let (na, nb) = (numeric_tokens(a), numeric_tokens(b));
+    na.clone().next().is_some()
+        && nb.clone().next().is_some()
+        && na.clone().all(|x| nb.clone().all(|y| x != y))
 }
 
 fn value_similarity(kb: &KnowledgeBase, mem: &Memorizer, a: &str, b: &str, contrast: f64) -> f64 {
@@ -52,24 +68,29 @@ fn value_similarity(kb: &KnowledgeBase, mem: &Memorizer, a: &str, b: &str, contr
         let denom = x.abs().max(y.abs()).max(1.0);
         return (1.0 - (x - y).abs() / denom).max(0.0);
     }
-    let ca = canonical_text(kb, mem, a);
-    let cb = canonical_text(kb, mem, b);
-    if ca.is_empty() && cb.is_empty() {
-        return 1.0;
+    thread_local! {
+        /// A normalization scratch and both values' canonical texts,
+        /// reused from pair to pair.
+        static TEXTS: RefCell<[String; 3]> = RefCell::default();
     }
-    let mut sim = 0.45 * jaro_winkler(&ca, &cb) + 0.55 * overlap_tokens(&ca, &cb);
-    // Disagreeing *number-bearing* tokens — version years, model numbers,
-    // times — are identity-breaking, and a matcher notices them even when
-    // everything else lines up. Inside a homogeneous batch (cluster
-    // batching) the model contrasts look-alike questions and the penalty
-    // sharpens further — the mechanism behind the paper's random→cluster
-    // F1 gain.
-    let na = numeric_tokens(&ca);
-    let nb = numeric_tokens(&cb);
-    if !na.is_empty() && !nb.is_empty() && na.is_disjoint(&nb) {
-        sim *= (0.75 - 0.5 * contrast).clamp(0.3, 1.0);
-    }
-    sim
+    TEXTS.with_borrow_mut(|[norm, ca, cb]| {
+        canonical_text_into(kb, mem, a, norm, ca);
+        canonical_text_into(kb, mem, b, norm, cb);
+        if ca.is_empty() && cb.is_empty() {
+            return 1.0;
+        }
+        let mut sim = 0.45 * jaro_winkler(ca, cb) + 0.55 * overlap_tokens(ca, cb);
+        // Disagreeing *number-bearing* tokens — version years, model
+        // numbers, times — are identity-breaking, and a matcher notices
+        // them even when everything else lines up. Inside a homogeneous
+        // batch (cluster batching) the model contrasts look-alike
+        // questions and the penalty sharpens further — the mechanism
+        // behind the paper's random→cluster F1 gain.
+        if numbers_disagree(ca, cb) {
+            sim *= (0.75 - 0.5 * contrast).clamp(0.3, 1.0);
+        }
+        sim
+    })
 }
 
 /// Match score for two record instances in `[0, 1]`.
@@ -132,34 +153,45 @@ pub fn score_pair(
 
 const DEFAULT_THRESHOLD: f64 = 0.75;
 
-/// The match bar a request's questions are judged against: calibrated on
-/// the prompt's few-shot pairs and shifted by the reasoning instruction.
-/// It depends on the prompt alone and draws no randomness, so a request
-/// computes it once for all its questions.
-pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
-    let example_scores: Vec<(f64, bool)> = ctx
-        .prompt
-        .examples
+/// The bar `examples` calibrate: each example pair scored, answered
+/// "yes" above the bar and "no" below. It draws no randomness, so a
+/// model computes it once per prefix (see
+/// [`PrefixReading`](crate::solvers::PrefixReading)).
+pub(crate) fn calibrate(
+    kb: &KnowledgeBase,
+    mem: &Memorizer,
+    examples: &[Example<'_>],
+) -> CalibratedBar {
+    let example_scores: Vec<(f64, bool)> = examples
         .iter()
         .filter(|ex| ex.instances.len() >= 2)
         .map(|ex| {
             (
-                score_pair(ctx.kb, &ctx.memorizer, &ex.instances[0], &ex.instances[1]),
+                score_pair(kb, mem, &ex.instances[0], &ex.instances[1]),
                 ex.answer.to_lowercase().starts_with('y'),
             )
         })
         .collect();
-    let mut threshold = calibrate_threshold(DEFAULT_THRESHOLD, &example_scores);
-    if ctx.prompt.wants_reason {
+    CalibratedBar {
+        bar: calibrate_threshold(DEFAULT_THRESHOLD, &example_scores),
+        scored: !example_scores.is_empty(),
+    }
+}
+
+/// The match bar a request's questions are judged against: calibrated on
+/// the prompt's few-shot pairs and shifted by the reasoning instruction.
+pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
+    let CalibratedBar { bar, scored } = ctx
+        .reading
+        .calibrated_bar()
+        .unwrap_or_else(|| calibrate(ctx.kb, ctx.memorizer, &[]));
+    let mut threshold = bar;
+    if ctx.reading.wants_reason {
         // Chain-of-thought makes the matcher second-guess borderline pairs;
         // a homogeneous batch (cluster batching) restores confidence — the
         // model sees the same question shape repeatedly and settles into a
         // consistent policy.
-        let shift = if example_scores.is_empty() {
-            0.08
-        } else {
-            0.025
-        };
+        let shift = if scored { 0.025 } else { 0.08 };
         threshold += shift * (1.0 - ctx.homogeneity).clamp(0.2, 1.0);
     }
     threshold
@@ -181,7 +213,7 @@ pub fn solve(
     }
     let a = &question.instances[0];
     let b = &question.instances[1];
-    let score = score_pair_with_contrast(ctx.kb, &ctx.memorizer, a, b, ctx.homogeneity);
+    let score = score_pair_with_contrast(ctx.kb, ctx.memorizer, a, b, ctx.homogeneity);
     let noisy = score + ctx.noise(rng);
     let is_match = noisy > threshold;
 
@@ -203,29 +235,132 @@ mod tests {
     use crate::comprehend::comprehend;
     use crate::knowledge::Fact;
     use crate::profile::ModelProfile;
-    use crate::rng::rng_for;
+    use crate::rng::{rng_for, Rng};
+    use crate::solvers::tests::{hash_set_overlap, oracle_value, vec_jaro_winkler};
+    use crate::solvers::PrefixReading;
     use std::sync::OnceLock;
 
     fn solve_one(system: &str, user: &str, kb: &KnowledgeBase) -> SolvedAnswer {
         let profile = ModelProfile::gpt4();
         let req = ChatRequest::new(vec![Message::system(system), Message::user(user)]);
         let prompt = comprehend(&req);
+        let memorizer = Memorizer {
+            model_name: profile.name.clone(),
+            coverage: 1.0,
+            seed: 0,
+        };
+        let reading = PrefixReading::new(&prompt, kb, &memorizer);
         let ctx = SolverContext {
             profile: &profile,
-            memorizer: Memorizer {
-                model_name: profile.name.clone(),
-                coverage: 1.0,
-                seed: 0,
-            },
+            memorizer: &memorizer,
             kb,
             lexicons: &OnceLock::new(),
-            prompt: &prompt,
+            reading: &reading,
             sigma: 0.0,
             homogeneity: 0.0,
             criteria_wander: 0.0,
         };
         let mut rng = rng_for(0, user);
         solve(&ctx, &prompt.questions[0], match_bar(&ctx), &mut rng)
+    }
+
+    /// EM's value similarity as it was before its buffers were reused: an
+    /// owned canonical text per value, Jaro-Winkler's vector form,
+    /// word-set overlap from hash sets, and number-bearing tokens as hash
+    /// sets. The reference the reused-buffer form must match bit for bit.
+    fn owned_value_similarity(
+        kb: &KnowledgeBase,
+        mem: &Memorizer,
+        a: &str,
+        b: &str,
+        contrast: f64,
+    ) -> f64 {
+        use std::collections::HashSet;
+        if let (Ok(x), Ok(y)) = (a.trim().parse::<f64>(), b.trim().parse::<f64>()) {
+            let denom = x.abs().max(y.abs()).max(1.0);
+            return (1.0 - (x - y).abs() / denom).max(0.0);
+        }
+        let canonical = |raw: &str| -> String {
+            let norm = dprep_text::normalize(raw);
+            let words: Vec<String> = norm
+                .split(' ')
+                .filter(|w| !w.is_empty())
+                .map(|w| kb.canonicalize(mem, w).unwrap_or(w).to_string())
+                .collect();
+            words.join(" ")
+        };
+        let numeric = |s: &str| -> HashSet<String> {
+            s.split(' ')
+                .filter(|w| w.chars().any(|c| c.is_ascii_digit()))
+                .map(str::to_string)
+                .collect()
+        };
+        let (ca, cb) = (canonical(a), canonical(b));
+        if ca.is_empty() && cb.is_empty() {
+            return 1.0;
+        }
+        let mut sim = 0.45 * vec_jaro_winkler(&ca, &cb) + 0.55 * hash_set_overlap(&ca, &cb);
+        let (na, nb) = (numeric(&ca), numeric(&cb));
+        if !na.is_empty() && !nb.is_empty() && na.is_disjoint(&nb) {
+            sim *= (0.75 - 0.5 * contrast).clamp(0.3, 1.0);
+        }
+        sim
+    }
+
+    #[test]
+    fn value_similarity_is_bit_equal_to_its_owned_form() {
+        let mut kb = KnowledgeBase::new();
+        for (canonical, variant) in [
+            ("india pale ale", "ipa"),
+            ("company", "co"),
+            ("saint", "st"),
+            ("東京 tower", "東京"),
+            (
+                "a very long canonical name that runs well past sixty four bytes",
+                "aaaa",
+            ),
+        ] {
+            kb.add(Fact::Alias {
+                canonical: canonical.into(),
+                variant: variant.into(),
+            });
+        }
+        let mut rng = Rng::seed_from_u64(0xe3_0ac1e);
+        // Pairs by outcome: [numeric, both empty, penalized, other].
+        let mut kinds = [0usize; 4];
+        for round in 0..3_000u64 {
+            let mem = Memorizer {
+                model_name: "m".into(),
+                coverage: [0.5, 1.0][(round % 2) as usize],
+                seed: round % 5,
+            };
+            let a = oracle_value(&mut rng);
+            let b = if rng.bool(0.2) {
+                a.clone()
+            } else {
+                oracle_value(&mut rng)
+            };
+            for contrast in [0.0, 0.4, 1.0] {
+                let got = value_similarity(&kb, &mem, &a, &b, contrast);
+                let want = owned_value_similarity(&kb, &mem, &a, &b, contrast);
+                assert_eq!(got.to_bits(), want.to_bits(), "{a:?} {b:?} at {contrast}");
+            }
+            let numeric = a.trim().parse::<f64>().is_ok() && b.trim().parse::<f64>().is_ok();
+            let digits = |s: &str| s.split(' ').any(|w| w.bytes().any(|c| c.is_ascii_digit()));
+            kinds[if numeric {
+                0
+            } else if dprep_text::normalize(&a).is_empty() && dprep_text::normalize(&b).is_empty() {
+                1
+            } else if digits(&a) && digits(&b) {
+                2
+            } else {
+                3
+            }] += 1;
+        }
+        assert!(
+            kinds.iter().all(|&n| n >= 20),
+            "pairs by outcome: {kinds:?}"
+        );
     }
 
     const EM_SYSTEM: &str = "You are requested to decide whether the two given records refer to \
@@ -324,16 +459,18 @@ mod tests {
             Message::user(borderline_q),
         ]);
         let prompt = comprehend(&req);
+        let memorizer = Memorizer {
+            model_name: profile.name.clone(),
+            coverage: 1.0,
+            seed: 0,
+        };
+        let reading = PrefixReading::new(&prompt, &kb, &memorizer);
         let ctx = SolverContext {
             profile: &profile,
-            memorizer: Memorizer {
-                model_name: profile.name.clone(),
-                coverage: 1.0,
-                seed: 0,
-            },
+            memorizer: &memorizer,
             kb: &kb,
             lexicons: &OnceLock::new(),
-            prompt: &prompt,
+            reading: &reading,
             sigma: 0.0,
             homogeneity: 0.0,
             criteria_wander: 0.0,

@@ -43,20 +43,130 @@ pub struct SolvedAnswer {
     pub reason: String,
 }
 
+/// What one read of a request's prefix (its system and few-shot turns:
+/// every message before the questions turn) yields: the instruction, and
+/// what the task's solver learns from the examples.
+///
+/// It owns what it holds, so one reading serves every request whose
+/// prefix is byte-identical; a model keeps the last one it built. What the
+/// examples teach depends on the model's memorized corpus as well as on
+/// the prefix, so a reading is valid for the model that built it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PrefixReading {
+    /// Detected task, if any instruction matched.
+    pub task: Option<TaskKind>,
+    /// Prompt-level target attribute (per-question attributes override it).
+    pub target_attribute: Option<String>,
+    /// A data-type hint for imputation (e.g. "a range of integers").
+    pub type_hint: Option<String>,
+    /// Whether the prompt demands a reasoning line (chain of thought).
+    pub wants_reason: bool,
+    /// Whether the prompt asks to confirm the target attribute (the ED
+    /// safeguard of §3.1).
+    pub confirm_target: bool,
+    /// Whether the prefix holds few-shot examples.
+    pub has_examples: bool,
+    lessons: Lessons,
+}
+
+/// What the examples teach the solver of the reading's task.
+#[derive(Debug, Clone, PartialEq)]
+enum Lessons {
+    /// No task, so nothing to learn.
+    Nothing,
+    /// Error detection: the criteria learned for each target the examples
+    /// name, in order of first mention.
+    Criteria(Vec<(String, ed::LearnedCriteria)>),
+    /// Schema or entity matching: the bar the example pairs calibrate.
+    Bar(CalibratedBar),
+    /// Imputation: the answer prior for each target the examples name.
+    Priors(Vec<(String, di::AnswerPrior)>),
+}
+
+/// A matching task's yes/no bar as its few-shot pairs calibrate it,
+/// before the request's batch shifts it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CalibratedBar {
+    /// The calibrated bar.
+    pub(crate) bar: f64,
+    /// Whether any example pair was scored.
+    pub(crate) scored: bool,
+}
+
+impl PrefixReading {
+    /// What `prefix` (a comprehended prompt; its questions are not read)
+    /// teaches a model that memorized `mem`'s share of `kb`.
+    pub(crate) fn new(
+        prefix: &ComprehendedPrompt<'_>,
+        kb: &KnowledgeBase,
+        mem: &Memorizer,
+    ) -> PrefixReading {
+        let examples = &prefix.examples;
+        let lessons = match prefix.task {
+            Some(TaskKind::ErrorDetection) => Lessons::Criteria(ed::learn_criteria(examples)),
+            Some(TaskKind::Imputation) => Lessons::Priors(di::answer_priors(examples)),
+            Some(TaskKind::SchemaMatching) => {
+                Lessons::Bar(sm::calibrate(kb, mem, examples, prefix.wants_reason))
+            }
+            Some(TaskKind::EntityMatching) => Lessons::Bar(em::calibrate(kb, mem, examples)),
+            None => Lessons::Nothing,
+        };
+        PrefixReading {
+            task: prefix.task,
+            target_attribute: prefix.target_attribute.as_deref().map(str::to_string),
+            type_hint: prefix.type_hint.as_deref().map(str::to_string),
+            wants_reason: prefix.wants_reason,
+            confirm_target: prefix.confirm_target,
+            has_examples: !examples.is_empty(),
+            lessons,
+        }
+    }
+
+    /// The error criteria the examples teach for `target`: none unless
+    /// they name it.
+    fn criteria(&self, target: &str) -> Option<&ed::LearnedCriteria> {
+        match &self.lessons {
+            Lessons::Criteria(learned) => learned
+                .iter()
+                .find_map(|(t, criteria)| (t == target).then_some(criteria)),
+            _ => None,
+        }
+    }
+
+    /// The matching bar the example pairs calibrate, when the reading's
+    /// task is a matching task.
+    fn calibrated_bar(&self) -> Option<CalibratedBar> {
+        match self.lessons {
+            Lessons::Bar(bar) => Some(bar),
+            _ => None,
+        }
+    }
+
+    /// The imputation prior the examples teach for `target`, if any.
+    fn answer_prior(&self, target: &str) -> Option<&di::AnswerPrior> {
+        match &self.lessons {
+            Lessons::Priors(priors) => priors
+                .iter()
+                .find_map(|(t, prior)| (t == target).then_some(prior)),
+            _ => None,
+        }
+    }
+}
+
 /// Everything a solver needs besides the question itself.
 pub struct SolverContext<'a> {
     /// The model's capability profile.
     pub profile: &'a ModelProfile,
     /// The model's memorization filter over the corpus.
-    pub memorizer: Memorizer,
+    pub memorizer: &'a Memorizer,
     /// The world-knowledge corpus.
     pub kb: &'a KnowledgeBase,
     /// The model's view of its memorized lexicons, built on first use by
     /// [`known_lexicon`](SolverContext::known_lexicon).
     pub lexicons: &'a OnceLock<LexiconView>,
-    /// The comprehended prompt (components, examples). Its questions are
-    /// the ones [`solve`] is handed; the model moves them out first.
-    pub prompt: &'a ComprehendedPrompt<'a>,
+    /// The reading of the request's prefix: its instruction and what its
+    /// examples teach.
+    pub reading: &'a PrefixReading,
     /// Effective decision-noise standard deviation for this request.
     pub sigma: f64,
     /// Mean pairwise similarity of the batch's questions (see
@@ -78,14 +188,14 @@ impl SolverContext<'_> {
 
     /// True when few-shot examples are present.
     pub fn has_examples(&self) -> bool {
-        !self.prompt.examples.is_empty()
+        self.reading.has_examples
     }
 
     /// The model's memorized members of `domain`, in corpus order, each
     /// normalized. The first call builds the model's lexicon view.
     pub fn known_lexicon(&self, domain: &str) -> &[KnownMember] {
         self.lexicons
-            .get_or_init(|| self.kb.lexicon_view(&self.memorizer))
+            .get_or_init(|| self.kb.lexicon_view(self.memorizer))
             .members(domain)
     }
 }
@@ -98,13 +208,13 @@ pub fn solve(
     questions: &[Question<'_>],
     rng: &mut Rng,
 ) -> Vec<(usize, SolvedAnswer)> {
-    // The matching tasks' bar depends on the request alone: its few-shot
-    // pairs are scored once per request, not once per question.
+    // The matching tasks' bar depends on the reading and the batch alone,
+    // so a request computes it once for all its questions.
     let bar = std::cell::OnceCell::new();
     questions
         .iter()
         .map(|question| {
-            let answer = match ctx.prompt.task {
+            let answer = match ctx.reading.task {
                 Some(TaskKind::ErrorDetection) => ed::solve(ctx, question, rng),
                 Some(TaskKind::Imputation) => di::solve(ctx, question, rng),
                 Some(TaskKind::SchemaMatching) => {
@@ -279,7 +389,7 @@ mod tests {
     }
 
     /// Word-set overlap coefficient built from two hash sets per call.
-    fn hash_set_overlap(a: &str, b: &str) -> f64 {
+    pub(crate) fn hash_set_overlap(a: &str, b: &str) -> f64 {
         let sa: HashSet<String> = normalized_words(a).into_iter().collect();
         let sb: HashSet<String> = normalized_words(b).into_iter().collect();
         if sa.is_empty() && sb.is_empty() {
@@ -289,6 +399,80 @@ mod tests {
             return 0.0;
         }
         sa.intersection(&sb).count() as f64 / sa.len().min(sb.len()) as f64
+    }
+
+    /// Jaro-Winkler as it was before its bit-parallel path: both strings'
+    /// chars collected, and four more vectors built, per call. The matching
+    /// solvers' oracles score with it.
+    pub(crate) fn vec_jaro_winkler(a: &str, b: &str) -> f64 {
+        let jaro = {
+            let a: Vec<char> = a.chars().collect();
+            let b: Vec<char> = b.chars().collect();
+            if a.is_empty() && b.is_empty() {
+                1.0
+            } else if a.is_empty() || b.is_empty() {
+                0.0
+            } else {
+                let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+                let mut b_used = vec![false; b.len()];
+                let mut a_matched = vec![false; a.len()];
+                let mut matches = 0usize;
+                for (i, ca) in a.iter().enumerate() {
+                    let lo = i.saturating_sub(window);
+                    let hi = (i + window + 1).min(b.len());
+                    for j in lo..hi {
+                        if !b_used[j] && b[j] == *ca {
+                            b_used[j] = true;
+                            a_matched[i] = true;
+                            matches += 1;
+                            break;
+                        }
+                    }
+                }
+                if matches == 0 {
+                    0.0
+                } else {
+                    let seq = |s: &[char], m: &[bool]| -> Vec<char> {
+                        s.iter()
+                            .zip(m)
+                            .filter_map(|(c, &m)| m.then_some(*c))
+                            .collect()
+                    };
+                    let (a_seq, b_seq) = (seq(&a, &a_matched), seq(&b, &b_used));
+                    let t = a_seq.iter().zip(&b_seq).filter(|(x, y)| x != y).count() / 2;
+                    let m = matches as f64;
+                    (m / a.len() as f64 + m / b.len() as f64 + (m - t as f64) / m) / 3.0
+                }
+            }
+        };
+        let prefix = a
+            .chars()
+            .zip(b.chars())
+            .take(4)
+            .take_while(|(x, y)| x == y)
+            .count();
+        jaro + prefix as f64 * 0.1 * (1.0 - jaro)
+    }
+
+    /// A seeded attribute value for the matching solvers' oracles: empty,
+    /// a number, or words drawn with repetition from a vocabulary of
+    /// aliases, digit-bearing tokens, repeated and non-ASCII characters,
+    /// and punctuation, sometimes past 64 bytes.
+    pub(crate) fn oracle_value(rng: &mut Rng) -> String {
+        const WORDS: &[&str] = &[
+            "ipa", "india", "pale", "ale", "co", "company", "v2", "2019", "12gb", "12", "aaaa",
+            "a", "bière", "東京", "St.", "O'Hare", "zip", "postal", "code", "birth", "date", "-",
+            "(64GB)",
+        ];
+        match rng.range_usize(0, 10) {
+            0 => String::new(),
+            1 => format!("{}", rng.range_usize(0, 300)),
+            2 => format!("{}.{}", rng.range_usize(0, 9), rng.range_usize(0, 99)),
+            _ => (0..rng.range_incl(1usize, 14))
+                .map(|_| *rng.choose(WORDS).expect("nonempty"))
+                .collect::<Vec<_>>()
+                .join(" "),
+        }
     }
 
     /// Homogeneity as the pairwise formula: each question's instance texts

@@ -17,11 +17,11 @@
 use dprep_tabular::context::ParsedInstance;
 use dprep_text::{jaro_winkler, normalize, overlap_tokens};
 
-use crate::comprehend::Question;
+use crate::comprehend::{Example, Question};
 use crate::knowledge::KnowledgeBase;
 use crate::knowledge::Memorizer;
 use crate::rng::Rng;
-use crate::solvers::{calibrate_threshold, SolvedAnswer, SolverContext};
+use crate::solvers::{calibrate_threshold, CalibratedBar, SolvedAnswer, SolverContext};
 
 /// Name similarity that sees through schema-name conventions: compound
 /// words (`birthdate` vs `birth date`), abbreviation prefixes (`addr` vs
@@ -115,34 +115,45 @@ pub fn score_pair(
 
 const DEFAULT_THRESHOLD: f64 = 0.60;
 
-/// The match bar a request's questions are judged against: calibrated on
-/// the prompt's few-shot pairs, with zero-shot-reasoning conservatism. It
-/// depends on the prompt and the batch homogeneity alone and draws no
-/// randomness, so a request computes it once for all its questions.
-pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
-    let use_reasoning = ctx.prompt.wants_reason;
-    let example_scores: Vec<(f64, bool)> = ctx
-        .prompt
-        .examples
+/// The bar `examples` calibrate, scored with or without reasoning: each
+/// example pair scored, answered "yes" above the bar and "no" below. It
+/// draws no randomness, so a model computes it once per prefix (see
+/// [`PrefixReading`](crate::solvers::PrefixReading)).
+pub(crate) fn calibrate(
+    kb: &KnowledgeBase,
+    mem: &Memorizer,
+    examples: &[Example<'_>],
+    use_reasoning: bool,
+) -> CalibratedBar {
+    let example_scores: Vec<(f64, bool)> = examples
         .iter()
         .filter(|ex| ex.instances.len() >= 2)
         .map(|ex| {
             (
-                score_pair(
-                    ctx.kb,
-                    &ctx.memorizer,
-                    &ex.instances[0],
-                    &ex.instances[1],
-                    use_reasoning,
-                ),
+                score_pair(kb, mem, &ex.instances[0], &ex.instances[1], use_reasoning),
                 ex.answer.to_lowercase().starts_with('y'),
             )
         })
         .collect();
     // The calibrated bar never drops into triviality: even a model anchored
     // by weak examples keeps some baseline strictness.
-    let mut threshold = calibrate_threshold(DEFAULT_THRESHOLD, &example_scores).max(0.45);
-    if use_reasoning && example_scores.is_empty() {
+    CalibratedBar {
+        bar: calibrate_threshold(DEFAULT_THRESHOLD, &example_scores).max(0.45),
+        scored: !example_scores.is_empty(),
+    }
+}
+
+/// The match bar a request's questions are judged against: calibrated on
+/// the prompt's few-shot pairs, with zero-shot-reasoning conservatism
+/// that the batch's homogeneity softens.
+pub fn match_bar(ctx: &SolverContext<'_>) -> f64 {
+    let use_reasoning = ctx.reading.wants_reason;
+    let CalibratedBar { bar, scored } = ctx
+        .reading
+        .calibrated_bar()
+        .unwrap_or_else(|| calibrate(ctx.kb, ctx.memorizer, &[], use_reasoning));
+    let mut threshold = bar;
+    if use_reasoning && !scored {
         // Overthinking without anchoring examples: the model talks itself
         // out of almost every correspondence (the paper measures SM
         // collapsing to 5.9 F1 here). Homogeneous batches soften it.
@@ -167,7 +178,7 @@ pub fn solve(
     }
     let a = &question.instances[0];
     let b = &question.instances[1];
-    let score = score_pair(ctx.kb, &ctx.memorizer, a, b, ctx.prompt.wants_reason);
+    let score = score_pair(ctx.kb, ctx.memorizer, a, b, ctx.reading.wants_reason);
 
     let noisy = score + ctx.noise(rng);
     let is_match = noisy > threshold;
@@ -192,7 +203,9 @@ mod tests {
     use crate::comprehend::comprehend;
     use crate::knowledge::Fact;
     use crate::profile::ModelProfile;
-    use crate::rng::rng_for;
+    use crate::rng::{rng_for, Rng};
+    use crate::solvers::tests::{hash_set_overlap, oracle_value, vec_jaro_winkler};
+    use crate::solvers::PrefixReading;
     use std::sync::OnceLock;
 
     fn kb() -> KnowledgeBase {
@@ -208,22 +221,131 @@ mod tests {
         let profile = ModelProfile::gpt4();
         let req = ChatRequest::new(vec![Message::system(system), Message::user(user)]);
         let prompt = comprehend(&req);
+        let memorizer = Memorizer {
+            model_name: profile.name.clone(),
+            coverage: 1.0,
+            seed: 0,
+        };
+        let reading = PrefixReading::new(&prompt, kb, &memorizer);
         let ctx = SolverContext {
             profile: &profile,
-            memorizer: Memorizer {
-                model_name: profile.name.clone(),
-                coverage: 1.0,
-                seed: 0,
-            },
+            memorizer: &memorizer,
             kb,
             lexicons: &OnceLock::new(),
-            prompt: &prompt,
+            reading: &reading,
             sigma: 0.0,
             homogeneity: 0.0,
             criteria_wander: 0.0,
         };
         let mut rng = rng_for(0, user);
         solve(&ctx, &prompt.questions[0], match_bar(&ctx), &mut rng)
+    }
+
+    /// SM's pair score as it was before Jaro-Winkler went bit-parallel and
+    /// word-set overlap merged one reused buffer: the same formula on
+    /// Jaro-Winkler's vector form and hash-set overlap. The reference the
+    /// shipped form must match bit for bit.
+    fn owned_score_pair(
+        kb: &KnowledgeBase,
+        mem: &Memorizer,
+        a: &ParsedInstance<'_>,
+        b: &ParsedInstance<'_>,
+        use_reasoning: bool,
+    ) -> f64 {
+        let name_similarity = |a: &str, b: &str| {
+            let despaced_a: String = a.chars().filter(|c| !c.is_whitespace()).collect();
+            let despaced_b: String = b.chars().filter(|c| !c.is_whitespace()).collect();
+            let whole = dprep_text::normalized_levenshtein(&despaced_a, &despaced_b);
+            let tokens_a: std::collections::BTreeSet<&str> =
+                a.split(' ').filter(|t| !t.is_empty()).collect();
+            let tokens_b: std::collections::BTreeSet<&str> =
+                b.split(' ').filter(|t| !t.is_empty()).collect();
+            let prefix_match = |x: &str, y: &str| {
+                x == y || (x.len() >= 3 && y.len() >= 3 && (x.starts_with(y) || y.starts_with(x)))
+            };
+            let overlap = if tokens_a.is_empty() || tokens_b.is_empty() {
+                0.0
+            } else {
+                let hits = tokens_a
+                    .iter()
+                    .filter(|x| tokens_b.iter().any(|y| prefix_match(x, y)))
+                    .count();
+                (hits as f64 / tokens_a.len().min(tokens_b.len()) as f64).min(1.0)
+            };
+            let contained = (despaced_a.len() >= 4 && despaced_b.starts_with(&despaced_a))
+                || (despaced_b.len() >= 4 && despaced_a.starts_with(&despaced_b));
+            let blended = 0.45 * vec_jaro_winkler(a, b) + 0.55 * overlap;
+            let mut sim = whole.max(blended);
+            if contained {
+                sim = sim.max(0.82);
+            }
+            sim
+        };
+        let name_a = normalize(field(a, "name"));
+        let name_b = normalize(field(b, "name"));
+        let name_sim = name_similarity(&name_a, &name_b);
+        if !use_reasoning {
+            return name_sim;
+        }
+        let desc_a = normalize(field(a, "description"));
+        let desc_b = normalize(field(b, "description"));
+        let desc_sim = if desc_a.is_empty() || desc_b.is_empty() {
+            0.0
+        } else {
+            hash_set_overlap(&desc_a, &desc_b)
+        };
+        let synonym = kb.are_synonyms(mem, &name_a, &name_b)
+            || kb.are_synonyms(mem, &name_a, &desc_b)
+            || kb.are_synonyms(mem, &desc_a, &name_b);
+        let mut combined = (0.5 * name_sim + 0.5 * desc_sim).max(if name_sim >= 0.85 {
+            name_sim - 0.05
+        } else {
+            0.0
+        });
+        if synonym {
+            combined = combined.max(0.9);
+        }
+        combined
+    }
+
+    #[test]
+    fn score_pair_is_bit_equal_to_its_owned_form() {
+        let mut kb = kb();
+        kb.add(Fact::AttrSynonym {
+            a: "birth date".into(),
+            b: "dob".into(),
+        });
+        let mut rng = Rng::seed_from_u64(0x53_0ac1e);
+        let mut scored = 0;
+        for round in 0..2_000u64 {
+            let mem = Memorizer {
+                model_name: "m".into(),
+                coverage: [0.5, 1.0][(round % 2) as usize],
+                seed: round % 3,
+            };
+            let attribute = |rng: &mut Rng| {
+                format!(
+                    "[name: {:?}, description: {:?}]",
+                    oracle_value(rng),
+                    oracle_value(rng)
+                )
+            };
+            let text_a = attribute(&mut rng);
+            let text_b = if rng.bool(0.2) {
+                text_a.clone()
+            } else {
+                attribute(&mut rng)
+            };
+            let a = dprep_tabular::context::parse_instance(&text_a).expect("an instance");
+            let b = dprep_tabular::context::parse_instance(&text_b).expect("an instance");
+            for reasoning in [false, true] {
+                let got = score_pair(&kb, &mem, &a, &b, reasoning);
+                let want = owned_score_pair(&kb, &mem, &a, &b, reasoning);
+                assert_eq!(got.to_bits(), want.to_bits(), "{text_a} {text_b}");
+                scored += 1;
+            }
+        }
+        assert_eq!(scored, 4_000);
     }
 
     const SM_REASONING: &str =
@@ -287,16 +409,18 @@ mod tests {
             ),
         ]);
         let prompt = comprehend(&req);
+        let memorizer = Memorizer {
+            model_name: profile.name.clone(),
+            coverage: 1.0,
+            seed: 0,
+        };
+        let reading = PrefixReading::new(&prompt, &kb, &memorizer);
         let ctx = SolverContext {
             profile: &profile,
-            memorizer: Memorizer {
-                model_name: profile.name.clone(),
-                coverage: 1.0,
-                seed: 0,
-            },
+            memorizer: &memorizer,
             kb: &kb,
             lexicons: &OnceLock::new(),
-            prompt: &prompt,
+            reading: &reading,
             sigma: 0.0,
             homogeneity: 0.0,
             criteria_wander: 0.0,

@@ -10,6 +10,10 @@
 //!   the whole simulated call (`SimulatedLlm::chat`) — on one 15-question
 //!   error-detection request: a per-field copy creeping back into the
 //!   render or the simulator's reading shows here first;
+//! * one warm simulated call on a 15-pair entity-matching request with 10
+//!   few-shot pairs, a daemon small job's dominant request: its prefix
+//!   read again per call, or an allocation per scored value pair, shows
+//!   here;
 //! * a whole one-worker `Preprocessor::try_run` over a fixed 1,000-row
 //!   detect table, with the peak of its live heap bytes too: a request
 //!   rendered twice, or a completion text kept past its parse, shows here;
@@ -34,6 +38,7 @@ use std::sync::Arc;
 
 use llm_data_preprocessors::cli::commands::detect::{Cells, Verdict, Verdicts};
 use llm_data_preprocessors::core::{PipelineConfig, Preprocessor};
+use llm_data_preprocessors::datasets::dataset_by_name;
 use llm_data_preprocessors::llm::comprehend::comprehend;
 use llm_data_preprocessors::llm::{ChatModel, Fact, KnowledgeBase, ModelProfile, SimulatedLlm};
 use llm_data_preprocessors::prompt::{
@@ -128,10 +133,13 @@ const CITIES: [&str; 6] = [
 /// was set: render 12, comprehension 36, and the whole call 148 (149 in a
 /// debug build). The render lost one reallocation (its message vector is
 /// allocated at its final size) and the call 30 (edit distances reuse one
-/// row), so they read 11 and 118 (119) now.
+/// row), so they read 11 and 118 (119). Comprehension then lost one (a
+/// prefix without examples collects no turns) and the call six (the
+/// completion is sized with its reasons, and the model keeps its
+/// memorizer and its prefix's reading), so they read 35 and 112 (113) now.
 const RENDER_CEILING: (usize, usize) = (13, 13);
-const COMPREHEND_CEILING: (usize, usize) = (40, 40);
-const CHAT_CEILING: (usize, usize) = (124, 125);
+const COMPREHEND_CEILING: (usize, usize) = (39, 39);
+const CHAT_CEILING: (usize, usize) = (118, 119);
 
 fn ceiling((release, debug): (usize, usize)) -> usize {
     if cfg!(debug_assertions) {
@@ -177,6 +185,37 @@ fn one_detect_request_allocates_within_its_ceilings() {
     eprintln!("allocations per 15-question detect request: {counts:?}");
 }
 
+/// Ceiling of one warm entity-matching call as (release, debug). Measured
+/// when the gate was set: 119 (120 in a debug build), against 4,366
+/// (4,367) before the model kept its prefix's reading and scored value
+/// pairs without allocating.
+const EM_CHAT_CEILING: (usize, usize) = (125, 126);
+
+#[test]
+fn one_entity_matching_request_allocates_within_its_ceiling() {
+    // A Beer batch of 15 pairs with its 10 few-shot pairs, as a daemon
+    // small job (scale 0.5) sends it to `sim-gpt-4`.
+    let ds = dataset_by_name("Beer", 0.5, 11).expect("a dataset");
+    let model = SimulatedLlm::new(ModelProfile::gpt4(), Arc::new(ds.kb.clone()));
+    let config = PipelineConfig::best(Task::EntityMatching).prompt_config();
+    let context = PromptContext::new(&config, &ds.few_shot);
+    let batch: Vec<&TaskInstance> = ds.instances.iter().take(15).collect();
+    let (request, _) = context.build(&batch);
+    let prompt = comprehend(&request);
+    assert_eq!((prompt.examples.len(), prompt.questions.len()), (10, 15));
+
+    // The first call reads the prompt's prefix; a warm one reuses it.
+    let warm = model.chat(&request);
+    let (response, chat) = counted(|| model.chat(&request));
+    assert_eq!(response, warm, "the simulator is deterministic");
+    let ceiling = ceiling(EM_CHAT_CEILING);
+    assert!(
+        chat <= ceiling,
+        "SimulatedLlm::chat made {chat} allocations, over its ceiling of {ceiling}"
+    );
+    eprintln!("allocations per warm 15-question entity-matching request: {chat}");
+}
+
 /// Ceilings of the whole run as (release, debug): allocations, then peak
 /// live heap bytes. Measured when the gate was set: 40,826 allocations
 /// (41,093 in a debug build) and a peak of 1,234,638 live bytes (in
@@ -186,9 +225,11 @@ fn one_detect_request_allocates_within_its_ceilings() {
 /// and keeping every completion text past its parse peaked at 2,069,710
 /// bytes. A shard's responses then stayed in dispatch order instead of
 /// moving into a map, and the counts fell to 40,818 (41,085) and
-/// 1,029,287 bytes; the ceilings fell with them.
-const RUN_ALLOCATIONS_CEILING: (usize, usize) = (40_992, 41_262);
-const RUN_PEAK_BYTES_CEILING: (usize, usize) = (1_090_000, 1_090_000);
+/// 1,029,287 bytes; the ceilings fell with them. The simulator then lost
+/// six allocations a request (see [`CHAT_CEILING`]): 39,216 (39,483) and
+/// 1,028,244 bytes.
+const RUN_ALLOCATIONS_CEILING: (usize, usize) = (39_390, 39_657);
+const RUN_PEAK_BYTES_CEILING: (usize, usize) = (1_089_000, 1_089_000);
 /// What the one-worker 1,000-row run held at its peak before the
 /// verdict sink: the slice run's peak when the gate was set. With the
 /// instance vector it ran on, that is what `dprep detect` used to hold.
@@ -244,9 +285,11 @@ fn one_worker_detect_run_allocates_within_its_ceilings() {
 /// one more per cell than the slice run, for the instance each render
 /// builds, and a peak of 708,993 live bytes (in both), most of it the
 /// batch bodies the survey keeps. Before the sink, the command held its
-/// instance vector, 400,000 bytes, and the slice run's 1,234,638.
-const DETECT_ALLOCATIONS_CEILING: (usize, usize) = (45_003, 45_273);
-const DETECT_PEAK_BYTES_CEILING: (usize, usize) = (730_000, 730_000);
+/// instance vector, 400,000 bytes, and the slice run's 1,234,638. Six
+/// fewer allocations a request in the simulator then made them 43,227
+/// (43,494) and 708,029 bytes.
+const DETECT_ALLOCATIONS_CEILING: (usize, usize) = (43_401, 43_668);
+const DETECT_PEAK_BYTES_CEILING: (usize, usize) = (729_000, 729_000);
 
 #[test]
 fn one_worker_detect_command_run_allocates_within_its_ceilings() {

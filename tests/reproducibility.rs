@@ -1,10 +1,12 @@
 //! Determinism guarantees: the whole stack — generation, prompting,
 //! simulation, parsing, scoring — is a pure function of its seeds.
 
-use llm_data_preprocessors::core::PipelineConfig;
+use llm_data_preprocessors::core::{PipelineConfig, Preprocessor};
 use llm_data_preprocessors::eval::harness::run_llm_on_dataset;
-use llm_data_preprocessors::llm::{ChatModel, ChatRequest, Message, ModelProfile, SimulatedLlm};
-use std::sync::Arc;
+use llm_data_preprocessors::llm::{
+    ChatModel, ChatRequest, ChatResponse, Message, ModelProfile, SimulatedLlm, Usage,
+};
+use std::sync::{Arc, Barrier, Mutex};
 
 #[test]
 fn identical_runs_produce_identical_scores_and_usage() {
@@ -97,4 +99,197 @@ fn dataset_generation_is_seed_stable_across_scales() {
         ds.validate().unwrap();
         assert_eq!(ds.len(), ((65.0 * scale).round() as usize).max(4));
     }
+}
+
+/// Records every request a run sends, answering each with the model it
+/// wraps.
+struct Recording<'a> {
+    model: &'a SimulatedLlm,
+    requests: Mutex<Vec<ChatRequest>>,
+}
+
+impl ChatModel for Recording<'_> {
+    fn name(&self) -> &str {
+        self.model.name()
+    }
+    fn default_temperature(&self) -> f64 {
+        self.model.default_temperature()
+    }
+    fn chat(&self, request: &ChatRequest) -> ChatResponse {
+        self.requests
+            .lock()
+            .expect("recording")
+            .push(request.clone());
+        self.model.chat(request)
+    }
+    fn context_window(&self) -> usize {
+        self.model.context_window()
+    }
+    fn cost_usd(&self, usage: &Usage) -> f64 {
+        self.model.cost_usd(usage)
+    }
+}
+
+/// Text, usage and latency of a response, the latency to the bit.
+fn answer_of(response: &ChatResponse) -> (String, usize, usize, u64) {
+    (
+        response.text.clone(),
+        response.usage.prompt_tokens,
+        response.usage.completion_tokens,
+        response.latency_secs.to_bits(),
+    )
+}
+
+/// A model reuses what it read of a prompt's shared prefix (the task
+/// specification and few-shot examples every request of a run repeats).
+/// Whatever it saw before, a shared warm model must answer every request
+/// exactly as a fresh model does: every request of all 12 datasets under
+/// three models, every third also at a retry salt, a request without its
+/// questions turn, and two prefixes interleaved on one model from two
+/// threads.
+///
+/// The reference reads each request's prefix afresh. For the first
+/// request of a run it is a new model; after that, to keep the test
+/// quick, it is one model whose reading an empty request replaced just
+/// before, since building a new model's lexicon view per request would
+/// cost more than the rest of the test.
+#[test]
+fn warm_shared_models_answer_every_request_as_a_fresh_model_does() {
+    const SEED: u64 = 0x0ead_1e55;
+    // Requests checked: [salt 0, salted, without questions, interleaved].
+    let mut checked = [0usize; 4];
+    for ds in llm_data_preprocessors::datasets::all_datasets(0.02, SEED) {
+        let kb = Arc::new(ds.kb.clone());
+        for profile in [
+            ModelProfile::gpt35(),
+            ModelProfile::gpt4(),
+            ModelProfile::vicuna13b(),
+        ] {
+            let new_model = || SimulatedLlm::new(profile.clone(), Arc::clone(&kb)).with_seed(SEED);
+            let recording = Recording {
+                model: &new_model(),
+                requests: Mutex::new(Vec::new()),
+            };
+            Preprocessor::new(&recording, PipelineConfig::best(ds.task))
+                .run(&ds.instances, &ds.few_shot);
+            let mut requests = recording.requests.into_inner().expect("recording");
+            // Plan order: the executor's workers may send them in any.
+            requests.sort_by_key(|r| r.trace_id);
+            assert!(!requests.is_empty(), "{} sent no request", ds.name);
+
+            let cold = new_model();
+            let fresh = |request: &ChatRequest| {
+                cold.chat(&ChatRequest::new(Vec::new()));
+                answer_of(&cold.chat(request))
+            };
+            let warm = new_model();
+            assert_eq!(
+                answer_of(&warm.chat(&requests[0])),
+                answer_of(&new_model().chat(&requests[0])),
+                "{} under {}",
+                ds.name,
+                profile.name
+            );
+            for (i, request) in requests.iter().enumerate() {
+                let salted = request.clone().with_retry_salt(7);
+                let salted = (i % 3 == 0).then_some((&salted, 1));
+                for (request, slot) in [(request, 0)].into_iter().chain(salted) {
+                    assert_eq!(
+                        answer_of(&warm.chat(request)),
+                        fresh(request),
+                        "{} under {}: {request:?}",
+                        ds.name,
+                        profile.name
+                    );
+                    checked[slot] += 1;
+                }
+            }
+            // A request whose last turn is not a user turn: its whole list
+            // is its prefix, and it has no questions. Its prefix holds the
+            // same messages as a request of the run without its questions
+            // turn, and must still hash as its own. Then a prefix as long
+            // as the run's, one word longer in its system turn.
+            let mut headless = requests[0].clone();
+            headless.messages.pop();
+            headless.prompt_tokens_hint = None;
+            let mut without_examples = requests[0].clone();
+            without_examples.messages.truncate(1);
+            without_examples.prompt_tokens_hint = None;
+            let mut retold = requests[0].clone();
+            retold.messages[0].content.push_str(" Thanks.");
+            retold.prompt_tokens_hint = None;
+            for request in [
+                &headless,
+                &requests[0],
+                &headless,
+                &without_examples,
+                &requests[0],
+                &retold,
+            ] {
+                assert_eq!(
+                    answer_of(&warm.chat(request)),
+                    fresh(request),
+                    "{} under {}: {request:?}",
+                    ds.name,
+                    profile.name
+                );
+            }
+            checked[2] += 1;
+
+            // Two prefixes on one model from two threads: the run's own,
+            // and the same batches without their few-shot turns.
+            if profile.name != ModelProfile::gpt35().name {
+                continue;
+            }
+            let zero_shot: Vec<ChatRequest> = requests
+                .iter()
+                .map(|request| {
+                    let mut bare = request.clone();
+                    bare.messages = vec![
+                        request.messages[0].clone(),
+                        request.messages.last().expect("a questions turn").clone(),
+                    ];
+                    bare.prompt_tokens_hint = None;
+                    bare
+                })
+                .collect();
+            // The threads meet before each call, so the two prefixes
+            // alternate on the model throughout. They only collect
+            // answers: a thread that failed an assertion would leave the
+            // other waiting at the barrier.
+            let shared = new_model();
+            let step = Barrier::new(2);
+            let answered: Vec<Vec<_>> = std::thread::scope(|scope| {
+                [&requests, &zero_shot]
+                    .map(|batch| {
+                        let (shared, step) = (&shared, &step);
+                        scope.spawn(move || {
+                            batch
+                                .iter()
+                                .map(|request| {
+                                    step.wait();
+                                    answer_of(&shared.chat(request))
+                                })
+                                .collect()
+                        })
+                    })
+                    .into_iter()
+                    .map(|thread| thread.join().expect("a sending thread"))
+                    .collect()
+            });
+            for (batch, answers) in [&requests, &zero_shot].into_iter().zip(answered) {
+                for (request, answer) in batch.iter().zip(answers) {
+                    assert_eq!(
+                        answer,
+                        fresh(request),
+                        "{} interleaved: {request:?}",
+                        ds.name
+                    );
+                    checked[3] += 1;
+                }
+            }
+        }
+    }
+    eprintln!("requests checked [salt 0, salted, without questions, interleaved]: {checked:?}");
+    assert!(checked[0] > 800, "{checked:?}");
 }
