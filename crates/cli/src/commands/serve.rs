@@ -9,11 +9,15 @@
 //! resubmitted job with the same `journal_key` replays its journal and
 //! executes only the remainder, bit-identical to an uninterrupted run.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use dprep_core::serve::{
-    whole_field, Daemon, JobGrant, JobHandler, JobOutcome, JobScheduler, MAX_WIRE_SECS,
+    number_field, string_field, whole_field, Daemon, JobGrant, JobHandler, JobOutcome,
+    JobScheduler, MAX_WIRE_SECS,
 };
 use dprep_core::{
     result_fingerprint, Durability, FailureKind, OpsPlane, OverloadPolicy, PipelineConfig,
@@ -84,10 +88,10 @@ fn journal_file_name(tenant: &str, key: &str) -> String {
 /// grant's clamped options with the grant's shard gate wired in.
 ///
 /// `submit` body fields (beyond `tenant` / `workers` / `token_budget` /
-/// `deadline_secs`, which the daemon consumes):
+/// `deadline_secs` / `deadline_ms`, which the daemon consumes):
 ///
-/// * `dataset` (required), `scale` (in `(0, MAX_SCALE]`, checked before
-///   the dataset is built), `seed` — the workload,
+/// * `dataset` (required), `scale` (in `(0, MAX_SCALE]`), `seed` — the
+///   workload,
 /// * `plan_shard_size`, `retries` (at most `MAX_RETRIES`) — serving knobs,
 /// * `route`, `escalate_on` — a cascade, parsed as `--route` and
 ///   `--escalate-on` are ([`route_spec`]), overriding the daemon's own,
@@ -99,28 +103,34 @@ fn journal_file_name(tenant: &str, key: &str) -> String {
 ///   `(tenant, journal_key)` pair has a journal of its own; plain tenants
 ///   (`[A-Za-z0-9._]`) and keys (`[A-Za-z0-9._-]`) are kept as they are.
 ///
+/// Every field is read with its type's checked reader (`string_field`,
+/// `number_field`, `whole_field`) before the dataset is built: a present
+/// value of another type, `null` included, fails the job with an error
+/// naming the field instead of falling back to the default.
+///
 /// With an ops plane attached, every job's trace stream feeds the tenant's
 /// sliding window and SLO engine through [`OpsPlane::tracer_for`].
 pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) -> Arc<JobHandler> {
     let default_route = defaults.routes.join(",");
     Arc::new(move |body: &Json, grant: &JobGrant| {
-        let text = |key: &str| body.get(key).and_then(Json::as_str);
-        let name = text("dataset").ok_or("submit has no \"dataset\" field")?;
-        let scale = check_scale(body.get("scale").and_then(Json::as_f64).unwrap_or(0.5))?;
+        let text = |key: &str| string_field(body, key);
+        let name = text("dataset")?.ok_or("submit has no \"dataset\" field")?;
+        let scale = check_scale(number_field(body, "scale")?.unwrap_or(0.5))?;
         let seed = whole_field(body, "seed")?.map_or(defaults.seed, |s| s as u64);
-        // A whole number past the exact range is past any retry bound.
-        let retries = match body.get("retries") {
-            Some(retries) if retries.is_whole() => {
-                check_retries(retries.as_usize().unwrap_or(usize::MAX))?
-            }
-            _ => defaults.retries,
+        let retries = match whole_field(body, "retries") {
+            Ok(retries) => retries.map_or(Ok(defaults.retries), check_retries)?,
+            // A whole number past the exact range is past any retry bound.
+            Err(_) if body.get("retries").is_some_and(Json::is_whole) => check_retries(usize::MAX)?,
+            Err(e) => return Err(e),
         };
         let shard_size = whole_field(body, "plan_shard_size")?.unwrap_or(defaults.plan_shard_size);
         let (routes, escalate_on) = route_spec(
-            text("route").or((!default_route.is_empty()).then_some(default_route.as_str())),
-            text("escalate_on").or(defaults.escalate_on.as_deref()),
+            text("route")?.or((!default_route.is_empty()).then_some(default_route.as_str())),
+            text("escalate_on")?.or(defaults.escalate_on.as_deref()),
         )?;
-        let fault = match text("scenario") {
+        let tenant = text("tenant")?.unwrap_or("default");
+        let journal_key = text("journal_key")?;
+        let fault = match text("scenario")? {
             Some(scenario) => Some(
                 FaultScenario::by_name(scenario)
                     .ok_or_else(|| format!("unknown fault scenario {scenario:?}"))?,
@@ -151,10 +161,9 @@ pub fn dataset_handler(defaults: HandlerDefaults, ops: Option<Arc<OpsPlane>>) ->
         // Per-job durability: a fresh journal, or a resumed one when a
         // previous incarnation of the same (tenant, journal_key) left one
         // behind.
-        let tenant = text("tenant").unwrap_or("default");
         let mut durability = Durability::new();
         let mut journal_state = "off";
-        if let (Some(dir), Some(key)) = (&defaults.journal_dir, text("journal_key")) {
+        if let (Some(dir), Some(key)) = (&defaults.journal_dir, journal_key) {
             let path = dir.join(journal_file_name(tenant, key));
             let existing = std::fs::metadata(&path).is_ok_and(|m| m.len() > 0);
             let opened = Durability::open(
@@ -231,7 +240,7 @@ fn ledger_from_flags(flags: &Flags) -> Result<TenantLedger, String> {
                 format!("--default-tenant-budget expects a token count, got {raw:?}")
             })?),
         };
-    let ledger = TenantLedger::new().with_default_budget(default_budget);
+    let mut ledger = TenantLedger::new().with_default_budget(default_budget);
     if let Some(spec) = flags.get("tenant-budgets") {
         for pair in spec.split(',').filter(|p| !p.is_empty()) {
             let (tenant, tokens) = pair.split_once('=').ok_or_else(|| {
@@ -378,11 +387,26 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     .map_err(|e| format!("cannot bind {host}:{port}: {e}"))?
     .with_wire_limits(wire)
     .with_ops(ops);
-    println!("dprep serve listening on {}", daemon.local_addr());
-    println!(
-        "ops: ping | submit | stats | metrics | health | drain | shutdown \
-         (one JSON object per line)"
+    // Both lines go out in one write: a reader that closes the pipe after
+    // the first line cannot fail a second print. A reader that has already
+    // gone costs a warning, not the daemon.
+    let banner = format!(
+        "dprep serve listening on {}\n\
+         ops: ping | submit | stats | metrics | health | drain | shutdown \
+         (one JSON object per line)\n",
+        daemon.local_addr()
     );
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(banner.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        let _ = writeln!(
+            std::io::stderr(),
+            "warning: cannot print the listening line ({e}); serving anyway"
+        );
+    }
+    drop(stdout);
     daemon.run().map_err(|e| format!("serve failed: {e}"))
 }
 

@@ -152,7 +152,15 @@ SERVE:
   for real scrapers). A submit may override the daemon's --seed,
   --retries, --plan-shard-size, --route and --escalate-on with seed,
   retries, plan_shard_size, route and escalate_on fields, checked as the
-  flags are; scenario names a fault preset for the job. Every job
+  flags are; scenario names a fault preset for the job.
+  Submit fields and their JSON types:
+    dataset (string, required), tenant (string, default \"default\"),
+    scale (number), seed, workers, token_budget, retries,
+    plan_shard_size (whole numbers below 2^53), deadline_secs,
+    deadline_ms (numbers), route, escalate_on, scenario, journal_key
+    (strings).
+  A field of the wrong type, null included, is refused with an error
+  naming it, before the job runs. Every job
   also feeds the live ops plane: per-tenant sliding windows over the
   deterministic virtual clock, and — with
   --slo latency-p95=SECS,failure-rate=FRAC,budget-headroom=FRAC —

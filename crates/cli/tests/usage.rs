@@ -1,9 +1,10 @@
 //! `dprep help` documents the flags and ops the commands read, on/off
-//! flags read `off` as off, `chaos` is not a command, and `dprep serve`
-//! refuses wire timeouts past its limit before it binds.
+//! flags read `off` as off, `chaos` is not a command, `dprep serve`
+//! refuses wire timeouts past its limit before it binds, and a daemon
+//! whose stdout reader has gone keeps serving.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -32,6 +33,7 @@ fn help_lists_every_flag_and_detect_all_off_prints_only_flagged_cells() {
         "--retry N",
         "--all on|off",
         "| drain |",
+        "A field of the wrong type, null included, is refused",
     ] {
         assert!(help.contains(needle), "dprep help misses {needle:?}");
     }
@@ -93,8 +95,6 @@ fn wire_timeouts_past_a_year_are_refused_before_binding_and_a_year_serves() {
             .spawn()
             .expect("dprep serve starts"),
     );
-    // The daemon prints another line after this one, so its stdout stays
-    // open until it exits: a closed pipe would fail that print.
     let mut stdout = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
     let mut listening = String::new();
     stdout.read_line(&mut listening).expect("a listening line");
@@ -102,6 +102,12 @@ fn wire_timeouts_past_a_year_are_refused_before_binding_and_a_year_serves() {
         .trim()
         .strip_prefix("dprep serve listening on ")
         .unwrap_or_else(|| panic!("{listening:?}"));
+    ping_and_shut_down(addr.parse().expect("an address"));
+    exits_cleanly(&mut daemon);
+}
+
+/// Pings `addr`, then shuts the daemon down; both must answer.
+fn ping_and_shut_down(addr: SocketAddr) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let op = |name: &str| Json::Obj(vec![("op".to_string(), Json::Str(name.to_string()))]);
@@ -115,7 +121,10 @@ fn wire_timeouts_past_a_year_are_refused_before_binding_and_a_year_serves() {
     );
     let bye = roundtrip(&mut stream, &mut reader, &op("shutdown"), deadline).expect("shutdown");
     assert_eq!(bye.get("ok"), Some(&Json::Bool(true)), "{}", bye.to_json());
-    drop((stream, reader));
+}
+
+/// Waits for `daemon` to exit, at most 30 seconds, and asserts it exited 0.
+fn exits_cleanly(daemon: &mut Daemon) {
     let until = Instant::now() + Duration::from_secs(30);
     let status = loop {
         if let Some(status) = daemon.0.try_wait().expect("wait") {
@@ -125,4 +134,76 @@ fn wire_timeouts_past_a_year_are_refused_before_binding_and_a_year_serves() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "{status:?}");
+}
+
+/// A reader that takes the listening line and closes the daemon's stdout
+/// does not take the daemon down: a ping and a shutdown both answer, and
+/// it exits 0. The line is read a byte at a time and the pipe closed at
+/// once, so a banner printed in two writes would meet a broken pipe with
+/// its second; timing decides whether it does, so several daemons are
+/// tried.
+#[test]
+fn a_daemon_whose_stdout_reader_has_gone_keeps_serving() {
+    for _ in 0..5 {
+        let mut daemon = Daemon(
+            Command::new(env!("CARGO_BIN_EXE_dprep"))
+                .args(["serve", "--port", "0"])
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("dprep serve starts"),
+        );
+        let mut stdout = daemon.0.stdout.take().expect("piped stdout");
+        let mut listening = Vec::new();
+        let mut byte = [0u8; 1];
+        while listening.last() != Some(&b'\n') {
+            assert_eq!(
+                stdout.read(&mut byte).expect("read stdout"),
+                1,
+                "{listening:?}"
+            );
+            listening.push(byte[0]);
+        }
+        drop(stdout);
+        let listening = String::from_utf8(listening).expect("utf-8");
+        let addr = listening
+            .trim()
+            .strip_prefix("dprep serve listening on ")
+            .unwrap_or_else(|| panic!("{listening:?}"));
+        ping_and_shut_down(addr.parse().expect("an address"));
+        exits_cleanly(&mut daemon);
+    }
+
+    // A pipe closed before the daemon prints: it warns once on stderr and
+    // serves on the port it was given.
+    let port = TcpListener::bind("127.0.0.1:0")
+        .and_then(|probe| probe.local_addr())
+        .expect("a free port")
+        .port();
+    let (closed, writer) = std::io::pipe().expect("a pipe");
+    drop(closed);
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_dprep"))
+            .args(["serve", "--port", &port.to_string()])
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("dprep serve starts"),
+    );
+    let addr = SocketAddr::from(([127, 0, 0, 1], port));
+    let until = Instant::now() + Duration::from_secs(30);
+    while TcpStream::connect(addr).is_err() {
+        assert!(Instant::now() < until, "the daemon never listened");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    ping_and_shut_down(addr);
+    exits_cleanly(&mut daemon);
+    let mut stderr = String::new();
+    let mut pipe = daemon.0.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("warning: cannot print the listening line"),
+        "{stderr}"
+    );
 }

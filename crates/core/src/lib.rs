@@ -19,10 +19,12 @@
 //!   presuppose: n-gram key blocking and embedding blocking, with pair
 //!   completeness / reduction ratio evaluation,
 //! * [`repair`] — detect-then-repair table cleaning, composing ED and DI,
-//! * [`serve`] — multi-tenant serving: the round-robin shard turnstile,
-//!   per-tenant token ledgers, the job scheduler, the live ops plane
-//!   (windowed metrics + SLO burn-rate alerts + flight recorder), and the
-//!   `dprep serve` NDJSON-over-TCP daemon core.
+//! * [`serve`] — multi-tenant serving: the daemon's scheduling core
+//!   (admission, the round-robin shard turns, per-tenant token ledgers,
+//!   drain) as one value of pure transitions, the job scheduler that runs
+//!   it under one lock, the live ops plane (windowed metrics + SLO
+//!   burn-rate alerts + flight recorder), and the `dprep serve`
+//!   NDJSON-over-TCP daemon.
 
 pub mod blocking;
 pub mod config;
@@ -43,8 +45,8 @@ pub use exec::{
 pub use pipeline::{FailureKind, Prediction, PredictionSink, Preprocessor, RunResult};
 pub use repair::{Repair, RepairOutcome, Repairer};
 pub use serve::{
-    result_fingerprint, Daemon, JobError, JobGrant, JobHandler, JobOutcome, JobScheduler, OpsPlane,
-    OverloadPolicy, OverloadSnapshot, Rejection, ShardGate, TenantHealth, TenantLedger,
-    TenantUsage, Turnstile, TurnstileHandle, WireLimits,
+    result_fingerprint, Admission, Daemon, DaemonCore, JobError, JobGrant, JobHandler, JobOutcome,
+    JobScheduler, OpsPlane, OverloadPolicy, OverloadSnapshot, Rejection, ShardGate, TenantHealth,
+    TenantLedger, TenantUsage, WireLimits,
 };
 pub use stream::{PlanShard, PlanStream};

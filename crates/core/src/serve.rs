@@ -10,33 +10,44 @@
 //!   concurrent jobs interleave at shard granularity. Each shard turn
 //!   uses the job's full worker pool, so a job running alone is exactly
 //!   as fast as without the gate.
-//! * [`Turnstile`] — the round-robin, work-conserving [`ShardGate`]:
-//!   registered jobs are granted turns in rotation order, and several hold
-//!   turns at once while their summed worker counts fit the machine's
-//!   available parallelism (a job as wide as the machine runs alone); a
-//!   finished job leaves the rotation when its handle drops.
-//! * [`TenantLedger`] — per-tenant token allowances and billed totals.
-//!   Admission clamps a job's own token budget to the tenant's remaining
-//!   allowance, so the job runs under a private [`ExecutionOptions`]
-//!   budget gauge and stays **bit-identical to a one-shot run at that
-//!   clamped budget** — tenancy never perturbs a job's results, only which
-//!   budget it gets.
-//! * [`JobScheduler`] — admission + turnstile registration + settlement,
-//!   emitting `job_accepted` / `job_completed` / `job_rejected` trace
-//!   events. An optional [`OverloadPolicy`] bounds admission: in-flight
-//!   slots and a bounded wait queue (global and per-tenant caps), with
-//!   excess load *shed* as a structured [`Rejection`] carrying a
-//!   `retry_after` hint — shed jobs bill exactly zero tokens (`job_shed`
-//!   events, audit invariant 10). A policy default deadline propagates
-//!   into each job's [`ExecutionOptions::deadline_secs`] budget gauge, so
-//!   a job that cannot finish by its deadline is rejected at admission
-//!   (non-positive deadline) or cancelled at the shard boundary with
-//!   deterministic plan-order partials. The scheduler also owns the
-//!   graceful-drain state machine (`serving → draining → closed`): a
-//!   drain stops admitting, fires every in-flight job's checkpoint
-//!   [`KillSwitch`] so journaled jobs stop at their next terminal, and
-//!   closes once nothing is in flight — a restart then resumes every
-//!   checkpointed job bit-identically with exactly-once billing.
+//! * [`DaemonCore`] — every scheduling decision, as one value whose
+//!   methods are transitions: submit, a queued job's retry, turn
+//!   requested, turn released, settled, failed, drain and closed. Each
+//!   returns its decision and the trace events to emit; none takes a
+//!   lock, calls a tracer or reads a clock, so a seeded explorer
+//!   (`tests/daemon_explorer.rs`) drives it through thousands of
+//!   schedules. It holds:
+//!   - the [`TenantLedger`]: per-tenant allowances, billed totals, job
+//!     counts, running counts and merged metrics. Admission clamps a
+//!     job's own token budget to the tenant's remaining allowance, so the
+//!     job runs under a private [`ExecutionOptions`] budget gauge and
+//!     stays **bit-identical to a one-shot run at that clamped budget**;
+//!   - bounded admission under an [`OverloadPolicy`]: in-flight slots and
+//!     a bounded wait queue (global and per-tenant caps), with excess load
+//!     *shed* as a structured [`Rejection`] carrying a `retry_after` hint
+//!     — shed jobs bill exactly zero tokens (`job_shed` events, audit
+//!     invariant 10). A policy default deadline propagates into each
+//!     job's [`ExecutionOptions::deadline_secs`] budget gauge;
+//!   - the shard-turn rotation: running jobs take turns in rotation
+//!     order, and several hold turns at once while their summed shares
+//!     fit the machine's available parallelism;
+//!   - the running jobs' checkpoint halts and the drain state machine
+//!     (`serving → draining → closed`): a drain stops admitting, fires
+//!     every running job's [`KillSwitch`] so journaled jobs stop at their
+//!     next terminal, and closes once nothing is in flight — a restart
+//!     then resumes every checkpointed job bit-identically with
+//!     exactly-once billing.
+//!
+//!   The in-flight, admitted and shed totals are derived from the
+//!   ledger's rows, never counted beside them.
+//! * [`JobScheduler`] — the shell around the core: one `Mutex` and one
+//!   `Condvar`, shared by jobs waiting for a slot and jobs waiting for a
+//!   turn. It locks, runs one transition, unlocks, and only then records
+//!   the transition's events (`job_accepted`, `job_completed`,
+//!   `job_rejected`, `job_shed`, `queue_depth`, `drain_transition`), so
+//!   no tracer, handler or file write runs under the lock. A guard runs
+//!   the failed transition for an admitted job that unwinds, so a panic
+//!   cannot leak a slot, a turn or a halt.
 //! * [`OpsPlane`] — the live observability plane: per-tenant windowed
 //!   metrics ([`dprep_obs::WindowAggregator`]) and SLO burn-rate alerting
 //!   ([`dprep_obs::SloEngine`]) fed by each job's trace stream, plus an
@@ -63,12 +74,14 @@
 //!
 //! Everything here is std-only, like the rest of the workspace.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dprep_obs::{
@@ -93,174 +106,25 @@ pub trait ShardGate: Send + Sync {
     fn release(&self);
 }
 
-/// Shared state of a [`Turnstile`].
-#[derive(Debug, Default)]
-struct Rotation {
-    /// Jobs not holding a turn, in rotation order, with their shares.
-    queue: VecDeque<(u64, usize)>,
-    /// Jobs holding a turn.
-    holding: Vec<u64>,
-    /// Summed shares of the jobs holding a turn.
-    held: usize,
+/// Remaining allowance over allowance, for a capped tenant.
+fn headroom(budget: Option<usize>, tokens_billed: usize) -> Option<f64> {
+    budget.map(|budget| match budget {
+        0 => 0.0,
+        _ => budget.saturating_sub(tokens_billed) as f64 / budget as f64,
+    })
 }
 
-/// A round-robin, work-conserving [`ShardGate`]: jobs registered with
-/// [`register`](Turnstile::register) take turns in rotation order, each
-/// turn covering one plan shard. Jobs hold turns at the same time while
-/// their summed shares fit the turnstile's limit, the machine's available
-/// parallelism, so a job does not wait for a turn while a core idles. A
-/// job's share is its worker count capped at the limit: a job with at
-/// least as many workers as the limit runs alone, and at limit 1 every
-/// job does (strict alternation).
-///
-/// Rotation order holds by reservation: a waiting job starts a turn only
-/// in the capacity left by the jobs holding turns and by every job ahead
-/// of it in the rotation, asking yet or not. So a job never waits on one
-/// behind it, and a wide job is not starved by a stream of narrow ones.
-/// Dropping a job's [`TurnstileHandle`] removes it from the rotation and
-/// frees its share, even mid-turn, so finished (or crashed) jobs never
-/// block the others.
-#[derive(Debug)]
-pub struct Turnstile {
-    rotation: Mutex<Rotation>,
-    turned: Condvar,
-    /// Summed shares that may hold turns at once.
-    limit: usize,
-}
-
-impl Turnstile {
-    /// An empty turnstile whose limit is the machine's available
-    /// parallelism.
-    pub fn new() -> Arc<Turnstile> {
-        Turnstile::with_limit(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// An empty turnstile admitting `limit` summed shares at once.
-    fn with_limit(limit: usize) -> Arc<Turnstile> {
-        Arc::new(Turnstile {
-            rotation: Mutex::new(Rotation::default()),
-            turned: Condvar::new(),
-            limit: limit.max(1),
-        })
-    }
-
-    /// Adds `job`, running on `workers` threads, to the back of the
-    /// rotation and returns its gate handle.
-    pub fn register(self: &Arc<Self>, job: u64, workers: usize) -> TurnstileHandle {
-        let share = workers.clamp(1, self.limit);
-        self.rotation
-            .lock()
-            .expect("rotation lock")
-            .queue
-            .push_back((job, share));
-        TurnstileHandle {
-            turnstile: Arc::clone(self),
-            job,
-            share,
-        }
-    }
-
-    /// Jobs currently in the rotation, holding a turn or not.
-    pub fn len(&self) -> usize {
-        let rotation = self.rotation.lock().expect("rotation lock");
-        rotation.queue.len() + rotation.holding.len()
-    }
-
-    /// Whether the rotation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One job's membership in a [`Turnstile`]. Implements [`ShardGate`];
-/// dropping it leaves the rotation.
-#[derive(Debug)]
-pub struct TurnstileHandle {
-    turnstile: Arc<Turnstile>,
-    job: u64,
-    share: usize,
-}
-
-impl ShardGate for TurnstileHandle {
-    fn acquire(&self) {
-        let turnstile = &self.turnstile;
-        let mut rotation = turnstile.rotation.lock().expect("rotation lock");
-        loop {
-            // The capacity claimed once this job starts: every holder's
-            // share plus every share up to and including its own.
-            let mut claimed = rotation.held;
-            let position = rotation.queue.iter().position(|&(job, share)| {
-                claimed += share;
-                job == self.job
-            });
-            if let Some(i) = position.filter(|_| claimed <= turnstile.limit) {
-                rotation.queue.remove(i);
-                rotation.holding.push(self.job);
-                rotation.held += self.share;
-                return;
-            }
-            rotation = turnstile.turned.wait(rotation).expect("rotation lock");
-        }
-    }
-
-    fn release(&self) {
-        let mut rotation = self.turnstile.rotation.lock().expect("rotation lock");
-        if let Some(i) = rotation.holding.iter().position(|&j| j == self.job) {
-            rotation.holding.swap_remove(i);
-            rotation.held -= self.share;
-            rotation.queue.push_back((self.job, self.share));
-        }
-        drop(rotation);
-        self.turnstile.turned.notify_all();
-    }
-}
-
-impl Drop for TurnstileHandle {
-    fn drop(&mut self) {
-        // No rotation update can panic midway, so a poisoned lock still
-        // guards consistent state; `Drop` must not panic.
-        let mut rotation = self
-            .turnstile
-            .rotation
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(i) = rotation.holding.iter().position(|&j| j == self.job) {
-            rotation.holding.swap_remove(i);
-            rotation.held -= self.share;
-        }
-        rotation.queue.retain(|&(j, _)| j != self.job);
-        drop(rotation);
-        self.turnstile.turned.notify_all();
-    }
-}
-
-/// One tenant's ledger row.
+/// One tenant's ledger row (see [`TenantLedger::rows`]).
 #[derive(Debug, Clone, Default)]
-struct TenantState {
-    budget: Option<usize>,
-    tokens_billed: usize,
-    cost_usd: f64,
-    jobs_active: u64,
-    jobs_completed: u64,
-    jobs_failed: u64,
-    jobs_rejected: u64,
-    jobs_tripped: u64,
-    jobs_shed: u64,
-}
-
-/// A tenant's billing snapshot (see [`TenantLedger::snapshot`]).
-#[derive(Debug, Clone, PartialEq)]
 pub struct TenantUsage {
-    /// Tenant name.
-    pub tenant: String,
     /// The tenant's token allowance, if capped.
     pub budget: Option<usize>,
     /// Tokens billed across the tenant's completed jobs.
     pub tokens_billed: usize,
     /// Dollars billed across the tenant's completed jobs.
     pub cost_usd: f64,
-    /// Jobs admitted and still running.
-    pub jobs_active: u64,
+    /// Jobs admitted and still running: the tenant's in-flight slots.
+    pub jobs_active: usize,
     /// Jobs that completed and settled.
     pub jobs_completed: u64,
     /// Jobs that errored while running.
@@ -271,9 +135,13 @@ pub struct TenantUsage {
     pub jobs_tripped: u64,
     /// Jobs shed by the overload policy before any work (billed zero).
     pub jobs_shed: u64,
+    /// The completed jobs' metrics, merged: the tenant's Prometheus
+    /// series.
+    pub metrics: MetricsSnapshot,
 }
 
-/// Per-tenant token allowances and billed totals.
+/// Per-tenant token allowances, billed totals and job counts: the
+/// [`DaemonCore`]'s tenant table.
 ///
 /// Admission is charge-aware, not reservation-based: a job is admitted
 /// with `min(its own budget, tenant remaining)` as its effective token
@@ -283,7 +151,7 @@ pub struct TenantUsage {
 /// the per-run [`ExecutionOptions::token_budget`] gauge uses.
 #[derive(Debug, Default)]
 pub struct TenantLedger {
-    tenants: Mutex<BTreeMap<String, TenantState>>,
+    tenants: BTreeMap<String, TenantUsage>,
     /// Allowance for tenants never configured explicitly (None = uncapped).
     default_budget: Option<usize>,
 }
@@ -301,83 +169,24 @@ impl TenantLedger {
     }
 
     /// Sets (or lifts, with `None`) a tenant's token allowance.
-    pub fn set_budget(&self, tenant: &str, tokens: Option<usize>) {
-        let mut tenants = self.tenants.lock().expect("ledger lock");
-        tenants.entry(tenant.to_string()).or_default().budget = tokens;
+    pub fn set_budget(&mut self, tenant: &str, tokens: Option<usize>) {
+        self.row(tenant).budget = tokens;
     }
 
-    /// Admission check: the effective token budget a new job of `tenant`
-    /// may run under, or why it cannot run at all.
-    fn admit(&self, tenant: &str, requested: Option<usize>) -> Result<Option<usize>, String> {
-        let mut tenants = self.tenants.lock().expect("ledger lock");
-        let state = tenants
+    /// `tenant`'s row, created under the default allowance when new.
+    fn row(&mut self, tenant: &str) -> &mut TenantUsage {
+        let budget = self.default_budget;
+        self.tenants
             .entry(tenant.to_string())
-            .or_insert_with(|| TenantState {
-                budget: self.default_budget,
-                ..TenantState::default()
-            });
-        let Some(budget) = state.budget else {
-            state.jobs_active += 1;
-            return Ok(requested);
-        };
-        let remaining = budget.saturating_sub(state.tokens_billed);
-        if remaining == 0 {
-            state.jobs_rejected += 1;
-            return Err(format!(
-                "tenant {tenant:?} token allowance exhausted ({} billed of {budget})",
-                state.tokens_billed
-            ));
-        }
-        state.jobs_active += 1;
-        Ok(Some(requested.map_or(remaining, |r| r.min(remaining))))
-    }
-
-    /// Settles a finished job's bill.
-    fn settle(&self, tenant: &str, tokens: usize, cost_usd: f64, tripped: bool) {
-        let mut tenants = self.tenants.lock().expect("ledger lock");
-        let state = tenants.entry(tenant.to_string()).or_default();
-        state.tokens_billed += tokens;
-        state.cost_usd += cost_usd;
-        // Saturating: direct settle calls (tests, replays) may not have
-        // passed admission.
-        state.jobs_active = state.jobs_active.saturating_sub(1);
-        state.jobs_completed += 1;
-        state.jobs_tripped += u64::from(tripped);
-    }
-
-    /// Records a job that errored after admission.
-    fn fail(&self, tenant: &str) {
-        let mut tenants = self.tenants.lock().expect("ledger lock");
-        let state = tenants.entry(tenant.to_string()).or_default();
-        state.jobs_active = state.jobs_active.saturating_sub(1);
-        state.jobs_failed += 1;
-    }
-
-    /// Records a job the overload policy shed before any work was done.
-    /// Shed jobs never held an active slot and bill nothing.
-    fn shed(&self, tenant: &str) {
-        let mut tenants = self.tenants.lock().expect("ledger lock");
-        tenants.entry(tenant.to_string()).or_default().jobs_shed += 1;
+            .or_insert_with(|| TenantUsage {
+                budget,
+                ..TenantUsage::default()
+            })
     }
 
     /// Every tenant's row, in name order.
-    pub fn snapshot(&self) -> Vec<TenantUsage> {
-        let tenants = self.tenants.lock().expect("ledger lock");
-        tenants
-            .iter()
-            .map(|(tenant, s)| TenantUsage {
-                tenant: tenant.clone(),
-                budget: s.budget,
-                tokens_billed: s.tokens_billed,
-                cost_usd: s.cost_usd,
-                jobs_active: s.jobs_active,
-                jobs_completed: s.jobs_completed,
-                jobs_failed: s.jobs_failed,
-                jobs_rejected: s.jobs_rejected,
-                jobs_tripped: s.jobs_tripped,
-                jobs_shed: s.jobs_shed,
-            })
-            .collect()
+    pub fn rows(&self) -> &BTreeMap<String, TenantUsage> {
+        &self.tenants
     }
 }
 
@@ -460,11 +269,11 @@ pub struct OverloadSnapshot {
     pub shed_total: u64,
 }
 
-/// What the scheduler grants an admitted job: its id, its turnstile gate
+/// What the scheduler grants an admitted job: its id, its shard-turn gate
 /// (wire it into the executor with `with_shard_gate`), its effective
 /// execution options — the requested options with `token_budget` clamped
-/// to the tenant's remaining allowance and `workers` to the job's
-/// turnstile share — and its drain halt.
+/// to the tenant's remaining allowance and `workers` to the job's turn
+/// share — and its drain halt.
 pub struct JobGrant {
     /// Job id (per-scheduler, starts at 1).
     pub job: u64,
@@ -494,55 +303,484 @@ pub struct JobOutcome {
     pub metrics: MetricsSnapshot,
 }
 
-/// The overload gate's mutable state: slot occupancy under one lock so
-/// every admit/shed decision sees a consistent picture.
-#[derive(Debug, Default)]
-struct AdmissionState {
-    inflight: usize,
-    queued: usize,
-    per_tenant: BTreeMap<String, usize>,
+/// Where the daemon is in its drain chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DrainState {
+    Serving,
+    Draining,
+    Closed,
 }
 
-/// Drain states, packed into an atomic for lock-free reads.
-const DRAIN_SERVING: u8 = 0;
-const DRAIN_DRAINING: u8 = 1;
-const DRAIN_CLOSED: u8 = 2;
+/// A running job: its tenant, its share of the turn limit and its drain
+/// halt.
+#[derive(Debug)]
+struct Running {
+    tenant: String,
+    share: usize,
+    halt: KillSwitch,
+}
 
-/// Admission, fair-share registration, and settlement for concurrent jobs.
-pub struct JobScheduler {
-    ledger: TenantLedger,
-    turnstile: Arc<Turnstile>,
-    tracer: Arc<dyn Tracer>,
-    next_job: AtomicU64,
-    active: AtomicU64,
+/// What admission decided for a job.
+#[derive(Debug)]
+pub enum Admission {
+    /// The job holds an in-flight slot and a place in the turn rotation.
+    /// It runs under these options — its token budget clamped to its
+    /// tenant's allowance, its workers to its turn share, the policy's
+    /// default deadline filled in — with this drain halt.
+    Admitted(ExecutionOptions, KillSwitch),
+    /// The job waits in the bounded queue: retry it after a later
+    /// transition.
+    Queued,
+    /// Turned away before any work; the job bills nothing.
+    Refused(Rejection),
+}
+
+/// A refusal of `kind`.
+fn refusal(kind: &'static str, message: String, retry_after_secs: Option<f64>) -> Rejection {
+    Rejection {
+        kind,
+        message,
+        retry_after_secs,
+    }
+}
+
+/// The daemon's scheduling state; every change is a transition (see the
+/// module docs). Admission follows one ladder: a non-positive deadline
+/// sheds (`deadline`), then a drain sheds (`draining`), then a tenant at
+/// its cap sheds, then a full gate queues or, with the queue full, sheds
+/// (`overloaded`), then an exhausted allowance refuses
+/// (`budget-exhausted`).
+///
+/// Turns keep rotation order by reservation: a waiting job starts a turn
+/// only in the capacity left by the jobs holding turns and by every job
+/// ahead of it in the rotation, asking yet or not. So a job never waits
+/// on one behind it, a wide job is not starved by a stream of narrow
+/// ones, and no turn waits while capacity idles. A job's share is its
+/// worker count capped at the limit: a job at least as wide as the limit
+/// runs alone, and at limit 1 every job does (strict alternation). A job
+/// leaves the rotation when it settles or fails, even mid-turn.
+#[derive(Debug)]
+pub struct DaemonCore {
     policy: OverloadPolicy,
-    admission: Mutex<AdmissionState>,
-    /// Signalled whenever an in-flight slot frees or a drain begins, so
-    /// queued jobs re-evaluate.
-    slot_freed: Condvar,
-    drain_state: AtomicU8,
-    /// Checkpoint halts of in-flight jobs, fired all at once by a drain.
-    halts: Mutex<HashMap<u64, KillSwitch>>,
-    admitted_total: AtomicU64,
-    shed_total: AtomicU64,
+    /// Summed shares that may hold turns at once.
+    limit: usize,
+    ledger: TenantLedger,
+    /// Jobs waiting in the admission queue.
+    queued: usize,
+    running: BTreeMap<u64, Running>,
+    /// Running jobs not holding a turn, in rotation order.
+    rotation: VecDeque<u64>,
+    /// Running jobs holding a turn.
+    holding: Vec<u64>,
+    drain: DrainState,
+    next_job: u64,
+}
+
+impl DaemonCore {
+    /// A serving core billing against `ledger`, whose turns admit `limit`
+    /// summed shares at once.
+    pub fn new(policy: OverloadPolicy, limit: usize, ledger: TenantLedger) -> DaemonCore {
+        DaemonCore {
+            policy,
+            limit: limit.max(1),
+            ledger,
+            queued: 0,
+            running: BTreeMap::new(),
+            rotation: VecDeque::new(),
+            holding: Vec::new(),
+            drain: DrainState::Serving,
+            next_job: 1,
+        }
+    }
+
+    /// A new job of `tenant` asking for `options`: takes the next job id,
+    /// then runs admission.
+    pub fn submit(
+        &mut self,
+        tenant: &str,
+        options: ExecutionOptions,
+    ) -> (u64, Admission, Vec<TraceEvent>) {
+        let job = self.next_job;
+        self.next_job += 1;
+        let deadline = options.deadline_secs.or(self.policy.default_deadline_secs);
+        let (admission, events) = match deadline.filter(|&secs| secs <= 0.0) {
+            Some(secs) => {
+                let message = format!("job cannot finish by its deadline ({secs}s at admission)");
+                self.shed(job, tenant, refusal("deadline", message, None))
+            }
+            None => self.admit(job, tenant, options, false),
+        };
+        (job, admission, events)
+    }
+
+    /// Queued `job` asks again, after a transition that may have freed a
+    /// slot or started a drain.
+    pub fn retry(
+        &mut self,
+        job: u64,
+        tenant: &str,
+        options: ExecutionOptions,
+    ) -> (Admission, Vec<TraceEvent>) {
+        self.admit(job, tenant, options, true)
+    }
+
+    /// Admission past the deadline check, for a new job or a queued one.
+    fn admit(
+        &mut self,
+        job: u64,
+        tenant: &str,
+        options: ExecutionOptions,
+        queued: bool,
+    ) -> (Admission, Vec<TraceEvent>) {
+        let inflight = self.inflight();
+        if self.drain != DrainState::Serving {
+            self.queued -= usize::from(queued);
+            let message = "daemon is draining and admits no new jobs".to_string();
+            return self.shed(job, tenant, refusal("draining", message, None));
+        }
+        let held = self
+            .ledger
+            .tenants
+            .get(tenant)
+            .map_or(0, |row| row.jobs_active);
+        let tenant_capped = self.policy.tenant_inflight.is_some_and(|cap| held >= cap);
+        if tenant_capped || self.policy.max_inflight.is_some_and(|cap| inflight >= cap) {
+            if queued {
+                return (Admission::Queued, Vec::new());
+            }
+            // A tenant at its own cap sheds instead of queueing, so one
+            // tenant cannot occupy the shared queue; likewise a full
+            // queue sheds instead of blocking the wire thread forever.
+            if tenant_capped || self.queued >= self.policy.max_queued.unwrap_or(0) {
+                let message = if tenant_capped {
+                    format!("tenant {tenant:?} is at its concurrency cap ({held} in flight)")
+                } else {
+                    let queued = self.queued;
+                    format!("admission queue is full ({queued} queued, {inflight} in flight)")
+                };
+                // Longer the deeper the backlog, so colliding clients
+                // spread their retries.
+                let after = 0.5 * (self.queued + inflight + 1) as f64;
+                return self.shed(job, tenant, refusal("overloaded", message, Some(after)));
+            }
+            self.queued += 1;
+            return (Admission::Queued, vec![self.queue_depth()]);
+        }
+        self.queued -= usize::from(queued);
+        let row = self.ledger.row(tenant);
+        let token_budget = match row.budget.map(|b| (b, b.saturating_sub(row.tokens_billed))) {
+            None => options.token_budget,
+            Some((budget, 0)) => {
+                row.jobs_rejected += 1;
+                let billed = row.tokens_billed;
+                let reason = format!(
+                    "tenant {tenant:?} token allowance exhausted ({billed} billed of {budget})"
+                );
+                let event = TraceEvent::JobRejected {
+                    tenant: tenant.to_string(),
+                    reason: reason.clone(),
+                };
+                let rejection = refusal("budget-exhausted", reason, None);
+                return (Admission::Refused(rejection), vec![event]);
+            }
+            Some((_, remaining)) => {
+                Some(options.token_budget.map_or(remaining, |r| r.min(remaining)))
+            }
+        };
+        row.jobs_active += 1;
+        // A job runs on no more threads than its turn share: the survey
+        // spans the whole plan, not one shard, so an unclamped count would
+        // spawn a thread per batch.
+        let share = options.workers.clamp(1, self.limit);
+        let halt = KillSwitch::unarmed();
+        let tenant = tenant.to_string();
+        let accepted = TraceEvent::JobAccepted {
+            job,
+            tenant: tenant.clone(),
+        };
+        let events = vec![self.queue_depth(), accepted];
+        let running = Running {
+            tenant,
+            share,
+            halt: halt.clone(),
+        };
+        self.running.insert(job, running);
+        self.rotation.push_back(job);
+        let options = ExecutionOptions {
+            workers: share,
+            token_budget,
+            deadline_secs: options.deadline_secs.or(self.policy.default_deadline_secs),
+            ..options
+        };
+        (Admission::Admitted(options, halt), events)
+    }
+
+    /// Books a shed on `tenant`'s row; the job bills nothing.
+    fn shed(
+        &mut self,
+        job: u64,
+        tenant: &str,
+        rejection: Rejection,
+    ) -> (Admission, Vec<TraceEvent>) {
+        self.ledger.row(tenant).jobs_shed += 1;
+        let event = TraceEvent::JobShed {
+            job,
+            tenant: tenant.to_string(),
+            reason: rejection.kind.to_string(),
+            retry_after_secs: rejection.retry_after_secs.unwrap_or(0.0),
+            queued: self.queued,
+            inflight: self.inflight(),
+        };
+        (Admission::Refused(rejection), vec![event])
+    }
+
+    /// The gate's occupancy, as the event a job entering the queue or an
+    /// in-flight slot emits.
+    fn queue_depth(&self) -> TraceEvent {
+        TraceEvent::QueueDepth {
+            queued: self.queued,
+            inflight: self.inflight(),
+        }
+    }
+
+    /// Running `job` asks for a shard turn: true when it starts one (or
+    /// holds no place in the rotation to wait for), false when it must
+    /// wait for a later transition.
+    pub fn turn_requested(&mut self, job: u64) -> bool {
+        let Some(position) = self.rotation.iter().position(|&j| j == job) else {
+            return true;
+        };
+        // The capacity claimed once this job starts: every holder's share
+        // plus every share up to and including its own.
+        let ahead = self.rotation.range(..=position);
+        let claimed: usize = ahead.chain(&self.holding).map(|&j| self.share(j)).sum();
+        if claimed > self.limit {
+            return false;
+        }
+        self.rotation.remove(position);
+        self.holding.push(job);
+        true
+    }
+
+    /// `job` gives its turn up and goes to the back of the rotation.
+    pub fn turn_released(&mut self, job: u64) {
+        if let Some(i) = self.holding.iter().position(|&j| j == job) {
+            self.holding.swap_remove(i);
+            self.rotation.push_back(job);
+        }
+    }
+
+    /// Running `job` finished with `outcome`: bills its tenant, merges its
+    /// metrics, and frees its slot, turn and halt. Returns the tenant's
+    /// headroom after the bill (capped tenants only).
+    pub fn settled(&mut self, job: u64, outcome: &JobOutcome) -> (Option<f64>, Vec<TraceEvent>) {
+        let Some(tenant) = self.end(job) else {
+            return (None, Vec::new());
+        };
+        let row = self.ledger.row(&tenant);
+        row.tokens_billed += outcome.tokens_billed;
+        row.cost_usd += outcome.cost_usd;
+        row.jobs_completed += 1;
+        row.jobs_tripped += u64::from(outcome.budget_tripped);
+        row.metrics.merge(&outcome.metrics);
+        let headroom = headroom(row.budget, row.tokens_billed);
+        let event = TraceEvent::JobCompleted {
+            job,
+            tenant,
+            tokens: outcome.tokens_billed,
+            cost_usd: outcome.cost_usd,
+            budget_tripped: outcome.budget_tripped,
+        };
+        (headroom, vec![event])
+    }
+
+    /// Running `job` failed for `reason`: frees its slot, turn and halt,
+    /// billing nothing.
+    pub fn failed(&mut self, job: u64, reason: &str) -> Vec<TraceEvent> {
+        let Some(tenant) = self.end(job) else {
+            return Vec::new();
+        };
+        self.ledger.row(&tenant).jobs_failed += 1;
+        let reason = reason.to_string();
+        vec![TraceEvent::JobRejected { tenant, reason }]
+    }
+
+    /// Takes `job` out of the running set and the rotation; its tenant,
+    /// if it was running.
+    fn end(&mut self, job: u64) -> Option<String> {
+        let Running { tenant, .. } = self.running.remove(&job)?;
+        self.rotation.retain(|&j| j != job);
+        self.holding.retain(|&j| j != job);
+        self.ledger.row(&tenant).jobs_active -= 1;
+        Some(tenant)
+    }
+
+    /// Starts a drain: admission sheds every new and queued job as
+    /// `draining`, and every running job's checkpoint halt fires.
+    /// Idempotent.
+    pub fn drain(&mut self) -> Vec<TraceEvent> {
+        if self.drain != DrainState::Serving {
+            return Vec::new();
+        }
+        self.drain = DrainState::Draining;
+        for running in self.running.values() {
+            running.halt.trigger();
+        }
+        let inflight = self.inflight();
+        vec![TraceEvent::DrainTransition {
+            from: "serving",
+            to: "draining",
+            inflight,
+        }]
+    }
+
+    /// Completes a drain once nothing is in flight or queued. Idempotent;
+    /// a no-op unless draining.
+    pub fn close(&mut self) -> Vec<TraceEvent> {
+        if self.drain != DrainState::Draining || !self.quiesced() {
+            return Vec::new();
+        }
+        self.drain = DrainState::Closed;
+        vec![TraceEvent::DrainTransition {
+            from: "draining",
+            to: "closed",
+            inflight: 0,
+        }]
+    }
+
+    /// The gate's occupancy and lifetime totals, read off the ledger.
+    pub fn overload(&self) -> OverloadSnapshot {
+        let rows = || self.ledger.tenants.values();
+        OverloadSnapshot {
+            state: match self.drain {
+                DrainState::Serving => "serving",
+                DrainState::Draining => "draining",
+                DrainState::Closed => "closed",
+            },
+            inflight: self.inflight(),
+            queued: self.queued,
+            admitted_total: rows()
+                .map(|r| r.jobs_active as u64 + r.jobs_completed + r.jobs_failed)
+                .sum(),
+            shed_total: rows().map(|r| r.jobs_shed).sum(),
+        }
+    }
+
+    /// The tenant table.
+    pub fn ledger(&self) -> &TenantLedger {
+        &self.ledger
+    }
+
+    /// The jobs holding turns, then the running ones waiting, in
+    /// rotation order.
+    pub fn turns(&self) -> (&[u64], &VecDeque<u64>) {
+        (&self.holding, &self.rotation)
+    }
+
+    /// Running `job`'s share of the turn limit (0 once it has ended).
+    pub fn share(&self, job: u64) -> usize {
+        self.running.get(&job).map_or(0, |running| running.share)
+    }
+
+    fn inflight(&self) -> usize {
+        self.ledger.tenants.values().map(|r| r.jobs_active).sum()
+    }
+
+    fn quiesced(&self) -> bool {
+        self.inflight() == 0 && self.queued == 0
+    }
+
+    /// Whether a drain has started and gone quiet.
+    fn drained(&self) -> bool {
+        self.drain != DrainState::Serving && self.quiesced()
+    }
+}
+
+/// The one lock over a [`DaemonCore`], and the signal its waiters share.
+struct Shared {
+    core: Mutex<DaemonCore>,
+    changed: Condvar,
+}
+
+impl Shared {
+    #[allow(
+        clippy::expect_used,
+        reason = "no tracer, handler, clock read or file write runs under the core lock, \
+                  and the explorer drives every transition, so only a bug in a transition \
+                  could poison it"
+    )]
+    fn lock(&self) -> MutexGuard<'_, DaemonCore> {
+        self.core.lock().expect("daemon core lock")
+    }
+
+    #[allow(clippy::expect_used, reason = "as for `lock`")]
+    fn wait<'a>(&self, core: MutexGuard<'a, DaemonCore>) -> MutexGuard<'a, DaemonCore> {
+        self.changed.wait(core).expect("daemon core lock")
+    }
+}
+
+/// A job's [`ShardGate`]: its place in the core's turn rotation.
+struct Turns {
+    shared: Arc<Shared>,
+    job: u64,
+}
+
+impl ShardGate for Turns {
+    fn acquire(&self) {
+        let mut core = self.shared.lock();
+        while !core.turn_requested(self.job) {
+            core = self.shared.wait(core);
+        }
+    }
+
+    fn release(&self) {
+        self.shared.lock().turn_released(self.job);
+        self.shared.changed.notify_all();
+    }
+}
+
+/// Fails an admitted job that leaves [`JobScheduler::run_job`] without
+/// settling — a tracer panicking through it — so its slot, turn and halt
+/// cannot leak.
+struct Unsettled<'a> {
+    shared: &'a Shared,
+    job: Option<u64>,
+}
+
+impl Drop for Unsettled<'_> {
+    fn drop(&mut self) {
+        let Some(job) = self.job else { return };
+        // A core poisoned by a transition's own panic is left as it is, for
+        // `Drop` must not panic; the events go unrecorded, for the tracer
+        // is what unwinds.
+        if let Ok(mut core) = self.shared.core.lock() {
+            let _ = core.failed(job, "job ended without settling");
+            drop(core);
+            self.shared.changed.notify_all();
+        }
+    }
+}
+
+/// Admission, shard turns and settlement for concurrent jobs: the shell
+/// that runs [`DaemonCore`] transitions under one lock and records their
+/// events after it.
+pub struct JobScheduler {
+    shared: Arc<Shared>,
+    tracer: Arc<dyn Tracer>,
 }
 
 impl JobScheduler {
-    /// A scheduler billing against `ledger`.
+    /// A scheduler billing against `ledger`, whose shard turns share the
+    /// machine's available parallelism.
     pub fn new(ledger: TenantLedger) -> JobScheduler {
+        let limit = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let core = DaemonCore::new(OverloadPolicy::default(), limit, ledger);
         JobScheduler {
-            ledger,
-            turnstile: Turnstile::new(),
+            shared: Arc::new(Shared {
+                core: Mutex::new(core),
+                changed: Condvar::new(),
+            }),
             tracer: Arc::new(NullTracer),
-            next_job: AtomicU64::new(1),
-            active: AtomicU64::new(0),
-            policy: OverloadPolicy::default(),
-            admission: Mutex::new(AdmissionState::default()),
-            slot_freed: Condvar::new(),
-            drain_state: AtomicU8::new(DRAIN_SERVING),
-            halts: Mutex::new(HashMap::new()),
-            admitted_total: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
         }
     }
 
@@ -555,241 +793,51 @@ impl JobScheduler {
     }
 
     /// Bounds admission with `policy` (see [`OverloadPolicy`]).
-    pub fn with_policy(mut self, policy: OverloadPolicy) -> JobScheduler {
-        self.policy = policy;
+    pub fn with_policy(self, policy: OverloadPolicy) -> JobScheduler {
+        self.shared.lock().policy = policy;
         self
     }
 
-    /// The billing ledger.
-    pub fn ledger(&self) -> &TenantLedger {
-        &self.ledger
+    /// Reads the core under its lock.
+    fn read<R>(&self, read: impl FnOnce(&DaemonCore) -> R) -> R {
+        read(&self.shared.lock())
     }
 
-    /// The admission policy.
-    pub fn policy(&self) -> &OverloadPolicy {
-        &self.policy
-    }
-
-    /// Jobs currently running.
-    pub fn active_jobs(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
-    }
-
-    /// Whether a drain has started (or finished).
-    pub fn draining(&self) -> bool {
-        self.drain_state.load(Ordering::Relaxed) != DRAIN_SERVING
-    }
-
-    /// The drain state's label: `serving` / `draining` / `closed`.
-    pub fn drain_label(&self) -> &'static str {
-        match self.drain_state.load(Ordering::Relaxed) {
-            DRAIN_SERVING => "serving",
-            DRAIN_DRAINING => "draining",
-            _ => "closed",
+    fn record(&self, events: &[TraceEvent]) {
+        for event in events {
+            self.tracer.record(event);
         }
     }
 
     /// The overload gate's current occupancy and lifetime totals.
     pub fn overload_snapshot(&self) -> OverloadSnapshot {
-        let st = self.admission.lock().expect("admission lock");
-        OverloadSnapshot {
-            state: self.drain_label(),
-            inflight: st.inflight,
-            queued: st.queued,
-            admitted_total: self.admitted_total.load(Ordering::Relaxed),
-            shed_total: self.shed_total.load(Ordering::Relaxed),
-        }
+        self.read(DaemonCore::overload)
     }
 
-    /// Whether the gate is idle: no in-flight slots held and nothing
-    /// queued. A draining daemon closes at this point.
-    pub fn quiesced(&self) -> bool {
-        let st = self.admission.lock().expect("admission lock");
-        st.inflight == 0 && st.queued == 0
-    }
-
-    /// Starts a drain: stop admitting (new and queued jobs shed with kind
-    /// `draining`), fire every in-flight job's checkpoint halt so
-    /// journaled jobs stop at their next journaled terminal, and emit the
-    /// `serving → draining` transition. Idempotent.
+    /// Starts a drain (see [`DaemonCore::drain`]) and wakes queued jobs,
+    /// so they shed as draining instead of waiting on slots that will
+    /// never be granted to them.
     pub fn drain(&self) {
-        if self
-            .drain_state
-            .compare_exchange(
-                DRAIN_SERVING,
-                DRAIN_DRAINING,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return;
-        }
-        let inflight = self.admission.lock().expect("admission lock").inflight;
-        self.tracer.record(&TraceEvent::DrainTransition {
-            from: "serving",
-            to: "draining",
-            inflight,
-        });
-        for halt in self.halts.lock().expect("halts lock").values() {
-            halt.trigger();
-        }
-        // Wake queued jobs so they shed as draining instead of waiting on
-        // slots that will never be granted to them.
-        self.slot_freed.notify_all();
+        let events = self.shared.lock().drain();
+        self.shared.changed.notify_all();
+        self.record(&events);
     }
 
-    /// Completes the drain chain once nothing is in flight: emits the
-    /// `draining → closed` transition. Idempotent; no-op unless draining.
-    pub fn mark_closed(&self) {
-        if self
-            .drain_state
-            .compare_exchange(
-                DRAIN_DRAINING,
-                DRAIN_CLOSED,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            self.tracer.record(&TraceEvent::DrainTransition {
-                from: "draining",
-                to: "closed",
-                inflight: 0,
-            });
-        }
-    }
-
-    /// Books a shed: the zero-billing rejection trace plus per-tenant and
-    /// lifetime counters. `queued`/`inflight` are the gate occupancy the
-    /// decision was made against.
-    fn book_shed(
-        &self,
-        job: u64,
-        tenant: &str,
-        rejection: &Rejection,
-        queued: usize,
-        inflight: usize,
-    ) {
-        self.shed_total.fetch_add(1, Ordering::Relaxed);
-        self.ledger.shed(tenant);
-        self.tracer.record(&TraceEvent::JobShed {
-            job,
-            tenant: tenant.to_string(),
-            reason: rejection.kind.to_string(),
-            retry_after_secs: rejection.retry_after_secs.unwrap_or(0.0),
-            queued,
-            inflight,
-        });
-    }
-
-    /// The backoff hint for an overload shed: longer the deeper the
-    /// backlog, so colliding clients spread their retries.
-    fn retry_after(queued: usize, inflight: usize) -> f64 {
-        0.5 * (queued + inflight + 1) as f64
-    }
-
-    /// Takes an in-flight slot for `job`, waiting in the bounded queue
-    /// when the policy allows, or sheds. On `Ok` the slot is held and must
-    /// be released with [`release_slot`](Self::release_slot).
-    fn acquire_slot(&self, tenant: &str, job: u64) -> Result<(), Rejection> {
-        let mut st = self.admission.lock().expect("admission lock");
-        let mut queued_here = false;
-        loop {
-            if self.draining() {
-                if queued_here {
-                    st.queued -= 1;
-                }
-                let rejection = Rejection {
-                    kind: "draining",
-                    message: "daemon is draining and admits no new jobs".to_string(),
-                    retry_after_secs: None,
-                };
-                self.book_shed(job, tenant, &rejection, st.queued, st.inflight);
-                return Err(rejection);
-            }
-            let tenant_held = st.per_tenant.get(tenant).copied().unwrap_or(0);
-            let tenant_capped = self
-                .policy
-                .tenant_inflight
-                .is_some_and(|cap| tenant_held >= cap);
-            let capped = self
-                .policy
-                .max_inflight
-                .is_some_and(|cap| st.inflight >= cap);
-            if !capped && !tenant_capped {
-                st.inflight += 1;
-                *st.per_tenant.entry(tenant.to_string()).or_default() += 1;
-                if queued_here {
-                    st.queued -= 1;
-                }
-                self.tracer.record(&TraceEvent::QueueDepth {
-                    queued: st.queued,
-                    inflight: st.inflight,
-                });
-                return Ok(());
-            }
-            // A tenant at its own cap sheds instead of queueing, so one
-            // tenant cannot occupy the shared queue; likewise a full
-            // queue sheds instead of blocking the wire thread forever.
-            let queue_full = st.queued >= self.policy.max_queued.unwrap_or(0);
-            if !queued_here && (tenant_capped || queue_full) {
-                let rejection = Rejection {
-                    kind: "overloaded",
-                    message: if tenant_capped {
-                        format!(
-                            "tenant {tenant:?} is at its concurrency cap \
-                             ({tenant_held} in flight)"
-                        )
-                    } else {
-                        format!(
-                            "admission queue is full ({} queued, {} in flight)",
-                            st.queued, st.inflight
-                        )
-                    },
-                    retry_after_secs: Some(Self::retry_after(st.queued, st.inflight)),
-                };
-                self.book_shed(job, tenant, &rejection, st.queued, st.inflight);
-                return Err(rejection);
-            }
-            if !queued_here {
-                st.queued += 1;
-                queued_here = true;
-                self.tracer.record(&TraceEvent::QueueDepth {
-                    queued: st.queued,
-                    inflight: st.inflight,
-                });
-            }
-            st = self.slot_freed.wait(st).expect("admission lock");
-        }
-    }
-
-    /// Releases `tenant`'s in-flight slot and wakes one queued waiter.
-    fn release_slot(&self, tenant: &str) {
-        let mut st = self.admission.lock().expect("admission lock");
-        st.inflight = st.inflight.saturating_sub(1);
-        if let Some(held) = st.per_tenant.get_mut(tenant) {
-            *held = held.saturating_sub(1);
-            if *held == 0 {
-                st.per_tenant.remove(tenant);
-            }
-        }
-        drop(st);
-        self.slot_freed.notify_all();
+    /// Completes the drain chain once nothing is in flight.
+    fn close(&self) {
+        let events = self.shared.lock().close();
+        self.record(&events);
     }
 
     /// Admits, runs, and settles one job on the calling thread.
     ///
     /// `body` receives the [`JobGrant`] and must run the workload under
     /// `grant.options` with `grant.gate` wired into the executor
-    /// (`with_shard_gate`), returning the outcome to bill. The grant's
-    /// turnstile slot is freed when `body` returns, whatever the result.
+    /// (`with_shard_gate`), returning the outcome to bill. The job leaves
+    /// the turn rotation when it settles, whatever the result.
     ///
-    /// Admission proceeds in deterministic stages: a non-positive
-    /// deadline sheds (`deadline`), then the overload gate sheds or
-    /// queues (`overloaded` / `draining`), then the tenant ledger rejects
-    /// an exhausted allowance (`budget-exhausted`). Every refusal is a
-    /// [`JobError::Rejected`] that billed zero tokens; a failure from
+    /// Admission follows [`DaemonCore`]'s ladder; a job refused there is
+    /// a [`JobError::Rejected`] that billed zero tokens. A failure from
     /// `body` is [`JobError::Failed`], and so is a panic in `body`: it is
     /// caught here, so the job's slot, halt, and ledger row are settled
     /// like any other failure's instead of leaking.
@@ -799,74 +847,51 @@ impl JobScheduler {
         requested: ExecutionOptions,
         body: impl FnOnce(&JobGrant) -> Result<JobOutcome, String>,
     ) -> Result<(u64, JobOutcome), JobError> {
-        let mut requested = requested;
-        if requested.deadline_secs.is_none() {
-            requested.deadline_secs = self.policy.default_deadline_secs;
-        }
-        let job = self.next_job.fetch_add(1, Ordering::Relaxed);
-        if let Some(deadline) = requested.deadline_secs {
-            if deadline <= 0.0 {
-                let rejection = Rejection {
-                    kind: "deadline",
-                    message: format!(
-                        "job cannot finish by its deadline ({deadline}s at admission)"
-                    ),
-                    retry_after_secs: None,
-                };
-                let (queued, inflight) = {
-                    let st = self.admission.lock().expect("admission lock");
-                    (st.queued, st.inflight)
-                };
-                self.book_shed(job, tenant, &rejection, queued, inflight);
-                return Err(JobError::Rejected(rejection));
-            }
-        }
-        self.acquire_slot(tenant, job).map_err(JobError::Rejected)?;
-        let effective_budget = match self.ledger.admit(tenant, requested.token_budget) {
-            Ok(budget) => budget,
-            Err(reason) => {
-                self.release_slot(tenant);
-                self.tracer.record(&TraceEvent::JobRejected {
-                    tenant: tenant.to_string(),
-                    reason: reason.clone(),
-                });
-                return Err(JobError::Rejected(Rejection {
-                    kind: "budget-exhausted",
-                    message: reason,
-                    retry_after_secs: None,
-                }));
+        self.run(tenant, requested, body)
+            .map(|(job, outcome, _)| (job, outcome))
+    }
+
+    /// [`run_job`](Self::run_job), also returning the tenant's headroom
+    /// after the job settled.
+    fn run(
+        &self,
+        tenant: &str,
+        requested: ExecutionOptions,
+        body: impl FnOnce(&JobGrant) -> Result<JobOutcome, String>,
+    ) -> Result<(u64, JobOutcome, Option<f64>), JobError> {
+        let mut core = self.shared.lock();
+        let (job, mut admission, mut events) = core.submit(tenant, requested);
+        let (options, halt) = loop {
+            match admission {
+                Admission::Admitted(options, halt) => break (options, halt),
+                Admission::Refused(rejection) => {
+                    drop(core);
+                    self.record(&events);
+                    return Err(JobError::Rejected(rejection));
+                }
+                Admission::Queued => {
+                    core = self.shared.wait(core);
+                    let (next, more) = core.retry(job, tenant, requested);
+                    admission = next;
+                    events.extend(more);
+                }
             }
         };
-        let halt = KillSwitch::unarmed();
-        self.halts
-            .lock()
-            .expect("halts lock")
-            .insert(job, halt.clone());
-        // Close the race with a drain that fired between slot acquisition
-        // and halt registration: its trigger sweep may have missed us.
-        if self.draining() {
-            halt.trigger();
-        }
-        // A job runs on no more threads than its turnstile share: the
-        // survey spans the whole plan, not one shard, so an unclamped
-        // count would spawn a thread per batch.
-        let gate = self.turnstile.register(job, requested.workers);
+        drop(core);
+        let mut unsettled = Unsettled {
+            shared: &self.shared,
+            job: Some(job),
+        };
+        self.record(&events);
         let grant = JobGrant {
             job,
-            options: ExecutionOptions {
-                workers: gate.share,
-                token_budget: effective_budget,
-                ..requested
-            },
-            gate: Arc::new(gate),
+            gate: Arc::new(Turns {
+                shared: Arc::clone(&self.shared),
+                job,
+            }),
+            options,
             halt,
         };
-        self.tracer.record(&TraceEvent::JobAccepted {
-            job,
-            tenant: tenant.to_string(),
-        });
-        self.admitted_total.fetch_add(1, Ordering::Relaxed);
-        self.active.fetch_add(1, Ordering::Relaxed);
         let result =
             std::panic::catch_unwind(AssertUnwindSafe(|| body(&grant))).unwrap_or_else(|panic| {
                 let message = panic
@@ -876,36 +901,17 @@ impl JobScheduler {
                     .unwrap_or("non-string payload");
                 Err(format!("job handler panicked: {message}"))
             });
-        drop(grant);
-        self.active.fetch_sub(1, Ordering::Relaxed);
-        self.halts.lock().expect("halts lock").remove(&job);
-        match &result {
-            Ok(outcome) => {
-                self.ledger.settle(
-                    tenant,
-                    outcome.tokens_billed,
-                    outcome.cost_usd,
-                    outcome.budget_tripped,
-                );
-                self.tracer.record(&TraceEvent::JobCompleted {
-                    job,
-                    tenant: tenant.to_string(),
-                    tokens: outcome.tokens_billed,
-                    cost_usd: outcome.cost_usd,
-                    budget_tripped: outcome.budget_tripped,
-                });
-            }
-            Err(reason) => {
-                self.ledger.fail(tenant);
-                self.tracer.record(&TraceEvent::JobRejected {
-                    tenant: tenant.to_string(),
-                    reason: reason.clone(),
-                });
-            }
-        }
-        self.release_slot(tenant);
+        let mut core = self.shared.lock();
+        let (headroom, events) = match &result {
+            Ok(outcome) => core.settled(job, outcome),
+            Err(reason) => (None, core.failed(job, reason)),
+        };
+        unsettled.job = None;
+        drop(core);
+        self.shared.changed.notify_all();
+        self.record(&events);
         result
-            .map(|outcome| (job, outcome))
+            .map(|outcome| (job, outcome, headroom))
             .map_err(JobError::Failed)
     }
 }
@@ -968,9 +974,14 @@ impl OpsPlane {
         self
     }
 
-    /// The recorder, if one is attached.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
+    /// The per-tenant table, locked.
+    #[allow(
+        clippy::expect_used,
+        reason = "only the windows' and SLO engines' folds of plain data run under the \
+                  plane's lock: no tracer, recorder call or file write"
+    )]
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, TenantOps>> {
+        self.tenants.lock().expect("ops plane lock")
     }
 
     /// A [`Tracer`] handle that attributes every event it records to
@@ -988,7 +999,7 @@ impl OpsPlane {
         if let Some(recorder) = &self.recorder {
             recorder.record(event);
         }
-        let mut tenants = self.tenants.lock().expect("ops plane lock");
+        let mut tenants = self.lock();
         let ops = Self::entry(&mut tenants, &self.specs, self.config, tenant);
         ops.window.observe(event);
         let vt = ops.window.vt_secs();
@@ -1001,7 +1012,7 @@ impl OpsPlane {
     /// Reports `tenant`'s current budget headroom fraction (remaining /
     /// allowance) to its headroom objective, if one is configured.
     pub fn note_headroom(&self, tenant: &str, fraction: f64) {
-        let mut tenants = self.tenants.lock().expect("ops plane lock");
+        let mut tenants = self.lock();
         let ops = Self::entry(&mut tenants, &self.specs, self.config, tenant);
         let vt = ops.window.vt_secs();
         let transitions = ops.slo.note_headroom(fraction, vt);
@@ -1038,7 +1049,7 @@ impl OpsPlane {
 
     /// Every tenant's live view, in name order.
     pub fn health(&self) -> Vec<TenantHealth> {
-        let tenants = self.tenants.lock().expect("ops plane lock");
+        let tenants = self.lock();
         tenants
             .iter()
             .map(|(tenant, ops)| TenantHealth {
@@ -1054,7 +1065,7 @@ impl OpsPlane {
     /// order), in name order — the determinism drills compare these
     /// byte-for-byte across worker counts.
     pub fn timelines(&self) -> BTreeMap<String, Vec<TraceEvent>> {
-        let tenants = self.tenants.lock().expect("ops plane lock");
+        let tenants = self.lock();
         tenants
             .iter()
             .map(|(tenant, ops)| (tenant.clone(), ops.timeline.clone()))
@@ -1206,7 +1217,6 @@ pub struct Daemon {
     addr: SocketAddr,
     scheduler: JobScheduler,
     handler: Arc<JobHandler>,
-    tenants: Mutex<BTreeMap<String, MetricsSnapshot>>,
     ops: Option<Arc<OpsPlane>>,
     shutdown: AtomicBool,
     wire: WireLimits,
@@ -1233,7 +1243,6 @@ impl Daemon {
             listener: Mutex::new(Some(listener)),
             scheduler,
             handler,
-            tenants: Mutex::new(BTreeMap::new()),
             ops: None,
             shutdown: AtomicBool::new(false),
             wire: WireLimits::default(),
@@ -1254,24 +1263,9 @@ impl Daemon {
         self
     }
 
-    /// The attached ops plane, if any.
-    pub fn ops(&self) -> Option<&Arc<OpsPlane>> {
-        self.ops.as_ref()
-    }
-
     /// The bound address (read the ephemeral port from here).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The job scheduler (ledger access for tests and reports).
-    pub fn scheduler(&self) -> &JobScheduler {
-        &self.scheduler
-    }
-
-    /// A copy of the per-tenant metrics registry.
-    pub fn tenant_metrics(&self) -> BTreeMap<String, MetricsSnapshot> {
-        self.tenants.lock().expect("tenant metrics lock").clone()
     }
 
     /// Asks the accept loop to stop (also reachable over the wire via
@@ -1300,12 +1294,11 @@ impl Daemon {
 
     /// Completes a drain once it has gone quiet — nothing in flight,
     /// nothing queued — by requesting shutdown. The daemon checks before
-    /// serving and after every request: a drain started over the wire
-    /// goes quiet on a request (the drain op, or the last in-flight
-    /// submit), while one started through [`scheduler`](Self::scheduler)
-    /// with nothing in flight closes the daemon at its next request.
+    /// serving (a scheduler drained before it was bound) and after every
+    /// request: a drain goes quiet on a request (the drain op, or the
+    /// last in-flight submit).
     fn close_if_drained(&self) {
-        if self.scheduler.draining() && self.scheduler.quiesced() {
+        if self.scheduler.read(DaemonCore::drained) {
             self.request_shutdown();
         }
     }
@@ -1339,7 +1332,7 @@ impl Daemon {
             Ok(())
         });
         // All connection threads have joined: nothing can be in flight.
-        self.scheduler.mark_closed();
+        self.scheduler.close();
         result
     }
 
@@ -1491,37 +1484,31 @@ impl Daemon {
             Ok(v) => v,
             Err(e) => return Reply::Line(error_reply(&format!("malformed request: {e}"))),
         };
+        let ok = || field("ok", Json::Bool(true));
         Reply::Line(match body.get("op").and_then(Json::as_str) {
-            Some("ping") => Json::Obj(vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("pong".to_string(), Json::Bool(true)),
-                (
-                    "active_jobs".to_string(),
-                    Json::Num(self.scheduler.active_jobs() as f64),
-                ),
-            ]),
+            Some("ping") => {
+                let inflight = self.scheduler.overload_snapshot().inflight;
+                Json::Obj(vec![
+                    ok(),
+                    field("pong", Json::Bool(true)),
+                    num("active_jobs", inflight as f64),
+                ])
+            }
             Some("submit") => self.submit(&body),
             Some("stats") => self.stats(),
             Some("metrics") => {
                 if body.get("format").and_then(Json::as_str) == Some("raw") {
                     return Reply::Raw(self.prom_body());
                 }
-                Json::Obj(vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("prom".to_string(), Json::Str(self.prom_body())),
-                ])
+                Json::Obj(vec![ok(), field("prom", Json::Str(self.prom_body()))])
             }
             Some("health") => self.health(),
             Some("drain") => {
                 self.scheduler.drain();
                 let overload = self.scheduler.overload_snapshot();
-                Json::Obj(vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("draining".to_string(), Json::Bool(true)),
-                    ("state".to_string(), Json::Str(overload.state.to_string())),
-                    ("inflight".to_string(), Json::Num(overload.inflight as f64)),
-                    ("queued".to_string(), Json::Num(overload.queued as f64)),
-                ])
+                let mut fields = vec![ok(), field("draining", Json::Bool(true))];
+                fields.extend(header(&overload).into_iter().take(3));
+                Json::Obj(fields)
             }
             Some("shutdown") => {
                 // Shutdown is a drain plus an immediate stop-accepting:
@@ -1529,10 +1516,7 @@ impl Daemon {
                 // before the process exits, so billed work survives.
                 self.scheduler.drain();
                 self.request_shutdown();
-                Json::Obj(vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("shutting_down".to_string(), Json::Bool(true)),
-                ])
+                Json::Obj(vec![ok(), field("shutting_down", Json::Bool(true))])
             }
             Some(other) => error_reply(&format!("unknown op {other:?}")),
             None => error_reply("request has no \"op\" field"),
@@ -1543,181 +1527,80 @@ impl Daemon {
     /// and ledger headroom — everything `dprep top` renders. Tenants are
     /// the union of the ops plane's and the ledger's, in name order.
     fn health(&self) -> Json {
-        let ledger: BTreeMap<String, TenantUsage> = self
-            .scheduler
-            .ledger()
-            .snapshot()
-            .into_iter()
-            .map(|row| (row.tenant.clone(), row))
-            .collect();
         let plane: BTreeMap<String, TenantHealth> = self
             .ops
-            .as_ref()
-            .map(|ops| {
-                ops.health()
-                    .into_iter()
-                    .map(|h| (h.tenant.clone(), h))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let names: std::collections::BTreeSet<String> =
-            ledger.keys().chain(plane.keys()).cloned().collect();
-        let tenants: Vec<Json> = names
-            .into_iter()
-            .map(|name| {
-                let mut fields = vec![("tenant".to_string(), Json::Str(name.clone()))];
-                if let Some(row) = ledger.get(&name) {
-                    fields.push((
-                        "budget".to_string(),
-                        row.budget.map_or(Json::Null, |b| Json::Num(b as f64)),
-                    ));
-                    fields.push((
-                        "tokens_billed".to_string(),
-                        Json::Num(row.tokens_billed as f64),
-                    ));
-                    fields.push((
-                        "headroom".to_string(),
-                        row.budget.map_or(Json::Null, |budget| {
-                            Json::Num(if budget == 0 {
-                                0.0
-                            } else {
-                                budget.saturating_sub(row.tokens_billed) as f64 / budget as f64
-                            })
-                        }),
-                    ));
-                    fields.push(("jobs_active".to_string(), Json::Num(row.jobs_active as f64)));
-                    fields.push((
-                        "jobs_completed".to_string(),
-                        Json::Num(row.jobs_completed as f64),
-                    ));
-                    fields.push(("jobs_shed".to_string(), Json::Num(row.jobs_shed as f64)));
+            .iter()
+            .flat_map(|ops| ops.health())
+            .map(|h| (h.tenant.clone(), h))
+            .collect();
+        self.scheduler.read(|core| {
+            let ledger = core.ledger.rows();
+            let names: BTreeSet<&String> = ledger.keys().chain(plane.keys()).collect();
+            let tenants = names.into_iter().map(|name| {
+                let mut fields = vec![field("tenant", Json::Str(name.clone()))];
+                if let Some(row) = ledger.get(name) {
+                    let headroom = headroom(row.budget, row.tokens_billed);
+                    fields.extend([
+                        field(
+                            "budget",
+                            row.budget.map_or(Json::Null, |b| Json::Num(b as f64)),
+                        ),
+                        num("tokens_billed", row.tokens_billed as f64),
+                        field("headroom", headroom.map_or(Json::Null, Json::Num)),
+                        num("jobs_active", row.jobs_active as f64),
+                        num("jobs_completed", row.jobs_completed as f64),
+                        num("jobs_shed", row.jobs_shed as f64),
+                    ]);
                 }
-                if let Some(health) = plane.get(&name) {
-                    fields.push(("window".to_string(), health.window.to_json()));
-                    let slos: Vec<Json> = health
-                        .slos
-                        .iter()
-                        .map(|(slo, state, burn_long, burn_short)| {
-                            Json::Obj(vec![
-                                ("slo".to_string(), Json::Str((*slo).to_string())),
-                                ("state".to_string(), Json::Str((*state).to_string())),
-                                ("burn_long".to_string(), Json::Num(*burn_long)),
-                                ("burn_short".to_string(), Json::Num(*burn_short)),
-                            ])
-                        })
-                        .collect();
-                    fields.push(("slos".to_string(), Json::Arr(slos)));
-                    fields.push((
-                        "transitions".to_string(),
-                        Json::Num(health.transitions as f64),
-                    ));
+                if let Some(health) = plane.get(name) {
+                    let slos = health.slos.iter().map(|(slo, state, long, short)| {
+                        Json::Obj(vec![
+                            field("slo", Json::Str((*slo).to_string())),
+                            field("state", Json::Str((*state).to_string())),
+                            num("burn_long", *long),
+                            num("burn_short", *short),
+                        ])
+                    });
+                    fields.extend([
+                        field("window", health.window.to_json()),
+                        field("slos", Json::Arr(slos.collect())),
+                        num("transitions", health.transitions as f64),
+                    ]);
                 }
                 Json::Obj(fields)
-            })
-            .collect();
-        let overload = self.scheduler.overload_snapshot();
-        Json::Obj(vec![
-            ("ok".to_string(), Json::Bool(true)),
-            (
-                "active_jobs".to_string(),
-                Json::Num(self.scheduler.active_jobs() as f64),
-            ),
-            ("state".to_string(), Json::Str(overload.state.to_string())),
-            ("inflight".to_string(), Json::Num(overload.inflight as f64)),
-            ("queued".to_string(), Json::Num(overload.queued as f64)),
-            (
-                "admitted_jobs".to_string(),
-                Json::Num(overload.admitted_total as f64),
-            ),
-            (
-                "shed_jobs".to_string(),
-                Json::Num(overload.shed_total as f64),
-            ),
-            ("has_ops".to_string(), Json::Bool(self.ops.is_some())),
-            ("tenants".to_string(), Json::Arr(tenants)),
-        ])
-    }
-
-    /// Reports `tenant`'s post-settlement budget headroom to the ops
-    /// plane's headroom objective. Uncapped tenants report nothing —
-    /// headroom is undefined without an allowance.
-    fn note_headroom(&self, tenant: &str) {
-        let Some(ops) = &self.ops else { return };
-        let row = self
-            .scheduler
-            .ledger()
-            .snapshot()
-            .into_iter()
-            .find(|row| row.tenant == tenant);
-        if let Some(row) = row {
-            if let Some(budget) = row.budget {
-                let fraction = if budget == 0 {
-                    0.0
-                } else {
-                    budget.saturating_sub(row.tokens_billed) as f64 / budget as f64
-                };
-                ops.note_headroom(tenant, fraction);
-            }
-        }
+            });
+            let has_ops = field("has_ops", Json::Bool(self.ops.is_some()));
+            let tenants = field("tenants", Json::Arr(tenants.collect()));
+            status(&core.overload(), [has_ops, tenants])
+        })
     }
 
     /// Runs one `submit` request through the scheduler and handler. The
     /// job's deadline comes from `deadline_secs` (virtual seconds) or the
     /// wire-friendly `deadline_ms` alias; an explicit `deadline_secs`
     /// wins when both are present, and the scheduler's policy default
-    /// applies when neither is.
+    /// applies when neither is. A daemon field of the wrong type is
+    /// refused, naming it, before admission.
     fn submit(&self, body: &Json) -> Json {
-        let (workers, token_budget) = match (
-            whole_field(body, "workers"),
-            whole_field(body, "token_budget"),
-        ) {
-            (Ok(workers), Ok(token_budget)) => (workers, token_budget),
-            (Err(e), _) | (_, Err(e)) => return error_reply(&e),
-        };
-        let tenant = body
-            .get("tenant")
-            .and_then(Json::as_str)
-            .unwrap_or("default")
-            .to_string();
-        let deadline_secs = body
-            .get("deadline_secs")
-            .and_then(Json::as_f64)
-            .or_else(|| {
-                body.get("deadline_ms")
-                    .and_then(Json::as_f64)
-                    .map(|ms| ms / 1000.0)
-            });
-        let requested = ExecutionOptions {
-            workers: workers.unwrap_or(1).max(1),
-            token_budget,
-            deadline_secs,
-            ..ExecutionOptions::default()
+        let (tenant, requested) = match submit_fields(body) {
+            Ok(fields) => fields,
+            Err(e) => return error_reply(&e),
         };
         match self
             .scheduler
-            .run_job(&tenant, requested, |grant| (self.handler)(body, grant))
+            .run(tenant, requested, |grant| (self.handler)(body, grant))
         {
-            Ok((job, outcome)) => {
-                self.tenants
-                    .lock()
-                    .expect("tenant metrics lock")
-                    .entry(tenant.clone())
-                    .or_default()
-                    .merge(&outcome.metrics);
-                self.note_headroom(&tenant);
+            Ok((job, outcome, headroom)) => {
+                if let (Some(ops), Some(fraction)) = (&self.ops, headroom) {
+                    ops.note_headroom(tenant, fraction);
+                }
                 let mut fields = vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("job".to_string(), Json::Num(job as f64)),
-                    ("tenant".to_string(), Json::Str(tenant)),
-                    (
-                        "tokens_billed".to_string(),
-                        Json::Num(outcome.tokens_billed as f64),
-                    ),
-                    ("cost_usd".to_string(), Json::Num(outcome.cost_usd)),
-                    (
-                        "budget_tripped".to_string(),
-                        Json::Bool(outcome.budget_tripped),
-                    ),
+                    field("ok", Json::Bool(true)),
+                    num("job", job as f64),
+                    field("tenant", Json::Str(tenant.to_string())),
+                    num("tokens_billed", outcome.tokens_billed as f64),
+                    num("cost_usd", outcome.cost_usd),
+                    field("budget_tripped", Json::Bool(outcome.budget_tripped)),
                 ];
                 fields.extend(outcome.reply);
                 Json::Obj(fields)
@@ -1726,15 +1609,12 @@ impl Daemon {
             // back off (`retry_after`), stop (drain), or fix the request.
             Err(JobError::Rejected(rejection)) => {
                 let mut fields = vec![
-                    ("ok".to_string(), Json::Bool(false)),
-                    (
-                        "rejected".to_string(),
-                        Json::Str(rejection.kind.to_string()),
-                    ),
-                    ("error".to_string(), Json::Str(rejection.message)),
+                    field("ok", Json::Bool(false)),
+                    field("rejected", Json::Str(rejection.kind.to_string())),
+                    field("error", Json::Str(rejection.message)),
                 ];
                 if let Some(after) = rejection.retry_after_secs {
-                    fields.push(("retry_after".to_string(), Json::Num(after)));
+                    fields.push(num("retry_after", after));
                 }
                 Json::Obj(fields)
             }
@@ -1745,8 +1625,18 @@ impl Daemon {
     /// The Prometheus scrape body: tenant-labeled series plus the
     /// daemon-level overload gauges.
     fn prom_body(&self) -> String {
-        let mut body = render_prom_tenants(&self.tenant_metrics());
-        let overload = self.scheduler.overload_snapshot();
+        let (overload, metrics) = self.scheduler.read(|core| {
+            let settled = core
+                .ledger
+                .tenants
+                .iter()
+                .filter(|(_, row)| row.jobs_completed > 0);
+            let metrics: BTreeMap<String, MetricsSnapshot> = settled
+                .map(|(tenant, row)| (tenant.clone(), row.metrics.clone()))
+                .collect();
+            (core.overload(), metrics)
+        });
+        let mut body = render_prom_tenants(&metrics);
         body.push_str(&render_prom_daemon(&[
             (
                 "dprep_daemon_admitted_jobs_total",
@@ -1776,74 +1666,86 @@ impl Daemon {
                 "dprep_daemon_draining",
                 "gauge",
                 "1 once a drain has started (draining or closed).",
-                if overload.state == "serving" {
-                    0.0
-                } else {
-                    1.0
-                },
+                f64::from(u8::from(overload.state != "serving")),
             ),
         ]));
         body
     }
 
-    /// The `stats` reply: active jobs plus every tenant's ledger row.
+    /// The `stats` reply: the daemon header plus every tenant's ledger
+    /// row.
     fn stats(&self) -> Json {
-        let tenants = self
-            .scheduler
-            .ledger()
-            .snapshot()
-            .into_iter()
-            .map(|row| {
+        self.scheduler.read(|core| {
+            let tenants = core.ledger.rows().iter().map(|(tenant, row)| {
                 Json::Obj(vec![
-                    ("tenant".to_string(), Json::Str(row.tenant)),
-                    (
-                        "budget".to_string(),
+                    field("tenant", Json::Str(tenant.clone())),
+                    field(
+                        "budget",
                         row.budget.map_or(Json::Null, |b| Json::Num(b as f64)),
                     ),
-                    (
-                        "tokens_billed".to_string(),
-                        Json::Num(row.tokens_billed as f64),
-                    ),
-                    ("cost_usd".to_string(), Json::Num(row.cost_usd)),
-                    ("jobs_active".to_string(), Json::Num(row.jobs_active as f64)),
-                    (
-                        "jobs_completed".to_string(),
-                        Json::Num(row.jobs_completed as f64),
-                    ),
-                    ("jobs_failed".to_string(), Json::Num(row.jobs_failed as f64)),
-                    (
-                        "jobs_rejected".to_string(),
-                        Json::Num(row.jobs_rejected as f64),
-                    ),
-                    (
-                        "jobs_tripped".to_string(),
-                        Json::Num(row.jobs_tripped as f64),
-                    ),
-                    ("jobs_shed".to_string(), Json::Num(row.jobs_shed as f64)),
+                    num("tokens_billed", row.tokens_billed as f64),
+                    num("cost_usd", row.cost_usd),
+                    num("jobs_active", row.jobs_active as f64),
+                    num("jobs_completed", row.jobs_completed as f64),
+                    num("jobs_failed", row.jobs_failed as f64),
+                    num("jobs_rejected", row.jobs_rejected as f64),
+                    num("jobs_tripped", row.jobs_tripped as f64),
+                    num("jobs_shed", row.jobs_shed as f64),
                 ])
-            })
-            .collect();
-        let overload = self.scheduler.overload_snapshot();
-        Json::Obj(vec![
-            ("ok".to_string(), Json::Bool(true)),
-            (
-                "active_jobs".to_string(),
-                Json::Num(self.scheduler.active_jobs() as f64),
-            ),
-            ("state".to_string(), Json::Str(overload.state.to_string())),
-            ("inflight".to_string(), Json::Num(overload.inflight as f64)),
-            ("queued".to_string(), Json::Num(overload.queued as f64)),
-            (
-                "admitted_jobs".to_string(),
-                Json::Num(overload.admitted_total as f64),
-            ),
-            (
-                "shed_jobs".to_string(),
-                Json::Num(overload.shed_total as f64),
-            ),
-            ("tenants".to_string(), Json::Arr(tenants)),
-        ])
+            });
+            status(
+                &core.overload(),
+                [field("tenants", Json::Arr(tenants.collect()))],
+            )
+        })
     }
+}
+
+/// A reply field.
+fn field(key: &str, value: Json) -> (String, Json) {
+    (key.to_string(), value)
+}
+
+/// A numeric reply field.
+fn num(key: &str, value: f64) -> (String, Json) {
+    field(key, Json::Num(value))
+}
+
+/// The daemon header every status reply carries, in wire order: drain
+/// state, in-flight and queued jobs, then the admitted and shed totals.
+fn header(overload: &OverloadSnapshot) -> [(String, Json); 5] {
+    [
+        field("state", Json::Str(overload.state.to_string())),
+        num("inflight", overload.inflight as f64),
+        num("queued", overload.queued as f64),
+        num("admitted_jobs", overload.admitted_total as f64),
+        num("shed_jobs", overload.shed_total as f64),
+    ]
+}
+
+/// A `stats` or `health` reply: `ok`, `active_jobs` and the daemon
+/// header, then `rest`.
+fn status(overload: &OverloadSnapshot, rest: impl IntoIterator<Item = (String, Json)>) -> Json {
+    let mut fields = vec![
+        field("ok", Json::Bool(true)),
+        num("active_jobs", overload.inflight as f64),
+    ];
+    fields.extend(header(overload));
+    fields.extend(rest);
+    Json::Obj(fields)
+}
+
+/// The daemon's own `submit` fields: the tenant, then the job's options
+/// from `workers`, `token_budget` and the deadlines.
+fn submit_fields(body: &Json) -> Result<(&str, ExecutionOptions), String> {
+    let deadline_ms = number_field(body, "deadline_ms")?;
+    let options = ExecutionOptions {
+        workers: whole_field(body, "workers")?.unwrap_or(1).max(1),
+        token_budget: whole_field(body, "token_budget")?,
+        deadline_secs: number_field(body, "deadline_secs")?.or(deadline_ms.map(|ms| ms / 1000.0)),
+        ..ExecutionOptions::default()
+    };
+    Ok((string_field(body, "tenant")?.unwrap_or("default"), options))
 }
 
 /// Sends `json` as one NDJSON frame: the line and its newline in a single
@@ -1858,8 +1760,8 @@ fn write_frame(stream: &mut impl Write, json: &Json) -> std::io::Result<()> {
 /// A failed reply line.
 fn error_reply(message: &str) -> Json {
     Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(false)),
-        ("error".to_string(), Json::Str(message.to_string())),
+        field("ok", Json::Bool(false)),
+        field("error", Json::Str(message.to_string())),
     ])
 }
 
@@ -1881,6 +1783,35 @@ pub fn whole_field(body: &Json, key: &str) -> Result<Option<usize>, String> {
         }),
         Some(value) => Err(format!(
             "\"{key}\" must be a non-negative whole number, not {}",
+            value.to_json()
+        )),
+    }
+}
+
+/// Reads the optional string field `key` of a request body: `Ok(None)`
+/// when it is absent, its text when it is a string. Any other value,
+/// `null` included, is an error naming the field.
+pub fn string_field<'a>(body: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    match body.get(key) {
+        None => Ok(None),
+        Some(Json::Str(text)) => Ok(Some(text)),
+        Some(value) => Err(format!(
+            "\"{key}\" must be a string, not {}",
+            value.to_json()
+        )),
+    }
+}
+
+/// Reads the optional number field `key` of a request body: `Ok(None)`
+/// when it is absent, its value when it is a finite number. Any other
+/// value — a string such as `"0.05"`, `null`, a boolean — is an error
+/// naming the field, so it is refused rather than read as no value.
+pub fn number_field(body: &Json, key: &str) -> Result<Option<f64>, String> {
+    match body.get(key) {
+        None => Ok(None),
+        Some(Json::Num(n)) if n.is_finite() => Ok(Some(*n)),
+        Some(value) => Err(format!(
+            "\"{key}\" must be a finite number, not {}",
             value.to_json()
         )),
     }
@@ -1933,74 +1864,105 @@ mod tests {
     use super::*;
     use dprep_obs::PAGE_FACTOR;
 
-    #[test]
-    fn turnstile_rotates_strictly_and_drops_finished_jobs() {
-        let turnstile = Turnstile::with_limit(1);
-        let a = turnstile.register(1, 1);
-        let b = turnstile.register(2, 1);
-        assert_eq!(turnstile.len(), 2);
-
-        let order = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for (handle, label) in [(&a, 'a'), (&b, 'b')] {
-                let order = Arc::clone(&order);
-                scope.spawn(move || {
-                    for _ in 0..3 {
-                        handle.acquire();
-                        order.lock().unwrap().push(label);
-                        handle.release();
-                    }
-                });
-            }
-        });
-        // Strict alternation starting with the first registrant: the
-        // rotation is deterministic even though thread scheduling is not.
-        assert_eq!(*order.lock().unwrap(), vec!['a', 'b', 'a', 'b', 'a', 'b']);
-
-        drop(a);
-        assert_eq!(turnstile.len(), 1);
-        // With `a` gone, `b` holds every turn and never blocks.
-        b.acquire();
-        b.release();
-        drop(b);
-        assert!(turnstile.is_empty());
+    /// A core with the default policy and an uncapped ledger, whose turns
+    /// admit `limit` summed shares.
+    fn turnstile(limit: usize) -> DaemonCore {
+        DaemonCore::new(OverloadPolicy::default(), limit, TenantLedger::new())
     }
 
-    /// Acquires `handle`'s turn on another thread and hands the handle
-    /// back, failing the test (instead of hanging it) if no turn comes.
-    fn granted(handle: TurnstileHandle) -> TurnstileHandle {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            handle.acquire();
-            let _ = tx.send(handle);
-        });
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("turn granted")
+    /// Admits a job of `tenant` asking for `workers` and `token_budget`:
+    /// its id and granted budget, or the refusal's message.
+    fn admit(
+        core: &mut DaemonCore,
+        tenant: &str,
+        workers: usize,
+        token_budget: Option<usize>,
+    ) -> Result<(u64, Option<usize>), String> {
+        let options = ExecutionOptions {
+            workers,
+            token_budget,
+            ..ExecutionOptions::default()
+        };
+        match core.submit(tenant, options) {
+            (job, Admission::Admitted(options, _), _) => Ok((job, options.token_budget)),
+            (_, Admission::Refused(rejection), _) => Err(rejection.message),
+            (_, Admission::Queued, _) => panic!("no queue is configured"),
+        }
+    }
+
+    /// The id of an admitted one-tenant job on `workers` threads.
+    fn joined(core: &mut DaemonCore, workers: usize) -> u64 {
+        admit(core, "t", workers, None).unwrap().0
+    }
+
+    /// Summed shares of the jobs holding turns.
+    fn held(core: &DaemonCore) -> usize {
+        core.holding.iter().map(|&job| core.share(job)).sum()
+    }
+
+    /// Jobs in the rotation, holding a turn or not.
+    fn members(core: &DaemonCore) -> usize {
+        core.holding.len() + core.rotation.len()
+    }
+
+    #[test]
+    fn turnstile_rotates_strictly_and_drops_finished_jobs() {
+        let mut core = turnstile(1);
+        let a = joined(&mut core, 1);
+        let b = joined(&mut core, 1);
+        assert_eq!(members(&core), 2);
+
+        // Both jobs ask for a turn at every step, `b` first, and give it up
+        // at once: the rotation, not the order of asking, picks the turn.
+        let mut order = Vec::new();
+        let mut left = [(b, 'b', 3), (a, 'a', 3)];
+        while order.len() < 6 {
+            for (job, label, turns) in &mut left {
+                if *turns > 0 && core.turn_requested(*job) {
+                    order.push(*label);
+                    core.turn_released(*job);
+                    *turns -= 1;
+                }
+            }
+        }
+        // Strict alternation starting with the first registrant.
+        assert_eq!(order, vec!['a', 'b', 'a', 'b', 'a', 'b']);
+
+        core.settled(a, &JobOutcome::default());
+        assert_eq!(members(&core), 1);
+        // With `a` gone, `b` holds every turn and never waits.
+        assert!(core.turn_requested(b));
+        core.turn_released(b);
+        core.settled(b, &JobOutcome::default());
+        assert_eq!(members(&core), 0);
     }
 
     #[test]
     fn turnstile_grants_concurrent_turns_within_its_limit() {
-        let turnstile = Turnstile::with_limit(2);
-        let held = || turnstile.rotation.lock().unwrap().held;
+        let mut core = turnstile(2);
         // Two one-worker jobs hold turns at the same moment.
-        let a = granted(turnstile.register(1, 1));
-        let b = granted(turnstile.register(2, 1));
-        assert_eq!(held(), 2);
+        let a = joined(&mut core, 1);
+        let b = joined(&mut core, 1);
+        assert!(core.turn_requested(a) && core.turn_requested(b));
+        assert_eq!(held(&core), 2);
 
-        // Dropping a handle mid-turn frees its share for a waiting job.
-        let c = turnstile.register(3, 1);
-        drop(a);
-        let c = granted(c);
-        assert_eq!((held(), turnstile.len()), (2, 2));
-        drop((b, c));
-        assert_eq!(held(), 0);
-        assert!(turnstile.is_empty());
+        // A job ending mid-turn frees its share for a waiting job.
+        let c = joined(&mut core, 1);
+        assert!(!core.turn_requested(c));
+        core.failed(a, "ended mid-turn");
+        assert!(core.turn_requested(c));
+        assert_eq!((held(&core), members(&core)), (2, 2));
+        core.settled(b, &JobOutcome::default());
+        core.settled(c, &JobOutcome::default());
+        assert_eq!(held(&core), 0);
+        assert_eq!(members(&core), 0);
 
         // A job wider than the limit takes every share, no more.
-        let wide = granted(turnstile.register(4, 8));
-        assert_eq!(held(), 2);
-        wide.release();
-        assert_eq!(held(), 0);
+        let wide = joined(&mut core, 8);
+        assert!(core.turn_requested(wide));
+        assert_eq!(held(&core), 2);
+        core.turn_released(wide);
+        assert_eq!(held(&core), 0);
     }
 
     #[test]
@@ -2013,44 +1975,47 @@ mod tests {
         }
         const WIDE: u64 = 2;
         const WIDE_TURNS: usize = 4;
-        let turnstile = Turnstile::with_limit(2);
+        let mut core = turnstile(2);
         // The wide job (more workers than the limit) is registered between
         // two one-worker jobs that keep asking for turns.
-        let jobs = [
-            (turnstile.register(1, 1), 12),
-            (turnstile.register(WIDE, 4), WIDE_TURNS),
-            (turnstile.register(3, 1), 12),
+        let mut jobs = [
+            (joined(&mut core, 1), 12, false),
+            (joined(&mut core, 4), WIDE_TURNS, false),
+            (joined(&mut core, 1), 12, false),
         ];
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let (tx, rx) = std::sync::mpsc::channel();
-        // Unscoped threads, so a starved job fails the timeout below
-        // instead of hanging the test.
-        for (handle, turns) in jobs {
-            let (log, tx) = (Arc::clone(&log), tx.clone());
-            std::thread::spawn(move || {
-                for _ in 0..turns {
-                    handle.acquire();
-                    log.lock().unwrap().push(Mark::Start(handle.job));
-                    std::thread::yield_now();
-                    log.lock().unwrap().push(Mark::End(handle.job));
-                    handle.release();
+        assert_eq!(jobs[1].0, WIDE);
+        // Each step, one job moves: it asks for a turn, or ends the one it
+        // holds; a job with no turns left leaves the rotation. The mover is
+        // drawn from a fixed generator, standing in for thread timing.
+        let mut log = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..10_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (job, turns, holding) = &mut jobs[(state % 3) as usize];
+            if *holding {
+                log.push(Mark::End(*job));
+                core.turn_released(*job);
+                *holding = false;
+                *turns -= 1;
+                if *turns == 0 {
+                    core.settled(*job, &JobOutcome::default());
                 }
-                // A finished job leaves the rotation.
-                drop(handle);
-                tx.send(()).unwrap();
-            });
+            } else if *turns > 0 && core.turn_requested(*job) {
+                log.push(Mark::Start(*job));
+                *holding = true;
+            }
         }
-        for _ in 0..3 {
-            rx.recv_timeout(Duration::from_secs(10))
-                .expect("every job gets all its turns");
-        }
+        assert!(
+            jobs.iter().all(|&(_, turns, _)| turns == 0),
+            "every job gets all its turns: {jobs:?}"
+        );
 
-        // Start marks are logged inside a turn and end marks before its
-        // release, so the log orders turns as the turnstile granted them.
+        // The log orders turns as the core granted them.
         let mut holding = Vec::new();
         let mut since_wide = Vec::new();
         let mut wide_turns = 0;
-        let log = std::mem::take(&mut *log.lock().unwrap());
         for mark in log {
             match mark {
                 Mark::Start(job) => {
@@ -2080,30 +2045,39 @@ mod tests {
 
     #[test]
     fn ledger_clamps_admission_and_rejects_exhausted_tenants() {
-        let ledger = TenantLedger::new().with_default_budget(Some(50));
+        let mut ledger = TenantLedger::new().with_default_budget(Some(50));
         ledger.set_budget("acme", Some(100));
+        let mut core = DaemonCore::new(OverloadPolicy::default(), 1, ledger);
 
         // Own budget smaller than the allowance: the job keeps its own.
-        assert_eq!(ledger.admit("acme", Some(30)).unwrap(), Some(30));
+        let (first, budget) = admit(&mut core, "acme", 1, Some(30)).unwrap();
+        assert_eq!(budget, Some(30));
         // No own budget: clamped to what remains.
-        ledger.settle("acme", 80, 0.8, false);
-        assert_eq!(ledger.admit("acme", None).unwrap(), Some(20));
+        core.settled(first, &billed(80));
+        let (second, budget) = admit(&mut core, "acme", 1, None).unwrap();
+        assert_eq!(budget, Some(20));
         // Own budget above the remainder: clamped down.
-        assert_eq!(ledger.admit("acme", Some(1_000)).unwrap(), Some(20));
+        assert_eq!(
+            admit(&mut core, "acme", 1, Some(1_000)).unwrap().1,
+            Some(20)
+        );
         // Exhausted: rejected with the billed/allowance numbers.
-        ledger.settle("acme", 20, 0.2, true);
-        let err = ledger.admit("acme", Some(5)).unwrap_err();
+        let tripped = JobOutcome {
+            budget_tripped: true,
+            ..billed(20)
+        };
+        core.settled(second, &tripped);
+        let err = admit(&mut core, "acme", 1, Some(5)).unwrap_err();
         assert!(err.contains("exhausted"), "{err}");
         assert!(err.contains("100 billed of 100"), "{err}");
 
         // Unconfigured tenants get the default allowance.
-        assert_eq!(ledger.admit("fresh", None).unwrap(), Some(50));
+        assert_eq!(admit(&mut core, "fresh", 1, None).unwrap().1, Some(50));
         // An explicitly uncapped tenant passes its request through.
-        ledger.set_budget("open", None);
-        assert_eq!(ledger.admit("open", None).unwrap(), None);
+        core.ledger.set_budget("open", None);
+        assert_eq!(admit(&mut core, "open", 1, None).unwrap().1, None);
 
-        let rows = ledger.snapshot();
-        let acme = rows.iter().find(|r| r.tenant == "acme").unwrap();
+        let acme = &core.ledger.rows()["acme"];
         assert_eq!(acme.tokens_billed, 100);
         assert_eq!(acme.jobs_completed, 2);
         assert_eq!(acme.jobs_rejected, 1);
@@ -2113,7 +2087,7 @@ mod tests {
     #[test]
     fn scheduler_settles_bills_and_emits_job_events() {
         let tracer = Arc::new(dprep_obs::CollectingTracer::new());
-        let ledger = TenantLedger::new();
+        let mut ledger = TenantLedger::new();
         ledger.set_budget("acme", Some(100));
         let scheduler =
             JobScheduler::new(ledger).with_tracer(Arc::clone(&tracer) as Arc<dyn Tracer>);
@@ -2151,7 +2125,7 @@ mod tests {
             .filter(|n| *n != "queue_depth")
             .collect();
         assert_eq!(names, vec!["job_accepted", "job_completed", "job_rejected"]);
-        assert_eq!(scheduler.active_jobs(), 0);
+        assert_eq!(scheduler.overload_snapshot().inflight, 0);
     }
 
     #[test]
@@ -2254,13 +2228,12 @@ mod tests {
             .cloned()
             .collect();
         assert_eq!(sheds.len(), 1);
-        let rows = scheduler.ledger().snapshot();
-        let burst = rows.iter().find(|r| r.tenant == "burst").unwrap();
+        let burst = scheduler.read(|core| core.ledger.rows()["burst"].clone());
         assert_eq!((burst.jobs_shed, burst.tokens_billed), (1, 0));
         let snap = scheduler.overload_snapshot();
         assert_eq!((snap.admitted_total, snap.shed_total), (1, 1));
         assert_eq!((snap.inflight, snap.queued), (0, 0));
-        assert!(scheduler.quiesced());
+        assert!(scheduler.read(DaemonCore::quiesced));
     }
 
     #[test]
@@ -2328,7 +2301,7 @@ mod tests {
         });
         let snap = scheduler.overload_snapshot();
         assert_eq!((snap.admitted_total, snap.shed_total), (2, 2));
-        assert!(scheduler.quiesced());
+        assert!(scheduler.read(DaemonCore::quiesced));
     }
 
     #[test]
@@ -2336,7 +2309,7 @@ mod tests {
         let tracer = Arc::new(dprep_obs::CollectingTracer::new());
         let scheduler = JobScheduler::new(TenantLedger::new())
             .with_tracer(Arc::clone(&tracer) as Arc<dyn Tracer>);
-        assert_eq!(scheduler.drain_label(), "serving");
+        assert_eq!(scheduler.overload_snapshot().state, "serving");
 
         // Drain mid-job: the in-flight job's halt fires so a journaled
         // handler checkpoints, and the job still settles its bill.
@@ -2350,7 +2323,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(outcome.tokens_billed, 7);
-        assert_eq!(scheduler.drain_label(), "draining");
+        assert_eq!(scheduler.overload_snapshot().state, "draining");
 
         // Draining admits nothing, with no retry hint (a retry cannot
         // outlive the drain).
@@ -2363,9 +2336,9 @@ mod tests {
         ));
 
         // Quiesced: the chain completes serving → draining → closed.
-        assert!(scheduler.quiesced());
-        scheduler.mark_closed();
-        assert_eq!(scheduler.drain_label(), "closed");
+        assert!(scheduler.read(DaemonCore::quiesced));
+        scheduler.close();
+        assert_eq!(scheduler.overload_snapshot().state, "closed");
         let transitions: Vec<(&str, &str)> = tracer
             .events()
             .iter()
@@ -2425,6 +2398,27 @@ mod tests {
             JobError::Rejected(r) if r.kind == "deadline" && r.retry_after_secs.is_none()
         ));
         assert_eq!(scheduler.overload_snapshot().shed_total, 1);
+    }
+
+    /// A tenant whose first job is shed still gets the default allowance
+    /// when a later job of it is admitted.
+    #[test]
+    fn a_tenant_first_seen_by_a_shed_keeps_the_default_allowance() {
+        let scheduler = JobScheduler::new(TenantLedger::new().with_default_budget(Some(50)));
+        let dead = ExecutionOptions {
+            deadline_secs: Some(0.0),
+            ..ExecutionOptions::default()
+        };
+        let err = scheduler
+            .run_job("fresh", dead, |_| unreachable!())
+            .unwrap_err();
+        assert!(matches!(&err, JobError::Rejected(r) if r.kind == "deadline"));
+        scheduler
+            .run_job("fresh", ExecutionOptions::default(), |grant| {
+                assert_eq!(grant.options.token_budget, Some(50));
+                Ok(JobOutcome::default())
+            })
+            .unwrap();
     }
 
     fn completed(request: u64, latency_secs: f64, tokens: usize) -> TraceEvent {
@@ -2532,7 +2526,7 @@ mod tests {
                 ..JobOutcome::default()
             })
         });
-        let ledger = TenantLedger::new();
+        let mut ledger = TenantLedger::new();
         ledger.set_budget("acme", Some(100));
         let plane = Arc::new(OpsPlane::new(
             SloSpec::parse_list("latency-p95=1.0,budget-headroom=0.5").unwrap(),
@@ -2799,7 +2793,7 @@ mod tests {
         done.recv_timeout(Duration::from_secs(5))
             .expect("a quiet drain closes the daemon")
             .unwrap();
-        assert_eq!(daemon.scheduler().drain_label(), "closed");
+        assert_eq!(daemon.scheduler.overload_snapshot().state, "closed");
     }
 
     #[test]
@@ -2838,10 +2832,11 @@ mod tests {
             error.contains("job handler panicked: handler bug"),
             "{error}"
         );
-        let overload = daemon.scheduler().overload_snapshot();
+        let overload = daemon.scheduler.overload_snapshot();
         assert_eq!((overload.inflight, overload.queued), (0, 0));
-        assert_eq!(daemon.scheduler().active_jobs(), 0);
-        let row = &daemon.scheduler().ledger().snapshot()[0];
+        let row = daemon
+            .scheduler
+            .read(|core| core.ledger.rows()["acme"].clone());
         assert_eq!((row.jobs_active, row.jobs_failed), (0, 1));
 
         // The tenant's one in-flight slot came back: its next job runs.
@@ -2855,7 +2850,7 @@ mod tests {
         done.recv_timeout(Duration::from_secs(5))
             .expect("a quiet drain closes the daemon")
             .unwrap();
-        assert_eq!(daemon.scheduler().drain_label(), "closed");
+        assert_eq!(daemon.scheduler.overload_snapshot().state, "closed");
     }
 
     /// Timeouts no `Duration` holds, set in code past the flags' check,

@@ -157,7 +157,7 @@ fn daemon_health_op_reports_live_tenants_over_tcp() {
         },
         Some(Arc::clone(&plane)),
     );
-    let ledger = TenantLedger::new();
+    let mut ledger = TenantLedger::new();
     ledger.set_budget("acme", Some(1_000_000));
     let daemon = Daemon::bind("127.0.0.1:0", JobScheduler::new(ledger), handler)
         .unwrap()

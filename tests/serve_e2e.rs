@@ -23,7 +23,9 @@ use llm_data_preprocessors::core::serve::{roundtrip, Daemon, JobGrant, JobSchedu
 use llm_data_preprocessors::core::{
     ExecutionOptions, JobHandler, JobOutcome, KillSwitch, OverloadPolicy, TenantLedger,
 };
-use llm_data_preprocessors::obs::{AuditTracer, DurableJournal, Json, TerminalKind, Tracer};
+use llm_data_preprocessors::obs::{
+    AuditTracer, DurableJournal, Json, TerminalKind, TraceEvent, Tracer,
+};
 
 const SEED: u64 = 11;
 
@@ -218,7 +220,7 @@ fn concurrent_tenants_stay_bit_identical_and_trips_stay_isolated() {
     let (fast_fp, fast_tokens) = reference(&handler, "fast", "Restaurant", faulted());
     let (slow_fp, slow_tokens) = reference(&handler, "slow", "Adult", vec![]);
 
-    let ledger = TenantLedger::new();
+    let mut ledger = TenantLedger::new();
     // Enough budget to start, not enough to finish.
     ledger.set_budget("capped", Some(slow_tokens / 2));
     with_daemon(handler, ledger, |addr| {
@@ -708,13 +710,17 @@ fn absurd_worker_counts_reply_like_one_worker() {
     });
 }
 
-/// A present integer field that is not a non-negative whole number — a
-/// fraction, a negative, a string, `null` — is refused with an error
-/// naming the field, before any model call: the tenant is billed nothing.
-/// (Such a `token_budget` once read as no budget, and a Restaurant job
-/// billed its unbudgeted tokens.)
+/// A present submit field of the wrong type is refused with an error
+/// naming the field, before any model call, and no tenant is billed:
+/// an integer field that is not a non-negative whole number (a fraction,
+/// a negative, a string, `null`), a number field that is a string or
+/// `null`, and a string field that is a number or `null`. (Such a
+/// `token_budget` once read as no budget, a `"scale": "0.05"` as the
+/// default scale, a `"tenant": 7` as tenant `default`, a
+/// `"deadline_ms": "0"` as no deadline, and a `"journal_key": 5` as an
+/// unjournaled job.)
 #[test]
-fn malformed_integer_fields_are_refused_and_bill_nothing() {
+fn malformed_fields_are_refused_and_bill_nothing() {
     let text = |s: &str| Json::Str(s.to_string());
     let cases = [
         ("token_budget", Json::Num(1.5)),
@@ -724,6 +730,18 @@ fn malformed_integer_fields_are_refused_and_bill_nothing() {
         ("workers", Json::Num(0.5)),
         ("seed", Json::Num(-1.0)),
         ("plan_shard_size", text("4")),
+        ("scale", text("0.05")),
+        ("scale", text("1e12")),
+        ("tenant", Json::Num(7.0)),
+        ("tenant", Json::Null),
+        ("deadline_secs", text("0")),
+        ("deadline_ms", text("0")),
+        ("journal_key", Json::Num(5.0)),
+        ("retries", Json::Num(1.5)),
+        ("retries", text("5")),
+        ("scenario", Json::Num(5.0)),
+        ("route", Json::Num(5.0)),
+        ("dataset", Json::Num(5.0)),
     ];
     with_daemon(handler(None), TenantLedger::new(), |addr| {
         for (key, value) in cases {
@@ -731,16 +749,54 @@ fn malformed_integer_fields_are_refused_and_bill_nothing() {
             assert_rejected(&submit(addr, &request), &format!("\"{key}\" must be"));
         }
         let stats = submit(addr, &op("stats"));
-        let billed: usize = match stats.get("tenants") {
-            Some(Json::Arr(rows)) => rows
-                .iter()
-                .filter(|row| row.get("tenant").and_then(Json::as_str) == Some("typo"))
-                .map(|row| num_field(row, "tokens_billed"))
-                .sum(),
-            _ => 0,
-        };
-        assert_eq!(billed, 0, "{}", stats.to_json());
+        for row in ledger_rows(&stats) {
+            assert_eq!(num_field(row, "tokens_billed"), 0, "{}", stats.to_json());
+        }
     });
+}
+
+/// A scheduler tracer that panics on its first `queue_depth` event.
+struct PanicsOnce(AtomicBool);
+
+impl Tracer for PanicsOnce {
+    fn record(&self, event: &TraceEvent) {
+        if matches!(event, TraceEvent::QueueDepth { .. }) && !self.0.swap(true, Ordering::SeqCst) {
+            panic!("tracer bug");
+        }
+    }
+}
+
+/// A panicking scheduler tracer unwinds to the caller of the job it
+/// panicked in and poisons nothing: a job of another tenant is then
+/// admitted, runs and settles bit-identical to its one-shot run, the
+/// in-flight count returns to 0, and the overload snapshot stays
+/// readable: no lock is held while a tracer runs.
+#[test]
+fn a_panicking_tracer_poisons_nothing() {
+    let handler = handler(None);
+    let scheduler = JobScheduler::new(TenantLedger::new())
+        .with_tracer(Arc::new(PanicsOnce(AtomicBool::new(false))));
+    let options = ExecutionOptions {
+        workers: 2,
+        ..ExecutionOptions::default()
+    };
+    let first = submit_body("first", "Restaurant", vec![]);
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        scheduler.run_job("first", options, |grant| handler(&first, grant))
+    }));
+    assert!(panicked.is_err(), "the tracer's panic reaches the caller");
+
+    let second = submit_body("second", "Restaurant", vec![]);
+    let (_, outcome) = scheduler
+        .run_job("second", options, |grant| handler(&second, grant))
+        .expect("another tenant's job runs");
+    assert_eq!(
+        billed(&outcome),
+        reference(&handler, "second", "Restaurant", vec![])
+    );
+    let snapshot = scheduler.overload_snapshot();
+    assert_eq!((snapshot.inflight, snapshot.queued), (0, 0));
+    assert_eq!((snapshot.admitted_total, snapshot.shed_total), (2, 0));
 }
 
 /// A whole number at or past 2^53, where JSON no longer holds every
